@@ -26,9 +26,8 @@ SWEEP_SCHEMA = "bayescub.sweep.v1"
 CSV_COLUMNS = ("eps", "seed", "n", "err", "abs_error", "abs_error_over_eps",
                "seconds", "success")
 
-_PERIODIZER_FLAGS = {"none": "none", "baker": "baker", "c0": "c0", "c1": "c1",
-                     "sidi1": "sidi_c1", "sidi2": "sidi_c2",
-                     "sidi_c1": "sidi_c1", "sidi_c2": "sidi_c2"}
+_PERIODIZER_FLAGS = {**{name: name for name in problems.PERIODIZERS},
+                     "sidi1": "sidi_c1", "sidi2": "sidi_c2"}
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -192,8 +191,8 @@ def cmd_selftest(args) -> int:
                 gram = kernels.gram_matrix(spec, pts.int_points)
             y = np.asarray(np.cos(2 * np.pi * pts.points[:, 0]) + pts.points[:, 1])
             spectrum = transforms.fbt(y, family)
-            col = kernels.ring_column(spec, gen, m)
-            td = transformed_data(spectrum.coefficients, col.values, family)
+            col = kernels.ring_from_bases(spec.eta, kernels.column_bases(spec, gen, m))
+            td = transformed_data(spectrum.coefficients, col, family)
             # Gram factorization through the fast transform
             lam = np.concatenate([[td.lam1], td.lams_rest])
             if family == "lattice":
@@ -278,7 +277,7 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return cmd_sweep(args)
         return cmd_selftest(args)
-    except (KeyError, ValueError, FileNotFoundError) as exc:
+    except (KeyError, ValueError, FileNotFoundError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

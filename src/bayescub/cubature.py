@@ -191,13 +191,13 @@ def integrate_fast(f, d: int, config: CubatureConfig) -> CubatureResult:
 
         bases = None
         if not order_searched:
-            bases = _column_bases(spec0, gen, m, kind)
+            bases = kernels.column_bases(spec0, gen, m)
         weights = np.abs(spectrum.coefficients[1:]) ** 2
 
         def obj(t):
             state = HyperparameterState(t, tags)
             spec = _spec_from_state(spec0, state, d)
-            b = bases if bases is not None else _column_bases(spec, gen, m, kind)
+            b = bases if bases is not None else kernels.column_bases(spec, gen, m)
             col = kernels.ring_from_bases(spec.eta, b)
             # lattice columns come from folded lags, hence are exactly even
             data = transformed_data(spectrum.coefficients, col, kind,
@@ -231,12 +231,6 @@ def integrate_fast(f, d: int, config: CubatureConfig) -> CubatureResult:
                           tolerance_met=bool(err <= config.epsilon),
                           iterations=iterations, seed=config.seed,
                           seconds=time.perf_counter() - t_start, final_state=td)
-
-
-def _column_bases(spec, gen, m, kind):
-    if kind == "lattice":
-        return kernels.lattice_column_bases(spec, gen, m)
-    return kernels.sobol_column_bases(spec, gen, m)
 
 
 def _make_gradient(spec0, tags, d, bases, spectrum, kind, config):

@@ -20,7 +20,8 @@ from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.optimize import minimize
 from scipy.special import stdtrit
 
-from .transforms import _brev_indices, fbt, fbt_lattice_even
+from .nodes import _brev_table
+from .transforms import fbt, fbt_lattice_even
 
 EB, FULL, GCV = "eb", "full", "gcv"
 CRITERIA = (EB, FULL, GCV)
@@ -75,7 +76,7 @@ def _clamp_eigs(vals: np.ndarray, n: int, what: str) -> tuple[np.ndarray, int]:
 
 
 def _column_is_even(col: np.ndarray, m: int) -> bool:
-    g = col[_brev_indices(m)]
+    g = col[_brev_table(m)]
     return bool(np.array_equal(g[1:], g[:0:-1]))
 
 
@@ -155,7 +156,6 @@ def objective_gradient(td: TransformedData, kind: str, dlambda: np.ndarray) -> n
     w = np.abs(td.y_tilde[1:]) ** 2
     s1, s2 = _require_data(td)
     if kind == GCV:
-        s3 = float(np.sum(w / td.lams_rest**3))
         inv_sum = float((1.0 / lams).sum())
         grad = (-2.0 / s2) * (dlambda[:, 1:] * (w / td.lams_rest**3)).sum(axis=1) \
             + (2.0 / inv_sum) * (dlambda / lams[None, :] ** 2).sum(axis=1)

@@ -72,14 +72,6 @@ class KernelSpec:
         return KernelSpec(self.family, order, self.eta, self.shared_eta)
 
 
-@dataclass(frozen=True)
-class RingColumn:
-    """First Gram column of the ring kernel C - 1, built without subtraction."""
-
-    values: np.ndarray
-    c_zero: float = 1.0
-
-
 def bernoulli_poly(order: int, x):
     """B_2 and B_4 in closed form; other orders route to truncated_series."""
     x = np.asarray(x, dtype=np.float64)
@@ -137,41 +129,6 @@ def _dim_bases_from_lags(spec: KernelSpec, lag: np.ndarray) -> np.ndarray:
     raise ValueError(f"{spec.family} has no pointwise lag form")
 
 
-try:  # hot inner loops of every objective evaluation; numpy fallbacks below
-    from numba import njit as _njit
-
-    @_njit(cache=True)
-    def _ring_rows(eta, bases, out):  # pragma: no cover - jitted
-        n, d = bases.shape
-        for i in range(n):
-            r = eta[0] * bases[i, 0]
-            for ell in range(1, d):
-                c = eta[ell] * bases[i, ell]
-                r = r * (1.0 + c) + c
-            out[i] = r
-
-    @_njit(cache=True)
-    def _bernoulli_bases(brev, hvec, mask, inv, sign, order4, out):  # pragma: no cover
-        n = brev.shape[0]
-        d = hvec.shape[0]
-        for i in range(n):
-            b = brev[i]
-            for ell in range(d):
-                x = np.float64((hvec[ell] * b) & mask) * inv
-                if x > 0.5:
-                    x = 1.0 - x
-                if order4:
-                    x2 = x * x
-                    val = x2 * x2 - 2.0 * x2 * x + x2 - 1.0 / 30.0
-                else:
-                    val = x * x - x + 1.0 / 6.0
-                out[i, ell] = sign * val
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    _HAVE_NUMBA = False
-
-
 # rows per block of the in-place ring; a block of d = 13 bases is ~0.85 MB,
 # so it stays in cache while every dimension passes over it
 _RING_BLOCK = 1 << 13
@@ -205,11 +162,6 @@ def _ring_blocked(eta: np.ndarray, bases: np.ndarray) -> np.ndarray:
 def ring_from_bases(eta: np.ndarray, bases: np.ndarray) -> np.ndarray:
     """C - 1 over the last axis of (..., d) bases via the product iteration."""
     eta = np.asarray(eta, dtype=np.float64)
-    if _HAVE_NUMBA and bases.ndim == 2 and bases.flags.c_contiguous \
-            and bases.size >= 1 << 14:
-        out = np.empty(bases.shape[0])
-        _ring_rows(eta, bases, out)
-        return out
     d = bases.shape[-1]
     if bases.size > _RING_BLOCK * d:
         return _ring_blocked(eta, bases.reshape(-1, d)).reshape(bases.shape[:-1])
@@ -287,16 +239,6 @@ def kernel_eta_gradient(spec: KernelSpec, x, t) -> np.ndarray:
 def lattice_column_bases(spec: KernelSpec, gen: LatticeGenerator, m: int) -> np.ndarray:
     """(n, d) per-dimension base values at the first-column lags of a lattice."""
     n = 1 << m
-    if spec.family == "bernoulli" and _HAVE_NUMBA and (n * spec.d) >= 1 << 14:
-        from .nodes import _brev_table
-
-        out = np.empty((n, spec.d))
-        _bernoulli_bases(_brev_table(m),
-                         np.asarray(gen.generating_vector, dtype=np.uint64),
-                         np.uint64(n - 1), 1.0 / n,
-                         1.0 if spec.order == 1 else -1.0,
-                         spec.order == 2, out)
-        return out
     idx = lattice_lag_indices(gen, m)
     if spec.family == "truncated_series":
         table = truncated_series_table(spec.order, n)
@@ -312,21 +254,16 @@ def sobol_column_bases(spec: KernelSpec, gen: SobolGenerator, m: int) -> np.ndar
     return walsh_omega1(lags)
 
 
-def ring_column(spec: KernelSpec, gen, m: int) -> RingColumn:
+def column_bases(spec: KernelSpec, gen, m: int) -> np.ndarray:
+    """(2^m, d) base values of the first Gram column on gen's nodes.
+
+    The ring column is ring_from_bases(spec.eta, column_bases(spec, gen, m)).
+    """
     if isinstance(gen, LatticeGenerator):
-        bases = lattice_column_bases(spec, gen, m)
-    elif isinstance(gen, SobolGenerator):
-        bases = sobol_column_bases(spec, gen, m)
-    else:
-        raise TypeError(f"unsupported generator {type(gen)!r}")
-    return RingColumn(values=ring_from_bases(spec.eta, bases))
-
-
-def truncated_series_first_column(spec: KernelSpec, gen: LatticeGenerator, m: int) -> RingColumn:
-    """Spec'd entry point for the continuous-order kernel column."""
-    if spec.family != "truncated_series":
-        raise ValueError("spec must be truncated_series")
-    return RingColumn(values=ring_from_bases(spec.eta, lattice_column_bases(spec, gen, m)))
+        return lattice_column_bases(spec, gen, m)
+    if isinstance(gen, SobolGenerator):
+        return sobol_column_bases(spec, gen, m)
+    raise TypeError(f"unsupported generator {type(gen)!r}")
 
 
 def column_eta_jacobian(spec: KernelSpec, bases: np.ndarray,

@@ -20,26 +20,6 @@ DIGITS = 32  # binary digit places used for digital (XOR) arithmetic
 _SCALE = float(2**DIGITS)
 _DATA_DIR_ENV = "BAYESCUB_DATA_DIR"
 
-try:  # single-pass point fill; the numpy fallback in lattice_points is
-    # bit-identical (same scalar operation sequence, no contraction)
-    from numba import njit as _njit
-
-    @_njit(cache=True)
-    def _fill_lattice(brev, hvec, shift, cap, inv, out):  # pragma: no cover
-        n = brev.shape[0]
-        d = hvec.shape[0]
-        for i in range(n):
-            b = brev[i]
-            for ell in range(d):
-                frac = np.float64((hvec[ell] * b) & cap) * inv + shift[ell]
-                if frac >= 1.0:
-                    frac -= 1.0
-                out[i, ell] = frac
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    _HAVE_NUMBA = False
-
 
 class CapacityError(ValueError):
     """Requested more points than the generator supports."""
@@ -99,9 +79,18 @@ def bit_reverse(k: np.ndarray | int, m: int) -> np.ndarray | int:
     return int(out[0]) if scalar else out
 
 
-@lru_cache(maxsize=24)
+@lru_cache(maxsize=32)
 def _brev_table(m: int) -> np.ndarray:
-    return bit_reverse(np.arange(1 << m, dtype=np.uint64), m)
+    """bit_reverse(arange(2^m), m) as a cached, read-only intp table.
+
+    Built by doubling: the (m+1)-bit reversal of i < 2^m is 2 rev(i), and of
+    2^m + i is 2 rev(i) + 1.
+    """
+    t = np.zeros(1, dtype=np.intp)
+    for _ in range(m):
+        t = np.concatenate([2 * t, 2 * t + 1])
+    t.flags.writeable = False
+    return t
 
 
 @dataclass(frozen=True)
@@ -160,14 +149,10 @@ def lattice_points(gen: LatticeGenerator, start: int, stop: int) -> NodeSet:
     """
     _check_range(start, stop, gen.capacity)
     m = max((stop - 1).bit_length(), 1)
-    brev = _brev_table(m)[start:stop] << np.uint64(gen.max_log2_n - m)
+    brev = _brev_table(m)[start:stop].view(np.uint64) << np.uint64(gen.max_log2_n - m)
     cap = np.uint64(gen.capacity - 1)
     pts = np.empty((stop - start, gen.d))
     inv = 1.0 / gen.capacity
-    hvec = np.asarray(gen.generating_vector, dtype=np.uint64)
-    if _HAVE_NUMBA and pts.size >= 1 << 14:
-        _fill_lattice(brev, hvec, gen.shift, cap, inv, pts)
-        return NodeSet(points=pts, family="lattice", start=start, stop=stop)
     for ell, h in enumerate(gen.generating_vector):
         frac = ((np.uint64(h) * brev) & cap).astype(np.float64)
         frac *= inv
@@ -186,7 +171,7 @@ def lattice_lag_indices(gen: LatticeGenerator, m: int) -> np.ndarray:
     n = 1 << m
     if n > gen.capacity:
         raise CapacityError(f"2^{m} exceeds generator capacity {gen.capacity}")
-    brev = _brev_table(m)
+    brev = _brev_table(m).view(np.uint64)
     h = np.asarray(gen.generating_vector, dtype=np.uint64)
     return (brev[:, None] * h[None, :]) & np.uint64(n - 1)
 
@@ -315,13 +300,22 @@ def _upper_triangular_unit_diag(dn: np.ndarray) -> bool:
 
 
 def _net_integers(dn: np.ndarray, start: int, stop: int) -> np.ndarray:
-    idx = np.arange(start, stop, dtype=np.uint64)
-    z = np.zeros((stop - start, dn.shape[0]), dtype=np.uint64)
-    bits = int(stop - 1).bit_length() if stop > 1 else 1
-    for k in range(bits):
-        mask = ((idx >> np.uint64(k)) & np.uint64(1)).astype(bool)
-        if mask.any():
-            z[mask] ^= dn[:, k][None, :]
+    """z_i = XOR of the columns dn[:, k] over the set bits k of i, for i in
+    [start, stop), a range _check_range accepts.
+
+    Built by doubling, as in the Gray-code construction of Antonov and Saleev
+    (1979): z[2^k : 2^(k+1)] is z[0 : 2^k] XOR column k.  A doubling block [n, 2n) is the prefix [0, n)
+    XOR column log2(n).
+    """
+    n = stop - start
+    z = np.empty((n, dn.shape[0]), dtype=np.uint64)
+    z[0] = 0
+    h, k = 1, 0
+    while h < n:
+        np.bitwise_xor(z[:h], dn[:, k], out=z[h : 2 * h])
+        h, k = 2 * h, k + 1
+    if start:
+        z ^= dn[:, k]
     return z
 
 

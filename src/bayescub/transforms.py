@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .nodes import bit_reverse
+from .nodes import _brev_table
 
 VDC = "vdc-matched"
 HADAMARD = "hadamard"
@@ -42,13 +42,8 @@ def _check_pow2(n: int) -> int:
     return n.bit_length() - 1
 
 
-@lru_cache(maxsize=32)
-def _brev_indices(m: int) -> np.ndarray:
-    return bit_reverse(np.arange(1 << m, dtype=np.uint64), m).astype(np.intp)
-
-
 def _bit_reverse_permute(x: np.ndarray, m: int) -> np.ndarray:
-    """x[_brev_indices(m)] for a length-2^m array, as a new array.
+    """x[_brev_table(m)] for a length-2^m array, as a new array.
 
     From 2^16 points on, the permutation runs in two levels (Carter and
     Gatlin, FOCS 1998): with m = a + b, view x as a (2^b, 2^a) grid, gather
@@ -57,18 +52,18 @@ def _bit_reverse_permute(x: np.ndarray, m: int) -> np.ndarray:
     instead of jumping over all n entries; the values are the same.
     """
     if m < _TWO_LEVEL_MIN_M:
-        return x[_brev_indices(m)]
+        return x[_brev_table(m)]
     a = m // 2
     b = m - a
     grid = x.reshape(1 << b, 1 << a)
-    return grid[_brev_indices(b)][:, _brev_indices(a)].T.reshape(-1)
+    return grid[_brev_table(b)][:, _brev_table(a)].T.reshape(-1)
 
 
 @lru_cache(maxsize=32)
 def _lattice_twiddles(m: int) -> np.ndarray:
     # e^{-i pi phi(i-1)} for i = 1..n, used by the doubling update
     n = 1 << m
-    phi = _brev_indices(m).astype(np.float64) / n
+    phi = _brev_table(m).astype(np.float64) / n
     return np.exp(-1j * np.pi * phi)
 
 
@@ -149,7 +144,7 @@ def lattice_eigenvector_matrix(n: int) -> np.ndarray:
     if n > _DENSE_LIMIT:
         raise ValueError(f"dense matrix limited to n <= {_DENSE_LIMIT}")
     m = _check_pow2(n)
-    phi = _brev_indices(m).astype(np.float64) / n
+    phi = _brev_table(m).astype(np.float64) / n
     return np.exp(2j * np.pi * n * np.outer(phi, phi))
 
 

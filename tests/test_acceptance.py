@@ -42,8 +42,8 @@ def matched_setup(family, kernel, order, eta, m, d, seed):
         gram = kernels.gram_matrix(spec, pts.int_points)
     else:
         gram = kernels.gram_matrix(spec, pts.points)
-    col = kernels.ring_column(spec, gen, m)
-    td = transformed_data(transforms.fbt(y, family).coefficients, col.values, family)
+    col = kernels.ring_from_bases(spec.eta, kernels.column_bases(spec, gen, m))
+    td = transformed_data(transforms.fbt(y, family).coefficients, col, family)
     return gen, pts, y, gram, col, td
 
 
@@ -71,7 +71,7 @@ def test_criterion_1_dense_fast_equivalence():
                     fast = credible_width(kind, td)
                     assert post.mu_hat == pytest.approx(y.mean(), rel=1e-8)
                     if max(post.err, fast) <= width_floor(kind, td,
-                                                          np.abs(col.values).max()):
+                                                          np.abs(col).max()):
                         continue
                     rel = abs(post.err - fast) / max(post.err, fast)
                     worst = max(worst, rel)
@@ -94,7 +94,7 @@ def test_criterion_2_gram_factorization():
             eta = rng.uniform(0.3, 2.0, size=d)
             gen, pts, _, gram, col, _ = matched_setup(family, kernel, order,
                                                       eta, m, d, seed=5)
-            lam = transforms.fbt(1.0 + col.values, family).coefficients
+            lam = transforms.fbt(1.0 + col, family).coefficients
             v = (transforms.lattice_eigenvector_matrix(n) if family == "lattice"
                  else transforms.hadamard_matrix(n))
             recon = (v * lam[None, :]) @ v.conj().T / n
@@ -137,7 +137,7 @@ def test_criterion_3_transform_asymptotics():
                              order=1, optimizer=OptimizerSettings(budget_first=20))
         return integrate_fast(f, 13, cfg)
 
-    one_iteration(2**14)  # warm jit, fft plans
+    one_iteration(2**14)  # warm caches, fft plans
     t0 = time.perf_counter()
     res = one_iteration(2**20)
     iteration_s = time.perf_counter() - t0
@@ -261,13 +261,13 @@ def test_criterion_8_cancellation_demonstration():
     gen = nodes.LatticeGenerator((1,), np.zeros(1), max_log2_n=m)
     y = np.random.default_rng(77).standard_normal(n)
     spec = KernelSpec("bernoulli", 1, np.array([eta]))
-    col = kernels.ring_column(spec, gen, m)
-    brev = transforms._brev_indices(m)
-    td = transformed_data(np.fft.fft(y[brev])[brev], col.values, "lattice")
+    col = kernels.ring_from_bases(spec.eta, kernels.column_bases(spec, gen, m))
+    brev = nodes._brev_table(m)
+    td = transformed_data(np.fft.fft(y[brev])[brev], col, "lattice")
 
     err_ref, _ = zeta_reference_width(eta, m, y)
     fast = credible_width(EB, td)
-    lam_naive = np.real(np.fft.fft((1.0 + col.values)[brev])[brev])
+    lam_naive = np.real(np.fft.fft((1.0 + col)[brev])[brev])
     s1, _ = td.data_sums()
     naive = 2.58 / n * np.sqrt(max(1.0 - n / lam_naive[0], 0.0) * s1)
     fast_rel = abs(fast - err_ref) / err_ref
@@ -297,9 +297,7 @@ def test_criterion_9_gradient_suite():
             yv = np.cos(2 * np.pi * pts.points[:, 0]) + pts.points.sum(axis=1) ** 2
             spectrum = transforms.fbt(yv, family)
             spec = KernelSpec(kernel, order, eta, shared_eta=shared)
-            bases = (kernels.lattice_column_bases(spec, gen, m)
-                     if family == "lattice"
-                     else kernels.sobol_column_bases(spec, gen, m))
+            bases = kernels.column_bases(spec, gen, m)
             col = kernels.ring_from_bases(spec.eta, bases)
             td = transformed_data(spectrum.coefficients, col, family)
             jac = kernels.column_eta_jacobian(spec, bases, col)

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from bayescub import cli
+from bayescub import cli, problems
 
 
 def run_main(argv, capsys):
@@ -45,6 +45,25 @@ class TestIntegrate:
         code, _, err = run_main(
             ["integrate", "--problem", "mystery", "--eps", "1e-2"], capsys)
         assert code == 1 and "mystery" in err
+
+    def test_arithmetic_error_is_runtime_error(self, capsys, monkeypatch):
+        from bayescub.inference import NonPositiveDefiniteError
+
+        def fail(*args, **kwargs):
+            raise NonPositiveDefiniteError("kernel column not positive definite")
+
+        monkeypatch.setattr(cli, "integrate_fast", fail)
+        code, _, err = run_main(
+            ["integrate", "--problem", "fresnel", "--eps", "1e-2"], capsys)
+        assert code == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize("name", problems.PERIODIZERS)
+    def test_periodizer_accepts_every_name(self, capsys, name):
+        code, out, _ = run_main(
+            ["integrate", "--problem", "fresnel", "--eps", "1e99", "--n0", "256",
+             "--periodizer", name], capsys)
+        assert code == 0
+        assert json.loads(out)["n"] == 256
 
     def test_matern_family_routes_to_dense(self, capsys):
         code, out, _ = run_main(

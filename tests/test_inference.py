@@ -29,8 +29,8 @@ def make_matched_td(family, kernel, order, eta, m, d, seed=0, y=None):
     spectrum = transforms.fbt(y, family)
     spec = KernelSpec(kernel, order, eta if np.ndim(eta) else np.full(d, eta),
                       shared_eta=bool(np.ndim(eta) == 0))
-    col = kernels.ring_column(spec, gen, m)
-    td = transformed_data(spectrum.coefficients, col.values, family)
+    col = kernels.ring_from_bases(spec.eta, kernels.column_bases(spec, gen, m))
+    td = transformed_data(spectrum.coefficients, col, family)
     return gen, pts, y, spec, col, td
 
 
@@ -73,7 +73,9 @@ def zeta_reference_width(eta: float, m: int, y: np.ndarray, dps: int = 50):
 
     The ring eigenvalues have the exact aliased-series form
     lam_k = eta * n / (2 pi^2 n^2) * [zeta(2, k/n) + zeta(2, 1 - k/n)] with
-    lam_0 = eta / (6 n); everything else is evaluated in mpmath.
+    lam_0 = eta / (6 n); the zeta pair is summed in closed form by the
+    reflection identity zeta(2, x) + zeta(2, 1 - x) = pi^2 / sin^2(pi x).
+    Everything is evaluated in mpmath.
     """
     import mpmath as mp
 
@@ -82,12 +84,12 @@ def zeta_reference_width(eta: float, m: int, y: np.ndarray, dps: int = 50):
     e = mp.mpf(eta)
     lam_ring1 = e / (6 * n)
     pref = e * n / (2 * mp.pi**2 * n**2)
-    brev = transforms._brev_indices(m)
+    brev = nodes._brev_table(m)
     y_t = np.fft.fft(y[brev])[brev]
     s1 = mp.mpf(0)
     for k in range(1, n):
         freq = int(brev[k])  # spectrum entry k sits at frequency brev(k)
-        lam_k = pref * (mp.zeta(2, mp.mpf(freq) / n) + mp.zeta(2, mp.mpf(n - freq) / n))
+        lam_k = pref * mp.pi**2 / mp.sin(mp.pi * mp.mpf(freq) / n) ** 2
         w = mp.mpf(float(y_t[k].real)) ** 2 + mp.mpf(float(y_t[k].imag)) ** 2
         s1 += w / lam_k
     lam1 = n + lam_ring1
@@ -104,9 +106,9 @@ class TestCancellationSafety:
         rng = np.random.default_rng(77)
         y = rng.standard_normal(n)
         spec = KernelSpec("bernoulli", 1, np.array([eta]))
-        col = kernels.ring_column(spec, gen, m)
-        brev = transforms._brev_indices(m)
-        td = transformed_data(np.fft.fft(y[brev])[brev], col.values, "lattice")
+        col = kernels.ring_from_bases(spec.eta, kernels.column_bases(spec, gen, m))
+        brev = nodes._brev_table(m)
+        td = transformed_data(np.fft.fft(y[brev])[brev], col, "lattice")
         return eta, y, col, td
 
     def test_ring_ratio_matches_extended_precision(self):
@@ -132,8 +134,8 @@ class TestCancellationSafety:
         fast = credible_width(EB, td)
         assert fast > 0 and fast == pytest.approx(err_ref, rel=1e-6)
 
-        brev = transforms._brev_indices(m)
-        full_col = 1.0 + col.values
+        brev = nodes._brev_table(m)
+        full_col = 1.0 + col
         lam_naive = np.real(np.fft.fft(full_col[brev])[brev])
         one_minus = 1.0 - n / lam_naive[0]
         s1, _ = td.data_sums()
@@ -216,9 +218,8 @@ class TestObjectiveGradient:
                else rng.uniform(0.3, 2.5, size=d))
         gen, pts, y, spec, col, td = make_matched_td(family, kernel, order, eta,
                                                      m, d, seed=seed)
-        bases = (kernels.lattice_column_bases(spec, gen, m) if family == "lattice"
-                 else kernels.sobol_column_bases(spec, gen, m))
-        jac = kernels.column_eta_jacobian(spec, bases, col.values)
+        bases = kernels.column_bases(spec, gen, m)
+        jac = kernels.column_eta_jacobian(spec, bases, col)
         dlam = np.vstack([np.real(transforms.fbt(row, family).coefficients)
                           for row in jac])
         grad = objective_gradient(td, kind, dlam)
@@ -272,8 +273,8 @@ class TestObjectiveGradient:
                                                         1, eta, 5, d)
         spec_pd = KernelSpec("bernoulli", 1, np.full(d, eta), shared_eta=False)
         bases = kernels.lattice_column_bases(spec_sh, gen, 5)
-        jac_sh = kernels.column_eta_jacobian(spec_sh, bases, col.values)
-        jac_pd = kernels.column_eta_jacobian(spec_pd, bases, col.values)
+        jac_sh = kernels.column_eta_jacobian(spec_sh, bases, col)
+        jac_pd = kernels.column_eta_jacobian(spec_pd, bases, col)
         g_sh = objective_gradient(td, EB, np.real(
             transforms.fbt(jac_sh[0], "lattice").coefficients)[None, :])
         dlam_pd = np.vstack([np.real(transforms.fbt(row, "lattice").coefficients)

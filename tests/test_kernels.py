@@ -106,7 +106,7 @@ class TestTruncatedSeries:
         n, r, eta = 16, 1.8, 1.3
         gen = nodes.LatticeGenerator(nodes.default_lattice_vector(2), np.zeros(2))
         spec = KernelSpec("truncated_series", r, np.full(2, eta))
-        col = kernels.truncated_series_first_column(spec, gen, 4).values
+        col = kernels.ring_from_bases(spec.eta, kernels.column_bases(spec, gen, 4))
         ks = np.concatenate([np.arange(-n // 2, 0), np.arange(1, n // 2)])
         pts = gen.points(0, n).points
         direct = np.ones(n)
@@ -316,6 +316,13 @@ def unblocked_ring(eta, bases):
         c = eta[ell] * bases[..., ell]
         ring = ring * (1.0 + c) + c
     return ring
+
+
+class TestColumnBases:
+    def test_unknown_generator_rejected(self):
+        spec = KernelSpec("bernoulli", 2, np.ones(2))
+        with pytest.raises(TypeError):
+            kernels.column_bases(spec, object(), 3)
 
 
 class TestRingBlocking:

@@ -46,6 +46,13 @@ class TestVanDerCorput:
         with pytest.raises(ValueError):
             nodes.van_der_corput(2**53)
 
+    @pytest.mark.parametrize("m", range(21))
+    def test_brev_table_matches_bit_reverse(self, m):
+        table = nodes._brev_table(m)
+        assert table.dtype == np.intp and not table.flags.writeable
+        expected = nodes.bit_reverse(np.arange(1 << m, dtype=np.uint64), m)
+        assert np.array_equal(table.view(np.uint64), expected)
+
 
 class TestLattice:
     def test_unit_generator_d1(self):
@@ -195,6 +202,28 @@ class TestSobol:
         a = nodes.make_sobol(4, seed=5, scramble=True).points(0, 64).points
         b = nodes.make_sobol(4, seed=5, scramble=True).points(0, 64).points
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("d", [1, 4, 13])
+    @pytest.mark.parametrize("scramble", [False, True])
+    def test_net_integers_match_per_bit_loop(self, d, scramble):
+        dn = nodes.make_sobol(d, seed=11, scramble=scramble).direction_numbers
+        for m in (0, 1, 2, 3, 5, 10, 17, 20):
+            ranges = [(0, 1 << m)] + ([(1 << (m - 1), 1 << m)] if m else [])
+            for start, stop in ranges:
+                assert np.array_equal(nodes._net_integers(dn, start, stop),
+                                      per_bit_net_integers(dn, start, stop)), (m, start)
+
+
+def per_bit_net_integers(dn: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Reference: XOR column k of dn into every row whose index has bit k set."""
+    idx = np.arange(start, stop, dtype=np.uint64)
+    z = np.zeros((stop - start, dn.shape[0]), dtype=np.uint64)
+    bits = int(stop - 1).bit_length() if stop > 1 else 1
+    for k in range(bits):
+        mask = ((idx >> np.uint64(k)) & np.uint64(1)).astype(bool)
+        if mask.any():
+            z[mask] ^= dn[:, k][None, :]
+    return z
 
 
 def elementary_interval_check(pts: np.ndarray, m: int, t: int) -> bool:

@@ -96,13 +96,13 @@ class TestDoubling:
 
 def gather_fbt_lattice(y):
     # single-gather reference: P . FFT . P with one index array over all n
-    p = transforms._brev_indices(len(y).bit_length() - 1)
+    p = nodes._brev_table(len(y).bit_length() - 1)
     return np.fft.fft(y[p])[p]
 
 
 def gather_fbt_lattice_even(col):
     n = len(col)
-    p = transforms._brev_indices(n.bit_length() - 1)
+    p = nodes._brev_table(n.bit_length() - 1)
     half = np.fft.rfft(col[p]).real
     full = np.empty(n)
     full[: n // 2 + 1] = half
@@ -133,7 +133,7 @@ class TestLargeN:
         rng = np.random.default_rng(m)
         y = rng.standard_normal(1 << m)
         z = y + 1j * rng.standard_normal(1 << m)
-        p = transforms._brev_indices(m)
+        p = nodes._brev_table(m)
         for x in (y, z):
             out = transforms._bit_reverse_permute(x, m)
             assert out.dtype == x.dtype
@@ -216,8 +216,8 @@ class TestInvariants:
                 gen = nodes.make_sobol(d, seed=2)
                 gram = kernels.gram_matrix(spec, gen.points(0, n).int_points)
                 v = hadamard_matrix(n)
-            lam = transforms.fbt(1.0 + kernels.ring_column(spec, gen, m).values,
-                                 family).coefficients
+            col = kernels.ring_from_bases(spec.eta, kernels.column_bases(spec, gen, m))
+            lam = transforms.fbt(1.0 + col, family).coefficients
             recon = (v * lam[None, :]) @ v.conj().T / n
             assert np.abs(recon - gram).max() <= 1e-10 * n
 
