@@ -17,8 +17,9 @@ import numpy as np
 
 from . import kernels, problems
 from .inference import (EB, CRITERIA, DegenerateDataError, HyperparameterState,
-                        TransformedData, credible_width, dense_eb_objective,
-                        dense_posterior, objective, search_hyperparameters,
+                        NonFiniteStartError, TransformedData, column_spectrum,
+                        credible_width, dense_eb_objective, dense_posterior,
+                        objective, objective_gradient, search_hyperparameters,
                         transformed_data)
 from .nodes import make_lattice, make_sobol
 from .transforms import fbt, fbt_double
@@ -75,6 +76,9 @@ class IterationRecord:
     theta: tuple[float, ...]
     err: float
     seconds: float
+    evaluations: int = 0    # objective evaluations of this doubling's search
+    n_clamped: int = 0      # Gram eigenvalues clamped at the chosen parameters
+    reseeded: bool = False  # warm start not finite; searched from the default
 
 
 @dataclass
@@ -162,9 +166,10 @@ def integrate_fast(f, d: int, config: CubatureConfig) -> CubatureResult:
     spec0 = _default_kernel(config, d)
     tags = _search_tags(spec0, config, d)
     order_searched = bool(tags and tags[0] != "eta")
-    warm = HyperparameterState.from_constrained(
+    start = HyperparameterState.from_constrained(
         ([spec0.order] if order_searched else []) + [1.0] * (len(tags) - order_searched),
         tags)
+    warm = start
 
     y_all = np.empty(0)
     spectrum = None
@@ -199,11 +204,9 @@ def integrate_fast(f, d: int, config: CubatureConfig) -> CubatureResult:
             spec = _spec_from_state(spec0, state, d)
             b = bases if bases is not None else kernels.column_bases(spec, gen, m)
             col = kernels.ring_from_bases(spec.eta, b)
-            # lattice columns come from folded lags, hence are exactly even
             data = transformed_data(spectrum.coefficients, col, kind,
                                     spec_label=f"{spec.family}(r={spec.order:g})",
-                                    weights=weights,
-                                    known_even=True if kind == "lattice" else None)
+                                    weights=weights)
             try:
                 return objective(config.criterion, data), (spec, data)
             except DegenerateDataError:
@@ -213,15 +216,25 @@ def integrate_fast(f, d: int, config: CubatureConfig) -> CubatureResult:
         if config.optimizer.method == "grad_descent" and not order_searched:
             grad_fn = _make_gradient(spec0, tags, d, bases, spectrum, kind, config)
 
-        res = search_hyperparameters(obj, warm, method=config.optimizer.method,
-                                     budget=budget, step=config.optimizer.step,
-                                     gradient_fn=grad_fn)
+        search = dict(method=config.optimizer.method, budget=budget,
+                      step=config.optimizer.step, gradient_fn=grad_fn)
+        reseeded = False
+        try:
+            res = search_hyperparameters(obj, warm, **search)
+        except NonFiniteStartError:
+            if np.array_equal(warm.t, start.t):
+                raise
+            res = search_hyperparameters(obj, start, **search)
+            reseeded = True
         warm = res.state
         budget = config.optimizer.budget_later
         spec_best, td = res.payload
         err = credible_width(config.criterion, td)
+        # a re-seeded search also spent one evaluation at the failed warm start
         iterations.append(IterationRecord(n, tuple(spec_best.eta), float(err),
-                                          time.perf_counter() - it_start))
+                                          time.perf_counter() - it_start,
+                                          evaluations=res.evaluations + reseeded,
+                                          n_clamped=td.n_clamped, reseeded=reseeded))
         if err <= config.epsilon:
             break
         n_prev, n = n, 2 * n
@@ -234,15 +247,13 @@ def integrate_fast(f, d: int, config: CubatureConfig) -> CubatureResult:
 
 
 def _make_gradient(spec0, tags, d, bases, spectrum, kind, config):
-    from .inference import objective_gradient
-
     def gradient(t):
         state = HyperparameterState(t, tags)
         spec = _spec_from_state(spec0, state, d)
         col = kernels.ring_from_bases(spec.eta, bases)
         data = transformed_data(spectrum.coefficients, col, kind)
         jac = kernels.column_eta_jacobian(spec, bases, col)
-        dlam = np.vstack([np.real(fbt(row, kind).coefficients) for row in jac])
+        dlam = np.vstack([column_spectrum(row, kind, spectrum.n) for row in jac])
         kind_obj = "gcv" if config.criterion == "gcv" else "eb"
         g_eta = objective_gradient(data, kind_obj, dlam)
         # chain rule through eta = exp(t)

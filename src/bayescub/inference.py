@@ -20,7 +20,6 @@ from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.optimize import minimize
 from scipy.special import stdtrit
 
-from .nodes import _brev_table
 from .transforms import fbt, fbt_lattice_even
 
 EB, FULL, GCV = "eb", "full", "gcv"
@@ -37,6 +36,10 @@ class NonPositiveDefiniteError(ArithmeticError):
 
 class DegenerateDataError(ValueError):
     """All transformed data beyond the constant mode vanished."""
+
+
+class NonFiniteStartError(ValueError):
+    """The objective is not finite at the search's initial point."""
 
 
 @dataclass
@@ -63,6 +66,8 @@ class TransformedData:
 
 
 def _clamp_eigs(vals: np.ndarray, n: int, what: str) -> tuple[np.ndarray, int]:
+    if not vals.size or vals.min() > 0:
+        return vals, 0
     floor = -CLAMP_NEG * n
     bad = vals < floor
     if bad.any():
@@ -75,39 +80,28 @@ def _clamp_eigs(vals: np.ndarray, n: int, what: str) -> tuple[np.ndarray, int]:
     return vals, int(clamp.sum())
 
 
-def _column_is_even(col: np.ndarray, m: int) -> bool:
-    g = col[_brev_table(m)]
-    return bool(np.array_equal(g[1:], g[:0:-1]))
+def column_spectrum(col: np.ndarray, kind: str, n: int) -> np.ndarray:
+    """Real length-n Gram spectrum of a first column (or its eta derivative).
+
+    Lattice columns are the half c_0..c_{n/2} in natural grid order, so one
+    DCT-I gives the spectrum; Sobol' columns are whole, in node order.
+    """
+    if kind == "lattice":
+        return fbt_lattice_even(col, n)
+    if col.shape[0] != n:
+        raise ValueError(f"column has length {col.shape[0]}, expected {n}")
+    return fbt(col, kind).coefficients
 
 
-def eigenvalues_from_ring_column(col_values: np.ndarray, kind: str,
-                                 spec_label: str = "kernel",
-                                 known_even: bool | None = None) -> tuple[float, np.ndarray, int]:
+def eigenvalues_from_ring_column(col_values: np.ndarray, kind: str, n: int,
+                                 spec_label: str = "kernel") -> tuple[float, np.ndarray, int]:
     """Transform the ring first column into (ring_lam_1, lam_2..lam_n).
 
     The rank-one ones-block of the full Gram matrix contributes only to the
     first eigenvalue, so the remaining spectrum entries already equal the
-    eigenvalues of the full matrix.  known_even=True skips the evenness probe
-    for lattice columns a caller built from folded lags.
+    eigenvalues of the full matrix.  The clamp count is over all n of them.
     """
-    n = col_values.shape[0]
-    if known_even is None:
-        known_even = kind == "lattice" and _column_is_even(col_values,
-                                                           n.bit_length() - 1)
-    if kind == "lattice" and known_even:
-        coeffs = fbt_lattice_even(col_values)
-    else:
-        coeffs = fbt(col_values, kind).coefficients
-        if np.iscomplexobj(coeffs):
-            imag_scale = np.abs(coeffs.imag).max()
-            if imag_scale > 1e-8 * max(np.abs(coeffs.real).max(), 1.0):
-                raise NonPositiveDefiniteError(
-                    f"{spec_label}: transform of the kernel column is not real "
-                    f"(max imag {imag_scale:.3e})"
-                )
-            coeffs = np.ascontiguousarray(coeffs.real)
-        else:
-            coeffs = coeffs.copy()
+    coeffs = column_spectrum(col_values, kind, n)
     ring1, c1 = _clamp_eigs(coeffs[:1], n, spec_label)
     rest, c2 = _clamp_eigs(coeffs[1:], n, spec_label)
     return float(ring1[0]), rest, c1 + c2
@@ -115,12 +109,11 @@ def eigenvalues_from_ring_column(col_values: np.ndarray, kind: str,
 
 def transformed_data(y_spectrum: np.ndarray, col_values: np.ndarray, kind: str,
                      spec_label: str = "kernel",
-                     weights: np.ndarray | None = None,
-                     known_even: bool | None = None) -> TransformedData:
-    ring1, rest, nclamp = eigenvalues_from_ring_column(col_values, kind, spec_label,
-                                                       known_even=known_even)
+                     weights: np.ndarray | None = None) -> TransformedData:
+    n = y_spectrum.shape[0]
+    ring1, rest, nclamp = eigenvalues_from_ring_column(col_values, kind, n, spec_label)
     return TransformedData(y_tilde=y_spectrum, lam_ring1=ring1, lams_rest=rest,
-                           n=y_spectrum.shape[0], n_clamped=nclamp, weights=weights)
+                           n=n, n_clamped=nclamp, weights=weights)
 
 
 def _require_data(td: TransformedData) -> tuple[float, float]:
@@ -384,7 +377,7 @@ def search_hyperparameters(objective_fn, init: HyperparameterState,
 
     objective_fn(t_vector) -> (value, payload).  Non-finite values during the
     search are treated as rejected steps; a non-finite value at the initial
-    point is an error.
+    point raises NonFiniteStartError.
     """
     best = {"val": np.inf, "t": init.t.copy(), "payload": None, "count": 0}
 
@@ -400,7 +393,7 @@ def search_hyperparameters(objective_fn, init: HyperparameterState,
 
     v0 = wrapped(init.t)
     if not np.isfinite(v0):
-        raise ValueError("objective not finite at the initial hyperparameters")
+        raise NonFiniteStartError("objective not finite at the initial hyperparameters")
 
     if budget > 1 and method == "nelder_mead":
         minimize(wrapped, init.t, method="Nelder-Mead",

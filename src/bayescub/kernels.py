@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nodes import LatticeGenerator, SobolGenerator, lattice_lag_indices, sobol_lag_integers, _to_digits
+from .nodes import (LatticeGenerator, SobolGenerator, _brev_table, lattice_lag_indices,
+                    sobol_lag_integers)
 
 ETA_MIN = 1e-8
 ETA_MAX = 1e8
@@ -129,73 +130,40 @@ def _dim_bases_from_lags(spec: KernelSpec, lag: np.ndarray) -> np.ndarray:
     raise ValueError(f"{spec.family} has no pointwise lag form")
 
 
-# rows per block of the in-place ring; a block of d = 13 bases is ~0.85 MB,
-# so it stays in cache while every dimension passes over it
-_RING_BLOCK = 1 << 13
-
-
-def _ring_blocked(eta: np.ndarray, bases: np.ndarray) -> np.ndarray:
-    """ring_from_bases over (rows, d) bases, in place over row blocks.
-
-    The same operations in the same order as the unblocked iteration, so the
-    result is identical; only the memory traffic changes.
-    """
-    rows, d = bases.shape
-    out = np.empty(rows)
-    c = np.empty(_RING_BLOCK)
-    factor = np.empty(_RING_BLOCK)
-    for lo in range(0, rows, _RING_BLOCK):
-        hi = min(lo + _RING_BLOCK, rows)
-        blk = bases[lo:hi]
-        ring = out[lo:hi]
-        cb = c[: hi - lo]
-        fb = factor[: hi - lo]
-        np.multiply(eta[0], blk[:, 0], out=ring)
-        for ell in range(1, d):
-            np.multiply(eta[ell], blk[:, ell], out=cb)
-            np.add(1.0, cb, out=fb)
-            ring *= fb
-            ring += cb
-    return out
+# most columns per block of the in-place ring: the block's ring and its two
+# buffers (3 x 256 KB) stay in a 2 MB L2 cache while each dimension's bases
+# stream through once; fewer, longer blocks spend less on per-call overhead
+_RING_BLOCK = 1 << 15
 
 
 def ring_from_bases(eta: np.ndarray, bases: np.ndarray) -> np.ndarray:
-    """C - 1 over the last axis of (..., d) bases via the product iteration."""
+    """C - 1 over the first axis of (d, ...) bases via the product iteration.
+
+    R <- R * (1 + c_l) + c_l with c_l = eta_l * bases[l], in place over
+    column blocks of near-equal length; the operations and their order are
+    those of the plain iteration, so only the memory traffic changes.
+    """
     eta = np.asarray(eta, dtype=np.float64)
-    d = bases.shape[-1]
-    if bases.size > _RING_BLOCK * d:
-        return _ring_blocked(eta, bases.reshape(-1, d)).reshape(bases.shape[:-1])
-    ring = eta[0] * bases[..., 0]
-    for ell in range(1, bases.shape[-1]):
-        c = eta[ell] * bases[..., ell]
-        ring = ring * (1.0 + c) + c
-    return ring
-
-
-def shift_invariant_ring(spec: KernelSpec, lag) -> float | np.ndarray:
-    """Ring value of a product kernel at a lag point (or batch of lags)."""
-    lag = np.asarray(lag, dtype=np.float64)
-    scalar = lag.ndim == 1
-    bases = _dim_bases_from_lags(spec, np.atleast_2d(lag))
-    ring = ring_from_bases(spec.eta, bases)
-    return float(ring[0]) if scalar else ring
-
-
-def exp_decay_kernel(spec: KernelSpec, x, t) -> float | np.ndarray:
-    """Full kernel value 1 + ring for the exponential-decay family."""
-    if spec.family != "exp_decay":
-        raise ValueError("spec must be exp_decay")
-    delta = (np.asarray(x, dtype=np.float64) - np.asarray(t, dtype=np.float64)) % 1.0
-    ring = shift_invariant_ring(spec, delta)
-    return 1.0 + ring
-
-
-def walsh_ring(spec: KernelSpec, x, t) -> float | np.ndarray:
-    """Ring value of the Walsh kernel at digitwise lag x (-) t."""
-    if spec.family != "walsh1":
-        raise ValueError("spec must be walsh1")
-    lag = (_to_digits(x) ^ _to_digits(t)).astype(np.float64) / 2.0**32
-    return shift_invariant_ring(spec, lag)
+    d = bases.shape[0]
+    flat = bases.reshape(d, -1)
+    cols = flat.shape[1]
+    out = np.empty(cols)
+    blocks = -(-cols // _RING_BLOCK)
+    step = -(-cols // blocks)
+    c = np.empty(step)
+    factor = np.empty(step)
+    for lo in range(0, cols, step):
+        hi = min(lo + step, cols)
+        ring = out[lo:hi]
+        cb = c[: hi - lo]
+        fb = factor[: hi - lo]
+        np.multiply(eta[0], flat[0, lo:hi], out=ring)
+        for ell in range(1, d):
+            np.multiply(eta[ell], flat[ell, lo:hi], out=cb)
+            np.add(1.0, cb, out=fb)
+            ring *= fb
+            ring += cb
+    return out.reshape(bases.shape[1:])
 
 
 def matern_kernel(theta: float, x, t) -> float | np.ndarray:
@@ -207,37 +175,16 @@ def matern_kernel(theta: float, x, t) -> float | np.ndarray:
     return vals.prod(axis=-1)
 
 
-def kernel_eta_gradient(spec: KernelSpec, x, t) -> np.ndarray:
-    """Analytic shape-parameter partials of a product kernel at (x, t).
-
-    Shared eta returns the single derivative d/d eta; per-dimension eta
-    returns one partial per dimension.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    t = np.asarray(t, dtype=np.float64)
-    if spec.family == "walsh1":
-        lag = (_to_digits(x) ^ _to_digits(t)).astype(np.float64) / 2.0**32
-    else:
-        lag = (x - t) % 1.0
-    bases = _dim_bases_from_lags(spec, lag[None, :])[0]
-    factors = 1.0 + spec.eta * bases
-    if (factors == 0.0).any():
-        raise SingularFactorError("per-dimension kernel factor is zero")
-    kernel = factors.prod()
-    if spec.shared_eta:
-        eta = spec.eta[0]
-        d = spec.d
-        val = (d / eta) * kernel * (1.0 - np.mean(1.0 / factors))
-        return np.array([val])
-    return kernel * bases / factors
-
-
 # ---------------------------------------------------------------------------
 # Fast-path column machinery
 # ---------------------------------------------------------------------------
 
 def lattice_column_bases(spec: KernelSpec, gen: LatticeGenerator, m: int) -> np.ndarray:
-    """(n, d) per-dimension base values at the first-column lags of a lattice."""
+    """(d, n/2+1) base values at the lags (h_ell k mod n) / n, k = 0..n/2.
+
+    In natural grid order the first Gram column is even, c_k = c_{n-k}, so
+    this half determines it and its eigenvalues (transforms.fbt_lattice_even).
+    """
     n = 1 << m
     idx = lattice_lag_indices(gen, m)
     if spec.family == "truncated_series":
@@ -247,17 +194,20 @@ def lattice_column_bases(spec: KernelSpec, gen: LatticeGenerator, m: int) -> np.
 
 
 def sobol_column_bases(spec: KernelSpec, gen: SobolGenerator, m: int) -> np.ndarray:
-    """(n, d) Walsh base values at the digitwise first-column lags."""
+    """(d, n) Walsh base values at the digitwise first-column lags."""
     if spec.family != "walsh1":
         raise ValueError("Sobol' path requires the walsh1 kernel")
-    lags = sobol_lag_integers(gen, 0, 1 << m).astype(np.float64) / 2.0**32
+    lags = sobol_lag_integers(gen, 0, 1 << m).T.astype(np.float64, order="C")
+    lags *= 2.0**-32
     return walsh_omega1(lags)
 
 
 def column_bases(spec: KernelSpec, gen, m: int) -> np.ndarray:
-    """(2^m, d) base values of the first Gram column on gen's nodes.
+    """Per-dimension base values of the first Gram column on gen's nodes.
 
-    The ring column is ring_from_bases(spec.eta, column_bases(spec, gen, m)).
+    Lattice: the half column (d, 2^(m-1)+1) in natural grid order; Sobol':
+    the whole column (d, 2^m) in node order.  The ring column is
+    ring_from_bases(spec.eta, column_bases(spec, gen, m)).
     """
     if isinstance(gen, LatticeGenerator):
         return lattice_column_bases(spec, gen, m)
@@ -268,14 +218,14 @@ def column_bases(spec: KernelSpec, gen, m: int) -> np.ndarray:
 
 def column_eta_jacobian(spec: KernelSpec, bases: np.ndarray,
                         ring: np.ndarray) -> np.ndarray:
-    """Derivative first columns dC1/d eta, shape (p, n); p = 1 if shared."""
-    factors = 1.0 + spec.eta[None, :] * bases
+    """Derivative first columns dC1/d eta, shape (p, cols); p = 1 if shared."""
+    factors = 1.0 + spec.eta[:, None] * bases
     if (factors == 0.0).any():
         raise SingularFactorError("per-dimension kernel factor is zero")
     kernel = 1.0 + ring
     if spec.shared_eta:
-        return (kernel * (bases / factors).sum(axis=1))[None, :]
-    return (kernel[:, None] * bases / factors).T
+        return (kernel * (bases / factors).sum(axis=0))[None, :]
+    return kernel * bases / factors
 
 
 # ---------------------------------------------------------------------------
@@ -297,15 +247,17 @@ def gram_matrix(spec: KernelSpec, nodes, gen=None, m: int | None = None) -> np.n
             raise ValueError("truncated_series Gram needs the lattice generator and m")
         n = 1 << m
         table = truncated_series_table(spec.order, n)
-        idx = lattice_lag_indices(gen, m)
-        lag_idx = (idx[:, None, :] - idx[None, :, :]) % np.uint64(n)
+        # node i sits at grid index h * brev(i); pairwise lags are taken mod n
+        brev = _brev_table(m)
+        h = np.asarray(gen.generating_vector, dtype=np.int64)
+        lag_idx = (h[:, None, None] * (brev[:, None] - brev[None, :])) & (n - 1)
         bases = table[lag_idx]
     elif spec.family == "walsh1":
-        ints = np.asarray(nodes, dtype=np.uint64)
-        lags = (ints[:, None, :] ^ ints[None, :, :]).astype(np.float64) / 2.0**32
+        ints = np.asarray(nodes, dtype=np.uint64).T
+        lags = (ints[:, :, None] ^ ints[:, None, :]).astype(np.float64) / 2.0**32
         bases = walsh_omega1(lags)
     else:
-        pts = np.asarray(nodes, dtype=np.float64)
-        delta = (pts[:, None, :] - pts[None, :, :]) % 1.0
+        pts = np.asarray(nodes, dtype=np.float64).T
+        delta = (pts[:, :, None] - pts[:, None, :]) % 1.0
         bases = _dim_bases_from_lags(spec, delta)
     return 1.0 + ring_from_bases(spec.eta, bases)

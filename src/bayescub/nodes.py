@@ -1,6 +1,6 @@
 """Low-discrepancy node sets: extensible shifted rank-1 lattices and
-digitally shifted (optionally scrambled) Sobol' sequences, plus the base-2
-digit arithmetic needed by the digitally shift-invariant kernels.
+digitally shifted (optionally scrambled) Sobol' sequences, plus the
+first-column lags of the matched kernels on each.
 
 Point sets are generated in van der Corput order, so the first 2^m points of
 any request are bit-identical to the points of the 2^m request (extensible by
@@ -47,25 +47,6 @@ def _check_range(start: int, stop: int, capacity: int) -> None:
     n = stop - start if start else stop
     if n & (n - 1):
         raise ValueError(f"block length {n} is not a power of 2")
-
-
-def van_der_corput(i) -> np.ndarray | float:
-    """Base-2 radical inverse: reflect the binary digits of i about the point.
-
-    Exact for 0 <= i < 2^53.
-    """
-    scalar = np.isscalar(i)
-    idx = np.atleast_1d(np.asarray(i, dtype=np.uint64))
-    if idx.size and int(idx.max()) >= 1 << 53:
-        raise ValueError("index too large for exact binary reflection")
-    out = np.zeros(idx.shape, dtype=np.float64)
-    rem = idx.copy()
-    half = 0.5
-    while rem.any():
-        out += (rem & 1) * half
-        rem >>= 1
-        half *= 0.5
-    return float(out[0]) if scalar else out
 
 
 def bit_reverse(k: np.ndarray | int, m: int) -> np.ndarray | int:
@@ -163,17 +144,17 @@ def lattice_points(gen: LatticeGenerator, start: int, stop: int) -> NodeSet:
 
 
 def lattice_lag_indices(gen: LatticeGenerator, m: int) -> np.ndarray:
-    """Grid indices k with (x_i - x_1) mod 1 = (h * k / n) per dimension.
+    """(d, n/2+1) grid lags (h_ell k) mod n, k = 0..n/2, of the first Gram column.
 
-    Column ell of the result is (h_ell * n*phi(i-1)) mod n for i = 1..n, the
-    exact lags of the first Gram column on the 1/n grid.
+    Node i sits at grid index h * brev(i) mod n (up to the shift), so the
+    first Gram column in natural grid order has lag (h k / n) mod 1 at k.
+    It is even, c_k = c_{n-k}, so the half k <= n/2 determines it.
     """
     n = 1 << m
     if n > gen.capacity:
         raise CapacityError(f"2^{m} exceeds generator capacity {gen.capacity}")
-    brev = _brev_table(m).view(np.uint64)
-    h = np.asarray(gen.generating_vector, dtype=np.uint64)
-    return (brev[:, None] * h[None, :]) & np.uint64(n - 1)
+    h = np.asarray(gen.generating_vector, dtype=np.int64)
+    return np.multiply.outer(h, np.arange(n // 2 + 1, dtype=np.int64)) & (n - 1)
 
 
 def default_lattice_vector(d: int) -> tuple[int, ...]:
@@ -372,22 +353,3 @@ def make_sobol(d: int, seed: int, scramble: bool = False,
     shift = rng.integers(0, 1 << DIGITS, size=d, dtype=np.uint64)
     return SobolGenerator(direction_numbers=dn, digital_shift=shift,
                           scramble_seed=scramble_seed)
-
-
-def digit_subtract(x, y):
-    """Coordinatewise base-2 digitwise subtraction (XOR of dyadic digits).
-
-    Inputs must be exactly representable in DIGITS binary places.
-    """
-    xi = _to_digits(x)
-    yi = _to_digits(y)
-    return (xi ^ yi).astype(np.float64) / _SCALE
-
-
-def _to_digits(x) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
-    scaled = arr * _SCALE
-    ints = np.rint(scaled)
-    if not np.array_equal(ints, scaled):
-        raise ValueError(f"value not representable in {DIGITS} binary digits")
-    return ints.astype(np.uint64)

@@ -1,11 +1,16 @@
 """O(n log n) fast transforms diagonalizing the matched Gram matrices.
 
-Lattice path: multiplication by V^H where V_ij = exp(2 pi i n phi(i-1) phi(j-1)),
-realized as bit-reversal permute -> radix-2 FFT -> permute back.  Sobol' path:
-the Walsh-Hadamard matrix in Hadamard (Sylvester/Kronecker) ordering, applied
-by an in-place butterfly using additions and subtractions only.  Both satisfy
-row one = column one = all-ones, so coefficient 0 of any transform equals the
-plain sum of the input.
+Lattice path: nodes in van der Corput order sit at grid points h * brev(i)/n,
+so the Gram matrix is circulant on the 1/n grid once both sides are permuted
+by bit reversal.  Its eigenvectors are the grid Fourier modes, taken here in
+natural frequency order: V^H y is one bit-reversal permutation of the data
+followed by a radix-2 FFT, and the doubling update is the FFT's own
+decimation-in-time step.  The kernel's first column on the grid is even
+(c_k = c_{n-k}), so the Gram eigenvalues are the DCT-I of its half
+c_0..c_{n/2}, mirrored.  Sobol' path: the Walsh-Hadamard matrix in Hadamard
+(Sylvester/Kronecker) ordering, applied by an in-place butterfly using
+additions and subtractions only.  Both satisfy row one = column one =
+all-ones, so coefficient 0 of any transform equals the plain sum of the input.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.fft import dct
 
 from .nodes import _brev_table
 
@@ -61,35 +67,38 @@ def _bit_reverse_permute(x: np.ndarray, m: int) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _lattice_twiddles(m: int) -> np.ndarray:
-    # e^{-i pi phi(i-1)} for i = 1..n, used by the doubling update
+    # e^{-i pi k / n} for k = 0..n-1, the radix-2 step from n to 2n points
     n = 1 << m
-    phi = _brev_table(m).astype(np.float64) / n
-    return np.exp(-1j * np.pi * phi)
+    return np.exp(-1j * np.pi * np.arange(n) / n)
 
 
 def fbt_lattice(y: np.ndarray) -> Spectrum:
-    """V^H y for the lattice eigenvector matrix, via P . FFT . P."""
+    """V^H y for the lattice eigenvector matrix: FFT of the bit-reversed data."""
     y = np.asarray(y)
     m = _check_pow2(y.shape[0])
-    out = _bit_reverse_permute(np.fft.fft(_bit_reverse_permute(y, m)), m)
-    return Spectrum(coefficients=out, ordering=VDC)
+    return Spectrum(coefficients=np.fft.fft(_bit_reverse_permute(y, m)), ordering=VDC)
 
 
-def fbt_lattice_even(col: np.ndarray) -> np.ndarray:
-    """Real transform of a column whose grid order is even (col_k = col_{n-k}).
+def fbt_lattice_even(half: np.ndarray, n: int) -> np.ndarray:
+    """Real length-n spectrum of an even grid column from its half c_0..c_{n/2}.
 
-    Kernel first columns have this symmetry by construction, so their spectrum
-    is exactly real and the half-size real FFT suffices.
+    The full column (c_k = c_{n-k}) has the DFT c_0 + (-1)^k c_{n/2}
+    + 2 sum_{0<j<n/2} c_j cos(2 pi j k / n): the DCT-I of the half for
+    k <= n/2, mirrored for k > n/2.  Lattice kernel columns are even by
+    construction, so this is their whole spectrum.
     """
-    col = np.asarray(col, dtype=np.float64)
-    n = col.shape[0]
-    m = _check_pow2(n)
-    half = np.fft.rfft(_bit_reverse_permute(col, m)).real
+    half = np.asarray(half, dtype=np.float64)
+    _check_pow2(n)
+    if half.shape != (n // 2 + 1,):
+        raise ValueError(f"half column has shape {half.shape}, expected ({n // 2 + 1},) "
+                         f"for n = {n}")
+    if n <= 2:  # the DCT-I needs two points; both cases in closed form
+        return np.array([half.sum(), half[0] - half[-1]])[:n]
+    spec = dct(half, type=1)
     full = np.empty(n)
-    full[: n // 2 + 1] = half
-    if n > 1:
-        full[n // 2 + 1:] = half[n // 2 - 1: 0: -1]
-    return _bit_reverse_permute(full, m)
+    full[: n // 2 + 1] = spec
+    full[n // 2 + 1:] = spec[n // 2 - 1: 0: -1]
+    return full
 
 
 def fbt_sobol(y: np.ndarray) -> Spectrum:
@@ -132,20 +141,23 @@ def fbt_double(prev: Spectrum, new_y: np.ndarray) -> Spectrum:
         tail = fbt_sobol(new_y).coefficients
         return Spectrum(np.concatenate([prev.coefficients + tail,
                                         prev.coefficients - tail]), HADAMARD)
-    tail = fbt_lattice(new_y).coefficients * _lattice_twiddles(_check_pow2(n))
+    # radix-2 decimation in time: the 2n-point bit reversal puts the old
+    # half's permuted values at even grid positions and the new half's at odd
+    tail = fbt_lattice(new_y).coefficients
+    tail *= _lattice_twiddles(_check_pow2(n))
     out = np.empty(2 * n, dtype=np.complex128)
-    out[0::2] = prev.coefficients + tail
-    out[1::2] = prev.coefficients - tail
+    np.add(prev.coefficients, tail, out=out[:n])
+    np.subtract(prev.coefficients, tail, out=out[n:])
     return Spectrum(out, VDC)
 
 
 def lattice_eigenvector_matrix(n: int) -> np.ndarray:
-    """Dense V with V_jk = exp(2 pi i n phi(j-1) phi(k-1)); test-scale only."""
+    """Dense V with V[j, k] = exp(2 pi i brev(j) k / n); test-scale only."""
     if n > _DENSE_LIMIT:
         raise ValueError(f"dense matrix limited to n <= {_DENSE_LIMIT}")
     m = _check_pow2(n)
-    phi = _brev_table(m).astype(np.float64) / n
-    return np.exp(2j * np.pi * n * np.outer(phi, phi))
+    phase = np.outer(_brev_table(m), np.arange(n)) % n
+    return np.exp(2j * np.pi * phase / n)
 
 
 def hadamard_matrix(n: int) -> np.ndarray:
@@ -157,15 +169,3 @@ def hadamard_matrix(n: int) -> np.ndarray:
         h = np.block([[h, h], [h, -h]])
     return h
 
-
-def dense_transform(kind: str, y: np.ndarray) -> Spectrum:
-    """O(n^2) reference transform built from the explicit matrix."""
-    y = np.asarray(y)
-    n = y.shape[0]
-    _check_pow2(n)
-    if kind == "lattice":
-        v = lattice_eigenvector_matrix(n)
-        return Spectrum(v.conj().T @ y, VDC)
-    if kind == "sobol":
-        return Spectrum(hadamard_matrix(n) @ y, HADAMARD)
-    raise ValueError(f"unknown transform kind {kind!r}")

@@ -1,0 +1,109 @@
+"""Pointwise and dense reference implementations that only the tests use.
+
+Each is the direct, slow form of something the package computes fast: kernel
+values at single lag points, their shape-parameter derivatives, the base-2
+digit arithmetic of the Walsh kernels, the radical inverse, and the dense
+lattice and Walsh-Hadamard transforms.
+"""
+
+import numpy as np
+
+from bayescub import kernels, nodes, transforms
+from bayescub.transforms import HADAMARD, VDC, Spectrum
+
+DIGITS = nodes.DIGITS
+_SCALE = float(2**DIGITS)
+
+
+def van_der_corput(i) -> np.ndarray | float:
+    """Base-2 radical inverse: reflect the binary digits of i about the point.
+
+    Exact for 0 <= i < 2^53.
+    """
+    scalar = np.isscalar(i)
+    idx = np.atleast_1d(np.asarray(i, dtype=np.uint64))
+    if idx.size and int(idx.max()) >= 1 << 53:
+        raise ValueError("index too large for exact binary reflection")
+    out = np.zeros(idx.shape, dtype=np.float64)
+    rem = idx.copy()
+    half = 0.5
+    while rem.any():
+        out += (rem & 1) * half
+        rem >>= 1
+        half *= 0.5
+    return float(out[0]) if scalar else out
+
+
+def to_digits(x) -> np.ndarray:
+    """x * 2^DIGITS as unsigned integers; x must have at most DIGITS binary places."""
+    arr = np.asarray(x, dtype=np.float64)
+    scaled = arr * _SCALE
+    ints = np.rint(scaled)
+    if not np.array_equal(ints, scaled):
+        raise ValueError(f"value not representable in {DIGITS} binary digits")
+    return ints.astype(np.uint64)
+
+
+def digit_subtract(x, y):
+    """Coordinatewise base-2 digitwise subtraction (XOR of dyadic digits).
+
+    Inputs must be exactly representable in DIGITS binary places.
+    """
+    return (to_digits(x) ^ to_digits(y)).astype(np.float64) / _SCALE
+
+
+def shift_invariant_ring(spec, lag) -> float | np.ndarray:
+    """Ring value of a product kernel at a lag point (d,) or a batch (k, d)."""
+    lag = np.asarray(lag, dtype=np.float64)
+    scalar = lag.ndim == 1
+    bases = kernels._dim_bases_from_lags(spec, np.atleast_2d(lag).T)
+    ring = kernels.ring_from_bases(spec.eta, bases)
+    return float(ring[0]) if scalar else ring
+
+
+def exp_decay_kernel(spec, x, t) -> float | np.ndarray:
+    """Full kernel value 1 + ring for the exponential-decay family."""
+    if spec.family != "exp_decay":
+        raise ValueError("spec must be exp_decay")
+    delta = (np.asarray(x, dtype=np.float64) - np.asarray(t, dtype=np.float64)) % 1.0
+    return 1.0 + shift_invariant_ring(spec, delta)
+
+
+def walsh_ring(spec, x, t) -> float | np.ndarray:
+    """Ring value of the Walsh kernel at digitwise lag x (-) t."""
+    if spec.family != "walsh1":
+        raise ValueError("spec must be walsh1")
+    return shift_invariant_ring(spec, digit_subtract(x, t))
+
+
+def kernel_eta_gradient(spec, x, t) -> np.ndarray:
+    """Analytic shape-parameter partials of a product kernel at (x, t).
+
+    Shared eta returns the single derivative d/d eta; per-dimension eta
+    returns one partial per dimension.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    t = np.asarray(t, dtype=np.float64)
+    lag = digit_subtract(x, t) if spec.family == "walsh1" else (x - t) % 1.0
+    bases = kernels._dim_bases_from_lags(spec, lag)
+    factors = 1.0 + spec.eta * bases
+    if (factors == 0.0).any():
+        raise kernels.SingularFactorError("per-dimension kernel factor is zero")
+    kernel = factors.prod()
+    if spec.shared_eta:
+        val = (spec.d / spec.eta[0]) * kernel * (1.0 - np.mean(1.0 / factors))
+        return np.array([val])
+    return kernel * bases / factors
+
+
+def dense_transform(kind: str, y: np.ndarray) -> Spectrum:
+    """O(n^2) reference transform built from the explicit matrix."""
+    y = np.asarray(y)
+    n = y.shape[0]
+    transforms._check_pow2(n)
+    if kind == "lattice":
+        v = transforms.lattice_eigenvector_matrix(n)
+        return Spectrum(v.conj().T @ y, VDC)
+    if kind == "sobol":
+        return Spectrum(transforms.hadamard_matrix(n) @ y, HADAMARD)
+    raise ValueError(f"unknown transform kind {kind!r}")

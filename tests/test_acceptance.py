@@ -16,8 +16,9 @@ from scipy.special import gamma
 from bayescub import (CubatureConfig, OptimizerSettings, integrate_fast,
                       kernels, nodes, problems, transforms)
 from bayescub.cli import draw_tolerances
-from bayescub.inference import (EB, FULL, GCV, credible_width, dense_posterior,
-                                objective, objective_gradient, transformed_data)
+from bayescub.inference import (EB, FULL, GCV, column_spectrum, credible_width,
+                                dense_posterior, objective, objective_gradient,
+                                transformed_data)
 from bayescub.kernels import KernelSpec
 from conftest import record_criterion
 
@@ -94,7 +95,7 @@ def test_criterion_2_gram_factorization():
             eta = rng.uniform(0.3, 2.0, size=d)
             gen, pts, _, gram, col, _ = matched_setup(family, kernel, order,
                                                       eta, m, d, seed=5)
-            lam = transforms.fbt(1.0 + col, family).coefficients
+            lam = column_spectrum(1.0 + col, family, n)
             v = (transforms.lattice_eigenvector_matrix(n) if family == "lattice"
                  else transforms.hadamard_matrix(n))
             recon = (v * lam[None, :]) @ v.conj().T / n
@@ -263,11 +264,11 @@ def test_criterion_8_cancellation_demonstration():
     spec = KernelSpec("bernoulli", 1, np.array([eta]))
     col = kernels.ring_from_bases(spec.eta, kernels.column_bases(spec, gen, m))
     brev = nodes._brev_table(m)
-    td = transformed_data(np.fft.fft(y[brev])[brev], col, "lattice")
+    td = transformed_data(np.fft.fft(y[brev]), col, "lattice")
 
     err_ref, _ = zeta_reference_width(eta, m, y)
     fast = credible_width(EB, td)
-    lam_naive = np.real(np.fft.fft((1.0 + col)[brev])[brev])
+    lam_naive = column_spectrum(1.0 + col, "lattice", n)
     s1, _ = td.data_sums()
     naive = 2.58 / n * np.sqrt(max(1.0 - n / lam_naive[0], 0.0) * s1)
     fast_rel = abs(fast - err_ref) / err_ref
@@ -301,8 +302,7 @@ def test_criterion_9_gradient_suite():
             col = kernels.ring_from_bases(spec.eta, bases)
             td = transformed_data(spectrum.coefficients, col, family)
             jac = kernels.column_eta_jacobian(spec, bases, col)
-            dlam = np.vstack([np.real(transforms.fbt(row, family).coefficients)
-                              for row in jac])
+            dlam = np.vstack([column_spectrum(row, family, 1 << m) for row in jac])
             grad = objective_gradient(td, kind, dlam)
 
             def loss(ev):

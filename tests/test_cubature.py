@@ -4,10 +4,12 @@ round-trips, the dense Matern path, and the Monte Carlo baseline."""
 import numpy as np
 import pytest
 
-from bayescub import (CubatureConfig, OptimizerSettings, integrate_dense,
+from dataclasses import replace
+
+from bayescub import (CubatureConfig, OptimizerSettings, cubature, integrate_dense,
                       integrate_fast, integrate_mc)
 from bayescub.cubature import IntegrandError
-from bayescub.inference import credible_width
+from bayescub.inference import NonFiniteStartError, credible_width
 
 
 def counting(f):
@@ -198,6 +200,86 @@ class TestFastLoop:
             CubatureConfig(n0=2**10, n_max=2**8)
         with pytest.raises(ValueError):
             CubatureConfig(family="halton")
+
+
+class TestIterationRecords:
+    """What each doubling records: its search's evaluation count, the
+    clamped-eigenvalue count at the chosen parameters, and re-seeds."""
+
+    @staticmethod
+    def recording_search(monkeypatch):
+        calls = []
+        real = cubature.search_hyperparameters
+
+        def search(objective_fn, init, **kwargs):
+            try:
+                res = real(objective_fn, init, **kwargs)
+            except NonFiniteStartError:
+                calls.append((init.t.copy(), None))
+                raise
+            calls.append((init.t.copy(), res))
+            return res
+
+        monkeypatch.setattr(cubature, "search_hyperparameters", search)
+        return calls
+
+    def test_evaluations_match_search_results(self, monkeypatch):
+        calls = self.recording_search(monkeypatch)
+        f = lambda x: np.exp(x.sum(axis=1))
+        cfg = CubatureConfig(epsilon=1e-9, n0=128, n_max=2**11, seed=5)
+        res = integrate_fast(f, 3, cfg)
+        assert [it.evaluations for it in res.iterations] == \
+            [r.evaluations for _, r in calls]
+        assert 1 < res.iterations[0].evaluations <= cfg.optimizer.budget_first
+        assert all(1 < it.evaluations <= cfg.optimizer.budget_later
+                   for it in res.iterations[1:])
+        assert not any(it.reseeded for it in res.iterations)
+
+    def test_n_clamped_is_the_chosen_states(self, monkeypatch):
+        # tag every TransformedData with a count that depends on its n
+        real = cubature.transformed_data
+        monkeypatch.setattr(cubature, "transformed_data",
+                            lambda *a, **k: replace(real(*a, **k),
+                                                    n_clamped=a[0].shape[0] // 64 + 1))
+        f = lambda x: np.exp(x.sum(axis=1))
+        cfg = CubatureConfig(epsilon=1e-9, n0=128, n_max=2**10, seed=5)
+        res = integrate_fast(f, 3, cfg)
+        assert [it.n_clamped for it in res.iterations] == \
+            [it.n // 64 + 1 for it in res.iterations]
+        assert res.final_state.n_clamped == res.iterations[-1].n_clamped
+
+    def test_nonfinite_warm_start_reseeds_from_default(self, monkeypatch):
+        calls = self.recording_search(monkeypatch)
+        real = cubature.objective
+        poisoned = []
+
+        def objective(kind, td):
+            if td.n == 512 and not poisoned:  # the warm start at n = 512
+                poisoned.append(td.n)
+                return np.nan
+            return real(kind, td)
+
+        monkeypatch.setattr(cubature, "objective", objective)
+        f = lambda x: np.exp(x.sum(axis=1))
+        cfg = CubatureConfig(epsilon=1e-9, n0=256, n_max=1024, seed=5)
+        res = integrate_fast(f, 3, cfg)
+        assert res.n_used == 1024 and np.isfinite(res.err)
+        assert [it.reseeded for it in res.iterations] == [False, True, False]
+        # searches: n = 256 from the default, n = 512 from the warm start
+        # (failed) and again from the default, n = 1024 from the new optimum
+        starts = [t for t, _ in calls]
+        assert len(calls) == 4 and calls[1][1] is None
+        assert starts[0] == 0.0 and starts[1] != 0.0 and starts[2] == 0.0
+        assert res.iterations[1].evaluations == calls[2][1].evaluations + 1
+
+    def test_nonfinite_default_start_still_raises(self, monkeypatch):
+        real = cubature.objective
+        monkeypatch.setattr(cubature, "objective",
+                            lambda kind, td: np.inf if td.n == 512 else real(kind, td))
+        f = lambda x: np.exp(x.sum(axis=1))
+        cfg = CubatureConfig(epsilon=1e-9, n0=256, n_max=1024, seed=5)
+        with pytest.raises(NonFiniteStartError, match="not finite at the initial"):
+            integrate_fast(f, 3, cfg)
 
 
 class TestDenseLoop:

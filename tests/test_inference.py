@@ -6,8 +6,9 @@ import pytest
 
 from bayescub import kernels, nodes, transforms
 from bayescub.inference import (EB, FULL, GCV, DegenerateDataError,
-                                HyperparameterState, NonPositiveDefiniteError,
-                                TransformedData, credible_width,
+                                HyperparameterState, NonFiniteStartError,
+                                NonPositiveDefiniteError, TransformedData,
+                                column_spectrum, credible_width,
                                 dense_eb_objective, dense_posterior,
                                 eigenvalues_from_ring_column, objective,
                                 objective_eb, objective_gcv, objective_gradient,
@@ -49,22 +50,51 @@ class TestEigenvaluePipeline:
         fast = np.sort(np.concatenate([[td.lam1], td.lams_rest]))
         assert np.abs(dense - fast).max() < 1e-9
 
-    def test_nonreal_transform_rejected(self):
-        bad = np.random.default_rng(0).standard_normal(8)  # not even-symmetric
-        with pytest.raises(NonPositiveDefiniteError):
-            eigenvalues_from_ring_column(bad, "lattice")
+    def test_wrong_length_lattice_column_rejected(self):
+        # a lattice column is the half k = 0..n/2; a whole column is refused
+        col = np.random.default_rng(0).standard_normal(8)
+        with pytest.raises(ValueError):
+            eigenvalues_from_ring_column(col, "lattice", 8)
+        with pytest.raises(ValueError):
+            eigenvalues_from_ring_column(col[:4], "lattice", 8)
+        with pytest.raises(ValueError):
+            eigenvalues_from_ring_column(col[:5], "sobol", 8)
+        with pytest.raises(ValueError):  # n itself must be a power of two
+            eigenvalues_from_ring_column(col[:7], "lattice", 12)
+
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    @pytest.mark.parametrize("kernel,order", [("bernoulli", 1), ("bernoulli", 2),
+                                              ("exp_decay", 0.5)])
+    def test_edge_sizes_match_dense_eigensolver(self, kernel, order, m):
+        gen, pts, _, spec, col, td = make_matched_td("lattice", kernel, order,
+                                                     np.array([1.4, 0.6]), m, 2)
+        assert col.shape == ((1 << m) // 2 + 1,)
+        gram = kernels.gram_matrix(spec, pts.points)
+        dense = np.sort(np.linalg.eigvalsh(gram))
+        fast = np.sort(np.concatenate([[td.lam1], td.lams_rest]))
+        assert np.abs(dense - fast).max() < 1e-12 * (1 << m)
+
+    def test_clamp_count_is_over_the_full_spectrum(self):
+        # ring spectrum -1e-9 at even k, 1 at odd k, n = 8: the half k = 0..4
+        # holds three round-off entries, the interior k = 2 once for k = 6 too
+        n = 8
+        full = np.where(np.arange(n) % 2, 1.0, -1e-9)
+        col = np.fft.ifft(full).real[: n // 2 + 1]
+        ring1, rest, clamped = eigenvalues_from_ring_column(col, "lattice", n)
+        assert clamped == 4 == int((column_spectrum(col, "lattice", n) <= 0).sum())
+        assert ring1 > 0 and (rest > 0).all()
 
     def test_hard_error_below_clamp(self):
         col = np.full(8, -0.9)  # strongly non-PD ring
         with pytest.raises(NonPositiveDefiniteError):
-            eigenvalues_from_ring_column(col, "sobol")
+            eigenvalues_from_ring_column(col, "sobol", 8)
 
     def test_clamp_counts(self):
         # a column whose transform has tiny negative entries gets clamped
         n = 8
         col = np.zeros(n)
         col[0] = -1e-9 * n / n  # constant column: ring spectrum (sum, 0...0)
-        ring1, rest, clamped = eigenvalues_from_ring_column(col + 1e-12, "sobol")
+        ring1, rest, clamped = eigenvalues_from_ring_column(col + 1e-12, "sobol", n)
         assert clamped == 0 or rest.min() > 0
 
 
@@ -108,7 +138,7 @@ class TestCancellationSafety:
         spec = KernelSpec("bernoulli", 1, np.array([eta]))
         col = kernels.ring_from_bases(spec.eta, kernels.column_bases(spec, gen, m))
         brev = nodes._brev_table(m)
-        td = transformed_data(np.fft.fft(y[brev])[brev], col, "lattice")
+        td = transformed_data(np.fft.fft(y[brev]), col, "lattice")
         return eta, y, col, td
 
     def test_ring_ratio_matches_extended_precision(self):
@@ -134,9 +164,7 @@ class TestCancellationSafety:
         fast = credible_width(EB, td)
         assert fast > 0 and fast == pytest.approx(err_ref, rel=1e-6)
 
-        brev = nodes._brev_table(m)
-        full_col = 1.0 + col
-        lam_naive = np.real(np.fft.fft(full_col[brev])[brev])
+        lam_naive = column_spectrum(1.0 + col, "lattice", n)
         one_minus = 1.0 - n / lam_naive[0]
         s1, _ = td.data_sums()
         naive = 2.58 / n * np.sqrt(max(one_minus, 0.0) * s1)
@@ -180,7 +208,7 @@ class TestObjectives:
             out = []
             for eta in grid:
                 col = kernels.ring_from_bases(np.full(2, eta), bases)
-                lam_ring1, rest, _ = eigenvalues_from_ring_column(col, "lattice")
+                lam_ring1, rest, _ = eigenvalues_from_ring_column(col, "lattice", 32)
                 td = TransformedData(spectrum.coefficients,
                                      scale * lam_ring1 + (scale - 1) * 32,
                                      scale * rest, 32)
@@ -220,8 +248,7 @@ class TestObjectiveGradient:
                                                      m, d, seed=seed)
         bases = kernels.column_bases(spec, gen, m)
         jac = kernels.column_eta_jacobian(spec, bases, col)
-        dlam = np.vstack([np.real(transforms.fbt(row, family).coefficients)
-                          for row in jac])
+        dlam = np.vstack([column_spectrum(row, family, 1 << m) for row in jac])
         grad = objective_gradient(td, kind, dlam)
 
         def loss_at(eta_vec):
@@ -275,10 +302,8 @@ class TestObjectiveGradient:
         bases = kernels.lattice_column_bases(spec_sh, gen, 5)
         jac_sh = kernels.column_eta_jacobian(spec_sh, bases, col)
         jac_pd = kernels.column_eta_jacobian(spec_pd, bases, col)
-        g_sh = objective_gradient(td, EB, np.real(
-            transforms.fbt(jac_sh[0], "lattice").coefficients)[None, :])
-        dlam_pd = np.vstack([np.real(transforms.fbt(row, "lattice").coefficients)
-                             for row in jac_pd])
+        g_sh = objective_gradient(td, EB, column_spectrum(jac_sh[0], "lattice", 32)[None, :])
+        dlam_pd = np.vstack([column_spectrum(row, "lattice", 32) for row in jac_pd])
         g_pd = objective_gradient(td, EB, dlam_pd)
         assert g_sh[0] == pytest.approx(g_pd.sum(), rel=1e-10)
 
@@ -399,7 +424,7 @@ class TestHyperparameterSearch:
         def bad(t):
             return np.inf, None
 
-        with pytest.raises(ValueError):
+        with pytest.raises(NonFiniteStartError):
             search_hyperparameters(bad, HyperparameterState(np.zeros(1), ("eta",)),
                                    budget=5)
 

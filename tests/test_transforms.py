@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from bayescub import kernels, nodes, transforms
+from bayescub.inference import column_spectrum
 from bayescub.kernels import KernelSpec
-from bayescub.transforms import (dense_transform, fbt_double, fbt_lattice,
+from bayescub.transforms import (fbt_double, fbt_lattice, fbt_lattice_even,
                                  fbt_sobol, hadamard_matrix,
                                  lattice_eigenvector_matrix)
+from oracles import dense_transform
 
 
 class TestLatticeTransform:
@@ -35,13 +37,12 @@ class TestLatticeTransform:
             fbt_lattice(np.ones(12))
 
     def test_conjugate_pairing(self):
-        # spectrum entry at the bit-reversed complement carries the conjugate
-        n, m = 16, 4
+        # spectrum entry at the complementary frequency carries the conjugate
+        n = 16
         y = np.random.default_rng(1).standard_normal(n)
         out = fbt_lattice(y).coefficients
-        brev = nodes.bit_reverse(np.arange(n, dtype=np.uint64), m)
-        pair = nodes.bit_reverse((n - brev) % n, m)
-        assert np.abs(out[pair.astype(int)] - out.conj()).max() < 1e-10
+        pair = (n - np.arange(n)) % n
+        assert np.abs(out[pair] - out.conj()).max() < 1e-10
 
 
 class TestSobolTransform:
@@ -93,14 +94,45 @@ class TestDoubling:
         with pytest.raises(ValueError):
             fbt_double(fbt_sobol(np.ones(8)), np.ones(4))
 
+    @pytest.mark.parametrize("m", [0, 1, 2, 7, 12, 17])
+    def test_lattice_step_equals_from_scratch(self, m):
+        # the radix-2 step from 2^m to 2^(m+1) points, past the n = 8 case
+        rng = np.random.default_rng(100 + m)
+        first, second = rng.standard_normal(1 << m), rng.standard_normal(1 << m)
+        doubled = fbt_double(fbt_lattice(first), second).coefficients
+        scratch = fbt_lattice(np.concatenate([first, second])).coefficients
+        assert np.abs(doubled - scratch).max() <= 1e-13 * np.abs(scratch).max()
+
 
 def gather_fbt_lattice(y):
-    # single-gather reference: P . FFT . P with one index array over all n
+    # single-gather reference: FFT of the data in bit-reversed order
     p = nodes._brev_table(len(y).bit_length() - 1)
-    return np.fft.fft(y[p])[p]
+    return np.fft.fft(y[p])
+
+
+def full_column_bases(spec, gen, m):
+    """(n, d) base values at the first-column lags in node (van der Corput)
+    order: the whole column, lag h * brev(i) / n at node i."""
+    n = 1 << m
+    brev = nodes._brev_table(m)
+    idx = (brev[:, None] * np.asarray(gen.generating_vector)[None, :]) & (n - 1)
+    if spec.family == "truncated_series":
+        return kernels.truncated_series_table(spec.order, n)[idx]
+    return kernels._dim_bases_from_lags(spec, idx.astype(np.float64) / n)
+
+
+def full_column_ring(eta, bases):
+    # the ring iteration over the last axis of (n, d) bases
+    ring = eta[0] * bases[:, 0]
+    for ell in range(1, bases.shape[1]):
+        c = eta[ell] * bases[:, ell]
+        ring = ring * (1.0 + c) + c
+    return ring
 
 
 def gather_fbt_lattice_even(col):
+    # whole column in node order -> grid order, real FFT, mirror, back to
+    # node order: the eigenvalues paired with the bit-reversed spectrum
     n = len(col)
     p = nodes._brev_table(n.bit_length() - 1)
     half = np.fft.rfft(col[p]).real
@@ -108,6 +140,36 @@ def gather_fbt_lattice_even(col):
     full[: n // 2 + 1] = half
     full[n // 2 + 1:] = half[n // 2 - 1: 0: -1]
     return full[p]
+
+
+def full_column_eigenvalues(spec, gen, m):
+    """Gram eigenvalues by the whole-column, bit-reversed pipeline, permuted
+    from bit-reversed to natural frequency order."""
+    col = full_column_ring(spec.eta, full_column_bases(spec, gen, m))
+    return gather_fbt_lattice_even(col)[nodes._brev_table(m)], col
+
+
+HALF_COLUMN_KERNELS = (("bernoulli", 1), ("bernoulli", 2),
+                       ("truncated_series", 1.5), ("truncated_series", 2.5),
+                       ("exp_decay", 0.5))
+
+
+class TestHalfColumnPipeline:
+    """The half column in natural grid order and its DCT-I against the whole
+    column in node order, gathered into grid order for a real FFT."""
+
+    @pytest.mark.parametrize("m", [3, 10, 16, 20])
+    @pytest.mark.parametrize("family,order", HALF_COLUMN_KERNELS)
+    def test_matches_full_column(self, family, order, m):
+        n, d = 1 << m, 3
+        gen = nodes.make_lattice(d, seed=m)
+        spec = KernelSpec(family, order, np.array([0.5, 1.0, 2.0]), shared_eta=False)
+        ref, full_col = full_column_eigenvalues(spec, gen, m)
+        half = kernels.ring_from_bases(spec.eta, kernels.lattice_column_bases(spec, gen, m))
+        # the same kernel values, entry for entry: grid lag k sits at node brev(k)
+        assert np.array_equal(half, full_col[nodes._brev_table(m)[: n // 2 + 1]])
+        lam = fbt_lattice_even(half, n)
+        assert np.abs(lam - ref).max() <= 8 * np.finfo(float).eps * np.abs(ref).max()
 
 
 def copying_fbt_sobol(y):
@@ -146,12 +208,15 @@ class TestLargeN:
 
     @pytest.mark.parametrize("m", [16, 20])
     def test_lattice_even_matches_gather(self, m):
-        gen = nodes.make_lattice(3, seed=m)
-        spec = KernelSpec("bernoulli", 1, np.array([0.5, 1.0, 2.0]), shared_eta=False)
-        bases = kernels.lattice_column_bases(spec, gen, m)
-        col = kernels.ring_from_bases(spec.eta, bases)
-        assert np.array_equal(transforms.fbt_lattice_even(col),
-                              gather_fbt_lattice_even(col))
+        # the half-column DCT-I of an arbitrary even column against the whole
+        # column's gathered real FFT, to a few ulps of the largest entry
+        n = 1 << m
+        half = np.random.default_rng(m).standard_normal(n // 2 + 1)
+        grid = np.concatenate([half, half[-2:0:-1]])
+        p = nodes._brev_table(m)
+        ref = gather_fbt_lattice_even(grid[p])[p]
+        lam = transforms.fbt_lattice_even(half, n)
+        assert np.abs(lam - ref).max() <= 8 * np.finfo(float).eps * np.abs(ref).max()
 
     @pytest.mark.parametrize("m", [0, 1, 5, 16, 20])
     def test_sobol_matches_copying_butterfly(self, m):
@@ -217,7 +282,7 @@ class TestInvariants:
                 gram = kernels.gram_matrix(spec, gen.points(0, n).int_points)
                 v = hadamard_matrix(n)
             col = kernels.ring_from_bases(spec.eta, kernels.column_bases(spec, gen, m))
-            lam = transforms.fbt(1.0 + col, family).coefficients
+            lam = column_spectrum(1.0 + col, family, n)
             recon = (v * lam[None, :]) @ v.conj().T / n
             assert np.abs(recon - gram).max() <= 1e-10 * n
 
