@@ -160,9 +160,16 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    """Dense-versus-fast identities at small n, plus the net-property check."""
+    """Dense-versus-fast identities at small n, plus the net-property check.
+
+    The fast side is built as the doubling loop builds it for one shared
+    eta: the Gram spectrum as a polynomial in eta, checked against the ring
+    column's transform too.
+    """
     from . import kernels, nodes, transforms
-    from .inference import credible_width, dense_posterior, transformed_data
+    from .inference import (column_spectrum, credible_width, dense_posterior,
+                            eta_polynomial_spectra, polynomial_spectrum,
+                            transformed_data)
 
     t0 = time.monotonic()
     checks: list[tuple[str, bool, str]] = []
@@ -191,8 +198,14 @@ def cmd_selftest(args) -> int:
                 gram = kernels.gram_matrix(spec, pts.int_points)
             y = np.asarray(np.cos(2 * np.pi * pts.points[:, 0]) + pts.points[:, 1])
             spectrum = transforms.fbt(y, family)
-            col = kernels.ring_from_bases(spec.eta, kernels.column_bases(spec, gen, m))
-            td = transformed_data(spectrum.coefficients, col, family)
+            bases = kernels.column_bases(spec, gen, m)
+            lams = polynomial_spectrum(eta_polynomial_spectra(bases, family, n), eta, n)
+            ring_lams = column_spectrum(kernels.ring_from_bases(spec.eta, bases),
+                                        family, n)
+            dev = np.abs(lams - ring_lams).max()
+            check(f"polynomial-vs-ring spectrum {kernel} r={order} n={n}",
+                  dev <= 1e-13 * np.abs(ring_lams).max(), f"max dev {dev:.2e}")
+            td = transformed_data(spectrum.coefficients, lams)
             # Gram factorization through the fast transform
             lam = np.concatenate([[td.lam1], td.lams_rest])
             if family == "lattice":

@@ -6,6 +6,13 @@ Per iteration only the new block of nodes is generated and evaluated; the
 running data transform is extended by the doubling update, the shape
 parameters are re-optimized from a warm start, and sampling stops as soon as
 the credible half-width drops to the tolerance.
+
+With one eta shared by every dimension and a fixed kernel order (the default
+configuration), the Gram spectrum is a polynomial in eta: each doubling
+transforms its d coefficient columns once (inference.eta_polynomial_spectra)
+and each objective evaluation is one Horner pass over them.  Per-dimension
+eta, a searched order and the grad_descent gradient build the ring column
+and transform it on every call.
 """
 
 from __future__ import annotations
@@ -19,7 +26,8 @@ from . import kernels, problems
 from .inference import (EB, CRITERIA, DegenerateDataError, HyperparameterState,
                         NonFiniteStartError, TransformedData, column_spectrum,
                         credible_width, dense_eb_objective, dense_posterior,
-                        objective, objective_gradient, search_hyperparameters,
+                        eta_polynomial_spectra, objective, objective_gradient,
+                        polynomial_spectrum, search_hyperparameters,
                         transformed_data)
 from .nodes import make_lattice, make_sobol
 from .transforms import fbt, fbt_double
@@ -79,6 +87,7 @@ class IterationRecord:
     evaluations: int = 0    # objective evaluations of this doubling's search
     n_clamped: int = 0      # Gram eigenvalues clamped at the chosen parameters
     reseeded: bool = False  # warm start not finite; searched from the default
+    bound_hit: bool = False  # a chosen eta sits at ETA_MIN or ETA_MAX
 
 
 @dataclass
@@ -194,27 +203,34 @@ def integrate_fast(f, d: int, config: CubatureConfig) -> CubatureResult:
                                               time.perf_counter() - it_start))
             break
 
-        bases = None
+        bases = powers = grad_fn = None
         if not order_searched:
             bases = kernels.column_bases(spec0, gen, m)
+            if config.optimizer.method == "grad_descent":
+                grad_fn = _make_gradient(spec0, tags, d, bases, spectrum, kind, config)
+            if spec0.shared_eta:
+                # the spectrum is a polynomial in the one eta: d transforms
+                # now, one Horner pass per evaluation; only the gradient,
+                # which holds its own reference, still reads the bases
+                powers = eta_polynomial_spectra(bases, kind, n)
+                bases = None
         weights = np.abs(spectrum.coefficients[1:]) ** 2
 
         def obj(t):
             state = HyperparameterState(t, tags)
             spec = _spec_from_state(spec0, state, d)
-            b = bases if bases is not None else kernels.column_bases(spec, gen, m)
-            col = kernels.ring_from_bases(spec.eta, b)
-            data = transformed_data(spectrum.coefficients, col, kind,
+            if powers is not None:
+                lams = polynomial_spectrum(powers, spec.eta[0], n)
+            else:
+                b = bases if bases is not None else kernels.column_bases(spec, gen, m)
+                lams = column_spectrum(kernels.ring_from_bases(spec.eta, b), kind, n)
+            data = transformed_data(spectrum.coefficients, lams,
                                     spec_label=f"{spec.family}(r={spec.order:g})",
                                     weights=weights)
             try:
                 return objective(config.criterion, data), (spec, data)
             except DegenerateDataError:
                 return np.inf, (spec, data)
-
-        grad_fn = None
-        if config.optimizer.method == "grad_descent" and not order_searched:
-            grad_fn = _make_gradient(spec0, tags, d, bases, spectrum, kind, config)
 
         search = dict(method=config.optimizer.method, budget=budget,
                       step=config.optimizer.step, gradient_fn=grad_fn)
@@ -231,10 +247,12 @@ def integrate_fast(f, d: int, config: CubatureConfig) -> CubatureResult:
         spec_best, td = res.payload
         err = credible_width(config.criterion, td)
         # a re-seeded search also spent one evaluation at the failed warm start
+        bound_hit = bool(np.isin(spec_best.eta, (kernels.ETA_MIN, kernels.ETA_MAX)).any())
         iterations.append(IterationRecord(n, tuple(spec_best.eta), float(err),
                                           time.perf_counter() - it_start,
                                           evaluations=res.evaluations + reseeded,
-                                          n_clamped=td.n_clamped, reseeded=reseeded))
+                                          n_clamped=td.n_clamped, reseeded=reseeded,
+                                          bound_hit=bound_hit))
         if err <= config.epsilon:
             break
         n_prev, n = n, 2 * n
@@ -251,7 +269,8 @@ def _make_gradient(spec0, tags, d, bases, spectrum, kind, config):
         state = HyperparameterState(t, tags)
         spec = _spec_from_state(spec0, state, d)
         col = kernels.ring_from_bases(spec.eta, bases)
-        data = transformed_data(spectrum.coefficients, col, kind)
+        data = transformed_data(spectrum.coefficients,
+                                column_spectrum(col, kind, spectrum.n))
         jac = kernels.column_eta_jacobian(spec, bases, col)
         dlam = np.vstack([column_spectrum(row, kind, spectrum.n) for row in jac])
         kind_obj = "gcv" if config.criterion == "gcv" else "eb"

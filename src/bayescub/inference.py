@@ -9,6 +9,19 @@ data and eigenvalues lam_1 = n + ring_lam_1, lam_2..lam_n of the Gram matrix,
 
 and the interval half-widths use ring_lam_1 directly so that no 1 - n/lam_1
 subtraction ever happens.
+
+The Gram spectrum is the transform T of the ring column (kernel minus one),
+and T is linear.  With one eta shared by all d dimensions the ring column is
+a polynomial in eta with no constant term,
+
+    prod_l (1 + eta c_l) - 1 = sum_{j=1..d} eta^j e_j,
+
+e_j the j-th elementary symmetric polynomial of the per-dimension bases c_l,
+so the spectrum is sum_j eta^j T(e_j): eta_polynomial_spectra transforms the
+d coefficient columns once per sample size, and polynomial_spectrum
+evaluates the spectrum at any eta by one Horner pass, with no ring column
+and no transform.  Per-dimension eta and a searched kernel order go through
+the ring column and column_spectrum instead.
 """
 
 from __future__ import annotations
@@ -20,7 +33,8 @@ from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.optimize import minimize
 from scipy.special import stdtrit
 
-from .transforms import fbt, fbt_lattice_even
+from .kernels import ETA_MAX, ETA_MIN, elementary_symmetric
+from .transforms import fbt, fbt_lattice_even, fbt_sobol, lattice_half_spectrum
 
 EB, FULL, GCV = "eb", "full", "gcv"
 CRITERIA = (EB, FULL, GCV)
@@ -57,12 +71,15 @@ class TransformedData:
     def lam1(self) -> float:
         return self.n + self.lam_ring1
 
-    def data_sums(self) -> tuple[float, float]:
+    def data_sum(self, power: int = 1) -> float:
+        """sum_{i>=2} |y~_i|^2 / lam_i^power, power 1 (EB) or 2 (GCV)."""
         w = self.weights
         if w is None:
             w = np.abs(self.y_tilde[1:]) ** 2
         over = w / self.lams_rest
-        return float(over.sum()), float((over / self.lams_rest).sum())
+        if power == 2:
+            over = over / self.lams_rest
+        return float(over.sum())
 
 
 def _clamp_eigs(vals: np.ndarray, n: int, what: str) -> tuple[np.ndarray, int]:
@@ -93,44 +110,83 @@ def column_spectrum(col: np.ndarray, kind: str, n: int) -> np.ndarray:
     return fbt(col, kind).coefficients
 
 
-def eigenvalues_from_ring_column(col_values: np.ndarray, kind: str, n: int,
-                                 spec_label: str = "kernel") -> tuple[float, np.ndarray, int]:
-    """Transform the ring first column into (ring_lam_1, lam_2..lam_n).
+def eta_polynomial_spectra(bases: np.ndarray, kind: str, n: int) -> np.ndarray:
+    """(d, cols) spectra T(e_1)..T(e_d) of the shared-eta ring column's
+    coefficients in eta (see the module docstring), from the (d, cols) bases.
+
+    Lattice rows are entries 0..n/2 (the DCT-I of each half column); Sobol'
+    rows are the whole Walsh-Hadamard transform of each column.
+    """
+    rows = elementary_symmetric(bases)
+    if kind == "lattice":
+        return lattice_half_spectrum(rows, n)
+    if rows.shape[1] != n:
+        raise ValueError(f"column has length {rows.shape[1]}, expected {n}")
+    for row in rows:
+        row[:] = fbt_sobol(row).coefficients
+    return rows
+
+
+def polynomial_spectrum(spectra: np.ndarray, eta: float, n: int) -> np.ndarray:
+    """Length-n Gram spectrum sum_j eta^j spectra[j-1], by one Horner pass.
+
+    Rows of length n/2+1 < n are lattice half spectra and are mirrored, as
+    fbt_lattice_even mirrors them.
+    """
+    cols = spectra.shape[1]
+    out = np.empty(n)
+    acc = out[:cols]
+    np.multiply(spectra[-1], eta, out=acc)
+    for row in spectra[-2::-1]:
+        acc += row
+        acc *= eta
+    if cols < n:
+        out[cols:] = out[n // 2 - 1: 0: -1]
+    return out
+
+
+def split_spectrum(lams: np.ndarray,
+                   spec_label: str = "kernel") -> tuple[float, np.ndarray, int]:
+    """Clamp a length-n ring spectrum into (ring_lam_1, lam_2..lam_n, count).
 
     The rank-one ones-block of the full Gram matrix contributes only to the
     first eigenvalue, so the remaining spectrum entries already equal the
     eigenvalues of the full matrix.  The clamp count is over all n of them.
     """
-    coeffs = column_spectrum(col_values, kind, n)
-    ring1, c1 = _clamp_eigs(coeffs[:1], n, spec_label)
-    rest, c2 = _clamp_eigs(coeffs[1:], n, spec_label)
+    n = lams.shape[0]
+    ring1, c1 = _clamp_eigs(lams[:1], n, spec_label)
+    rest, c2 = _clamp_eigs(lams[1:], n, spec_label)
     return float(ring1[0]), rest, c1 + c2
 
 
-def transformed_data(y_spectrum: np.ndarray, col_values: np.ndarray, kind: str,
+def transformed_data(y_spectrum: np.ndarray, lams: np.ndarray,
                      spec_label: str = "kernel",
                      weights: np.ndarray | None = None) -> TransformedData:
+    """Data spectrum plus the clamped Gram eigenvalues, from the length-n
+    ring spectrum (column_spectrum of a ring column, or polynomial_spectrum)."""
     n = y_spectrum.shape[0]
-    ring1, rest, nclamp = eigenvalues_from_ring_column(col_values, kind, n, spec_label)
+    if lams.shape != (n,):
+        raise ValueError(f"ring spectrum has shape {lams.shape}, expected ({n},)")
+    ring1, rest, nclamp = split_spectrum(lams, spec_label)
     return TransformedData(y_tilde=y_spectrum, lam_ring1=ring1, lams_rest=rest,
                            n=n, n_clamped=nclamp, weights=weights)
 
 
-def _require_data(td: TransformedData) -> tuple[float, float]:
-    s1, s2 = td.data_sums()
-    if s1 <= 0.0:
+def _require_data(td: TransformedData, power: int = 1) -> float:
+    s = td.data_sum(power)
+    if s <= 0.0:
         raise DegenerateDataError("all spectrum mass sits in the constant mode")
-    return s1, s2
+    return s
 
 
 def objective_eb(td: TransformedData) -> float:
-    s1, _ = _require_data(td)
+    s1 = _require_data(td)
     log_lams = np.log(td.lams_rest).sum() + np.log(td.lam1)
     return float(np.log(s1) + log_lams / td.n)
 
 
 def objective_gcv(td: TransformedData) -> float:
-    _, s2 = _require_data(td)
+    s2 = _require_data(td, power=2)
     inv_sum = (1.0 / td.lams_rest).sum() + 1.0 / td.lam1
     return float(np.log(s2) - 2.0 * np.log(inv_sum))
 
@@ -147,12 +203,13 @@ def objective_gradient(td: TransformedData, kind: str, dlambda: np.ndarray) -> n
         raise ValueError("eigenvalue derivative length mismatch")
     lams = np.concatenate([[td.lam1], td.lams_rest])
     w = np.abs(td.y_tilde[1:]) ** 2
-    s1, s2 = _require_data(td)
     if kind == GCV:
+        s2 = _require_data(td, power=2)
         inv_sum = float((1.0 / lams).sum())
         grad = (-2.0 / s2) * (dlambda[:, 1:] * (w / td.lams_rest**3)).sum(axis=1) \
             + (2.0 / inv_sum) * (dlambda / lams[None, :] ** 2).sum(axis=1)
         return grad
+    s1 = _require_data(td)
     grad = (dlambda / lams[None, :]).sum(axis=1) / td.n \
         - (dlambda[:, 1:] * (w / td.lams_rest**2)).sum(axis=1) / s1
     return grad
@@ -169,17 +226,17 @@ def credible_width(kind: str, td: TransformedData) -> float:
     """Credible-interval half-width in the cancellation-safe form."""
     if td.lam_ring1 < 0:
         raise NonPositiveDefiniteError("ring eigenvalue negative after clamping")
-    s1, s2 = td.data_sums()
-    if s1 <= 0.0:
+    s = td.data_sum(2 if kind == GCV else 1)
+    if s <= 0.0:
         return 0.0
     if kind == EB:
-        return QUANTILE_99 / td.n * np.sqrt(td.lam_ring1 / td.lam1 * s1)
+        return QUANTILE_99 / td.n * np.sqrt(td.lam_ring1 / td.lam1 * s)
     if kind == FULL:
         t = student_t_quantile(td.n - 1)
-        return t / td.n * np.sqrt(td.lam_ring1 / (td.n - 1) * s1)
+        return t / td.n * np.sqrt(td.lam_ring1 / (td.n - 1) * s)
     if kind == GCV:
         mean_inv = ((1.0 / td.lams_rest).sum() + 1.0 / td.lam1) / td.n
-        return QUANTILE_99 / td.n * np.sqrt(td.lam_ring1 / td.lam1 * s2 / mean_inv)
+        return QUANTILE_99 / td.n * np.sqrt(td.lam_ring1 / td.lam1 * s / mean_inv)
     raise ValueError(f"unknown criterion {kind!r}")
 
 
@@ -316,7 +373,7 @@ def dense_eb_objective(y: np.ndarray, gram: np.ndarray) -> float:
 # Hyperparameter search over unconstrained coordinates
 # ---------------------------------------------------------------------------
 
-_LOG_ETA_MIN, _LOG_ETA_MAX = np.log(1e-8), np.log(1e8)
+_LOG_ETA_MIN, _LOG_ETA_MAX = np.log(ETA_MIN), np.log(ETA_MAX)
 
 
 @dataclass(frozen=True)
@@ -333,13 +390,15 @@ class HyperparameterState:
         object.__setattr__(self, "t", t)
 
     def constrained(self) -> np.ndarray:
-        out = np.empty_like(self.t)
+        # every entry through the eta map in one vectorized call, then the
+        # order entries replaced; clip twice: exp(log(bound)) can round past
+        # the bound
+        out = np.clip(np.exp(np.clip(self.t, _LOG_ETA_MIN, _LOG_ETA_MAX)),
+                      ETA_MIN, ETA_MAX)
         for i, tag in enumerate(self.tags):
             if tag == "eta":
-                # clip twice: exp(log(bound)) can round past the bound
-                out[i] = np.clip(np.exp(np.clip(self.t[i], _LOG_ETA_MIN,
-                                                _LOG_ETA_MAX)), 1e-8, 1e8)
-            elif tag == "order_r":
+                continue
+            if tag == "order_r":
                 out[i] = 1.0 + np.exp(self.t[i])
             elif tag == "order_q":
                 out[i] = 1.0 / (1.0 + np.exp(self.t[i]))

@@ -79,25 +79,36 @@ def fbt_lattice(y: np.ndarray) -> Spectrum:
     return Spectrum(coefficients=np.fft.fft(_bit_reverse_permute(y, m)), ordering=VDC)
 
 
-def fbt_lattice_even(half: np.ndarray, n: int) -> np.ndarray:
-    """Real length-n spectrum of an even grid column from its half c_0..c_{n/2}.
+def lattice_half_spectrum(half: np.ndarray, n: int) -> np.ndarray:
+    """Spectrum entries 0..n/2 of even grid columns from their halves c_0..c_{n/2}.
 
     The full column (c_k = c_{n-k}) has the DFT c_0 + (-1)^k c_{n/2}
-    + 2 sum_{0<j<n/2} c_j cos(2 pi j k / n): the DCT-I of the half for
-    k <= n/2, mirrored for k > n/2.  Lattice kernel columns are even by
-    construction, so this is their whole spectrum.
+    + 2 sum_{0<j<n/2} c_j cos(2 pi j k / n), the DCT-I of the half for
+    k <= n/2.  Works along the last axis, so each row of a 2-D array is one
+    column.
     """
     half = np.asarray(half, dtype=np.float64)
     _check_pow2(n)
-    if half.shape != (n // 2 + 1,):
-        raise ValueError(f"half column has shape {half.shape}, expected ({n // 2 + 1},) "
-                         f"for n = {n}")
+    if half.shape[-1] != n // 2 + 1:
+        raise ValueError(f"half column has length {half.shape[-1]}, expected "
+                         f"{n // 2 + 1} for n = {n}")
     if n <= 2:  # the DCT-I needs two points; both cases in closed form
-        return np.array([half.sum(), half[0] - half[-1]])[:n]
-    spec = dct(half, type=1)
+        return np.stack([half.sum(axis=-1), half[..., 0] - half[..., -1]],
+                        axis=-1)[..., :n]
+    return dct(half, type=1, axis=-1)
+
+
+def fbt_lattice_even(half: np.ndarray, n: int) -> np.ndarray:
+    """Real length-n spectrum of an even grid column from its half c_0..c_{n/2}.
+
+    Entries k <= n/2 are lattice_half_spectrum(half, n), entries k > n/2
+    their mirror image.  Lattice kernel columns are even by construction, so
+    this is their whole spectrum.
+    """
+    spec = lattice_half_spectrum(half, n)
     full = np.empty(n)
     full[: n // 2 + 1] = spec
-    full[n // 2 + 1:] = spec[n // 2 - 1: 0: -1]
+    full[n // 2 + 1:] = full[n // 2 - 1: 0: -1]
     return full
 
 

@@ -44,7 +44,8 @@ def matched_setup(family, kernel, order, eta, m, d, seed):
     else:
         gram = kernels.gram_matrix(spec, pts.points)
     col = kernels.ring_from_bases(spec.eta, kernels.column_bases(spec, gen, m))
-    td = transformed_data(transforms.fbt(y, family).coefficients, col, family)
+    td = transformed_data(transforms.fbt(y, family).coefficients,
+                          column_spectrum(col, family, n))
     return gen, pts, y, gram, col, td
 
 
@@ -264,12 +265,12 @@ def test_criterion_8_cancellation_demonstration():
     spec = KernelSpec("bernoulli", 1, np.array([eta]))
     col = kernels.ring_from_bases(spec.eta, kernels.column_bases(spec, gen, m))
     brev = nodes._brev_table(m)
-    td = transformed_data(np.fft.fft(y[brev]), col, "lattice")
+    td = transformed_data(np.fft.fft(y[brev]), column_spectrum(col, "lattice", n))
 
     err_ref, _ = zeta_reference_width(eta, m, y)
     fast = credible_width(EB, td)
     lam_naive = column_spectrum(1.0 + col, "lattice", n)
-    s1, _ = td.data_sums()
+    s1 = td.data_sum()
     naive = 2.58 / n * np.sqrt(max(1.0 - n / lam_naive[0], 0.0) * s1)
     fast_rel = abs(fast - err_ref) / err_ref
     naive_rel = abs(naive - err_ref) / err_ref
@@ -300,15 +301,16 @@ def test_criterion_9_gradient_suite():
             spec = KernelSpec(kernel, order, eta, shared_eta=shared)
             bases = kernels.column_bases(spec, gen, m)
             col = kernels.ring_from_bases(spec.eta, bases)
-            td = transformed_data(spectrum.coefficients, col, family)
+            td = transformed_data(spectrum.coefficients,
+                                  column_spectrum(col, family, 1 << m))
             jac = kernels.column_eta_jacobian(spec, bases, col)
             dlam = np.vstack([column_spectrum(row, family, 1 << m) for row in jac])
             grad = objective_gradient(td, kind, dlam)
 
             def loss(ev):
                 c = kernels.ring_from_bases(ev, bases)
-                return objective(kind, transformed_data(spectrum.coefficients,
-                                                        c, family))
+                return objective(kind, transformed_data(
+                    spectrum.coefficients, column_spectrum(c, family, 1 << m)))
 
             if shared:
                 h = 1e-4

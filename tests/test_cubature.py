@@ -7,7 +7,7 @@ import pytest
 from dataclasses import replace
 
 from bayescub import (CubatureConfig, OptimizerSettings, cubature, integrate_dense,
-                      integrate_fast, integrate_mc)
+                      integrate_fast, integrate_mc, kernels)
 from bayescub.cubature import IntegrandError
 from bayescub.inference import NonFiniteStartError, credible_width
 
@@ -280,6 +280,101 @@ class TestIterationRecords:
         cfg = CubatureConfig(epsilon=1e-9, n0=256, n_max=1024, seed=5)
         with pytest.raises(NonFiniteStartError, match="not finite at the initial"):
             integrate_fast(f, 3, cfg)
+
+
+    def test_bound_hit_when_eta_is_driven_past_the_upper_bound(self, monkeypatch):
+        # a loss that falls as lam_1 grows pushes t past log(1e8); eta is clipped
+        monkeypatch.setattr(cubature, "objective", lambda kind, td: -np.log(td.lam1))
+        f = lambda x: np.exp(x.sum(axis=1))
+        cfg = CubatureConfig(epsilon=1e-9, n0=128, n_max=512, seed=5)
+        res = integrate_fast(f, 3, cfg)
+        assert [it.theta for it in res.iterations] == [(1e8,) * 3] * 3
+        assert all(it.bound_hit for it in res.iterations)
+
+    def test_bound_hit_on_any_per_dimension_entry(self, monkeypatch):
+        # log ring_lam_1 falls with every eta entry: t runs below log(1e-8)
+        monkeypatch.setattr(cubature, "objective",
+                            lambda kind, td: np.log(td.lam_ring1))
+        f = lambda x: np.exp(x.sum(axis=1))
+        cfg = CubatureConfig(epsilon=1e-9, n0=128, n_max=256, seed=5,
+                             eta_mode="per_dimension")
+        res = integrate_fast(f, 2, cfg)
+        assert all(it.bound_hit and 1e-8 in it.theta for it in res.iterations)
+
+    def test_no_bound_hit_inside_the_bounds(self):
+        f = lambda x: np.exp(x.sum(axis=1))
+        res = integrate_fast(f, 3, CubatureConfig(epsilon=1e-9, n0=128, n_max=512, seed=5))
+        assert all(1e-8 < eta < 1e8 for it in res.iterations for eta in it.theta)
+        assert not any(it.bound_hit for it in res.iterations)
+
+
+class TestEigenvalueRouting:
+    """Shared eta with a fixed order evaluates the Gram spectrum as a
+    polynomial in eta; per-dimension eta, order search and the grad_descent
+    gradient build the ring column on every call."""
+
+    @staticmethod
+    def counting_ring(monkeypatch):
+        calls = {"n": 0}
+        real = kernels.ring_from_bases
+
+        def ring(eta, bases):
+            calls["n"] += 1
+            return real(eta, bases)
+
+        monkeypatch.setattr(kernels, "ring_from_bases", ring)
+        return calls
+
+    @staticmethod
+    def evaluations(res):
+        return sum(it.evaluations for it in res.iterations)
+
+    f = staticmethod(lambda x: np.exp(x.sum(axis=1)))
+
+    @pytest.mark.parametrize("family", ["lattice", "sobol"])
+    def test_shared_eta_never_builds_the_ring(self, monkeypatch, family):
+        calls = self.counting_ring(monkeypatch)
+        cfg = CubatureConfig(family=family, epsilon=1e-9, n0=128, n_max=2**11, seed=5)
+        res = integrate_fast(self.f, 3, cfg)
+        assert self.evaluations(res) > 20 and calls["n"] == 0
+
+    @pytest.mark.parametrize("family", ["lattice", "sobol"])
+    def test_per_dimension_eta_builds_it_per_evaluation(self, monkeypatch, family):
+        calls = self.counting_ring(monkeypatch)
+        cfg = CubatureConfig(family=family, epsilon=1e-9, n0=128, n_max=2**10, seed=5,
+                             eta_mode="per_dimension")
+        res = integrate_fast(self.f, 3, cfg)
+        assert calls["n"] == self.evaluations(res) > 0
+
+    def test_order_search_builds_it_per_evaluation(self, monkeypatch):
+        calls = self.counting_ring(monkeypatch)
+        cfg = CubatureConfig(epsilon=1e-9, n0=128, n_max=2**10, seed=5,
+                             kernel="truncated_series", order=2.0,
+                             optimizer=OptimizerSettings(search_order=True))
+        res = integrate_fast(self.f, 3, cfg)
+        assert calls["n"] == self.evaluations(res) > 0
+
+    def test_grad_descent_gradient_builds_it(self, monkeypatch):
+        calls = self.counting_ring(monkeypatch)
+        gradients = {"n": 0}
+        real = cubature._make_gradient
+
+        def make_gradient(*args):
+            gradient = real(*args)
+
+            def counted(t):
+                gradients["n"] += 1
+                return gradient(t)
+
+            return counted
+
+        monkeypatch.setattr(cubature, "_make_gradient", make_gradient)
+        cfg = CubatureConfig(epsilon=1e-9, n0=128, n_max=2**10, seed=5,
+                             optimizer=OptimizerSettings(method="grad_descent"))
+        res = integrate_fast(self.f, 3, cfg)
+        # the objective itself takes the polynomial path
+        assert calls["n"] == gradients["n"] > 0
+        assert self.evaluations(res) > gradients["n"]
 
 
 class TestDenseLoop:

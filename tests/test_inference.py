@@ -10,9 +10,10 @@ from bayescub.inference import (EB, FULL, GCV, DegenerateDataError,
                                 NonPositiveDefiniteError, TransformedData,
                                 column_spectrum, credible_width,
                                 dense_eb_objective, dense_posterior,
-                                eigenvalues_from_ring_column, objective,
-                                objective_eb, objective_gcv, objective_gradient,
-                                search_hyperparameters, student_t_quantile,
+                                eta_polynomial_spectra, objective, objective_eb,
+                                objective_gcv, objective_gradient,
+                                polynomial_spectrum, search_hyperparameters,
+                                split_spectrum, student_t_quantile,
                                 transformed_data)
 from bayescub.kernels import KernelSpec
 
@@ -31,7 +32,7 @@ def make_matched_td(family, kernel, order, eta, m, d, seed=0, y=None):
     spec = KernelSpec(kernel, order, eta if np.ndim(eta) else np.full(d, eta),
                       shared_eta=bool(np.ndim(eta) == 0))
     col = kernels.ring_from_bases(spec.eta, kernels.column_bases(spec, gen, m))
-    td = transformed_data(spectrum.coefficients, col, family)
+    td = transformed_data(spectrum.coefficients, column_spectrum(col, family, n))
     return gen, pts, y, spec, col, td
 
 
@@ -54,13 +55,13 @@ class TestEigenvaluePipeline:
         # a lattice column is the half k = 0..n/2; a whole column is refused
         col = np.random.default_rng(0).standard_normal(8)
         with pytest.raises(ValueError):
-            eigenvalues_from_ring_column(col, "lattice", 8)
+            column_spectrum(col, "lattice", 8)
         with pytest.raises(ValueError):
-            eigenvalues_from_ring_column(col[:4], "lattice", 8)
+            column_spectrum(col[:4], "lattice", 8)
         with pytest.raises(ValueError):
-            eigenvalues_from_ring_column(col[:5], "sobol", 8)
+            column_spectrum(col[:5], "sobol", 8)
         with pytest.raises(ValueError):  # n itself must be a power of two
-            eigenvalues_from_ring_column(col[:7], "lattice", 12)
+            column_spectrum(col[:7], "lattice", 12)
 
     @pytest.mark.parametrize("m", [0, 1, 2])
     @pytest.mark.parametrize("kernel,order", [("bernoulli", 1), ("bernoulli", 2),
@@ -80,22 +81,104 @@ class TestEigenvaluePipeline:
         n = 8
         full = np.where(np.arange(n) % 2, 1.0, -1e-9)
         col = np.fft.ifft(full).real[: n // 2 + 1]
-        ring1, rest, clamped = eigenvalues_from_ring_column(col, "lattice", n)
+        ring1, rest, clamped = split_spectrum(column_spectrum(col, "lattice", n))
         assert clamped == 4 == int((column_spectrum(col, "lattice", n) <= 0).sum())
         assert ring1 > 0 and (rest > 0).all()
 
     def test_hard_error_below_clamp(self):
         col = np.full(8, -0.9)  # strongly non-PD ring
         with pytest.raises(NonPositiveDefiniteError):
-            eigenvalues_from_ring_column(col, "sobol", 8)
+            split_spectrum(column_spectrum(col, "sobol", 8))
 
     def test_clamp_counts(self):
         # a column whose transform has tiny negative entries gets clamped
         n = 8
         col = np.zeros(n)
         col[0] = -1e-9 * n / n  # constant column: ring spectrum (sum, 0...0)
-        ring1, rest, clamped = eigenvalues_from_ring_column(col + 1e-12, "sobol", n)
+        ring1, rest, clamped = split_spectrum(column_spectrum(col + 1e-12, "sobol", n))
         assert clamped == 0 or rest.min() > 0
+
+
+POLY_KERNELS = (("lattice", "bernoulli", 1), ("lattice", "bernoulli", 2),
+                ("lattice", "exp_decay", 0.5), ("lattice", "truncated_series", 1.5),
+                ("lattice", "truncated_series", 2.5), ("sobol", "walsh1", 1))
+
+
+def ring_and_polynomial_spectra(family, kernel, order, d, m, etas, seed=3):
+    """(ring-path spectrum, polynomial spectrum) pairs at each shared eta."""
+    n = 1 << m
+    gen = (nodes.make_lattice(d, seed=seed) if family == "lattice"
+           else nodes.make_sobol(d, seed=seed))
+    bases = kernels.column_bases(KernelSpec(kernel, order, np.ones(d)), gen, m)
+    powers = eta_polynomial_spectra(bases, family, n)
+    assert powers.shape == (d, n // 2 + 1 if family == "lattice" else n)
+    return [(column_spectrum(kernels.ring_from_bases(np.full(d, eta), bases),
+                             family, n),
+             polynomial_spectrum(powers, eta, n)) for eta in etas]
+
+
+class TestEtaPolynomial:
+    """The shared-eta Gram spectrum as a polynomial in eta against the ring
+    column's transform."""
+
+    @pytest.mark.parametrize("d", [1, 2, 4, 13])
+    @pytest.mark.parametrize("family,kernel,order", POLY_KERNELS)
+    def test_matches_ring_spectrum(self, family, kernel, order, d):
+        for m in (1, 2, 3, 8, 12):
+            pairs = ring_and_polynomial_spectra(family, kernel, order, d, m,
+                                                np.geomspace(1e-8, 1e8, 9))
+            for ring, poly in pairs:
+                assert poly.shape == ring.shape == (1 << m,)
+                assert np.abs(poly - ring).max() <= 1e-13 * np.abs(ring).max(), \
+                    (m, np.abs(poly - ring).max() / np.abs(ring).max())
+
+    def test_lattice_mirror_is_exact(self):
+        (_, poly), = ring_and_polynomial_spectra("lattice", "bernoulli", 2, 3, 6, [2.0])
+        assert np.array_equal(poly[1:], poly[1:][::-1])
+
+    def test_wrong_lengths_rejected(self):
+        with pytest.raises(ValueError):
+            eta_polynomial_spectra(np.ones((2, 4)), "sobol", 8)
+        with pytest.raises(ValueError):
+            eta_polynomial_spectra(np.ones((2, 4)), "lattice", 8)
+        with pytest.raises(ValueError, match="ring spectrum has shape"):
+            transformed_data(np.ones(8), np.ones(5))
+
+    @staticmethod
+    def designed_bases(kind, full):
+        """(2, cols) bases whose shared-eta ring column at eta = 1 has the
+        length-n ring spectrum `full` (second dimension all zero)."""
+        n = full.shape[0]
+        if kind == "lattice":
+            col = np.fft.ifft(full).real[: n // 2 + 1]
+        else:
+            col = transforms.fbt_sobol(full).coefficients / n
+        return np.vstack([col, np.zeros_like(col)])
+
+    @pytest.mark.parametrize("kind", ["lattice", "sobol"])
+    def test_clamp_count_matches_ring_path(self, kind):
+        n = 16
+        k = np.minimum(np.arange(n), n - np.arange(n))  # even: valid on both
+        full = np.where(k % 2, 1.0 + k, -1e-9 * n)
+        bases = self.designed_bases(kind, full)
+        ring = column_spectrum(kernels.ring_from_bases(np.ones(2), bases), kind, n)
+        poly = polynomial_spectrum(eta_polynomial_spectra(bases, kind, n), 1.0, n)
+        r1, rest_r, count_r = split_spectrum(ring)
+        p1, rest_p, count_p = split_spectrum(poly)
+        assert count_r == count_p == int((full <= 0).sum()) == 8
+        assert r1 == p1 and np.array_equal(rest_r, rest_p)
+
+    @pytest.mark.parametrize("kind", ["lattice", "sobol"])
+    def test_non_positive_definite_on_both_paths(self, kind):
+        n = 16
+        full = np.ones(n)
+        full[n // 2] = -1e-3 * n  # far below the round-off floor
+        bases = self.designed_bases(kind, full)
+        ring = column_spectrum(kernels.ring_from_bases(np.ones(2), bases), kind, n)
+        poly = polynomial_spectrum(eta_polynomial_spectra(bases, kind, n), 1.0, n)
+        for lams in (ring, poly):
+            with pytest.raises(NonPositiveDefiniteError, match="below round-off floor"):
+                split_spectrum(lams, "designed")
 
 
 def zeta_reference_width(eta: float, m: int, y: np.ndarray, dps: int = 50):
@@ -138,7 +221,7 @@ class TestCancellationSafety:
         spec = KernelSpec("bernoulli", 1, np.array([eta]))
         col = kernels.ring_from_bases(spec.eta, kernels.column_bases(spec, gen, m))
         brev = nodes._brev_table(m)
-        td = transformed_data(np.fft.fft(y[brev]), col, "lattice")
+        td = transformed_data(np.fft.fft(y[brev]), column_spectrum(col, "lattice", n))
         return eta, y, col, td
 
     def test_ring_ratio_matches_extended_precision(self):
@@ -166,7 +249,7 @@ class TestCancellationSafety:
 
         lam_naive = column_spectrum(1.0 + col, "lattice", n)
         one_minus = 1.0 - n / lam_naive[0]
-        s1, _ = td.data_sums()
+        s1 = td.data_sum()
         naive = 2.58 / n * np.sqrt(max(one_minus, 0.0) * s1)
         assert abs(naive - err_ref) / err_ref > 1e-2
 
@@ -208,7 +291,7 @@ class TestObjectives:
             out = []
             for eta in grid:
                 col = kernels.ring_from_bases(np.full(2, eta), bases)
-                lam_ring1, rest, _ = eigenvalues_from_ring_column(col, "lattice", 32)
+                lam_ring1, rest, _ = split_spectrum(column_spectrum(col, "lattice", 32))
                 td = TransformedData(spectrum.coefficients,
                                      scale * lam_ring1 + (scale - 1) * 32,
                                      scale * rest, 32)
@@ -253,7 +336,7 @@ class TestObjectiveGradient:
 
         def loss_at(eta_vec):
             c = kernels.ring_from_bases(eta_vec, bases)
-            tdh = transformed_data(td.y_tilde, c, family)
+            tdh = transformed_data(td.y_tilde, column_spectrum(c, family, 1 << m))
             return objective(kind, tdh)
 
         base = spec.eta.copy()
@@ -392,7 +475,34 @@ class TestDensePosterior:
             dense_posterior(np.ones(4), bad, np.ones(4), 1.0, EB)
 
 
+def per_scalar_eta(t):
+    # the eta map one scalar at a time: clip, exponentiate, clip again
+    return np.clip(np.exp(np.clip(t, np.log(1e-8), np.log(1e8))), 1e-8, 1e8)
+
+
 class TestHyperparameterSearch:
+    def test_eta_map_matches_per_scalar_formula(self):
+        rng = np.random.default_rng(2026)
+        t = rng.uniform(-25.0, 25.0, size=20_000)
+        t[:4] = np.log(1e-8), np.log(1e8), -100.0, 100.0
+        expect = np.array([per_scalar_eta(v) for v in t])
+        whole = HyperparameterState(t, ("eta",) * t.size).constrained()
+        assert np.array_equal(whole, expect)
+        for lo in range(0, t.size, 2):  # the two-entry per-dimension case
+            pair = HyperparameterState(t[lo:lo + 2], ("eta", "eta")).constrained()
+            assert np.array_equal(pair, expect[lo:lo + 2])
+        assert whole[1] == 1e8 and whole[3] == 1e8
+        assert whole[0] == 1e-8 and whole[2] == 1e-8
+
+    def test_eta_map_leaves_order_entries_to_their_maps(self):
+        t = np.array([0.4, 100.0, -0.3, -100.0])
+        out = HyperparameterState(t, ("order_r", "eta", "order_q", "eta")).constrained()
+        assert out[0] == 1.0 + np.exp(0.4)
+        assert out[2] == 1.0 / (1.0 + np.exp(-0.3))
+        assert out[1] == 1e8 and out[3] == 1e-8
+        with pytest.raises(ValueError, match="unknown tag"):
+            HyperparameterState(t[:2], ("eta", "theta")).constrained()
+
     def test_map_round_trip(self):
         state = HyperparameterState.from_constrained([2.5, 1.75, 0.3],
                                                      ("eta", "order_r", "order_q"))
@@ -442,8 +552,8 @@ class TestHyperparameterSearch:
 
         def loss_of_eta(eta):
             col = kernels.ring_from_bases(np.full(4, eta), bases)
-            return objective_eb(transformed_data(spectrum.coefficients, col,
-                                                 "lattice"))
+            return objective_eb(transformed_data(
+                spectrum.coefficients, column_spectrum(col, "lattice", 1 << m)))
 
         def obj(t):
             return loss_of_eta(float(np.exp(t[0]))), None

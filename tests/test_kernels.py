@@ -1,6 +1,8 @@
 """Kernel values against series/quadrature oracles, ring-form consistency,
 positive definiteness, normalization, and analytic gradients."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -352,6 +354,55 @@ class TestRingBlocking:
         assert ring.shape == (128, 128)
         assert np.array_equal(ring, unblocked_ring(spec.eta, bases))
         assert np.array_equal(kernels.gram_matrix(spec, pts), 1.0 + ring)
+
+
+def unblocked_symmetric(bases):
+    # e_j += c_l e_{j-1}, j descending, over whole rows with e_0 = 1
+    d = bases.shape[0]
+    e = np.zeros((d + 1,) + bases.shape[1:])
+    e[0] = 1.0
+    for c in bases:
+        for j in range(d, 0, -1):
+            e[j] = e[j] + c * e[j - 1]
+    return e[1:]
+
+
+class TestElementarySymmetric:
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_matches_subset_products(self, d):
+        # e_j is the sum over all j-subsets of dimensions of their products
+        rng = np.random.default_rng(d)
+        bases = rng.uniform(-0.5, 1.0, size=(d, 17))
+        e = kernels.elementary_symmetric(bases)
+        for j in range(1, d + 1):
+            direct = sum(np.prod(bases[list(s)], axis=0)
+                         for s in itertools.combinations(range(d), j))
+            np.testing.assert_allclose(e[j - 1], direct, rtol=1e-13, atol=1e-15)
+
+    @pytest.mark.parametrize("d", [1, 2, 13])
+    def test_polynomial_in_shared_eta_is_the_ring(self, d):
+        rng = np.random.default_rng(40 + d)
+        bases = rng.uniform(-1 / 12, 1 / 6, size=(d, 33))
+        e = kernels.elementary_symmetric(bases)
+        for eta in (1e-3, 0.7, 5.0):
+            poly = sum(eta ** (j + 1) * e[j] for j in range(d))
+            ring = kernels.ring_from_bases(np.full(d, eta), bases)
+            assert np.abs(poly - ring).max() <= 1e-14 * max(1.0, np.abs(ring).max())
+
+    @pytest.mark.parametrize("n", [1, 2, 2**13, 2**13 + 5, 2**15 + 1, 2**17 + 1])
+    @pytest.mark.parametrize("d", [1, 2, 13])
+    def test_matches_unblocked(self, n, d):
+        rng = np.random.default_rng(n + d)
+        bases = rng.uniform(-1 / 12, 1 / 6, size=(d, n))
+        out = kernels.elementary_symmetric(bases)
+        assert out.shape == (d, n)
+        assert np.array_equal(out, unblocked_symmetric(bases))
+
+    def test_keeps_trailing_shape(self):
+        bases = np.random.default_rng(3).uniform(-0.5, 1.0, size=(3, 4, 5))
+        out = kernels.elementary_symmetric(bases)
+        assert out.shape == (3, 4, 5)
+        assert np.array_equal(out, unblocked_symmetric(bases))
 
 
 @given(st.integers(1, 4), st.floats(1e-3, 10.0), st.integers(0, 2**32 - 1))
