@@ -163,13 +163,12 @@ def cmd_selftest(args) -> int:
     """Dense-versus-fast identities at small n, plus the net-property check.
 
     The fast side is built as the doubling loop builds it for one shared
-    eta: the Gram spectrum as a polynomial in eta, checked against the ring
-    column's transform too.
+    eta: the Gram spectrum as a polynomial in eta (on the lattice its
+    distinct half 0..n/2), checked against the ring column's transform too.
     """
     from . import kernels, nodes, transforms
     from .inference import (column_spectrum, credible_width, dense_posterior,
-                            eta_polynomial_spectra, polynomial_spectrum,
-                            transformed_data)
+                            polynomial_spectrum, transformed_data)
 
     t0 = time.monotonic()
     checks: list[tuple[str, bool, str]] = []
@@ -199,7 +198,8 @@ def cmd_selftest(args) -> int:
             y = np.asarray(np.cos(2 * np.pi * pts.points[:, 0]) + pts.points[:, 1])
             spectrum = transforms.fbt(y, family)
             bases = kernels.column_bases(spec, gen, m)
-            lams = polynomial_spectrum(eta_polynomial_spectra(bases, family, n), eta, n)
+            powers = column_spectrum(kernels.elementary_symmetric(bases), family, n)
+            lams = polynomial_spectrum(powers, eta)
             ring_lams = column_spectrum(kernels.ring_from_bases(spec.eta, bases),
                                         family, n)
             dev = np.abs(lams - ring_lams).max()
@@ -209,6 +209,8 @@ def cmd_selftest(args) -> int:
             # Gram factorization through the fast transform
             lam = np.concatenate([[td.lam1], td.lams_rest])
             if family == "lattice":
+                # the dense check needs all n eigenvalues: mirror the half
+                lam = np.concatenate([lam, lam[n // 2 - 1: 0: -1]])
                 v = transforms.lattice_eigenvector_matrix(n)
             else:
                 v = transforms.hadamard_matrix(n)

@@ -9,10 +9,12 @@ the credible half-width drops to the tolerance.
 
 With one eta shared by every dimension and a fixed kernel order (the default
 configuration), the Gram spectrum is a polynomial in eta: each doubling
-transforms its d coefficient columns once (inference.eta_polynomial_spectra)
-and each objective evaluation is one Horner pass over them.  Per-dimension
-eta, a searched order and the grad_descent gradient build the ring column
-and transform it on every call.
+transforms its d coefficient columns once (inference.column_spectrum of
+kernels.elementary_symmetric) and each objective evaluation is one Horner
+pass over them.  Per-dimension eta, a searched order and the grad_descent
+gradient build the ring column and transform it on every call.  Lattice
+spectra stay the distinct half k = 0..n/2 of the even Gram spectrum
+throughout, with the data weights paired to match once per doubling.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ import numpy as np
 from . import kernels, problems
 from .inference import (EB, CRITERIA, DegenerateDataError, HyperparameterState,
                         NonFiniteStartError, TransformedData, column_spectrum,
-                        credible_width, dense_eb_objective, dense_posterior,
-                        eta_polynomial_spectra, objective, objective_gradient,
+                        credible_width, data_weights, dense_eb_objective,
+                        dense_posterior, objective, objective_gradient,
                         polynomial_spectrum, search_hyperparameters,
                         transformed_data)
 from .nodes import make_lattice, make_sobol
@@ -179,6 +181,7 @@ def integrate_fast(f, d: int, config: CubatureConfig) -> CubatureResult:
         ([spec0.order] if order_searched else []) + [1.0] * (len(tags) - order_searched),
         tags)
     warm = start
+    poly_label = f"{spec0.family}(r={spec0.order:g})"
 
     y_all = np.empty(0)
     spectrum = None
@@ -203,34 +206,38 @@ def integrate_fast(f, d: int, config: CubatureConfig) -> CubatureResult:
                                               time.perf_counter() - it_start))
             break
 
+        # lattice ring spectra are halves (entries 0..n/2), Sobol' ones whole
+        weights = data_weights(spectrum.coefficients,
+                               n // 2 + 1 if kind == "lattice" else n)
         bases = powers = grad_fn = None
         if not order_searched:
             bases = kernels.column_bases(spec0, gen, m)
             if config.optimizer.method == "grad_descent":
-                grad_fn = _make_gradient(spec0, tags, d, bases, spectrum, kind, config)
+                grad_fn = _make_gradient(spec0, tags, d, bases, spectrum, weights,
+                                         kind, config)
             if spec0.shared_eta:
                 # the spectrum is a polynomial in the one eta: d transforms
                 # now, one Horner pass per evaluation; only the gradient,
                 # which holds its own reference, still reads the bases
-                powers = eta_polynomial_spectra(bases, kind, n)
+                powers = column_spectrum(kernels.elementary_symmetric(bases), kind, n)
                 bases = None
-        weights = np.abs(spectrum.coefficients[1:]) ** 2
 
         def obj(t):
             state = HyperparameterState(t, tags)
-            spec = _spec_from_state(spec0, state, d)
             if powers is not None:
-                lams = polynomial_spectrum(powers, spec.eta[0], n)
+                lams = polynomial_spectrum(powers, state.constrained()[0])
+                label = poly_label
             else:
+                spec = _spec_from_state(spec0, state, d)
                 b = bases if bases is not None else kernels.column_bases(spec, gen, m)
                 lams = column_spectrum(kernels.ring_from_bases(spec.eta, b), kind, n)
-            data = transformed_data(spectrum.coefficients, lams,
-                                    spec_label=f"{spec.family}(r={spec.order:g})",
+                label = f"{spec.family}(r={spec.order:g})"
+            data = transformed_data(spectrum.coefficients, lams, spec_label=label,
                                     weights=weights)
             try:
-                return objective(config.criterion, data), (spec, data)
+                return objective(config.criterion, data), data
             except DegenerateDataError:
-                return np.inf, (spec, data)
+                return np.inf, data
 
         search = dict(method=config.optimizer.method, budget=budget,
                       step=config.optimizer.step, gradient_fn=grad_fn)
@@ -244,7 +251,8 @@ def integrate_fast(f, d: int, config: CubatureConfig) -> CubatureResult:
             reseeded = True
         warm = res.state
         budget = config.optimizer.budget_later
-        spec_best, td = res.payload
+        td = res.payload
+        spec_best = _spec_from_state(spec0, res.state, d)
         err = credible_width(config.criterion, td)
         # a re-seeded search also spent one evaluation at the failed warm start
         bound_hit = bool(np.isin(spec_best.eta, (kernels.ETA_MIN, kernels.ETA_MAX)).any())
@@ -264,17 +272,16 @@ def integrate_fast(f, d: int, config: CubatureConfig) -> CubatureResult:
                           seconds=time.perf_counter() - t_start, final_state=td)
 
 
-def _make_gradient(spec0, tags, d, bases, spectrum, kind, config):
+def _make_gradient(spec0, tags, d, bases, spectrum, weights, kind, config):
     def gradient(t):
         state = HyperparameterState(t, tags)
         spec = _spec_from_state(spec0, state, d)
         col = kernels.ring_from_bases(spec.eta, bases)
         data = transformed_data(spectrum.coefficients,
-                                column_spectrum(col, kind, spectrum.n))
+                                column_spectrum(col, kind, spectrum.n), weights=weights)
         jac = kernels.column_eta_jacobian(spec, bases, col)
-        dlam = np.vstack([column_spectrum(row, kind, spectrum.n) for row in jac])
-        kind_obj = "gcv" if config.criterion == "gcv" else "eb"
-        g_eta = objective_gradient(data, kind_obj, dlam)
+        dlam = column_spectrum(jac, kind, spectrum.n)
+        g_eta = objective_gradient(data, config.criterion, dlam)
         # chain rule through eta = exp(t)
         eta = spec.eta if len(g_eta) > 1 else spec.eta[:1]
         return g_eta * eta

@@ -17,11 +17,13 @@ a polynomial in eta with no constant term,
     prod_l (1 + eta c_l) - 1 = sum_{j=1..d} eta^j e_j,
 
 e_j the j-th elementary symmetric polynomial of the per-dimension bases c_l,
-so the spectrum is sum_j eta^j T(e_j): eta_polynomial_spectra transforms the
-d coefficient columns once per sample size, and polynomial_spectrum
-evaluates the spectrum at any eta by one Horner pass, with no ring column
-and no transform.  Per-dimension eta and a searched kernel order go through
-the ring column and column_spectrum instead.
+so the spectrum is sum_j eta^j T(e_j): column_spectrum transforms the d
+coefficient columns once per sample size, and polynomial_spectrum evaluates
+the spectrum at any eta by one Horner pass, with no ring column and no
+transform.  Per-dimension eta and a searched kernel order transform the
+ring column itself on every evaluation.  A lattice spectrum is even
+(lam_k = lam_{n-k}) and stays its half k = 0..n/2 from the kernel column to
+the width; TransformedData supplies the multiplicities in the sums above.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.optimize import minimize
 from scipy.special import stdtrit
 
-from .kernels import ETA_MAX, ETA_MIN, elementary_symmetric
-from .transforms import fbt, fbt_lattice_even, fbt_sobol, lattice_half_spectrum
+from .kernels import ETA_MAX, ETA_MIN
+from .transforms import fbt, fbt_lattice_even
 
 EB, FULL, GCV = "eb", "full", "gcv"
 CRITERIA = (EB, FULL, GCV)
@@ -58,118 +60,109 @@ class NonFiniteStartError(ValueError):
 
 @dataclass
 class TransformedData:
-    """Spectrum of the integrand values plus the Gram eigenvalue pieces."""
+    """Spectrum of the integrand values plus the Gram eigenvalue pieces.
+
+    lams_rest is lam_2..lam_n, or an even spectrum's entries k = 1..n/2 with
+    each k < n/2 standing for n - k too (rest_sum; data_weights pairs)."""
 
     y_tilde: np.ndarray       # length n, complex for lattice data
     lam_ring1: float          # eigenvalue of C - 1 against the ones vector
-    lams_rest: np.ndarray     # lam_2 .. lam_n, real positive
+    lams_rest: np.ndarray     # lam_2..lam_n, or entries 1..n/2 of an even spectrum
     n: int
-    n_clamped: int = 0
-    weights: np.ndarray | None = None  # |y_tilde[1:]|^2, cached across searches
+    n_clamped: int = 0        # clamped eigenvalues, counted over all n
+    weights: np.ndarray | None = None  # data_weights, reused across searches
+
+    def __post_init__(self):
+        if self.weights is None:
+            self.weights = data_weights(self.y_tilde, self.lams_rest.shape[0] + 1)
 
     @property
     def lam1(self) -> float:
         return self.n + self.lam_ring1
 
+    def rest_sum(self, vals):
+        """Sum over lam_2..lam_n of per-eigenvalue values laid out like
+        lams_rest along the last axis: on an even spectrum's half every entry
+        but the last (k = n/2) counts twice."""
+        total = vals.sum(axis=-1)
+        if self.lams_rest.shape[0] == self.n - 1:
+            return total
+        return 2 * total - vals[..., -1]
+
     def data_sum(self, power: int = 1) -> float:
         """sum_{i>=2} |y~_i|^2 / lam_i^power, power 1 (EB) or 2 (GCV)."""
-        w = self.weights
-        if w is None:
-            w = np.abs(self.y_tilde[1:]) ** 2
-        over = w / self.lams_rest
+        over = self.weights / self.lams_rest
         if power == 2:
             over = over / self.lams_rest
         return float(over.sum())
 
 
-def _clamp_eigs(vals: np.ndarray, n: int, what: str) -> tuple[np.ndarray, int]:
-    if not vals.size or vals.min() > 0:
-        return vals, 0
-    floor = -CLAMP_NEG * n
-    bad = vals < floor
-    if bad.any():
-        raise NonPositiveDefiniteError(
-            f"{what}: eigenvalue {vals[bad].min():.3e} below round-off floor {floor:.3e}"
-        )
-    clamp = vals <= 0
-    if clamp.any():
-        vals = np.where(clamp, CLAMP_SUB * n, vals)
-    return vals, int(clamp.sum())
+def data_weights(y_spectrum: np.ndarray, cols: int) -> np.ndarray:
+    """Weights |y~_k|^2 of the data sums over ring spectrum entries
+    k = 1..cols-1.
 
-
-def column_spectrum(col: np.ndarray, kind: str, n: int) -> np.ndarray:
-    """Real length-n Gram spectrum of a first column (or its eta derivative).
-
-    Lattice columns are the half c_0..c_{n/2} in natural grid order, so one
-    DCT-I gives the spectrum; Sobol' columns are whole, in node order.
+    On an even spectrum's half (cols = n/2+1 < n) entry k < n/2 also carries
+    its mirror: |y~_k|^2 + |y~_{n-k}|^2; entry n/2 is |y~_{n/2}|^2 alone.
     """
-    if kind == "lattice":
-        return fbt_lattice_even(col, n)
-    if col.shape[0] != n:
-        raise ValueError(f"column has length {col.shape[0]}, expected {n}")
-    return fbt(col, kind).coefficients
-
-
-def eta_polynomial_spectra(bases: np.ndarray, kind: str, n: int) -> np.ndarray:
-    """(d, cols) spectra T(e_1)..T(e_d) of the shared-eta ring column's
-    coefficients in eta (see the module docstring), from the (d, cols) bases.
-
-    Lattice rows are entries 0..n/2 (the DCT-I of each half column); Sobol'
-    rows are the whole Walsh-Hadamard transform of each column.
-    """
-    rows = elementary_symmetric(bases)
-    if kind == "lattice":
-        return lattice_half_spectrum(rows, n)
-    if rows.shape[1] != n:
-        raise ValueError(f"column has length {rows.shape[1]}, expected {n}")
-    for row in rows:
-        row[:] = fbt_sobol(row).coefficients
-    return rows
-
-
-def polynomial_spectrum(spectra: np.ndarray, eta: float, n: int) -> np.ndarray:
-    """Length-n Gram spectrum sum_j eta^j spectra[j-1], by one Horner pass.
-
-    Rows of length n/2+1 < n are lattice half spectra and are mirrored, as
-    fbt_lattice_even mirrors them.
-    """
-    cols = spectra.shape[1]
-    out = np.empty(n)
-    acc = out[:cols]
-    np.multiply(spectra[-1], eta, out=acc)
-    for row in spectra[-2::-1]:
-        acc += row
-        acc *= eta
+    n = y_spectrum.shape[0]
+    w = np.abs(y_spectrum[1:cols]) ** 2
     if cols < n:
-        out[cols:] = out[n // 2 - 1: 0: -1]
-    return out
+        w[:-1] += np.abs(y_spectrum[n - 1: cols - 1: -1]) ** 2
+    return w
 
 
-def split_spectrum(lams: np.ndarray,
-                   spec_label: str = "kernel") -> tuple[float, np.ndarray, int]:
-    """Clamp a length-n ring spectrum into (ring_lam_1, lam_2..lam_n, count).
+def column_spectrum(cols: np.ndarray, kind: str, n: int) -> np.ndarray:
+    """Ring spectra of first columns (or their eta derivatives), one per row
+    of (..., cols).
 
-    The rank-one ones-block of the full Gram matrix contributes only to the
-    first eigenvalue, so the remaining spectrum entries already equal the
-    eigenvalues of the full matrix.  The clamp count is over all n of them.
+    Lattice columns are the half c_0..c_{n/2} in natural grid order, and so
+    are their spectra: entries 0..n/2 of an even spectrum, by one DCT-I.
+    Sobol' columns and spectra are whole, length n, in node order.
     """
-    n = lams.shape[0]
-    ring1, c1 = _clamp_eigs(lams[:1], n, spec_label)
-    rest, c2 = _clamp_eigs(lams[1:], n, spec_label)
-    return float(ring1[0]), rest, c1 + c2
+    if kind == "lattice":
+        return fbt_lattice_even(cols, n)
+    if cols.shape[-1] != n:
+        raise ValueError(f"column has length {cols.shape[-1]}, expected {n}")
+    rows = [fbt(row, kind).coefficients for row in cols.reshape(-1, n)]
+    return np.stack(rows).reshape(cols.shape)
+
+
+def polynomial_spectrum(spectra: np.ndarray, eta: float) -> np.ndarray:
+    """Ring spectrum sum_j eta^j spectra[j-1] by one Horner pass, laid out
+    like the rows of spectra (column_spectrum of e_1..e_d)."""
+    out = spectra[-1] * eta
+    for row in spectra[-2::-1]:
+        out += row
+        out *= eta
+    return out
 
 
 def transformed_data(y_spectrum: np.ndarray, lams: np.ndarray,
                      spec_label: str = "kernel",
                      weights: np.ndarray | None = None) -> TransformedData:
     """Data spectrum plus the clamped Gram eigenvalues, from the length-n
-    ring spectrum (column_spectrum of a ring column, or polynomial_spectrum)."""
+    ring spectrum or an even one's half 0..n/2 (column_spectrum of a ring
+    column, or polynomial_spectrum).  Only lam_1 differs from its ring
+    entry; entries in [-CLAMP_NEG*n, 0] are round-off and become CLAMP_SUB*n,
+    counted over all n eigenvalues."""
     n = y_spectrum.shape[0]
-    if lams.shape != (n,):
-        raise ValueError(f"ring spectrum has shape {lams.shape}, expected ({n},)")
-    ring1, rest, nclamp = split_spectrum(lams, spec_label)
-    return TransformedData(y_tilde=y_spectrum, lam_ring1=ring1, lams_rest=rest,
-                           n=n, n_clamped=nclamp, weights=weights)
+    if lams.shape not in ((n,), (n // 2 + 1,)):
+        raise ValueError(f"ring spectrum has shape {lams.shape}, expected "
+                         f"({n},) or ({n // 2 + 1},)")
+    clamp = None
+    low = lams.min()
+    if low <= 0:
+        floor = -CLAMP_NEG * n
+        if low < floor:
+            raise NonPositiveDefiniteError(
+                f"{spec_label}: eigenvalue {low:.3e} below round-off floor {floor:.3e}")
+        clamp = lams <= 0
+        lams = np.where(clamp, CLAMP_SUB * n, lams)
+    td = TransformedData(y_tilde=y_spectrum, lam_ring1=float(lams[0]),
+                         lams_rest=lams[1:], n=n, weights=weights)
+    if clamp is not None:
+        td.n_clamped = int(clamp[0]) + int(td.rest_sum(clamp[1:].astype(int)))
+    return td
 
 
 def _require_data(td: TransformedData, power: int = 1) -> float:
@@ -181,13 +174,13 @@ def _require_data(td: TransformedData, power: int = 1) -> float:
 
 def objective_eb(td: TransformedData) -> float:
     s1 = _require_data(td)
-    log_lams = np.log(td.lams_rest).sum() + np.log(td.lam1)
+    log_lams = td.rest_sum(np.log(td.lams_rest)) + np.log(td.lam1)
     return float(np.log(s1) + log_lams / td.n)
 
 
 def objective_gcv(td: TransformedData) -> float:
     s2 = _require_data(td, power=2)
-    inv_sum = (1.0 / td.lams_rest).sum() + 1.0 / td.lam1
+    inv_sum = td.rest_sum(1.0 / td.lams_rest) + 1.0 / td.lam1
     return float(np.log(s2) - 2.0 * np.log(inv_sum))
 
 
@@ -197,22 +190,21 @@ def objective(kind: str, td: TransformedData) -> float:
 
 
 def objective_gradient(td: TransformedData, kind: str, dlambda: np.ndarray) -> np.ndarray:
-    """Gradient of the EB/GCV loss given eigenvalue derivatives (p, n)."""
+    """Gradient of the EB/GCV loss given eigenvalue derivatives (p, cols),
+    laid out like the ring spectrum td was built from."""
     dlambda = np.atleast_2d(np.asarray(dlambda, dtype=np.float64))
-    if dlambda.shape[1] != td.n:
+    if dlambda.shape[1] != td.lams_rest.shape[0] + 1:
         raise ValueError("eigenvalue derivative length mismatch")
-    lams = np.concatenate([[td.lam1], td.lams_rest])
-    w = np.abs(td.y_tilde[1:]) ** 2
+    d1, drest = dlambda[:, 0], dlambda[:, 1:]
+    w = td.weights
     if kind == GCV:
         s2 = _require_data(td, power=2)
-        inv_sum = float((1.0 / lams).sum())
-        grad = (-2.0 / s2) * (dlambda[:, 1:] * (w / td.lams_rest**3)).sum(axis=1) \
-            + (2.0 / inv_sum) * (dlambda / lams[None, :] ** 2).sum(axis=1)
-        return grad
+        inv_sum = td.rest_sum(1.0 / td.lams_rest) + 1.0 / td.lam1
+        return (-2.0 / s2) * (drest * (w / td.lams_rest**3)).sum(axis=1) \
+            + (2.0 / inv_sum) * (d1 / td.lam1**2 + td.rest_sum(drest / td.lams_rest**2))
     s1 = _require_data(td)
-    grad = (dlambda / lams[None, :]).sum(axis=1) / td.n \
-        - (dlambda[:, 1:] * (w / td.lams_rest**2)).sum(axis=1) / s1
-    return grad
+    return (d1 / td.lam1 + td.rest_sum(drest / td.lams_rest)) / td.n \
+        - (drest * (w / td.lams_rest**2)).sum(axis=1) / s1
 
 
 def student_t_quantile(dof: int, p: float = 0.995) -> float:
@@ -235,7 +227,7 @@ def credible_width(kind: str, td: TransformedData) -> float:
         t = student_t_quantile(td.n - 1)
         return t / td.n * np.sqrt(td.lam_ring1 / (td.n - 1) * s)
     if kind == GCV:
-        mean_inv = ((1.0 / td.lams_rest).sum() + 1.0 / td.lam1) / td.n
+        mean_inv = (td.rest_sum(1.0 / td.lams_rest) + 1.0 / td.lam1) / td.n
         return QUANTILE_99 / td.n * np.sqrt(td.lam_ring1 / td.lam1 * s / mean_inv)
     raise ValueError(f"unknown criterion {kind!r}")
 

@@ -7,7 +7,8 @@ matrix is n plus a rank-free "ring" part.  The ring column is assembled by the
 iteration R <- R * (1 + c) + c, which never subtracts near-equal quantities.
 With one eta shared by every dimension it is also the polynomial
 sum_j eta^j e_j in the elementary symmetric polynomials e_j of the bases,
-whose coefficient columns do not depend on eta.  The Matern kernel lives here only as the dense slow-path baseline.
+whose coefficient columns do not depend on eta.  The Matern kernel lives
+here only as the dense slow-path baseline (gram_matrix).
 """
 
 from __future__ import annotations
@@ -204,15 +205,6 @@ def elementary_symmetric(bases: np.ndarray) -> np.ndarray:
     return out.reshape(bases.shape)
 
 
-def matern_kernel(theta: float, x, t) -> float | np.ndarray:
-    """prod_l exp(-theta |x_l - t_l|) (1 + theta |x_l - t_l|)."""
-    if theta <= 0:
-        raise ValueError("theta must be positive")
-    delta = np.abs(np.asarray(x, dtype=np.float64) - np.asarray(t, dtype=np.float64))
-    vals = np.exp(-theta * delta) * (1.0 + theta * delta)
-    return vals.prod(axis=-1)
-
-
 # ---------------------------------------------------------------------------
 # Fast-path column machinery
 # ---------------------------------------------------------------------------
@@ -221,7 +213,8 @@ def lattice_column_bases(spec: KernelSpec, gen: LatticeGenerator, m: int) -> np.
     """(d, n/2+1) base values at the lags (h_ell k mod n) / n, k = 0..n/2.
 
     In natural grid order the first Gram column is even, c_k = c_{n-k}, so
-    this half determines it and its eigenvalues (transforms.fbt_lattice_even).
+    this half determines it; its DCT-I (transforms.fbt_lattice_even) gives the
+    distinct Gram eigenvalues, entries 0..n/2 of the even spectrum.
     """
     n = 1 << m
     idx = lattice_lag_indices(gen, m)

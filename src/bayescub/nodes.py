@@ -49,20 +49,10 @@ def _check_range(start: int, stop: int, capacity: int) -> None:
         raise ValueError(f"block length {n} is not a power of 2")
 
 
-def bit_reverse(k: np.ndarray | int, m: int) -> np.ndarray | int:
-    """Reverse the low m bits of k; the permutation behind van der Corput order."""
-    scalar = np.isscalar(k)
-    v = np.atleast_1d(np.asarray(k, dtype=np.uint64))
-    out = np.zeros_like(v)
-    for _ in range(m):
-        out = (out << np.uint64(1)) | (v & np.uint64(1))
-        v = v >> np.uint64(1)
-    return int(out[0]) if scalar else out
-
-
 @lru_cache(maxsize=32)
 def _brev_table(m: int) -> np.ndarray:
-    """bit_reverse(arange(2^m), m) as a cached, read-only intp table.
+    """Reversal of the low m bits of arange(2^m), the permutation behind van
+    der Corput order, as a cached, read-only intp table.
 
     Built by doubling: the (m+1)-bit reversal of i < 2^m is 2 rev(i), and of
     2^m + i is 2 rev(i) + 1.
@@ -227,12 +217,6 @@ def load_direction_numbers(path: str, d: int) -> np.ndarray:
 
 def default_direction_numbers(d: int) -> np.ndarray:
     return load_direction_numbers(_data_path("sobol_joe_kuo_d20.txt"), d)
-
-
-def identity_direction_numbers(d: int) -> np.ndarray:
-    """Identity generator matrices in every dimension (pure van der Corput)."""
-    col = (1 << (DIGITS - 1 - np.arange(DIGITS, dtype=np.uint64))).astype(np.uint64)
-    return np.tile(col, (d, 1))
 
 
 @dataclass(frozen=True)

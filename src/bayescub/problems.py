@@ -56,7 +56,8 @@ def _baker(x):
     return out if out.ndim > 1 or np.ndim(x) else out[0]
 
 
-def _psi_pairs(kind: str):
+def periodizer_maps(kind: str):
+    """(Psi, Psi') pair for a periodizer kind; Psi' is None for baker."""
     if kind == "baker":
         return _baker, None
     if kind == "c0":
@@ -73,11 +74,6 @@ def _psi_pairs(kind: str):
     raise ValueError(f"unknown periodizer {kind!r}")
 
 
-def periodizer_maps(kind: str):
-    """(Psi, Psi') pair for a periodizer kind; Psi' is None for baker."""
-    return _psi_pairs(kind)
-
-
 def periodize(f, kind: str):
     """Wrap an integrand so the transformed integrand is periodic.
 
@@ -86,7 +82,7 @@ def periodize(f, kind: str):
     """
     if kind == "none":
         return f
-    psi, dpsi = _psi_pairs(kind)
+    psi, dpsi = periodizer_maps(kind)
     if dpsi is None:
         return lambda x: f(psi(x))
 

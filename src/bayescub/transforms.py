@@ -6,11 +6,12 @@ by bit reversal.  Its eigenvectors are the grid Fourier modes, taken here in
 natural frequency order: V^H y is one bit-reversal permutation of the data
 followed by a radix-2 FFT, and the doubling update is the FFT's own
 decimation-in-time step.  The kernel's first column on the grid is even
-(c_k = c_{n-k}), so the Gram eigenvalues are the DCT-I of its half
-c_0..c_{n/2}, mirrored.  Sobol' path: the Walsh-Hadamard matrix in Hadamard
-(Sylvester/Kronecker) ordering, applied by an in-place butterfly using
-additions and subtractions only.  Both satisfy row one = column one =
-all-ones, so coefficient 0 of any transform equals the plain sum of the input.
+(c_k = c_{n-k}), so the spectrum is too: its entries 0..n/2, the DCT-I of
+the half c_0..c_{n/2}, are all that is kept.  Sobol' path: the
+Walsh-Hadamard matrix in Hadamard (Sylvester/Kronecker) ordering, applied by
+an in-place butterfly using additions and subtractions only.  Both satisfy
+row one = column one = all-ones, so coefficient 0 of any transform equals
+the plain sum of the input.
 """
 
 from __future__ import annotations
@@ -79,13 +80,13 @@ def fbt_lattice(y: np.ndarray) -> Spectrum:
     return Spectrum(coefficients=np.fft.fft(_bit_reverse_permute(y, m)), ordering=VDC)
 
 
-def lattice_half_spectrum(half: np.ndarray, n: int) -> np.ndarray:
-    """Spectrum entries 0..n/2 of even grid columns from their halves c_0..c_{n/2}.
+def fbt_lattice_even(half: np.ndarray, n: int) -> np.ndarray:
+    """Gram spectrum entries 0..n/2 of even grid columns from their halves.
 
     The full column (c_k = c_{n-k}) has the DFT c_0 + (-1)^k c_{n/2}
-    + 2 sum_{0<j<n/2} c_j cos(2 pi j k / n), the DCT-I of the half for
-    k <= n/2.  Works along the last axis, so each row of a 2-D array is one
-    column.
+    + 2 sum_{0<j<n/2} c_j cos(2 pi j k / n), the DCT-I of the half
+    c_0..c_{n/2} for k <= n/2, and entry n - k equals entry k.  Works along
+    the last axis, so each row of a 2-D array is one column.
     """
     half = np.asarray(half, dtype=np.float64)
     _check_pow2(n)
@@ -96,20 +97,6 @@ def lattice_half_spectrum(half: np.ndarray, n: int) -> np.ndarray:
         return np.stack([half.sum(axis=-1), half[..., 0] - half[..., -1]],
                         axis=-1)[..., :n]
     return dct(half, type=1, axis=-1)
-
-
-def fbt_lattice_even(half: np.ndarray, n: int) -> np.ndarray:
-    """Real length-n spectrum of an even grid column from its half c_0..c_{n/2}.
-
-    Entries k <= n/2 are lattice_half_spectrum(half, n), entries k > n/2
-    their mirror image.  Lattice kernel columns are even by construction, so
-    this is their whole spectrum.
-    """
-    spec = lattice_half_spectrum(half, n)
-    full = np.empty(n)
-    full[: n // 2 + 1] = spec
-    full[n // 2 + 1:] = full[n // 2 - 1: 0: -1]
-    return full
 
 
 def fbt_sobol(y: np.ndarray) -> Spectrum:

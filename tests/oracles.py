@@ -2,8 +2,10 @@
 
 Each is the direct, slow form of something the package computes fast: kernel
 values at single lag points, their shape-parameter derivatives, the base-2
-digit arithmetic of the Walsh kernels, the radical inverse, and the dense
-lattice and Walsh-Hadamard transforms.
+digit arithmetic of the Walsh kernels, the radical inverse and the bit
+reversal, identity Sobol' generator matrices, the Matern kernel at a pair of
+points, the dense lattice and Walsh-Hadamard transforms, and the whole even
+lattice spectrum that the package keeps as its half.
 """
 
 import numpy as np
@@ -32,6 +34,23 @@ def van_der_corput(i) -> np.ndarray | float:
         rem >>= 1
         half *= 0.5
     return float(out[0]) if scalar else out
+
+
+def bit_reverse(k, m: int) -> np.ndarray | int:
+    """Reverse the low m bits of k; the permutation behind van der Corput order."""
+    scalar = np.isscalar(k)
+    v = np.atleast_1d(np.asarray(k, dtype=np.uint64))
+    out = np.zeros_like(v)
+    for _ in range(m):
+        out = (out << np.uint64(1)) | (v & np.uint64(1))
+        v = v >> np.uint64(1)
+    return int(out[0]) if scalar else out
+
+
+def identity_direction_numbers(d: int) -> np.ndarray:
+    """Identity generator matrices in every dimension (pure van der Corput)."""
+    col = (1 << (DIGITS - 1 - np.arange(DIGITS, dtype=np.uint64))).astype(np.uint64)
+    return np.tile(col, (d, 1))
 
 
 def to_digits(x) -> np.ndarray:
@@ -94,6 +113,28 @@ def kernel_eta_gradient(spec, x, t) -> np.ndarray:
         val = (spec.d / spec.eta[0]) * kernel * (1.0 - np.mean(1.0 / factors))
         return np.array([val])
     return kernel * bases / factors
+
+
+def matern_kernel(theta: float, x, t) -> float | np.ndarray:
+    """prod_l exp(-theta |x_l - t_l|) (1 + theta |x_l - t_l|)."""
+    if theta <= 0:
+        raise ValueError("theta must be positive")
+    delta = np.abs(np.asarray(x, dtype=np.float64) - np.asarray(t, dtype=np.float64))
+    vals = np.exp(-theta * delta) * (1.0 + theta * delta)
+    return vals.prod(axis=-1)
+
+
+def mirror_half(half: np.ndarray, n: int) -> np.ndarray:
+    """Whole length-n even sequence (entry n - k equals entry k) from its
+    entries 0..n/2, along the last axis."""
+    return np.concatenate([half, half[..., n // 2 - 1: 0: -1]], axis=-1)
+
+
+def gram_eigenvalues(td) -> np.ndarray:
+    """All n Gram eigenvalues lam_1..lam_n of a TransformedData, in spectrum
+    order, mirroring an even spectrum's half."""
+    lam = np.concatenate([[td.lam1], td.lams_rest])
+    return lam if lam.shape[0] == td.n else mirror_half(lam, td.n)
 
 
 def dense_transform(kind: str, y: np.ndarray) -> Spectrum:

@@ -21,6 +21,7 @@ from bayescub.inference import (EB, FULL, GCV, column_spectrum, credible_width,
                                 transformed_data)
 from bayescub.kernels import KernelSpec
 from conftest import record_criterion
+from oracles import mirror_half
 
 EPS = np.finfo(float).eps
 
@@ -97,6 +98,8 @@ def test_criterion_2_gram_factorization():
             gen, pts, _, gram, col, _ = matched_setup(family, kernel, order,
                                                       eta, m, d, seed=5)
             lam = column_spectrum(1.0 + col, family, n)
+            if family == "lattice":
+                lam = mirror_half(lam, n)
             v = (transforms.lattice_eigenvector_matrix(n) if family == "lattice"
                  else transforms.hadamard_matrix(n))
             recon = (v * lam[None, :]) @ v.conj().T / n

@@ -7,9 +7,10 @@ import pytest
 from dataclasses import replace
 
 from bayescub import (CubatureConfig, OptimizerSettings, cubature, integrate_dense,
-                      integrate_fast, integrate_mc, kernels)
+                      integrate_fast, integrate_mc, kernels, nodes, problems)
 from bayescub.cubature import IntegrandError
-from bayescub.inference import NonFiniteStartError, credible_width
+from bayescub.inference import (NonFiniteStartError, credible_width,
+                                student_t_quantile)
 
 
 def counting(f):
@@ -375,6 +376,42 @@ class TestEigenvalueRouting:
         # the objective itself takes the polynomial path
         assert calls["n"] == gradients["n"] > 0
         assert self.evaluations(res) > gradients["n"]
+
+
+class TestWidthPrecision:
+    """The shared-eta width of a smooth lattice kernel at large n, where the
+    smallest Gram eigenvalues sit near round-off of the largest."""
+
+    def test_fresnel_full_width_against_long_double(self):
+        # Fresnel, bernoulli r = 2, sidi_c1, full criterion, seed 1: at
+        # n = 2^16 the loop's eta is about 10.17 and the smallest eigenvalue
+        # 3.7e-14 of the largest; the shipped width reads 8.0e-5 off
+        problem = problems.standard_fresnel_instance()
+        m, d = 16, problem.d
+        cfg = CubatureConfig(family="lattice", criterion="full", epsilon=1e-12,
+                             periodizer="sidi_c1", kernel="bernoulli", order=2,
+                             seed=1, n_max=1 << m)
+        res = integrate_fast(problem.evaluator, d, cfg)
+        n = res.n_used
+        assert n == 1 << m
+        eta = res.iterations[-1].theta[0]
+
+        # reference: the ring column and the FFT of its even extension, both
+        # in long double, from the same float64 bases and data
+        gen = nodes.make_lattice(d, seed=1)
+        y = problems.periodize(problem.evaluator, "sidi_c1")(gen.points(0, n).points)
+        y_tilde = np.fft.fft(y.astype(np.longdouble)[nodes._brev_table(m)])
+        spec = kernels.KernelSpec("bernoulli", 2, np.full(d, eta))
+        bases = kernels.lattice_column_bases(spec, gen, m).astype(np.longdouble)
+        c = np.longdouble(eta) * bases
+        ring = c[0]
+        for c_l in c[1:]:
+            ring = ring * (1 + c_l) + c_l
+        lam = np.fft.fft(np.concatenate([ring, ring[-2:0:-1]])).real
+        assert lam.dtype == np.longdouble
+        s = (np.abs(y_tilde[1:]) ** 2 / lam[1:]).sum()
+        ref = student_t_quantile(n - 1) / n * np.sqrt(lam[0] / (n - 1) * s)
+        assert abs(res.err - ref) / ref <= 2e-4
 
 
 class TestDenseLoop:

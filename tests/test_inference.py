@@ -10,12 +10,12 @@ from bayescub.inference import (EB, FULL, GCV, DegenerateDataError,
                                 NonPositiveDefiniteError, TransformedData,
                                 column_spectrum, credible_width,
                                 dense_eb_objective, dense_posterior,
-                                eta_polynomial_spectra, objective, objective_eb,
-                                objective_gcv, objective_gradient,
-                                polynomial_spectrum, search_hyperparameters,
-                                split_spectrum, student_t_quantile,
+                                objective, objective_eb, objective_gcv,
+                                objective_gradient, polynomial_spectrum,
+                                search_hyperparameters, student_t_quantile,
                                 transformed_data)
 from bayescub.kernels import KernelSpec
+from oracles import gram_eigenvalues, mirror_half
 
 
 def make_matched_td(family, kernel, order, eta, m, d, seed=0, y=None):
@@ -48,7 +48,7 @@ class TestEigenvaluePipeline:
                                                      1.4, 4, 1)
         gram = kernels.gram_matrix(spec, pts.points)
         dense = np.sort(np.linalg.eigvalsh(gram))
-        fast = np.sort(np.concatenate([[td.lam1], td.lams_rest]))
+        fast = np.sort(gram_eigenvalues(td))
         assert np.abs(dense - fast).max() < 1e-9
 
     def test_wrong_length_lattice_column_rejected(self):
@@ -72,7 +72,7 @@ class TestEigenvaluePipeline:
         assert col.shape == ((1 << m) // 2 + 1,)
         gram = kernels.gram_matrix(spec, pts.points)
         dense = np.sort(np.linalg.eigvalsh(gram))
-        fast = np.sort(np.concatenate([[td.lam1], td.lams_rest]))
+        fast = np.sort(gram_eigenvalues(td))
         assert np.abs(dense - fast).max() < 1e-12 * (1 << m)
 
     def test_clamp_count_is_over_the_full_spectrum(self):
@@ -81,22 +81,45 @@ class TestEigenvaluePipeline:
         n = 8
         full = np.where(np.arange(n) % 2, 1.0, -1e-9)
         col = np.fft.ifft(full).real[: n // 2 + 1]
-        ring1, rest, clamped = split_spectrum(column_spectrum(col, "lattice", n))
-        assert clamped == 4 == int((column_spectrum(col, "lattice", n) <= 0).sum())
-        assert ring1 > 0 and (rest > 0).all()
+        lams = column_spectrum(col, "lattice", n)
+        td = transformed_data(np.ones(n), lams)
+        assert td.n_clamped == 4 == int((mirror_half(lams, n) <= 0).sum())
+        assert td.lam_ring1 > 0 and (td.lams_rest > 0).all()
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 6])
+    def test_half_spectrum_equals_its_mirror(self, m):
+        # the half with multiplicities and paired data weights against the
+        # whole mirrored spectrum: objectives, widths, gradient, clamp count
+        _, _, _, _, col, td = make_matched_td("lattice", "bernoulli", 2, 1.3, m, 2)
+        n = 1 << m
+        lams = column_spectrum(col, "lattice", n)
+        half = transformed_data(td.y_tilde, lams)
+        full = transformed_data(td.y_tilde, mirror_half(lams, n))
+        for kind in (EB, FULL, GCV):
+            assert objective(kind, half) == pytest.approx(objective(kind, full),
+                                                          rel=1e-13)
+            assert credible_width(kind, half) == pytest.approx(
+                credible_width(kind, full), rel=1e-13)
+        dlam = np.vstack([lams, np.arange(lams.shape[0], dtype=float)])
+        for kind in (EB, GCV):
+            assert objective_gradient(half, kind, dlam) == pytest.approx(
+                objective_gradient(full, kind, mirror_half(dlam, n)), rel=1e-12)
+        lams[-1] = -1e-12 * n  # one round-off entry, k = n/2
+        assert transformed_data(td.y_tilde, lams).n_clamped == 1 == \
+            transformed_data(td.y_tilde, mirror_half(lams, n)).n_clamped
 
     def test_hard_error_below_clamp(self):
         col = np.full(8, -0.9)  # strongly non-PD ring
         with pytest.raises(NonPositiveDefiniteError):
-            split_spectrum(column_spectrum(col, "sobol", 8))
+            transformed_data(np.ones(8), column_spectrum(col, "sobol", 8))
 
     def test_clamp_counts(self):
         # a column whose transform has tiny negative entries gets clamped
         n = 8
         col = np.zeros(n)
         col[0] = -1e-9 * n / n  # constant column: ring spectrum (sum, 0...0)
-        ring1, rest, clamped = split_spectrum(column_spectrum(col + 1e-12, "sobol", n))
-        assert clamped == 0 or rest.min() > 0
+        td = transformed_data(np.ones(n), column_spectrum(col + 1e-12, "sobol", n))
+        assert td.n_clamped == 0 or td.lams_rest.min() > 0
 
 
 POLY_KERNELS = (("lattice", "bernoulli", 1), ("lattice", "bernoulli", 2),
@@ -110,11 +133,11 @@ def ring_and_polynomial_spectra(family, kernel, order, d, m, etas, seed=3):
     gen = (nodes.make_lattice(d, seed=seed) if family == "lattice"
            else nodes.make_sobol(d, seed=seed))
     bases = kernels.column_bases(KernelSpec(kernel, order, np.ones(d)), gen, m)
-    powers = eta_polynomial_spectra(bases, family, n)
+    powers = column_spectrum(kernels.elementary_symmetric(bases), family, n)
     assert powers.shape == (d, n // 2 + 1 if family == "lattice" else n)
     return [(column_spectrum(kernels.ring_from_bases(np.full(d, eta), bases),
                              family, n),
-             polynomial_spectrum(powers, eta, n)) for eta in etas]
+             polynomial_spectrum(powers, eta)) for eta in etas]
 
 
 class TestEtaPolynomial:
@@ -127,22 +150,19 @@ class TestEtaPolynomial:
         for m in (1, 2, 3, 8, 12):
             pairs = ring_and_polynomial_spectra(family, kernel, order, d, m,
                                                 np.geomspace(1e-8, 1e8, 9))
+            cols = (1 << m) // 2 + 1 if family == "lattice" else 1 << m
             for ring, poly in pairs:
-                assert poly.shape == ring.shape == (1 << m,)
+                assert poly.shape == ring.shape == (cols,)
                 assert np.abs(poly - ring).max() <= 1e-13 * np.abs(ring).max(), \
                     (m, np.abs(poly - ring).max() / np.abs(ring).max())
 
-    def test_lattice_mirror_is_exact(self):
-        (_, poly), = ring_and_polynomial_spectra("lattice", "bernoulli", 2, 3, 6, [2.0])
-        assert np.array_equal(poly[1:], poly[1:][::-1])
-
     def test_wrong_lengths_rejected(self):
         with pytest.raises(ValueError):
-            eta_polynomial_spectra(np.ones((2, 4)), "sobol", 8)
+            column_spectrum(np.ones((2, 4)), "sobol", 8)
         with pytest.raises(ValueError):
-            eta_polynomial_spectra(np.ones((2, 4)), "lattice", 8)
+            column_spectrum(np.ones((2, 4)), "lattice", 8)
         with pytest.raises(ValueError, match="ring spectrum has shape"):
-            transformed_data(np.ones(8), np.ones(5))
+            transformed_data(np.ones(8), np.ones(6))
 
     @staticmethod
     def designed_bases(kind, full):
@@ -162,11 +182,13 @@ class TestEtaPolynomial:
         full = np.where(k % 2, 1.0 + k, -1e-9 * n)
         bases = self.designed_bases(kind, full)
         ring = column_spectrum(kernels.ring_from_bases(np.ones(2), bases), kind, n)
-        poly = polynomial_spectrum(eta_polynomial_spectra(bases, kind, n), 1.0, n)
-        r1, rest_r, count_r = split_spectrum(ring)
-        p1, rest_p, count_p = split_spectrum(poly)
-        assert count_r == count_p == int((full <= 0).sum()) == 8
-        assert r1 == p1 and np.array_equal(rest_r, rest_p)
+        poly = polynomial_spectrum(column_spectrum(kernels.elementary_symmetric(bases),
+                                                   kind, n), 1.0)
+        td_r = transformed_data(np.ones(n), ring)
+        td_p = transformed_data(np.ones(n), poly)
+        assert td_r.n_clamped == td_p.n_clamped == int((full <= 0).sum()) == 8
+        assert td_r.lam_ring1 == td_p.lam_ring1
+        assert np.array_equal(td_r.lams_rest, td_p.lams_rest)
 
     @pytest.mark.parametrize("kind", ["lattice", "sobol"])
     def test_non_positive_definite_on_both_paths(self, kind):
@@ -175,10 +197,11 @@ class TestEtaPolynomial:
         full[n // 2] = -1e-3 * n  # far below the round-off floor
         bases = self.designed_bases(kind, full)
         ring = column_spectrum(kernels.ring_from_bases(np.ones(2), bases), kind, n)
-        poly = polynomial_spectrum(eta_polynomial_spectra(bases, kind, n), 1.0, n)
+        poly = polynomial_spectrum(column_spectrum(kernels.elementary_symmetric(bases),
+                                                   kind, n), 1.0)
         for lams in (ring, poly):
             with pytest.raises(NonPositiveDefiniteError, match="below round-off floor"):
-                split_spectrum(lams, "designed")
+                transformed_data(np.ones(n), lams, "designed")
 
 
 def zeta_reference_width(eta: float, m: int, y: np.ndarray, dps: int = 50):
@@ -291,10 +314,11 @@ class TestObjectives:
             out = []
             for eta in grid:
                 col = kernels.ring_from_bases(np.full(2, eta), bases)
-                lam_ring1, rest, _ = split_spectrum(column_spectrum(col, "lattice", 32))
+                td0 = transformed_data(spectrum.coefficients,
+                                       column_spectrum(col, "lattice", 32))
                 td = TransformedData(spectrum.coefficients,
-                                     scale * lam_ring1 + (scale - 1) * 32,
-                                     scale * rest, 32)
+                                     scale * td0.lam_ring1 + (scale - 1) * 32,
+                                     scale * td0.lams_rest, 32)
                 out.append(objective_eb(td))
             return np.array(out)
 
@@ -372,7 +396,7 @@ class TestObjectiveGradient:
 
     def test_zero_derivative_gives_zero_gradient(self):
         _, _, _, _, _, td = make_matched_td("lattice", "bernoulli", 1, 1.0, 4, 2)
-        dlam = np.zeros((2, td.n))
+        dlam = np.zeros((2, td.lams_rest.shape[0] + 1))
         assert (objective_gradient(td, EB, dlam) == 0).all()
         assert (objective_gradient(td, GCV, dlam) == 0).all()
 

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bayescub import nodes
-from oracles import digit_subtract, van_der_corput
+from oracles import (bit_reverse, digit_subtract, identity_direction_numbers,
+                     van_der_corput)
 
 
 def brute_bit_reversal(i: int, bits: int) -> float:
@@ -51,7 +52,7 @@ class TestVanDerCorput:
     def test_brev_table_matches_bit_reverse(self, m):
         table = nodes._brev_table(m)
         assert table.dtype == np.intp and not table.flags.writeable
-        expected = nodes.bit_reverse(np.arange(1 << m, dtype=np.uint64), m)
+        expected = bit_reverse(np.arange(1 << m, dtype=np.uint64), m)
         assert np.array_equal(table.view(np.uint64), expected)
 
 
@@ -136,7 +137,7 @@ class TestLattice:
 
 class TestSobol:
     def test_identity_matrices_give_van_der_corput(self):
-        gen = nodes.SobolGenerator(nodes.identity_direction_numbers(1),
+        gen = nodes.SobolGenerator(identity_direction_numbers(1),
                                    np.zeros(1, dtype=np.uint64))
         pts = gen.points(0, 8).points[:, 0]
         assert pts.tolist() == [0.0, 0.5, 0.25, 0.75, 0.125, 0.625, 0.375, 0.875]

@@ -10,7 +10,7 @@ from bayescub.kernels import KernelSpec
 from bayescub.transforms import (fbt_double, fbt_lattice, fbt_lattice_even,
                                  fbt_sobol, hadamard_matrix,
                                  lattice_eigenvector_matrix)
-from oracles import dense_transform
+from oracles import dense_transform, mirror_half
 
 
 class TestLatticeTransform:
@@ -135,11 +135,7 @@ def gather_fbt_lattice_even(col):
     # node order: the eigenvalues paired with the bit-reversed spectrum
     n = len(col)
     p = nodes._brev_table(n.bit_length() - 1)
-    half = np.fft.rfft(col[p]).real
-    full = np.empty(n)
-    full[: n // 2 + 1] = half
-    full[n // 2 + 1:] = half[n // 2 - 1: 0: -1]
-    return full[p]
+    return mirror_half(np.fft.rfft(col[p]).real, n)[p]
 
 
 def full_column_eigenvalues(spec, gen, m):
@@ -168,7 +164,7 @@ class TestHalfColumnPipeline:
         half = kernels.ring_from_bases(spec.eta, kernels.lattice_column_bases(spec, gen, m))
         # the same kernel values, entry for entry: grid lag k sits at node brev(k)
         assert np.array_equal(half, full_col[nodes._brev_table(m)[: n // 2 + 1]])
-        lam = fbt_lattice_even(half, n)
+        lam = mirror_half(fbt_lattice_even(half, n), n)
         assert np.abs(lam - ref).max() <= 8 * np.finfo(float).eps * np.abs(ref).max()
 
 
@@ -215,7 +211,7 @@ class TestLargeN:
         grid = np.concatenate([half, half[-2:0:-1]])
         p = nodes._brev_table(m)
         ref = gather_fbt_lattice_even(grid[p])[p]
-        lam = transforms.fbt_lattice_even(half, n)
+        lam = mirror_half(transforms.fbt_lattice_even(half, n), n)
         assert np.abs(lam - ref).max() <= 8 * np.finfo(float).eps * np.abs(ref).max()
 
     @pytest.mark.parametrize("m", [0, 1, 5, 16, 20])
@@ -283,6 +279,8 @@ class TestInvariants:
                 v = hadamard_matrix(n)
             col = kernels.ring_from_bases(spec.eta, kernels.column_bases(spec, gen, m))
             lam = column_spectrum(1.0 + col, family, n)
+            if family == "lattice":
+                lam = mirror_half(lam, n)
             recon = (v * lam[None, :]) @ v.conj().T / n
             assert np.abs(recon - gram).max() <= 1e-10 * n
 
