@@ -115,12 +115,39 @@ def draw_tolerances(lo: float, hi: float, count: int, seed: int) -> np.ndarray:
     return np.exp(rng.uniform(np.log(lo), np.log(hi), size=count))
 
 
-def cmd_sweep(args) -> int:
+def _apply_config(parser: argparse.ArgumentParser, args, cfg) -> str | None:
+    """Set args from a JSON object of sweep options (keys spelled eps_lo or
+    eps-lo), each value run through its flag's type and choices; returns the
+    first error, or None."""
+    if not isinstance(cfg, dict):
+        return "sweep config must be a JSON object"
+    flags = {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
+    for key, val in cfg.items():
+        action = flags.get(key.replace("-", "_"))
+        if action is None:
+            return f"config key {key!r} is not a sweep option"
+        many = action.nargs == "*"
+        vals = val if many and isinstance(val, list) else [val]
+        try:
+            if many != isinstance(val, list) or any(
+                    type(v) not in (str, int, float) for v in vals):
+                raise ValueError
+            vals = [(action.type or str)(str(v)) for v in vals]
+        except ValueError:
+            return f"config key {key!r}: invalid value {val!r}"
+        if action.choices is not None and not set(vals) <= set(action.choices):
+            return f"config key {key!r}: {val!r} is not one of {list(action.choices)}"
+        setattr(args, action.dest, vals if many else vals[0])
+    return None
+
+
+def cmd_sweep(args, parser: argparse.ArgumentParser) -> int:
     if args.config:
         with open(args.config) as fh:
-            cfg = json.load(fh)
-        for key, val in cfg.items():
-            setattr(args, key.replace("-", "_"), val)
+            error = _apply_config(parser, args, json.load(fh))
+        if error is not None:
+            print(f"error: {error}", file=sys.stderr)
+            return 2
     if args.eps_lo is None or args.eps_hi is None:
         print("sweep needs --eps-lo and --eps-hi (or a config file)", file=sys.stderr)
         return 2
@@ -167,8 +194,9 @@ def cmd_selftest(args) -> int:
     distinct half 0..n/2), checked against the ring column's transform too.
     """
     from . import kernels, nodes, transforms
-    from .inference import (column_spectrum, credible_width, dense_posterior,
-                            polynomial_spectrum, transformed_data)
+    from .inference import (column_spectrum, credible_width, data_weights,
+                            dense_posterior, polynomial_spectrum,
+                            transformed_data)
 
     t0 = time.monotonic()
     checks: list[tuple[str, bool, str]] = []
@@ -196,7 +224,6 @@ def cmd_selftest(args) -> int:
                 pts = gen.points(0, n)
                 gram = kernels.gram_matrix(spec, pts.int_points)
             y = np.asarray(np.cos(2 * np.pi * pts.points[:, 0]) + pts.points[:, 1])
-            spectrum = transforms.fbt(y, family)
             bases = kernels.column_bases(spec, gen, m)
             powers = column_spectrum(kernels.elementary_symmetric(bases), family, n)
             lams = polynomial_spectrum(powers, eta)
@@ -205,7 +232,7 @@ def cmd_selftest(args) -> int:
             dev = np.abs(lams - ring_lams).max()
             check(f"polynomial-vs-ring spectrum {kernel} r={order} n={n}",
                   dev <= 1e-13 * np.abs(ring_lams).max(), f"max dev {dev:.2e}")
-            td = transformed_data(spectrum.coefficients, lams)
+            td = transformed_data(data_weights(transforms.fbt(y, family), n), lams, n)
             # Gram factorization through the fast transform
             lam = np.concatenate([[td.lam1], td.lams_rest])
             if family == "lattice":
@@ -290,7 +317,7 @@ def main(argv=None) -> int:
         if args.command == "integrate":
             return cmd_integrate(args)
         if args.command == "sweep":
-            return cmd_sweep(args)
+            return cmd_sweep(args, p_sweep)
         return cmd_selftest(args)
     except (KeyError, ValueError, FileNotFoundError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,9 +12,10 @@ configuration), the Gram spectrum is a polynomial in eta: each doubling
 transforms its d coefficient columns once (inference.column_spectrum of
 kernels.elementary_symmetric) and each objective evaluation is one Horner
 pass over them.  Per-dimension eta, a searched order and the grad_descent
-gradient build the ring column and transform it on every call.  Lattice
-spectra stay the distinct half k = 0..n/2 of the even Gram spectrum
-throughout, with the data weights paired to match once per doubling.
+gradient build the ring column and transform it on every call.  On the
+lattice both the data spectrum (the real FFT of real data) and the even
+Gram spectrum stay their halves k = 0..n/2 throughout, and the data weights
+are paired to match once per doubling.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .inference import (EB, CRITERIA, DegenerateDataError, HyperparameterState,
                         dense_posterior, objective, objective_gradient,
                         polynomial_spectrum, search_hyperparameters,
                         transformed_data)
-from .nodes import make_lattice, make_sobol
+from .nodes import CapacityError, make_lattice, make_sobol
 from .transforms import fbt, fbt_double
 
 
@@ -172,6 +173,8 @@ def integrate_fast(f, d: int, config: CubatureConfig) -> CubatureResult:
         gen = make_lattice(d, config.seed)
     else:
         gen = make_sobol(d, config.seed, scramble=config.scramble)
+    if config.n_max > gen.capacity:
+        raise CapacityError(f"n_max {config.n_max} exceeds capacity {gen.capacity}")
     kind = config.family
     f_eval = problems.periodize(f, config.periodizer)
     spec0 = _default_kernel(config, d)
@@ -196,7 +199,7 @@ def integrate_fast(f, d: int, config: CubatureConfig) -> CubatureResult:
         block = gen.points(n_prev, n)
         yb = np.asarray(f_eval(block.points), dtype=np.float64)
         _check_finite(yb, n_prev)
-        spectrum = fbt(yb, kind) if spectrum is None else fbt_double(spectrum, yb)
+        spectrum = fbt(yb, kind) if spectrum is None else fbt_double(spectrum, yb, kind)
         y_all = np.concatenate([y_all, yb])
         m = n.bit_length() - 1
 
@@ -206,14 +209,12 @@ def integrate_fast(f, d: int, config: CubatureConfig) -> CubatureResult:
                                               time.perf_counter() - it_start))
             break
 
-        # lattice ring spectra are halves (entries 0..n/2), Sobol' ones whole
-        weights = data_weights(spectrum.coefficients,
-                               n // 2 + 1 if kind == "lattice" else n)
+        weights = data_weights(spectrum, n)
         bases = powers = grad_fn = None
         if not order_searched:
             bases = kernels.column_bases(spec0, gen, m)
             if config.optimizer.method == "grad_descent":
-                grad_fn = _make_gradient(spec0, tags, d, bases, spectrum, weights,
+                grad_fn = _make_gradient(spec0, tags, d, bases, weights, n,
                                          kind, config)
             if spec0.shared_eta:
                 # the spectrum is a polynomial in the one eta: d transforms
@@ -232,8 +233,7 @@ def integrate_fast(f, d: int, config: CubatureConfig) -> CubatureResult:
                 b = bases if bases is not None else kernels.column_bases(spec, gen, m)
                 lams = column_spectrum(kernels.ring_from_bases(spec.eta, b), kind, n)
                 label = f"{spec.family}(r={spec.order:g})"
-            data = transformed_data(spectrum.coefficients, lams, spec_label=label,
-                                    weights=weights)
+            data = transformed_data(weights, lams, n, spec_label=label)
             try:
                 return objective(config.criterion, data), data
             except DegenerateDataError:
@@ -272,15 +272,14 @@ def integrate_fast(f, d: int, config: CubatureConfig) -> CubatureResult:
                           seconds=time.perf_counter() - t_start, final_state=td)
 
 
-def _make_gradient(spec0, tags, d, bases, spectrum, weights, kind, config):
+def _make_gradient(spec0, tags, d, bases, weights, n, kind, config):
     def gradient(t):
         state = HyperparameterState(t, tags)
         spec = _spec_from_state(spec0, state, d)
         col = kernels.ring_from_bases(spec.eta, bases)
-        data = transformed_data(spectrum.coefficients,
-                                column_spectrum(col, kind, spectrum.n), weights=weights)
+        data = transformed_data(weights, column_spectrum(col, kind, n), n)
         jac = kernels.column_eta_jacobian(spec, bases, col)
-        dlam = column_spectrum(jac, kind, spectrum.n)
+        dlam = column_spectrum(jac, kind, n)
         g_eta = objective_gradient(data, config.criterion, dlam)
         # chain rule through eta = exp(t)
         eta = spec.eta if len(g_eta) > 1 else spec.eta[:1]

@@ -22,8 +22,9 @@ coefficient columns once per sample size, and polynomial_spectrum evaluates
 the spectrum at any eta by one Horner pass, with no ring column and no
 transform.  Per-dimension eta and a searched kernel order transform the
 ring column itself on every evaluation.  A lattice spectrum is even
-(lam_k = lam_{n-k}) and stays its half k = 0..n/2 from the kernel column to
-the width; TransformedData supplies the multiplicities in the sums above.
+(lam_k = lam_{n-k}) and, like the real-FFT data spectrum (y~_{n-k} is the
+conjugate of y~_k), stays its half k = 0..n/2 up to the width: data_weights
+pairs the data once per sample size, TransformedData the eigenvalue sums.
 """
 
 from __future__ import annotations
@@ -60,21 +61,16 @@ class NonFiniteStartError(ValueError):
 
 @dataclass
 class TransformedData:
-    """Spectrum of the integrand values plus the Gram eigenvalue pieces.
+    """Data weights plus the Gram eigenvalue pieces.
 
     lams_rest is lam_2..lam_n, or an even spectrum's entries k = 1..n/2 with
     each k < n/2 standing for n - k too (rest_sum; data_weights pairs)."""
 
-    y_tilde: np.ndarray       # length n, complex for lattice data
+    weights: np.ndarray       # data_weights, laid out like lams_rest
     lam_ring1: float          # eigenvalue of C - 1 against the ones vector
     lams_rest: np.ndarray     # lam_2..lam_n, or entries 1..n/2 of an even spectrum
     n: int
     n_clamped: int = 0        # clamped eigenvalues, counted over all n
-    weights: np.ndarray | None = None  # data_weights, reused across searches
-
-    def __post_init__(self):
-        if self.weights is None:
-            self.weights = data_weights(self.y_tilde, self.lams_rest.shape[0] + 1)
 
     @property
     def lam1(self) -> float:
@@ -97,17 +93,15 @@ class TransformedData:
         return float(over.sum())
 
 
-def data_weights(y_spectrum: np.ndarray, cols: int) -> np.ndarray:
-    """Weights |y~_k|^2 of the data sums over ring spectrum entries
-    k = 1..cols-1.
+def data_weights(y_spectrum: np.ndarray, n: int) -> np.ndarray:
+    """Weights |y~_k|^2 of the data sums over spectrum entries k >= 1.
 
-    On an even spectrum's half (cols = n/2+1 < n) entry k < n/2 also carries
-    its mirror: |y~_k|^2 + |y~_{n-k}|^2; entry n/2 is |y~_{n/2}|^2 alone.
+    A lattice data spectrum is the half k = 0..n/2 of a real signal's DFT,
+    so entry k < n/2 also stands for its conjugate n - k and counts twice.
     """
-    n = y_spectrum.shape[0]
-    w = np.abs(y_spectrum[1:cols]) ** 2
-    if cols < n:
-        w[:-1] += np.abs(y_spectrum[n - 1: cols - 1: -1]) ** 2
+    w = np.abs(y_spectrum[1:]) ** 2
+    if y_spectrum.shape[0] < n:
+        w[:-1] *= 2
     return w
 
 
@@ -123,7 +117,7 @@ def column_spectrum(cols: np.ndarray, kind: str, n: int) -> np.ndarray:
         return fbt_lattice_even(cols, n)
     if cols.shape[-1] != n:
         raise ValueError(f"column has length {cols.shape[-1]}, expected {n}")
-    rows = [fbt(row, kind).coefficients for row in cols.reshape(-1, n)]
+    rows = [fbt(row, kind) for row in cols.reshape(-1, n)]
     return np.stack(rows).reshape(cols.shape)
 
 
@@ -137,18 +131,16 @@ def polynomial_spectrum(spectra: np.ndarray, eta: float) -> np.ndarray:
     return out
 
 
-def transformed_data(y_spectrum: np.ndarray, lams: np.ndarray,
-                     spec_label: str = "kernel",
-                     weights: np.ndarray | None = None) -> TransformedData:
-    """Data spectrum plus the clamped Gram eigenvalues, from the length-n
-    ring spectrum or an even one's half 0..n/2 (column_spectrum of a ring
-    column, or polynomial_spectrum).  Only lam_1 differs from its ring
-    entry; entries in [-CLAMP_NEG*n, 0] are round-off and become CLAMP_SUB*n,
-    counted over all n eigenvalues."""
-    n = y_spectrum.shape[0]
-    if lams.shape not in ((n,), (n // 2 + 1,)):
-        raise ValueError(f"ring spectrum has shape {lams.shape}, expected "
-                         f"({n},) or ({n // 2 + 1},)")
+def transformed_data(weights: np.ndarray, lams: np.ndarray, n: int,
+                     spec_label: str = "kernel") -> TransformedData:
+    """Data weights plus the clamped Gram eigenvalues, from the length-n ring
+    spectrum or an even one's half 0..n/2 (column_spectrum of a ring column,
+    or polynomial_spectrum), laid out like the weights.  Only lam_1 differs
+    from its ring entry; entries in [-CLAMP_NEG*n, 0] are round-off and
+    become CLAMP_SUB*n, counted over all n eigenvalues."""
+    if lams.shape != (weights.shape[0] + 1,) or lams.shape[0] not in (n, n // 2 + 1):
+        raise ValueError(f"ring spectrum has shape {lams.shape}, expected ({n},) or "
+                         f"({n // 2 + 1},) and one entry more than the data weights")
     clamp = None
     low = lams.min()
     if low <= 0:
@@ -158,8 +150,8 @@ def transformed_data(y_spectrum: np.ndarray, lams: np.ndarray,
                 f"{spec_label}: eigenvalue {low:.3e} below round-off floor {floor:.3e}")
         clamp = lams <= 0
         lams = np.where(clamp, CLAMP_SUB * n, lams)
-    td = TransformedData(y_tilde=y_spectrum, lam_ring1=float(lams[0]),
-                         lams_rest=lams[1:], n=n, weights=weights)
+    td = TransformedData(weights=weights, lam_ring1=float(lams[0]),
+                         lams_rest=lams[1:], n=n)
     if clamp is not None:
         td.n_clamped = int(clamp[0]) + int(td.rest_sum(clamp[1:].astype(int)))
     return td
@@ -453,7 +445,7 @@ def search_hyperparameters(objective_fn, init: HyperparameterState,
     elif budget > 1 and method == "grad_descent":
         if gradient_fn is None:
             raise ValueError("grad_descent needs a gradient function")
-        _gradient_descent(wrapped, gradient_fn, init.t, budget - 1, step)
+        _gradient_descent(wrapped, gradient_fn, init.t, v0, budget, step)
     elif method not in ("nelder_mead", "grad_descent"):
         raise ValueError(f"unknown search method {method!r}")
 
@@ -470,10 +462,11 @@ def _initial_simplex(t0: np.ndarray, step: float) -> np.ndarray:
     return simplex
 
 
-def _gradient_descent(wrapped, gradient_fn, t0, budget, nu):
-    """Fixed-step descent with 20-step backtracking halving on rejection."""
+def _gradient_descent(wrapped, gradient_fn, t0, v0, budget, nu):
+    """Fixed-step descent with 20-step backtracking halving on rejection,
+    from t0 with its value v0 already spent out of budget evaluations."""
     t = np.asarray(t0, dtype=np.float64).copy()
-    current = wrapped(t)
+    current = v0
     used = 1
     while used < budget:
         g = gradient_fn(t)

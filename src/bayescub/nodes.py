@@ -149,12 +149,8 @@ def lattice_lag_indices(gen: LatticeGenerator, m: int) -> np.ndarray:
 
 def default_lattice_vector(d: int) -> tuple[int, ...]:
     """The shipped d<=20 extensible generating vector (override via data file)."""
-    return load_lattice_vector(_data_path("lattice_base2_m20_d20.txt"), d)
-
-
-def load_lattice_vector(path: str, d: int) -> tuple[int, ...]:
     vec = []
-    with open(path) as fh:
+    with open(_data_path("lattice_base2_m20_d20.txt")) as fh:
         for line in fh:
             line = line.strip()
             if line and not line.startswith("#"):
@@ -164,10 +160,9 @@ def load_lattice_vector(path: str, d: int) -> tuple[int, ...]:
     return tuple(vec[:d])
 
 
-def make_lattice(d: int, seed: int, m_max: int = 20,
-                 vector_path: str | None = None) -> LatticeGenerator:
+def make_lattice(d: int, seed: int, m_max: int = 20) -> LatticeGenerator:
     """Lattice generator with the shipped vector and a seeded random shift."""
-    vec = load_lattice_vector(vector_path, d) if vector_path else default_lattice_vector(d)
+    vec = default_lattice_vector(d)
     rng = np.random.Generator(np.random.Philox(seed))
     shift = rng.random(d)
     return LatticeGenerator(generating_vector=vec, shift=shift, max_log2_n=m_max)
@@ -177,14 +172,15 @@ def make_lattice(d: int, seed: int, m_max: int = 20,
 # Sobol'
 # ---------------------------------------------------------------------------
 
-def load_direction_numbers(path: str, d: int) -> np.ndarray:
-    """Direction-number columns v_k = m_k * 2^(DIGITS-k) for d dimensions.
+def default_direction_numbers(d: int) -> np.ndarray:
+    """Direction-number columns v_k = m_k * 2^(DIGITS-k) for d dimensions
+    from the shipped table (override via data file).
 
     The file uses the standard "d s a m_i" table format; dimension 1 is the
     identity (van der Corput) column.  Returns a (d, DIGITS) uint64 array.
     """
     rows = []
-    with open(path) as fh:
+    with open(_data_path("sobol_joe_kuo_d20.txt")) as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#") or line.startswith("d"):
@@ -213,10 +209,6 @@ def load_direction_numbers(path: str, d: int) -> np.ndarray:
         for k in range(DIGITS):
             v[dim - 1, k] = col[k] << (DIGITS - 1 - k)
     return v
-
-
-def default_direction_numbers(d: int) -> np.ndarray:
-    return load_direction_numbers(_data_path("sobol_joe_kuo_d20.txt"), d)
 
 
 @dataclass(frozen=True)
@@ -324,11 +316,10 @@ def scramble_direction_numbers(dn: np.ndarray, rng: np.random.Generator) -> np.n
     return out
 
 
-def make_sobol(d: int, seed: int, scramble: bool = False,
-               table_path: str | None = None) -> SobolGenerator:
+def make_sobol(d: int, seed: int, scramble: bool = False) -> SobolGenerator:
     """Sobol' generator with shipped direction numbers, seeded digital shift,
     and optional linear matrix scrambling."""
-    dn = load_direction_numbers(table_path, d) if table_path else default_direction_numbers(d)
+    dn = default_direction_numbers(d)
     rng = np.random.Generator(np.random.Philox(seed))
     scramble_seed = None
     if scramble:

@@ -5,9 +5,10 @@ so the Gram matrix is circulant on the 1/n grid once both sides are permuted
 by bit reversal.  Its eigenvectors are the grid Fourier modes, taken here in
 natural frequency order: V^H y is one bit-reversal permutation of the data
 followed by a radix-2 FFT, and the doubling update is the FFT's own
-decimation-in-time step.  The kernel's first column on the grid is even
-(c_k = c_{n-k}), so the spectrum is too: its entries 0..n/2, the DCT-I of
-the half c_0..c_{n/2}, are all that is kept.  Sobol' path: the
+decimation-in-time step.  Both lattice spectra are kept as entries
+k = 0..n/2: real data give y~_{n-k} = conj(y~_k), so a real FFT; the kernel's
+first column on the grid is even (c_k = c_{n-k}), so is its spectrum, the
+DCT-I of the half c_0..c_{n/2}.  Sobol' path: the
 Walsh-Hadamard matrix in Hadamard (Sylvester/Kronecker) ordering, applied by
 an in-place butterfly using additions and subtractions only.  Both satisfy
 row one = column one = all-ones, so coefficient 0 of any transform equals
@@ -16,7 +17,6 @@ the plain sum of the input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -24,23 +24,10 @@ from scipy.fft import dct
 
 from .nodes import _brev_table
 
-VDC = "vdc-matched"
-HADAMARD = "hadamard"
-
 _DENSE_LIMIT = 4096
 
 # below 2^16 points a single gather stays in cache and is the faster order
 _TWO_LEVEL_MIN_M = 16
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    coefficients: np.ndarray  # complex for vdc-matched, real for hadamard
-    ordering: str             # VDC | HADAMARD
-
-    @property
-    def n(self) -> int:
-        return self.coefficients.shape[0]
 
 
 def _check_pow2(n: int) -> int:
@@ -68,16 +55,17 @@ def _bit_reverse_permute(x: np.ndarray, m: int) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _lattice_twiddles(m: int) -> np.ndarray:
-    # e^{-i pi k / n} for k = 0..n-1, the radix-2 step from n to 2n points
+    # e^{-i pi k / n} for k = 0..n/2, the radix-2 step from n to 2n points
     n = 1 << m
-    return np.exp(-1j * np.pi * np.arange(n) / n)
+    return np.exp(-1j * np.pi * np.arange(n // 2 + 1) / n)
 
 
-def fbt_lattice(y: np.ndarray) -> Spectrum:
-    """V^H y for the lattice eigenvector matrix: FFT of the bit-reversed data."""
-    y = np.asarray(y)
+def fbt_lattice(y: np.ndarray) -> np.ndarray:
+    """Entries k = 0..n/2 of V^H y for the lattice eigenvector matrix: the
+    real FFT of the bit-reversed data (entry n - k is the conjugate of k)."""
+    y = np.asarray(y, dtype=np.float64)
     m = _check_pow2(y.shape[0])
-    return Spectrum(coefficients=np.fft.fft(_bit_reverse_permute(y, m)), ordering=VDC)
+    return np.fft.rfft(_bit_reverse_permute(y, m))
 
 
 def fbt_lattice_even(half: np.ndarray, n: int) -> np.ndarray:
@@ -99,7 +87,7 @@ def fbt_lattice_even(half: np.ndarray, n: int) -> np.ndarray:
     return dct(half, type=1, axis=-1)
 
 
-def fbt_sobol(y: np.ndarray) -> Spectrum:
+def fbt_sobol(y: np.ndarray) -> np.ndarray:
     """H y for the Hadamard-ordered Walsh matrix (H symmetric, H^2 = n I)."""
     y = np.asarray(y, dtype=np.float64)
     m = _check_pow2(y.shape[0])
@@ -115,10 +103,10 @@ def fbt_sobol(y: np.ndarray) -> Spectrum:
         a += b
         b[...] = t
         h *= 2
-    return Spectrum(coefficients=out, ordering=HADAMARD)
+    return out
 
 
-def fbt(y: np.ndarray, kind: str) -> Spectrum:
+def fbt(y: np.ndarray, kind: str) -> np.ndarray:
     if kind == "lattice":
         return fbt_lattice(y)
     if kind == "sobol":
@@ -126,27 +114,27 @@ def fbt(y: np.ndarray, kind: str) -> Spectrum:
     raise ValueError(f"unknown transform kind {kind!r}")
 
 
-def fbt_double(prev: Spectrum, new_y: np.ndarray) -> Spectrum:
-    """Extend a transform over y[0..n) to y[0..2n) given the new half's values.
+def fbt_double(prev: np.ndarray, new_y: np.ndarray, kind: str) -> np.ndarray:
+    """Extend fbt(y[0..n), kind) to fbt(y[0..2n), kind) given the new n values.
 
     Equals the from-scratch transform of the concatenation.
     """
-    new_y = np.asarray(new_y)
-    n = prev.n
-    if new_y.shape[0] != n:
-        raise ValueError(f"second half has length {new_y.shape[0]}, expected {n}")
-    if prev.ordering == HADAMARD:
-        tail = fbt_sobol(new_y).coefficients
-        return Spectrum(np.concatenate([prev.coefficients + tail,
-                                        prev.coefficients - tail]), HADAMARD)
-    # radix-2 decimation in time: the 2n-point bit reversal puts the old
-    # half's permuted values at even grid positions and the new half's at odd
-    tail = fbt_lattice(new_y).coefficients
-    tail *= _lattice_twiddles(_check_pow2(n))
-    out = np.empty(2 * n, dtype=np.complex128)
-    np.add(prev.coefficients, tail, out=out[:n])
-    np.subtract(prev.coefficients, tail, out=out[n:])
-    return Spectrum(out, VDC)
+    tail = fbt(new_y, kind)
+    if prev.shape != tail.shape:
+        raise ValueError(f"transform of shape {prev.shape} does not match "
+                         f"{len(new_y)} new values")
+    if kind == "sobol":
+        return np.concatenate([prev + tail, prev - tail])
+    # radix-2 decimation in time on halves: the 2n-point bit reversal puts
+    # the old data at even grid positions (E = prev) and the new at odd (O);
+    # X_k = E_k + w_k O_k for k <= n/2, X_{n-j} = conj(E_j - w_j O_j) for j < n/2
+    n = len(new_y)
+    h = n // 2
+    tail *= _lattice_twiddles(n.bit_length() - 1)
+    out = np.empty(n + 1, dtype=np.complex128)
+    np.add(prev, tail, out=out[:h + 1])
+    np.conjugate(prev[:n - h] - tail[:n - h], out=out[n:h:-1])
+    return out
 
 
 def lattice_eigenvector_matrix(n: int) -> np.ndarray:

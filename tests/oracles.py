@@ -4,14 +4,14 @@ Each is the direct, slow form of something the package computes fast: kernel
 values at single lag points, their shape-parameter derivatives, the base-2
 digit arithmetic of the Walsh kernels, the radical inverse and the bit
 reversal, identity Sobol' generator matrices, the Matern kernel at a pair of
-points, the dense lattice and Walsh-Hadamard transforms, and the whole even
-lattice spectrum that the package keeps as its half.
+points, the dense lattice and Walsh-Hadamard transforms, and the whole
+lattice spectra (even Gram, conjugate-symmetric data) that the package keeps
+as their halves.
 """
 
 import numpy as np
 
 from bayescub import kernels, nodes, transforms
-from bayescub.transforms import HADAMARD, VDC, Spectrum
 
 DIGITS = nodes.DIGITS
 _SCALE = float(2**DIGITS)
@@ -125,9 +125,10 @@ def matern_kernel(theta: float, x, t) -> float | np.ndarray:
 
 
 def mirror_half(half: np.ndarray, n: int) -> np.ndarray:
-    """Whole length-n even sequence (entry n - k equals entry k) from its
-    entries 0..n/2, along the last axis."""
-    return np.concatenate([half, half[..., n // 2 - 1: 0: -1]], axis=-1)
+    """Whole length-n sequence with entry n - k the conjugate of entry k
+    (equal to it for a real even spectrum) from its entries 0..n/2, along
+    the last axis."""
+    return np.concatenate([half, np.conj(half[..., n // 2 - 1: 0: -1])], axis=-1)
 
 
 def gram_eigenvalues(td) -> np.ndarray:
@@ -137,14 +138,15 @@ def gram_eigenvalues(td) -> np.ndarray:
     return lam if lam.shape[0] == td.n else mirror_half(lam, td.n)
 
 
-def dense_transform(kind: str, y: np.ndarray) -> Spectrum:
-    """O(n^2) reference transform built from the explicit matrix."""
+def dense_transform(kind: str, y: np.ndarray) -> np.ndarray:
+    """O(n^2) reference transform built from the explicit matrix, whole
+    (length n) on both families."""
     y = np.asarray(y)
     n = y.shape[0]
     transforms._check_pow2(n)
     if kind == "lattice":
         v = transforms.lattice_eigenvector_matrix(n)
-        return Spectrum(v.conj().T @ y, VDC)
+        return v.conj().T @ y
     if kind == "sobol":
-        return Spectrum(transforms.hadamard_matrix(n) @ y, HADAMARD)
+        return transforms.hadamard_matrix(n) @ y
     raise ValueError(f"unknown transform kind {kind!r}")

@@ -17,8 +17,8 @@ from bayescub import (CubatureConfig, OptimizerSettings, integrate_fast,
                       kernels, nodes, problems, transforms)
 from bayescub.cli import draw_tolerances
 from bayescub.inference import (EB, FULL, GCV, column_spectrum, credible_width,
-                                dense_posterior, objective, objective_gradient,
-                                transformed_data)
+                                data_weights, dense_posterior, objective,
+                                objective_gradient, transformed_data)
 from bayescub.kernels import KernelSpec
 from conftest import record_criterion
 from oracles import mirror_half
@@ -45,8 +45,8 @@ def matched_setup(family, kernel, order, eta, m, d, seed):
     else:
         gram = kernels.gram_matrix(spec, pts.points)
     col = kernels.ring_from_bases(spec.eta, kernels.column_bases(spec, gen, m))
-    td = transformed_data(transforms.fbt(y, family).coefficients,
-                          column_spectrum(col, family, n))
+    td = transformed_data(data_weights(transforms.fbt(y, family), n),
+                          column_spectrum(col, family, n), n)
     return gen, pts, y, gram, col, td
 
 
@@ -268,7 +268,8 @@ def test_criterion_8_cancellation_demonstration():
     spec = KernelSpec("bernoulli", 1, np.array([eta]))
     col = kernels.ring_from_bases(spec.eta, kernels.column_bases(spec, gen, m))
     brev = nodes._brev_table(m)
-    td = transformed_data(np.fft.fft(y[brev]), column_spectrum(col, "lattice", n))
+    td = transformed_data(data_weights(np.fft.fft(y[brev])[: n // 2 + 1], n),
+                          column_spectrum(col, "lattice", n), n)
 
     err_ref, _ = zeta_reference_width(eta, m, y)
     fast = credible_width(EB, td)
@@ -304,8 +305,8 @@ def test_criterion_9_gradient_suite():
             spec = KernelSpec(kernel, order, eta, shared_eta=shared)
             bases = kernels.column_bases(spec, gen, m)
             col = kernels.ring_from_bases(spec.eta, bases)
-            td = transformed_data(spectrum.coefficients,
-                                  column_spectrum(col, family, 1 << m))
+            weights = data_weights(spectrum, 1 << m)
+            td = transformed_data(weights, column_spectrum(col, family, 1 << m), 1 << m)
             jac = kernels.column_eta_jacobian(spec, bases, col)
             dlam = np.vstack([column_spectrum(row, family, 1 << m) for row in jac])
             grad = objective_gradient(td, kind, dlam)
@@ -313,7 +314,7 @@ def test_criterion_9_gradient_suite():
             def loss(ev):
                 c = kernels.ring_from_bases(ev, bases)
                 return objective(kind, transformed_data(
-                    spectrum.coefficients, column_spectrum(c, family, 1 << m)))
+                    weights, column_spectrum(c, family, 1 << m), 1 << m))
 
             if shared:
                 h = 1e-4

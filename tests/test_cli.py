@@ -129,6 +129,30 @@ class TestSweep:
         assert code == 0
         assert len(json.loads(out)["rows"]) == 2
 
+    @pytest.mark.parametrize("cfg,key", [
+        ({"eps_lo": "1e-2x", "eps_hi": 1e-2}, "eps_lo"),
+        ({"eps-lo": 1e-2, "eps_hi": 1e-2, "familly": "sobol"}, "familly"),
+        ({"eps_lo": 1e-2, "eps_hi": 1e-2, "family": "halton"}, "family"),
+        ({"eps_lo": 1e-2, "eps_hi": 1e-2, "count": 2.5}, "count"),
+        ({"eps_lo": 1e-2, "eps_hi": 1e-2, "seeds": 5}, "seeds"),
+        (["eps_lo", 1e-2], "JSON object")])
+    def test_config_file_rejects_bad_entries(self, capsys, tmp_path, cfg, key):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_main(["sweep", "--problem", "fresnel",
+                                   "--config", str(path)], capsys)
+        assert code == 2 and key in err and out == ""
+
+    def test_config_values_go_through_the_flag_types(self, capsys, tmp_path):
+        # a number written as a JSON string is read as the flag would read it
+        cfg = {"eps_lo": "1e-2", "eps-hi": "1e-2", "count": "2", "seeds": [3, "4"]}
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(cfg))
+        code, out, _ = run_main(["sweep", "--problem", "fresnel",
+                                 "--config", str(path)], capsys)
+        assert code == 0
+        assert [r["seed"] for r in json.loads(out)["rows"]] == [3, 4]
+
     def test_missing_eps_range(self, capsys):
         code, _, err = run_main(["sweep", "--problem", "fresnel"], capsys)
         assert code == 2 and "eps-lo" in err

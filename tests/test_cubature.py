@@ -72,6 +72,15 @@ class TestFastLoop:
         assert res.n_used == 256
         assert res.err > 1e-12 and np.isfinite(res.mu_hat)
 
+    def test_capacity_checked_before_any_work(self):
+        # the lattice holds 2^20 points; a run allowed to 2^21 is refused
+        # before the first block is generated or evaluated
+        f, calls = counting(lambda x: x.sum(axis=1))
+        cfg = CubatureConfig(epsilon=1e-12, n0=2**19, n_max=2**21, seed=1)
+        with pytest.raises(nodes.CapacityError, match="capacity"):
+            integrate_fast(f, 2, cfg)
+        assert calls["n"] == 0
+
     def test_tolerance_met_iff_err_below_eps(self):
         f = lambda x: np.sin(2 * np.pi * x[:, 0]) ** 2
         for eps in (1e-2, 1e-6):
@@ -239,9 +248,12 @@ class TestIterationRecords:
     def test_n_clamped_is_the_chosen_states(self, monkeypatch):
         # tag every TransformedData with a count that depends on its n
         real = cubature.transformed_data
-        monkeypatch.setattr(cubature, "transformed_data",
-                            lambda *a, **k: replace(real(*a, **k),
-                                                    n_clamped=a[0].shape[0] // 64 + 1))
+
+        def tagged(*a, **k):
+            td = real(*a, **k)
+            return replace(td, n_clamped=td.n // 64 + 1)
+
+        monkeypatch.setattr(cubature, "transformed_data", tagged)
         f = lambda x: np.exp(x.sum(axis=1))
         cfg = CubatureConfig(epsilon=1e-9, n0=128, n_max=2**10, seed=5)
         res = integrate_fast(f, 3, cfg)

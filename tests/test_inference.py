@@ -8,7 +8,7 @@ from bayescub import kernels, nodes, transforms
 from bayescub.inference import (EB, FULL, GCV, DegenerateDataError,
                                 HyperparameterState, NonFiniteStartError,
                                 NonPositiveDefiniteError, TransformedData,
-                                column_spectrum, credible_width,
+                                column_spectrum, credible_width, data_weights,
                                 dense_eb_objective, dense_posterior,
                                 objective, objective_eb, objective_gcv,
                                 objective_gradient, polynomial_spectrum,
@@ -32,7 +32,7 @@ def make_matched_td(family, kernel, order, eta, m, d, seed=0, y=None):
     spec = KernelSpec(kernel, order, eta if np.ndim(eta) else np.full(d, eta),
                       shared_eta=bool(np.ndim(eta) == 0))
     col = kernels.ring_from_bases(spec.eta, kernels.column_bases(spec, gen, m))
-    td = transformed_data(spectrum.coefficients, column_spectrum(col, family, n))
+    td = transformed_data(data_weights(spectrum, n), column_spectrum(col, family, n), n)
     return gen, pts, y, spec, col, td
 
 
@@ -82,7 +82,7 @@ class TestEigenvaluePipeline:
         full = np.where(np.arange(n) % 2, 1.0, -1e-9)
         col = np.fft.ifft(full).real[: n // 2 + 1]
         lams = column_spectrum(col, "lattice", n)
-        td = transformed_data(np.ones(n), lams)
+        td = transformed_data(data_weights(np.ones(n // 2 + 1), n), lams, n)
         assert td.n_clamped == 4 == int((mirror_half(lams, n) <= 0).sum())
         assert td.lam_ring1 > 0 and (td.lams_rest > 0).all()
 
@@ -90,11 +90,12 @@ class TestEigenvaluePipeline:
     def test_half_spectrum_equals_its_mirror(self, m):
         # the half with multiplicities and paired data weights against the
         # whole mirrored spectrum: objectives, widths, gradient, clamp count
-        _, _, _, _, col, td = make_matched_td("lattice", "bernoulli", 2, 1.3, m, 2)
+        _, _, y, _, col, td = make_matched_td("lattice", "bernoulli", 2, 1.3, m, 2)
         n = 1 << m
         lams = column_spectrum(col, "lattice", n)
-        half = transformed_data(td.y_tilde, lams)
-        full = transformed_data(td.y_tilde, mirror_half(lams, n))
+        w_full = data_weights(mirror_half(transforms.fbt(y, "lattice"), n), n)
+        half = transformed_data(td.weights, lams, n)
+        full = transformed_data(w_full, mirror_half(lams, n), n)
         for kind in (EB, FULL, GCV):
             assert objective(kind, half) == pytest.approx(objective(kind, full),
                                                           rel=1e-13)
@@ -105,20 +106,22 @@ class TestEigenvaluePipeline:
             assert objective_gradient(half, kind, dlam) == pytest.approx(
                 objective_gradient(full, kind, mirror_half(dlam, n)), rel=1e-12)
         lams[-1] = -1e-12 * n  # one round-off entry, k = n/2
-        assert transformed_data(td.y_tilde, lams).n_clamped == 1 == \
-            transformed_data(td.y_tilde, mirror_half(lams, n)).n_clamped
+        assert transformed_data(td.weights, lams, n).n_clamped == 1 == \
+            transformed_data(w_full, mirror_half(lams, n), n).n_clamped
 
     def test_hard_error_below_clamp(self):
         col = np.full(8, -0.9)  # strongly non-PD ring
         with pytest.raises(NonPositiveDefiniteError):
-            transformed_data(np.ones(8), column_spectrum(col, "sobol", 8))
+            transformed_data(data_weights(np.ones(8), 8),
+                             column_spectrum(col, "sobol", 8), 8)
 
     def test_clamp_counts(self):
         # a column whose transform has tiny negative entries gets clamped
         n = 8
         col = np.zeros(n)
         col[0] = -1e-9 * n / n  # constant column: ring spectrum (sum, 0...0)
-        td = transformed_data(np.ones(n), column_spectrum(col + 1e-12, "sobol", n))
+        td = transformed_data(data_weights(np.ones(n), n),
+                              column_spectrum(col + 1e-12, "sobol", n), n)
         assert td.n_clamped == 0 or td.lams_rest.min() > 0
 
 
@@ -162,7 +165,7 @@ class TestEtaPolynomial:
         with pytest.raises(ValueError):
             column_spectrum(np.ones((2, 4)), "lattice", 8)
         with pytest.raises(ValueError, match="ring spectrum has shape"):
-            transformed_data(np.ones(8), np.ones(6))
+            transformed_data(data_weights(np.ones(8), 8), np.ones(6), 8)
 
     @staticmethod
     def designed_bases(kind, full):
@@ -172,7 +175,7 @@ class TestEtaPolynomial:
         if kind == "lattice":
             col = np.fft.ifft(full).real[: n // 2 + 1]
         else:
-            col = transforms.fbt_sobol(full).coefficients / n
+            col = transforms.fbt_sobol(full) / n
         return np.vstack([col, np.zeros_like(col)])
 
     @pytest.mark.parametrize("kind", ["lattice", "sobol"])
@@ -184,8 +187,9 @@ class TestEtaPolynomial:
         ring = column_spectrum(kernels.ring_from_bases(np.ones(2), bases), kind, n)
         poly = polynomial_spectrum(column_spectrum(kernels.elementary_symmetric(bases),
                                                    kind, n), 1.0)
-        td_r = transformed_data(np.ones(n), ring)
-        td_p = transformed_data(np.ones(n), poly)
+        weights = data_weights(np.ones(ring.shape[0]), n)
+        td_r = transformed_data(weights, ring, n)
+        td_p = transformed_data(weights, poly, n)
         assert td_r.n_clamped == td_p.n_clamped == int((full <= 0).sum()) == 8
         assert td_r.lam_ring1 == td_p.lam_ring1
         assert np.array_equal(td_r.lams_rest, td_p.lams_rest)
@@ -201,7 +205,8 @@ class TestEtaPolynomial:
                                                    kind, n), 1.0)
         for lams in (ring, poly):
             with pytest.raises(NonPositiveDefiniteError, match="below round-off floor"):
-                transformed_data(np.ones(n), lams, "designed")
+                transformed_data(data_weights(np.ones(lams.shape[0]), n), lams, n,
+                                 "designed")
 
 
 def zeta_reference_width(eta: float, m: int, y: np.ndarray, dps: int = 50):
@@ -244,7 +249,8 @@ class TestCancellationSafety:
         spec = KernelSpec("bernoulli", 1, np.array([eta]))
         col = kernels.ring_from_bases(spec.eta, kernels.column_bases(spec, gen, m))
         brev = nodes._brev_table(m)
-        td = transformed_data(np.fft.fft(y[brev]), column_spectrum(col, "lattice", n))
+        td = transformed_data(data_weights(np.fft.fft(y[brev])[: n // 2 + 1], n),
+                              column_spectrum(col, "lattice", n), n)
         return eta, y, col, td
 
     def test_ring_ratio_matches_extended_precision(self):
@@ -279,19 +285,20 @@ class TestCancellationSafety:
 
 class TestObjectives:
     def test_n2_closed_form_eb(self):
-        td = TransformedData(np.array([3.0, 2.0]), lam_ring1=1.0,
+        td = TransformedData(data_weights(np.array([3.0, 2.0]), 2), lam_ring1=1.0,
                              lams_rest=np.array([0.5]), n=2)
         expected = np.log(4.0 / 0.5) + 0.5 * (np.log(3.0) + np.log(0.5))
         assert objective_eb(td) == pytest.approx(expected, rel=1e-14)
 
     def test_n2_closed_form_gcv(self):
-        td = TransformedData(np.array([3.0, 2.0]), lam_ring1=1.0,
+        td = TransformedData(data_weights(np.array([3.0, 2.0]), 2), lam_ring1=1.0,
                              lams_rest=np.array([0.5]), n=2)
         expected = np.log(4.0 / 0.25) - 2.0 * np.log(1.0 / 3.0 + 2.0)
         assert objective_gcv(td) == pytest.approx(expected, rel=1e-14)
 
     def test_degenerate_data(self):
-        td = TransformedData(np.array([5.0, 0.0, 0.0, 0.0]), lam_ring1=0.5,
+        td = TransformedData(data_weights(np.array([5.0, 0.0, 0.0, 0.0]), 4),
+                             lam_ring1=0.5,
                              lams_rest=np.ones(3), n=4)
         with pytest.raises(DegenerateDataError):
             objective_eb(td)
@@ -299,14 +306,14 @@ class TestObjectives:
     def test_kernel_scaling_leaves_objectives_unchanged(self):
         _, _, _, _, _, td = make_matched_td("lattice", "bernoulli", 1, 0.9, 5, 2)
         for b in (0.25, 7.0):
-            scaled = TransformedData(td.y_tilde, b * td.lam_ring1 + (b - 1) * td.n,
+            scaled = TransformedData(td.weights, b * td.lam_ring1 + (b - 1) * td.n,
                                      b * td.lams_rest, td.n)
             assert objective_eb(scaled) == pytest.approx(objective_eb(td), abs=1e-10)
             assert objective_gcv(scaled) == pytest.approx(objective_gcv(td), abs=1e-10)
 
     def test_scaling_argmin_invariance_on_grid(self):
         gen, pts, y, spec, _, _ = make_matched_td("lattice", "bernoulli", 1, 1.0, 5, 2)
-        spectrum = transforms.fbt(y, "lattice")
+        weights = data_weights(transforms.fbt(y, "lattice"), 32)
         bases = kernels.lattice_column_bases(spec, gen, 5)
         grid = np.geomspace(0.01, 100, 25)
 
@@ -314,9 +321,8 @@ class TestObjectives:
             out = []
             for eta in grid:
                 col = kernels.ring_from_bases(np.full(2, eta), bases)
-                td0 = transformed_data(spectrum.coefficients,
-                                       column_spectrum(col, "lattice", 32))
-                td = TransformedData(spectrum.coefficients,
+                td0 = transformed_data(weights, column_spectrum(col, "lattice", 32), 32)
+                td = TransformedData(weights,
                                      scale * td0.lam_ring1 + (scale - 1) * 32,
                                      scale * td0.lams_rest, 32)
                 out.append(objective_eb(td))
@@ -360,7 +366,8 @@ class TestObjectiveGradient:
 
         def loss_at(eta_vec):
             c = kernels.ring_from_bases(eta_vec, bases)
-            tdh = transformed_data(td.y_tilde, column_spectrum(c, family, 1 << m))
+            tdh = transformed_data(td.weights, column_spectrum(c, family, 1 << m),
+                                   1 << m)
             return objective(kind, tdh)
 
         base = spec.eta.copy()
@@ -437,7 +444,8 @@ class TestStudentT:
 
 class TestCredibleWidth:
     def test_constant_data_gives_zero(self):
-        td = TransformedData(np.array([4.0, 0.0, 0.0, 0.0]), lam_ring1=0.3,
+        td = TransformedData(data_weights(np.array([4.0, 0.0, 0.0, 0.0]), 4),
+                             lam_ring1=0.3,
                              lams_rest=np.ones(3), n=4)
         for kind in (EB, FULL, GCV):
             assert credible_width(kind, td) == 0.0
@@ -446,19 +454,21 @@ class TestCredibleWidth:
         rng = np.random.default_rng(15)
         for _ in range(25):
             n = 16
-            td = TransformedData(rng.standard_normal(n), float(rng.uniform(0, 5)),
+            td = TransformedData(data_weights(rng.standard_normal(n), n),
+                                 float(rng.uniform(0, 5)),
                                  rng.uniform(0.1, 3.0, size=n - 1), n)
             assert credible_width(FULL, td) >= credible_width(EB, td)
 
     def test_n2_hand_computation(self):
-        td = TransformedData(np.array([0.0, 2.0]), lam_ring1=1.0,
+        td = TransformedData(data_weights(np.array([0.0, 2.0]), 2), lam_ring1=1.0,
                              lams_rest=np.array([1.0]), n=2)
         assert credible_width(EB, td) == pytest.approx(2.58 / np.sqrt(3.0), rel=1e-12)
 
     def test_scale_equivariance(self):
-        _, _, _, _, col, td = make_matched_td("lattice", "bernoulli", 2, 1.1, 5, 2)
+        _, _, y, _, col, td = make_matched_td("lattice", "bernoulli", 2, 1.1, 5, 2)
         for a in (3.0, 0.125):
-            scaled = TransformedData(a * td.y_tilde, td.lam_ring1, td.lams_rest, td.n)
+            scaled = TransformedData(data_weights(a * transforms.fbt(y, "lattice"), td.n),
+                                     td.lam_ring1, td.lams_rest, td.n)
             for kind in (EB, FULL, GCV):
                 assert credible_width(kind, scaled) == pytest.approx(
                     a * credible_width(kind, td), rel=1e-12)
@@ -554,6 +564,19 @@ class TestHyperparameterSearch:
                                      step=0.0, gradient_fn=lambda t: 2 * t)
         assert res.state.t[0] == 0.7
 
+    def test_grad_descent_evaluates_start_once(self):
+        seen = []
+
+        def obj(t):
+            seen.append(float(t[0]))
+            return float((t[0] - 3.0) ** 2), None
+
+        init = HyperparameterState(np.zeros(1), ("eta",))
+        res = search_hyperparameters(obj, init, method="grad_descent", budget=5,
+                                     step=0.25, gradient_fn=lambda t: 2 * (t - 3.0))
+        assert seen.count(0.0) == 1 and seen[0] == 0.0
+        assert res.evaluations == len(seen) == 5
+
     def test_nonfinite_at_init_raises(self):
         def bad(t):
             return np.inf, None
@@ -577,7 +600,8 @@ class TestHyperparameterSearch:
         def loss_of_eta(eta):
             col = kernels.ring_from_bases(np.full(4, eta), bases)
             return objective_eb(transformed_data(
-                spectrum.coefficients, column_spectrum(col, "lattice", 1 << m)))
+                data_weights(spectrum, 1 << m), column_spectrum(col, "lattice", 1 << m),
+                1 << m))
 
         def obj(t):
             return loss_of_eta(float(np.exp(t[0]))), None

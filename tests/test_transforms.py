@@ -15,12 +15,12 @@ from oracles import dense_transform, mirror_half
 
 class TestLatticeTransform:
     def test_all_ones(self):
-        out = fbt_lattice(np.ones(32)).coefficients
+        out = fbt_lattice(np.ones(32))
         assert abs(out[0] - 32) < 1e-12
         assert np.abs(out[1:]).max() < 1e-12
 
     def test_two_point(self):
-        out = fbt_lattice(np.array([3.0, 5.0])).coefficients
+        out = fbt_lattice(np.array([3.0, 5.0]))
         assert out[0] == pytest.approx(8.0)
         assert out[1] == pytest.approx(-2.0)
 
@@ -28,8 +28,8 @@ class TestLatticeTransform:
     def test_matches_dense_oracle(self, n):
         rng = np.random.default_rng(n)
         y = rng.standard_normal(n)
-        fast = fbt_lattice(y).coefficients
-        dense = dense_transform("lattice", y).coefficients
+        fast = fbt_lattice(y)
+        dense = dense_transform("lattice", y)[: n // 2 + 1]
         assert np.abs(fast - dense).max() <= 1e-11 * np.linalg.norm(y)
 
     def test_rejects_non_power_of_two(self):
@@ -37,77 +37,98 @@ class TestLatticeTransform:
             fbt_lattice(np.ones(12))
 
     def test_conjugate_pairing(self):
-        # spectrum entry at the complementary frequency carries the conjugate
+        # spectrum entry at the complementary frequency carries the conjugate,
+        # so the half k = 0..n/2 that fbt_lattice keeps determines the whole
         n = 16
         y = np.random.default_rng(1).standard_normal(n)
-        out = fbt_lattice(y).coefficients
+        out = dense_transform("lattice", y)
         pair = (n - np.arange(n)) % n
         assert np.abs(out[pair] - out.conj()).max() < 1e-10
 
 
 class TestSobolTransform:
     def test_all_ones(self):
-        out = fbt_sobol(np.ones(16)).coefficients
+        out = fbt_sobol(np.ones(16))
         assert out[0] == 16 and np.abs(out[1:]).max() == 0
 
     def test_two_point(self):
-        out = fbt_sobol(np.array([3.0, 5.0])).coefficients
+        out = fbt_sobol(np.array([3.0, 5.0]))
         assert out.tolist() == [8.0, -2.0]
 
     def test_involution(self):
         rng = np.random.default_rng(7)
         y = rng.standard_normal(16)
-        twice = fbt_sobol(fbt_sobol(y).coefficients).coefficients
+        twice = fbt_sobol(fbt_sobol(y))
         assert np.abs(twice - 16 * y).max() < 1e-12 * np.abs(y).max() * 16
 
     @pytest.mark.parametrize("n", [4, 8, 64])
     def test_matches_dense_oracle(self, n):
         y = np.random.default_rng(n).standard_normal(n)
-        fast = fbt_sobol(y).coefficients
-        dense = dense_transform("sobol", y).coefficients
+        fast = fbt_sobol(y)
+        dense = dense_transform("sobol", y)
         assert np.abs(fast - dense).max() < 1e-11 * np.linalg.norm(y)
 
 
 class TestDoubling:
     def test_repeated_half_cancels(self):
         y = np.random.default_rng(2).standard_normal(8)
-        out = fbt_double(fbt_sobol(y), y).coefficients
+        out = fbt_double(fbt_sobol(y), y, "sobol")
         assert np.abs(out[8:]).max() == 0.0
 
     @pytest.mark.parametrize("kind", ["lattice", "sobol"])
     def test_equals_from_scratch(self, kind):
         rng = np.random.default_rng(5)
         first, second = rng.standard_normal(8), rng.standard_normal(8)
-        doubled = fbt_double(transforms.fbt(first, kind), second).coefficients
-        scratch = transforms.fbt(np.concatenate([first, second]), kind).coefficients
+        doubled = fbt_double(transforms.fbt(first, kind), second, kind)
+        scratch = transforms.fbt(np.concatenate([first, second]), kind)
         assert np.abs(doubled - scratch).max() < 1e-12 * np.abs(scratch).max()
 
     def test_zero_prefix_is_linear(self):
         rng = np.random.default_rng(9)
         second = rng.standard_normal(16)
-        doubled = fbt_double(transforms.fbt(np.zeros(16), "lattice"), second).coefficients
-        scratch = transforms.fbt(np.concatenate([np.zeros(16), second]),
-                                 "lattice").coefficients
+        doubled = fbt_double(transforms.fbt(np.zeros(16), "lattice"), second, "lattice")
+        scratch = transforms.fbt(np.concatenate([np.zeros(16), second]), "lattice")
         assert np.abs(doubled - scratch).max() < 1e-12
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            fbt_double(fbt_sobol(np.ones(8)), np.ones(4))
+            fbt_double(fbt_sobol(np.ones(8)), np.ones(4), "sobol")
+        # the lattice step takes the n/2+1 entries of the first half's transform
+        with pytest.raises(ValueError):
+            fbt_double(fbt_sobol(np.ones(8)), np.ones(8), "lattice")
+        with pytest.raises(ValueError):
+            fbt_double(fbt_lattice(np.ones(8)), np.ones(8), "sobol")
 
     @pytest.mark.parametrize("m", [0, 1, 2, 7, 12, 17])
     def test_lattice_step_equals_from_scratch(self, m):
         # the radix-2 step from 2^m to 2^(m+1) points, past the n = 8 case
         rng = np.random.default_rng(100 + m)
         first, second = rng.standard_normal(1 << m), rng.standard_normal(1 << m)
-        doubled = fbt_double(fbt_lattice(first), second).coefficients
-        scratch = fbt_lattice(np.concatenate([first, second])).coefficients
+        doubled = fbt_double(fbt_lattice(first), second, "lattice")
+        scratch = fbt_lattice(np.concatenate([first, second]))
         assert np.abs(doubled - scratch).max() <= 1e-13 * np.abs(scratch).max()
+
+    @pytest.mark.parametrize("m", range(11))
+    def test_lattice_half_matches_dense_oracle(self, m):
+        # the half transform and the half doubling step against entries
+        # 0..n/2 of the dense V^H y; past n = 2^10 the dense product's own
+        # rounding exceeds the bound, and TestLargeN checks from scratch
+        n = 1 << m
+        y = np.random.default_rng(200 + m).standard_normal(n)
+        ref = dense_transform("lattice", y)[: n // 2 + 1]
+        tol = 8 * np.finfo(float).eps * np.abs(ref).max()
+        assert fbt_lattice(y).shape == (n // 2 + 1,)
+        assert np.abs(fbt_lattice(y) - ref).max() <= tol
+        if m:
+            doubled = fbt_double(fbt_lattice(y[: n // 2]), y[n // 2:], "lattice")
+            assert doubled.shape == (n // 2 + 1,)
+            assert np.abs(doubled - ref).max() <= tol
 
 
 def gather_fbt_lattice(y):
-    # single-gather reference: FFT of the data in bit-reversed order
+    # single-gather reference: real FFT of the data in bit-reversed order
     p = nodes._brev_table(len(y).bit_length() - 1)
-    return np.fft.fft(y[p])
+    return np.fft.rfft(y[p])
 
 
 def full_column_bases(spec, gen, m):
@@ -200,7 +221,23 @@ class TestLargeN:
     @pytest.mark.parametrize("m", [16, 20])
     def test_lattice_matches_gather(self, m):
         y = np.random.default_rng(m).standard_normal(1 << m)
-        assert np.array_equal(fbt_lattice(y).coefficients, gather_fbt_lattice(y))
+        assert np.array_equal(fbt_lattice(y), gather_fbt_lattice(y))
+
+    @pytest.mark.parametrize("m", range(21))
+    def test_lattice_half_matches_from_scratch(self, m):
+        # the half transform against entries 0..n/2 of the whole complex FFT
+        # of the gathered data, and the half doubling step from 2^m to
+        # 2^(m+1) points against the from-scratch half, to 8 ulps of the max
+        n = 1 << m
+        rng = np.random.default_rng(300 + m)
+        y = rng.standard_normal(2 * n)
+        tol = 8 * np.finfo(float).eps
+        whole = np.fft.fft(y[:n][nodes._brev_table(m)])[: n // 2 + 1]
+        assert np.abs(fbt_lattice(y[:n]) - whole).max() <= tol * np.abs(whole).max()
+        scratch = fbt_lattice(y)
+        doubled = fbt_double(fbt_lattice(y[:n]), y[n:], "lattice")
+        assert doubled.shape == scratch.shape == (n + 1,)
+        assert np.abs(doubled - scratch).max() <= tol * np.abs(scratch).max()
 
     @pytest.mark.parametrize("m", [16, 20])
     def test_lattice_even_matches_gather(self, m):
@@ -217,13 +254,13 @@ class TestLargeN:
     @pytest.mark.parametrize("m", [0, 1, 5, 16, 20])
     def test_sobol_matches_copying_butterfly(self, m):
         y = np.random.default_rng(m).standard_normal(1 << m)
-        assert np.array_equal(fbt_sobol(y).coefficients, copying_fbt_sobol(y))
+        assert np.array_equal(fbt_sobol(y), copying_fbt_sobol(y))
 
 
 class TestDenseTransform:
     def test_identity_at_n1(self):
-        assert dense_transform("lattice", np.array([4.2])).coefficients[0] == 4.2
-        assert dense_transform("sobol", np.array([4.2])).coefficients[0] == 4.2
+        assert dense_transform("lattice", np.array([4.2]))[0] == 4.2
+        assert dense_transform("sobol", np.array([4.2]))[0] == 4.2
 
     @pytest.mark.parametrize("n", [4, 8])
     def test_unitary_up_to_n(self, n):
@@ -244,7 +281,9 @@ class TestInvariants:
         for m in (4, 8, 12):
             n = 1 << m
             y = rng.standard_normal(n)
-            out = transforms.fbt(y, kind).coefficients
+            out = transforms.fbt(y, kind)
+            if kind == "lattice":
+                out = mirror_half(out, n)
             lhs = np.abs(out).astype(np.float64) ** 2
             assert lhs.sum() == pytest.approx(n * (y**2).sum(), rel=1e-10)
 
@@ -252,7 +291,7 @@ class TestInvariants:
     def test_first_coefficient_is_sum(self, kind):
         rng = np.random.default_rng(4)
         y = rng.standard_normal(256)
-        out = transforms.fbt(y, kind).coefficients
+        out = transforms.fbt(y, kind)
         assert np.real(out[0]) == pytest.approx(y.sum(), rel=1e-12)
         if np.iscomplexobj(out):
             assert abs(np.imag(out[0])) <= 1e-12 * np.abs(y).sum()
