@@ -192,6 +192,9 @@ def cmd_selftest(args) -> int:
     The fast side is built as the doubling loop builds it for one shared
     eta: the Gram spectrum as a polynomial in eta (on the lattice its
     distinct half 0..n/2), checked against the ring column's transform too.
+    On Sobol' nodes its coefficient spectra are grown from n/2 to n by the
+    new block, as the loop grows them, and must equal the from-scratch
+    spectra bit for bit.
     """
     from . import kernels, nodes, transforms
     from .inference import (column_spectrum, credible_width, data_weights,
@@ -226,6 +229,15 @@ def cmd_selftest(args) -> int:
             y = np.asarray(np.cos(2 * np.pi * pts.points[:, 0]) + pts.points[:, 1])
             bases = kernels.column_bases(spec, gen, m)
             powers = column_spectrum(kernels.elementary_symmetric(bases), family, n)
+            if family == "sobol":
+                half = column_spectrum(kernels.elementary_symmetric(
+                    kernels.column_bases(spec, gen, m - 1)), family, n // 2)
+                block = kernels.sobol_column_bases(spec, gen, m, start=n // 2)
+                grown = transforms.walsh_double(half, column_spectrum(
+                    kernels.elementary_symmetric(block), family, n // 2))
+                check(f"grown-vs-scratch spectra {kernel} n={n}",
+                      np.array_equal(grown, powers))
+                powers = grown
             lams = polynomial_spectrum(powers, eta)
             ring_lams = column_spectrum(kernels.ring_from_bases(spec.eta, bases),
                                         family, n)

@@ -9,13 +9,20 @@ the credible half-width drops to the tolerance.
 
 With one eta shared by every dimension and a fixed kernel order (the default
 configuration), the Gram spectrum is a polynomial in eta: each doubling
-transforms its d coefficient columns once (inference.column_spectrum of
+transforms d coefficient columns once (inference.column_spectrum of
 kernels.elementary_symmetric) and each objective evaluation is one Horner
 pass over them.  Per-dimension eta, a searched order and the grad_descent
-gradient build the ring column and transform it on every call.  On the
-lattice both the data spectrum (the real FFT of real data) and the even
-Gram spectrum stay their halves k = 0..n/2 throughout, and the data weights
-are paired to match once per doubling.
+gradient build the ring column and transform it on every call.
+
+On Sobol' nodes the kernel columns grow as the data do: the column at 2n is
+the column at n followed by the new block's, so each doubling builds the
+bases and e_1..e_d of the new block only, transforms those d rows at length
+n, and joins them to the held spectra by the FWHT's last butterfly stage
+(transforms.walsh_double), bit for bit the from-scratch result.  The lattice
+rebuilds its half columns and their DCT-I at every doubling.  There both the
+data spectrum (the real FFT of real data) and the even Gram spectrum stay
+their halves k = 0..n/2 throughout, and the data weights are paired to match
+once per doubling.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from .inference import (EB, CRITERIA, DegenerateDataError, HyperparameterState,
                         polynomial_spectrum, search_hyperparameters,
                         transformed_data)
 from .nodes import CapacityError, make_lattice, make_sobol
-from .transforms import fbt, fbt_double
+from .transforms import fbt, fbt_double, walsh_double
 
 
 class IntegrandError(ValueError):
@@ -187,7 +194,8 @@ def integrate_fast(f, d: int, config: CubatureConfig) -> CubatureResult:
     poly_label = f"{spec0.family}(r={spec0.order:g})"
 
     y_all = np.empty(0)
-    spectrum = None
+    spectrum = bases = powers = None
+    keep_bases = config.optimizer.method == "grad_descent" or not spec0.shared_eta
     iterations: list[IterationRecord] = []
     err = np.inf
     td: TransformedData | None = None
@@ -210,18 +218,30 @@ def integrate_fast(f, d: int, config: CubatureConfig) -> CubatureResult:
             break
 
         weights = data_weights(spectrum, n)
-        bases = powers = grad_fn = None
-        if not order_searched:
-            bases = kernels.column_bases(spec0, gen, m)
-            if config.optimizer.method == "grad_descent":
-                grad_fn = _make_gradient(spec0, tags, d, bases, weights, n,
-                                         kind, config)
+        # with one eta the spectrum is a polynomial in it: d transforms per
+        # doubling, one Horner pass per evaluation; only per-dimension eta
+        # and the gradient read the bases (a searched order builds its own)
+        if kind == "sobol":
+            # the column at n is the column at n_prev followed by the block
+            # [n_prev, n), and so are e_1..e_d: only the block is built, and
+            # its d transforms extend the held spectra by the FWHT's last stage
+            new_bases = kernels.sobol_column_bases(spec0, gen, m, start=n_prev)
             if spec0.shared_eta:
-                # the spectrum is a polynomial in the one eta: d transforms
-                # now, one Horner pass per evaluation; only the gradient,
-                # which holds its own reference, still reads the bases
+                tail = column_spectrum(kernels.elementary_symmetric(new_bases),
+                                       kind, n - n_prev)
+                powers = tail if powers is None else walsh_double(powers, tail)
+            if keep_bases:
+                bases = (new_bases if bases is None
+                         else np.concatenate([bases, new_bases], axis=1))
+        elif not order_searched:
+            bases = kernels.column_bases(spec0, gen, m)
+            if spec0.shared_eta:
                 powers = column_spectrum(kernels.elementary_symmetric(bases), kind, n)
+            if not keep_bases:
                 bases = None
+        grad_fn = None
+        if bases is not None and config.optimizer.method == "grad_descent":
+            grad_fn = _make_gradient(spec0, tags, d, bases, weights, n, kind, config)
 
         def obj(t):
             state = HyperparameterState(t, tags)

@@ -18,10 +18,12 @@ a polynomial in eta with no constant term,
 
 e_j the j-th elementary symmetric polynomial of the per-dimension bases c_l,
 so the spectrum is sum_j eta^j T(e_j): column_spectrum transforms the d
-coefficient columns once per sample size, and polynomial_spectrum evaluates
-the spectrum at any eta by one Horner pass, with no ring column and no
-transform.  Per-dimension eta and a searched kernel order transform the
-ring column itself on every evaluation.  A lattice spectrum is even
+coefficient columns once per sample size (on Sobol' nodes only the new
+block's, at half length, which transforms.walsh_double joins to the
+previous size's spectra), and polynomial_spectrum evaluates the spectrum at
+any eta by one Horner pass, with no ring column and no transform.
+Per-dimension eta and a searched kernel order transform the ring column
+itself on every evaluation.  A lattice spectrum is even
 (lam_k = lam_{n-k}) and, like the real-FFT data spectrum (y~_{n-k} is the
 conjugate of y~_k), stays its half k = 0..n/2 up to the width: data_weights
 pairs the data once per sample size, TransformedData the eigenvalue sums.
@@ -117,8 +119,11 @@ def column_spectrum(cols: np.ndarray, kind: str, n: int) -> np.ndarray:
         return fbt_lattice_even(cols, n)
     if cols.shape[-1] != n:
         raise ValueError(f"column has length {cols.shape[-1]}, expected {n}")
-    rows = [fbt(row, kind) for row in cols.reshape(-1, n)]
-    return np.stack(rows).reshape(cols.shape)
+    flat = cols.reshape(-1, n)
+    out = np.empty(flat.shape)
+    for row, dst in zip(flat, out):
+        dst[...] = fbt(row, kind)
+    return out.reshape(cols.shape)
 
 
 def polynomial_spectrum(spectra: np.ndarray, eta: float) -> np.ndarray:

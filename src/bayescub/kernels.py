@@ -90,8 +90,15 @@ def bernoulli_poly(order: int, x):
 def walsh_omega1(x):
     """Order-1 Walsh series kernel: 6 * (1/6 - 2^(floor(log2 x) - 1)), = 1 at 0."""
     x = np.asarray(x, dtype=np.float64)
-    mant, expo = np.frexp(x)  # x = mant * 2^expo with mant in [0.5, 1)
-    out = np.where(x > 0, 1.0 - 6.0 * np.exp2(expo - 2.0), 1.0)
+    # x = mant * 2^expo with mant in [0.5, 1); one float buffer throughout
+    out = np.empty_like(x)
+    expo = np.empty(x.shape, dtype=np.int32)
+    np.frexp(x, out=(out, expo))
+    np.subtract(expo, 2.0, out=out)
+    np.exp2(out, out=out)
+    out *= 6.0
+    np.subtract(1.0, out, out=out)
+    out[~(x > 0)] = 1.0
     return out if out.ndim else float(out)
 
 
@@ -224,11 +231,15 @@ def lattice_column_bases(spec: KernelSpec, gen: LatticeGenerator, m: int) -> np.
     return _dim_bases_from_lags(spec, idx.astype(np.float64) / n)
 
 
-def sobol_column_bases(spec: KernelSpec, gen: SobolGenerator, m: int) -> np.ndarray:
-    """(d, n) Walsh base values at the digitwise first-column lags."""
+def sobol_column_bases(spec: KernelSpec, gen: SobolGenerator, m: int,
+                       start: int = 0) -> np.ndarray:
+    """Walsh base values at the digitwise first-column lags of nodes
+    start..2^m, shape (d, 2^m - start): the whole column, or with
+    start = 2^(m-1) the doubling block that extends the column at 2^(m-1)
+    to the column at 2^m (the same values, as the lags are)."""
     if spec.family != "walsh1":
         raise ValueError("Sobol' path requires the walsh1 kernel")
-    lags = sobol_lag_integers(gen, 0, 1 << m).T.astype(np.float64, order="C")
+    lags = sobol_lag_integers(gen, start, 1 << m).T.astype(np.float64, order="C")
     lags *= 2.0**-32
     return walsh_omega1(lags)
 
@@ -237,8 +248,9 @@ def column_bases(spec: KernelSpec, gen, m: int) -> np.ndarray:
     """Per-dimension base values of the first Gram column on gen's nodes.
 
     Lattice: the half column (d, 2^(m-1)+1) in natural grid order; Sobol':
-    the whole column (d, 2^m) in node order.  The ring column is
-    ring_from_bases(spec.eta, column_bases(spec, gen, m)).
+    the whole column (d, 2^m) in node order, whose first 2^(m-1) entries are
+    the column at 2^(m-1) (sobol_column_bases builds the rest alone).  The
+    ring column is ring_from_bases(spec.eta, column_bases(spec, gen, m)).
     """
     if isinstance(gen, LatticeGenerator):
         return lattice_column_bases(spec, gen, m)

@@ -106,6 +106,18 @@ def fbt_sobol(y: np.ndarray) -> np.ndarray:
     return out
 
 
+def walsh_double(prev: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """H_2n applied to [a, b] from prev = H_n a and tail = H_n b, along the
+    last axis: H_2n = [[H_n, H_n], [H_n, -H_n]] gives [prev + tail,
+    prev - tail], the operations of fbt_sobol's last butterfly stage, so the
+    result equals the from-scratch transform bit for bit."""
+    n = prev.shape[-1]
+    out = np.empty(prev.shape[:-1] + (2 * n,))
+    np.add(prev, tail, out=out[..., :n])
+    np.subtract(prev, tail, out=out[..., n:])
+    return out
+
+
 def fbt(y: np.ndarray, kind: str) -> np.ndarray:
     if kind == "lattice":
         return fbt_lattice(y)
@@ -124,7 +136,7 @@ def fbt_double(prev: np.ndarray, new_y: np.ndarray, kind: str) -> np.ndarray:
         raise ValueError(f"transform of shape {prev.shape} does not match "
                          f"{len(new_y)} new values")
     if kind == "sobol":
-        return np.concatenate([prev + tail, prev - tail])
+        return walsh_double(prev, tail)
     # radix-2 decimation in time on halves: the 2n-point bit reversal puts
     # the old data at even grid positions (E = prev) and the new at odd (O);
     # X_k = E_k + w_k O_k for k <= n/2, X_{n-j} = conj(E_j - w_j O_j) for j < n/2

@@ -390,6 +390,28 @@ class TestEigenvalueRouting:
         assert self.evaluations(res) > gradients["n"]
 
 
+    @pytest.mark.parametrize("eta_mode, method", [("shared", "nelder_mead"),
+                                                  ("per_dimension", "nelder_mead"),
+                                                  ("shared", "grad_descent")])
+    def test_sobol_builds_each_column_once(self, monkeypatch, eta_mode, method):
+        # each doubling builds the Walsh bases of its new block only
+        built = {"cols": 0}
+        real = kernels.sobol_column_bases
+
+        def bases(*args, **kwargs):
+            out = real(*args, **kwargs)
+            built["cols"] += out.shape[1]
+            return out
+
+        monkeypatch.setattr(kernels, "sobol_column_bases", bases)
+        cfg = CubatureConfig(family="sobol", epsilon=1e-9, n0=128, n_max=2**11,
+                             seed=5, eta_mode=eta_mode,
+                             optimizer=OptimizerSettings(method=method))
+        res = integrate_fast(self.f, 3, cfg)
+        assert len(res.iterations) == 5
+        assert built["cols"] == res.n_used == 2**11
+
+
 class TestWidthPrecision:
     """The shared-eta width of a smooth lattice kernel at large n, where the
     smallest Gram eigenvalues sit near round-off of the largest."""

@@ -256,6 +256,43 @@ class TestLargeN:
         y = np.random.default_rng(m).standard_normal(1 << m)
         assert np.array_equal(fbt_sobol(y), copying_fbt_sobol(y))
 
+    @pytest.mark.parametrize("scramble", [False, True])
+    @pytest.mark.parametrize("d", [4, 13])
+    def test_sobol_bases_grow_by_the_doubling_block(self, d, scramble):
+        # the bases at 2^m are those at 2^(m-1) followed by the new block's
+        gen = nodes.make_sobol(d, 17, scramble=scramble)
+        spec = KernelSpec("walsh1", 1.0, np.ones(d))
+        grown = kernels.column_bases(spec, gen, 0)
+        for m in range(1, 21):
+            block = kernels.sobol_column_bases(spec, gen, m, start=1 << (m - 1))
+            grown = np.concatenate([grown, block], axis=1)
+            del block
+            assert np.array_equal(grown, kernels.column_bases(spec, gen, m)), m
+
+    @pytest.mark.parametrize("scramble", [False, True])
+    @pytest.mark.parametrize("d", [4, 13])
+    def test_sobol_spectra_grow_by_the_doubling_step(self, d, scramble):
+        # the shared-eta spectra at 2^m from those at 2^(m-1) and the new
+        # block's d transforms, as the loop grows them
+        gen = nodes.make_sobol(d, 17, scramble=scramble)
+        spec = KernelSpec("walsh1", 1.0, np.ones(d))
+
+        def spectra(bases):
+            return column_spectrum(kernels.elementary_symmetric(bases), "sobol",
+                                   bases.shape[1])
+
+        grown = spectra(kernels.column_bases(spec, gen, 0))
+        for m in range(1, 21):
+            grown = transforms.walsh_double(grown, spectra(
+                kernels.sobol_column_bases(spec, gen, m, start=1 << (m - 1))))
+            assert np.array_equal(grown, spectra(kernels.column_bases(spec, gen, m))), m
+
+    def test_sobol_bases_block_must_be_a_doubling_block(self):
+        gen = nodes.make_sobol(2, 17)
+        spec = KernelSpec("walsh1", 1.0, np.ones(2))
+        with pytest.raises(ValueError):
+            kernels.sobol_column_bases(spec, gen, 3, start=2)
+
 
 class TestDenseTransform:
     def test_identity_at_n1(self):
