@@ -7,12 +7,14 @@ running data transform is extended by the doubling update, the shape
 parameters are re-optimized from a warm start, and sampling stops as soon as
 the credible half-width drops to the tolerance.
 
-With one eta shared by every dimension and a fixed kernel order (the default
-configuration), the Gram spectrum is a polynomial in eta: each doubling
-transforms d coefficient columns once (inference.column_spectrum of
-kernels.elementary_symmetric) and each objective evaluation is one Horner
-pass over them.  Per-dimension eta, a searched order and the grad_descent
-gradient build the ring column and transform it on every call.
+The search runs on plain coordinates, which this module alone maps to a
+kernel.  With one eta shared by every dimension and a fixed kernel order (the
+default), the Gram spectrum is a polynomial in eta: each doubling transforms
+d coefficient columns once (inference.column_spectrum of
+kernels.elementary_symmetric), the loop holds only those spectra, and an
+objective evaluation is one Horner pass over them, a gradient one more.
+Per-dimension eta holds the bases and builds the ring column and its
+transform on every call; a searched order builds its bases too.
 
 On Sobol' nodes the kernel columns grow as the data do: the column at 2n is
 the column at n followed by the new block's, so each doubling builds the
@@ -28,17 +30,17 @@ once per doubling.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import kernels, problems
-from .inference import (EB, CRITERIA, DegenerateDataError, HyperparameterState,
+from .inference import (EB, CRITERIA, SEARCH_METHODS, DegenerateDataError,
                         NonFiniteStartError, TransformedData, column_spectrum,
                         credible_width, data_weights, dense_eb_objective,
                         dense_posterior, objective, objective_gradient,
-                        polynomial_spectrum, search_hyperparameters,
-                        transformed_data)
+                        polynomial_derivative, polynomial_spectrum,
+                        search_hyperparameters, transformed_data)
 from .nodes import CapacityError, make_lattice, make_sobol
 from .transforms import fbt, fbt_double, walsh_double
 
@@ -86,6 +88,13 @@ class CubatureConfig:
             raise ValueError("n0 must not exceed n_max")
         if self.eta_mode not in ("shared", "per_dimension"):
             raise ValueError(f"unknown eta_mode {self.eta_mode!r}")
+        opt = self.optimizer
+        if opt.method not in SEARCH_METHODS:
+            raise ValueError(f"unknown optimizer method {opt.method!r}")
+        if opt.search_order and self.kernel not in _ORDER_MAPS:
+            raise ValueError(f"kernel {self.kernel!r} has no continuous order to search")
+        if opt.search_order and opt.method == "grad_descent":
+            raise ValueError("grad_descent has no gradient in the kernel order")
 
 
 @dataclass(frozen=True)
@@ -135,6 +144,30 @@ def _default_kernel(config: CubatureConfig, d: int) -> kernels.KernelSpec:
                               shared_eta=config.eta_mode == "shared")
 
 
+# The search coordinates t are log eta, one entry shared by every dimension
+# or one per dimension, led for a searched order by a coordinate of its own.
+# Orders that can be searched, as (order from t, t from order):
+_ORDER_MAPS = {
+    "truncated_series": (lambda t: 1.0 + np.exp(t), lambda r: np.log(r - 1.0)),
+    "exp_decay": (lambda t: 1.0 / (1.0 + np.exp(t)), lambda q: np.log(1.0 / q - 1.0)),
+}
+_LOG_ETA_MIN, _LOG_ETA_MAX = np.log(kernels.ETA_MIN), np.log(kernels.ETA_MAX)
+
+
+def _eta_from_log(t: np.ndarray) -> np.ndarray:
+    # clip twice: exp(log(bound)) can round past the bound
+    return np.clip(np.exp(np.clip(t, _LOG_ETA_MIN, _LOG_ETA_MAX)),
+                   kernels.ETA_MIN, kernels.ETA_MAX)
+
+
+def _kernel_at(spec0: kernels.KernelSpec, t: np.ndarray,
+               search_order: bool) -> kernels.KernelSpec:
+    order = spec0.order
+    if search_order:
+        order, t = float(_ORDER_MAPS[spec0.family][0](t[0])), t[1:]
+    return replace(spec0, order=order, eta=np.broadcast_to(_eta_from_log(t), spec0.d))
+
+
 def _check_finite(y: np.ndarray, start: int) -> None:
     bad = ~np.isfinite(y)
     if bad.any():
@@ -144,31 +177,6 @@ def _check_finite(y: np.ndarray, start: int) -> None:
 
 def _is_degenerate(y: np.ndarray) -> bool:
     return float(np.ptp(y)) <= 1e-14 * max(1.0, float(np.abs(y).max()))
-
-
-def _search_tags(spec: kernels.KernelSpec, config: CubatureConfig, d: int) -> tuple[str, ...]:
-    tags: list[str] = []
-    if config.optimizer.search_order:
-        if spec.family == "truncated_series":
-            tags.append("order_r")
-        elif spec.family == "exp_decay":
-            tags.append("order_q")
-    tags.extend(["eta"] * (1 if config.eta_mode == "shared" else d))
-    return tuple(tags)
-
-
-def _spec_from_state(spec0: kernels.KernelSpec, state: HyperparameterState,
-                     d: int) -> kernels.KernelSpec:
-    vals = state.constrained()
-    spec = spec0
-    i = 0
-    if state.tags and state.tags[0] in ("order_r", "order_q"):
-        spec = spec.with_order(float(vals[0]))
-        i = 1
-    eta = vals[i:]
-    if eta.shape[0] == 1:
-        eta = np.full(d, eta[0])
-    return spec.with_eta(eta)
 
 
 def integrate_fast(f, d: int, config: CubatureConfig) -> CubatureResult:
@@ -185,17 +193,14 @@ def integrate_fast(f, d: int, config: CubatureConfig) -> CubatureResult:
     kind = config.family
     f_eval = problems.periodize(f, config.periodizer)
     spec0 = _default_kernel(config, d)
-    tags = _search_tags(spec0, config, d)
-    order_searched = bool(tags and tags[0] != "eta")
-    start = HyperparameterState.from_constrained(
-        ([spec0.order] if order_searched else []) + [1.0] * (len(tags) - order_searched),
-        tags)
+    search_order = config.optimizer.search_order
+    start = np.zeros(1 if spec0.shared_eta else d)  # eta = 1
+    if search_order:
+        start = np.r_[_ORDER_MAPS[spec0.family][1](spec0.order), start]
     warm = start
-    poly_label = f"{spec0.family}(r={spec0.order:g})"
 
     y_all = np.empty(0)
     spectrum = bases = powers = None
-    keep_bases = config.optimizer.method == "grad_descent" or not spec0.shared_eta
     iterations: list[IterationRecord] = []
     err = np.inf
     td: TransformedData | None = None
@@ -218,9 +223,8 @@ def integrate_fast(f, d: int, config: CubatureConfig) -> CubatureResult:
             break
 
         weights = data_weights(spectrum, n)
-        # with one eta the spectrum is a polynomial in it: d transforms per
-        # doubling, one Horner pass per evaluation; only per-dimension eta
-        # and the gradient read the bases (a searched order builds its own)
+        # shared eta holds the spectra of e_1..e_d, per-dimension eta the
+        # bases; a searched order builds its bases per evaluation
         if kind == "sobol":
             # the column at n is the column at n_prev followed by the block
             # [n_prev, n), and so are e_1..e_d: only the block is built, and
@@ -230,49 +234,59 @@ def integrate_fast(f, d: int, config: CubatureConfig) -> CubatureResult:
                 tail = column_spectrum(kernels.elementary_symmetric(new_bases),
                                        kind, n - n_prev)
                 powers = tail if powers is None else walsh_double(powers, tail)
-            if keep_bases:
+            else:
                 bases = (new_bases if bases is None
                          else np.concatenate([bases, new_bases], axis=1))
-        elif not order_searched:
+        elif not search_order:
             bases = kernels.column_bases(spec0, gen, m)
             if spec0.shared_eta:
                 powers = column_spectrum(kernels.elementary_symmetric(bases), kind, n)
-            if not keep_bases:
                 bases = None
-        grad_fn = None
-        if bases is not None and config.optimizer.method == "grad_descent":
-            grad_fn = _make_gradient(spec0, tags, d, bases, weights, n, kind, config)
 
         def obj(t):
-            state = HyperparameterState(t, tags)
             if powers is not None:
-                lams = polynomial_spectrum(powers, state.constrained()[0])
-                label = poly_label
-            else:
-                spec = _spec_from_state(spec0, state, d)
-                b = bases if bases is not None else kernels.column_bases(spec, gen, m)
-                lams = column_spectrum(kernels.ring_from_bases(spec.eta, b), kind, n)
-                label = f"{spec.family}(r={spec.order:g})"
-            data = transformed_data(weights, lams, n, spec_label=label)
+                lams = polynomial_spectrum(powers, _eta_from_log(t)[0])
+            elif bases is not None:
+                lams = column_spectrum(kernels.ring_from_bases(_eta_from_log(t), bases),
+                                       kind, n)
+            else:  # a searched order: its bases change with it
+                spec = _kernel_at(spec0, t, search_order)
+                col = kernels.ring_from_bases(spec.eta, kernels.column_bases(spec, gen, m))
+                lams = column_spectrum(col, kind, n)
+            data = transformed_data(weights, lams, n)
             try:
                 return objective(config.criterion, data), data
             except DegenerateDataError:
                 return np.inf, data
 
+        def gradient(t):  # grad_descent, which runs with a fixed order only
+            eta = _eta_from_log(t)
+            if powers is not None:
+                # d lam/dt = sum_j j eta^j S_j: one more Horner pass
+                data = transformed_data(weights, polynomial_spectrum(powers, eta[0]), n)
+                return objective_gradient(data, config.criterion,
+                                          polynomial_derivative(powers, eta[0]))
+            col = kernels.ring_from_bases(eta, bases)
+            data = transformed_data(weights, column_spectrum(col, kind, n), n)
+            jac = kernels.column_eta_jacobian(spec0.with_eta(eta), bases, col)
+            # chain rule through eta = exp(t)
+            return objective_gradient(data, config.criterion,
+                                      column_spectrum(jac, kind, n)) * eta
+
         search = dict(method=config.optimizer.method, budget=budget,
-                      step=config.optimizer.step, gradient_fn=grad_fn)
+                      step=config.optimizer.step, gradient_fn=gradient)
         reseeded = False
         try:
             res = search_hyperparameters(obj, warm, **search)
         except NonFiniteStartError:
-            if np.array_equal(warm.t, start.t):
+            if np.array_equal(warm, start):
                 raise
             res = search_hyperparameters(obj, start, **search)
             reseeded = True
-        warm = res.state
+        warm = res.t
         budget = config.optimizer.budget_later
         td = res.payload
-        spec_best = _spec_from_state(spec0, res.state, d)
+        spec_best = _kernel_at(spec0, res.t, search_order)
         err = credible_width(config.criterion, td)
         # a re-seeded search also spent one evaluation at the failed warm start
         bound_hit = bool(np.isin(spec_best.eta, (kernels.ETA_MIN, kernels.ETA_MAX)).any())
@@ -290,22 +304,6 @@ def integrate_fast(f, d: int, config: CubatureConfig) -> CubatureResult:
                           tolerance_met=bool(err <= config.epsilon),
                           iterations=iterations, seed=config.seed,
                           seconds=time.perf_counter() - t_start, final_state=td)
-
-
-def _make_gradient(spec0, tags, d, bases, weights, n, kind, config):
-    def gradient(t):
-        state = HyperparameterState(t, tags)
-        spec = _spec_from_state(spec0, state, d)
-        col = kernels.ring_from_bases(spec.eta, bases)
-        data = transformed_data(weights, column_spectrum(col, kind, n), n)
-        jac = kernels.column_eta_jacobian(spec, bases, col)
-        dlam = column_spectrum(jac, kind, n)
-        g_eta = objective_gradient(data, config.criterion, dlam)
-        # chain rule through eta = exp(t)
-        eta = spec.eta if len(g_eta) > 1 else spec.eta[:1]
-        return g_eta * eta
-
-    return gradient
 
 
 # ---------------------------------------------------------------------------

@@ -21,12 +21,16 @@ so the spectrum is sum_j eta^j T(e_j): column_spectrum transforms the d
 coefficient columns once per sample size (on Sobol' nodes only the new
 block's, at half length, which transforms.walsh_double joins to the
 previous size's spectra), and polynomial_spectrum evaluates the spectrum at
-any eta by one Horner pass, with no ring column and no transform.
+any eta by one Horner pass, with no ring column and no transform;
+polynomial_derivative gives its derivative in log eta by one more.
 Per-dimension eta and a searched kernel order transform the ring column
 itself on every evaluation.  A lattice spectrum is even
 (lam_k = lam_{n-k}) and, like the real-FFT data spectrum (y~_{n-k} is the
 conjugate of y~_k), stays its half k = 0..n/2 up to the width: data_weights
 pairs the data once per sample size, TransformedData the eigenvalue sums.
+
+search_hyperparameters minimizes over a plain float vector; cubature maps it
+to a kernel.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.optimize import minimize
 from scipy.special import stdtrit
 
-from .kernels import ETA_MAX, ETA_MIN
 from .transforms import fbt, fbt_lattice_even
 
 EB, FULL, GCV = "eb", "full", "gcv"
@@ -136,8 +139,17 @@ def polynomial_spectrum(spectra: np.ndarray, eta: float) -> np.ndarray:
     return out
 
 
-def transformed_data(weights: np.ndarray, lams: np.ndarray, n: int,
-                     spec_label: str = "kernel") -> TransformedData:
+def polynomial_derivative(spectra: np.ndarray, eta: float) -> np.ndarray:
+    """Derivative of polynomial_spectrum in t = log eta,
+    sum_j j eta^j spectra[j-1], by one more Horner pass."""
+    out = spectra[-1] * (len(spectra) * eta)
+    for j in range(len(spectra) - 1, 0, -1):
+        out += j * spectra[j - 1]
+        out *= eta
+    return out
+
+
+def transformed_data(weights: np.ndarray, lams: np.ndarray, n: int) -> TransformedData:
     """Data weights plus the clamped Gram eigenvalues, from the length-n ring
     spectrum or an even one's half 0..n/2 (column_spectrum of a ring column,
     or polynomial_spectrum), laid out like the weights.  Only lam_1 differs
@@ -151,8 +163,7 @@ def transformed_data(weights: np.ndarray, lams: np.ndarray, n: int,
     if low <= 0:
         floor = -CLAMP_NEG * n
         if low < floor:
-            raise NonPositiveDefiniteError(
-                f"{spec_label}: eigenvalue {low:.3e} below round-off floor {floor:.3e}")
+            raise NonPositiveDefiniteError(f"eigenvalue {low:.3e} below round-off floor {floor:.3e}")
         clamp = lams <= 0
         lams = np.where(clamp, CLAMP_SUB * n, lams)
     td = TransformedData(weights=weights, lam_ring1=float(lams[0]),
@@ -362,72 +373,32 @@ def dense_eb_objective(y: np.ndarray, gram: np.ndarray) -> float:
 # Hyperparameter search over unconstrained coordinates
 # ---------------------------------------------------------------------------
 
-_LOG_ETA_MIN, _LOG_ETA_MAX = np.log(ETA_MIN), np.log(ETA_MAX)
-
-
-@dataclass(frozen=True)
-class HyperparameterState:
-    """Unconstrained coordinates plus the map tag for each component."""
-
-    t: np.ndarray
-    tags: tuple[str, ...]  # "eta" | "order_r" | "order_q"
-
-    def __post_init__(self):
-        t = np.asarray(self.t, dtype=np.float64)
-        if t.shape != (len(self.tags),):
-            raise ValueError("coordinate/tag length mismatch")
-        object.__setattr__(self, "t", t)
-
-    def constrained(self) -> np.ndarray:
-        # every entry through the eta map in one vectorized call, then the
-        # order entries replaced; clip twice: exp(log(bound)) can round past
-        # the bound
-        out = np.clip(np.exp(np.clip(self.t, _LOG_ETA_MIN, _LOG_ETA_MAX)),
-                      ETA_MIN, ETA_MAX)
-        for i, tag in enumerate(self.tags):
-            if tag == "eta":
-                continue
-            if tag == "order_r":
-                out[i] = 1.0 + np.exp(self.t[i])
-            elif tag == "order_q":
-                out[i] = 1.0 / (1.0 + np.exp(self.t[i]))
-            else:
-                raise ValueError(f"unknown tag {tag!r}")
-        return out
-
-    @staticmethod
-    def from_constrained(values, tags) -> "HyperparameterState":
-        t = np.empty(len(tags))
-        for i, (v, tag) in enumerate(zip(values, tags)):
-            if tag == "eta":
-                t[i] = np.log(v)
-            elif tag == "order_r":
-                t[i] = np.log(v - 1.0)
-            elif tag == "order_q":
-                t[i] = np.log(1.0 / v - 1.0)
-            else:
-                raise ValueError(f"unknown tag {tag!r}")
-        return HyperparameterState(t=t, tags=tuple(tags))
+SEARCH_METHODS = ("nelder_mead", "grad_descent")
 
 
 @dataclass
 class SearchResult:
-    state: HyperparameterState
-    value: float
+    t: np.ndarray           # best coordinates seen
     evaluations: int
     payload: object = None  # best-seen auxiliary data from the objective
 
 
-def search_hyperparameters(objective_fn, init: HyperparameterState,
+def search_hyperparameters(objective_fn, t0: np.ndarray,
                            method: str = "nelder_mead", budget: int = 100,
                            step: float = 0.25, gradient_fn=None) -> SearchResult:
-    """Minimize over unconstrained coordinates; returns the best state seen.
+    """Minimize objective_fn over a float vector from t0; returns the best
+    point seen.  What the coordinates mean is the caller's business.
 
-    objective_fn(t_vector) -> (value, payload).  Non-finite values during the
-    search are treated as rejected steps; a non-finite value at the initial
-    point raises NonFiniteStartError.
+    objective_fn(t) -> (value, payload); gradient_fn(t) -> the value's
+    gradient in t, needed by grad_descent.  Non-finite values during the
+    search are treated as rejected steps; a non-finite value at t0 raises
+    NonFiniteStartError.
     """
-    best = {"val": np.inf, "t": init.t.copy(), "payload": None, "count": 0}
+    if method not in SEARCH_METHODS:
+        raise ValueError(f"unknown search method {method!r}")
+    if method == "grad_descent" and gradient_fn is None:
+        raise ValueError("grad_descent needs a gradient function")
+    best = {"val": np.inf, "t": t0.copy(), "payload": None, "count": 0}
 
     def wrapped(t):
         best["count"] += 1
@@ -439,24 +410,17 @@ def search_hyperparameters(objective_fn, init: HyperparameterState,
             best.update(val=val, t=np.asarray(t, dtype=np.float64).copy(), payload=payload)
         return val if np.isfinite(val) else np.inf
 
-    v0 = wrapped(init.t)
+    v0 = wrapped(t0)
     if not np.isfinite(v0):
         raise NonFiniteStartError("objective not finite at the initial hyperparameters")
 
     if budget > 1 and method == "nelder_mead":
-        minimize(wrapped, init.t, method="Nelder-Mead",
+        minimize(wrapped, t0, method="Nelder-Mead",
                  options={"maxfev": budget - 1, "xatol": 1e-4, "fatol": 1e-7,
-                          "initial_simplex": _initial_simplex(init.t, step)})
-    elif budget > 1 and method == "grad_descent":
-        if gradient_fn is None:
-            raise ValueError("grad_descent needs a gradient function")
-        _gradient_descent(wrapped, gradient_fn, init.t, v0, budget, step)
-    elif method not in ("nelder_mead", "grad_descent"):
-        raise ValueError(f"unknown search method {method!r}")
-
-    return SearchResult(state=HyperparameterState(best["t"], init.tags),
-                        value=best["val"], evaluations=best["count"],
-                        payload=best["payload"])
+                          "initial_simplex": _initial_simplex(t0, step)})
+    elif budget > 1:
+        _gradient_descent(wrapped, gradient_fn, t0, v0, budget, step)
+    return SearchResult(t=best["t"], evaluations=best["count"], payload=best["payload"])
 
 
 def _initial_simplex(t0: np.ndarray, step: float) -> np.ndarray:

@@ -72,9 +72,6 @@ class KernelSpec:
         return KernelSpec(self.family, self.order, np.asarray(eta, dtype=np.float64),
                           self.shared_eta)
 
-    def with_order(self, order: float) -> "KernelSpec":
-        return KernelSpec(self.family, order, self.eta, self.shared_eta)
-
 
 def bernoulli_poly(order: int, x):
     """B_2 and B_4 in closed form; other orders route to truncated_series."""

@@ -210,6 +210,18 @@ class TestFastLoop:
             CubatureConfig(n0=2**10, n_max=2**8)
         with pytest.raises(ValueError):
             CubatureConfig(family="halton")
+        # bad optimizer settings are refused before any point is generated
+        with pytest.raises(ValueError, match="unknown optimizer method"):
+            CubatureConfig(optimizer=OptimizerSettings(method="bfgs"))
+        for kernel in ("truncated_series", "exp_decay"):
+            with pytest.raises(ValueError, match="no gradient in the kernel order"):
+                CubatureConfig(kernel=kernel, optimizer=OptimizerSettings(
+                    method="grad_descent", search_order=True))
+        for family, kernel in (("lattice", "bernoulli"), ("sobol", "walsh1"),
+                               ("lattice", None), ("sobol", None)):
+            with pytest.raises(ValueError, match="no continuous order"):
+                CubatureConfig(family=family, kernel=kernel,
+                               optimizer=OptimizerSettings(search_order=True))
 
 
 class TestIterationRecords:
@@ -225,9 +237,9 @@ class TestIterationRecords:
             try:
                 res = real(objective_fn, init, **kwargs)
             except NonFiniteStartError:
-                calls.append((init.t.copy(), None))
+                calls.append((init.copy(), None))
                 raise
-            calls.append((init.t.copy(), res))
+            calls.append((init.copy(), res))
             return res
 
         monkeypatch.setattr(cubature, "search_hyperparameters", search)
@@ -322,9 +334,9 @@ class TestIterationRecords:
 
 
 class TestEigenvalueRouting:
-    """Shared eta with a fixed order evaluates the Gram spectrum as a
-    polynomial in eta; per-dimension eta, order search and the grad_descent
-    gradient build the ring column on every call."""
+    """Shared eta with a fixed order evaluates the Gram spectrum and the
+    grad_descent gradient as polynomials in eta; per-dimension eta and order
+    search build the ring column on every call."""
 
     @staticmethod
     def counting_ring(monkeypatch):
@@ -344,10 +356,12 @@ class TestEigenvalueRouting:
 
     f = staticmethod(lambda x: np.exp(x.sum(axis=1)))
 
+    @pytest.mark.parametrize("method", ["nelder_mead", "grad_descent"])
     @pytest.mark.parametrize("family", ["lattice", "sobol"])
-    def test_shared_eta_never_builds_the_ring(self, monkeypatch, family):
+    def test_shared_eta_never_builds_the_ring(self, monkeypatch, family, method):
         calls = self.counting_ring(monkeypatch)
-        cfg = CubatureConfig(family=family, epsilon=1e-9, n0=128, n_max=2**11, seed=5)
+        cfg = CubatureConfig(family=family, epsilon=1e-9, n0=128, n_max=2**11, seed=5,
+                             optimizer=OptimizerSettings(method=method))
         res = integrate_fast(self.f, 3, cfg)
         assert self.evaluations(res) > 20 and calls["n"] == 0
 
@@ -366,29 +380,6 @@ class TestEigenvalueRouting:
                              optimizer=OptimizerSettings(search_order=True))
         res = integrate_fast(self.f, 3, cfg)
         assert calls["n"] == self.evaluations(res) > 0
-
-    def test_grad_descent_gradient_builds_it(self, monkeypatch):
-        calls = self.counting_ring(monkeypatch)
-        gradients = {"n": 0}
-        real = cubature._make_gradient
-
-        def make_gradient(*args):
-            gradient = real(*args)
-
-            def counted(t):
-                gradients["n"] += 1
-                return gradient(t)
-
-            return counted
-
-        monkeypatch.setattr(cubature, "_make_gradient", make_gradient)
-        cfg = CubatureConfig(epsilon=1e-9, n0=128, n_max=2**10, seed=5,
-                             optimizer=OptimizerSettings(method="grad_descent"))
-        res = integrate_fast(self.f, 3, cfg)
-        # the objective itself takes the polynomial path
-        assert calls["n"] == gradients["n"] > 0
-        assert self.evaluations(res) > gradients["n"]
-
 
     @pytest.mark.parametrize("eta_mode, method", [("shared", "nelder_mead"),
                                                   ("per_dimension", "nelder_mead"),

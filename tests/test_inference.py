@@ -4,16 +4,15 @@ search, and the cancellation-safety of the eigenvalue pipeline."""
 import numpy as np
 import pytest
 
-from bayescub import kernels, nodes, transforms
+from bayescub import cubature, kernels, nodes, transforms
 from bayescub.inference import (EB, FULL, GCV, DegenerateDataError,
-                                HyperparameterState, NonFiniteStartError,
-                                NonPositiveDefiniteError, TransformedData,
-                                column_spectrum, credible_width, data_weights,
-                                dense_eb_objective, dense_posterior,
+                                NonFiniteStartError, NonPositiveDefiniteError,
+                                TransformedData, column_spectrum, credible_width,
+                                data_weights, dense_eb_objective, dense_posterior,
                                 objective, objective_eb, objective_gcv,
-                                objective_gradient, polynomial_spectrum,
-                                search_hyperparameters, student_t_quantile,
-                                transformed_data)
+                                objective_gradient, polynomial_derivative,
+                                polynomial_spectrum, search_hyperparameters,
+                                student_t_quantile, transformed_data)
 from bayescub.kernels import KernelSpec
 from oracles import gram_eigenvalues, mirror_half
 
@@ -205,8 +204,7 @@ class TestEtaPolynomial:
                                                    kind, n), 1.0)
         for lams in (ring, poly):
             with pytest.raises(NonPositiveDefiniteError, match="below round-off floor"):
-                transformed_data(data_weights(np.ones(lams.shape[0]), n), lams, n,
-                                 "designed")
+                transformed_data(data_weights(np.ones(lams.shape[0]), n), lams, n)
 
 
 def zeta_reference_width(eta: float, m: int, y: np.ndarray, dps: int = 50):
@@ -362,7 +360,15 @@ class TestObjectiveGradient:
         bases = kernels.column_bases(spec, gen, m)
         jac = kernels.column_eta_jacobian(spec, bases, col)
         dlam = np.vstack([column_spectrum(row, family, 1 << m) for row in jac])
-        grad = objective_gradient(td, kind, dlam)
+        grads = [objective_gradient(td, kind, dlam)]
+        if shared:
+            # the loop's path: the Horner derivative in t = log eta over the
+            # spectra of e_1..e_d, divided by eta for the derivative in eta
+            spectra = column_spectrum(kernels.elementary_symmetric(bases), family, 1 << m)
+            td_poly = transformed_data(td.weights, polynomial_spectrum(spectra, eta),
+                                       1 << m)
+            grads.append(objective_gradient(
+                td_poly, kind, polynomial_derivative(spectra, eta)) / eta)
 
         def loss_at(eta_vec):
             c = kernels.ring_from_bases(eta_vec, bases)
@@ -383,7 +389,7 @@ class TestObjectiveGradient:
                 up[ell] += h
                 dn[ell] -= h
                 num[ell] = (loss_at(up) - loss_at(dn)) / (2 * h)
-        return grad, num
+        return grads, num
 
     @pytest.mark.parametrize("kind", [EB, GCV])
     def test_matches_central_difference(self, kind):
@@ -396,10 +402,12 @@ class TestObjectiveGradient:
             order = 1 if kernel == "walsh1" else (1, 2)[i % 2]
             d = int(rng.integers(1, 4))
             shared = bool(i % 2)
-            grad, num = self.analytic_and_numeric(kind, family, kernel, order,
-                                                  5, d, shared, seed=i)
-            tol = 1e-5 * np.maximum(np.abs(grad), np.abs(num)) + 1e-7
-            assert (np.abs(grad - num) <= tol).all(), (kind, i, grad, num)
+            grads, num = self.analytic_and_numeric(kind, family, kernel, order,
+                                                   5, d, shared, seed=i)
+            assert len(grads) == 1 + shared
+            for grad in grads:
+                tol = 1e-5 * np.maximum(np.abs(grad), np.abs(num)) + 1e-7
+                assert (np.abs(grad - num) <= tol).all(), (kind, i, grad, num)
 
     def test_zero_derivative_gives_zero_gradient(self):
         _, _, _, _, _, td = make_matched_td("lattice", "bernoulli", 1, 1.0, 4, 2)
@@ -520,28 +528,35 @@ class TestHyperparameterSearch:
         t = rng.uniform(-25.0, 25.0, size=20_000)
         t[:4] = np.log(1e-8), np.log(1e8), -100.0, 100.0
         expect = np.array([per_scalar_eta(v) for v in t])
-        whole = HyperparameterState(t, ("eta",) * t.size).constrained()
+        whole = cubature._eta_from_log(t)
         assert np.array_equal(whole, expect)
         for lo in range(0, t.size, 2):  # the two-entry per-dimension case
-            pair = HyperparameterState(t[lo:lo + 2], ("eta", "eta")).constrained()
-            assert np.array_equal(pair, expect[lo:lo + 2])
+            assert np.array_equal(cubature._eta_from_log(t[lo:lo + 2]), expect[lo:lo + 2])
         assert whole[1] == 1e8 and whole[3] == 1e8
         assert whole[0] == 1e-8 and whole[2] == 1e-8
 
     def test_eta_map_leaves_order_entries_to_their_maps(self):
-        t = np.array([0.4, 100.0, -0.3, -100.0])
-        out = HyperparameterState(t, ("order_r", "eta", "order_q", "eta")).constrained()
-        assert out[0] == 1.0 + np.exp(0.4)
-        assert out[2] == 1.0 / (1.0 + np.exp(-0.3))
-        assert out[1] == 1e8 and out[3] == 1e-8
-        with pytest.raises(ValueError, match="unknown tag"):
-            HyperparameterState(t[:2], ("eta", "theta")).constrained()
+        # a searched order leads the coordinates; log eta follows, per dimension
+        t = np.array([0.4, 100.0, -100.0])
+        r = KernelSpec("truncated_series", 2.0, np.ones(2), shared_eta=False)
+        spec = cubature._kernel_at(r, t, search_order=True)
+        assert spec.order == 1.0 + np.exp(0.4)
+        assert spec.eta.tolist() == [1e8, 1e-8]
+        q = KernelSpec("exp_decay", 0.5, np.ones(3))  # one shared log eta
+        spec = cubature._kernel_at(q, np.array([-0.3, 100.0]), search_order=True)
+        assert spec.order == 1.0 / (1.0 + np.exp(-0.3))
+        assert spec.eta.tolist() == [1e8] * 3
+        spec = cubature._kernel_at(q, np.array([-0.3]), search_order=False)
+        assert spec.order == 0.5 and spec.eta.tolist() == [np.exp(-0.3)] * 3
 
     def test_map_round_trip(self):
-        state = HyperparameterState.from_constrained([2.5, 1.75, 0.3],
-                                                     ("eta", "order_r", "order_q"))
-        back = state.constrained()
-        assert np.abs(back - [2.5, 1.75, 0.3]).max() < 1e-12
+        for family, order in (("truncated_series", 1.75), ("exp_decay", 0.3)):
+            to_t = cubature._ORDER_MAPS[family][1]
+            spec0 = KernelSpec(family, order, np.ones(2))
+            spec = cubature._kernel_at(spec0, np.array([to_t(order), np.log(2.5)]),
+                                       search_order=True)
+            assert abs(spec.order - order) < 1e-12
+            assert np.abs(spec.eta - 2.5).max() < 1e-12
 
     def test_quadratic_surrogate_converges(self):
         calls = {"n": 0}
@@ -550,19 +565,17 @@ class TestHyperparameterSearch:
             calls["n"] += 1
             return float((t[0] - 1.3) ** 2), None
 
-        init = HyperparameterState(np.zeros(1), ("eta",))
-        res = search_hyperparameters(quad, init, budget=50)
-        assert abs(res.state.t[0] - 1.3) < 1e-4
+        res = search_hyperparameters(quad, np.zeros(1), budget=50)
+        assert abs(res.t[0] - 1.3) < 1e-4
         assert calls["n"] <= 50
 
     def test_grad_descent_zero_step_returns_init(self):
         def obj(t):
             return float((t**2).sum()), None
 
-        init = HyperparameterState(np.array([0.7]), ("eta",))
-        res = search_hyperparameters(obj, init, method="grad_descent", budget=10,
-                                     step=0.0, gradient_fn=lambda t: 2 * t)
-        assert res.state.t[0] == 0.7
+        res = search_hyperparameters(obj, np.array([0.7]), method="grad_descent",
+                                     budget=10, step=0.0, gradient_fn=lambda t: 2 * t)
+        assert res.t[0] == 0.7
 
     def test_grad_descent_evaluates_start_once(self):
         seen = []
@@ -571,19 +584,26 @@ class TestHyperparameterSearch:
             seen.append(float(t[0]))
             return float((t[0] - 3.0) ** 2), None
 
-        init = HyperparameterState(np.zeros(1), ("eta",))
-        res = search_hyperparameters(obj, init, method="grad_descent", budget=5,
+        res = search_hyperparameters(obj, np.zeros(1), method="grad_descent", budget=5,
                                      step=0.25, gradient_fn=lambda t: 2 * (t - 3.0))
         assert seen.count(0.0) == 1 and seen[0] == 0.0
         assert res.evaluations == len(seen) == 5
+
+    def test_bad_method_raises_before_evaluating(self):
+        def never(t):
+            raise AssertionError("evaluated")
+
+        with pytest.raises(ValueError, match="unknown search method"):
+            search_hyperparameters(never, np.zeros(1), method="bfgs")
+        with pytest.raises(ValueError, match="needs a gradient"):
+            search_hyperparameters(never, np.zeros(1), method="grad_descent")
 
     def test_nonfinite_at_init_raises(self):
         def bad(t):
             return np.inf, None
 
         with pytest.raises(NonFiniteStartError):
-            search_hyperparameters(bad, HyperparameterState(np.zeros(1), ("eta",)),
-                                   budget=5)
+            search_hyperparameters(bad, np.zeros(1), budget=5)
 
     def test_keister_eta_is_local_min(self):
         from bayescub.problems import keister_problem, periodize
@@ -606,9 +626,8 @@ class TestHyperparameterSearch:
         def obj(t):
             return loss_of_eta(float(np.exp(t[0]))), None
 
-        res = search_hyperparameters(obj, HyperparameterState(np.zeros(1), ("eta",)),
-                                     budget=100)
-        eta_opt = float(np.exp(res.state.t[0]))
+        res = search_hyperparameters(obj, np.zeros(1), budget=100)
+        eta_opt = float(np.exp(res.t[0]))
         best = loss_of_eta(eta_opt)
         assert loss_of_eta(eta_opt * 1.001) > best
         assert loss_of_eta(eta_opt * 0.999) > best
