@@ -107,6 +107,7 @@ class IterationRecord:
     n_clamped: int = 0      # Gram eigenvalues clamped at the chosen parameters
     reseeded: bool = False  # warm start not finite; searched from the default
     bound_hit: bool = False  # a chosen eta sits at ETA_MIN or ETA_MAX
+    order: float | None = None  # kernel order used, searched or fixed
 
 
 @dataclass
@@ -219,7 +220,8 @@ def integrate_fast(f, d: int, config: CubatureConfig) -> CubatureResult:
         if _is_degenerate(y_all):
             err, td = 0.0, None
             iterations.append(IterationRecord(n, tuple(spec0.eta), 0.0,
-                                              time.perf_counter() - it_start))
+                                              time.perf_counter() - it_start,
+                                              order=spec0.order))
             break
 
         weights = data_weights(spectrum, n)
@@ -274,7 +276,8 @@ def integrate_fast(f, d: int, config: CubatureConfig) -> CubatureResult:
                                       column_spectrum(jac, kind, n)) * eta
 
         search = dict(method=config.optimizer.method, budget=budget,
-                      step=config.optimizer.step, gradient_fn=gradient)
+                      step=config.optimizer.step, gradient_fn=gradient,
+                      bounds=(_LOG_ETA_MIN, _LOG_ETA_MAX))
         reseeded = False
         try:
             res = search_hyperparameters(obj, warm, **search)
@@ -283,7 +286,10 @@ def integrate_fast(f, d: int, config: CubatureConfig) -> CubatureResult:
                 raise
             res = search_hyperparameters(obj, start, **search)
             reseeded = True
-        warm = res.t
+        # past a bound the eta map is flat, and a search started there is
+        # stuck: clip the eta coordinates, which follow a searched order's
+        warm = res.t.copy()
+        warm[search_order:] = np.clip(warm[search_order:], _LOG_ETA_MIN, _LOG_ETA_MAX)
         budget = config.optimizer.budget_later
         td = res.payload
         spec_best = _kernel_at(spec0, res.t, search_order)
@@ -294,7 +300,7 @@ def integrate_fast(f, d: int, config: CubatureConfig) -> CubatureResult:
                                           time.perf_counter() - it_start,
                                           evaluations=res.evaluations + reseeded,
                                           n_clamped=td.n_clamped, reseeded=reseeded,
-                                          bound_hit=bound_hit))
+                                          bound_hit=bound_hit, order=spec_best.order))
         if err <= config.epsilon:
             break
         n_prev, n = n, 2 * n

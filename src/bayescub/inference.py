@@ -30,7 +30,9 @@ conjugate of y~_k), stays its half k = 0..n/2 up to the width: data_weights
 pairs the data once per sample size, TransformedData the eigenvalue sums.
 
 search_hyperparameters minimizes over a plain float vector; cubature maps it
-to a kernel.
+to a kernel and passes the eta bounds.  One coordinate (shared eta) runs a
+bracketed Brent line search that stays inside the bounds, two or more
+Nelder-Mead, and grad_descent a backtracking descent on the gradient.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
-from scipy.optimize import minimize
+from scipy.optimize import minimize, minimize_scalar
 from scipy.special import stdtrit
 
 from .transforms import fbt, fbt_lattice_even
@@ -374,6 +376,7 @@ def dense_eb_objective(y: np.ndarray, gram: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 SEARCH_METHODS = ("nelder_mead", "grad_descent")
+XATOL, FATOL = 1e-4, 1e-7  # search tolerances in t and in the value
 
 
 @dataclass
@@ -385,19 +388,27 @@ class SearchResult:
 
 def search_hyperparameters(objective_fn, t0: np.ndarray,
                            method: str = "nelder_mead", budget: int = 100,
-                           step: float = 0.25, gradient_fn=None) -> SearchResult:
+                           step: float = 0.25, gradient_fn=None,
+                           bounds: tuple[float, float] = (-np.inf, np.inf)) -> SearchResult:
     """Minimize objective_fn over a float vector from t0; returns the best
-    point seen.  What the coordinates mean is the caller's business.
+    point seen within budget evaluations.  What the coordinates mean is the
+    caller's business.
 
     objective_fn(t) -> (value, payload); gradient_fn(t) -> the value's
-    gradient in t, needed by grad_descent.  Non-finite values during the
-    search are treated as rejected steps; a non-finite value at t0 raises
-    NonFiniteStartError.
+    gradient in t, needed by grad_descent.  nelder_mead over one coordinate
+    runs a line search (_line_search: a downhill walk that brackets the
+    minimum, then Brent) from t0 clipped into bounds, and never evaluates
+    outside them; over two or more it runs Nelder-Mead, which ignores bounds.
+    Non-finite values during the search are treated as rejected steps; a
+    non-finite value at t0 raises NonFiniteStartError.
     """
     if method not in SEARCH_METHODS:
         raise ValueError(f"unknown search method {method!r}")
     if method == "grad_descent" and gradient_fn is None:
         raise ValueError("grad_descent needs a gradient function")
+    line = method == "nelder_mead" and t0.shape[0] == 1
+    if line:
+        t0 = np.clip(t0, *bounds)
     best = {"val": np.inf, "t": t0.copy(), "payload": None, "count": 0}
 
     def wrapped(t):
@@ -414,13 +425,68 @@ def search_hyperparameters(objective_fn, t0: np.ndarray,
     if not np.isfinite(v0):
         raise NonFiniteStartError("objective not finite at the initial hyperparameters")
 
-    if budget > 1 and method == "nelder_mead":
+    if budget > 1 and line:
+        _line_search(wrapped, float(t0[0]), v0, budget, step, *bounds)
+    elif budget > 1 and method == "nelder_mead":
         minimize(wrapped, t0, method="Nelder-Mead",
-                 options={"maxfev": budget - 1, "xatol": 1e-4, "fatol": 1e-7,
+                 options={"maxfev": budget - 1, "xatol": XATOL, "fatol": FATOL,
                           "initial_simplex": _initial_simplex(t0, step)})
     elif budget > 1:
         _gradient_descent(wrapped, gradient_fn, t0, v0, budget, step)
     return SearchResult(t=best["t"], evaluations=best["count"], payload=best["payload"])
+
+
+class _BudgetSpent(Exception):
+    pass
+
+
+def _line_search(wrapped, x, fx, budget, step, lo, hi):
+    """Bracketed Brent search over one coordinate in [lo, hi] from x, whose
+    value fx is already spent out of budget evaluations.
+
+    Walks downhill with steps step, 2 step, 4 step, ... (clipped at the
+    bounds) until the value stops falling, and returns at a bound where it
+    still falls; then Brent (xtol XATOL) refines inside the last three
+    points.  Values are memoized by exact coordinate, so Brent's re-reading
+    of the bracket costs nothing; wrapped records the best point seen.
+    """
+    memo = {x: fx}
+
+    def f(u):
+        u = float(u)
+        if u not in memo:
+            if len(memo) >= budget:
+                raise _BudgetSpent
+            memo[u] = wrapped(np.array([u]))
+        return memo[u]
+
+    try:
+        for sign in (-1.0, 1.0):
+            b = min(max(x + sign * step, lo), hi)
+            if b != x and f(b) < fx:
+                a, h, end = x, step, (lo if sign < 0 else hi)
+                while b != end:
+                    h *= 2
+                    c = min(max(b + sign * h, lo), hi)
+                    if f(c) >= f(b):
+                        break
+                    a, b = b, c
+                else:
+                    return  # still falling at the bound
+                break
+        else:  # neither side falls: x is the middle, unless at a bound
+            a, b, c = max(x - step, lo), x, min(x + step, hi)
+            if not a < x < c:
+                return
+            if f(a) == fx:  # a level side goes last, where ties are split
+                a, c = c, a
+        if f(c) == f(b):  # a tie, which a Brent bracket refuses: split it
+            a, b = b, (b + c) / 2
+            if not f(b) < f(a):
+                return  # level
+        minimize_scalar(f, bracket=(a, b, c), method="brent", options={"xtol": XATOL})
+    except _BudgetSpent:
+        pass
 
 
 def _initial_simplex(t0: np.ndarray, step: float) -> np.ndarray:
@@ -433,7 +499,9 @@ def _initial_simplex(t0: np.ndarray, step: float) -> np.ndarray:
 
 def _gradient_descent(wrapped, gradient_fn, t0, v0, budget, nu):
     """Fixed-step descent with 20-step backtracking halving on rejection,
-    from t0 with its value v0 already spent out of budget evaluations."""
+    from t0 with its value v0 already spent out of budget evaluations.
+    Stops after an accepted step that moves t by less than XATOL (max-norm)
+    or lowers the value by less than FATOL."""
     t = np.asarray(t0, dtype=np.float64).copy()
     current = v0
     used = 1
@@ -449,6 +517,8 @@ def _gradient_descent(wrapped, gradient_fn, t0, v0, budget, nu):
             val = wrapped(cand)
             used += 1
             if np.isfinite(val) and val < current:
+                if np.abs(cand - t).max() < XATOL or current - val < FATOL:
+                    return
                 t, current = cand, val
                 break
             step *= 0.5

@@ -64,3 +64,24 @@ class TestDiffRecords:
 
         rec = tool.call_record("w", 3, 4, fail)
         assert rec == {"workload": "w", "seed": 3, "call": 4, "error": "ValueError: boom"}
+
+    def test_fields_limit_what_is_reported(self, tool):
+        new = copy.deepcopy(records())
+        new[0]["iterations"][1]["eta"] = [1.2500001]
+        new[0]["iterations"][1]["err"] = 4e-4 * (1 + 1e-3)
+        new[0]["iterations"][1]["evaluations"] = 9
+        lines, gap = tool.diff_records(records(), new, ("mu_hat", "n_used"))
+        assert lines == [] and gap == pytest.approx(1e-3, rel=1e-2)
+        assert len(tool.diff_records(records(), new)[0]) == 3
+        new[1]["n_used"] = 512
+        lines, _ = tool.diff_records(records(), new, ("mu_hat", "n_used"))
+        assert lines == ["('w', 1, 1) n_used: 256 != 512"]
+        # a call held by one side only is named whatever the fields
+        lines, _ = tool.diff_records(records(), new[:2], ("mu_hat",))
+        assert lines == ["('w', 2, 0): only in the first"]
+
+    def test_evaluations_per_doubling_per_workload(self, tool):
+        recs = records() + [{"workload": "v", "seed": 1, "call": 0, "mu_hat": "0x0p+0",
+                             "n_used": 256, "iterations": [{"evaluations": 7}]}]
+        recs[1]["iterations"][0]["evaluations"] = 50
+        assert tool.evaluations_per_doubling(recs) == {"w": 30.0, "v": 7.0}

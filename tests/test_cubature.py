@@ -308,7 +308,8 @@ class TestIterationRecords:
 
 
     def test_bound_hit_when_eta_is_driven_past_the_upper_bound(self, monkeypatch):
-        # a loss that falls as lam_1 grows pushes t past log(1e8); eta is clipped
+        # a loss that falls as lam_1 grows: the one-coordinate search walks
+        # to log(1e8) and stops there
         monkeypatch.setattr(cubature, "objective", lambda kind, td: -np.log(td.lam1))
         f = lambda x: np.exp(x.sum(axis=1))
         cfg = CubatureConfig(epsilon=1e-9, n0=128, n_max=512, seed=5)
@@ -317,7 +318,8 @@ class TestIterationRecords:
         assert all(it.bound_hit for it in res.iterations)
 
     def test_bound_hit_on_any_per_dimension_entry(self, monkeypatch):
-        # log ring_lam_1 falls with every eta entry: t runs below log(1e-8)
+        # log ring_lam_1 falls with every eta entry: Nelder-Mead runs t below
+        # log(1e-8), and the next doubling starts from the clipped warm start
         monkeypatch.setattr(cubature, "objective",
                             lambda kind, td: np.log(td.lam_ring1))
         f = lambda x: np.exp(x.sum(axis=1))
@@ -325,6 +327,33 @@ class TestIterationRecords:
                              eta_mode="per_dimension")
         res = integrate_fast(f, 2, cfg)
         assert all(it.bound_hit and 1e-8 in it.theta for it in res.iterations)
+
+    def test_warm_start_is_clipped_into_the_eta_box(self, monkeypatch):
+        calls = self.recording_search(monkeypatch)
+        monkeypatch.setattr(cubature, "objective",
+                            lambda kind, td: np.log(td.lam_ring1))
+        f = lambda x: np.exp(x.sum(axis=1))
+        cfg = CubatureConfig(epsilon=1e-9, n0=128, n_max=512, seed=5,
+                             eta_mode="per_dimension")
+        integrate_fast(f, 2, cfg)
+        lo, hi = np.log(kernels.ETA_MIN), np.log(kernels.ETA_MAX)
+        assert (calls[0][1].t < lo).any()  # Nelder-Mead left the box
+        assert all(((lo <= t) & (t <= hi)).all() for t, _ in calls[1:])
+
+    def test_order_records_the_searched_and_the_fixed_order(self, monkeypatch):
+        calls = self.recording_search(monkeypatch)
+        f = lambda x: np.exp(x.sum(axis=1))
+        cfg = CubatureConfig(epsilon=1e-9, n0=256, n_max=2**10, seed=23,
+                             kernel="truncated_series", order=2.0, periodizer="sidi_c1",
+                             optimizer=OptimizerSettings(search_order=True))
+        res = integrate_fast(f, 2, cfg)
+        spec0 = cubature._default_kernel(cfg, 2)
+        orders = [cubature._kernel_at(spec0, r.t, search_order=True).order
+                  for _, r in calls]
+        assert [it.order for it in res.iterations] == orders
+        assert len(set(orders)) > 1 and 2.0 not in orders
+        fixed = integrate_fast(f, 2, replace(cfg, optimizer=OptimizerSettings()))
+        assert [it.order for it in fixed.iterations] == [2.0] * len(fixed.iterations)
 
     def test_no_bound_hit_inside_the_bounds(self):
         f = lambda x: np.exp(x.sum(axis=1))
@@ -401,6 +430,26 @@ class TestEigenvalueRouting:
         res = integrate_fast(self.f, 3, cfg)
         assert len(res.iterations) == 5
         assert built["cols"] == res.n_used == 2**11
+
+
+class TestSharedEtaLineSearch:
+    """Shared eta searches one coordinate by a bracketed Brent line search."""
+
+    def test_keister_call_stays_off_the_plateau(self):
+        # Keister d=4 on Sobol' nodes: at n = 256 the objective at eta = 1e-8
+        # reads below the downhill points near the warm start but above the
+        # minimum near t = -7.  A bracket grown by extrapolation pinned eta at
+        # 1e-8 and the call ran to 2^20 without meeting the tolerance.
+        problem = problems.keister_problem(4)
+        cfg = CubatureConfig(family="sobol", periodizer="none", kernel="walsh1",
+                             order=1, eta_mode="shared",
+                             epsilon=2.3140413997625657e-4, seed=3195855530)
+        res = integrate_fast(problem.evaluator, problem.d, cfg)
+        assert res.n_used == 2**17 and res.tolerance_met
+        assert not any(it.bound_hit for it in res.iterations)
+        assert 1e-4 < res.iterations[0].theta[0] < 1e-2
+        later = [it.evaluations for it in res.iterations[1:]]
+        assert np.mean(later) <= 14
 
 
 class TestWidthPrecision:

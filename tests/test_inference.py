@@ -517,6 +517,9 @@ class TestDensePosterior:
             dense_posterior(np.ones(4), bad, np.ones(4), 1.0, EB)
 
 
+LOG_ETA_BOUNDS = (np.log(kernels.ETA_MIN), np.log(kernels.ETA_MAX))
+
+
 def per_scalar_eta(t):
     # the eta map one scalar at a time: clip, exponentiate, clip again
     return np.clip(np.exp(np.clip(t, np.log(1e-8), np.log(1e8))), 1e-8, 1e8)
@@ -589,6 +592,20 @@ class TestHyperparameterSearch:
         assert seen.count(0.0) == 1 and seen[0] == 0.0
         assert res.evaluations == len(seen) == 5
 
+    def test_grad_descent_stops_before_its_budget(self):
+        # each step halves the distance to 3: the moves and value drops fall
+        # under the tolerances long before 100 evaluations
+        seen = []
+
+        def obj(t):
+            seen.append(float(t[0]))
+            return float((t[0] - 3.0) ** 2), None
+
+        res = search_hyperparameters(obj, np.zeros(1), method="grad_descent", budget=100,
+                                     step=0.25, gradient_fn=lambda t: 2 * (t - 3.0))
+        assert res.evaluations == len(seen) < 20
+        assert abs(res.t[0] - 3.0) < 1e-3
+
     def test_bad_method_raises_before_evaluating(self):
         def never(t):
             raise AssertionError("evaluated")
@@ -604,6 +621,85 @@ class TestHyperparameterSearch:
 
         with pytest.raises(NonFiniteStartError):
             search_hyperparameters(bad, np.zeros(1), budget=5)
+
+    def test_one_coordinate_skips_the_plateau_past_the_bound(self):
+        # the shape of a Keister d=4 Sobol' objective at n = 256: a minimum at
+        # t = -7, downhill points above the plateau that the clipped eta map
+        # gives past log(1e-8), and the plateau above the minimum.  A bracket
+        # grown by extrapolation lands on the plateau; the walk must not.
+        lo, hi = LOG_ETA_BOUNDS
+        seen = []
+
+        def obj(t):
+            seen.append(float(t[0]))
+            if t[0] < lo:
+                return 12.414, None
+            return (12.414 - 0.0445 * np.exp(-((t[0] + 7.0) / 3.0) ** 2)
+                    + 0.004 * max(t[0] + 7.0, 0.0) ** 2), None
+
+        assert obj([-4.0])[0] > obj([lo - 1.0])[0] > obj([-7.0])[0]
+        seen.clear()
+        res = search_hyperparameters(obj, np.array([-4.0]), budget=20, step=0.5,
+                                     bounds=LOG_ETA_BOUNDS)
+        assert abs(res.t[0] + 7.0) < 1e-2
+        assert res.evaluations == len(seen) <= 20
+        assert all(lo <= t <= hi for t in seen)
+
+    def test_one_coordinate_respects_the_budget(self):
+        seen = []
+
+        def obj(t):
+            seen.append(float(t[0]))
+            return float(np.cos(t[0]) + 0.01 * t[0] ** 2), None
+
+        for budget in (1, 2, 3, 5, 8):
+            seen.clear()
+            res = search_hyperparameters(obj, np.array([0.3]), budget=budget,
+                                         step=0.5, bounds=LOG_ETA_BOUNDS)
+            assert res.evaluations == len(seen) <= budget
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_monotone_loss_returns_the_bound_exactly(self, sign):
+        seen = []
+
+        def obj(t):
+            seen.append(float(t[0]))
+            return float(-sign * t[0]), None
+
+        res = search_hyperparameters(obj, np.zeros(1), budget=100, step=0.5,
+                                     bounds=LOG_ETA_BOUNDS)
+        assert res.t[0] == LOG_ETA_BOUNDS[sign > 0]
+        assert all(LOG_ETA_BOUNDS[0] <= t <= LOG_ETA_BOUNDS[1] for t in seen)
+
+    def test_start_is_clipped_into_the_bounds(self):
+        seen = []
+
+        def obj(t):
+            seen.append(float(t[0]))
+            return float((t[0] - 2.0) ** 2), None
+
+        res = search_hyperparameters(obj, np.array([40.0]), budget=50, step=0.5,
+                                     bounds=LOG_ETA_BOUNDS)
+        assert seen[0] == LOG_ETA_BOUNDS[1]
+        assert abs(res.t[0] - 2.0) < 1e-3
+
+    @pytest.mark.parametrize("t0", [0.0, -3.0, 1.7, LOG_ETA_BOUNDS[0]])
+    def test_memo_counts_each_coordinate_once(self, t0):
+        seen = []
+
+        def obj(t):
+            seen.append(float(t[0]))
+            return float(np.log1p((t[0] + 1.0) ** 2)), None
+
+        res = search_hyperparameters(obj, np.array([t0]), budget=100, step=0.5,
+                                     bounds=LOG_ETA_BOUNDS)
+        assert len(set(seen)) == len(seen) == res.evaluations
+        assert abs(res.t[0] + 1.0) < 1e-3
+
+    def test_level_objective_ends_at_the_start(self):
+        res = search_hyperparameters(lambda t: (1.0, None), np.array([0.5]),
+                                     budget=100, step=0.5, bounds=LOG_ETA_BOUNDS)
+        assert res.t[0] == 0.5 and res.evaluations <= 4
 
     def test_keister_eta_is_local_min(self):
         from bayescub.problems import keister_problem, periodize

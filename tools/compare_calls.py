@@ -2,6 +2,7 @@
 
     python3 tools/compare_calls.py --src SRC --seeds 1 2 1001 --out FILE
     python3 tools/compare_calls.py --src SRC --seeds 1 2 1001 --against FILE
+    python3 tools/compare_calls.py --against FILE --fields mu_hat n_used
 
 Runs every integration that perfbench/workloads.py lists for the given
 seeds, with bayescub imported from the source tree SRC (default: this
@@ -10,7 +11,11 @@ n_used and, per doubling, err, the chosen eta, the objective evaluations and
 the clamped-eigenvalue count.  --out writes the records as JSON; --against
 reads records written earlier (say, from another revision's tree) and
 reports every field that is not equal, plus the largest relative err gap
-over the doublings both hold.  The exit status is 1 when a field differs.
+over the doublings both hold and each side's mean objective evaluations per
+doubling, per workload.  The exit status is 1 when a field differs; with
+--fields only the named fields count (the others are summed up in one line),
+so a change that moves eta and err by design can still be held to
+identical mu_hat and n_used.
 
 Only reads perfbench/.  BLAS runs on one thread, as in the benchmark.
 """
@@ -80,9 +85,15 @@ def _rel_gap(a, b) -> float:
     return abs(a - b) / max(abs(a), abs(b))
 
 
-def diff_records(old: list[dict], new: list[dict]) -> tuple[list[str], float]:
-    """Lines naming each field that differs between two record lists, and
-    the largest relative err gap over the doublings both hold."""
+FIELDS = ("error", "mu_hat", "n_used", "doublings", "n", "err", "eta",
+          "evaluations", "n_clamped")
+
+
+def diff_records(old: list[dict], new: list[dict],
+                 fields=FIELDS) -> tuple[list[str], float]:
+    """Lines naming each of the given fields that differs between two record
+    lists, and the largest relative err gap over the doublings both hold.
+    A call held by one list only is always named."""
     key = lambda r: (r["workload"], r["seed"], r["call"])  # noqa: E731
     before = {key(r): r for r in old}
     after = {key(r): r for r in new}
@@ -92,17 +103,26 @@ def diff_records(old: list[dict], new: list[dict]) -> tuple[list[str], float]:
     for k in sorted(before.keys() & after.keys()):
         a, b = before[k], after[k]
         for field in ("error", "mu_hat", "n_used"):
-            if a.get(field) != b.get(field):
+            if field in fields and a.get(field) != b.get(field):
                 lines.append(f"{k} {field}: {a.get(field)} != {b.get(field)}")
         its_a, its_b = a.get("iterations", []), b.get("iterations", [])
-        if len(its_a) != len(its_b):
+        if "doublings" in fields and len(its_a) != len(its_b):
             lines.append(f"{k} doublings: {len(its_a)} != {len(its_b)}")
         for j, (ia, ib) in enumerate(zip(its_a, its_b)):
             gap = max(gap, _rel_gap(ia["err"], ib["err"]))
             for field in ("n", "err", "eta", "evaluations", "n_clamped"):
-                if ia[field] != ib[field]:
+                if field in fields and ia[field] != ib[field]:
                     lines.append(f"{k} doubling {j} {field}: {ia[field]} != {ib[field]}")
     return sorted(lines), gap
+
+
+def evaluations_per_doubling(records: list[dict]) -> dict[str, float]:
+    """Mean objective evaluations per doubling, per workload."""
+    spent: dict[str, list[int]] = {}
+    for r in records:
+        spent.setdefault(r["workload"], []).extend(
+            it["evaluations"] for it in r.get("iterations", []))
+    return {w: sum(v) / len(v) for w, v in spent.items() if v}
 
 
 def main(argv=None) -> int:
@@ -112,6 +132,8 @@ def main(argv=None) -> int:
     p.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 1001])
     p.add_argument("--out", type=Path, help="write the records here as JSON")
     p.add_argument("--against", type=Path, help="compare with records in this file")
+    p.add_argument("--fields", nargs="+", choices=FIELDS, default=FIELDS,
+                   help="fields whose differences set the exit status (default: all)")
     args = p.parse_args(argv)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
@@ -123,10 +145,18 @@ def main(argv=None) -> int:
           f"{sum('error' in r for r in records)} raised")
     if args.against is None:
         return 0
-    lines, gap = diff_records(json.loads(args.against.read_text()), records)
+    old = json.loads(args.against.read_text())
+    lines, gap = diff_records(old, records, args.fields)
     for line in lines:
         print(line)
     print(f"{len(lines)} differing fields; largest relative err gap {gap:.3g}")
+    if set(args.fields) != set(FIELDS):
+        others = len(diff_records(old, records)[0]) - len(lines)
+        print(f"{others} differing fields outside --fields, not counted")
+    before, after = evaluations_per_doubling(old), evaluations_per_doubling(records)
+    for w in sorted(before.keys() | after.keys()):
+        print(f"{w}: evaluations per doubling {before.get(w, math.nan):.2f} -> "
+              f"{after.get(w, math.nan):.2f}")
     return 1 if lines else 0
 
 
