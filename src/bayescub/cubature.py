@@ -12,9 +12,13 @@ kernel.  With one eta shared by every dimension and a fixed kernel order (the
 default), the Gram spectrum is a polynomial in eta: each doubling transforms
 d coefficient columns once (inference.column_spectrum of
 kernels.elementary_symmetric), the loop holds only those spectra, and an
-objective evaluation is one Horner pass over them, a gradient one more.
-Per-dimension eta holds the bases and builds the ring column and its
-transform on every call; a searched order builds its bases too.
+objective evaluation is one Horner pass over them; the search over its one
+coordinate is a Brent line search, which needs no gradient.  Per-dimension
+eta holds the bases and builds the ring column and its transform on every
+evaluation; L-BFGS-B searches it with the analytic gradient, which reuses
+the latest evaluation's ring column and data and transforms the d columns
+of the eta Jacobian.  A searched order builds its bases per evaluation too,
+and Nelder-Mead searches it without a gradient.
 
 On Sobol' nodes the kernel columns grow as the data do: the column at 2n is
 the column at n followed by the new block's, so each doubling builds the
@@ -35,11 +39,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import kernels, problems
-from .inference import (EB, CRITERIA, SEARCH_METHODS, DegenerateDataError,
-                        NonFiniteStartError, TransformedData, column_spectrum,
-                        credible_width, data_weights, dense_eb_objective,
-                        dense_posterior, objective, objective_gradient,
-                        polynomial_derivative, polynomial_spectrum,
+from .inference import (EB, CRITERIA, DegenerateDataError, NonFiniteStartError,
+                        TransformedData, column_spectrum, credible_width,
+                        data_weights, dense_eb_objective, dense_posterior,
+                        objective, objective_gradient, polynomial_spectrum,
                         search_hyperparameters, transformed_data)
 from .nodes import CapacityError, make_lattice, make_sobol
 from .transforms import fbt, fbt_double, walsh_double
@@ -51,7 +54,6 @@ class IntegrandError(ValueError):
 
 @dataclass(frozen=True)
 class OptimizerSettings:
-    method: str = "nelder_mead"
     budget_first: int = 100
     budget_later: int = 20
     step: float = 0.5
@@ -88,13 +90,8 @@ class CubatureConfig:
             raise ValueError("n0 must not exceed n_max")
         if self.eta_mode not in ("shared", "per_dimension"):
             raise ValueError(f"unknown eta_mode {self.eta_mode!r}")
-        opt = self.optimizer
-        if opt.method not in SEARCH_METHODS:
-            raise ValueError(f"unknown optimizer method {opt.method!r}")
-        if opt.search_order and self.kernel not in _ORDER_MAPS:
+        if self.optimizer.search_order and self.kernel not in _ORDER_MAPS:
             raise ValueError(f"kernel {self.kernel!r} has no continuous order to search")
-        if opt.search_order and opt.method == "grad_descent":
-            raise ValueError("grad_descent has no gradient in the kernel order")
 
 
 @dataclass(frozen=True)
@@ -129,6 +126,8 @@ class CubatureResult:
             "tolerance_met": self.tolerance_met,
             "seconds": float(f"{self.seconds:.3g}"),
             "seed": self.seed,
+            "bound_hits": sum(it.bound_hit for it in self.iterations),
+            "n_clamped": self.iterations[-1].n_clamped if self.iterations else 0,
         }
 
 
@@ -245,38 +244,37 @@ def integrate_fast(f, d: int, config: CubatureConfig) -> CubatureResult:
                 powers = column_spectrum(kernels.elementary_symmetric(bases), kind, n)
                 bases = None
 
+        last = {}  # per-dimension eta: the latest evaluation's t, ring column, data
+
         def obj(t):
             if powers is not None:
                 lams = polynomial_spectrum(powers, _eta_from_log(t)[0])
             elif bases is not None:
-                lams = column_spectrum(kernels.ring_from_bases(_eta_from_log(t), bases),
-                                       kind, n)
+                col = kernels.ring_from_bases(_eta_from_log(t), bases)
+                lams = column_spectrum(col, kind, n)
             else:  # a searched order: its bases change with it
                 spec = _kernel_at(spec0, t, search_order)
                 col = kernels.ring_from_bases(spec.eta, kernels.column_bases(spec, gen, m))
                 lams = column_spectrum(col, kind, n)
             data = transformed_data(weights, lams, n)
+            if bases is not None:  # for the gradient at the same t
+                last.update(t=t.copy(), col=col, data=data)
             try:
                 return objective(config.criterion, data), data
             except DegenerateDataError:
                 return np.inf, data
 
-        def gradient(t):  # grad_descent, which runs with a fixed order only
+        def gradient(t):  # per-dimension eta at a fixed order
+            if not np.array_equal(t, last.get("t")):
+                obj(t)  # the search asked out of turn: rebuild the ring
             eta = _eta_from_log(t)
-            if powers is not None:
-                # d lam/dt = sum_j j eta^j S_j: one more Horner pass
-                data = transformed_data(weights, polynomial_spectrum(powers, eta[0]), n)
-                return objective_gradient(data, config.criterion,
-                                          polynomial_derivative(powers, eta[0]))
-            col = kernels.ring_from_bases(eta, bases)
-            data = transformed_data(weights, column_spectrum(col, kind, n), n)
-            jac = kernels.column_eta_jacobian(spec0.with_eta(eta), bases, col)
+            jac = kernels.column_eta_jacobian(replace(spec0, eta=eta), bases, last["col"])
             # chain rule through eta = exp(t)
-            return objective_gradient(data, config.criterion,
+            return objective_gradient(last["data"], config.criterion,
                                       column_spectrum(jac, kind, n)) * eta
 
-        search = dict(method=config.optimizer.method, budget=budget,
-                      step=config.optimizer.step, gradient_fn=gradient,
+        search = dict(budget=budget, step=config.optimizer.step,
+                      gradient_fn=gradient if bases is not None else None,
                       bounds=(_LOG_ETA_MIN, _LOG_ETA_MAX))
         reseeded = False
         try:

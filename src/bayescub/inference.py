@@ -21,8 +21,7 @@ so the spectrum is sum_j eta^j T(e_j): column_spectrum transforms the d
 coefficient columns once per sample size (on Sobol' nodes only the new
 block's, at half length, which transforms.walsh_double joins to the
 previous size's spectra), and polynomial_spectrum evaluates the spectrum at
-any eta by one Horner pass, with no ring column and no transform;
-polynomial_derivative gives its derivative in log eta by one more.
+any eta by one Horner pass, with no ring column and no transform.
 Per-dimension eta and a searched kernel order transform the ring column
 itself on every evaluation.  A lattice spectrum is even
 (lam_k = lam_{n-k}) and, like the real-FFT data spectrum (y~_{n-k} is the
@@ -30,9 +29,11 @@ conjugate of y~_k), stays its half k = 0..n/2 up to the width: data_weights
 pairs the data once per sample size, TransformedData the eigenvalue sums.
 
 search_hyperparameters minimizes over a plain float vector; cubature maps it
-to a kernel and passes the eta bounds.  One coordinate (shared eta) runs a
-bracketed Brent line search that stays inside the bounds, two or more
-Nelder-Mead, and grad_descent a backtracking descent on the gradient.
+to a kernel and passes the eta bounds.  The method follows from what the
+caller gives: one coordinate (shared eta) runs a bracketed Brent line search,
+two or more with a gradient (per-dimension eta at a fixed order) L-BFGS-B on
+the box, both inside the bounds; two or more without one (a searched order,
+which has no derivative) run Nelder-Mead.
 """
 
 from __future__ import annotations
@@ -137,16 +138,6 @@ def polynomial_spectrum(spectra: np.ndarray, eta: float) -> np.ndarray:
     out = spectra[-1] * eta
     for row in spectra[-2::-1]:
         out += row
-        out *= eta
-    return out
-
-
-def polynomial_derivative(spectra: np.ndarray, eta: float) -> np.ndarray:
-    """Derivative of polynomial_spectrum in t = log eta,
-    sum_j j eta^j spectra[j-1], by one more Horner pass."""
-    out = spectra[-1] * (len(spectra) * eta)
-    for j in range(len(spectra) - 1, 0, -1):
-        out += j * spectra[j - 1]
         out *= eta
     return out
 
@@ -375,7 +366,6 @@ def dense_eb_objective(y: np.ndarray, gram: np.ndarray) -> float:
 # Hyperparameter search over unconstrained coordinates
 # ---------------------------------------------------------------------------
 
-SEARCH_METHODS = ("nelder_mead", "grad_descent")
 XATOL, FATOL = 1e-4, 1e-7  # search tolerances in t and in the value
 
 
@@ -386,8 +376,7 @@ class SearchResult:
     payload: object = None  # best-seen auxiliary data from the objective
 
 
-def search_hyperparameters(objective_fn, t0: np.ndarray,
-                           method: str = "nelder_mead", budget: int = 100,
+def search_hyperparameters(objective_fn, t0: np.ndarray, budget: int = 100,
                            step: float = 0.25, gradient_fn=None,
                            bounds: tuple[float, float] = (-np.inf, np.inf)) -> SearchResult:
     """Minimize objective_fn over a float vector from t0; returns the best
@@ -395,19 +384,17 @@ def search_hyperparameters(objective_fn, t0: np.ndarray,
     caller's business.
 
     objective_fn(t) -> (value, payload); gradient_fn(t) -> the value's
-    gradient in t, needed by grad_descent.  nelder_mead over one coordinate
-    runs a line search (_line_search: a downhill walk that brackets the
-    minimum, then Brent) from t0 clipped into bounds, and never evaluates
-    outside them; over two or more it runs Nelder-Mead, which ignores bounds.
-    Non-finite values during the search are treated as rejected steps; a
-    non-finite value at t0 raises NonFiniteStartError.
+    gradient in t.  The method follows the coordinates: one runs a line
+    search (_line_search: a downhill walk that brackets the minimum, then
+    Brent), two or more with a gradient_fn L-BFGS-B, both from t0 clipped
+    into bounds and never evaluating outside them; two or more without a
+    gradient run Nelder-Mead, which ignores bounds.  The first two memoize
+    values by exact t and count distinct evaluations only.  Non-finite values
+    during the search are treated as rejected steps, where the gradient is
+    zero; a non-finite value at t0 raises NonFiniteStartError.
     """
-    if method not in SEARCH_METHODS:
-        raise ValueError(f"unknown search method {method!r}")
-    if method == "grad_descent" and gradient_fn is None:
-        raise ValueError("grad_descent needs a gradient function")
-    line = method == "nelder_mead" and t0.shape[0] == 1
-    if line:
+    p = t0.shape[0]
+    if p == 1 or gradient_fn is not None:
         t0 = np.clip(t0, *bounds)
     best = {"val": np.inf, "t": t0.copy(), "payload": None, "count": 0}
 
@@ -424,15 +411,31 @@ def search_hyperparameters(objective_fn, t0: np.ndarray,
     v0 = wrapped(t0)
     if not np.isfinite(v0):
         raise NonFiniteStartError("objective not finite at the initial hyperparameters")
+    memo = {tuple(t0): v0}
 
-    if budget > 1 and line:
-        _line_search(wrapped, float(t0[0]), v0, budget, step, *bounds)
-    elif budget > 1 and method == "nelder_mead":
-        minimize(wrapped, t0, method="Nelder-Mead",
-                 options={"maxfev": budget - 1, "xatol": XATOL, "fatol": FATOL,
-                          "initial_simplex": _initial_simplex(t0, step)})
-    elif budget > 1:
-        _gradient_descent(wrapped, gradient_fn, t0, v0, budget, step)
+    def value(t):
+        key = tuple(t)
+        if key not in memo:
+            if len(memo) >= budget:
+                raise _BudgetSpent
+            memo[key] = wrapped(np.array(key))
+        return memo[key]
+
+    def gradient(t):
+        g = gradient_fn(t) if np.isfinite(value(t)) else np.zeros(p)
+        return g if np.isfinite(g).all() else np.zeros(p)
+
+    try:
+        if p == 1:
+            _line_search(lambda u: value((u,)), float(t0[0]), v0, step, *bounds)
+        elif gradient_fn is not None:
+            minimize(value, t0, jac=gradient, method="L-BFGS-B", bounds=[bounds] * p)
+        elif budget > 1:
+            minimize(wrapped, t0, method="Nelder-Mead",
+                     options={"maxfev": budget - 1, "xatol": XATOL, "fatol": FATOL,
+                              "initial_simplex": _initial_simplex(t0, step)})
+    except _BudgetSpent:
+        pass
     return SearchResult(t=best["t"], evaluations=best["count"], payload=best["payload"])
 
 
@@ -440,53 +443,39 @@ class _BudgetSpent(Exception):
     pass
 
 
-def _line_search(wrapped, x, fx, budget, step, lo, hi):
-    """Bracketed Brent search over one coordinate in [lo, hi] from x, whose
-    value fx is already spent out of budget evaluations.
+def _line_search(f, x, fx, step, lo, hi):
+    """Bracketed Brent search of f over one coordinate in [lo, hi] from x,
+    whose value is fx.
 
     Walks downhill with steps step, 2 step, 4 step, ... (clipped at the
     bounds) until the value stops falling, and returns at a bound where it
     still falls; then Brent (xtol XATOL) refines inside the last three
-    points.  Values are memoized by exact coordinate, so Brent's re-reading
-    of the bracket costs nothing; wrapped records the best point seen.
+    points.  f memoizes, so Brent's re-reading of the bracket costs nothing.
     """
-    memo = {x: fx}
-
-    def f(u):
-        u = float(u)
-        if u not in memo:
-            if len(memo) >= budget:
-                raise _BudgetSpent
-            memo[u] = wrapped(np.array([u]))
-        return memo[u]
-
-    try:
-        for sign in (-1.0, 1.0):
-            b = min(max(x + sign * step, lo), hi)
-            if b != x and f(b) < fx:
-                a, h, end = x, step, (lo if sign < 0 else hi)
-                while b != end:
-                    h *= 2
-                    c = min(max(b + sign * h, lo), hi)
-                    if f(c) >= f(b):
-                        break
-                    a, b = b, c
-                else:
-                    return  # still falling at the bound
-                break
-        else:  # neither side falls: x is the middle, unless at a bound
-            a, b, c = max(x - step, lo), x, min(x + step, hi)
-            if not a < x < c:
-                return
-            if f(a) == fx:  # a level side goes last, where ties are split
-                a, c = c, a
-        if f(c) == f(b):  # a tie, which a Brent bracket refuses: split it
-            a, b = b, (b + c) / 2
-            if not f(b) < f(a):
-                return  # level
-        minimize_scalar(f, bracket=(a, b, c), method="brent", options={"xtol": XATOL})
-    except _BudgetSpent:
-        pass
+    for sign in (-1.0, 1.0):
+        b = min(max(x + sign * step, lo), hi)
+        if b != x and f(b) < fx:
+            a, h, end = x, step, (lo if sign < 0 else hi)
+            while b != end:
+                h *= 2
+                c = min(max(b + sign * h, lo), hi)
+                if f(c) >= f(b):
+                    break
+                a, b = b, c
+            else:
+                return  # still falling at the bound
+            break
+    else:  # neither side falls: x is the middle, unless at a bound
+        a, b, c = max(x - step, lo), x, min(x + step, hi)
+        if not a < x < c:
+            return
+        if f(a) == fx:  # a level side goes last, where ties are split
+            a, c = c, a
+    if f(c) == f(b):  # a tie, which a Brent bracket refuses: split it
+        a, b = b, (b + c) / 2
+        if not f(b) < f(a):
+            return  # level
+    minimize_scalar(f, bracket=(a, b, c), method="brent", options={"xtol": XATOL})
 
 
 def _initial_simplex(t0: np.ndarray, step: float) -> np.ndarray:
@@ -496,31 +485,3 @@ def _initial_simplex(t0: np.ndarray, step: float) -> np.ndarray:
         simplex[i + 1, i] += step if t0[i] <= 0 else -step
     return simplex
 
-
-def _gradient_descent(wrapped, gradient_fn, t0, v0, budget, nu):
-    """Fixed-step descent with 20-step backtracking halving on rejection,
-    from t0 with its value v0 already spent out of budget evaluations.
-    Stops after an accepted step that moves t by less than XATOL (max-norm)
-    or lowers the value by less than FATOL."""
-    t = np.asarray(t0, dtype=np.float64).copy()
-    current = v0
-    used = 1
-    while used < budget:
-        g = gradient_fn(t)
-        if not np.all(np.isfinite(g)):
-            break
-        step = nu
-        for _ in range(20):
-            if used >= budget:
-                return
-            cand = t - step * g
-            val = wrapped(cand)
-            used += 1
-            if np.isfinite(val) and val < current:
-                if np.abs(cand - t).max() < XATOL or current - val < FATOL:
-                    return
-                t, current = cand, val
-                break
-            step *= 0.5
-        else:
-            break

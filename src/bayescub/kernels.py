@@ -68,10 +68,6 @@ class KernelSpec:
     def d(self) -> int:
         return self.eta.shape[0]
 
-    def with_eta(self, eta) -> "KernelSpec":
-        return KernelSpec(self.family, self.order, np.asarray(eta, dtype=np.float64),
-                          self.shared_eta)
-
 
 def bernoulli_poly(order: int, x):
     """B_2 and B_4 in closed form; other orders route to truncated_series."""

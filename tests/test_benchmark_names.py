@@ -1,18 +1,55 @@
 """The benchmark's tracer wraps package names it looks up by attribute on
 every run, traced or not; a renamed or deleted name fails every benchmark
-run.  Check that each of its wrap sites still resolves."""
+run.  Check that each of its wrap sites still resolves, and that a traced
+integration returns what an untraced one does, with every objective
+evaluation counted."""
 
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+import pytest
+
+from bayescub import CubatureConfig, OptimizerSettings, integrate_fast
+
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
-def test_every_tracer_site_resolves():
+@pytest.fixture(scope="module")
+def tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_tracer_site_resolves(tracer):
     assert tracer.SITES
     missing = [(owner.__name__, attr) for owner, attr, _ in tracer.SITES
                if not callable(getattr(owner, attr, None))]
     assert not missing
+
+
+# one per search method: Brent, L-BFGS-B and Nelder-Mead
+SEARCHES = {
+    "shared": CubatureConfig(epsilon=1e-9, n0=128, n_max=512, seed=5),
+    "per_dimension": CubatureConfig(epsilon=1e-9, n0=128, n_max=512, seed=5,
+                                    eta_mode="per_dimension"),
+    "searched_order": CubatureConfig(epsilon=1e-9, n0=128, n_max=512, seed=5,
+                                     kernel="truncated_series", periodizer="sidi_c1",
+                                     optimizer=OptimizerSettings(search_order=True)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEARCHES))
+def test_traced_run_matches_the_untraced_one(tracer, name):
+    f = lambda x: np.exp(x.sum(axis=1))
+    cfg = SEARCHES[name]
+    plain = integrate_fast(f, 3, cfg)
+    spans = tracer.Tracer()
+    with spans.installed():
+        traced = spans.call(0, integrate_fast, f, 3, cfg)
+    assert (traced.mu_hat, traced.n_used, traced.err) == \
+        (plain.mu_hat, plain.n_used, plain.err)
+    assert [it.theta for it in traced.iterations] == [it.theta for it in plain.iterations]
+    assert spans.evals == sum(it.evaluations for it in traced.iterations) > 0

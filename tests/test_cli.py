@@ -6,10 +6,12 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from bayescub import cli, problems
+from bayescub import cli, cubature, problems
 
 
 def run_main(argv, capsys):
@@ -25,9 +27,26 @@ class TestIntegrate:
              "--criterion", "eb", "--eps", "1e-3", "--seed", "7"], capsys)
         assert code == 0
         record = json.loads(out)
-        assert set(record) >= {"mu_hat", "n", "err", "tolerance_met", "seconds", "seed"}
+        assert set(record) >= {"mu_hat", "n", "err", "tolerance_met", "seconds", "seed",
+                               "bound_hits", "n_clamped"}
         assert record["tolerance_met"] is True
         assert record["abs_error"] <= 1e-3
+        assert record["bound_hits"] == 0
+
+    def test_record_counts_bound_hits_and_the_last_clamped_count(self, capsys,
+                                                                 monkeypatch):
+        # a loss that falls as lam_1 grows drives eta to 1e8 at every
+        # doubling; every TransformedData is tagged with a count from its n
+        real = cubature.transformed_data
+        monkeypatch.setattr(cubature, "objective", lambda kind, td: -np.log(td.lam1))
+        monkeypatch.setattr(cubature, "transformed_data",
+                            lambda *a: replace(real(*a), n_clamped=a[2] // 64))
+        code, out, _ = run_main(
+            ["integrate", "--problem", "fresnel", "--eps", "1e-12", "--n0", "128",
+             "--nmax", "512"], capsys)
+        record = json.loads(out)
+        assert code == 1 and record["n"] == 512
+        assert record["bound_hits"] == 3 and record["n_clamped"] == 512 // 64
 
     def test_huge_eps_stops_at_n0(self, capsys):
         code, out, _ = run_main(

@@ -116,16 +116,18 @@ class TestFastLoop:
         assert res.tolerance_met
         assert res.mu_hat == pytest.approx(0.25, abs=2e-4)
 
-    def test_grad_descent_optimizer(self):
+    def test_per_dimension_gradient_search_under_small_budgets(self):
         f = lambda x: np.exp(x.sum(axis=1))
         cfg = CubatureConfig(epsilon=1e-4, n0=256, n_max=2**12, seed=7,
-                             optimizer=OptimizerSettings(method="grad_descent",
-                                                         budget_first=40,
+                             eta_mode="per_dimension",
+                             optimizer=OptimizerSettings(budget_first=40,
                                                          budget_later=15,
                                                          step=0.2))
         res = integrate_fast(f, 2, cfg)
         assert res.tolerance_met
         assert res.mu_hat == pytest.approx((np.e - 1) ** 2, rel=1e-3)
+        assert res.iterations[0].evaluations <= 40
+        assert all(it.evaluations <= 15 for it in res.iterations[1:])
 
     def test_per_dimension_eta_mode(self):
         f = lambda x: np.sin(2 * np.pi * x[:, 0]) + 100 * x[:, 1]
@@ -210,13 +212,7 @@ class TestFastLoop:
             CubatureConfig(n0=2**10, n_max=2**8)
         with pytest.raises(ValueError):
             CubatureConfig(family="halton")
-        # bad optimizer settings are refused before any point is generated
-        with pytest.raises(ValueError, match="unknown optimizer method"):
-            CubatureConfig(optimizer=OptimizerSettings(method="bfgs"))
-        for kernel in ("truncated_series", "exp_decay"):
-            with pytest.raises(ValueError, match="no gradient in the kernel order"):
-                CubatureConfig(kernel=kernel, optimizer=OptimizerSettings(
-                    method="grad_descent", search_order=True))
+        # an order search is refused before any point is generated
         for family, kernel in (("lattice", "bernoulli"), ("sobol", "walsh1"),
                                ("lattice", None), ("sobol", None)):
             with pytest.raises(ValueError, match="no continuous order"):
@@ -317,11 +313,18 @@ class TestIterationRecords:
         assert [it.theta for it in res.iterations] == [(1e8,) * 3] * 3
         assert all(it.bound_hit for it in res.iterations)
 
-    def test_bound_hit_on_any_per_dimension_entry(self, monkeypatch):
-        # log ring_lam_1 falls with every eta entry: Nelder-Mead runs t below
-        # log(1e-8), and the next doubling starts from the clipped warm start
+    @staticmethod
+    def log_ring_lam1(monkeypatch):
+        """Make the loss log ring_lam_1, with its gradient d lam_1 / lam_ring1."""
         monkeypatch.setattr(cubature, "objective",
                             lambda kind, td: np.log(td.lam_ring1))
+        monkeypatch.setattr(cubature, "objective_gradient",
+                            lambda td, kind, dlam: dlam[:, 0] / td.lam_ring1)
+
+    def test_bound_hit_on_any_per_dimension_entry(self, monkeypatch):
+        # log ring_lam_1 falls with every eta entry: the gradient search
+        # drives t down to log(1e-8)
+        self.log_ring_lam1(monkeypatch)
         f = lambda x: np.exp(x.sum(axis=1))
         cfg = CubatureConfig(epsilon=1e-9, n0=128, n_max=256, seed=5,
                              eta_mode="per_dimension")
@@ -329,16 +332,34 @@ class TestIterationRecords:
         assert all(it.bound_hit and 1e-8 in it.theta for it in res.iterations)
 
     def test_warm_start_is_clipped_into_the_eta_box(self, monkeypatch):
-        calls = self.recording_search(monkeypatch)
-        monkeypatch.setattr(cubature, "objective",
-                            lambda kind, td: np.log(td.lam_ring1))
+        # with a searched order Nelder-Mead runs, and it ignores the bounds:
+        # a loss that falls in every log eta drives it past log(1e8).  Each
+        # next start clips the eta coordinates and keeps the order's (first).
+        starts, ends = [], []
+        real = cubature.search_hyperparameters
+
+        def search(objective_fn, init, **kwargs):
+            def falling(t):  # level past log eta = 25, beyond the bound
+                value = 100 * t[0] ** 2 - np.minimum(t[1:], 25.0).sum()
+                return float(value), objective_fn(t)[1]
+
+            starts.append(init.copy())
+            res = real(falling, init, **kwargs)
+            ends.append(res.t)
+            return res
+
+        monkeypatch.setattr(cubature, "search_hyperparameters", search)
         f = lambda x: np.exp(x.sum(axis=1))
         cfg = CubatureConfig(epsilon=1e-9, n0=128, n_max=512, seed=5,
-                             eta_mode="per_dimension")
+                             eta_mode="per_dimension", kernel="truncated_series",
+                             periodizer="sidi_c1",
+                             optimizer=OptimizerSettings(search_order=True))
         integrate_fast(f, 2, cfg)
         lo, hi = np.log(kernels.ETA_MIN), np.log(kernels.ETA_MAX)
-        assert (calls[0][1].t < lo).any()  # Nelder-Mead left the box
-        assert all(((lo <= t) & (t <= hi)).all() for t, _ in calls[1:])
+        assert len(starts) == 3 and (ends[0][1:] > hi).any()
+        for end, start in zip(ends, starts[1:]):
+            assert start[0] == end[0]
+            assert np.array_equal(start[1:], np.clip(end[1:], lo, hi))
 
     def test_order_records_the_searched_and_the_fixed_order(self, monkeypatch):
         calls = self.recording_search(monkeypatch)
@@ -363,9 +384,9 @@ class TestIterationRecords:
 
 
 class TestEigenvalueRouting:
-    """Shared eta with a fixed order evaluates the Gram spectrum and the
-    grad_descent gradient as polynomials in eta; per-dimension eta and order
-    search build the ring column on every call."""
+    """Shared eta with a fixed order evaluates the Gram spectrum as a
+    polynomial in eta; per-dimension eta and order search build the ring
+    column on every evaluation, and the gradient reuses the evaluation's."""
 
     @staticmethod
     def counting_ring(monkeypatch):
@@ -385,12 +406,10 @@ class TestEigenvalueRouting:
 
     f = staticmethod(lambda x: np.exp(x.sum(axis=1)))
 
-    @pytest.mark.parametrize("method", ["nelder_mead", "grad_descent"])
     @pytest.mark.parametrize("family", ["lattice", "sobol"])
-    def test_shared_eta_never_builds_the_ring(self, monkeypatch, family, method):
+    def test_shared_eta_never_builds_the_ring(self, monkeypatch, family):
         calls = self.counting_ring(monkeypatch)
-        cfg = CubatureConfig(family=family, epsilon=1e-9, n0=128, n_max=2**11, seed=5,
-                             optimizer=OptimizerSettings(method=method))
+        cfg = CubatureConfig(family=family, epsilon=1e-9, n0=128, n_max=2**11, seed=5)
         res = integrate_fast(self.f, 3, cfg)
         assert self.evaluations(res) > 20 and calls["n"] == 0
 
@@ -402,6 +421,28 @@ class TestEigenvalueRouting:
         res = integrate_fast(self.f, 3, cfg)
         assert calls["n"] == self.evaluations(res) > 0
 
+    def test_gradient_asked_out_of_turn_is_the_gradient_there(self, monkeypatch):
+        # the gradient reuses the latest evaluation's ring column; asked at
+        # another point, it must not return that point's gradient
+        seen = []
+        real = cubature.search_hyperparameters
+
+        def search(objective_fn, init, gradient_fn=None, **kwargs):
+            a, b = init, init + np.array([0.3, -0.2, 0.1])
+            objective_fn(a)
+            in_turn = gradient_fn(a)
+            objective_fn(b)
+            seen.append((gradient_fn(a), in_turn, gradient_fn(b)))
+            return real(objective_fn, init, gradient_fn=gradient_fn, **kwargs)
+
+        monkeypatch.setattr(cubature, "search_hyperparameters", search)
+        cfg = CubatureConfig(epsilon=1e-9, n0=128, n_max=256, seed=5,
+                             eta_mode="per_dimension")
+        integrate_fast(self.f, 3, cfg)
+        for out_of_turn, in_turn, other in seen:
+            assert np.array_equal(out_of_turn, in_turn)
+            assert not np.array_equal(out_of_turn, other)
+
     def test_order_search_builds_it_per_evaluation(self, monkeypatch):
         calls = self.counting_ring(monkeypatch)
         cfg = CubatureConfig(epsilon=1e-9, n0=128, n_max=2**10, seed=5,
@@ -410,10 +451,8 @@ class TestEigenvalueRouting:
         res = integrate_fast(self.f, 3, cfg)
         assert calls["n"] == self.evaluations(res) > 0
 
-    @pytest.mark.parametrize("eta_mode, method", [("shared", "nelder_mead"),
-                                                  ("per_dimension", "nelder_mead"),
-                                                  ("shared", "grad_descent")])
-    def test_sobol_builds_each_column_once(self, monkeypatch, eta_mode, method):
+    @pytest.mark.parametrize("eta_mode", ["shared", "per_dimension"])
+    def test_sobol_builds_each_column_once(self, monkeypatch, eta_mode):
         # each doubling builds the Walsh bases of its new block only
         built = {"cols": 0}
         real = kernels.sobol_column_bases
@@ -425,8 +464,7 @@ class TestEigenvalueRouting:
 
         monkeypatch.setattr(kernels, "sobol_column_bases", bases)
         cfg = CubatureConfig(family="sobol", epsilon=1e-9, n0=128, n_max=2**11,
-                             seed=5, eta_mode=eta_mode,
-                             optimizer=OptimizerSettings(method=method))
+                             seed=5, eta_mode=eta_mode)
         res = integrate_fast(self.f, 3, cfg)
         assert len(res.iterations) == 5
         assert built["cols"] == res.n_used == 2**11

@@ -10,8 +10,8 @@ from bayescub.inference import (EB, FULL, GCV, DegenerateDataError,
                                 TransformedData, column_spectrum, credible_width,
                                 data_weights, dense_eb_objective, dense_posterior,
                                 objective, objective_eb, objective_gcv,
-                                objective_gradient, polynomial_derivative,
-                                polynomial_spectrum, search_hyperparameters,
+                                objective_gradient, polynomial_spectrum,
+                                search_hyperparameters,
                                 student_t_quantile, transformed_data)
 from bayescub.kernels import KernelSpec
 from oracles import gram_eigenvalues, mirror_half
@@ -360,15 +360,7 @@ class TestObjectiveGradient:
         bases = kernels.column_bases(spec, gen, m)
         jac = kernels.column_eta_jacobian(spec, bases, col)
         dlam = np.vstack([column_spectrum(row, family, 1 << m) for row in jac])
-        grads = [objective_gradient(td, kind, dlam)]
-        if shared:
-            # the loop's path: the Horner derivative in t = log eta over the
-            # spectra of e_1..e_d, divided by eta for the derivative in eta
-            spectra = column_spectrum(kernels.elementary_symmetric(bases), family, 1 << m)
-            td_poly = transformed_data(td.weights, polynomial_spectrum(spectra, eta),
-                                       1 << m)
-            grads.append(objective_gradient(
-                td_poly, kind, polynomial_derivative(spectra, eta)) / eta)
+        grad = objective_gradient(td, kind, dlam)
 
         def loss_at(eta_vec):
             c = kernels.ring_from_bases(eta_vec, bases)
@@ -389,7 +381,7 @@ class TestObjectiveGradient:
                 up[ell] += h
                 dn[ell] -= h
                 num[ell] = (loss_at(up) - loss_at(dn)) / (2 * h)
-        return grads, num
+        return grad, num
 
     @pytest.mark.parametrize("kind", [EB, GCV])
     def test_matches_central_difference(self, kind):
@@ -402,12 +394,10 @@ class TestObjectiveGradient:
             order = 1 if kernel == "walsh1" else (1, 2)[i % 2]
             d = int(rng.integers(1, 4))
             shared = bool(i % 2)
-            grads, num = self.analytic_and_numeric(kind, family, kernel, order,
-                                                   5, d, shared, seed=i)
-            assert len(grads) == 1 + shared
-            for grad in grads:
-                tol = 1e-5 * np.maximum(np.abs(grad), np.abs(num)) + 1e-7
-                assert (np.abs(grad - num) <= tol).all(), (kind, i, grad, num)
+            grad, num = self.analytic_and_numeric(kind, family, kernel, order,
+                                                  5, d, shared, seed=i)
+            tol = 1e-5 * np.maximum(np.abs(grad), np.abs(num)) + 1e-7
+            assert (np.abs(grad - num) <= tol).all(), (kind, i, grad, num)
 
     def test_zero_derivative_gives_zero_gradient(self):
         _, _, _, _, _, td = make_matched_td("lattice", "bernoulli", 1, 1.0, 4, 2)
@@ -572,48 +562,88 @@ class TestHyperparameterSearch:
         assert abs(res.t[0] - 1.3) < 1e-4
         assert calls["n"] <= 50
 
-    def test_grad_descent_zero_step_returns_init(self):
+    @staticmethod
+    def bowl(seen, centre=(1.5, -2.0)):
+        """A 2-D quadratic bowl that records every point it is evaluated at,
+        with its gradient."""
+        c = np.asarray(centre)
+        scale = np.array([1.0, 4.0])
+
         def obj(t):
-            return float((t**2).sum()), None
+            seen.append(tuple(t))
+            return float((scale * (t - c) ** 2).sum()), None
 
-        res = search_hyperparameters(obj, np.array([0.7]), method="grad_descent",
-                                     budget=10, step=0.0, gradient_fn=lambda t: 2 * t)
-        assert res.t[0] == 0.7
+        return obj, lambda t: 2 * scale * (t - c)
 
-    def test_grad_descent_evaluates_start_once(self):
+    def test_gradient_search_evaluates_the_start_once(self):
+        seen = []
+        obj, grad = self.bowl(seen)
+        res = search_hyperparameters(obj, np.zeros(2), budget=100, gradient_fn=grad,
+                                     bounds=LOG_ETA_BOUNDS)
+        assert seen[0] == (0.0, 0.0) and seen.count((0.0, 0.0)) == 1
+        assert res.evaluations == len(seen) == len(set(seen)) < 30
+        assert np.abs(res.t - [1.5, -2.0]).max() < 1e-4
+
+    def test_gradient_search_respects_the_budget(self):
         seen = []
 
-        def obj(t):
-            seen.append(float(t[0]))
-            return float((t[0] - 3.0) ** 2), None
+        def obj(t):  # Rosenbrock's valley takes L-BFGS-B many steps
+            seen.append(tuple(t))
+            return float(100 * (t[1] - t[0] ** 2) ** 2 + (1 - t[0]) ** 2), None
 
-        res = search_hyperparameters(obj, np.zeros(1), method="grad_descent", budget=5,
-                                     step=0.25, gradient_fn=lambda t: 2 * (t - 3.0))
-        assert seen.count(0.0) == 1 and seen[0] == 0.0
-        assert res.evaluations == len(seen) == 5
+        def grad(t):
+            return np.array([-400 * t[0] * (t[1] - t[0] ** 2) - 2 * (1 - t[0]),
+                             200 * (t[1] - t[0] ** 2)])
 
-    def test_grad_descent_stops_before_its_budget(self):
-        # each step halves the distance to 3: the moves and value drops fall
-        # under the tolerances long before 100 evaluations
+        for budget in (1, 2, 3, 5, 8, 20):
+            seen.clear()
+            res = search_hyperparameters(obj, np.array([-1.2, 1.0]), budget=budget,
+                                         gradient_fn=grad, bounds=LOG_ETA_BOUNDS)
+            assert res.evaluations == len(seen) == len(set(seen)) <= budget
+        assert res.evaluations == 20
+
+    def test_gradient_search_never_leaves_the_bounds(self):
+        # the bowl's centre lies past both bounds, and so does the start
+        lo, hi = LOG_ETA_BOUNDS
         seen = []
+        obj, grad = self.bowl(seen, centre=(40.0, -40.0))
+        res = search_hyperparameters(obj, np.array([30.0, 0.0]), budget=100,
+                                     gradient_fn=grad, bounds=LOG_ETA_BOUNDS)
+        assert seen[0] == (hi, 0.0)
+        assert all(lo <= u <= hi for t in seen for u in t)
+        assert res.t.tolist() == [hi, lo]
+
+    def test_gradient_search_nonfinite_start_raises(self):
+        with pytest.raises(NonFiniteStartError):
+            search_hyperparameters(lambda t: (np.nan, None), np.zeros(2), budget=5,
+                                   gradient_fn=lambda t: np.zeros(2))
+
+    def test_gradient_search_keeps_the_best_point_past_a_rejected_one(self):
+        # the bowl's centre sits where the objective is rejected: the search
+        # returns the best finite point seen, and never asks a gradient there
+        seen, asked = [], []
+        c, scale = np.array([3.0, 3.0]), np.array([0.25, 1.0])
+
+        def bowl(t):
+            return float((scale * (np.asarray(t) - c) ** 2).sum())
 
         def obj(t):
-            seen.append(float(t[0]))
-            return float((t[0] - 3.0) ** 2), None
+            seen.append(tuple(t))
+            if t[0] > 2.0:
+                raise NonPositiveDefiniteError("past the wall")
+            return bowl(t), tuple(t)
 
-        res = search_hyperparameters(obj, np.zeros(1), method="grad_descent", budget=100,
-                                     step=0.25, gradient_fn=lambda t: 2 * (t - 3.0))
-        assert res.evaluations == len(seen) < 20
-        assert abs(res.t[0] - 3.0) < 1e-3
+        def grad(t):
+            asked.append(tuple(t))
+            return 2 * scale * (t - c)
 
-    def test_bad_method_raises_before_evaluating(self):
-        def never(t):
-            raise AssertionError("evaluated")
-
-        with pytest.raises(ValueError, match="unknown search method"):
-            search_hyperparameters(never, np.zeros(1), method="bfgs")
-        with pytest.raises(ValueError, match="needs a gradient"):
-            search_hyperparameters(never, np.zeros(1), method="grad_descent")
+        res = search_hyperparameters(obj, np.zeros(2), budget=50, gradient_fn=grad,
+                                     bounds=LOG_ETA_BOUNDS)
+        rejected = {t for t in seen if t[0] > 2.0}
+        accepted = [t for t in seen if t[0] <= 2.0]
+        assert rejected and not rejected & set(asked)
+        assert tuple(res.t) == res.payload == min(accepted, key=bowl) != (0.0, 0.0)
+        assert res.evaluations == len(seen) == len(set(seen))
 
     def test_nonfinite_at_init_raises(self):
         def bad(t):

@@ -2,6 +2,7 @@
 positive definiteness, normalization, and analytic gradients."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -213,8 +214,8 @@ class TestGradients:
         out = np.empty(spec.d if not spec.shared_eta else 1)
         base_eta = spec.eta.copy()
         if spec.shared_eta:
-            up = spec.with_eta(base_eta * (1 + h))
-            dn = spec.with_eta(base_eta * (1 - h))
+            up = replace(spec, eta=base_eta * (1 + h))
+            dn = replace(spec, eta=base_eta * (1 - h))
             ku = 1.0 + shift_invariant_ring(up, self.lag(spec, x, t))
             kd = 1.0 + shift_invariant_ring(dn, self.lag(spec, x, t))
             out[0] = (ku - kd) / (2 * h * base_eta[0])
@@ -223,8 +224,8 @@ class TestGradients:
             eu, ed = base_eta.copy(), base_eta.copy()
             eu[ell] += h
             ed[ell] -= h
-            ku = 1.0 + shift_invariant_ring(spec.with_eta(eu), self.lag(spec, x, t))
-            kd = 1.0 + shift_invariant_ring(spec.with_eta(ed), self.lag(spec, x, t))
+            ku = 1.0 + shift_invariant_ring(replace(spec, eta=eu), self.lag(spec, x, t))
+            kd = 1.0 + shift_invariant_ring(replace(spec, eta=ed), self.lag(spec, x, t))
             out[ell] = (ku - kd) / (2 * h)
         return out
 
