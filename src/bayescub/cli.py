@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from . import problems
-from .cubature import CubatureConfig, OptimizerSettings, integrate_dense, integrate_fast
+from .cubature import CubatureConfig, integrate_dense, integrate_fast
 from .inference import CRITERIA
 
 SWEEP_SCHEMA = "bayescub.sweep.v1"
@@ -56,8 +56,7 @@ def _make_config(args, eps: float, seed: int, periodizer: str) -> CubatureConfig
         family=family, criterion=args.criterion, epsilon=eps, n0=args.n0,
         n_max=nmax, seed=seed, periodizer=periodizer,
         eta_mode=args.eta_mode.replace("-", "_").replace("per_dim", "per_dimension"),
-        kernel=args.kernel, order=args.order,
-        optimizer=OptimizerSettings())
+        kernel=args.kernel, order=args.order)
 
 
 def _resolve_periodizer(args, problem) -> str:

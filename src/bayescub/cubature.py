@@ -3,7 +3,7 @@
 and a plain Monte Carlo comparison baseline.
 
 Per iteration only the new block of nodes is generated and evaluated; the
-running data transform is extended by the doubling update, the shape
+running data transform is grown by the doubling update, the shape
 parameters are re-optimized from a warm start, and sampling stops as soon as
 the credible half-width drops to the tolerance.
 
@@ -18,7 +18,10 @@ eta holds the bases and builds the ring column and its transform on every
 evaluation; L-BFGS-B searches it with the analytic gradient, which reuses
 the latest evaluation's ring column and data and transforms the d columns
 of the eta Jacobian.  A searched order builds its bases per evaluation too,
-and Nelder-Mead searches it without a gradient.
+and Nelder-Mead searches it without a gradient.  Every search stays in the
+box [log 1e-8, log 1e8], which also keeps a searched order one its kernel
+accepts, within _BUDGET_FIRST distinct evaluations at the first doubling and
+_BUDGET_LATER at each later one.
 
 On Sobol' nodes the kernel columns grow as the data do: the column at 2n is
 the column at n followed by the new block's, so each doubling builds the
@@ -34,7 +37,7 @@ once per doubling.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -52,12 +55,8 @@ class IntegrandError(ValueError):
     """The integrand returned a non-finite value."""
 
 
-@dataclass(frozen=True)
-class OptimizerSettings:
-    budget_first: int = 100
-    budget_later: int = 20
-    step: float = 0.5
-    search_order: bool = False
+# later searches start warm from the previous optimum
+_BUDGET_FIRST, _BUDGET_LATER = 100, 20
 
 
 @dataclass(frozen=True)
@@ -73,7 +72,7 @@ class CubatureConfig:
     kernel: str | None = None        # default: bernoulli (lattice) / walsh1 (sobol)
     order: float | None = None       # default: 2 (bernoulli) / 1 (walsh1)
     scramble: bool = False
-    optimizer: OptimizerSettings = field(default_factory=OptimizerSettings)
+    search_order: bool = False       # search a continuous kernel order too
 
     def __post_init__(self):
         if self.family not in ("lattice", "sobol", "matern_dense"):
@@ -90,7 +89,7 @@ class CubatureConfig:
             raise ValueError("n0 must not exceed n_max")
         if self.eta_mode not in ("shared", "per_dimension"):
             raise ValueError(f"unknown eta_mode {self.eta_mode!r}")
-        if self.optimizer.search_order and self.kernel not in _ORDER_MAPS:
+        if self.search_order and self.kernel not in _ORDER_MAPS:
             raise ValueError(f"kernel {self.kernel!r} has no continuous order to search")
 
 
@@ -139,9 +138,7 @@ def _default_kernel(config: CubatureConfig, d: int) -> kernels.KernelSpec:
         order = {"bernoulli": 2.0, "truncated_series": 2.0, "exp_decay": 0.5,
                  "walsh1": 1.0, "matern": 1.0}[family]
     eta0 = order if family == "matern" else 1.0
-    return kernels.KernelSpec(family=family, order=float(order),
-                              eta=np.full(d, eta0),
-                              shared_eta=config.eta_mode == "shared")
+    return kernels.KernelSpec(family=family, order=float(order), eta=np.full(d, eta0))
 
 
 # The search coordinates t are log eta, one entry shared by every dimension
@@ -193,8 +190,9 @@ def integrate_fast(f, d: int, config: CubatureConfig) -> CubatureResult:
     kind = config.family
     f_eval = problems.periodize(f, config.periodizer)
     spec0 = _default_kernel(config, d)
-    search_order = config.optimizer.search_order
-    start = np.zeros(1 if spec0.shared_eta else d)  # eta = 1
+    search_order = config.search_order
+    shared = config.eta_mode == "shared"
+    start = np.zeros(1 if shared else d)  # eta = 1
     if search_order:
         start = np.r_[_ORDER_MAPS[spec0.family][1](spec0.order), start]
     warm = start
@@ -205,7 +203,7 @@ def integrate_fast(f, d: int, config: CubatureConfig) -> CubatureResult:
     err = np.inf
     td: TransformedData | None = None
     n_prev, n = 0, config.n0
-    budget = config.optimizer.budget_first
+    budget = _BUDGET_FIRST
 
     while n <= config.n_max:
         it_start = time.perf_counter()
@@ -231,7 +229,7 @@ def integrate_fast(f, d: int, config: CubatureConfig) -> CubatureResult:
             # [n_prev, n), and so are e_1..e_d: only the block is built, and
             # its d transforms extend the held spectra by the FWHT's last stage
             new_bases = kernels.sobol_column_bases(spec0, gen, m, start=n_prev)
-            if spec0.shared_eta:
+            if shared:
                 tail = column_spectrum(kernels.elementary_symmetric(new_bases),
                                        kind, n - n_prev)
                 powers = tail if powers is None else walsh_double(powers, tail)
@@ -240,7 +238,7 @@ def integrate_fast(f, d: int, config: CubatureConfig) -> CubatureResult:
                          else np.concatenate([bases, new_bases], axis=1))
         elif not search_order:
             bases = kernels.column_bases(spec0, gen, m)
-            if spec0.shared_eta:
+            if shared:
                 powers = column_spectrum(kernels.elementary_symmetric(bases), kind, n)
                 bases = None
 
@@ -268,12 +266,12 @@ def integrate_fast(f, d: int, config: CubatureConfig) -> CubatureResult:
             if not np.array_equal(t, last.get("t")):
                 obj(t)  # the search asked out of turn: rebuild the ring
             eta = _eta_from_log(t)
-            jac = kernels.column_eta_jacobian(replace(spec0, eta=eta), bases, last["col"])
+            jac = kernels.column_eta_jacobian(eta, bases, last["col"])
             # chain rule through eta = exp(t)
             return objective_gradient(last["data"], config.criterion,
                                       column_spectrum(jac, kind, n)) * eta
 
-        search = dict(budget=budget, step=config.optimizer.step,
+        search = dict(budget=budget,
                       gradient_fn=gradient if bases is not None else None,
                       bounds=(_LOG_ETA_MIN, _LOG_ETA_MAX))
         reseeded = False
@@ -284,11 +282,8 @@ def integrate_fast(f, d: int, config: CubatureConfig) -> CubatureResult:
                 raise
             res = search_hyperparameters(obj, start, **search)
             reseeded = True
-        # past a bound the eta map is flat, and a search started there is
-        # stuck: clip the eta coordinates, which follow a searched order's
-        warm = res.t.copy()
-        warm[search_order:] = np.clip(warm[search_order:], _LOG_ETA_MIN, _LOG_ETA_MAX)
-        budget = config.optimizer.budget_later
+        warm = res.t
+        budget = _BUDGET_LATER
         td = res.payload
         spec_best = _kernel_at(spec0, res.t, search_order)
         err = credible_width(config.criterion, td)
@@ -314,6 +309,10 @@ def integrate_fast(f, d: int, config: CubatureConfig) -> CubatureResult:
 # Dense slow path (Matern baseline) and plain Monte Carlo
 # ---------------------------------------------------------------------------
 
+# the Matern length scales the dense loop tries at every doubling
+_MATERN_THETAS = np.geomspace(0.5, 64.0, 12)
+
+
 def _matern_c_vector(theta: float, pts: np.ndarray) -> np.ndarray:
     def antideriv(a):
         return 2.0 / theta - np.exp(-theta * a) * (a + 2.0 / theta)
@@ -326,8 +325,7 @@ def _matern_c0(theta: float, d: int) -> float:
     return float(one_dim**d)
 
 
-def integrate_dense(f, d: int, config: CubatureConfig,
-                    theta_grid=None) -> CubatureResult:
+def integrate_dense(f, d: int, config: CubatureConfig) -> CubatureResult:
     """Generic-kernel doubling loop with O(N_opt n^3) dense linear algebra."""
     if config.family != "matern_dense":
         raise ValueError("integrate_dense requires the matern_dense family")
@@ -336,13 +334,11 @@ def integrate_dense(f, d: int, config: CubatureConfig,
     t_start = time.perf_counter()
     gen = make_sobol(d, config.seed, scramble=True)
     f_eval = problems.periodize(f, config.periodizer)
-    if theta_grid is None:
-        theta_grid = np.geomspace(0.5, 64.0, 12)
 
     y_all = np.empty(0)
     pts_all = np.empty((0, d))
     iterations: list[IterationRecord] = []
-    err, post, best_theta = np.inf, None, float(theta_grid[0])
+    err, post, best_theta = np.inf, None, float(_MATERN_THETAS[0])
     n_prev, n = 0, config.n0
 
     while n <= config.n_max:
@@ -360,7 +356,7 @@ def integrate_dense(f, d: int, config: CubatureConfig,
             break
 
         best_val = np.inf
-        for theta in theta_grid:
+        for theta in _MATERN_THETAS:
             gram = kernels.gram_matrix(
                 kernels.KernelSpec("matern", 1.0, np.full(d, theta)), pts_all)
             val = dense_eb_objective(y_all, gram)

@@ -1,5 +1,5 @@
 """Hyperparameter objectives, the eigenvalue pipeline, credible-interval
-widths, and the dense slow-path posterior.
+widths, the dense slow-path posterior, and the hyperparameter search.
 
 The fast formulas work entirely in transform space: with spectrum y~ of the
 data and eigenvalues lam_1 = n + ring_lam_1, lam_2..lam_n of the Gram matrix,
@@ -29,11 +29,12 @@ conjugate of y~_k), stays its half k = 0..n/2 up to the width: data_weights
 pairs the data once per sample size, TransformedData the eigenvalue sums.
 
 search_hyperparameters minimizes over a plain float vector; cubature maps it
-to a kernel and passes the eta bounds.  The method follows from what the
-caller gives: one coordinate (shared eta) runs a bracketed Brent line search,
-two or more with a gradient (per-dimension eta at a fixed order) L-BFGS-B on
-the box, both inside the bounds; two or more without one (a searched order,
-which has no derivative) run Nelder-Mead.
+to a kernel and passes the eta bounds and the budget.  The method follows
+from what the caller gives: one coordinate (shared eta) runs a bracketed
+Brent line search, two or more with a gradient (per-dimension eta at a fixed
+order) L-BFGS-B, two or more without one (a searched order, which has no
+derivative) Nelder-Mead.  All three stay inside the bounds and share one
+memo of values and one cap on distinct evaluations.
 """
 
 from __future__ import annotations
@@ -245,61 +246,28 @@ class DensePosterior:
     s2: float
 
 
-def _chol_extended(a: np.ndarray) -> np.ndarray:
-    """Plain Cholesky in 80-bit floats; the double-precision factorization of
-    c0 - c' C^-1 c loses too many digits when n/lambda_1 approaches one."""
-    a = np.asarray(a, dtype=np.longdouble)
-    n = a.shape[0]
-    low = np.zeros_like(a)
-    for j in range(n):
-        s = a[j, j] - (low[j, :j] ** 2).sum()
-        if s <= 0:
-            raise NonPositiveDefiniteError("extended Cholesky hit a nonpositive pivot")
-        low[j, j] = np.sqrt(s)
-        if j + 1 < n:
-            low[j + 1:, j] = (a[j + 1:, j] - low[j + 1:, :j] @ low[j, :j]) / low[j, j]
-    return low
-
-
-def _solve_extended(low: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n = low.shape[0]
-    z = np.asarray(b, dtype=np.longdouble).copy()
-    for j in range(n):
-        z[j] = (z[j] - low[j, :j] @ z[:j]) / low[j, j]
-    for j in range(n - 1, -1, -1):
-        z[j] = (z[j] - low[j + 1:, j] @ z[j + 1:]) / low[j, j]
-    return z
-
-
 def dense_posterior(y: np.ndarray, gram: np.ndarray, c: np.ndarray, c0: float,
-                    kind: str, extended: bool = False) -> DensePosterior:
-    """Full O(n^3) posterior: mean estimate, width, and scale for a criterion.
-
-    extended=True runs the linear algebra in 80-bit floats (n <= 512), which
-    the oracle comparisons need because c0 - c' C^-1 c cancels severely for
-    smooth kernels.
-    """
+                    kind: str) -> DensePosterior:
+    """Full O(n^3) posterior: mean estimate, width, and scale for a criterion."""
     n = np.asarray(y).shape[0]
     if n > 4096:
         raise ValueError("dense path guarded to n <= 4096")
-    if extended:
-        if n > 512:
-            raise ValueError("extended-precision dense path guarded to n <= 512")
-        dtype = np.longdouble
-        low = _chol_extended(gram)
-        solve = lambda rhs: _solve_extended(low, rhs)
-        diag = np.diag(low)
-    else:
-        dtype = np.float64
-        try:
-            chol = cho_factor(np.asarray(gram, dtype=np.float64), lower=True)
-        except np.linalg.LinAlgError as exc:
-            raise NonPositiveDefiniteError(f"dense Gram not positive definite: {exc}")
-        solve = lambda rhs: cho_solve(chol, rhs)
-        diag = np.diag(chol[0])
-    y = np.asarray(y, dtype=dtype)
-    c = np.asarray(c, dtype=dtype)
-    ones = np.ones(n, dtype=dtype)
+    try:
+        chol = cho_factor(np.asarray(gram, dtype=np.float64), lower=True)
+    except np.linalg.LinAlgError as exc:
+        raise NonPositiveDefiniteError(f"dense Gram not positive definite: {exc}")
+    return _posterior(np.asarray(y, dtype=np.float64), np.asarray(c, dtype=np.float64),
+                      c0, kind, lambda rhs: cho_solve(chol, rhs),
+                      lambda: solve_triangular(chol[0], np.eye(n), lower=True))
+
+
+def _posterior(y: np.ndarray, c: np.ndarray, c0: float, kind: str, solve,
+               inverse_factor) -> DensePosterior:
+    """The posterior formulas over a factored Gram matrix C, in the dtype of
+    y and c: solve(rhs) is C^-1 rhs, inverse_factor() the inverse of C's
+    lower Cholesky factor (needed by GCV alone)."""
+    n = y.shape[0]
+    ones = np.ones(n, dtype=y.dtype)
 
     a = solve(y)     # C^-1 y
     b = solve(ones)
@@ -329,25 +297,13 @@ def dense_posterior(y: np.ndarray, gram: np.ndarray, c: np.ndarray, c0: float,
         one_a2 = a2.sum()
         m_gcv = one_a2 / dd2
         quad2 = y @ a2 - one_a2**2 / dd2
-        if extended:
-            inv_l = _forward_identity(low)
-        else:
-            inv_l = solve_triangular(chol[0], np.eye(n), lower=True)
-        trace_inv = (inv_l**2).sum()
+        trace_inv = (inverse_factor()**2).sum()
         s2_gcv = quad2 / trace_inv
         mu_gcv = (1.0 - e.sum()) * (b @ a) / dd2 + c @ a
         return DensePosterior(float(mu_gcv),
                               float(QUANTILE_99 * np.sqrt(max(s2_gcv * resid_var, 0.0))),
                               float(m_gcv), float(s2_gcv))
     raise ValueError(f"unknown criterion {kind!r}")
-
-
-def _forward_identity(low: np.ndarray) -> np.ndarray:
-    n = low.shape[0]
-    out = np.eye(n, dtype=np.longdouble)
-    for j in range(n):
-        out[j] = (out[j] - low[j, :j] @ out[:j]) / low[j, j]
-    return out
 
 
 def dense_eb_objective(y: np.ndarray, gram: np.ndarray) -> float:
@@ -367,6 +323,7 @@ def dense_eb_objective(y: np.ndarray, gram: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 XATOL, FATOL = 1e-4, 1e-7  # search tolerances in t and in the value
+STEP = 0.5  # first step of the line search and Nelder-Mead's initial simplex
 
 
 @dataclass
@@ -377,25 +334,24 @@ class SearchResult:
 
 
 def search_hyperparameters(objective_fn, t0: np.ndarray, budget: int = 100,
-                           step: float = 0.25, gradient_fn=None,
+                           gradient_fn=None,
                            bounds: tuple[float, float] = (-np.inf, np.inf)) -> SearchResult:
-    """Minimize objective_fn over a float vector from t0; returns the best
-    point seen within budget evaluations.  What the coordinates mean is the
-    caller's business.
+    """Minimize objective_fn over a float vector from t0 in the box
+    [bounds]^p; returns the best point seen within budget evaluations.
+    What the coordinates mean is the caller's business.
 
     objective_fn(t) -> (value, payload); gradient_fn(t) -> the value's
     gradient in t.  The method follows the coordinates: one runs a line
     search (_line_search: a downhill walk that brackets the minimum, then
-    Brent), two or more with a gradient_fn L-BFGS-B, both from t0 clipped
-    into bounds and never evaluating outside them; two or more without a
-    gradient run Nelder-Mead, which ignores bounds.  The first two memoize
-    values by exact t and count distinct evaluations only.  Non-finite values
-    during the search are treated as rejected steps, where the gradient is
-    zero; a non-finite value at t0 raises NonFiniteStartError.
+    Brent), two or more with a gradient_fn L-BFGS-B, two or more without one
+    Nelder-Mead.  All three start from t0 clipped into the box, never
+    evaluate outside it, memoize values by exact t and count distinct
+    evaluations only.  Non-finite values during the search are treated as
+    rejected steps, where the gradient is zero; a non-finite value at t0
+    raises NonFiniteStartError.
     """
     p = t0.shape[0]
-    if p == 1 or gradient_fn is not None:
-        t0 = np.clip(t0, *bounds)
+    t0 = np.clip(t0, *bounds)
     best = {"val": np.inf, "t": t0.copy(), "payload": None, "count": 0}
 
     def wrapped(t):
@@ -427,13 +383,13 @@ def search_hyperparameters(objective_fn, t0: np.ndarray, budget: int = 100,
 
     try:
         if p == 1:
-            _line_search(lambda u: value((u,)), float(t0[0]), v0, step, *bounds)
+            _line_search(lambda u: value((u,)), float(t0[0]), v0, STEP, *bounds)
         elif gradient_fn is not None:
             minimize(value, t0, jac=gradient, method="L-BFGS-B", bounds=[bounds] * p)
-        elif budget > 1:
-            minimize(wrapped, t0, method="Nelder-Mead",
-                     options={"maxfev": budget - 1, "xatol": XATOL, "fatol": FATOL,
-                              "initial_simplex": _initial_simplex(t0, step)})
+        else:
+            minimize(value, t0, method="Nelder-Mead", bounds=[bounds] * p,
+                     options={"xatol": XATOL, "fatol": FATOL,
+                              "initial_simplex": _initial_simplex(t0, STEP)})
     except _BudgetSpent:
         pass
     return SearchResult(t=best["t"], evaluations=best["count"], payload=best["payload"])

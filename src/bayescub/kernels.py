@@ -5,10 +5,12 @@ All matched families are products over dimensions of factors 1 + eta_l * c_l
 where c_l integrates to zero, so the kernel integrates to one and the Gram
 matrix is n plus a rank-free "ring" part.  The ring column is assembled by the
 iteration R <- R * (1 + c) + c, which never subtracts near-equal quantities.
-With one eta shared by every dimension it is also the polynomial
-sum_j eta^j e_j in the elementary symmetric polynomials e_j of the bases,
-whose coefficient columns do not depend on eta.  The Matern kernel lives
-here only as the dense slow-path baseline (gram_matrix).
+A kernel holds one eta per dimension; whether the search shares one value
+among them is the doubling loop's choice.  With one eta shared by every
+dimension the ring is also the polynomial sum_j eta^j e_j in the elementary
+symmetric polynomials e_j of the bases, whose coefficient columns do not
+depend on eta.  The Matern kernel lives here only as the dense slow-path
+baseline (gram_matrix).
 """
 
 from __future__ import annotations
@@ -36,13 +38,12 @@ class KernelSpec:
 
     order is r for bernoulli (1 or 2) and truncated_series (> 1), q in (0,1)
     for exp_decay, fixed 1 for walsh1, and the Matern length scale theta.
-    eta has one entry per dimension; shared_eta marks a single common value.
+    eta has one entry per dimension.
     """
 
     family: str
     order: float
     eta: np.ndarray
-    shared_eta: bool = True
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -52,8 +53,6 @@ class KernelSpec:
             raise ValueError("eta must be positive")
         if self.family != "matern" and ((eta < ETA_MIN) | (eta > ETA_MAX)).any():
             raise ValueError(f"eta must lie in [{ETA_MIN}, {ETA_MAX}]")
-        if self.shared_eta and not np.all(eta == eta[0]):
-            raise ValueError("shared_eta requires identical components")
         object.__setattr__(self, "eta", eta)
         if self.family == "bernoulli" and self.order not in (1, 2):
             raise ValueError("bernoulli order must be 1 or 2 (use truncated_series otherwise)")
@@ -252,16 +251,14 @@ def column_bases(spec: KernelSpec, gen, m: int) -> np.ndarray:
     raise TypeError(f"unsupported generator {type(gen)!r}")
 
 
-def column_eta_jacobian(spec: KernelSpec, bases: np.ndarray,
+def column_eta_jacobian(eta: np.ndarray, bases: np.ndarray,
                         ring: np.ndarray) -> np.ndarray:
-    """Derivative first columns dC1/d eta, shape (p, cols); p = 1 if shared."""
-    factors = 1.0 + spec.eta[:, None] * bases
+    """Derivative first columns dC1/d eta_l, one row per dimension, shape
+    (d, cols), from the bases and ring_from_bases(eta, bases)."""
+    factors = 1.0 + eta[:, None] * bases
     if (factors == 0.0).any():
         raise SingularFactorError("per-dimension kernel factor is zero")
-    kernel = 1.0 + ring
-    if spec.shared_eta:
-        return (kernel * (bases / factors).sum(axis=0))[None, :]
-    return kernel * bases / factors
+    return (1.0 + ring) * bases / factors
 
 
 # ---------------------------------------------------------------------------

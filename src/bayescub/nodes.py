@@ -94,7 +94,7 @@ class LatticeGenerator:
     def __post_init__(self):
         h = self.generating_vector
         if any(v % 2 == 0 or not 0 < v < (1 << self.max_log2_n) for v in h):
-            raise ValueError("generating vector entries must be odd and < 2^m_max")
+            raise ValueError("generating vector entries must be odd and < 2^max_log2_n")
         shift = np.asarray(self.shift, dtype=np.float64)
         if shift.shape != (len(h),) or (shift < 0).any() or (shift >= 1).any():
             raise ValueError("shift must be a point of [0,1)^d")
@@ -160,12 +160,12 @@ def default_lattice_vector(d: int) -> tuple[int, ...]:
     return tuple(vec[:d])
 
 
-def make_lattice(d: int, seed: int, m_max: int = 20) -> LatticeGenerator:
+def make_lattice(d: int, seed: int) -> LatticeGenerator:
     """Lattice generator with the shipped vector and a seeded random shift."""
     vec = default_lattice_vector(d)
     rng = np.random.Generator(np.random.Philox(seed))
     shift = rng.random(d)
-    return LatticeGenerator(generating_vector=vec, shift=shift, max_log2_n=m_max)
+    return LatticeGenerator(generating_vector=vec, shift=shift)
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,13 @@ digit arithmetic of the Walsh kernels, the radical inverse and the bit
 reversal, identity Sobol' generator matrices, the Matern kernel at a pair of
 points, the dense lattice and Walsh-Hadamard transforms, and the whole
 lattice spectra (even Gram, conjugate-symmetric data) that the package keeps
-as their halves.
+as their halves; and the dense posterior in 80-bit floats.
 """
 
 import numpy as np
 
 from bayescub import kernels, nodes, transforms
+from bayescub.inference import NonPositiveDefiniteError, _posterior
 
 DIGITS = nodes.DIGITS
 _SCALE = float(2**DIGITS)
@@ -95,11 +96,11 @@ def walsh_ring(spec, x, t) -> float | np.ndarray:
     return shift_invariant_ring(spec, digit_subtract(x, t))
 
 
-def kernel_eta_gradient(spec, x, t) -> np.ndarray:
+def kernel_eta_gradient(spec, x, t, shared: bool = False) -> np.ndarray:
     """Analytic shape-parameter partials of a product kernel at (x, t).
 
-    Shared eta returns the single derivative d/d eta; per-dimension eta
-    returns one partial per dimension.
+    shared (all entries of spec.eta equal) returns the single derivative
+    d/d eta; otherwise one partial per dimension.
     """
     x = np.asarray(x, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
@@ -109,7 +110,7 @@ def kernel_eta_gradient(spec, x, t) -> np.ndarray:
     if (factors == 0.0).any():
         raise kernels.SingularFactorError("per-dimension kernel factor is zero")
     kernel = factors.prod()
-    if spec.shared_eta:
+    if shared:
         val = (spec.d / spec.eta[0]) * kernel * (1.0 - np.mean(1.0 / factors))
         return np.array([val])
     return kernel * bases / factors
@@ -150,3 +151,51 @@ def dense_transform(kind: str, y: np.ndarray) -> np.ndarray:
     if kind == "sobol":
         return transforms.hadamard_matrix(n) @ y
     raise ValueError(f"unknown transform kind {kind!r}")
+
+
+def _chol_extended(a: np.ndarray) -> np.ndarray:
+    """Plain Cholesky in 80-bit floats; the double-precision factorization of
+    c0 - c' C^-1 c loses too many digits when n/lambda_1 approaches one."""
+    a = np.asarray(a, dtype=np.longdouble)
+    n = a.shape[0]
+    low = np.zeros_like(a)
+    for j in range(n):
+        s = a[j, j] - (low[j, :j] ** 2).sum()
+        if s <= 0:
+            raise NonPositiveDefiniteError("extended Cholesky hit a nonpositive pivot")
+        low[j, j] = np.sqrt(s)
+        if j + 1 < n:
+            low[j + 1:, j] = (a[j + 1:, j] - low[j + 1:, :j] @ low[j, :j]) / low[j, j]
+    return low
+
+
+def _solve_extended(low: np.ndarray, b: np.ndarray) -> np.ndarray:
+    n = low.shape[0]
+    z = np.asarray(b, dtype=np.longdouble).copy()
+    for j in range(n):
+        z[j] = (z[j] - low[j, :j] @ z[:j]) / low[j, j]
+    for j in range(n - 1, -1, -1):
+        z[j] = (z[j] - low[j + 1:, j] @ z[j + 1:]) / low[j, j]
+    return z
+
+
+def _forward_identity(low: np.ndarray) -> np.ndarray:
+    n = low.shape[0]
+    out = np.eye(n, dtype=np.longdouble)
+    for j in range(n):
+        out[j] = (out[j] - low[j, :j] @ out[:j]) / low[j, j]
+    return out
+
+
+def extended_dense_posterior(y, gram, c, c0: float, kind: str):
+    """inference.dense_posterior with the linear algebra in 80-bit floats
+    (n <= 512): the reference for the fast widths, because c0 - c' C^-1 c
+    cancels severely for smooth kernels."""
+    n = np.asarray(y).shape[0]
+    if n > 512:
+        raise ValueError("extended-precision dense path guarded to n <= 512")
+    low = _chol_extended(gram)
+    return _posterior(np.asarray(y, dtype=np.longdouble),
+                      np.asarray(c, dtype=np.longdouble), c0, kind,
+                      lambda rhs: _solve_extended(low, rhs),
+                      lambda: _forward_identity(low))

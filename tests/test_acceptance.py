@@ -13,15 +13,15 @@ import pytest
 from scipy import integrate as scipy_integrate
 from scipy.special import gamma
 
-from bayescub import (CubatureConfig, OptimizerSettings, integrate_fast,
-                      kernels, nodes, problems, transforms)
+from bayescub import (CubatureConfig, integrate_fast, kernels, nodes, problems,
+                      transforms)
 from bayescub.cli import draw_tolerances
 from bayescub.inference import (EB, FULL, GCV, column_spectrum, credible_width,
-                                data_weights, dense_posterior, objective,
+                                data_weights, objective,
                                 objective_gradient, transformed_data)
 from bayescub.kernels import KernelSpec
 from conftest import record_criterion
-from oracles import mirror_half
+from oracles import extended_dense_posterior, mirror_half
 
 EPS = np.finfo(float).eps
 
@@ -37,7 +37,7 @@ def matched_setup(family, kernel, order, eta, m, d, seed):
            else nodes.make_sobol(d, seed=seed))
     pts = gen.points(0, n)
     y = np.cos(2 * np.pi * pts.points[:, 0]) + pts.points.sum(axis=1) ** 2
-    spec = KernelSpec(kernel, order, eta, shared_eta=False)
+    spec = KernelSpec(kernel, order, eta)
     if kernel == "truncated_series":
         gram = kernels.gram_matrix(spec, None, gen=gen, m=m)
     elif family == "sobol":
@@ -69,8 +69,7 @@ def test_criterion_1_dense_fast_equivalence():
                                                        eta, m, d, seed=11)
                 n = 1 << m
                 for kind in (EB, FULL, GCV):
-                    post = dense_posterior(y, gram, np.ones(n), 1.0, kind,
-                                           extended=True)
+                    post = extended_dense_posterior(y, gram, np.ones(n), 1.0, kind)
                     fast = credible_width(kind, td)
                     assert post.mu_hat == pytest.approx(y.mean(), rel=1e-8)
                     if max(post.err, fast) <= width_floor(kind, td,
@@ -139,7 +138,7 @@ def test_criterion_3_transform_asymptotics():
     def one_iteration(n0):
         cfg = CubatureConfig(family="lattice", criterion=EB, epsilon=1e-30,
                              n0=n0, n_max=n0, seed=1, kernel="bernoulli",
-                             order=1, optimizer=OptimizerSettings(budget_first=20))
+                             order=1)
         return integrate_fast(f, 13, cfg)
 
     one_iteration(2**14)  # warm caches, fft plans
@@ -302,14 +301,16 @@ def test_criterion_9_gradient_suite():
             pts = gen.points(0, 1 << m)
             yv = np.cos(2 * np.pi * pts.points[:, 0]) + pts.points.sum(axis=1) ** 2
             spectrum = transforms.fbt(yv, family)
-            spec = KernelSpec(kernel, order, eta, shared_eta=shared)
+            spec = KernelSpec(kernel, order, eta)
             bases = kernels.column_bases(spec, gen, m)
             col = kernels.ring_from_bases(spec.eta, bases)
             weights = data_weights(spectrum, 1 << m)
             td = transformed_data(weights, column_spectrum(col, family, 1 << m), 1 << m)
-            jac = kernels.column_eta_jacobian(spec, bases, col)
+            jac = kernels.column_eta_jacobian(spec.eta, bases, col)
             dlam = np.vstack([column_spectrum(row, family, 1 << m) for row in jac])
             grad = objective_gradient(td, kind, dlam)
+            if shared:  # d/d eta of one shared eta: the partials' sum
+                grad = grad.sum(keepdims=True)
 
             def loss(ev):
                 c = kernels.ring_from_bases(ev, bases)

@@ -1,26 +1,39 @@
 """The benchmark's tracer wraps package names it looks up by attribute on
-every run, traced or not; a renamed or deleted name fails every benchmark
-run.  Check that each of its wrap sites still resolves, and that a traced
-integration returns what an untraced one does, with every objective
-evaluation counted."""
+every run, traced or not, and its workload table builds CubatureConfig
+objects by field name; a renamed or deleted name fails every benchmark run.
+Check that each of the tracer's wrap sites still resolves, that every
+workload's configurations build, and that a traced integration returns what
+an untraced one does, with every objective evaluation counted."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bayescub import CubatureConfig, OptimizerSettings, integrate_fast
+from bayescub import CubatureConfig, integrate_fast
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load(name):
+    """perfbench/<name>.py as a module, writing no bytecode beside it."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
 
 
 @pytest.fixture(scope="module")
 def tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load("tracer")
 
 
 def test_every_tracer_site_resolves(tracer):
@@ -30,6 +43,16 @@ def test_every_tracer_site_resolves(tracer):
     assert not missing
 
 
+def test_every_workload_config_builds():
+    workloads = load("workloads").WORKLOADS
+    assert workloads
+    for workload in workloads.values():
+        configs = workload.integrations(1)
+        assert len(configs) == workload.count
+        assert all(isinstance(c, CubatureConfig) for c in configs)
+        assert isinstance(workload.warmup(), CubatureConfig)
+
+
 # one per search method: Brent, L-BFGS-B and Nelder-Mead
 SEARCHES = {
     "shared": CubatureConfig(epsilon=1e-9, n0=128, n_max=512, seed=5),
@@ -37,7 +60,7 @@ SEARCHES = {
                                     eta_mode="per_dimension"),
     "searched_order": CubatureConfig(epsilon=1e-9, n0=128, n_max=512, seed=5,
                                      kernel="truncated_series", periodizer="sidi_c1",
-                                     optimizer=OptimizerSettings(search_order=True)),
+                                     search_order=True),
 }
 
 

@@ -6,8 +6,8 @@ import pytest
 
 from dataclasses import replace
 
-from bayescub import (CubatureConfig, OptimizerSettings, cubature, integrate_dense,
-                      integrate_fast, integrate_mc, kernels, nodes, problems)
+from bayescub import (CubatureConfig, cubature, integrate_dense, integrate_fast,
+                      integrate_mc, kernels, nodes, problems)
 from bayescub.cubature import IntegrandError
 from bayescub.inference import (NonFiniteStartError, credible_width,
                                 student_t_quantile)
@@ -119,15 +119,13 @@ class TestFastLoop:
     def test_per_dimension_gradient_search_under_small_budgets(self):
         f = lambda x: np.exp(x.sum(axis=1))
         cfg = CubatureConfig(epsilon=1e-4, n0=256, n_max=2**12, seed=7,
-                             eta_mode="per_dimension",
-                             optimizer=OptimizerSettings(budget_first=40,
-                                                         budget_later=15,
-                                                         step=0.2))
+                             eta_mode="per_dimension")
         res = integrate_fast(f, 2, cfg)
         assert res.tolerance_met
         assert res.mu_hat == pytest.approx((np.e - 1) ** 2, rel=1e-3)
-        assert res.iterations[0].evaluations <= 40
-        assert all(it.evaluations <= 15 for it in res.iterations[1:])
+        assert res.iterations[0].evaluations <= cubature._BUDGET_FIRST
+        assert all(it.evaluations <= cubature._BUDGET_LATER
+                   for it in res.iterations[1:])
 
     def test_per_dimension_eta_mode(self):
         f = lambda x: np.sin(2 * np.pi * x[:, 0]) + 100 * x[:, 1]
@@ -163,9 +161,7 @@ class TestFastLoop:
         f = lambda x: np.exp(x.sum(axis=1))
         cfg = CubatureConfig(epsilon=1e-4, n0=256, n_max=2**13, seed=23,
                              kernel=kernel, order=order, periodizer="sidi_c1",
-                             optimizer=OptimizerSettings(search_order=True,
-                                                         budget_first=60,
-                                                         budget_later=25))
+                             search_order=True)
         res = integrate_fast(f, 2, cfg)
         assert res.tolerance_met
         assert res.mu_hat == pytest.approx((np.e - 1) ** 2, abs=1e-4)
@@ -216,8 +212,7 @@ class TestFastLoop:
         for family, kernel in (("lattice", "bernoulli"), ("sobol", "walsh1"),
                                ("lattice", None), ("sobol", None)):
             with pytest.raises(ValueError, match="no continuous order"):
-                CubatureConfig(family=family, kernel=kernel,
-                               optimizer=OptimizerSettings(search_order=True))
+                CubatureConfig(family=family, kernel=kernel, search_order=True)
 
 
 class TestIterationRecords:
@@ -248,8 +243,8 @@ class TestIterationRecords:
         res = integrate_fast(f, 3, cfg)
         assert [it.evaluations for it in res.iterations] == \
             [r.evaluations for _, r in calls]
-        assert 1 < res.iterations[0].evaluations <= cfg.optimizer.budget_first
-        assert all(1 < it.evaluations <= cfg.optimizer.budget_later
+        assert 1 < res.iterations[0].evaluations <= cubature._BUDGET_FIRST
+        assert all(1 < it.evaluations <= cubature._BUDGET_LATER
                    for it in res.iterations[1:])
         assert not any(it.reseeded for it in res.iterations)
 
@@ -331,49 +326,68 @@ class TestIterationRecords:
         res = integrate_fast(f, 2, cfg)
         assert all(it.bound_hit and 1e-8 in it.theta for it in res.iterations)
 
-    def test_warm_start_is_clipped_into_the_eta_box(self, monkeypatch):
-        # with a searched order Nelder-Mead runs, and it ignores the bounds:
-        # a loss that falls in every log eta drives it past log(1e8).  Each
-        # next start clips the eta coordinates and keeps the order's (first).
-        starts, ends = [], []
+    # one config per search method: Brent, L-BFGS-B and Nelder-Mead
+    SEARCHES = {
+        "shared": dict(),
+        "per_dimension": dict(eta_mode="per_dimension"),
+        "searched_order": dict(eta_mode="per_dimension", kernel="truncated_series",
+                               periodizer="sidi_c1", search_order=True),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SEARCHES))
+    def test_every_search_evaluates_inside_the_box(self, monkeypatch, name):
+        # a loss that falls in every coordinate, order included, level only
+        # far past log(1e8): each search is driven against the upper bound
+        seen = []
         real = cubature.search_hyperparameters
 
         def search(objective_fn, init, **kwargs):
-            def falling(t):  # level past log eta = 25, beyond the bound
-                value = 100 * t[0] ** 2 - np.minimum(t[1:], 25.0).sum()
-                return float(value), objective_fn(t)[1]
+            def falling(t):
+                seen.append(np.array(t))
+                return float(-np.minimum(t, 25.0).sum()), objective_fn(t)[1]
 
-            starts.append(init.copy())
-            res = real(falling, init, **kwargs)
-            ends.append(res.t)
-            return res
+            return real(falling, init, **kwargs)
 
         monkeypatch.setattr(cubature, "search_hyperparameters", search)
+        monkeypatch.setattr(cubature, "objective_gradient",
+                            lambda td, kind, dlam: -np.ones(dlam.shape[0]))
         f = lambda x: np.exp(x.sum(axis=1))
         cfg = CubatureConfig(epsilon=1e-9, n0=128, n_max=512, seed=5,
-                             eta_mode="per_dimension", kernel="truncated_series",
-                             periodizer="sidi_c1",
-                             optimizer=OptimizerSettings(search_order=True))
+                             **self.SEARCHES[name])
         integrate_fast(f, 2, cfg)
         lo, hi = np.log(kernels.ETA_MIN), np.log(kernels.ETA_MAX)
-        assert len(starts) == 3 and (ends[0][1:] > hi).any()
-        for end, start in zip(ends, starts[1:]):
-            assert start[0] == end[0]
-            assert np.array_equal(start[1:], np.clip(end[1:], lo, hi))
+        assert seen and all(((lo <= t) & (t <= hi)).all() for t in seen)
+        assert any((t == hi).any() for t in seen)
+
+    @pytest.mark.parametrize("kernel", ["truncated_series", "exp_decay"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_order_search_keeps_an_order_its_kernel_accepts(self, monkeypatch,
+                                                            kernel, sign):
+        # a loss of +-log ring lam_1 drives the order coordinate far out;
+        # unbounded, it reached orders KernelSpec refuses (r = 1, q = 0 or 1)
+        monkeypatch.setattr(cubature, "objective",
+                            lambda kind, td: sign * np.log(td.lam_ring1))
+        f = lambda x: np.exp(x.sum(axis=1))
+        cfg = CubatureConfig(epsilon=1e-9, n0=128, n_max=512, seed=5,
+                             kernel=kernel, search_order=True)
+        res = integrate_fast(f, 3, cfg)
+        assert res.iterations
+        for it in res.iterations:
+            kernels.KernelSpec(kernel, it.order, np.ones(3))  # accepted
 
     def test_order_records_the_searched_and_the_fixed_order(self, monkeypatch):
         calls = self.recording_search(monkeypatch)
         f = lambda x: np.exp(x.sum(axis=1))
         cfg = CubatureConfig(epsilon=1e-9, n0=256, n_max=2**10, seed=23,
                              kernel="truncated_series", order=2.0, periodizer="sidi_c1",
-                             optimizer=OptimizerSettings(search_order=True))
+                             search_order=True)
         res = integrate_fast(f, 2, cfg)
         spec0 = cubature._default_kernel(cfg, 2)
         orders = [cubature._kernel_at(spec0, r.t, search_order=True).order
                   for _, r in calls]
         assert [it.order for it in res.iterations] == orders
         assert len(set(orders)) > 1 and 2.0 not in orders
-        fixed = integrate_fast(f, 2, replace(cfg, optimizer=OptimizerSettings()))
+        fixed = integrate_fast(f, 2, replace(cfg, search_order=False))
         assert [it.order for it in fixed.iterations] == [2.0] * len(fixed.iterations)
 
     def test_no_bound_hit_inside_the_bounds(self):
@@ -446,8 +460,7 @@ class TestEigenvalueRouting:
     def test_order_search_builds_it_per_evaluation(self, monkeypatch):
         calls = self.counting_ring(monkeypatch)
         cfg = CubatureConfig(epsilon=1e-9, n0=128, n_max=2**10, seed=5,
-                             kernel="truncated_series", order=2.0,
-                             optimizer=OptimizerSettings(search_order=True))
+                             kernel="truncated_series", order=2.0, search_order=True)
         res = integrate_fast(self.f, 3, cfg)
         assert calls["n"] == self.evaluations(res) > 0
 
@@ -568,7 +581,8 @@ class TestDenseLoop:
         # replace the Matern Gram by the matched Walsh Gram on the same nodes:
         # the dense posterior must then agree with the fast-path state
         from bayescub import kernels, nodes
-        from bayescub.inference import EB, dense_posterior
+        from bayescub.inference import EB
+        from oracles import extended_dense_posterior
 
         f = lambda x: np.exp(x.sum(axis=1))
         cfg = CubatureConfig(family="sobol", epsilon=1e-30, n0=64, n_max=64,
@@ -577,10 +591,9 @@ class TestDenseLoop:
         gen = nodes.make_sobol(2, seed=13)
         pts = gen.points(0, 64)
         eta = np.asarray(res.iterations[-1].theta)
-        spec = kernels.KernelSpec("walsh1", 1, eta, shared_eta=True)
+        spec = kernels.KernelSpec("walsh1", 1, eta)
         gram = kernels.gram_matrix(spec, pts.int_points)
-        post = dense_posterior(f(pts.points), gram, np.ones(64), 1.0, EB,
-                               extended=True)
+        post = extended_dense_posterior(f(pts.points), gram, np.ones(64), 1.0, EB)
         assert post.mu_hat == pytest.approx(res.mu_hat, rel=1e-8)
         assert post.err == pytest.approx(res.err, rel=1e-8)
 

@@ -14,7 +14,7 @@ from bayescub.inference import (EB, FULL, GCV, DegenerateDataError,
                                 search_hyperparameters,
                                 student_t_quantile, transformed_data)
 from bayescub.kernels import KernelSpec
-from oracles import gram_eigenvalues, mirror_half
+from oracles import extended_dense_posterior, gram_eigenvalues, mirror_half
 
 
 def make_matched_td(family, kernel, order, eta, m, d, seed=0, y=None):
@@ -28,8 +28,7 @@ def make_matched_td(family, kernel, order, eta, m, d, seed=0, y=None):
     if y is None:
         y = np.cos(2 * np.pi * pts.points[:, 0]) + pts.points.prod(axis=1)
     spectrum = transforms.fbt(y, family)
-    spec = KernelSpec(kernel, order, eta if np.ndim(eta) else np.full(d, eta),
-                      shared_eta=bool(np.ndim(eta) == 0))
+    spec = KernelSpec(kernel, order, eta if np.ndim(eta) else np.full(d, eta))
     col = kernels.ring_from_bases(spec.eta, kernels.column_bases(spec, gen, m))
     td = transformed_data(data_weights(spectrum, n), column_spectrum(col, family, n), n)
     return gen, pts, y, spec, col, td
@@ -358,9 +357,11 @@ class TestObjectiveGradient:
         gen, pts, y, spec, col, td = make_matched_td(family, kernel, order, eta,
                                                      m, d, seed=seed)
         bases = kernels.column_bases(spec, gen, m)
-        jac = kernels.column_eta_jacobian(spec, bases, col)
+        jac = kernels.column_eta_jacobian(spec.eta, bases, col)
         dlam = np.vstack([column_spectrum(row, family, 1 << m) for row in jac])
         grad = objective_gradient(td, kind, dlam)
+        if shared:  # d/d eta of one shared eta: the partials' sum
+            grad = grad.sum(keepdims=True)
 
         def loss_at(eta_vec):
             c = kernels.ring_from_bases(eta_vec, bases)
@@ -404,20 +405,6 @@ class TestObjectiveGradient:
         dlam = np.zeros((2, td.lams_rest.shape[0] + 1))
         assert (objective_gradient(td, EB, dlam) == 0).all()
         assert (objective_gradient(td, GCV, dlam) == 0).all()
-
-    def test_shared_equals_sum_of_per_dim(self):
-        d = 3
-        eta = 1.3
-        gen, pts, y, spec_sh, col, td = make_matched_td("lattice", "bernoulli",
-                                                        1, eta, 5, d)
-        spec_pd = KernelSpec("bernoulli", 1, np.full(d, eta), shared_eta=False)
-        bases = kernels.lattice_column_bases(spec_sh, gen, 5)
-        jac_sh = kernels.column_eta_jacobian(spec_sh, bases, col)
-        jac_pd = kernels.column_eta_jacobian(spec_pd, bases, col)
-        g_sh = objective_gradient(td, EB, column_spectrum(jac_sh[0], "lattice", 32)[None, :])
-        dlam_pd = np.vstack([column_spectrum(row, "lattice", 32) for row in jac_pd])
-        g_pd = objective_gradient(td, EB, dlam_pd)
-        assert g_sh[0] == pytest.approx(g_pd.sum(), rel=1e-10)
 
 
 class TestStudentT:
@@ -498,7 +485,7 @@ class TestDensePosterior:
             gram = kernels.gram_matrix(spec, nodes_arg)
             n = 1 << m
             for kind in (EB, FULL, GCV):
-                post = dense_posterior(y, gram, np.ones(n), 1.0, kind, extended=True)
+                post = extended_dense_posterior(y, gram, np.ones(n), 1.0, kind)
                 assert post.err == pytest.approx(credible_width(kind, td), rel=1e-8)
 
     def test_non_pd_error(self):
@@ -531,7 +518,7 @@ class TestHyperparameterSearch:
     def test_eta_map_leaves_order_entries_to_their_maps(self):
         # a searched order leads the coordinates; log eta follows, per dimension
         t = np.array([0.4, 100.0, -100.0])
-        r = KernelSpec("truncated_series", 2.0, np.ones(2), shared_eta=False)
+        r = KernelSpec("truncated_series", 2.0, np.ones(2))
         spec = cubature._kernel_at(r, t, search_order=True)
         assert spec.order == 1.0 + np.exp(0.4)
         assert spec.eta.tolist() == [1e8, 1e-8]
@@ -584,10 +571,12 @@ class TestHyperparameterSearch:
         assert res.evaluations == len(seen) == len(set(seen)) < 30
         assert np.abs(res.t - [1.5, -2.0]).max() < 1e-4
 
-    def test_gradient_search_respects_the_budget(self):
+    # two or more coordinates: L-BFGS-B with a gradient, Nelder-Mead without
+    @pytest.mark.parametrize("with_gradient", [True, False])
+    def test_search_respects_the_budget(self, with_gradient):
         seen = []
 
-        def obj(t):  # Rosenbrock's valley takes L-BFGS-B many steps
+        def obj(t):  # Rosenbrock's valley takes either search many steps
             seen.append(tuple(t))
             return float(100 * (t[1] - t[0] ** 2) ** 2 + (1 - t[0]) ** 2), None
 
@@ -598,7 +587,8 @@ class TestHyperparameterSearch:
         for budget in (1, 2, 3, 5, 8, 20):
             seen.clear()
             res = search_hyperparameters(obj, np.array([-1.2, 1.0]), budget=budget,
-                                         gradient_fn=grad, bounds=LOG_ETA_BOUNDS)
+                                         gradient_fn=grad if with_gradient else None,
+                                         bounds=LOG_ETA_BOUNDS)
             assert res.evaluations == len(seen) == len(set(seen)) <= budget
         assert res.evaluations == 20
 
@@ -669,7 +659,7 @@ class TestHyperparameterSearch:
 
         assert obj([-4.0])[0] > obj([lo - 1.0])[0] > obj([-7.0])[0]
         seen.clear()
-        res = search_hyperparameters(obj, np.array([-4.0]), budget=20, step=0.5,
+        res = search_hyperparameters(obj, np.array([-4.0]), budget=20,
                                      bounds=LOG_ETA_BOUNDS)
         assert abs(res.t[0] + 7.0) < 1e-2
         assert res.evaluations == len(seen) <= 20
@@ -685,7 +675,7 @@ class TestHyperparameterSearch:
         for budget in (1, 2, 3, 5, 8):
             seen.clear()
             res = search_hyperparameters(obj, np.array([0.3]), budget=budget,
-                                         step=0.5, bounds=LOG_ETA_BOUNDS)
+                                         bounds=LOG_ETA_BOUNDS)
             assert res.evaluations == len(seen) <= budget
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -696,7 +686,7 @@ class TestHyperparameterSearch:
             seen.append(float(t[0]))
             return float(-sign * t[0]), None
 
-        res = search_hyperparameters(obj, np.zeros(1), budget=100, step=0.5,
+        res = search_hyperparameters(obj, np.zeros(1), budget=100,
                                      bounds=LOG_ETA_BOUNDS)
         assert res.t[0] == LOG_ETA_BOUNDS[sign > 0]
         assert all(LOG_ETA_BOUNDS[0] <= t <= LOG_ETA_BOUNDS[1] for t in seen)
@@ -708,7 +698,7 @@ class TestHyperparameterSearch:
             seen.append(float(t[0]))
             return float((t[0] - 2.0) ** 2), None
 
-        res = search_hyperparameters(obj, np.array([40.0]), budget=50, step=0.5,
+        res = search_hyperparameters(obj, np.array([40.0]), budget=50,
                                      bounds=LOG_ETA_BOUNDS)
         assert seen[0] == LOG_ETA_BOUNDS[1]
         assert abs(res.t[0] - 2.0) < 1e-3
@@ -721,14 +711,14 @@ class TestHyperparameterSearch:
             seen.append(float(t[0]))
             return float(np.log1p((t[0] + 1.0) ** 2)), None
 
-        res = search_hyperparameters(obj, np.array([t0]), budget=100, step=0.5,
+        res = search_hyperparameters(obj, np.array([t0]), budget=100,
                                      bounds=LOG_ETA_BOUNDS)
         assert len(set(seen)) == len(seen) == res.evaluations
         assert abs(res.t[0] + 1.0) < 1e-3
 
     def test_level_objective_ends_at_the_start(self):
         res = search_hyperparameters(lambda t: (1.0, None), np.array([0.5]),
-                                     budget=100, step=0.5, bounds=LOG_ETA_BOUNDS)
+                                     budget=100, bounds=LOG_ETA_BOUNDS)
         assert res.t[0] == 0.5 and res.evaluations <= 4
 
     def test_keister_eta_is_local_min(self):

@@ -79,7 +79,7 @@ class TestShiftInvariantRing:
             for _ in range(100):
                 d = rng.integers(1, 5)
                 eta = rng.uniform(1e-3, 5.0, size=d)
-                spec = KernelSpec(family, order, eta, shared_eta=False)
+                spec = KernelSpec(family, order, eta)
                 lag = rng.random(d)
                 ring = shift_invariant_ring(spec, lag)
                 c = eta * kernels._dim_bases_from_lags(spec, lag)
@@ -181,7 +181,7 @@ class TestWalsh:
 
     def test_symmetry_random_pairs(self):
         rng = np.random.default_rng(1)
-        spec = KernelSpec("walsh1", 1, np.array([0.7, 1.3, 0.2]), shared_eta=False)
+        spec = KernelSpec("walsh1", 1, np.array([0.7, 1.3, 0.2]))
         for _ in range(1000):
             x = rng.integers(0, 2**32, size=3).astype(np.float64) / 2**32
             t = rng.integers(0, 2**32, size=3).astype(np.float64) / 2**32
@@ -210,10 +210,10 @@ class TestMatern:
 
 
 class TestGradients:
-    def central_difference(self, spec, x, t, h=1e-6):
-        out = np.empty(spec.d if not spec.shared_eta else 1)
+    def central_difference(self, spec, x, t, shared=False, h=1e-6):
+        out = np.empty(spec.d if not shared else 1)
         base_eta = spec.eta.copy()
-        if spec.shared_eta:
+        if shared:
             up = replace(spec, eta=base_eta * (1 + h))
             dn = replace(spec, eta=base_eta * (1 - h))
             ku = 1.0 + shift_invariant_ring(up, self.lag(spec, x, t))
@@ -238,7 +238,7 @@ class TestGradients:
     def test_d1_gradient_is_base_value(self):
         spec = KernelSpec("bernoulli", 1, np.array([2.0]))
         x, t = np.array([0.3]), np.array([0.1])
-        grad = kernel_eta_gradient(spec, x, t)
+        grad = kernel_eta_gradient(spec, x, t, shared=True)
         assert grad[0] == pytest.approx(kernels.bernoulli_poly(2, 0.2), rel=1e-12)
 
     @pytest.mark.parametrize("family,order", [("bernoulli", 1), ("bernoulli", 2),
@@ -250,22 +250,22 @@ class TestGradients:
             d = int(rng.integers(1, 4))
             eta = (np.full(d, rng.uniform(0.2, 3.0)) if shared
                    else rng.uniform(0.2, 3.0, size=d))
-            spec = KernelSpec(family, order, eta, shared_eta=shared)
+            spec = KernelSpec(family, order, eta)
             if family == "walsh1":
                 x = rng.integers(0, 2**32, size=d).astype(np.float64) / 2**32
                 t = rng.integers(0, 2**32, size=d).astype(np.float64) / 2**32
             else:
                 x, t = rng.random(d), rng.random(d)
-            grad = kernel_eta_gradient(spec, x, t)
-            fd = self.central_difference(spec, x, t)
+            grad = kernel_eta_gradient(spec, x, t, shared)
+            fd = self.central_difference(spec, x, t, shared)
             assert np.allclose(grad, fd, rtol=1e-5, atol=1e-9), (family, shared, d)
 
     def test_shared_eta_at_zero_lag(self):
         d = 2
         spec = KernelSpec("bernoulli", 1, np.ones(d))
         zero = np.zeros(d)
-        grad = kernel_eta_gradient(spec, zero, zero)
-        fd = self.central_difference(spec, zero, zero)
+        grad = kernel_eta_gradient(spec, zero, zero, shared=True)
+        fd = self.central_difference(spec, zero, zero, shared=True)
         assert grad[0] == pytest.approx(fd[0], rel=1e-6)
 
 
@@ -277,8 +277,7 @@ class TestGramProperties:
         for n in (8, 32):
             d = 2
             eta = rng.uniform(0.3, 2.0, size=d)
-            spec = KernelSpec(family, order if family != "matern" else 1.0, eta,
-                              shared_eta=False)
+            spec = KernelSpec(family, order if family != "matern" else 1.0, eta)
             pts = rng.random((n, d))
             gram = kernels.gram_matrix(spec, pts)
             assert np.array_equal(gram, gram.T)
@@ -286,14 +285,14 @@ class TestGramProperties:
 
     def test_truncated_series_gram_symmetry(self):
         gen = nodes.make_lattice(2, seed=17)
-        spec = KernelSpec("truncated_series", 1.6, np.array([0.9, 2.1]), shared_eta=False)
+        spec = KernelSpec("truncated_series", 1.6, np.array([0.9, 2.1]))
         gram = kernels.gram_matrix(spec, None, gen=gen, m=5)
         assert np.array_equal(gram, gram.T)
         assert np.linalg.eigvalsh(gram).min() > -1e-8 * 32
 
     def test_walsh_positive_definiteness(self):
         gen = nodes.make_sobol(2, seed=13)
-        spec = KernelSpec("walsh1", 1, np.array([1.5, 0.4]), shared_eta=False)
+        spec = KernelSpec("walsh1", 1, np.array([1.5, 0.4]))
         gram = kernels.gram_matrix(spec, gen.points(0, 32).int_points)
         assert np.array_equal(gram, gram.T)
         assert np.linalg.eigvalsh(gram).min() > -1e-8 * 32
@@ -304,7 +303,7 @@ class TestGramProperties:
         # quadrature of C(., x) over the cube equals one (kernel mean one)
         gen = nodes.make_sobol(2, seed=3)
         ns = gen.points(0, 2**17)
-        spec = KernelSpec(family, order, np.array([1.0, 2.0]), shared_eta=False)
+        spec = KernelSpec(family, order, np.array([1.0, 2.0]))
         x0 = np.array([0.25, 0.625])
         if family == "walsh1":
             lag = (ns.int_points ^ to_digits(x0)[None, :]).astype(np.float64) / 2**32
@@ -347,7 +346,7 @@ class TestRingBlocking:
     def test_gram_bases(self, family, order):
         # gram_matrix passes (d, n, n) bases; 128^2 columns take the blocked path
         rng = np.random.default_rng(12)
-        spec = KernelSpec(family, order, np.array([0.7, 1.9, 3.0]), shared_eta=False)
+        spec = KernelSpec(family, order, np.array([0.7, 1.9, 3.0]))
         pts = rng.random((128, 3))
         delta = (pts.T[:, :, None] - pts.T[:, None, :]) % 1.0
         bases = kernels._dim_bases_from_lags(spec, delta)

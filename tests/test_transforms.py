@@ -180,7 +180,7 @@ class TestHalfColumnPipeline:
     def test_matches_full_column(self, family, order, m):
         n, d = 1 << m, 3
         gen = nodes.make_lattice(d, seed=m)
-        spec = KernelSpec(family, order, np.array([0.5, 1.0, 2.0]), shared_eta=False)
+        spec = KernelSpec(family, order, np.array([0.5, 1.0, 2.0]))
         ref, full_col = full_column_eigenvalues(spec, gen, m)
         half = kernels.ring_from_bases(spec.eta, kernels.lattice_column_bases(spec, gen, m))
         # the same kernel values, entry for entry: grid lag k sits at node brev(k)
@@ -341,8 +341,7 @@ class TestInvariants:
         rng = np.random.default_rng(10)
         for m in (3, 6):
             n, d = 1 << m, 3
-            spec = KernelSpec(kernel, order, rng.uniform(0.3, 2.0, size=d),
-                              shared_eta=False)
+            spec = KernelSpec(kernel, order, rng.uniform(0.3, 2.0, size=d))
             if family == "lattice":
                 gen = nodes.make_lattice(d, seed=2)
                 gram = (kernels.gram_matrix(spec, None, gen=gen, m=m)
@@ -363,7 +362,7 @@ class TestInvariants:
     def test_hadamard_diagonalizes_walsh_gram(self):
         # H C H has negligible off-diagonal mass (nested block-Toeplitz C)
         gen = nodes.make_sobol(2, seed=6)
-        spec = KernelSpec("walsh1", 1, np.array([1.0, 0.5]), shared_eta=False)
+        spec = KernelSpec("walsh1", 1, np.array([1.0, 0.5]))
         n = 64
         gram = kernels.gram_matrix(spec, gen.points(0, n).int_points)
         h = hadamard_matrix(n)
