@@ -191,13 +191,13 @@ def cmd_selftest(args) -> int:
     The fast side is built as the doubling loop builds it for one shared
     eta: the Gram spectrum as a polynomial in eta (on the lattice its
     distinct half 0..n/2), checked against the ring column's transform too.
-    On Sobol' nodes its coefficient spectra are grown from n/2 to n by the
-    new block, as the loop grows them, and must equal the from-scratch
-    spectra bit for bit.
+    On Sobol' nodes the coefficient spectra grown from n/2 to n by the loop's
+    own inference.coefficient_spectra must equal the from-scratch spectra
+    bit for bit.
     """
     from . import kernels, nodes, transforms
-    from .inference import (column_spectrum, credible_width, data_weights,
-                            dense_posterior, polynomial_spectrum,
+    from .inference import (coefficient_spectra, column_spectrum, credible_width,
+                            data_weights, dense_posterior, polynomial_spectrum,
                             transformed_data)
 
     t0 = time.monotonic()
@@ -229,11 +229,8 @@ def cmd_selftest(args) -> int:
             bases = kernels.column_bases(spec, gen, m)
             powers = column_spectrum(kernels.elementary_symmetric(bases), family, n)
             if family == "sobol":
-                half = column_spectrum(kernels.elementary_symmetric(
-                    kernels.column_bases(spec, gen, m - 1)), family, n // 2)
-                block = kernels.sobol_column_bases(spec, gen, m, start=n // 2)
-                grown = transforms.walsh_double(half, column_spectrum(
-                    kernels.elementary_symmetric(block), family, n // 2))
+                grown = coefficient_spectra(spec, gen, family, m, coefficient_spectra(
+                    spec, gen, family, m - 1))
                 check(f"grown-vs-scratch spectra {kernel} n={n}",
                       np.array_equal(grown, powers))
                 powers = grown

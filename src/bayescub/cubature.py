@@ -9,12 +9,12 @@ the credible half-width drops to the tolerance.
 
 The search runs on plain coordinates, which this module alone maps to a
 kernel.  With one eta shared by every dimension and a fixed kernel order (the
-default), the Gram spectrum is a polynomial in eta: each doubling transforms
-d coefficient columns once (inference.column_spectrum of
-kernels.elementary_symmetric), the loop holds only those spectra, and an
-objective evaluation is one Horner pass over them; the search over its one
-coordinate is a Brent line search, which needs no gradient.  Per-dimension
-eta holds the bases and builds the ring column and its transform on every
+default), the Gram spectrum is a polynomial in eta: each doubling builds the
+spectra of its d coefficient columns (inference.coefficient_spectra), the
+loop holds and grows only those spectra, and an objective evaluation is one
+Horner pass over them; the search over its one coordinate is a Brent line
+search, which needs no gradient.  Per-dimension eta rebuilds the bases at
+each doubling and builds the ring column and its transform on every
 evaluation; L-BFGS-B searches it with the analytic gradient, which reuses
 the latest evaluation's ring column and data and transforms the d columns
 of the eta Jacobian.  A searched order builds its bases per evaluation too,
@@ -23,15 +23,11 @@ box [log 1e-8, log 1e8], which also keeps a searched order one its kernel
 accepts, within _BUDGET_FIRST distinct evaluations at the first doubling and
 _BUDGET_LATER at each later one.
 
-On Sobol' nodes the kernel columns grow as the data do: the column at 2n is
-the column at n followed by the new block's, so each doubling builds the
-bases and e_1..e_d of the new block only, transforms those d rows at length
-n, and joins them to the held spectra by the FWHT's last butterfly stage
-(transforms.walsh_double), bit for bit the from-scratch result.  The lattice
-rebuilds its half columns and their DCT-I at every doubling.  There both the
-data spectrum (the real FFT of real data) and the even Gram spectrum stay
-their halves k = 0..n/2 throughout, and the data weights are paired to match
-once per doubling.
+On Sobol' nodes coefficient_spectra grows the held spectra by the new
+block's alone, bit for bit the from-scratch result; on the lattice it
+rebuilds them at every doubling.  There both the data spectrum (the real FFT
+of real data) and the even Gram spectrum stay their halves k = 0..n/2
+throughout, and the data weights are paired to match once per doubling.
 """
 
 from __future__ import annotations
@@ -43,12 +39,13 @@ import numpy as np
 
 from . import kernels, problems
 from .inference import (EB, CRITERIA, DegenerateDataError, NonFiniteStartError,
-                        TransformedData, column_spectrum, credible_width,
-                        data_weights, dense_eb_objective, dense_posterior,
-                        objective, objective_gradient, polynomial_spectrum,
-                        search_hyperparameters, transformed_data)
+                        TransformedData, coefficient_spectra, column_spectrum,
+                        credible_width, data_weights, dense_eb_objective,
+                        dense_posterior, objective, objective_gradient,
+                        polynomial_spectrum, search_hyperparameters,
+                        transformed_data)
 from .nodes import CapacityError, make_lattice, make_sobol
-from .transforms import fbt, fbt_double, walsh_double
+from .transforms import fbt, fbt_double
 
 
 class IntegrandError(ValueError):
@@ -192,6 +189,7 @@ def integrate_fast(f, d: int, config: CubatureConfig) -> CubatureResult:
     spec0 = _default_kernel(config, d)
     search_order = config.search_order
     shared = config.eta_mode == "shared"
+    poly = shared and not search_order  # the spectrum is a polynomial in eta
     start = np.zeros(1 if shared else d)  # eta = 1
     if search_order:
         start = np.r_[_ORDER_MAPS[spec0.family][1](spec0.order), start]
@@ -224,28 +222,15 @@ def integrate_fast(f, d: int, config: CubatureConfig) -> CubatureResult:
         weights = data_weights(spectrum, n)
         # shared eta holds the spectra of e_1..e_d, per-dimension eta the
         # bases; a searched order builds its bases per evaluation
-        if kind == "sobol":
-            # the column at n is the column at n_prev followed by the block
-            # [n_prev, n), and so are e_1..e_d: only the block is built, and
-            # its d transforms extend the held spectra by the FWHT's last stage
-            new_bases = kernels.sobol_column_bases(spec0, gen, m, start=n_prev)
-            if shared:
-                tail = column_spectrum(kernels.elementary_symmetric(new_bases),
-                                       kind, n - n_prev)
-                powers = tail if powers is None else walsh_double(powers, tail)
-            else:
-                bases = (new_bases if bases is None
-                         else np.concatenate([bases, new_bases], axis=1))
+        if poly:
+            powers = coefficient_spectra(spec0, gen, kind, m, powers)
         elif not search_order:
             bases = kernels.column_bases(spec0, gen, m)
-            if shared:
-                powers = column_spectrum(kernels.elementary_symmetric(bases), kind, n)
-                bases = None
 
         last = {}  # per-dimension eta: the latest evaluation's t, ring column, data
 
         def obj(t):
-            if powers is not None:
+            if poly:
                 lams = polynomial_spectrum(powers, _eta_from_log(t)[0])
             elif bases is not None:
                 col = kernels.ring_from_bases(_eta_from_log(t), bases)

@@ -17,11 +17,11 @@ a polynomial in eta with no constant term,
     prod_l (1 + eta c_l) - 1 = sum_{j=1..d} eta^j e_j,
 
 e_j the j-th elementary symmetric polynomial of the per-dimension bases c_l,
-so the spectrum is sum_j eta^j T(e_j): column_spectrum transforms the d
-coefficient columns once per sample size (on Sobol' nodes only the new
-block's, at half length, which transforms.walsh_double joins to the
-previous size's spectra), and polynomial_spectrum evaluates the spectrum at
-any eta by one Horner pass, with no ring column and no transform.
+so the spectrum is sum_j eta^j T(e_j): coefficient_spectra builds the d
+coefficient spectra once per sample size (on Sobol' nodes it grows the
+previous size's by the new block alone), and polynomial_spectrum evaluates
+the spectrum at any eta by one Horner pass, with no ring column and no
+transform.
 Per-dimension eta and a searched kernel order transform the ring column
 itself on every evaluation.  A lattice spectrum is even
 (lam_k = lam_{n-k}) and, like the real-FFT data spectrum (y~_{n-k} is the
@@ -46,7 +46,8 @@ from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.optimize import minimize, minimize_scalar
 from scipy.special import stdtrit
 
-from .transforms import fbt, fbt_lattice_even
+from . import kernels
+from .transforms import fbt, fbt_lattice_even, walsh_double
 
 EB, FULL, GCV = "eb", "full", "gcv"
 CRITERIA = (EB, FULL, GCV)
@@ -131,6 +132,25 @@ def column_spectrum(cols: np.ndarray, kind: str, n: int) -> np.ndarray:
     for row, dst in zip(flat, out):
         dst[...] = fbt(row, kind)
     return out.reshape(cols.shape)
+
+
+def coefficient_spectra(spec, gen, kind: str, m: int, prev=None) -> np.ndarray:
+    """Spectra T(e_1)..T(e_d) at n = 2^m of the shared-eta coefficient
+    columns, kernels.elementary_symmetric of spec's bases on gen's nodes.
+
+    On Sobol' nodes, given prev (the spectra at n/2), only the new block is
+    built: its e_j extend those at n/2, so their transforms at length n/2
+    join prev by the FWHT's last stage (transforms.walsh_double), bit for bit
+    the from-scratch result.  The lattice ignores prev and rebuilds, since
+    truncated_series's grid table changes with n.
+    """
+    n = 1 << m
+    if kind == "sobol" and prev is not None:
+        block = kernels.sobol_column_bases(spec, gen, m, start=n // 2)
+        return walsh_double(prev, column_spectrum(
+            kernels.elementary_symmetric(block), kind, n // 2))
+    return column_spectrum(kernels.elementary_symmetric(
+        kernels.column_bases(spec, gen, m)), kind, n)
 
 
 def polynomial_spectrum(spectra: np.ndarray, eta: float) -> np.ndarray:

@@ -98,8 +98,9 @@ def truncated_series_spectrum(r: float, n: int) -> np.ndarray:
     """Analytic transform of the grid kernel: 0, n/m^r, aliased tail."""
     k = np.arange(n, dtype=np.float64)
     out = np.zeros(n)
-    out[1 : n // 2] = n / k[1 : n // 2] ** r
-    out[n // 2 :] = n / (n - k[n // 2 :]) ** r
+    with np.errstate(over="ignore"):  # m^r overflows at large r: n / inf = 0 is right
+        out[1 : n // 2] = n / k[1 : n // 2] ** r
+        out[n // 2 :] = n / (n - k[n // 2 :]) ** r
     return out
 
 
@@ -241,8 +242,8 @@ def column_bases(spec: KernelSpec, gen, m: int) -> np.ndarray:
 
     Lattice: the half column (d, 2^(m-1)+1) in natural grid order; Sobol':
     the whole column (d, 2^m) in node order, whose first 2^(m-1) entries are
-    the column at 2^(m-1) (sobol_column_bases builds the rest alone).  The
-    ring column is ring_from_bases(spec.eta, column_bases(spec, gen, m)).
+    the column at 2^(m-1) (inference.coefficient_spectra builds the rest
+    alone).  The ring column is ring_from_bases(spec.eta, column_bases(...)).
     """
     if isinstance(gen, LatticeGenerator):
         return lattice_column_bases(spec, gen, m)

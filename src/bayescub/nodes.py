@@ -66,21 +66,10 @@ def _brev_table(m: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NodeSet:
-    """A block of low-discrepancy points plus the index range it covers."""
+    """A block of low-discrepancy points."""
 
     points: np.ndarray        # (n, d) float64 in [0, 1)
-    family: str               # "lattice" | "sobol"
-    start: int                # covers indices [start, stop)
-    stop: int
     int_points: np.ndarray | None = field(default=None, repr=False)  # sobol only
-
-    @property
-    def n(self) -> int:
-        return self.stop - self.start
-
-    @property
-    def d(self) -> int:
-        return self.points.shape[1]
 
 
 @dataclass(frozen=True)
@@ -130,7 +119,7 @@ def lattice_points(gen: LatticeGenerator, start: int, stop: int) -> NodeSet:
         frac += gen.shift[ell]
         frac -= (frac >= 1.0)
         pts[:, ell] = frac
-    return NodeSet(points=pts, family="lattice", start=start, stop=stop)
+    return NodeSet(points=pts)
 
 
 def lattice_lag_indices(gen: LatticeGenerator, m: int) -> np.ndarray:
@@ -281,8 +270,7 @@ def sobol_points(gen: SobolGenerator, start: int, stop: int) -> NodeSet:
     _check_range(start, stop, gen.capacity)
     z = _net_integers(gen.direction_numbers, start, stop)
     x = z ^ gen.digital_shift[None, :]
-    return NodeSet(points=x.astype(np.float64) / _SCALE, family="sobol",
-                   start=start, stop=stop, int_points=x)
+    return NodeSet(points=x.astype(np.float64) / _SCALE, int_points=x)
 
 
 def sobol_lag_integers(gen: SobolGenerator, start: int, stop: int) -> np.ndarray:
@@ -306,12 +294,10 @@ def scramble_direction_numbers(dn: np.ndarray, rng: np.random.Generator) -> np.n
             above = (~(np.uint64(2) * diag - np.uint64(1))) & np.uint64((1 << DIGITS) - 1)
             row = (rand[j] & above) | diag
             # bit j of L @ col = parity(row & col), all columns at once
-            overlap = cols & row
-            parity = np.zeros(DIGITS, dtype=np.uint64)
-            for _ in range(DIGITS):
-                parity ^= overlap & np.uint64(1)
-                overlap = overlap >> np.uint64(1)
-            new |= parity << np.uint64(DIGITS - 1 - j)
+            parity = cols & row
+            for s in (16, 8, 4, 2, 1):  # XOR-fold the DIGITS bits into bit 0
+                parity ^= parity >> np.uint64(s)
+            new |= (parity & np.uint64(1)) << np.uint64(DIGITS - 1 - j)
         out[ell] = new
     return out
 

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+import bayescub
+
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "compare_calls.py"
 
 
@@ -85,3 +87,10 @@ class TestDiffRecords:
                              "n_used": 256, "iterations": [{"evaluations": 7}]}]
         recs[1]["iterations"][0]["evaluations"] = 50
         assert tool.evaluations_per_doubling(recs) == {"w": 30.0, "v": 7.0}
+
+
+
+def test_every_path_call_builds_its_config(tool):
+    calls = list(tool.path_calls(bayescub, 1))
+    assert [name for name, _, _ in calls] == [f"path:{name}" for name in tool.PATHS]
+    assert all(cfg.n_max <= 2**14 and cfg.seed == 1 for _, _, cfg in calls)

@@ -464,9 +464,8 @@ class TestEigenvalueRouting:
         res = integrate_fast(self.f, 3, cfg)
         assert calls["n"] == self.evaluations(res) > 0
 
-    @pytest.mark.parametrize("eta_mode", ["shared", "per_dimension"])
-    def test_sobol_builds_each_column_once(self, monkeypatch, eta_mode):
-        # each doubling builds the Walsh bases of its new block only
+    def test_sobol_builds_each_column_once(self, monkeypatch):
+        # with shared eta each doubling builds the Walsh bases of its new block only
         built = {"cols": 0}
         real = kernels.sobol_column_bases
 
@@ -476,8 +475,7 @@ class TestEigenvalueRouting:
             return out
 
         monkeypatch.setattr(kernels, "sobol_column_bases", bases)
-        cfg = CubatureConfig(family="sobol", epsilon=1e-9, n0=128, n_max=2**11,
-                             seed=5, eta_mode=eta_mode)
+        cfg = CubatureConfig(family="sobol", epsilon=1e-9, n0=128, n_max=2**11, seed=5)
         res = integrate_fast(self.f, 3, cfg)
         assert len(res.iterations) == 5
         assert built["cols"] == res.n_used == 2**11

@@ -2,6 +2,7 @@
 positive definiteness, normalization, and analytic gradients."""
 
 import itertools
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -122,6 +123,13 @@ class TestTruncatedSeries:
         # the half column k = 0..n/2 in grid order sits at nodes brev(k)
         at_grid = direct[nodes._brev_table(4)[: n // 2 + 1]]
         assert np.abs((1.0 + col) - at_grid).max() < 1e-10
+
+    def test_huge_order_spectrum_is_quiet(self):
+        # m^r overflows to inf for every m >= 2, and n / inf = 0 is the value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spec = kernels.truncated_series_spectrum(1e8, 16)
+        assert np.array_equal(spec, [0, 16] + [0] * 13 + [16])
 
     def test_order_validation(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bayescub import kernels, nodes, transforms
-from bayescub.inference import column_spectrum
+from bayescub.inference import coefficient_spectra, column_spectrum
 from bayescub.kernels import KernelSpec
 from bayescub.transforms import (fbt_double, fbt_lattice, fbt_lattice_even,
                                  fbt_sobol, hadamard_matrix,
@@ -272,20 +272,30 @@ class TestLargeN:
     @pytest.mark.parametrize("scramble", [False, True])
     @pytest.mark.parametrize("d", [4, 13])
     def test_sobol_spectra_grow_by_the_doubling_step(self, d, scramble):
-        # the shared-eta spectra at 2^m from those at 2^(m-1) and the new
-        # block's d transforms, as the loop grows them
+        # the shared-eta spectra at 2^m grown from those at 2^(m-1) by the
+        # new block's d transforms, as the loop grows them
         gen = nodes.make_sobol(d, 17, scramble=scramble)
         spec = KernelSpec("walsh1", 1.0, np.ones(d))
-
-        def spectra(bases):
-            return column_spectrum(kernels.elementary_symmetric(bases), "sobol",
-                                   bases.shape[1])
-
-        grown = spectra(kernels.column_bases(spec, gen, 0))
+        grown = coefficient_spectra(spec, gen, "sobol", 0)
         for m in range(1, 21):
-            grown = transforms.walsh_double(grown, spectra(
-                kernels.sobol_column_bases(spec, gen, m, start=1 << (m - 1))))
-            assert np.array_equal(grown, spectra(kernels.column_bases(spec, gen, m))), m
+            grown = coefficient_spectra(spec, gen, "sobol", m, grown)
+            scratch = column_spectrum(kernels.elementary_symmetric(
+                kernels.column_bases(spec, gen, m)), "sobol", 1 << m)
+            assert np.array_equal(grown, scratch), m
+
+    @pytest.mark.parametrize("kernel, order", [("bernoulli", 2.0),
+                                               ("truncated_series", 1.7)])
+    def test_lattice_spectra_rebuild_whatever_prev(self, kernel, order):
+        # the lattice has no growth step: any prev is ignored
+        gen = nodes.make_lattice(3, 17)
+        spec = KernelSpec(kernel, order, np.ones(3))
+        for m in (1, 4, 9):
+            scratch = coefficient_spectra(spec, gen, "lattice", m)
+            assert scratch.shape == (3, (1 << m) // 2 + 1)
+            for prev in (coefficient_spectra(spec, gen, "lattice", m - 1),
+                         np.full((3, 7), np.nan)):
+                assert np.array_equal(
+                    coefficient_spectra(spec, gen, "lattice", m, prev), scratch)
 
     def test_sobol_bases_block_must_be_a_doubling_block(self):
         gen = nodes.make_sobol(2, 17)

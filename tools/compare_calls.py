@@ -5,8 +5,10 @@
     python3 tools/compare_calls.py --against FILE --fields mu_hat n_used
 
 Runs every integration that perfbench/workloads.py lists for the given
-seeds, with bayescub imported from the source tree SRC (default: this
-checkout's src), and records per call the estimate (as a float hex string),
+seeds, plus at each seed one small call per loop path that no workload takes
+(PATHS, recorded as workload "path:<name>"), with bayescub imported from the
+source tree SRC (default: this checkout's src), and records per call the
+estimate (as a float hex string),
 n_used and, per doubling, err, the chosen eta, the objective evaluations and
 the clamped-eigenvalue count.  --out writes the records as JSON; --against
 reads records written earlier (say, from another revision's tree) and
@@ -48,6 +50,34 @@ def _load_workloads(src: Path):
     return bayescub, WORKLOADS
 
 
+# One small call per loop path the workloads skip, run at every seed:
+# name -> (problem, d, CubatureConfig fields beyond PATH_FIELDS and the seed)
+PATH_FIELDS = {"epsilon": 1e-7, "n_max": 2**14}
+_LATTICE = {"periodizer": "sidi_c1"}
+PATHS = {
+    "sobol_per_dimension": ("keister", 3, {"family": "sobol",
+                                           "eta_mode": "per_dimension"}),
+    "sobol_scrambled": ("keister", 3, {"family": "sobol", "scramble": True}),
+    "truncated_series": ("fresnel", None, {**_LATTICE, "kernel": "truncated_series",
+                                           "order": 1.7}),
+    "exp_decay": ("fresnel", None, {**_LATTICE, "kernel": "exp_decay", "order": 0.4}),
+    **{f"{kernel}_order_{mode}": ("fresnel", None, {
+        **_LATTICE, "kernel": kernel, "order": order, "search_order": True,
+        "eta_mode": mode})
+       for kernel, order in (("truncated_series", 2.0), ("exp_decay", 0.5))
+       for mode in ("shared", "per_dimension")},
+    "gcv": ("keister", 3, {**_LATTICE, "criterion": "gcv"}),
+    "full": ("keister", 3, {**_LATTICE, "criterion": "full"}),
+}
+
+
+def path_calls(bayescub, seed: int):
+    """(workload name, problem, config) of every PATHS call at seed."""
+    for name, (problem, d, fields) in PATHS.items():
+        yield (f"path:{name}", bayescub.build_problem(problem, d=d),
+               bayescub.CubatureConfig(seed=seed, **PATH_FIELDS, **fields))
+
+
 def call_record(workload: str, seed: int, call: int, run) -> dict:
     """One call's record; run() returns a CubatureResult or raises."""
     rec = {"workload": workload, "seed": seed, "call": call}
@@ -74,6 +104,11 @@ def run_calls(src: Path, seeds) -> list[dict]:
                 records.append(call_record(
                     name, seed, i,
                     lambda: bayescub.integrate_fast(problem.evaluator, problem.d, cfg)))
+    for seed in seeds:
+        for name, problem, cfg in path_calls(bayescub, seed):
+            records.append(call_record(
+                name, seed, 0,
+                lambda: bayescub.integrate_fast(problem.evaluator, problem.d, cfg)))
     return records
 
 
