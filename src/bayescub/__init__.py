@@ -6,8 +6,7 @@ or Sobol' nets with Walsh kernels (fast Walsh-Hadamard path), doubling the
 sample size until a Gaussian-process credible interval is narrow enough.
 """
 
-from .cubature import (CubatureConfig, CubatureResult, integrate_dense,
-                       integrate_fast, integrate_mc)
+from .cubature import CubatureConfig, CubatureResult, integrate_dense, integrate_fast
 from .inference import EB, FULL, GCV
 from .kernels import KernelSpec
 from .problems import (IntegrandProblem, asian_option_problem, build_problem,
@@ -18,7 +17,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CubatureConfig", "CubatureResult",
-    "integrate_fast", "integrate_dense", "integrate_mc",
+    "integrate_fast", "integrate_dense",
     "EB", "FULL", "GCV", "KernelSpec", "IntegrandProblem",
     "build_problem", "genz_mvn_problem", "keister_problem",
     "asian_option_problem", "fresnel_problem", "periodize",

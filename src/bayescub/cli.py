@@ -21,6 +21,7 @@ import numpy as np
 from . import problems
 from .cubature import CubatureConfig, integrate_dense, integrate_fast
 from .inference import CRITERIA
+from .transforms import DENSE_MAX_N
 
 SWEEP_SCHEMA = "bayescub.sweep.v1"
 CSV_COLUMNS = ("eps", "seed", "n", "err", "abs_error", "abs_error_over_eps",
@@ -51,7 +52,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 def _make_config(args, eps: float, seed: int, periodizer: str) -> CubatureConfig:
     family = {"matern": "matern_dense"}.get(args.family, args.family)
-    nmax = min(args.nmax, 4096) if family == "matern_dense" else args.nmax
+    nmax = min(args.nmax, DENSE_MAX_N) if family == "matern_dense" else args.nmax
     return CubatureConfig(
         family=family, criterion=args.criterion, epsilon=eps, n0=args.n0,
         n_max=nmax, seed=seed, periodizer=periodizer,
@@ -191,9 +192,9 @@ def cmd_selftest(args) -> int:
     The fast side is built as the doubling loop builds it for one shared
     eta: the Gram spectrum as a polynomial in eta (on the lattice its
     distinct half 0..n/2), checked against the ring column's transform too.
-    On Sobol' nodes the coefficient spectra grown from n/2 to n by the loop's
-    own inference.coefficient_spectra must equal the from-scratch spectra
-    bit for bit.
+    The coefficient spectra that the loop's own
+    inference.coefficient_spectra grows from n/2 to n must equal its
+    from-scratch spectra bit for bit on both families.
     """
     from . import kernels, nodes, transforms
     from .inference import (coefficient_spectra, column_spectrum, credible_width,
@@ -227,13 +228,11 @@ def cmd_selftest(args) -> int:
                 gram = kernels.gram_matrix(spec, pts.int_points)
             y = np.asarray(np.cos(2 * np.pi * pts.points[:, 0]) + pts.points[:, 1])
             bases = kernels.column_bases(spec, gen, m)
-            powers = column_spectrum(kernels.elementary_symmetric(bases), family, n)
-            if family == "sobol":
-                grown = coefficient_spectra(spec, gen, family, m, coefficient_spectra(
-                    spec, gen, family, m - 1))
-                check(f"grown-vs-scratch spectra {kernel} n={n}",
-                      np.array_equal(grown, powers))
-                powers = grown
+            powers = coefficient_spectra(spec, gen, family, m)
+            grown = coefficient_spectra(spec, gen, family, m, coefficient_spectra(
+                spec, gen, family, m - 1))
+            check(f"grown-vs-scratch spectra {kernel} r={order} n={n}",
+                  np.array_equal(grown, powers))
             lams = polynomial_spectrum(powers, eta)
             ring_lams = column_spectrum(kernels.ring_from_bases(spec.eta, bases),
                                         family, n)

@@ -1,6 +1,6 @@
 """Automatic cubature loops: the fast doubling algorithm over matched
-(node set, kernel) pairs, the generic dense loop for the Matern baseline,
-and a plain Monte Carlo comparison baseline.
+(node set, kernel) pairs, and the generic dense loop with its own Matern
+kernel as the slow baseline.
 
 Per iteration only the new block of nodes is generated and evaluated; the
 running data transform is grown by the doubling update, the shape
@@ -45,7 +45,7 @@ from .inference import (EB, CRITERIA, DegenerateDataError, NonFiniteStartError,
                         polynomial_spectrum, search_hyperparameters,
                         transformed_data)
 from .nodes import CapacityError, make_lattice, make_sobol
-from .transforms import fbt, fbt_double
+from .transforms import DENSE_MAX_N, fbt, fbt_double
 
 
 class IntegrandError(ValueError):
@@ -88,6 +88,10 @@ class CubatureConfig:
             raise ValueError(f"unknown eta_mode {self.eta_mode!r}")
         if self.search_order and self.kernel not in _ORDER_MAPS:
             raise ValueError(f"kernel {self.kernel!r} has no continuous order to search")
+        if self.family == "matern_dense":  # its Matern kernel has none of these
+            for name in ("kernel", "order", "eta_mode"):
+                if getattr(self, name) != getattr(CubatureConfig, name):
+                    raise ValueError(f"family matern_dense takes no {name} setting")
 
 
 @dataclass(frozen=True)
@@ -128,14 +132,12 @@ class CubatureResult:
 
 
 def _default_kernel(config: CubatureConfig, d: int) -> kernels.KernelSpec:
-    family = config.kernel or {"lattice": "bernoulli", "sobol": "walsh1",
-                               "matern_dense": "matern"}[config.family]
+    family = config.kernel or {"lattice": "bernoulli", "sobol": "walsh1"}[config.family]
     order = config.order
     if order is None:
         order = {"bernoulli": 2.0, "truncated_series": 2.0, "exp_decay": 0.5,
-                 "walsh1": 1.0, "matern": 1.0}[family]
-    eta0 = order if family == "matern" else 1.0
-    return kernels.KernelSpec(family=family, order=float(order), eta=np.full(d, eta0))
+                 "walsh1": 1.0}[family]
+    return kernels.KernelSpec(family=family, order=float(order), eta=np.ones(d))
 
 
 # The search coordinates t are log eta, one entry shared by every dimension
@@ -291,11 +293,17 @@ def integrate_fast(f, d: int, config: CubatureConfig) -> CubatureResult:
 
 
 # ---------------------------------------------------------------------------
-# Dense slow path (Matern baseline) and plain Monte Carlo
+# Dense slow path (Matern baseline)
 # ---------------------------------------------------------------------------
 
 # the Matern length scales the dense loop tries at every doubling
 _MATERN_THETAS = np.geomspace(0.5, 64.0, 12)
+
+
+def _matern_gram(theta: float, pts: np.ndarray) -> np.ndarray:
+    """Dense Gram of prod_l exp(-theta |x_l - t_l|) (1 + theta |x_l - t_l|)."""
+    delta = np.abs(pts[:, None, :] - pts[None, :, :])
+    return (np.exp(-theta * delta) * (1.0 + theta * delta)).prod(axis=-1)
 
 
 def _matern_c_vector(theta: float, pts: np.ndarray) -> np.ndarray:
@@ -314,8 +322,8 @@ def integrate_dense(f, d: int, config: CubatureConfig) -> CubatureResult:
     """Generic-kernel doubling loop with O(N_opt n^3) dense linear algebra."""
     if config.family != "matern_dense":
         raise ValueError("integrate_dense requires the matern_dense family")
-    if config.n_max > 4096:
-        raise ValueError("dense path guarded to n_max <= 2^12")
+    if config.n_max > DENSE_MAX_N:
+        raise ValueError(f"dense path guarded to n_max <= {DENSE_MAX_N}")
     t_start = time.perf_counter()
     gen = make_sobol(d, config.seed, scramble=True)
     f_eval = problems.periodize(f, config.periodizer)
@@ -340,16 +348,15 @@ def integrate_dense(f, d: int, config: CubatureConfig) -> CubatureResult:
                                               time.perf_counter() - it_start))
             break
 
-        best_val = np.inf
+        best_val, best_gram = np.inf, None
         for theta in _MATERN_THETAS:
-            gram = kernels.gram_matrix(
-                kernels.KernelSpec("matern", 1.0, np.full(d, theta)), pts_all)
+            gram = _matern_gram(theta, pts_all)
             val = dense_eb_objective(y_all, gram)
             if val < best_val:
-                best_val, best_theta = val, float(theta)
-        gram = kernels.gram_matrix(
-            kernels.KernelSpec("matern", 1.0, np.full(d, best_theta)), pts_all)
-        post = dense_posterior(y_all, gram, _matern_c_vector(best_theta, pts_all),
+                best_val, best_theta, best_gram = val, float(theta), gram
+        if best_gram is None:  # no finite objective: keep the last choice
+            best_gram = _matern_gram(best_theta, pts_all)
+        post = dense_posterior(y_all, best_gram, _matern_c_vector(best_theta, pts_all),
                                _matern_c0(best_theta, d), config.criterion)
         err = post.err
         iterations.append(IterationRecord(n, (best_theta,), float(err),
@@ -362,34 +369,4 @@ def integrate_dense(f, d: int, config: CubatureConfig) -> CubatureResult:
     return CubatureResult(mu_hat=float(mu), n_used=len(y_all), err=float(err),
                           tolerance_met=bool(err <= config.epsilon),
                           iterations=iterations, seed=config.seed,
-                          seconds=time.perf_counter() - t_start)
-
-
-def integrate_mc(f, d: int, epsilon: float, seed: int,
-                 n0: int = 2**8, n_max: int = 2**24) -> CubatureResult:
-    """IID baseline with CLT stopping rule 2.58 sigma / sqrt(n) <= epsilon."""
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
-    t_start = time.perf_counter()
-    rng = np.random.Generator(np.random.Philox(seed))
-    y_all = np.empty(0)
-    iterations: list[IterationRecord] = []
-    err = np.inf
-    n = n0
-    while n <= n_max:
-        it_start = time.perf_counter()
-        block = rng.random((n - len(y_all), d))
-        yb = np.asarray(f(block), dtype=np.float64)
-        _check_finite(yb, len(y_all))
-        y_all = np.concatenate([y_all, yb])
-        sigma = float(y_all.std(ddof=1)) if len(y_all) > 1 else np.inf
-        err = 2.58 * sigma / np.sqrt(len(y_all))
-        iterations.append(IterationRecord(n, (), float(err),
-                                          time.perf_counter() - it_start))
-        if err <= epsilon:
-            break
-        n *= 2
-    return CubatureResult(mu_hat=float(y_all.mean()), n_used=len(y_all),
-                          err=float(err), tolerance_met=bool(err <= epsilon),
-                          iterations=iterations, seed=seed,
                           seconds=time.perf_counter() - t_start)

@@ -47,7 +47,7 @@ from scipy.optimize import minimize, minimize_scalar
 from scipy.special import stdtrit
 
 from . import kernels
-from .transforms import fbt, fbt_lattice_even, walsh_double
+from .transforms import DENSE_MAX_N, fbt, fbt_lattice_even, walsh_double
 
 EB, FULL, GCV = "eb", "full", "gcv"
 CRITERIA = (EB, FULL, GCV)
@@ -270,8 +270,8 @@ def dense_posterior(y: np.ndarray, gram: np.ndarray, c: np.ndarray, c0: float,
                     kind: str) -> DensePosterior:
     """Full O(n^3) posterior: mean estimate, width, and scale for a criterion."""
     n = np.asarray(y).shape[0]
-    if n > 4096:
-        raise ValueError("dense path guarded to n <= 4096")
+    if n > DENSE_MAX_N:
+        raise ValueError(f"dense path guarded to n <= {DENSE_MAX_N}")
     try:
         chol = cho_factor(np.asarray(gram, dtype=np.float64), lower=True)
     except np.linalg.LinAlgError as exc:

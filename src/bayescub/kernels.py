@@ -9,8 +9,7 @@ A kernel holds one eta per dimension; whether the search shares one value
 among them is the doubling loop's choice.  With one eta shared by every
 dimension the ring is also the polynomial sum_j eta^j e_j in the elementary
 symmetric polynomials e_j of the bases, whose coefficient columns do not
-depend on eta.  The Matern kernel lives here only as the dense slow-path
-baseline (gram_matrix).
+depend on eta.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from .nodes import (LatticeGenerator, SobolGenerator, _brev_table, lattice_lag_i
 ETA_MIN = 1e-8
 ETA_MAX = 1e8
 
-FAMILIES = ("bernoulli", "truncated_series", "exp_decay", "walsh1", "matern")
+FAMILIES = ("bernoulli", "truncated_series", "exp_decay", "walsh1")
 
 
 class SingularFactorError(ZeroDivisionError):
@@ -34,11 +33,11 @@ class SingularFactorError(ZeroDivisionError):
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel family, order, and shape vector.
+    """Matched kernel family, order, and shape vector.
 
     order is r for bernoulli (1 or 2) and truncated_series (> 1), q in (0,1)
-    for exp_decay, fixed 1 for walsh1, and the Matern length scale theta.
-    eta has one entry per dimension.
+    for exp_decay, and fixed 1 for walsh1.  eta has one entry per dimension,
+    each in [ETA_MIN, ETA_MAX].
     """
 
     family: str
@@ -49,9 +48,7 @@ class KernelSpec:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}")
         eta = np.atleast_1d(np.asarray(self.eta, dtype=np.float64))
-        if (eta <= 0).any():
-            raise ValueError("eta must be positive")
-        if self.family != "matern" and ((eta < ETA_MIN) | (eta > ETA_MAX)).any():
+        if ((eta < ETA_MIN) | (eta > ETA_MAX)).any():
             raise ValueError(f"eta must lie in [{ETA_MIN}, {ETA_MAX}]")
         object.__setattr__(self, "eta", eta)
         if self.family == "bernoulli" and self.order not in (1, 2):
@@ -263,19 +260,14 @@ def column_eta_jacobian(eta: np.ndarray, bases: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Dense Gram matrices (Matern path and test oracles)
+# Dense Gram matrices (self-test and test oracles)
 # ---------------------------------------------------------------------------
 
 def gram_matrix(spec: KernelSpec, nodes, gen=None, m: int | None = None) -> np.ndarray:
-    """Dense Gram matrix for any family, O(n^2 d); oracle and Matern use only.
+    """Dense Gram matrix of any matched family, O(n^2 d); self-test and oracle use.
 
     truncated_series needs (gen, m) because it is defined on the lattice grid.
     """
-    if spec.family == "matern":
-        pts = np.asarray(nodes, dtype=np.float64)
-        delta = np.abs(pts[:, None, :] - pts[None, :, :])
-        theta = spec.eta[:, None, None].T  # per-dim theta allowed
-        return (np.exp(-theta * delta) * (1.0 + theta * delta)).prod(axis=-1)
     if spec.family == "truncated_series":
         if gen is None or m is None:
             raise ValueError("truncated_series Gram needs the lattice generator and m")

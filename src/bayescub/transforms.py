@@ -24,7 +24,8 @@ from scipy.fft import dct
 
 from .nodes import _brev_table
 
-_DENSE_LIMIT = 4096
+# largest n of any dense n x n matrix, and of the O(n^3) dense loop
+DENSE_MAX_N = 4096
 
 # below 2^16 points a single gather stays in cache and is the faster order
 _TWO_LEVEL_MIN_M = 16
@@ -151,16 +152,16 @@ def fbt_double(prev: np.ndarray, new_y: np.ndarray, kind: str) -> np.ndarray:
 
 def lattice_eigenvector_matrix(n: int) -> np.ndarray:
     """Dense V with V[j, k] = exp(2 pi i brev(j) k / n); test-scale only."""
-    if n > _DENSE_LIMIT:
-        raise ValueError(f"dense matrix limited to n <= {_DENSE_LIMIT}")
+    if n > DENSE_MAX_N:
+        raise ValueError(f"dense matrix limited to n <= {DENSE_MAX_N}")
     m = _check_pow2(n)
     phase = np.outer(_brev_table(m), np.arange(n)) % n
     return np.exp(2j * np.pi * phase / n)
 
 
 def hadamard_matrix(n: int) -> np.ndarray:
-    if n > _DENSE_LIMIT:
-        raise ValueError(f"dense matrix limited to n <= {_DENSE_LIMIT}")
+    if n > DENSE_MAX_N:
+        raise ValueError(f"dense matrix limited to n <= {DENSE_MAX_N}")
     m = _check_pow2(n)
     h = np.array([[1.0]])
     for _ in range(m):

@@ -92,6 +92,12 @@ class TestIntegrate:
         assert code == 0
         assert json.loads(out)["n"] <= 512
 
+    def test_matern_family_refuses_a_kernel(self, capsys):
+        code, _, err = run_main(
+            ["integrate", "--problem", "mvn", "--family", "matern", "--kernel",
+             "bernoulli", "--eps", "1e-2"], capsys)
+        assert code == 1 and "kernel" in err
+
 
 class TestSweep:
     ARGS = ["sweep", "--problem", "keister", "--d", "4", "--family", "lattice",
@@ -229,3 +235,8 @@ class TestEntryPoint:
             pytest.skip("console script not on PATH")
         proc = subprocess.run([exe, "selftest"], capture_output=True, text=True)
         assert proc.returncode == 0
+
+    def test_every_exported_name_resolves(self):
+        import bayescub
+
+        assert [name for name in bayescub.__all__ if not hasattr(bayescub, name)] == []

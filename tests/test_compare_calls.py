@@ -22,7 +22,8 @@ def tool():
 
 def records():
     def it(n, err, eta):
-        return {"n": n, "err": err, "eta": [eta], "evaluations": 20, "n_clamped": 0}
+        return {"n": n, "err": err, "eta": [eta], "order": 2.0, "evaluations": 20,
+                "n_clamped": 0}
 
     return [
         {"workload": "w", "seed": 1, "call": 0, "mu_hat": (0.5).hex(), "n_used": 512,
@@ -42,13 +43,15 @@ class TestDiffRecords:
         new[0]["mu_hat"] = (0.5 + 2**-40).hex()
         new[0]["iterations"][1]["err"] = 4e-4 * (1 + 1e-12)
         new[0]["iterations"][1]["evaluations"] = 21
+        new[0]["iterations"][0]["order"] = 1.5
         new[1]["n_used"] = 512
         new[2] = {**new[2], "error": "ValueError: other"}
         lines, gap = tool.diff_records(records(), new)
-        assert len(lines) == 5
+        assert len(lines) == 6
         assert any("mu_hat" in line for line in lines)
         assert any("doubling 1 err" in line for line in lines)
         assert any("doubling 1 evaluations" in line for line in lines)
+        assert any("doubling 0 order: 2.0 != 1.5" in line for line in lines)
         assert any("n_used: 256 != 512" in line for line in lines)
         assert any("error" in line for line in lines)
         assert gap == pytest.approx(1e-12, rel=1e-3)

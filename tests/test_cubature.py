@@ -1,5 +1,5 @@
 """The doubling loop: stopping semantics, no-resampling accounting, result
-round-trips, the dense Matern path, and the Monte Carlo baseline."""
+round-trips, and the dense Matern path."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ import pytest
 from dataclasses import replace
 
 from bayescub import (CubatureConfig, cubature, integrate_dense, integrate_fast,
-                      integrate_mc, kernels, nodes, problems)
+                      kernels, nodes, problems)
 from bayescub.cubature import IntegrandError
 from bayescub.inference import (NonFiniteStartError, credible_width,
                                 student_t_quantile)
@@ -213,6 +213,13 @@ class TestFastLoop:
                                ("lattice", None), ("sobol", None)):
             with pytest.raises(ValueError, match="no continuous order"):
                 CubatureConfig(family=family, kernel=kernel, search_order=True)
+
+    @pytest.mark.parametrize("name,value", [("kernel", "bernoulli"), ("order", 2.0),
+                                            ("eta_mode", "per_dimension")])
+    def test_dense_family_refuses_matched_kernel_settings(self, name, value):
+        # the dense loop's Matern kernel would ignore them
+        with pytest.raises(ValueError, match=name):
+            CubatureConfig(family="matern_dense", **{name: value})
 
 
 class TestIterationRecords:
@@ -545,6 +552,14 @@ class TestDenseLoop:
         res = integrate_dense(f, 2, cfg)
         assert res.n_used == 32 and res.err == 0.0 and res.mu_hat == -2.0
 
+    def test_matern_gram_matches_oracle(self):
+        from oracles import matern_kernel
+
+        pts = np.random.default_rng(5).random((24, 3))
+        gram = cubature._matern_gram(1.7, pts)
+        ref = np.array([[matern_kernel(1.7, x, t) for t in pts] for x in pts])
+        assert np.allclose(gram, ref, rtol=1e-15, atol=0)
+
     def test_requires_matern_family(self):
         with pytest.raises(ValueError):
             integrate_dense(lambda x: x[:, 0], 1, CubatureConfig(epsilon=1e-2))
@@ -594,25 +609,3 @@ class TestDenseLoop:
         post = extended_dense_posterior(f(pts.points), gram, np.ones(64), 1.0, EB)
         assert post.mu_hat == pytest.approx(res.mu_hat, rel=1e-8)
         assert post.err == pytest.approx(res.err, rel=1e-8)
-
-
-class TestMonteCarlo:
-    def test_constant_stops_first_batch(self):
-        res = integrate_mc(lambda x: np.full(len(x), 7.0), 3, 1e-6, seed=0, n0=128)
-        assert res.n_used == 128 and res.mu_hat == 7.0 and res.tolerance_met
-
-    def test_uniform_mean(self):
-        hits = 0
-        for seed in range(100):
-            res = integrate_mc(lambda x: x[:, 0], 1, 1e-2, seed=seed)
-            hits += abs(res.mu_hat - 0.5) <= 1e-2
-        assert hits >= 95
-
-    def test_variance_estimate(self):
-        res = integrate_mc(lambda x: x[:, 0], 1, 5e-3, seed=42)
-        sigma2 = (res.err / 2.58) ** 2 * res.n_used
-        assert sigma2 == pytest.approx(1 / 12, rel=0.1)
-
-    def test_epsilon_validation(self):
-        with pytest.raises(ValueError):
-            integrate_mc(lambda x: x[:, 0], 1, 0.0, seed=0)

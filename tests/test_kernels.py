@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bayescub import kernels, nodes
+from bayescub import cubature, kernels, nodes
 from bayescub.kernels import KernelSpec
 from oracles import (exp_decay_kernel, kernel_eta_gradient, matern_kernel,
                      shift_invariant_ring, to_digits, walsh_ring)
@@ -71,6 +71,13 @@ class TestShiftInvariantRing:
     def test_eta_zero_rejected(self):
         with pytest.raises(ValueError):
             KernelSpec("bernoulli", 1, np.zeros(1))
+
+    @pytest.mark.parametrize("family,order", [("bernoulli", 1), ("truncated_series", 1.7),
+                                              ("exp_decay", 0.5), ("walsh1", 1)])
+    @pytest.mark.parametrize("eta", [0.0, -1.0, 5e-9, 2e8])
+    def test_eta_outside_the_box_rejected(self, family, order, eta):
+        with pytest.raises(ValueError, match="eta must lie in"):
+            KernelSpec(family, order, np.array([1.0, eta]))
 
     def test_ring_consistency_with_direct_product(self):
         # 1 + ring equals the plain product form to within 2 ulps of the
@@ -285,9 +292,11 @@ class TestGramProperties:
         for n in (8, 32):
             d = 2
             eta = rng.uniform(0.3, 2.0, size=d)
-            spec = KernelSpec(family, order if family != "matern" else 1.0, eta)
             pts = rng.random((n, d))
-            gram = kernels.gram_matrix(spec, pts)
+            if family == "matern":  # the dense loop's own kernel, one theta
+                gram = cubature._matern_gram(eta[0], pts)
+            else:
+                gram = kernels.gram_matrix(KernelSpec(family, order, eta), pts)
             assert np.array_equal(gram, gram.T)
             assert np.linalg.eigvalsh(gram).min() > -1e-8 * n
 

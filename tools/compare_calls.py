@@ -6,15 +6,15 @@
 
 Runs every integration that perfbench/workloads.py lists for the given
 seeds, plus at each seed one small call per loop path that no workload takes
-(PATHS, recorded as workload "path:<name>"), with bayescub imported from the
-source tree SRC (default: this checkout's src), and records per call the
-estimate (as a float hex string),
-n_used and, per doubling, err, the chosen eta, the objective evaluations and
-the clamped-eigenvalue count.  --out writes the records as JSON; --against
-reads records written earlier (say, from another revision's tree) and
-reports every field that is not equal, plus the largest relative err gap
-over the doublings both hold and each side's mean objective evaluations per
-doubling, per workload.  The exit status is 1 when a field differs; with
+(PATHS, recorded as workload "path:<name>"; the dense Matern loop among
+them), with bayescub imported from the source tree SRC (default: this
+checkout's src), and records per call the estimate (as a float hex string),
+n_used and, per doubling, err, the chosen eta, the kernel order, the
+objective evaluations and the clamped-eigenvalue count.  --out writes the
+records as JSON; --against reads records written earlier (say, from another
+revision's tree) and reports every field that is not equal, plus the largest
+relative err gap over the doublings both hold and each side's mean objective
+evaluations per doubling, per workload.  The exit status is 1 when a field differs; with
 --fields only the named fields count (the others are summed up in one line),
 so a change that moves eta and err by design can still be held to
 identical mu_hat and n_used.
@@ -51,7 +51,7 @@ def _load_workloads(src: Path):
 
 
 # One small call per loop path the workloads skip, run at every seed:
-# name -> (problem, d, CubatureConfig fields beyond PATH_FIELDS and the seed)
+# name -> (problem, d, CubatureConfig fields over PATH_FIELDS, beyond the seed)
 PATH_FIELDS = {"epsilon": 1e-7, "n_max": 2**14}
 _LATTICE = {"periodizer": "sidi_c1"}
 PATHS = {
@@ -68,6 +68,8 @@ PATHS = {
        for mode in ("shared", "per_dimension")},
     "gcv": ("keister", 3, {**_LATTICE, "criterion": "gcv"}),
     "full": ("keister", 3, {**_LATTICE, "criterion": "full"}),
+    "matern_dense": ("keister", 3, {**_LATTICE, "family": "matern_dense",
+                                    "n_max": 2**9}),
 }
 
 
@@ -75,7 +77,7 @@ def path_calls(bayescub, seed: int):
     """(workload name, problem, config) of every PATHS call at seed."""
     for name, (problem, d, fields) in PATHS.items():
         yield (f"path:{name}", bayescub.build_problem(problem, d=d),
-               bayescub.CubatureConfig(seed=seed, **PATH_FIELDS, **fields))
+               bayescub.CubatureConfig(seed=seed, **{**PATH_FIELDS, **fields}))
 
 
 def call_record(workload: str, seed: int, call: int, run) -> dict:
@@ -88,7 +90,7 @@ def call_record(workload: str, seed: int, call: int, run) -> dict:
         return rec
     rec.update(mu_hat=float(res.mu_hat).hex(), n_used=res.n_used,
                iterations=[{"n": it.n, "err": it.err, "eta": list(it.theta),
-                            "evaluations": it.evaluations,
+                            "order": it.order, "evaluations": it.evaluations,
                             "n_clamped": it.n_clamped}
                            for it in res.iterations])
     return rec
@@ -106,9 +108,10 @@ def run_calls(src: Path, seeds) -> list[dict]:
                     lambda: bayescub.integrate_fast(problem.evaluator, problem.d, cfg)))
     for seed in seeds:
         for name, problem, cfg in path_calls(bayescub, seed):
+            loop = (bayescub.integrate_dense if cfg.family == "matern_dense"
+                    else bayescub.integrate_fast)
             records.append(call_record(
-                name, seed, 0,
-                lambda: bayescub.integrate_fast(problem.evaluator, problem.d, cfg)))
+                name, seed, 0, lambda: loop(problem.evaluator, problem.d, cfg)))
     return records
 
 
@@ -120,7 +123,7 @@ def _rel_gap(a, b) -> float:
     return abs(a - b) / max(abs(a), abs(b))
 
 
-FIELDS = ("error", "mu_hat", "n_used", "doublings", "n", "err", "eta",
+FIELDS = ("error", "mu_hat", "n_used", "doublings", "n", "err", "eta", "order",
           "evaluations", "n_clamped")
 
 
@@ -145,9 +148,11 @@ def diff_records(old: list[dict], new: list[dict],
             lines.append(f"{k} doublings: {len(its_a)} != {len(its_b)}")
         for j, (ia, ib) in enumerate(zip(its_a, its_b)):
             gap = max(gap, _rel_gap(ia["err"], ib["err"]))
-            for field in ("n", "err", "eta", "evaluations", "n_clamped"):
-                if field in fields and ia[field] != ib[field]:
-                    lines.append(f"{k} doubling {j} {field}: {ia[field]} != {ib[field]}")
+            # .get: records written before "order" was recorded lack it
+            for field in ("n", "err", "eta", "order", "evaluations", "n_clamped"):
+                if field in fields and ia.get(field) != ib.get(field):
+                    lines.append(f"{k} doubling {j} {field}: "
+                                 f"{ia.get(field)} != {ib.get(field)}")
     return sorted(lines), gap
 
 
