@@ -28,6 +28,10 @@ block's alone, bit for bit the from-scratch result; on the lattice it
 rebuilds them at every doubling.  There both the data spectrum (the real FFT
 of real data) and the even Gram spectrum stay their halves k = 0..n/2
 throughout, and the data weights are paired to match once per doubling.
+
+The dense loop factors the Matern Gram, built one (n, n) factor per
+dimension, once per theta of a fixed grid and keeps the EB posterior of least
+EB loss; full and GCV factor the chosen theta's Gram once more.
 """
 
 from __future__ import annotations
@@ -40,10 +44,9 @@ import numpy as np
 from . import kernels, problems
 from .inference import (EB, CRITERIA, DegenerateDataError, NonFiniteStartError,
                         TransformedData, coefficient_spectra, column_spectrum,
-                        credible_width, data_weights, dense_eb_objective,
-                        dense_posterior, objective, objective_gradient,
-                        polynomial_spectrum, search_hyperparameters,
-                        transformed_data)
+                        credible_width, data_weights, dense_posterior, objective,
+                        objective_gradient, polynomial_spectrum,
+                        search_hyperparameters, transformed_data)
 from .nodes import CapacityError, make_lattice, make_sobol
 from .transforms import DENSE_MAX_N, fbt, fbt_double
 
@@ -89,9 +92,14 @@ class CubatureConfig:
         if self.search_order and self.kernel not in _ORDER_MAPS:
             raise ValueError(f"kernel {self.kernel!r} has no continuous order to search")
         if self.family == "matern_dense":  # its Matern kernel has none of these
-            for name in ("kernel", "order", "eta_mode"):
+            for name in ("kernel", "order", "eta_mode", "scramble"):  # it always scrambles
                 if getattr(self, name) != getattr(CubatureConfig, name):
                     raise ValueError(f"family matern_dense takes no {name} setting")
+        elif self.kernel and (self.kernel == "walsh1") != (self.family == "sobol"):
+            raise ValueError(f"kernel {self.kernel!r} does not match family {self.family!r}"
+                             ": sobol takes walsh1, lattice a shift-invariant kernel")
+        if self.scramble and self.family == "lattice":
+            raise ValueError("family lattice takes no scramble setting")
 
 
 @dataclass(frozen=True)
@@ -301,9 +309,13 @@ _MATERN_THETAS = np.geomspace(0.5, 64.0, 12)
 
 
 def _matern_gram(theta: float, pts: np.ndarray) -> np.ndarray:
-    """Dense Gram of prod_l exp(-theta |x_l - t_l|) (1 + theta |x_l - t_l|)."""
-    delta = np.abs(pts[:, None, :] - pts[None, :, :])
-    return (np.exp(-theta * delta) * (1.0 + theta * delta)).prod(axis=-1)
+    """Dense Gram of prod_l exp(-theta |x_l - t_l|) (1 + theta |x_l - t_l|),
+    one (n, n) factor per dimension."""
+    gram = np.ones((pts.shape[0],) * 2)
+    for x in pts.T:
+        delta = np.abs(x[:, None] - x[None, :])
+        gram *= np.exp(-theta * delta) * (1.0 + theta * delta)
+    return gram
 
 
 def _matern_c_vector(theta: float, pts: np.ndarray) -> np.ndarray:
@@ -348,16 +360,17 @@ def integrate_dense(f, d: int, config: CubatureConfig) -> CubatureResult:
                                               time.perf_counter() - it_start))
             break
 
-        best_val, best_gram = np.inf, None
-        for theta in _MATERN_THETAS:
-            gram = _matern_gram(theta, pts_all)
-            val = dense_eb_objective(y_all, gram)
-            if val < best_val:
-                best_val, best_theta, best_gram = val, float(theta), gram
-        if best_gram is None:  # no finite objective: keep the last choice
-            best_gram = _matern_gram(best_theta, pts_all)
-        post = dense_posterior(y_all, best_gram, _matern_c_vector(best_theta, pts_all),
-                               _matern_c0(best_theta, d), config.criterion)
+        # theta by the EB loss; full and GCV factor its Gram once more
+        best = None
+        for theta in _MATERN_THETAS.tolist():
+            gram, c = _matern_gram(theta, pts_all), _matern_c_vector(theta, pts_all)
+            post = dense_posterior(y_all, gram, c, _matern_c0(theta, d), EB)
+            if best is None or post.loss < best[0].loss:
+                best = post, theta, gram, c
+        post, best_theta, gram, c = best
+        if config.criterion != EB:
+            post = dense_posterior(y_all, gram, c, _matern_c0(best_theta, d),
+                                   config.criterion)
         err = post.err
         iterations.append(IterationRecord(n, (best_theta,), float(err),
                                           time.perf_counter() - it_start))

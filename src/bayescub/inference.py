@@ -1,5 +1,6 @@
 """Hyperparameter objectives, the eigenvalue pipeline, credible-interval
-widths, the dense slow-path posterior, and the hyperparameter search.
+widths, the dense slow-path posterior (one routine, which also returns the EB
+loss the dense loop picks its kernel by), and the hyperparameter search.
 
 The fast formulas work entirely in transform space: with spectrum y~ of the
 data and eigenvalues lam_1 = n + ring_lam_1, lam_2..lam_n of the Gram matrix,
@@ -262,13 +263,13 @@ def credible_width(kind: str, td: TransformedData) -> float:
 class DensePosterior:
     mu_hat: float
     err: float
-    m: float
-    s2: float
+    loss: float  # EB loss log(quad) + (1/n) log det C, for choosing the kernel
 
 
 def dense_posterior(y: np.ndarray, gram: np.ndarray, c: np.ndarray, c0: float,
                     kind: str) -> DensePosterior:
-    """Full O(n^3) posterior: mean estimate, width, and scale for a criterion."""
+    """Full O(n^3) posterior: mean estimate and width for a criterion, plus
+    the EB loss of the Gram matrix, from one Cholesky factorization."""
     n = np.asarray(y).shape[0]
     if n > DENSE_MAX_N:
         raise ValueError(f"dense path guarded to n <= {DENSE_MAX_N}")
@@ -278,64 +279,40 @@ def dense_posterior(y: np.ndarray, gram: np.ndarray, c: np.ndarray, c0: float,
         raise NonPositiveDefiniteError(f"dense Gram not positive definite: {exc}")
     return _posterior(np.asarray(y, dtype=np.float64), np.asarray(c, dtype=np.float64),
                       c0, kind, lambda rhs: cho_solve(chol, rhs),
-                      lambda: solve_triangular(chol[0], np.eye(n), lower=True))
+                      lambda: solve_triangular(chol[0], np.eye(n), lower=True),
+                      2.0 * np.log(np.diag(chol[0])).sum())
 
 
 def _posterior(y: np.ndarray, c: np.ndarray, c0: float, kind: str, solve,
-               inverse_factor) -> DensePosterior:
+               inverse_factor, logdet) -> DensePosterior:
     """The posterior formulas over a factored Gram matrix C, in the dtype of
     y and c: solve(rhs) is C^-1 rhs, inverse_factor() the inverse of C's
-    lower Cholesky factor (needed by GCV alone)."""
+    lower Cholesky factor (needed by GCV alone), logdet log det C.  The EB
+    loss log quad + logdet / n is the dense counterpart of the fast one."""
     n = y.shape[0]
-    ones = np.ones(n, dtype=y.dtype)
-
     a = solve(y)     # C^-1 y
-    b = solve(ones)
+    b = solve(np.ones(n, dtype=y.dtype))
     e = solve(c)
     dd = b.sum()     # 1' C^-1 1
     one_a = a.sum()
-    m_eb = one_a / dd
     quad = y @ a - one_a**2 / dd
+    loss = float(np.log(max(quad, 1e-300)) + logdet / n)
     resid_var = c0 - c @ e
-    mu_eb = (1.0 - e.sum()) * one_a / dd + c @ a
+    mu = (1.0 - e.sum()) * one_a / dd + c @ a
 
-    if kind in (EB, FULL):
-        s2_eb = quad / n
-        if kind == EB:
-            return DensePosterior(float(mu_eb),
-                                  float(QUANTILE_99 * np.sqrt(max(s2_eb * resid_var, 0.0))),
-                                  float(m_eb), float(s2_eb))
-        sig2 = quad / (n - 1) * ((1.0 - c @ b) ** 2 / dd + resid_var)
-        t = student_t_quantile(n - 1)
-        return DensePosterior(float(mu_eb), float(t * np.sqrt(max(sig2, 0.0))),
-                              float(m_eb), float(sig2))
-
-    if kind == GCV:
-        a2 = solve(a)   # C^-2 y
-        b2 = solve(b)
-        dd2 = b2.sum()
-        one_a2 = a2.sum()
-        m_gcv = one_a2 / dd2
-        quad2 = y @ a2 - one_a2**2 / dd2
-        trace_inv = (inverse_factor()**2).sum()
-        s2_gcv = quad2 / trace_inv
-        mu_gcv = (1.0 - e.sum()) * (b @ a) / dd2 + c @ a
-        return DensePosterior(float(mu_gcv),
-                              float(QUANTILE_99 * np.sqrt(max(s2_gcv * resid_var, 0.0))),
-                              float(m_gcv), float(s2_gcv))
-    raise ValueError(f"unknown criterion {kind!r}")
-
-
-def dense_eb_objective(y: np.ndarray, gram: np.ndarray) -> float:
-    """log quad + (1/n) log det, the dense counterpart of the fast EB loss."""
-    y = np.asarray(y, dtype=np.float64)
-    n = y.shape[0]
-    chol = cho_factor(np.asarray(gram, dtype=np.float64), lower=True)
-    a = cho_solve(chol, y)
-    b = cho_solve(chol, np.ones(n))
-    quad = float(y @ a) - float(a.sum()) ** 2 / float(b.sum())
-    logdet = 2.0 * np.log(np.diag(chol[0])).sum()
-    return float(np.log(max(quad, 1e-300)) + logdet / n)
+    if kind == EB:
+        q, var = QUANTILE_99, quad / n * resid_var
+    elif kind == FULL:
+        q = student_t_quantile(n - 1)
+        var = quad / (n - 1) * ((1.0 - c @ b) ** 2 / dd + resid_var)
+    elif kind == GCV:
+        a2, dd2 = solve(a), solve(b).sum()   # C^-2 y, 1' C^-2 1
+        q = QUANTILE_99
+        var = (y @ a2 - a2.sum()**2 / dd2) / (inverse_factor()**2).sum() * resid_var
+        mu = (1.0 - e.sum()) * (b @ a) / dd2 + c @ a
+    else:
+        raise ValueError(f"unknown criterion {kind!r}")
+    return DensePosterior(float(mu), float(q * np.sqrt(max(var, 0.0))), loss)
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,7 @@ class KernelSpec:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}")
         eta = np.atleast_1d(np.asarray(self.eta, dtype=np.float64))
-        if ((eta < ETA_MIN) | (eta > ETA_MAX)).any():
+        if not ((eta >= ETA_MIN) & (eta <= ETA_MAX)).all():  # NaN fails too
             raise ValueError(f"eta must lie in [{ETA_MIN}, {ETA_MAX}]")
         object.__setattr__(self, "eta", eta)
         if self.family == "bernoulli" and self.order not in (1, 2):

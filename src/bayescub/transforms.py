@@ -21,6 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.fft import dct
+from scipy.linalg import hadamard
 
 from .nodes import _brev_table
 
@@ -160,11 +161,9 @@ def lattice_eigenvector_matrix(n: int) -> np.ndarray:
 
 
 def hadamard_matrix(n: int) -> np.ndarray:
+    """Dense Sylvester-ordered H, the matrix fbt_sobol applies; test-scale only."""
     if n > DENSE_MAX_N:
         raise ValueError(f"dense matrix limited to n <= {DENSE_MAX_N}")
-    m = _check_pow2(n)
-    h = np.array([[1.0]])
-    for _ in range(m):
-        h = np.block([[h, h], [h, -h]])
-    return h
+    _check_pow2(n)
+    return hadamard(n, dtype=np.float64)
 

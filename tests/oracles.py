@@ -198,4 +198,4 @@ def extended_dense_posterior(y, gram, c, c0: float, kind: str):
     return _posterior(np.asarray(y, dtype=np.longdouble),
                       np.asarray(c, dtype=np.longdouble), c0, kind,
                       lambda rhs: _solve_extended(low, rhs),
-                      lambda: _forward_identity(low))
+                      lambda: _forward_identity(low), 2 * np.log(np.diag(low)).sum())

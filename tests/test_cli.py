@@ -98,6 +98,14 @@ class TestIntegrate:
              "bernoulli", "--eps", "1e-2"], capsys)
         assert code == 1 and "kernel" in err
 
+    def test_lattice_refuses_the_walsh_kernel(self, capsys):
+        # refused before any node is generated, naming kernel and family
+        code, out, err = run_main(
+            ["integrate", "--problem", "keister", "--d", "3", "--kernel", "walsh1",
+             "--eps", "1e-3"], capsys)
+        assert code == 1 and out == ""
+        assert "'walsh1'" in err and "'lattice'" in err
+
 
 class TestSweep:
     ARGS = ["sweep", "--problem", "keister", "--d", "4", "--family", "lattice",

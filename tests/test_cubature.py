@@ -215,11 +215,25 @@ class TestFastLoop:
                 CubatureConfig(family=family, kernel=kernel, search_order=True)
 
     @pytest.mark.parametrize("name,value", [("kernel", "bernoulli"), ("order", 2.0),
-                                            ("eta_mode", "per_dimension")])
+                                            ("eta_mode", "per_dimension"),
+                                            ("scramble", True)])
     def test_dense_family_refuses_matched_kernel_settings(self, name, value):
-        # the dense loop's Matern kernel would ignore them
+        # the dense loop's Matern kernel would ignore them; it always scrambles
         with pytest.raises(ValueError, match=name):
             CubatureConfig(family="matern_dense", **{name: value})
+
+    @pytest.mark.parametrize("family,kernel", [("lattice", "walsh1"),
+                                               ("sobol", "bernoulli"),
+                                               ("sobol", "truncated_series"),
+                                               ("sobol", "exp_decay")])
+    def test_unmatched_kernel_refused(self, family, kernel):
+        # the family's transform does not diagonalize that kernel's Gram
+        with pytest.raises(ValueError, match=f"kernel '{kernel}'.*family '{family}'"):
+            CubatureConfig(family=family, kernel=kernel)
+
+    def test_lattice_refuses_scramble(self):
+        with pytest.raises(ValueError, match="lattice takes no scramble"):
+            CubatureConfig(family="lattice", scramble=True)
 
 
 class TestIterationRecords:
@@ -559,6 +573,39 @@ class TestDenseLoop:
         gram = cubature._matern_gram(1.7, pts)
         ref = np.array([[matern_kernel(1.7, x, t) for t in pts] for x in pts])
         assert np.allclose(gram, ref, rtol=1e-15, atol=0)
+
+    def test_matern_gram_memory_is_quadratic(self):
+        import tracemalloc
+
+        n, d = 256, 13
+        pts = np.random.default_rng(6).random((n, d))
+        tracemalloc.start()
+        try:
+            cubature._matern_gram(2.0, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * n * n * 8
+
+    @pytest.mark.parametrize("criterion,factorizations", [("eb", 12), ("gcv", 13)])
+    def test_factorizations_per_doubling(self, monkeypatch, criterion, factorizations):
+        # one per theta of the 12-point grid; EB keeps the chosen theta's
+        # posterior, GCV factors that theta's Gram once more
+        from bayescub import inference
+
+        count = {"n": 0}
+
+        def counted(*args, **kwargs):
+            count["n"] += 1
+            return cho_factor(*args, **kwargs)
+
+        cho_factor = inference.cho_factor
+        monkeypatch.setattr(inference, "cho_factor", counted)
+        cfg = CubatureConfig(family="matern_dense", criterion=criterion,
+                             epsilon=1e-12, n0=32, n_max=32, seed=1)
+        res = integrate_dense(lambda x: np.exp(x.sum(axis=1)), 2, cfg)
+        assert len(res.iterations) == 1
+        assert count["n"] == factorizations
 
     def test_requires_matern_family(self):
         with pytest.raises(ValueError):

@@ -8,8 +8,8 @@ from bayescub import cubature, kernels, nodes, transforms
 from bayescub.inference import (EB, FULL, GCV, DegenerateDataError,
                                 NonFiniteStartError, NonPositiveDefiniteError,
                                 TransformedData, column_spectrum, credible_width,
-                                data_weights, dense_eb_objective, dense_posterior,
-                                objective, objective_eb, objective_gcv,
+                                data_weights, dense_posterior, objective,
+                                objective_eb, objective_gcv,
                                 objective_gradient, polynomial_spectrum,
                                 search_hyperparameters,
                                 student_t_quantile, transformed_data)
@@ -334,7 +334,7 @@ class TestObjectives:
             gen, pts, y, spec, col, td = make_matched_td("lattice", kernel,
                                                          order, 1.7, 3, 2)
             gram = kernels.gram_matrix(spec, pts.points)
-            dense = dense_eb_objective(y, gram)
+            dense = dense_posterior(y, gram, np.ones(8), 1.0, EB).loss
             assert objective_eb(td) - dense == pytest.approx(np.log(8), rel=1e-8)
 
     def test_gcv_matches_dense_form(self):
@@ -464,8 +464,7 @@ class TestDensePosterior:
         rng = np.random.default_rng(30)
         y = rng.standard_normal(12)
         post = dense_posterior(y, np.eye(12), np.ones(12), 1.0, EB)
-        assert post.m == pytest.approx(y.mean(), rel=1e-12)
-        assert post.s2 == pytest.approx(((y - y.mean()) ** 2).mean(), rel=1e-12)
+        assert post.loss == pytest.approx(np.log(((y - y.mean()) ** 2).sum()), rel=1e-12)
         assert post.mu_hat == pytest.approx(y.mean(), rel=1e-12)
 
     def test_matched_kernel_mu_is_sample_mean(self):

@@ -74,7 +74,7 @@ class TestShiftInvariantRing:
 
     @pytest.mark.parametrize("family,order", [("bernoulli", 1), ("truncated_series", 1.7),
                                               ("exp_decay", 0.5), ("walsh1", 1)])
-    @pytest.mark.parametrize("eta", [0.0, -1.0, 5e-9, 2e8])
+    @pytest.mark.parametrize("eta", [0.0, -1.0, 5e-9, 2e8, np.nan])
     def test_eta_outside_the_box_rejected(self, family, order, eta):
         with pytest.raises(ValueError, match="eta must lie in"):
             KernelSpec(family, order, np.array([1.0, eta]))

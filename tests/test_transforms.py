@@ -320,6 +320,13 @@ class TestDenseTransform:
         with pytest.raises(ValueError):
             dense_transform("lattice", np.ones(8192))
 
+    def test_hadamard_is_the_sylvester_recursion(self):
+        # H_2n = [[H_n, H_n], [H_n, -H_n]], the ordering fbt_sobol applies
+        h = np.array([[1.0]])
+        for m in range(7):
+            assert np.array_equal(hadamard_matrix(1 << m), h)
+            h = np.block([[h, h], [h, -h]])
+
 
 class TestInvariants:
     @pytest.mark.parametrize("kind", ["lattice", "sobol"])

@@ -6,11 +6,11 @@
 
 Runs every integration that perfbench/workloads.py lists for the given
 seeds, plus at each seed one small call per loop path that no workload takes
-(PATHS, recorded as workload "path:<name>"; the dense Matern loop among
-them), with bayescub imported from the source tree SRC (default: this
-checkout's src), and records per call the estimate (as a float hex string),
-n_used and, per doubling, err, the chosen eta, the kernel order, the
-objective evaluations and the clamped-eigenvalue count.  --out writes the
+(PATHS, recorded as workload "path:<name>"; the dense Matern loop, with eb
+and with gcv, among them), with bayescub imported from the source tree SRC
+(default: this checkout's src), and records per call the estimate (as a
+float hex string), n_used and, per doubling, err, the chosen eta, the kernel
+order, the objective evaluations and the clamped-eigenvalue count.  --out writes the
 records as JSON; --against reads records written earlier (say, from another
 revision's tree) and reports every field that is not equal, plus the largest
 relative err gap over the doublings both hold and each side's mean objective
@@ -54,6 +54,7 @@ def _load_workloads(src: Path):
 # name -> (problem, d, CubatureConfig fields over PATH_FIELDS, beyond the seed)
 PATH_FIELDS = {"epsilon": 1e-7, "n_max": 2**14}
 _LATTICE = {"periodizer": "sidi_c1"}
+_DENSE = {**_LATTICE, "family": "matern_dense", "n_max": 2**9}
 PATHS = {
     "sobol_per_dimension": ("keister", 3, {"family": "sobol",
                                            "eta_mode": "per_dimension"}),
@@ -68,8 +69,8 @@ PATHS = {
        for mode in ("shared", "per_dimension")},
     "gcv": ("keister", 3, {**_LATTICE, "criterion": "gcv"}),
     "full": ("keister", 3, {**_LATTICE, "criterion": "full"}),
-    "matern_dense": ("keister", 3, {**_LATTICE, "family": "matern_dense",
-                                    "n_max": 2**9}),
+    "matern_dense": ("keister", 3, _DENSE),
+    "matern_dense_gcv": ("keister", 3, {**_DENSE, "criterion": "gcv"}),
 }
 
 
