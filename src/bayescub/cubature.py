@@ -1,37 +1,33 @@
-"""Automatic cubature loops: the fast doubling algorithm over matched
-(node set, kernel) pairs, and the generic dense loop with its own Matern
-kernel as the slow baseline.
+"""Automatic cubature: one doubling loop, with two ways to fit each doubling.
 
-Per iteration only the new block of nodes is generated and evaluated; the
-running data transform is grown by the doubling update, the shape
-parameters are re-optimized from a warm start, and sampling stops as soon as
-the credible half-width drops to the tolerance.
+_doubling_loop runs both loops.  At each doubling it generates and evaluates
+only the new block of nodes, stops on degenerate data, hands the block to a
+fit, records the doubling, and stops once the credible half-width reaches
+the tolerance.  integrate_fast fits matched (node set, kernel) pairs at
+O(n log n) per doubling; integrate_dense fits a Matern kernel with dense
+O(n^3) algebra, as the slow baseline.
 
-The search runs on plain coordinates, which this module alone maps to a
-kernel.  With one eta shared by every dimension and a fixed kernel order (the
-default), the Gram spectrum is a polynomial in eta: each doubling builds the
-spectra of its d coefficient columns (inference.coefficient_spectra), the
-loop holds and grows only those spectra, and an objective evaluation is one
-Horner pass over them; the search over its one coordinate is a Brent line
-search, which needs no gradient.  Per-dimension eta rebuilds the bases at
-each doubling and builds the ring column and its transform on every
-evaluation; L-BFGS-B searches it with the analytic gradient, which reuses
-the latest evaluation's ring column and data and transforms the d columns
-of the eta Jacobian.  A searched order builds its bases per evaluation too,
-and Nelder-Mead searches it without a gradient.  Every search stays in the
-box [log 1e-8, log 1e8], which also keeps a searched order one its kernel
-accepts, within _BUDGET_FIRST distinct evaluations at the first doubling and
-_BUDGET_LATER at each later one.
+The fast fit grows the data transform by the doubling update and re-fits the
+shape parameters from a warm start.  Its search runs on plain coordinates,
+which this module alone maps to a kernel.  With one eta shared by every
+dimension and a fixed kernel order (the default), the Gram spectrum is a
+polynomial in eta: each doubling builds the spectra of its d coefficient
+columns (inference.coefficient_spectra), and an objective evaluation is one
+Horner pass over them; a Brent line search, which needs no gradient, searches
+its one coordinate.  Per-dimension eta rebuilds the bases at each doubling
+and builds the ring column and its transform on every evaluation; L-BFGS-B
+searches it with the analytic gradient, which reuses the latest evaluation's
+ring column and data and transforms the d columns of the eta Jacobian.  A
+searched order builds its bases per evaluation too, and Nelder-Mead searches
+it without a gradient.  Every search stays in the box [log 1e-8, log 1e8],
+which also keeps a searched order one its kernel accepts, within
+_BUDGET_FIRST distinct evaluations at the first doubling and _BUDGET_LATER at
+each later one.
 
-On Sobol' nodes coefficient_spectra grows the held spectra by the new
-block's alone, bit for bit the from-scratch result; on the lattice it
-rebuilds them at every doubling.  There both the data spectrum (the real FFT
-of real data) and the even Gram spectrum stay their halves k = 0..n/2
-throughout, and the data weights are paired to match once per doubling.
-
-The dense loop factors the Matern Gram, built one (n, n) factor per
-dimension, once per theta of a fixed grid and keeps the EB posterior of least
-EB loss; full and GCV factor the chosen theta's Gram once more.
+The dense fit factors the Matern Gram, built one (n, n) factor per dimension
+over blocks of rows, once per theta of a fixed grid and keeps the posterior
+of least EB loss; full and GCV rebuild and factor the chosen theta's Gram
+once more, so no Gram outlives its factorization.
 """
 
 from __future__ import annotations
@@ -43,10 +39,9 @@ import numpy as np
 
 from . import kernels, problems
 from .inference import (EB, CRITERIA, DegenerateDataError, NonFiniteStartError,
-                        TransformedData, coefficient_spectra, column_spectrum,
-                        credible_width, data_weights, dense_posterior, objective,
-                        objective_gradient, polynomial_spectrum,
-                        search_hyperparameters, transformed_data)
+                        coefficient_spectra, column_spectrum, credible_width,
+                        data_weights, dense_posterior, objective, objective_gradient,
+                        polynomial_spectrum, search_hyperparameters, transformed_data)
 from .nodes import CapacityError, make_lattice, make_sobol
 from .transforms import DENSE_MAX_N, fbt, fbt_double
 
@@ -124,7 +119,6 @@ class CubatureResult:
     iterations: list[IterationRecord]
     seed: int
     seconds: float
-    final_state: TransformedData | None = None
 
     def to_record(self) -> dict:
         return {
@@ -183,19 +177,50 @@ def _is_degenerate(y: np.ndarray) -> bool:
     return float(np.ptp(y)) <= 1e-14 * max(1.0, float(np.abs(y).max()))
 
 
+def _doubling_loop(f, config: CubatureConfig, gen, start: dict, fit) -> CubatureResult:
+    """Evaluate each new block of gen's nodes, fit, and double until the
+    width reaches epsilon or n_max is spent.  fit(n, block, yb, y_all) returns
+    the width, the estimate (None: the sample mean) and the IterationRecord
+    fields beyond n, err and seconds; start holds them for degenerate data."""
+    if config.n_max > gen.capacity:
+        raise CapacityError(f"n_max {config.n_max} exceeds capacity {gen.capacity}")
+    t_start = time.perf_counter()
+    f_eval = problems.periodize(f, config.periodizer)
+    y_all = np.empty(0)
+    iterations: list[IterationRecord] = []
+    err, mu = np.inf, None
+    n_prev, n = 0, config.n0
+    while n <= config.n_max:
+        it_start = time.perf_counter()
+        block = gen.points(n_prev, n)
+        yb = np.asarray(f_eval(block.points), dtype=np.float64)
+        _check_finite(yb, n_prev)
+        y_all = np.concatenate([y_all, yb])
+        if _is_degenerate(y_all):
+            err, mu, fields = 0.0, None, start
+        else:
+            err, mu, fields = fit(n, block, yb, y_all)
+        iterations.append(IterationRecord(n, err=float(err), **fields,
+                                          seconds=time.perf_counter() - it_start))
+        if err <= config.epsilon:
+            break
+        n_prev, n = n, 2 * n
+    return CubatureResult(mu_hat=float(y_all.mean() if mu is None else mu),
+                          n_used=len(y_all), err=float(err),
+                          tolerance_met=bool(err <= config.epsilon),
+                          iterations=iterations, seed=config.seed,
+                          seconds=time.perf_counter() - t_start)
+
+
 def integrate_fast(f, d: int, config: CubatureConfig) -> CubatureResult:
     """Doubling Bayesian cubature with O(n log n) per-iteration cost."""
     if config.family not in ("lattice", "sobol"):
         raise ValueError("integrate_fast requires the lattice or sobol family")
-    t_start = time.perf_counter()
-    if config.family == "lattice":
+    kind = config.family
+    if kind == "lattice":
         gen = make_lattice(d, config.seed)
     else:
         gen = make_sobol(d, config.seed, scramble=config.scramble)
-    if config.n_max > gen.capacity:
-        raise CapacityError(f"n_max {config.n_max} exceeds capacity {gen.capacity}")
-    kind = config.family
-    f_eval = problems.periodize(f, config.periodizer)
     spec0 = _default_kernel(config, d)
     search_order = config.search_order
     shared = config.eta_mode == "shared"
@@ -203,35 +228,16 @@ def integrate_fast(f, d: int, config: CubatureConfig) -> CubatureResult:
     start = np.zeros(1 if shared else d)  # eta = 1
     if search_order:
         start = np.r_[_ORDER_MAPS[spec0.family][1](spec0.order), start]
-    warm = start
+    warm, budget, spectrum, powers = start, _BUDGET_FIRST, None, None
 
-    y_all = np.empty(0)
-    spectrum = bases = powers = None
-    iterations: list[IterationRecord] = []
-    err = np.inf
-    td: TransformedData | None = None
-    n_prev, n = 0, config.n0
-    budget = _BUDGET_FIRST
-
-    while n <= config.n_max:
-        it_start = time.perf_counter()
-        block = gen.points(n_prev, n)
-        yb = np.asarray(f_eval(block.points), dtype=np.float64)
-        _check_finite(yb, n_prev)
+    def fit(n, block, yb, y_all):
+        nonlocal warm, budget, spectrum, powers
         spectrum = fbt(yb, kind) if spectrum is None else fbt_double(spectrum, yb, kind)
-        y_all = np.concatenate([y_all, yb])
         m = n.bit_length() - 1
-
-        if _is_degenerate(y_all):
-            err, td = 0.0, None
-            iterations.append(IterationRecord(n, tuple(spec0.eta), 0.0,
-                                              time.perf_counter() - it_start,
-                                              order=spec0.order))
-            break
-
         weights = data_weights(spectrum, n)
         # shared eta holds the spectra of e_1..e_d, per-dimension eta the
         # bases; a searched order builds its bases per evaluation
+        bases = None
         if poly:
             powers = coefficient_spectra(spec0, gen, kind, m, powers)
         elif not search_order:
@@ -277,27 +283,16 @@ def integrate_fast(f, d: int, config: CubatureConfig) -> CubatureResult:
                 raise
             res = search_hyperparameters(obj, start, **search)
             reseeded = True
-        warm = res.t
-        budget = _BUDGET_LATER
-        td = res.payload
+        warm, budget = res.t, _BUDGET_LATER
         spec_best = _kernel_at(spec0, res.t, search_order)
-        err = credible_width(config.criterion, td)
         # a re-seeded search also spent one evaluation at the failed warm start
-        bound_hit = bool(np.isin(spec_best.eta, (kernels.ETA_MIN, kernels.ETA_MAX)).any())
-        iterations.append(IterationRecord(n, tuple(spec_best.eta), float(err),
-                                          time.perf_counter() - it_start,
-                                          evaluations=res.evaluations + reseeded,
-                                          n_clamped=td.n_clamped, reseeded=reseeded,
-                                          bound_hit=bound_hit, order=spec_best.order))
-        if err <= config.epsilon:
-            break
-        n_prev, n = n, 2 * n
+        return credible_width(config.criterion, res.payload), None, dict(
+            theta=tuple(spec_best.eta), evaluations=res.evaluations + reseeded,
+            n_clamped=res.payload.n_clamped, reseeded=reseeded, order=spec_best.order,
+            bound_hit=bool(np.isin(spec_best.eta, (kernels.ETA_MIN, kernels.ETA_MAX)).any()))
 
-    n_used = len(y_all)
-    return CubatureResult(mu_hat=float(y_all.mean()), n_used=n_used, err=float(err),
-                          tolerance_met=bool(err <= config.epsilon),
-                          iterations=iterations, seed=config.seed,
-                          seconds=time.perf_counter() - t_start, final_state=td)
+    return _doubling_loop(f, config, gen, dict(theta=tuple(spec0.eta), order=spec0.order),
+                          fit)
 
 
 # ---------------------------------------------------------------------------
@@ -306,15 +301,26 @@ def integrate_fast(f, d: int, config: CubatureConfig) -> CubatureResult:
 
 # the Matern length scales the dense loop tries at every doubling
 _MATERN_THETAS = np.geomspace(0.5, 64.0, 12)
+_GRAM_BLOCK = 2**16  # entries of each row block the Gram's factors are built over
 
 
 def _matern_gram(theta: float, pts: np.ndarray) -> np.ndarray:
     """Dense Gram of prod_l exp(-theta |x_l - t_l|) (1 + theta |x_l - t_l|),
-    one (n, n) factor per dimension."""
-    gram = np.ones((pts.shape[0],) * 2)
-    for x in pts.T:
-        delta = np.abs(x[:, None] - x[None, :])
-        gram *= np.exp(-theta * delta) * (1.0 + theta * delta)
+    each dimension's factor multiplied in over blocks of rows, in place."""
+    n = pts.shape[0]
+    gram = np.ones((n, n))
+    rows = max(1, _GRAM_BLOCK // n)
+    scaled, factor = np.empty((rows, n)), np.empty((rows, n))
+    for lo in range(0, n, rows):
+        block = gram[lo:lo + rows]
+        td, fb = scaled[:len(block)], factor[:len(block)]
+        for x in pts.T:  # td: theta |x_l - t_l|, then 1 + theta |x_l - t_l|
+            np.abs(np.subtract.outer(x[lo:lo + rows], x, out=td), out=td)
+            td *= theta
+            np.exp(np.negative(td, out=fb), out=fb)
+            td += 1.0
+            fb *= td
+            block *= fb
     return gram
 
 
@@ -336,50 +342,24 @@ def integrate_dense(f, d: int, config: CubatureConfig) -> CubatureResult:
         raise ValueError("integrate_dense requires the matern_dense family")
     if config.n_max > DENSE_MAX_N:
         raise ValueError(f"dense path guarded to n_max <= {DENSE_MAX_N}")
-    t_start = time.perf_counter()
-    gen = make_sobol(d, config.seed, scramble=True)
-    f_eval = problems.periodize(f, config.periodizer)
+    blocks = []
 
-    y_all = np.empty(0)
-    pts_all = np.empty((0, d))
-    iterations: list[IterationRecord] = []
-    err, post, best_theta = np.inf, None, float(_MATERN_THETAS[0])
-    n_prev, n = 0, config.n0
+    def fit(n, block, yb, y_all):
+        blocks.append(block.points)
+        pts = np.vstack(blocks)
 
-    while n <= config.n_max:
-        it_start = time.perf_counter()
-        block = gen.points(n_prev, n)
-        yb = np.asarray(f_eval(block.points), dtype=np.float64)
-        _check_finite(yb, n_prev)
-        y_all = np.concatenate([y_all, yb])
-        pts_all = np.vstack([pts_all, block.points])
-
-        if _is_degenerate(y_all):
-            err, post = 0.0, None
-            iterations.append(IterationRecord(n, (best_theta,), 0.0,
-                                              time.perf_counter() - it_start))
-            break
+        def posterior(theta, criterion):  # no Gram outlives its factorization
+            return dense_posterior(y_all, _matern_gram(theta, pts),
+                                   _matern_c_vector(theta, pts), _matern_c0(theta, d),
+                                   criterion)
 
         # theta by the EB loss; full and GCV factor its Gram once more
-        best = None
-        for theta in _MATERN_THETAS.tolist():
-            gram, c = _matern_gram(theta, pts_all), _matern_c_vector(theta, pts_all)
-            post = dense_posterior(y_all, gram, c, _matern_c0(theta, d), EB)
-            if best is None or post.loss < best[0].loss:
-                best = post, theta, gram, c
-        post, best_theta, gram, c = best
+        post, theta = min(((posterior(theta, EB), theta)
+                           for theta in _MATERN_THETAS.tolist()),
+                          key=lambda pair: pair[0].loss)
         if config.criterion != EB:
-            post = dense_posterior(y_all, gram, c, _matern_c0(best_theta, d),
-                                   config.criterion)
-        err = post.err
-        iterations.append(IterationRecord(n, (best_theta,), float(err),
-                                          time.perf_counter() - it_start))
-        if err <= config.epsilon:
-            break
-        n_prev, n = n, 2 * n
+            post = posterior(theta, config.criterion)
+        return post.err, post.mu_hat, dict(theta=(theta,))
 
-    mu = post.mu_hat if post is not None else float(y_all.mean())
-    return CubatureResult(mu_hat=float(mu), n_used=len(y_all), err=float(err),
-                          tolerance_met=bool(err <= config.epsilon),
-                          iterations=iterations, seed=config.seed,
-                          seconds=time.perf_counter() - t_start)
+    return _doubling_loop(f, config, make_sobol(d, config.seed, scramble=True),
+                          dict(theta=(float(_MATERN_THETAS[0]),)), fit)

@@ -230,11 +230,11 @@ def objective_gradient(td: TransformedData, kind: str, dlambda: np.ndarray) -> n
         - (drest * (w / td.lams_rest**2)).sum(axis=1) / s1
 
 
-def student_t_quantile(dof: int, p: float = 0.995) -> float:
-    """Student-t inverse CDF (regularized incomplete-beta inversion)."""
+def student_t_quantile(dof: int) -> float:
+    """Two-sided 99% (0.995) Student-t quantile, by incomplete-beta inversion."""
     if dof < 1:
         raise ValueError("degrees of freedom must be at least 1")
-    return float(stdtrit(dof, p))
+    return float(stdtrit(dof, 0.995))
 
 
 def credible_width(kind: str, td: TransformedData) -> float:

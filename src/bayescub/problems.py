@@ -97,19 +97,15 @@ def periodize(f, kind: str):
 # ---------------------------------------------------------------------------
 
 def _as_lower_triangular(mat: np.ndarray) -> np.ndarray:
-    mat = np.asarray(mat, dtype=np.float64)
-    if np.allclose(mat, np.tril(mat)):
-        low = mat
-    elif np.allclose(mat, np.triu(mat)):
-        low = mat.T  # accept the transposed (upper) layout
-    else:
-        raise ValueError("L must be triangular")
+    low = np.asarray(mat, dtype=np.float64)
+    if not np.allclose(low, np.tril(low)):
+        raise ValueError("L must be lower triangular")
     if (np.diag(low) <= 0).any():
         raise ValueError("L must have a positive diagonal")
     return low
 
 
-def genz_mvn_problem(a, b, L, reference: str = "gauss_legendre") -> IntegrandProblem:
+def genz_mvn_problem(a, b, L) -> IntegrandProblem:
     """Box probability of N(0, L L^T) as an integral over [0,1)^(d'-1)."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -133,12 +129,9 @@ def genz_mvn_problem(a, b, L, reference: str = "gauss_legendre") -> IntegrandPro
             prod = prod * (beta - alpha)
         return prod
 
-    if reference == "gauss_legendre" and dp <= 3:
+    if dp <= 3:
         ref = mvn_box_probability(a, b, low @ low.T)
         prov = "tensor Gauss-Legendre on the box, >= 12 digits"
-    elif dp == 1:
-        ref = float(norm_cdf(b[0] / low[0, 0]) - norm_cdf(a[0] / low[0, 0]))
-        prov = "exact normal CDF difference"
     else:
         ref, prov = None, "none"
     return IntegrandProblem(name="mvn", evaluator=evaluator, d=max(dp - 1, 1),
@@ -172,7 +165,7 @@ def mvn_box_probability(a, b, sigma, n_nodes: int = 96) -> float:
 def standard_mvn_instance() -> IntegrandProblem:
     """The three-variable box-probability instance used throughout."""
     return genz_mvn_problem(a=(-6.0, -2.0, -2.0), b=(5.0, 2.0, 1.0),
-                            L=[[4.0, 1.0, 1.0], [0.0, 1.0, 0.5], [0.0, 0.0, 0.25]])
+                            L=[[4.0, 0.0, 0.0], [1.0, 1.0, 0.0], [1.0, 0.5, 0.25]])
 
 
 # ---------------------------------------------------------------------------
@@ -243,25 +236,20 @@ def load_reference_fixture(name: str) -> dict | None:
 
 
 def asian_option_problem(T: float = 0.25, d: int = 13, s0: float = 100.0,
-                         r: float = 0.05, sigma: float = 0.5, strike: float = 100.0,
-                         decomposition: str = "pca") -> IntegrandProblem:
+                         r: float = 0.05, sigma: float = 0.5,
+                         strike: float = 100.0) -> IntegrandProblem:
     """Discounted arithmetic-mean call payoff under discretized GBM.
 
-    The Brownian covariance is (T/d) min(j, k); the path factor is either its
-    Cholesky factor or eigenvectors times root eigenvalues (PCA).
+    The Brownian covariance is (T/d) min(j, k); the path factor is its
+    eigenvectors times root eigenvalues (PCA).
     """
     if min(T, s0, sigma) <= 0 or strike < 0 or d < 1:
         raise ValueError("need positive T, S0, sigma and nonnegative strike")
     tj = T / d * np.arange(1, d + 1)
     cov = T / d * np.minimum.outer(np.arange(1, d + 1), np.arange(1, d + 1))
-    if decomposition == "cholesky":
-        path_factor = np.linalg.cholesky(cov)
-    elif decomposition == "pca":
-        evals, evecs = np.linalg.eigh(cov)
-        order = np.argsort(evals)[::-1]
-        path_factor = evecs[:, order] * np.sqrt(np.maximum(evals[order], 0.0))
-    else:
-        raise ValueError(f"unknown decomposition {decomposition!r}")
+    evals, evecs = np.linalg.eigh(cov)
+    order = np.argsort(evals)[::-1]
+    path_factor = evecs[:, order] * np.sqrt(np.maximum(evals[order], 0.0))
     drift = (r - 0.5 * sigma * sigma) * tj
 
     def evaluator(x):
@@ -270,8 +258,7 @@ def asian_option_problem(T: float = 0.25, d: int = 13, s0: float = 100.0,
         s_mean = (s0 * np.exp(drift[None, :] + sigma * brownian)).mean(axis=1)
         return np.maximum(s_mean - strike, 0.0) * np.exp(-r * T)
 
-    params = {"T": T, "d": d, "S0": s0, "r": r, "sigma": sigma, "K": strike,
-              "decomposition": decomposition}
+    params = {"T": T, "d": d, "S0": s0, "r": r, "sigma": sigma, "K": strike}
     if strike == 0.0:
         ref = float(np.exp(-r * T) * s0 / d * np.exp(r * tj).sum())
         prov, hw = "lognormal mean identity (closed form)", 0.0
@@ -330,20 +317,14 @@ def standard_fresnel_instance() -> IntegrandProblem:
 # Registry for the CLI
 # ---------------------------------------------------------------------------
 
-def build_problem(name: str, d: int | None = None, **params) -> IntegrandProblem:
+def build_problem(name: str, d: int | None = None) -> IntegrandProblem:
     name = name.replace("-", "_")
     if name == "mvn":
-        if params:
-            return genz_mvn_problem(**params)
         return standard_mvn_instance()
     if name == "keister":
         return keister_problem(d or 4)
     if name in ("asian_option", "option"):
-        merged = {"d": d} if d else {}
-        merged.update(params)
-        return asian_option_problem(**merged)
+        return asian_option_problem(d=d) if d else asian_option_problem()
     if name == "fresnel":
-        if d is None and not params:
-            return standard_fresnel_instance()
-        return fresnel_problem(d or 3, **params)
+        return standard_fresnel_instance() if d is None else fresnel_problem(d)
     raise KeyError(f"unknown problem {name!r}; choose mvn, keister, option, fresnel")

@@ -3,7 +3,8 @@ every run, traced or not, and its workload table builds CubatureConfig
 objects by field name; a renamed or deleted name fails every benchmark run.
 Check that each of the tracer's wrap sites still resolves, that every
 workload's configurations build, and that a traced integration returns what
-an untraced one does, with every objective evaluation counted."""
+an untraced one does, with every objective evaluation counted and every
+span its path runs called at least once."""
 
 import importlib.util
 import sys
@@ -76,3 +77,11 @@ def test_traced_run_matches_the_untraced_one(tracer, name):
         (plain.mu_hat, plain.n_used, plain.err)
     assert [it.theta for it in traced.iterations] == [it.theta for it in plain.iterations]
     assert spans.evals == sum(it.evaluations for it in traced.iterations) > 0
+    # a name the loop stops looking up where the tracer wraps it reads 0
+    calls = {name: count for name, (_, _, count) in spans.totals().items()}
+    ran = {"nodes.points", "problems.integrand", "transforms.data", "transforms.eig",
+           "kernels.bases", "inference.search", "inference.objective",
+           "inference.transformed_data", "inference.credible_width"}
+    if name != "shared":  # shared eta builds no ring column
+        ran.add("kernels.ring")
+    assert {span for span in ran if not calls.get(span)} == set()

@@ -23,12 +23,14 @@ def tool():
 def records():
     def it(n, err, eta):
         return {"n": n, "err": err, "eta": [eta], "order": 2.0, "evaluations": 20,
-                "n_clamped": 0}
+                "n_clamped": 0, "reseeded": False, "bound_hit": False}
 
     return [
         {"workload": "w", "seed": 1, "call": 0, "mu_hat": (0.5).hex(), "n_used": 512,
+         "err": 4e-4, "tolerance_met": True,
          "iterations": [it(256, 2e-3, 1.5), it(512, 4e-4, 1.25)]},
         {"workload": "w", "seed": 1, "call": 1, "mu_hat": (0.25).hex(), "n_used": 256,
+         "err": math.inf, "tolerance_met": False,
          "iterations": [it(256, math.inf, 1.0)]},
         {"workload": "w", "seed": 2, "call": 0, "error": "CapacityError: full"},
     ]
@@ -46,8 +48,14 @@ class TestDiffRecords:
         new[0]["iterations"][0]["order"] = 1.5
         new[1]["n_used"] = 512
         new[2] = {**new[2], "error": "ValueError: other"}
+        new[0].update(err=5e-4, tolerance_met=False)
+        new[0]["iterations"][0].update(reseeded=True, bound_hit=True)
         lines, gap = tool.diff_records(records(), new)
-        assert len(lines) == 6
+        assert len(lines) == 10
+        assert "('w', 1, 0) err: 0.0004 != 0.0005" in lines
+        assert "('w', 1, 0) tolerance_met: True != False" in lines
+        assert any("doubling 0 reseeded: False != True" in line for line in lines)
+        assert any("doubling 0 bound_hit: False != True" in line for line in lines)
         assert any("mu_hat" in line for line in lines)
         assert any("doubling 1 err" in line for line in lines)
         assert any("doubling 1 evaluations" in line for line in lines)

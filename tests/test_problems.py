@@ -121,18 +121,19 @@ class TestGenzMVN:
         assert (alpha <= beta).all()
         assert (prob.evaluator(x) >= 0).all()
 
-    def test_upper_triangular_input_accepted(self):
-        upper = [[4.0, 1.0, 1.0], [0.0, 1.0, 0.5], [0.0, 0.0, 0.25]]
-        lower = np.asarray(upper).T
-        pa = genz_mvn_problem([-6, -2, -2], [5, 2, 1], upper)
-        pb = genz_mvn_problem([-6, -2, -2], [5, 2, 1], lower)
-        assert pa.reference_value == pb.reference_value
-
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
             genz_mvn_problem([0.0], [-1.0], [[1.0]])
         with pytest.raises(ValueError):
             genz_mvn_problem([-1, -1], [1, 1], [[1.0, 0.5], [0.5, 1.0]])
+
+    def test_upper_triangular_input_refused(self):
+        # L is the lower factor; its transpose is not taken for it
+        upper = [[4.0, 1.0, 1.0], [0.0, 1.0, 0.5], [0.0, 0.0, 0.25]]
+        with pytest.raises(ValueError, match="lower triangular"):
+            genz_mvn_problem([-6, -2, -2], [5, 2, 1], upper)
+        lower = genz_mvn_problem([-6, -2, -2], [5, 2, 1], np.asarray(upper).T)
+        assert lower.reference_value == standard_mvn_instance().reference_value
 
 
 class TestKeister:
@@ -191,7 +192,7 @@ class TestAsianOption:
     def test_standard_instance_and_fixture(self):
         prob = asian_option_problem()
         assert prob.params == {"T": 0.25, "d": 13, "S0": 100.0, "r": 0.05,
-                               "sigma": 0.5, "K": 100.0, "decomposition": "pca"}
+                               "sigma": 0.5, "K": 100.0}
         assert prob.reference_value is not None
         # the stored reference must gate eps = 1e-2 with 10x headroom
         assert prob.reference_half_width <= 1e-3
@@ -206,18 +207,25 @@ class TestAsianOption:
         assert est == pytest.approx(prob.reference_value, abs=3e-3)
 
     def test_cholesky_and_pca_agree_in_mean(self):
+        # the same payoff over the Cholesky path factor, built here
         from bayescub.nodes import make_sobol
+        from bayescub.problems import norm_ppf
 
         pts = make_sobol(13, seed=9).points(0, 2**15).points
-        mc = asian_option_problem(decomposition="cholesky").evaluator(pts).mean()
-        mp_ = asian_option_problem(decomposition="pca").evaluator(pts).mean()
+        prob = asian_option_problem()
+        T, d, s0, r, sigma, strike = (prob.params[k] for k in ("T", "d", "S0", "r",
+                                                                "sigma", "K"))
+        idx = np.arange(1, d + 1)
+        chol = np.linalg.cholesky(T / d * np.minimum.outer(idx, idx))
+        paths = s0 * np.exp((r - 0.5 * sigma**2) * T / d * idx
+                            + sigma * norm_ppf(pts) @ chol.T)
+        mc = (np.maximum(paths.mean(axis=1) - strike, 0.0) * np.exp(-r * T)).mean()
+        mp_ = prob.evaluator(pts).mean()
         assert mc == pytest.approx(mp_, abs=2e-2)
 
     def test_bad_params(self):
         with pytest.raises(ValueError):
             asian_option_problem(sigma=-1.0)
-        with pytest.raises(ValueError):
-            asian_option_problem(decomposition="qr")
 
 
 class TestFresnel:

@@ -9,8 +9,10 @@ seeds, plus at each seed one small call per loop path that no workload takes
 (PATHS, recorded as workload "path:<name>"; the dense Matern loop, with eb
 and with gcv, among them), with bayescub imported from the source tree SRC
 (default: this checkout's src), and records per call the estimate (as a
-float hex string), n_used and, per doubling, err, the chosen eta, the kernel
-order, the objective evaluations and the clamped-eigenvalue count.  --out writes the
+float hex string), n_used, err and tolerance_met and, per doubling, err, the
+chosen eta, the kernel order, the objective evaluations, the clamped-eigenvalue
+count and whether the search re-seeded or ended at an eta bound: every field
+a CubatureResult holds but its timings.  --out writes the
 records as JSON; --against reads records written earlier (say, from another
 revision's tree) and reports every field that is not equal, plus the largest
 relative err gap over the doublings both hold and each side's mean objective
@@ -89,10 +91,12 @@ def call_record(workload: str, seed: int, call: int, run) -> dict:
     except Exception as exc:  # a raising call is recorded, not fatal
         rec["error"] = f"{type(exc).__name__}: {exc}"
         return rec
-    rec.update(mu_hat=float(res.mu_hat).hex(), n_used=res.n_used,
+    rec.update(mu_hat=float(res.mu_hat).hex(), n_used=res.n_used, err=res.err,
+               tolerance_met=res.tolerance_met,
                iterations=[{"n": it.n, "err": it.err, "eta": list(it.theta),
                             "order": it.order, "evaluations": it.evaluations,
-                            "n_clamped": it.n_clamped}
+                            "n_clamped": it.n_clamped, "reseeded": it.reseeded,
+                            "bound_hit": it.bound_hit}
                            for it in res.iterations])
     return rec
 
@@ -124,8 +128,11 @@ def _rel_gap(a, b) -> float:
     return abs(a - b) / max(abs(a), abs(b))
 
 
-FIELDS = ("error", "mu_hat", "n_used", "doublings", "n", "err", "eta", "order",
-          "evaluations", "n_clamped")
+# per call, then per doubling; "err" names both the result's and each doubling's
+CALL_FIELDS = ("error", "mu_hat", "n_used", "err", "tolerance_met")
+DOUBLING_FIELDS = ("n", "err", "eta", "order", "evaluations", "n_clamped", "reseeded",
+                   "bound_hit")
+FIELDS = tuple(dict.fromkeys(CALL_FIELDS + ("doublings",) + DOUBLING_FIELDS))
 
 
 def diff_records(old: list[dict], new: list[dict],
@@ -141,7 +148,7 @@ def diff_records(old: list[dict], new: list[dict],
     gap = 0.0
     for k in sorted(before.keys() & after.keys()):
         a, b = before[k], after[k]
-        for field in ("error", "mu_hat", "n_used"):
+        for field in CALL_FIELDS:
             if field in fields and a.get(field) != b.get(field):
                 lines.append(f"{k} {field}: {a.get(field)} != {b.get(field)}")
         its_a, its_b = a.get("iterations", []), b.get("iterations", [])
@@ -149,8 +156,8 @@ def diff_records(old: list[dict], new: list[dict],
             lines.append(f"{k} doublings: {len(its_a)} != {len(its_b)}")
         for j, (ia, ib) in enumerate(zip(its_a, its_b)):
             gap = max(gap, _rel_gap(ia["err"], ib["err"]))
-            # .get: records written before "order" was recorded lack it
-            for field in ("n", "err", "eta", "order", "evaluations", "n_clamped"):
+            # .get: records written before a field was recorded lack it
+            for field in DOUBLING_FIELDS:
                 if field in fields and ia.get(field) != ib.get(field):
                     lines.append(f"{k} doubling {j} {field}: "
                                  f"{ia.get(field)} != {ib.get(field)}")
