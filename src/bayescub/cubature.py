@@ -12,9 +12,15 @@ shape parameters from a warm start.  Its search runs on plain coordinates,
 which this module alone maps to a kernel.  With one eta shared by every
 dimension and a fixed kernel order (the default), the Gram spectrum is a
 polynomial in eta: each doubling builds the spectra of its d coefficient
-columns (inference.coefficient_spectra), and an objective evaluation is one
-Horner pass over them; a Brent line search, which needs no gradient, searches
-its one coordinate.  Per-dimension eta rebuilds the bases at each doubling
+columns (inference.coefficient_spectra), grown from the doubling's new
+entries, and an objective evaluation is one Horner pass over them; a Brent
+line search, which needs no gradient, searches its one coordinate.  On the
+lattice the stopping width and the clamped count come from the ring column
+at the chosen eta instead, scattered from the base blocks the doublings
+built and transformed once: the polynomial's smallest eigenvalues sit on its
+rounding floor, and its width on Fresnel at 2^16 read 8e-5 off a long-double
+reference where the ring's reads 2e-5.  On Sobol' nodes the polynomial is
+the more precise.  Per-dimension eta rebuilds the bases at each doubling
 and builds the ring column and its transform on every evaluation; L-BFGS-B
 searches it with the analytic gradient, which reuses the latest evaluation's
 ring column and data and transforms the d columns of the eta Jacobian.  A
@@ -27,11 +33,13 @@ each later one.
 The dense fit factors the Matern Gram, built one (n, n) factor per dimension
 over blocks of rows, once per theta of a fixed grid and keeps the posterior
 of least EB loss; full and GCV rebuild and factor the chosen theta's Gram
-once more, so no Gram outlives its factorization.
+once more, so no Gram outlives its factorization.  Its record counts these
+factorizations as its evaluations.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -153,9 +161,13 @@ _LOG_ETA_MIN, _LOG_ETA_MAX = np.log(kernels.ETA_MIN), np.log(kernels.ETA_MAX)
 
 
 def _eta_from_log(t: np.ndarray) -> np.ndarray:
-    # clip twice: exp(log(bound)) can round past the bound
-    return np.clip(np.exp(np.clip(t, _LOG_ETA_MIN, _LOG_ETA_MAX)),
-                   kernels.ETA_MIN, kernels.ETA_MAX)
+    # bound twice: exp(log(bound)) can round past the bound; np.maximum and
+    # np.minimum give np.clip's values at half its cost, and the NaN test on
+    # Python floats costs a third of np.isnan's
+    if any(map(math.isnan, t.tolist())):
+        raise ValueError("log eta is NaN")
+    return np.minimum(np.maximum(np.exp(np.minimum(np.maximum(t, _LOG_ETA_MIN), _LOG_ETA_MAX)),
+                                 kernels.ETA_MIN), kernels.ETA_MAX)
 
 
 def _kernel_at(spec0: kernels.KernelSpec, t: np.ndarray,
@@ -164,6 +176,19 @@ def _kernel_at(spec0: kernels.KernelSpec, t: np.ndarray,
     if search_order:
         order, t = float(_ORDER_MAPS[spec0.family][0](t[0])), t[1:]
     return replace(spec0, order=order, eta=np.broadcast_to(_eta_from_log(t), spec0.d))
+
+
+def _ring_from_blocks(eta: np.ndarray, blocks: list[np.ndarray], n: int) -> np.ndarray:
+    """Ring half column at n on the lattice from bases built a doubling at a
+    time: blocks[0] the whole half column at n / 2^k, then the odd-entry
+    block of each later doubling, the last one's at stride 2 from entry 1."""
+    ring = np.empty(n // 2 + 1)
+    step = 1
+    for block in blocks[:0:-1]:
+        ring[step::2 * step] = kernels.ring_from_bases(eta, block)
+        step *= 2
+    ring[::step] = kernels.ring_from_bases(eta, blocks[0])
+    return ring
 
 
 def _check_finite(y: np.ndarray, start: int) -> None:
@@ -229,6 +254,12 @@ def integrate_fast(f, d: int, config: CubatureConfig) -> CubatureResult:
     if search_order:
         start = np.r_[_ORDER_MAPS[spec0.family][1](spec0.order), start]
     warm, budget, spectrum, powers = start, _BUDGET_FIRST, None, None
+    # shared eta on the lattice: the bases, as _ring_from_blocks reads them,
+    # copied back to back into one buffer allocated once; kept as the arrays
+    # built, they split the heap between the integrand's large temporaries,
+    # which raised peak RSS on the d = 13 option by about 7 MB
+    arena = np.empty(d * (config.n_max // 2 + 1)) if poly and kind == "lattice" else None
+    blocks = []
 
     def fit(n, block, yb, y_all):
         nonlocal warm, budget, spectrum, powers
@@ -239,7 +270,13 @@ def integrate_fast(f, d: int, config: CubatureConfig) -> CubatureResult:
         # bases; a searched order builds its bases per evaluation
         bases = None
         if poly:
-            powers = coefficient_spectra(spec0, gen, kind, m, powers)
+            powers, built = coefficient_spectra(spec0, gen, kind, m, powers)
+            if arena is not None:  # built: the whole half column or its odd block
+                if built.shape[-1] == n // 2 + 1:
+                    blocks.clear()
+                used = sum(b.size for b in blocks)
+                blocks.append(arena[used:used + built.size].reshape(built.shape))
+                blocks[-1][...] = built
         elif not search_order:
             bases = kernels.column_bases(spec0, gen, m)
 
@@ -285,10 +322,14 @@ def integrate_fast(f, d: int, config: CubatureConfig) -> CubatureResult:
             reseeded = True
         warm, budget = res.t, _BUDGET_LATER
         spec_best = _kernel_at(spec0, res.t, search_order)
+        data = res.payload
+        if blocks:  # the polynomial's smallest eigenvalues sit on its rounding floor
+            data = transformed_data(weights, column_spectrum(
+                _ring_from_blocks(spec_best.eta, blocks, n), kind, n), n)
         # a re-seeded search also spent one evaluation at the failed warm start
-        return credible_width(config.criterion, res.payload), None, dict(
+        return credible_width(config.criterion, data), None, dict(
             theta=tuple(spec_best.eta), evaluations=res.evaluations + reseeded,
-            n_clamped=res.payload.n_clamped, reseeded=reseeded, order=spec_best.order,
+            n_clamped=data.n_clamped, reseeded=reseeded, order=spec_best.order,
             bound_hit=bool(np.isin(spec_best.eta, (kernels.ETA_MIN, kernels.ETA_MAX)).any()))
 
     return _doubling_loop(f, config, gen, dict(theta=tuple(spec0.eta), order=spec0.order),
@@ -359,7 +400,8 @@ def integrate_dense(f, d: int, config: CubatureConfig) -> CubatureResult:
                           key=lambda pair: pair[0].loss)
         if config.criterion != EB:
             post = posterior(theta, config.criterion)
-        return post.err, post.mu_hat, dict(theta=(theta,))
+        return post.err, post.mu_hat, dict(theta=(theta,), evaluations=len(
+            _MATERN_THETAS) + (config.criterion != EB))
 
     return _doubling_loop(f, config, make_sobol(d, config.seed, scramble=True),
                           dict(theta=(float(_MATERN_THETAS[0]),)), fit)

@@ -19,10 +19,13 @@ a polynomial in eta with no constant term,
 
 e_j the j-th elementary symmetric polynomial of the per-dimension bases c_l,
 so the spectrum is sum_j eta^j T(e_j): coefficient_spectra builds the d
-coefficient spectra once per sample size (on Sobol' nodes it grows the
-previous size's by the new block alone), and polynomial_spectrum evaluates
-the spectrum at any eta by one Horner pass, with no ring column and no
-transform.
+coefficient spectra once per sample size, growing the previous size's from
+the doubling's new entries alone (on Sobol' nodes by the FWHT's last stage,
+on the lattice by the DCT-I's decimation split), and polynomial_spectrum
+evaluates the spectrum at any eta by one Horner pass, with no ring column
+and no transform.  The sum rounds each term, so its smallest eigenvalues sit
+on a rounding floor of the largest; where that floor is coarser than the
+ring column's transform, the caller takes the width from the latter.
 Per-dimension eta and a searched kernel order transform the ring column
 itself on every evaluation.  A lattice spectrum is even
 (lam_k = lam_{n-k}) and, like the real-FFT data spectrum (y~_{n-k} is the
@@ -135,23 +138,32 @@ def column_spectrum(cols: np.ndarray, kind: str, n: int) -> np.ndarray:
     return out.reshape(cols.shape)
 
 
-def coefficient_spectra(spec, gen, kind: str, m: int, prev=None) -> np.ndarray:
+def coefficient_spectra(spec, gen, kind: str, m: int,
+                        prev=None) -> tuple[np.ndarray, np.ndarray]:
     """Spectra T(e_1)..T(e_d) at n = 2^m of the shared-eta coefficient
-    columns, kernels.elementary_symmetric of spec's bases on gen's nodes.
+    columns, kernels.elementary_symmetric of spec's bases on gen's nodes,
+    and the bases built for them.
 
-    On Sobol' nodes, given prev (the spectra at n/2), only the new block is
-    built: its e_j extend those at n/2, so their transforms at length n/2
-    join prev by the FWHT's last stage (transforms.walsh_double), bit for bit
-    the from-scratch result.  The lattice ignores prev and rebuilds, since
-    truncated_series's grid table changes with n.
+    Given prev (the spectra at n/2), only the doubling block's bases and e_j
+    are built, and the bases returned are the block's.  On Sobol' nodes the
+    block's e_j extend those at n/2, so their transforms at length n/2 join
+    prev by the FWHT's last stage (transforms.walsh_double), bit for bit the
+    from-scratch result.  On the lattice the block is the half column's odd
+    entries, whose DCT-II joins prev by the DCT-I's decimation split
+    (transforms.fbt_lattice_even), the from-scratch result up to rounding;
+    truncated_series ignores prev and rebuilds, since its grid table changes
+    with n.
     """
     n = 1 << m
-    if kind == "sobol" and prev is not None:
+    if prev is None or spec.family == "truncated_series":
+        bases = kernels.column_bases(spec, gen, m)
+        return column_spectrum(kernels.elementary_symmetric(bases), kind, n), bases
+    if kind == "sobol":
         block = kernels.sobol_column_bases(spec, gen, m, start=n // 2)
         return walsh_double(prev, column_spectrum(
-            kernels.elementary_symmetric(block), kind, n // 2))
-    return column_spectrum(kernels.elementary_symmetric(
-        kernels.column_bases(spec, gen, m)), kind, n)
+            kernels.elementary_symmetric(block), kind, n // 2)), block
+    block = kernels.lattice_column_bases(spec, gen, m, block=True)
+    return fbt_lattice_even(kernels.elementary_symmetric(block), n, prev), block
 
 
 def polynomial_spectrum(spectra: np.ndarray, eta: float) -> np.ndarray:

@@ -206,15 +206,19 @@ def elementary_symmetric(bases: np.ndarray) -> np.ndarray:
 # Fast-path column machinery
 # ---------------------------------------------------------------------------
 
-def lattice_column_bases(spec: KernelSpec, gen: LatticeGenerator, m: int) -> np.ndarray:
-    """(d, n/2+1) base values at the lags (h_ell k mod n) / n, k = 0..n/2.
+def lattice_column_bases(spec: KernelSpec, gen: LatticeGenerator, m: int,
+                         block: bool = False) -> np.ndarray:
+    """(d, n/2+1) base values at the lags (h_ell k mod n) / n, k = 0..n/2, or
+    with block (n >= 4) the (d, n/4) values at the odd k = 1, 3, ..., n/2 - 1.
 
     In natural grid order the first Gram column is even, c_k = c_{n-k}, so
     this half determines it; its DCT-I (transforms.fbt_lattice_even) gives the
-    distinct Gram eigenvalues, entries 0..n/2 of the even spectrum.
+    distinct Gram eigenvalues, entries 0..n/2 of the even spectrum.  Outside
+    truncated_series, whose grid table changes with n, entry 2i is entry i of
+    the half column at n/2 bit for bit, so the block is all a doubling adds.
     """
     n = 1 << m
-    idx = lattice_lag_indices(gen, m)
+    idx = lattice_lag_indices(gen, m, block)
     if spec.family == "truncated_series":
         table = truncated_series_table(spec.order, n)
         return table[idx]

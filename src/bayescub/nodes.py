@@ -122,18 +122,22 @@ def lattice_points(gen: LatticeGenerator, start: int, stop: int) -> NodeSet:
     return NodeSet(points=pts)
 
 
-def lattice_lag_indices(gen: LatticeGenerator, m: int) -> np.ndarray:
-    """(d, n/2+1) grid lags (h_ell k) mod n, k = 0..n/2, of the first Gram column.
+def lattice_lag_indices(gen: LatticeGenerator, m: int, block: bool = False) -> np.ndarray:
+    """(d, n/2+1) grid lags (h_ell k) mod n, k = 0..n/2, of the first Gram column,
+    or with block (n >= 4) the (d, n/4) lags at the odd k = 1, 3, ..., n/2 - 1.
 
     Node i sits at grid index h * brev(i) mod n (up to the shift), so the
     first Gram column in natural grid order has lag (h k / n) mod 1 at k.
-    It is even, c_k = c_{n-k}, so the half k <= n/2 determines it.
+    It is even, c_k = c_{n-k}, so the half k <= n/2 determines it.  Its even
+    entry 2i has the lag h i mod n/2 over n/2 of entry i at n/2, so the odd
+    entries are the doubling block that extends the half column at n/2.
     """
     n = 1 << m
     if n > gen.capacity:
         raise CapacityError(f"2^{m} exceeds generator capacity {gen.capacity}")
     h = np.asarray(gen.generating_vector, dtype=np.int64)
-    return np.multiply.outer(h, np.arange(n // 2 + 1, dtype=np.int64)) & (n - 1)
+    k = np.arange(1, n // 2, 2) if block else np.arange(n // 2 + 1)
+    return np.multiply.outer(h, k.astype(np.int64, copy=False)) & (n - 1)
 
 
 def default_lattice_vector(d: int) -> tuple[int, ...]:

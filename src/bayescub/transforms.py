@@ -70,16 +70,33 @@ def fbt_lattice(y: np.ndarray) -> np.ndarray:
     return np.fft.rfft(_bit_reverse_permute(y, m))
 
 
-def fbt_lattice_even(half: np.ndarray, n: int) -> np.ndarray:
+def fbt_lattice_even(half: np.ndarray, n: int, prev: np.ndarray | None = None) -> np.ndarray:
     """Gram spectrum entries 0..n/2 of even grid columns from their halves.
 
     The full column (c_k = c_{n-k}) has the DFT c_0 + (-1)^k c_{n/2}
     + 2 sum_{0<j<n/2} c_j cos(2 pi j k / n), the DCT-I of the half
     c_0..c_{n/2} for k <= n/2, and entry n - k equals entry k.  Works along
     the last axis, so each row of a 2-D array is one column.
+
+    Given prev, the spectrum at n/2 (n >= 4) of the half's even entries,
+    half holds only its odd entries 1, 3, ..., n/2 - 1, and the DCT-I splits
+    by decimation (Britanak, Yip and Rao, Discrete Cosine and Sine
+    Transforms, 2007): with E = prev and O the DCT-II of the odd entries,
+    X_k = E_k + O_k and X_{n/2-k} = E_k - O_k for k < n/4, X_{n/4} = E_{n/4}.
     """
     half = np.asarray(half, dtype=np.float64)
     _check_pow2(n)
+    if prev is not None:
+        q = n // 4
+        if n < 4 or half.shape[-1] != q or prev.shape != half.shape[:-1] + (q + 1,):
+            raise ValueError(f"odd entries of shape {half.shape} and a spectrum of shape "
+                             f"{prev.shape} do not make a half column at n = {n}")
+        odd = dct(half, type=2, axis=-1)
+        out = np.empty(prev.shape[:-1] + (2 * q + 1,))
+        np.add(prev[..., :q], odd, out=out[..., :q])
+        out[..., q] = prev[..., q]
+        np.subtract(prev[..., :q], odd, out=out[..., :q:-1])
+        return out
     if half.shape[-1] != n // 2 + 1:
         raise ValueError(f"half column has length {half.shape[-1]}, expected "
                          f"{n // 2 + 1} for n = {n}")

@@ -79,9 +79,9 @@ def test_traced_run_matches_the_untraced_one(tracer, name):
     assert spans.evals == sum(it.evaluations for it in traced.iterations) > 0
     # a name the loop stops looking up where the tracer wraps it reads 0
     calls = {name: count for name, (_, _, count) in spans.totals().items()}
+    # every path here runs on the lattice, where shared eta builds the ring
+    # column for the width alone
     ran = {"nodes.points", "problems.integrand", "transforms.data", "transforms.eig",
-           "kernels.bases", "inference.search", "inference.objective",
+           "kernels.bases", "kernels.ring", "inference.search", "inference.objective",
            "inference.transformed_data", "inference.credible_width"}
-    if name != "shared":  # shared eta builds no ring column
-        ran.add("kernels.ring")
     assert {span for span in ran if not calls.get(span)} == set()

@@ -60,6 +60,14 @@ class TestIntegrate:
             cli.main(["integrate", "--eps", "1e-2"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("args", [["integrate", "--eps", "1e-2"],
+                                      ["sweep", "--eps-lo", "1e-2", "--eps-hi", "1e-2"]])
+    @pytest.mark.parametrize("d", ["0", "-3"])
+    def test_dimension_below_one_is_usage_error(self, capsys, args, d):
+        # keister and option used to read d = 0 as unset and ran d = 4
+        code, out, err = run_main(args + ["--problem", "keister", "--d", d], capsys)
+        assert code == 2 and "--d" in err and out == ""
+
     def test_unknown_problem_is_runtime_error(self, capsys):
         code, _, err = run_main(
             ["integrate", "--problem", "mystery", "--eps", "1e-2"], capsys)

@@ -419,6 +419,14 @@ class TestIterationRecords:
         fixed = integrate_fast(f, 2, replace(cfg, search_order=False))
         assert [it.order for it in fixed.iterations] == [2.0] * len(fixed.iterations)
 
+    def test_eta_map_bounds_as_clip_does_and_refuses_nan(self):
+        lo, hi = cubature._LOG_ETA_MIN, cubature._LOG_ETA_MAX
+        t = np.r_[np.random.default_rng(3).normal(0.0, 30.0, 64), lo, hi, -np.inf, np.inf]
+        ref = np.clip(np.exp(np.clip(t, lo, hi)), kernels.ETA_MIN, kernels.ETA_MAX)
+        assert np.array_equal(cubature._eta_from_log(t), ref)
+        with pytest.raises(ValueError, match="NaN"):
+            cubature._eta_from_log(np.array([0.0, np.nan]))
+
     def test_no_bound_hit_inside_the_bounds(self):
         f = lambda x: np.exp(x.sum(axis=1))
         res = integrate_fast(f, 3, CubatureConfig(epsilon=1e-9, n0=128, n_max=512, seed=5))
@@ -428,8 +436,10 @@ class TestIterationRecords:
 
 class TestEigenvalueRouting:
     """Shared eta with a fixed order evaluates the Gram spectrum as a
-    polynomial in eta; per-dimension eta and order search build the ring
-    column on every evaluation, and the gradient reuses the evaluation's."""
+    polynomial in eta, and on the lattice takes the width from the ring
+    column at the chosen eta; per-dimension eta and order search build the
+    ring column on every evaluation, and the gradient reuses the
+    evaluation's."""
 
     @staticmethod
     def counting_ring(monkeypatch):
@@ -450,11 +460,15 @@ class TestEigenvalueRouting:
     f = staticmethod(lambda x: np.exp(x.sum(axis=1)))
 
     @pytest.mark.parametrize("family", ["lattice", "sobol"])
-    def test_shared_eta_never_builds_the_ring(self, monkeypatch, family):
+    def test_shared_eta_builds_the_ring_for_the_lattice_width_only(self, monkeypatch,
+                                                                   family):
+        # doubling k reads its ring from k base blocks, one built per doubling
         calls = self.counting_ring(monkeypatch)
         cfg = CubatureConfig(family=family, epsilon=1e-9, n0=128, n_max=2**11, seed=5)
         res = integrate_fast(self.f, 3, cfg)
-        assert self.evaluations(res) > 20 and calls["n"] == 0
+        k = len(res.iterations)
+        assert k == 5 and self.evaluations(res) > 20
+        assert calls["n"] == (k * (k + 1) // 2 if family == "lattice" else 0)
 
     @pytest.mark.parametrize("family", ["lattice", "sobol"])
     def test_per_dimension_eta_builds_it_per_evaluation(self, monkeypatch, family):
@@ -536,34 +550,37 @@ class TestWidthPrecision:
 
     def test_fresnel_full_width_against_long_double(self):
         # Fresnel, bernoulli r = 2, sidi_c1, full criterion, seed 1: at
-        # n = 2^16 the loop's eta is about 10.17 and the smallest eigenvalue
-        # 3.7e-14 of the largest; the shipped width reads 8.0e-5 off
+        # n = 2^16 the loop's eta is about 10.18 and the smallest eigenvalue
+        # 3.7e-14 of the largest.  The width from the ring column reads 2.2e-5
+        # off there and 3.1e-7 at 2^15; from the polynomial spectrum it read
+        # 8.0e-5 and 5.0e-6
         problem = problems.standard_fresnel_instance()
-        m, d = 16, problem.d
+        d = problem.d
         cfg = CubatureConfig(family="lattice", criterion="full", epsilon=1e-12,
                              periodizer="sidi_c1", kernel="bernoulli", order=2,
-                             seed=1, n_max=1 << m)
+                             seed=1, n_max=1 << 16)
         res = integrate_fast(problem.evaluator, d, cfg)
-        n = res.n_used
-        assert n == 1 << m
-        eta = res.iterations[-1].theta[0]
-
-        # reference: the ring column and the FFT of its even extension, both
-        # in long double, from the same float64 bases and data
+        assert res.n_used == 1 << 16
         gen = nodes.make_lattice(d, seed=1)
-        y = problems.periodize(problem.evaluator, "sidi_c1")(gen.points(0, n).points)
-        y_tilde = np.fft.fft(y.astype(np.longdouble)[nodes._brev_table(m)])
-        spec = kernels.KernelSpec("bernoulli", 2, np.full(d, eta))
-        bases = kernels.lattice_column_bases(spec, gen, m).astype(np.longdouble)
-        c = np.longdouble(eta) * bases
-        ring = c[0]
-        for c_l in c[1:]:
-            ring = ring * (1 + c_l) + c_l
-        lam = np.fft.fft(np.concatenate([ring, ring[-2:0:-1]])).real
-        assert lam.dtype == np.longdouble
-        s = (np.abs(y_tilde[1:]) ** 2 / lam[1:]).sum()
-        ref = student_t_quantile(n - 1) / n * np.sqrt(lam[0] / (n - 1) * s)
-        assert abs(res.err - ref) / ref <= 2e-4
+        y_all = problems.periodize(problem.evaluator, "sidi_c1")(
+            gen.points(0, res.n_used).points)
+        for it, bound in ((res.iterations[-1], 5e-5), (res.iterations[-2], 1e-6)):
+            n, eta = it.n, it.theta[0]
+            m = n.bit_length() - 1
+            # reference: the ring column and the FFT of its even extension,
+            # both in long double, from the same float64 bases and data
+            y_tilde = np.fft.fft(y_all[:n].astype(np.longdouble)[nodes._brev_table(m)])
+            spec = kernels.KernelSpec("bernoulli", 2, np.full(d, eta))
+            bases = kernels.lattice_column_bases(spec, gen, m).astype(np.longdouble)
+            c = np.longdouble(eta) * bases
+            ring = c[0]
+            for c_l in c[1:]:
+                ring = ring * (1 + c_l) + c_l
+            lam = np.fft.fft(np.concatenate([ring, ring[-2:0:-1]])).real
+            assert lam.dtype == np.longdouble
+            s = (np.abs(y_tilde[1:]) ** 2 / lam[1:]).sum()
+            ref = student_t_quantile(n - 1) / n * np.sqrt(lam[0] / (n - 1) * s)
+            assert abs(it.err - ref) / ref <= bound, n
 
 
 class TestDenseLoop:
@@ -617,7 +634,7 @@ class TestDenseLoop:
                              epsilon=1e-12, n0=32, n_max=32, seed=1)
         res = integrate_dense(lambda x: np.exp(x.sum(axis=1)), 2, cfg)
         assert len(res.iterations) == 1
-        assert count["n"] == factorizations
+        assert count["n"] == factorizations == res.iterations[0].evaluations
 
     def test_requires_matern_family(self):
         with pytest.raises(ValueError):

@@ -276,26 +276,52 @@ class TestLargeN:
         # new block's d transforms, as the loop grows them
         gen = nodes.make_sobol(d, 17, scramble=scramble)
         spec = KernelSpec("walsh1", 1.0, np.ones(d))
-        grown = coefficient_spectra(spec, gen, "sobol", 0)
+        grown, _ = coefficient_spectra(spec, gen, "sobol", 0)
         for m in range(1, 21):
-            grown = coefficient_spectra(spec, gen, "sobol", m, grown)
+            grown, block = coefficient_spectra(spec, gen, "sobol", m, grown)
+            assert block.shape == (d, 1 << (m - 1))
+            del block
             scratch = column_spectrum(kernels.elementary_symmetric(
                 kernels.column_bases(spec, gen, m)), "sobol", 1 << m)
             assert np.array_equal(grown, scratch), m
 
-    @pytest.mark.parametrize("kernel, order", [("bernoulli", 2.0),
-                                               ("truncated_series", 1.7)])
-    def test_lattice_spectra_rebuild_whatever_prev(self, kernel, order):
-        # the lattice has no growth step: any prev is ignored
+    @pytest.mark.parametrize("kernel, order", [("bernoulli", 1.0), ("bernoulli", 2.0),
+                                               ("exp_decay", 0.5)])
+    @pytest.mark.parametrize("d", [2, 13])
+    def test_lattice_spectra_grow_by_the_doubling_split(self, d, kernel, order):
+        # the shared-eta spectra at 2^m grown from those at 2^(m-1) by the
+        # DCT-II of the odd entries, against the from-scratch DCT-I, to a few
+        # ulps of each row's largest entry; the bases returned are the odd
+        # entries of the from-scratch half column, bit for bit
+        gen = nodes.make_lattice(d, 17)
+        spec = KernelSpec(kernel, order, np.ones(d))
+        grown, _ = coefficient_spectra(spec, gen, "lattice", 1)
+        for m in range(2, 21):
+            grown, block = coefficient_spectra(spec, gen, "lattice", m, grown)
+            scratch, bases = coefficient_spectra(spec, gen, "lattice", m)
+            assert grown.shape == scratch.shape == (d, (1 << m) // 2 + 1)
+            assert np.array_equal(block, bases[:, 1::2]), m
+            del block, bases
+            dev = np.abs(grown - scratch)
+            assert (dev <= 4e-15 * np.abs(scratch).max(axis=1, keepdims=True)).all(), m
+        prev, _ = coefficient_spectra(spec, gen, "lattice", 4)
+        for bad in (prev[:, :-1], prev[:1], prev[..., None]):
+            with pytest.raises(ValueError, match="do not make a half column"):
+                coefficient_spectra(spec, gen, "lattice", 5, bad)
+
+    def test_truncated_series_spectra_rebuild_whatever_prev(self):
+        # its grid table changes with n, so it has no growth step
         gen = nodes.make_lattice(3, 17)
-        spec = KernelSpec(kernel, order, np.ones(3))
+        spec = KernelSpec("truncated_series", 1.7, np.ones(3))
         for m in (1, 4, 9):
-            scratch = coefficient_spectra(spec, gen, "lattice", m)
+            scratch, bases = coefficient_spectra(spec, gen, "lattice", m)
             assert scratch.shape == (3, (1 << m) // 2 + 1)
-            for prev in (coefficient_spectra(spec, gen, "lattice", m - 1),
+            assert np.array_equal(bases, kernels.column_bases(spec, gen, m))
+            for prev in (coefficient_spectra(spec, gen, "lattice", m - 1)[0],
                          np.full((3, 7), np.nan)):
-                assert np.array_equal(
-                    coefficient_spectra(spec, gen, "lattice", m, prev), scratch)
+                grown, grown_bases = coefficient_spectra(spec, gen, "lattice", m, prev)
+                assert np.array_equal(grown, scratch)
+                assert np.array_equal(grown_bases, bases)
 
     def test_sobol_bases_block_must_be_a_doubling_block(self):
         gen = nodes.make_sobol(2, 17)
