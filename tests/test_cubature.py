@@ -460,6 +460,26 @@ class TestEigenvalueRouting:
     f = staticmethod(lambda x: np.exp(x.sum(axis=1)))
 
     @pytest.mark.parametrize("family", ["lattice", "sobol"])
+    def test_shared_eta_never_builds_the_ring(self, monkeypatch, family):
+        # the search evaluates the polynomial in eta alone; the lattice width
+        # builds its ring after the search (counted in the test below)
+        calls = self.counting_ring(monkeypatch)
+        in_search = []
+        real = cubature.search_hyperparameters
+
+        def search(*args, **kwargs):
+            before = calls["n"]
+            out = real(*args, **kwargs)
+            in_search.append(calls["n"] - before)
+            return out
+
+        monkeypatch.setattr(cubature, "search_hyperparameters", search)
+        cfg = CubatureConfig(family=family, epsilon=1e-9, n0=128, n_max=2**11, seed=5)
+        res = integrate_fast(self.f, 3, cfg)
+        assert self.evaluations(res) > 20
+        assert len(in_search) >= len(res.iterations) and not any(in_search)
+
+    @pytest.mark.parametrize("family", ["lattice", "sobol"])
     def test_shared_eta_builds_the_ring_for_the_lattice_width_only(self, monkeypatch,
                                                                    family):
         # doubling k reads its ring from k base blocks, one built per doubling
