@@ -115,6 +115,7 @@ class IterationRecord:
     n_clamped: int = 0      # Gram eigenvalues clamped at the chosen parameters
     reseeded: bool = False  # warm start not finite; searched from the default
     bound_hit: bool = False  # a chosen eta sits at ETA_MIN or ETA_MAX
+    capped: bool = False    # the search ran out of budget before its own stop
     order: float | None = None  # kernel order used, searched or fixed
 
 
@@ -137,6 +138,7 @@ class CubatureResult:
             "seconds": float(f"{self.seconds:.3g}"),
             "seed": self.seed,
             "bound_hits": sum(it.bound_hit for it in self.iterations),
+            "capped": sum(it.capped for it in self.iterations),
             "n_clamped": self.iterations[-1].n_clamped if self.iterations else 0,
         }
 
@@ -330,6 +332,7 @@ def integrate_fast(f, d: int, config: CubatureConfig) -> CubatureResult:
         return credible_width(config.criterion, data), None, dict(
             theta=tuple(spec_best.eta), evaluations=res.evaluations + reseeded,
             n_clamped=data.n_clamped, reseeded=reseeded, order=spec_best.order,
+            capped=res.capped,
             bound_hit=bool(np.isin(spec_best.eta, (kernels.ETA_MIN, kernels.ETA_MAX)).any()))
 
     return _doubling_loop(f, config, gen, dict(theta=tuple(spec0.eta), order=spec0.order),

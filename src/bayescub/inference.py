@@ -340,13 +340,15 @@ class SearchResult:
     t: np.ndarray           # best coordinates seen
     evaluations: int
     payload: object = None  # best-seen auxiliary data from the objective
+    capped: bool = False    # the budget ran out before the method stopped
 
 
 def search_hyperparameters(objective_fn, t0: np.ndarray, budget: int = 100,
                            gradient_fn=None,
                            bounds: tuple[float, float] = (-np.inf, np.inf)) -> SearchResult:
     """Minimize objective_fn over a float vector from t0 in the box
-    [bounds]^p; returns the best point seen within budget evaluations.
+    [bounds]^p; returns the best point seen within budget evaluations, and
+    whether the budget ran out before the method's own stop (capped).
     What the coordinates mean is the caller's business.
 
     objective_fn(t) -> (value, payload); gradient_fn(t) -> the value's
@@ -390,6 +392,7 @@ def search_hyperparameters(objective_fn, t0: np.ndarray, budget: int = 100,
         g = gradient_fn(t) if np.isfinite(value(t)) else np.zeros(p)
         return g if np.isfinite(g).all() else np.zeros(p)
 
+    capped = False
     try:
         if p == 1:
             _line_search(lambda u: value((u,)), float(t0[0]), v0, STEP, *bounds)
@@ -400,8 +403,9 @@ def search_hyperparameters(objective_fn, t0: np.ndarray, budget: int = 100,
                      options={"xatol": XATOL, "fatol": FATOL,
                               "initial_simplex": _initial_simplex(t0, STEP)})
     except _BudgetSpent:
-        pass
-    return SearchResult(t=best["t"], evaluations=best["count"], payload=best["payload"])
+        capped = True
+    return SearchResult(t=best["t"], evaluations=best["count"], payload=best["payload"],
+                        capped=capped)
 
 
 class _BudgetSpent(Exception):

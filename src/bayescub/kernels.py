@@ -78,16 +78,20 @@ def bernoulli_poly(order: int, x):
 
 def walsh_omega1(x):
     """Order-1 Walsh series kernel: 6 * (1/6 - 2^(floor(log2 x) - 1)), = 1 at 0."""
-    x = np.asarray(x, dtype=np.float64)
-    # x = mant * 2^expo with mant in [0.5, 1); one float buffer throughout
-    out = np.empty_like(x)
-    expo = np.empty(x.shape, dtype=np.int32)
-    np.frexp(x, out=(out, expo))
+    return _walsh_omega1_in_place(np.array(x, dtype=np.float64))
+
+
+def _walsh_omega1_in_place(out: np.ndarray):
+    """walsh_omega1 of the float64 lags in out, written over them."""
+    zero = ~(out > 0)  # before frexp overwrites the lags
+    # lag = mant * 2^expo with mant in [0.5, 1); one float buffer throughout
+    expo = np.empty(out.shape, dtype=np.int32)
+    np.frexp(out, out=(out, expo))
     np.subtract(expo, 2.0, out=out)
     np.exp2(out, out=out)
     out *= 6.0
     np.subtract(1.0, out, out=out)
-    out[~(x > 0)] = 1.0
+    out[zero] = 1.0
     return out if out.ndim else float(out)
 
 
@@ -233,9 +237,11 @@ def sobol_column_bases(spec: KernelSpec, gen: SobolGenerator, m: int,
     to the column at 2^m (the same values, as the lags are)."""
     if spec.family != "walsh1":
         raise ValueError("Sobol' path requires the walsh1 kernel")
-    lags = sobol_lag_integers(gen, start, 1 << m).T.astype(np.float64, order="C")
-    lags *= 2.0**-32
-    return walsh_omega1(lags)
+    ints = sobol_lag_integers(gen, start, 1 << m)
+    lags = np.empty(ints.shape[::-1])  # the bases are built in this buffer
+    np.multiply(ints.T, 2.0**-32, out=lags)
+    del ints
+    return _walsh_omega1_in_place(lags)
 
 
 def column_bases(spec: KernelSpec, gen, m: int) -> np.ndarray:

@@ -24,8 +24,10 @@ def norm_cdf(x):
 
 
 def norm_ppf(p):
-    """Inverse standard normal CDF with inputs clamped away from {0, 1}."""
-    return ndtri(np.clip(p, _PHI_INV_LO, _PHI_INV_HI))
+    """Inverse standard normal CDF with inputs clamped away from {0, 1};
+    one new float64 array, p is left as it is."""
+    z = np.clip(p, _PHI_INV_LO, _PHI_INV_HI, out=np.empty(np.shape(p)))
+    return ndtri(z, out=z)
 
 
 @dataclass(frozen=True)
@@ -254,9 +256,12 @@ def asian_option_problem(T: float = 0.25, d: int = 13, s0: float = 100.0,
 
     def evaluator(x):
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        brownian = norm_ppf(x) @ path_factor.T
-        s_mean = (s0 * np.exp(drift[None, :] + sigma * brownian)).mean(axis=1)
-        return np.maximum(s_mean - strike, 0.0) * np.exp(-r * T)
+        paths = norm_ppf(x) @ path_factor.T  # then worked in place
+        paths *= sigma
+        paths += drift
+        np.exp(paths, out=paths)
+        paths *= s0
+        return np.maximum(paths.mean(axis=1) - strike, 0.0) * np.exp(-r * T)
 
     params = {"T": T, "d": d, "S0": s0, "r": r, "sigma": sigma, "K": strike}
     if strike == 0.0:

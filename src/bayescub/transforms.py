@@ -9,10 +9,12 @@ decimation-in-time step.  Both lattice spectra are kept as entries
 k = 0..n/2: real data give y~_{n-k} = conj(y~_k), so a real FFT; the kernel's
 first column on the grid is even (c_k = c_{n-k}), so is its spectrum, the
 DCT-I of the half c_0..c_{n/2}.  Sobol' path: the
-Walsh-Hadamard matrix in Hadamard (Sylvester/Kronecker) ordering, applied by
-an in-place butterfly using additions and subtractions only.  Both satisfy
-row one = column one = all-ones, so coefficient 0 of any transform equals
-the plain sum of the input.
+Walsh-Hadamard matrix in Hadamard (Sylvester/Kronecker) ordering, applied in
+the constant-geometry form of Pease (J. ACM 15(2), 1968) using additions and
+subtractions only: every stage reads the same stride-2 pairs and writes
+their sums and differences to the two halves of a second buffer.  Both
+transforms satisfy row one = column one = all-ones, so coefficient 0 of any
+transform equals the plain sum of the input.
 """
 
 from __future__ import annotations
@@ -107,29 +109,35 @@ def fbt_lattice_even(half: np.ndarray, n: int, prev: np.ndarray | None = None) -
 
 
 def fbt_sobol(y: np.ndarray) -> np.ndarray:
-    """H y for the Hadamard-ordered Walsh matrix (H symmetric, H^2 = n I)."""
+    """H y for the Hadamard-ordered Walsh matrix (H symmetric, H^2 = n I).
+
+    Constant geometry (Pease, J. ACM 15(2), 1968): each of the m stages
+    reads the stride-2 pairs (x_2i, x_2i+1) and writes x_2i + x_2i+1 to
+    entry i and x_2i - x_2i+1 to entry n/2 + i of the other buffer, so
+    every stage streams whole arrays.  Each stage adds and subtracts the
+    pairs of the radix-2 butterfly with span 2^s, in the same order: that
+    butterfly's entry j sits here at entry j rotated s bits right after s
+    stages, and m rotations bring every entry home, so the result is the
+    butterfly's bit for bit.
+    """
     y = np.asarray(y, dtype=np.float64)
     m = _check_pow2(y.shape[0])
-    out = y.copy()
-    diff = np.empty(out.shape[0] // 2)  # one buffer for every stage's a - b
-    h = 1
-    for _ in range(m):
-        pairs = out.reshape(-1, 2, h)
-        a = pairs[:, 0, :]
-        b = pairs[:, 1, :]
-        t = diff.reshape(-1, h)
-        np.subtract(a, b, out=t)
-        a += b
-        b[...] = t
-        h *= 2
-    return out
+    h = y.shape[0] // 2
+    bufs = (np.empty(2 * h), np.empty(2 * h))  # the input is only read
+    src = y
+    for stage in range(m):
+        dst = bufs[stage & 1]
+        np.add(src[0::2], src[1::2], out=dst[:h])
+        np.subtract(src[0::2], src[1::2], out=dst[h:])
+        src = dst
+    return src if m else y.copy()
 
 
 def walsh_double(prev: np.ndarray, tail: np.ndarray) -> np.ndarray:
     """H_2n applied to [a, b] from prev = H_n a and tail = H_n b, along the
     last axis: H_2n = [[H_n, H_n], [H_n, -H_n]] gives [prev + tail,
-    prev - tail], the operations of fbt_sobol's last butterfly stage, so the
-    result equals the from-scratch transform bit for bit."""
+    prev - tail], the operations of fbt_sobol's last stage, so the result
+    equals the from-scratch transform bit for bit."""
     n = prev.shape[-1]
     out = np.empty(prev.shape[:-1] + (2 * n,))
     np.add(prev, tail, out=out[..., :n])

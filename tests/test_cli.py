@@ -28,10 +28,11 @@ class TestIntegrate:
         assert code == 0
         record = json.loads(out)
         assert set(record) >= {"mu_hat", "n", "err", "tolerance_met", "seconds", "seed",
-                               "bound_hits", "n_clamped"}
+                               "bound_hits", "capped", "n_clamped"}
         assert record["tolerance_met"] is True
         assert record["abs_error"] <= 1e-3
         assert record["bound_hits"] == 0
+        assert record["capped"] == 0
 
     def test_record_counts_bound_hits_and_the_last_clamped_count(self, capsys,
                                                                  monkeypatch):

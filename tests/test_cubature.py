@@ -277,6 +277,15 @@ class TestIterationRecords:
         assert all(1 < it.evaluations <= cubature._BUDGET_LATER
                    for it in res.iterations[1:])
         assert not any(it.reseeded for it in res.iterations)
+        assert [it.capped for it in res.iterations] == [r.capped for _, r in calls]
+
+    def test_a_spent_budget_is_recorded_as_capped(self, monkeypatch):
+        monkeypatch.setattr(cubature, "_BUDGET_LATER", 2)
+        f = lambda x: np.exp(x.sum(axis=1))
+        cfg = CubatureConfig(epsilon=1e-9, n0=128, n_max=2**10, seed=5)
+        res = integrate_fast(f, 3, cfg)
+        assert [it.capped for it in res.iterations[1:]] == [True] * 3
+        assert res.to_record()["capped"] == sum(it.capped for it in res.iterations) >= 3
 
     def test_n_clamped_is_the_chosen_states(self, monkeypatch):
         # tag every TransformedData with a count that depends on its n

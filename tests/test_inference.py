@@ -547,6 +547,12 @@ class TestHyperparameterSearch:
         res = search_hyperparameters(quad, np.zeros(1), budget=50)
         assert abs(res.t[0] - 1.3) < 1e-4
         assert calls["n"] <= 50
+        assert not res.capped  # Brent stopped on its own tolerance
+
+    def test_spent_budget_is_reported_as_capped(self):
+        quad = lambda t: (float((t[0] - 1.3) ** 2), None)  # noqa: E731
+        res = search_hyperparameters(quad, np.zeros(1), budget=2)
+        assert res.capped and res.evaluations == 2
 
     @staticmethod
     def bowl(seen, centre=(1.5, -2.0)):

@@ -2,6 +2,8 @@
 positive definiteness, normalization, and analytic gradients."""
 
 import itertools
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 
@@ -188,6 +190,35 @@ class TestWalsh:
             val = kernels.walsh_omega1(2.0 ** (-k - 1))
             total += val * 2.0 ** (-k - 1)
         assert abs(total) < 1e-15
+
+    def test_omega1_leaves_its_input(self):
+        x = np.array([[0.0, 0.5, 0.7], [0.25, 2.0**-32, 0.0]])
+        before = x.copy()
+        kernels.walsh_omega1(x)
+        assert np.array_equal(x, before)
+
+    def test_sobol_bases_are_omega1_of_the_scaled_lags(self):
+        # the column builds them in place over its own lag buffer
+        gen = nodes.make_sobol(5, 3)
+        spec = KernelSpec("walsh1", 1.0, np.ones(5))
+        lags = nodes.sobol_lag_integers(gen, 0, 1 << 12).T.astype(np.float64) / 2.0**32
+        bases = kernels.sobol_column_bases(spec, gen, 12)
+        assert bases.flags.c_contiguous
+        assert np.array_equal(bases, kernels.walsh_omega1(lags))
+
+    def test_whole_column_peaks_at_two_columns(self):
+        # 2^20 nodes in d = 13: the lag integers and the one float buffer the
+        # bases are built in, in a fresh interpreter (ru_maxrss never falls)
+        code = ("import resource, numpy as np\n"
+                "from bayescub import kernels, nodes\n"
+                "rss = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024\n"
+                "before = rss()\n"
+                "spec = kernels.KernelSpec('walsh1', 1.0, np.ones(13))\n"
+                "b = kernels.sobol_column_bases(spec, nodes.make_sobol(13, 1), 20)\n"
+                "print((rss() - before) / b.nbytes)\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, check=True)
+        assert float(proc.stdout) < 2.2
 
     def test_ring_examples(self):
         spec = KernelSpec("walsh1", 1, np.ones(1))

@@ -223,6 +223,28 @@ class TestAsianOption:
         mp_ = prob.evaluator(pts).mean()
         assert mc == pytest.approx(mp_, abs=2e-2)
 
+    def test_in_place_payoff_is_the_plain_formula(self):
+        # the evaluator works in place on its own buffers: x stays as it is
+        # and the payoff is the out-of-place expression bit for bit
+        from bayescub.problems import norm_ppf
+
+        prob = asian_option_problem()
+        T, d, s0, r, sigma, strike = (prob.params[k] for k in ("T", "d", "S0", "r",
+                                                                "sigma", "K"))
+        x = np.random.default_rng(4).random((512, d))
+        x[0, 0], x[1, 1] = 0.0, 1.0  # clamped away from {0, 1}
+        before = x.copy()
+        idx = np.arange(1, d + 1)
+        cov = T / d * np.minimum.outer(idx, idx)
+        evals, evecs = np.linalg.eigh(cov)
+        order = np.argsort(evals)[::-1]
+        factor = evecs[:, order] * np.sqrt(np.maximum(evals[order], 0.0))
+        drift = (r - 0.5 * sigma * sigma) * (T / d * idx)
+        s_mean = (s0 * np.exp(drift + sigma * (norm_ppf(x) @ factor.T))).mean(axis=1)
+        expected = np.maximum(s_mean - strike, 0.0) * np.exp(-r * T)
+        assert np.array_equal(prob.evaluator(x), expected)
+        assert np.array_equal(x, before)
+
     def test_bad_params(self):
         with pytest.raises(ValueError):
             asian_option_problem(sigma=-1.0)

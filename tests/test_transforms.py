@@ -251,10 +251,21 @@ class TestLargeN:
         lam = mirror_half(transforms.fbt_lattice_even(half, n), n)
         assert np.abs(lam - ref).max() <= 8 * np.finfo(float).eps * np.abs(ref).max()
 
-    @pytest.mark.parametrize("m", [0, 1, 5, 16, 20])
+    @pytest.mark.parametrize("m", range(21))
     def test_sobol_matches_copying_butterfly(self, m):
         y = np.random.default_rng(m).standard_normal(1 << m)
+        before = y.copy()
         assert np.array_equal(fbt_sobol(y), copying_fbt_sobol(y))
+        assert np.array_equal(y, before)
+
+    @pytest.mark.parametrize("m", range(1, 21))
+    def test_sobol_doubling_equals_from_scratch(self, m):
+        # walsh_double runs the last stage's operations on the halves'
+        # transforms, so the doubled transform is the whole one bit for bit
+        y = np.random.default_rng(400 + m).standard_normal(1 << m)
+        h = len(y) // 2
+        doubled = fbt_double(fbt_sobol(y[:h]), y[h:], "sobol")
+        assert np.array_equal(doubled, fbt_sobol(y))
 
     @pytest.mark.parametrize("scramble", [False, True])
     @pytest.mark.parametrize("d", [4, 13])

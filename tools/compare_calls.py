@@ -11,9 +11,9 @@ and with gcv, among them), with bayescub imported from the source tree SRC
 (default: this checkout's src), and records per call the estimate (as a
 float hex string), n_used, err and tolerance_met and, per doubling, err, the
 chosen eta, the kernel order, the objective evaluations, the clamped-eigenvalue
-count and whether the search re-seeded or ended at an eta bound: every field
-a CubatureResult holds but its timings.  --out writes the
-records as JSON; --against reads records written earlier (say, from another
+count and whether the search re-seeded, ended at an eta bound or ran out of
+its budget: every field a CubatureResult holds but its timings.  --out writes
+the records as JSON; --against reads records written earlier (say, from another
 revision's tree) and reports every field that is not equal, plus the largest
 relative err gap over the doublings both hold and each side's mean objective
 evaluations per doubling, per workload.  The exit status is 1 when a field differs; with
@@ -96,7 +96,7 @@ def call_record(workload: str, seed: int, call: int, run) -> dict:
                iterations=[{"n": it.n, "err": it.err, "eta": list(it.theta),
                             "order": it.order, "evaluations": it.evaluations,
                             "n_clamped": it.n_clamped, "reseeded": it.reseeded,
-                            "bound_hit": it.bound_hit}
+                            "bound_hit": it.bound_hit, "capped": it.capped}
                            for it in res.iterations])
     return rec
 
@@ -131,7 +131,7 @@ def _rel_gap(a, b) -> float:
 # per call, then per doubling; "err" names both the result's and each doubling's
 CALL_FIELDS = ("error", "mu_hat", "n_used", "err", "tolerance_met")
 DOUBLING_FIELDS = ("n", "err", "eta", "order", "evaluations", "n_clamped", "reseeded",
-                   "bound_hit")
+                   "bound_hit", "capped")
 FIELDS = tuple(dict.fromkeys(CALL_FIELDS + ("doublings",) + DOUBLING_FIELDS))
 
 
