@@ -3,9 +3,12 @@
 _doubling_loop runs both loops.  At each doubling it generates and evaluates
 only the new block of nodes, stops on degenerate data, hands the block to a
 fit, records the doubling, and stops once the credible half-width reaches
-the tolerance.  integrate_fast fits matched (node set, kernel) pairs at
-O(n log n) per doubling; integrate_dense fits a Matern kernel with dense
-O(n^3) algebra, as the slow baseline.
+the tolerance.  It calls the integrand on chunks of the block's rows of
+about 512 KB each (nodes.block_rows), whose temporaries stay in cache, so
+an integrand must map each row on its own and return one value per row.
+integrate_fast fits matched (node set, kernel) pairs at O(n log n) per
+doubling; integrate_dense fits a Matern kernel with dense O(n^3) algebra, as
+the slow baseline.
 
 The fast fit grows the data transform by the doubling update and re-fits the
 shape parameters from a warm start.  Its search runs on plain coordinates,
@@ -50,12 +53,12 @@ from .inference import (EB, CRITERIA, DegenerateDataError, NonFiniteStartError,
                         coefficient_spectra, column_spectrum, credible_width,
                         data_weights, dense_posterior, objective, objective_gradient,
                         polynomial_spectrum, search_hyperparameters, transformed_data)
-from .nodes import CapacityError, make_lattice, make_sobol
+from .nodes import CapacityError, block_rows, make_lattice, make_sobol
 from .transforms import DENSE_MAX_N, fbt, fbt_double
 
 
 class IntegrandError(ValueError):
-    """The integrand returned a non-finite value."""
+    """The integrand returned a non-finite value, or not one value per point."""
 
 
 # later searches start warm from the previous optimum
@@ -200,6 +203,14 @@ def _check_finite(y: np.ndarray, start: int) -> None:
         raise IntegrandError(f"integrand returned a non-finite value at node index {idx}")
 
 
+def _evaluate(f, pts: np.ndarray, out: np.ndarray) -> None:
+    y = np.asarray(f(pts), dtype=np.float64)
+    if y.shape != out.shape:
+        raise IntegrandError(f"integrand returned shape {y.shape} for {len(pts)} points,"
+                             f" not {out.shape}")
+    out[...] = y
+
+
 def _is_degenerate(y: np.ndarray) -> bool:
     return float(np.ptp(y)) <= 1e-14 * max(1.0, float(np.abs(y).max()))
 
@@ -213,16 +224,19 @@ def _doubling_loop(f, config: CubatureConfig, gen, start: dict, fit) -> Cubature
         raise CapacityError(f"n_max {config.n_max} exceeds capacity {gen.capacity}")
     t_start = time.perf_counter()
     f_eval = problems.periodize(f, config.periodizer)
-    y_all = np.empty(0)
+    y_buf = np.empty(config.n_max)  # pages are touched only as values land
+    rows = block_rows(gen.d)
     iterations: list[IterationRecord] = []
     err, mu = np.inf, None
     n_prev, n = 0, config.n0
     while n <= config.n_max:
         it_start = time.perf_counter()
         block = gen.points(n_prev, n)
-        yb = np.asarray(f_eval(block.points), dtype=np.float64)
+        yb = y_buf[n_prev:n]
+        for lo in range(0, n - n_prev, rows):  # chunks that stay in cache
+            _evaluate(f_eval, block.points[lo:lo + rows], yb[lo:lo + rows])
         _check_finite(yb, n_prev)
-        y_all = np.concatenate([y_all, yb])
+        y_all = y_buf[:n]
         if _is_degenerate(y_all):
             err, mu, fields = 0.0, None, start
         else:

@@ -397,7 +397,16 @@ def search_hyperparameters(objective_fn, t0: np.ndarray, budget: int = 100,
         if p == 1:
             _line_search(lambda u: value((u,)), float(t0[0]), v0, STEP, *bounds)
         elif gradient_fn is not None:
-            minimize(value, t0, jac=gradient, method="L-BFGS-B", bounds=[bounds] * p)
+            # scipy's line search ends the whole search at an infinite value;
+            # at a finite one above the start's, with zero gradient, it
+            # backtracks.  The memo and the best point still see it rejected.
+            wall = v0 + 1.0 + abs(v0)
+
+            def walled(t):
+                v = value(t)
+                return wall if v == np.inf else v
+
+            minimize(walled, t0, jac=gradient, method="L-BFGS-B", bounds=[bounds] * p)
         else:
             minimize(value, t0, method="Nelder-Mead", bounds=[bounds] * p,
                      options={"xatol": XATOL, "fatol": FATOL,

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nodes import (LatticeGenerator, SobolGenerator, _brev_table, lattice_lag_indices,
-                    sobol_lag_integers)
+from .nodes import (LatticeGenerator, SobolGenerator, _brev_table, block_rows,
+                    lattice_lag_indices, sobol_lag_integers)
 
 ETA_MIN = 1e-8
 ETA_MAX = 1e8
@@ -220,13 +220,19 @@ def lattice_column_bases(spec: KernelSpec, gen: LatticeGenerator, m: int,
     distinct Gram eigenvalues, entries 0..n/2 of the even spectrum.  Outside
     truncated_series, whose grid table changes with n, entry 2i is entry i of
     the half column at n/2 bit for bit, so the block is all a doubling adds.
+    The other families are built over column blocks of block_rows(d)
+    columns, each entry by the same operations, so only the memory traffic
+    changes.
     """
     n = 1 << m
-    idx = lattice_lag_indices(gen, m, block)
     if spec.family == "truncated_series":
-        table = truncated_series_table(spec.order, n)
-        return table[idx]
-    return _dim_bases_from_lags(spec, idx.astype(np.float64) / n)
+        return truncated_series_table(spec.order, n)[lattice_lag_indices(gen, m, block)]
+    out = np.empty((gen.d, n // 4 if block else n // 2 + 1))
+    spans, _ = _column_blocks(out.shape[1], block_rows(gen.d))
+    for lo, hi in spans:
+        idx = lattice_lag_indices(gen, m, block, lo, hi)
+        out[:, lo:hi] = _dim_bases_from_lags(spec, idx.astype(np.float64) / n)
+    return out
 
 
 def sobol_column_bases(spec: KernelSpec, gen: SobolGenerator, m: int,

@@ -19,6 +19,17 @@ import numpy as np
 DIGITS = 32  # binary digit places used for digital (XOR) arithmetic
 _SCALE = float(2**DIGITS)
 _DATA_DIR_ENV = "BAYESCUB_DATA_DIR"
+# bytes of each (rows, d) float64 array a blocked pass over a doubling's
+# nodes works in: a few such blocks stay in a 2 MB L2 cache, where a
+# full-length temporary (13.6 MB at n = 2^17, d = 13) is a fresh mapping
+# faulted in page by page
+_BLOCK_BYTES = 1 << 19
+
+
+def block_rows(d: int) -> int:
+    """Rows of a (rows, d) float64 block of about _BLOCK_BYTES: a power of 2,
+    so the blocks split every doubling block evenly."""
+    return 1 << (max(_BLOCK_BYTES // (8 * d), 1).bit_length() - 1)
 
 
 class CapacityError(ValueError):
@@ -105,26 +116,37 @@ def lattice_points(gen: LatticeGenerator, start: int, stop: int) -> NodeSet:
     """Points x_i = (h * phi(i-1) + shift) mod 1 for i-1 in [start, stop).
 
     h * phi(i) mod 1 is reduced in exact integer arithmetic on the 2^m grid
-    before the shift is added, so only the final shifted value rounds.
+    before the shift is added, so only the final shifted value rounds.  Built
+    in place over blocks of block_rows(d) rows, with the ufuncs of the
+    per-column formula in its order, so only the memory traffic changes.
     """
     _check_range(start, stop, gen.capacity)
     m = max((stop - 1).bit_length(), 1)
-    brev = _brev_table(m)[start:stop].view(np.uint64) << np.uint64(gen.max_log2_n - m)
+    brev = _brev_table(m)[start:stop].view(np.uint64)
+    up = np.uint64(gen.max_log2_n - m)
+    h = np.array(gen.generating_vector, dtype=np.uint64)
     cap = np.uint64(gen.capacity - 1)
     pts = np.empty((stop - start, gen.d))
     inv = 1.0 / gen.capacity
-    for ell, h in enumerate(gen.generating_vector):
-        frac = ((np.uint64(h) * brev) & cap).astype(np.float64)
+    rows = min(block_rows(gen.d), len(pts))
+    grid = np.empty((rows, gen.d), dtype=np.uint64)
+    wrap = np.empty((rows, gen.d), dtype=bool)
+    for lo in range(0, len(pts), rows):
+        frac = pts[lo:lo + rows]
+        np.multiply(h, (brev[lo:lo + rows] << up)[:, None], out=grid)
+        grid &= cap
+        frac[...] = grid
         frac *= inv
-        frac += gen.shift[ell]
-        frac -= (frac >= 1.0)
-        pts[:, ell] = frac
+        frac += gen.shift
+        frac -= np.greater_equal(frac, 1.0, out=wrap)
     return NodeSet(points=pts)
 
 
-def lattice_lag_indices(gen: LatticeGenerator, m: int, block: bool = False) -> np.ndarray:
+def lattice_lag_indices(gen: LatticeGenerator, m: int, block: bool = False,
+                        lo: int = 0, hi: int | None = None) -> np.ndarray:
     """(d, n/2+1) grid lags (h_ell k) mod n, k = 0..n/2, of the first Gram column,
-    or with block (n >= 4) the (d, n/4) lags at the odd k = 1, 3, ..., n/2 - 1.
+    or with block (n >= 4) the (d, n/4) lags at the odd k = 1, 3, ..., n/2 - 1;
+    only columns lo..hi of them when given.
 
     Node i sits at grid index h * brev(i) mod n (up to the shift), so the
     first Gram column in natural grid order has lag (h k / n) mod 1 at k.
@@ -136,8 +158,10 @@ def lattice_lag_indices(gen: LatticeGenerator, m: int, block: bool = False) -> n
     if n > gen.capacity:
         raise CapacityError(f"2^{m} exceeds generator capacity {gen.capacity}")
     h = np.asarray(gen.generating_vector, dtype=np.int64)
-    k = np.arange(1, n // 2, 2) if block else np.arange(n // 2 + 1)
-    return np.multiply.outer(h, k.astype(np.int64, copy=False)) & (n - 1)
+    cols = n // 4 if block else n // 2 + 1
+    j = np.arange(lo, cols if hi is None else hi, dtype=np.int64)
+    k = 2 * j + 1 if block else j
+    return np.multiply.outer(h, k) & (n - 1)
 
 
 def default_lattice_vector(d: int) -> tuple[int, ...]:

@@ -33,7 +33,9 @@ def norm_ppf(p):
 @dataclass(frozen=True)
 class IntegrandProblem:
     name: str
-    evaluator: object            # vectorized callable, (n, d) -> (n,)
+    # vectorized callable, (n, d) -> (n,); the doubling loop calls it on
+    # row chunks of each block, so it must map each row on its own
+    evaluator: object
     d: int
     reference_value: float | None
     reference_provenance: str

@@ -85,6 +85,7 @@ def fbt_lattice_even(half: np.ndarray, n: int, prev: np.ndarray | None = None) -
     by decimation (Britanak, Yip and Rao, Discrete Cosine and Sine
     Transforms, 2007): with E = prev and O the DCT-II of the odd entries,
     X_k = E_k + O_k and X_{n/2-k} = E_k - O_k for k < n/4, X_{n/4} = E_{n/4}.
+    Given prev, the DCT-II overwrites half, which saves its output buffer.
     """
     half = np.asarray(half, dtype=np.float64)
     _check_pow2(n)
@@ -93,7 +94,7 @@ def fbt_lattice_even(half: np.ndarray, n: int, prev: np.ndarray | None = None) -
         if n < 4 or half.shape[-1] != q or prev.shape != half.shape[:-1] + (q + 1,):
             raise ValueError(f"odd entries of shape {half.shape} and a spectrum of shape "
                              f"{prev.shape} do not make a half column at n = {n}")
-        odd = dct(half, type=2, axis=-1)
+        odd = dct(half, type=2, axis=-1, overwrite_x=True)
         out = np.empty(prev.shape[:-1] + (2 * q + 1,))
         np.add(prev[..., :q], odd, out=out[..., :q])
         out[..., q] = prev[..., q]

@@ -3,7 +3,7 @@
 Each is the direct, slow form of something the package computes fast: kernel
 values at single lag points, their shape-parameter derivatives, the base-2
 digit arithmetic of the Walsh kernels, the radical inverse and the bit
-reversal, identity Sobol' generator matrices, the Matern kernel at a pair of
+reversal, lattice points one whole column at a time, identity Sobol' generator matrices, the Matern kernel at a pair of
 points, the dense lattice and Walsh-Hadamard transforms, and the whole
 lattice spectra (even Gram, conjugate-symmetric data) that the package keeps
 as their halves; and the dense posterior in 80-bit floats.
@@ -46,6 +46,21 @@ def bit_reverse(k, m: int) -> np.ndarray | int:
         out = (out << np.uint64(1)) | (v & np.uint64(1))
         v = v >> np.uint64(1)
     return int(out[0]) if scalar else out
+
+
+def lattice_points_by_column(gen, start: int, stop: int) -> np.ndarray:
+    """Lattice points (h_l brev(i) mod 1 on the 2^max_log2_n grid + shift_l)
+    mod 1, one whole column at a time, in nodes.lattice_points' operations."""
+    m = max((stop - 1).bit_length(), 1)
+    grid = bit_reverse(np.arange(start, stop), m) << np.uint64(gen.max_log2_n - m)
+    pts = np.empty((stop - start, gen.d))
+    for ell, h in enumerate(gen.generating_vector):
+        frac = ((np.uint64(h) * grid) & np.uint64(gen.capacity - 1)).astype(np.float64)
+        frac *= 1.0 / gen.capacity
+        frac += gen.shift[ell]
+        frac -= (frac >= 1.0)
+        pts[:, ell] = frac
+    return pts
 
 
 def identity_direction_numbers(d: int) -> np.ndarray:

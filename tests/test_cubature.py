@@ -106,6 +106,31 @@ class TestFastLoop:
             with pytest.raises(IntegrandError, match="node index 3"):
                 loop(f, 1, cfg)
 
+    @pytest.mark.parametrize("wrong,shape", [(lambda x: 1.0, r"\(\)"),
+                                             (lambda x: x[:, :1], r"\(\d+, 1\)")])
+    def test_wrong_shape_integrand_names_the_shape(self, wrong, shape):
+        # a scalar would broadcast into the block, an (n, 1) column would not fit
+        for loop, cfg in both_loops(epsilon=1e-2, n0=64, seed=0):
+            with pytest.raises(IntegrandError, match=f"shape {shape}"):
+                loop(wrong, 2, cfg)
+
+    def test_records_do_not_depend_on_the_block_size(self, monkeypatch):
+        # integrand chunks, lattice point rows and base columns all follow
+        # nodes._BLOCK_BYTES; the option maps each row on its own
+        prob = problems.asian_option_problem()
+        cfg = CubatureConfig(epsilon=1e-9, n0=2**8, n_max=2**15, periodizer="baker",
+                             kernel="bernoulli", order=1, seed=3)
+
+        def run():
+            res = integrate_fast(prob.evaluator, prob.d, cfg)
+            return res.mu_hat, res.n_used, [replace(it, seconds=0.0) for it in res.iterations]
+
+        blocked = run()
+        assert nodes.block_rows(prob.d) < 2**14  # the last doubling is chunked
+        for size in (1 << 40, 1 << 12):  # one block per doubling; 32-row blocks
+            monkeypatch.setattr(nodes, "_BLOCK_BYTES", size)
+            assert run() == blocked
+
     def test_huge_epsilon_stops_at_n0(self):
         f = lambda x: np.exp(x.sum(axis=1))
         res = integrate_fast(f, 2, CubatureConfig(epsilon=1e99, n0=64, seed=0))

@@ -640,6 +640,28 @@ class TestHyperparameterSearch:
         assert tuple(res.t) == res.payload == min(accepted, key=bowl) != (0.0, 0.0)
         assert res.evaluations == len(seen) == len(set(seen))
 
+    def test_gradient_search_backtracks_from_a_rejected_trial_point(self):
+        # the first trial step from (0, 0) lands where the objective is
+        # rejected; the search must step back, not end at the start
+        seen = []
+        c = np.array([3.0, 2.0])
+
+        def bowl(t):
+            return float(((np.asarray(t) - c) ** 2).sum())
+
+        def obj(t):
+            seen.append(tuple(t))
+            if t[0] > 1.0 and t[1] > 1.0:
+                raise NonPositiveDefiniteError("both past 1")
+            return bowl(t), None
+
+        res = search_hyperparameters(obj, np.zeros(2), budget=100,
+                                     gradient_fn=lambda t: 2 * (t - c), bounds=LOG_ETA_BOUNDS)
+        assert min(seen[1]) > 1.0  # the first trial point is rejected
+        assert not (res.t > 1.0).all()
+        assert bowl(res.t) < bowl((0.0, 0.0)) / 3
+        assert res.evaluations == len(seen) == len(set(seen))
+
     def test_nonfinite_at_init_raises(self):
         def bad(t):
             return np.inf, None

@@ -378,6 +378,20 @@ class TestColumnBases:
         with pytest.raises(TypeError):
             kernels.column_bases(spec, object(), 3)
 
+    @pytest.mark.parametrize("block", [False, True])
+    @pytest.mark.parametrize("family,order", [("bernoulli", 1), ("bernoulli", 2),
+                                              ("exp_decay", 0.4)])
+    def test_lattice_column_blocks_match_the_whole_column(self, family, order, block):
+        d, m = 13, 16
+        gen = nodes.make_lattice(d, seed=4)
+        spec = KernelSpec(family, order, np.ones(d))
+        out = kernels.lattice_column_bases(spec, gen, m, block=block)
+        assert out.shape[1] > nodes.block_rows(d)  # more than one column block
+        n = 2**m
+        k = np.arange(1, n // 2, 2) if block else np.arange(n // 2 + 1)
+        lags = (np.multiply.outer(gen.generating_vector, k) & (n - 1)).astype(np.float64) / n
+        assert np.array_equal(out, kernels._dim_bases_from_lags(spec, lags))
+
 
 class TestRingBlocking:
     @pytest.mark.parametrize("n", [2**12, 2**13, 2**13 + 5, 2**14, 2**15 + 1, 2**17 + 1, 2**20])

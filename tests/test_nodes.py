@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from bayescub import nodes
 from oracles import (bit_reverse, digit_subtract, identity_direction_numbers,
-                     van_der_corput)
+                     lattice_points_by_column, van_der_corput)
 
 
 def brute_bit_reversal(i: int, bits: int) -> float:
@@ -121,6 +121,14 @@ class TestLattice:
     def test_coordinates_in_unit_interval(self, seed, d, m):
         pts = nodes.make_lattice(d, seed=seed).points(0, 1 << m).points
         assert (pts >= 0.0).all() and (pts < 1.0).all()
+
+    @pytest.mark.parametrize("start,stop", [(0, 2**15), (2**15, 2**16)])
+    @pytest.mark.parametrize("d", [3, 13])
+    def test_row_blocks_match_the_column_formula(self, start, stop, d):
+        assert stop - start > nodes.block_rows(d)  # more than one row block
+        gen = nodes.make_lattice(d, seed=d + start)
+        pts = gen.points(start, stop).points
+        assert np.array_equal(pts, lattice_points_by_column(gen, start, stop))
 
     def test_concurrent_generation_is_pure(self):
         # generators are immutable; concurrent block generation must agree
