@@ -5,6 +5,9 @@ All data fields are deterministic for a given seed; timings are reported but
 excluded from the determinism contract.  Sweep rows are ordered by
 (eps, seed).  CSV columns, in order:
 eps, seed, n, err, abs_error, abs_error_over_eps, seconds, success.
+A sweep call that raises is a failed row: success false, its numeric fields
+null in JSON and empty in CSV, and in JSON an "error" naming the exception's
+class and message; the sweep writes every row and then exits 1.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .cubature import CubatureConfig, integrate_dense, integrate_fast
 from .inference import CRITERIA
 from .transforms import DENSE_MAX_N
 
-SWEEP_SCHEMA = "bayescub.sweep.v1"
+SWEEP_SCHEMA = "bayescub.sweep.v2"
 CSV_COLUMNS = ("eps", "seed", "n", "err", "abs_error", "abs_error_over_eps",
                "seconds", "success")
 
@@ -97,12 +100,20 @@ def _sweep_rows(args, problem, eps_values, seeds):
     periodizer = _resolve_periodizer(args, problem)
     rows = []
     for eps, seed in sorted(zip(eps_values, seeds)):
-        config = _make_config(args, float(eps), int(seed), periodizer)
-        result = _run_once(problem, config)
+        eps, seed = float(eps), int(seed)
+        config = _make_config(args, eps, seed, periodizer)
+        try:
+            result = _run_once(problem, config)
+        except (ValueError, ArithmeticError) as exc:  # the families main reports
+            error = f"{type(exc).__name__}: {exc}"
+            print(f"error: eps {eps:.6g} seed {seed}: {error}", file=sys.stderr)
+            rows.append({"eps": eps, "seed": seed, **dict.fromkeys(CSV_COLUMNS[2:-1]),
+                         "success": False, "error": error})
+            continue
         abs_err = (abs(result.mu_hat - problem.reference_value)
                    if problem.reference_value is not None else float("nan"))
         rows.append({
-            "eps": float(eps), "seed": int(seed), "n": result.n_used,
+            "eps": eps, "seed": seed, "n": result.n_used,
             "err": result.err, "abs_error": abs_err,
             "abs_error_over_eps": abs_err / eps,
             "seconds": float(f"{result.seconds:.3g}"),
@@ -168,15 +179,18 @@ def cmd_sweep(args, parser: argparse.ArgumentParser) -> int:
     eps_values = draw_tolerances(args.eps_lo, args.eps_hi, count, args.seed)
     seeds = args.seeds if args.seeds else [args.seed + 1 + i for i in range(count)]
     rows = _sweep_rows(args, problem, eps_values, seeds)
+    completed = [r for r in rows if "error" not in r]
     summary = {
         "success_rate": float(np.mean([r["success"] for r in rows])),
-        "median_seconds": float(np.median([r["seconds"] for r in rows])),
-        "median_n": float(np.median([r["n"] for r in rows])),
+        "median_seconds": (float(np.median([r["seconds"] for r in completed]))
+                           if completed else None),
+        "median_n": float(np.median([r["n"] for r in completed])) if completed else None,
         "count": len(rows),
+        "failed": len(rows) - len(completed),
     }
     if args.format == "csv":
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS)
+        writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, extrasaction="ignore")
         writer.writeheader()
         writer.writerows(rows)
         text = buf.getvalue()
@@ -189,7 +203,7 @@ def cmd_sweep(args, parser: argparse.ArgumentParser) -> int:
         print(json.dumps(summary, indent=2))
     else:
         print(text, end="")
-    return 0
+    return 1 if summary["failed"] else 0
 
 
 def cmd_selftest(args) -> int:

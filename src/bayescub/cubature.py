@@ -28,10 +28,10 @@ and builds the ring column and its transform on every evaluation; L-BFGS-B
 searches it with the analytic gradient, which reuses the latest evaluation's
 ring column and data and transforms the d columns of the eta Jacobian.  A
 searched order builds its bases per evaluation too, and Nelder-Mead searches
-it without a gradient.  Every search stays in the box [log 1e-8, log 1e8],
-which also keeps a searched order one its kernel accepts, within
-_BUDGET_FIRST distinct evaluations at the first doubling and _BUDGET_LATER at
-each later one.
+it without a gradient.  Every search stays in inference.SEARCH_BOX,
+[log 1e-8, log 1e8] in each coordinate, which also keeps a searched order
+one its kernel accepts, within _BUDGET_FIRST distinct evaluations at the
+first doubling and _BUDGET_LATER at each later one.
 
 The dense fit factors the Matern Gram, built one (n, n) factor per dimension
 over blocks of rows, once per theta of a fixed grid and keeps the posterior
@@ -52,7 +52,8 @@ from . import kernels, problems
 from .inference import (EB, CRITERIA, DegenerateDataError, NonFiniteStartError,
                         coefficient_spectra, column_spectrum, credible_width,
                         data_weights, dense_posterior, objective, objective_gradient,
-                        polynomial_spectrum, search_hyperparameters, transformed_data)
+                        polynomial_spectrum, SEARCH_BOX, search_hyperparameters,
+                        transformed_data)
 from .nodes import CapacityError, block_rows, make_lattice, make_sobol
 from .transforms import DENSE_MAX_N, fbt, fbt_double
 
@@ -162,7 +163,7 @@ _ORDER_MAPS = {
     "truncated_series": (lambda t: 1.0 + np.exp(t), lambda r: np.log(r - 1.0)),
     "exp_decay": (lambda t: 1.0 / (1.0 + np.exp(t)), lambda q: np.log(1.0 / q - 1.0)),
 }
-_LOG_ETA_MIN, _LOG_ETA_MAX = np.log(kernels.ETA_MIN), np.log(kernels.ETA_MAX)
+_LOG_ETA_MIN, _LOG_ETA_MAX = SEARCH_BOX
 
 
 def _eta_from_log(t: np.ndarray) -> np.ndarray:
@@ -270,12 +271,7 @@ def integrate_fast(f, d: int, config: CubatureConfig) -> CubatureResult:
     if search_order:
         start = np.r_[_ORDER_MAPS[spec0.family][1](spec0.order), start]
     warm, budget, spectrum, powers = start, _BUDGET_FIRST, None, None
-    # shared eta on the lattice: the bases, as _ring_from_blocks reads them,
-    # copied back to back into one buffer allocated once; kept as the arrays
-    # built, they split the heap between the integrand's large temporaries,
-    # which raised peak RSS on the d = 13 option by about 7 MB
-    arena = np.empty(d * (config.n_max // 2 + 1)) if poly and kind == "lattice" else None
-    blocks = []
+    blocks = []  # shared eta on the lattice: the bases _ring_from_blocks reads
 
     def fit(n, block, yb, y_all):
         nonlocal warm, budget, spectrum, powers
@@ -287,12 +283,10 @@ def integrate_fast(f, d: int, config: CubatureConfig) -> CubatureResult:
         bases = None
         if poly:
             powers, built = coefficient_spectra(spec0, gen, kind, m, powers)
-            if arena is not None:  # built: the whole half column or its odd block
+            if kind == "lattice":  # built: the whole half column or its odd block
                 if built.shape[-1] == n // 2 + 1:
                     blocks.clear()
-                used = sum(b.size for b in blocks)
-                blocks.append(arena[used:used + built.size].reshape(built.shape))
-                blocks[-1][...] = built
+                blocks.append(built)
         elif not search_order:
             bases = kernels.column_bases(spec0, gen, m)
 
@@ -325,9 +319,7 @@ def integrate_fast(f, d: int, config: CubatureConfig) -> CubatureResult:
             return objective_gradient(last["data"], config.criterion,
                                       column_spectrum(jac, kind, n)) * eta
 
-        search = dict(budget=budget,
-                      gradient_fn=gradient if bases is not None else None,
-                      bounds=(_LOG_ETA_MIN, _LOG_ETA_MAX))
+        search = dict(budget=budget, gradient_fn=gradient if bases is not None else None)
         reseeded = False
         try:
             res = search_hyperparameters(obj, warm, **search)

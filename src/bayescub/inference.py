@@ -32,13 +32,13 @@ itself on every evaluation.  A lattice spectrum is even
 conjugate of y~_k), stays its half k = 0..n/2 up to the width: data_weights
 pairs the data once per sample size, TransformedData the eigenvalue sums.
 
-search_hyperparameters minimizes over a plain float vector; cubature maps it
-to a kernel and passes the eta bounds and the budget.  The method follows
-from what the caller gives: one coordinate (shared eta) runs a bracketed
-Brent line search, two or more with a gradient (per-dimension eta at a fixed
-order) L-BFGS-B, two or more without one (a searched order, which has no
-derivative) Nelder-Mead.  All three stay inside the bounds and share one
-memo of values and one cap on distinct evaluations.
+search_hyperparameters minimizes over a plain float vector in the log-eta
+box SEARCH_BOX; cubature maps it to a kernel and passes the budget.  The
+method follows from what the caller gives: one coordinate (shared eta) runs a
+bracketed Brent line search, two or more with a gradient (per-dimension eta
+at a fixed order) L-BFGS-B, two or more without one (a searched order, which
+has no derivative) Nelder-Mead.  All three stay inside the box and share one
+memo of values, whose size is the evaluation count the budget caps.
 """
 
 from __future__ import annotations
@@ -333,6 +333,7 @@ def _posterior(y: np.ndarray, c: np.ndarray, c0: float, kind: str, solve,
 
 XATOL, FATOL = 1e-4, 1e-7  # search tolerances in t and in the value
 STEP = 0.5  # first step of the line search and Nelder-Mead's initial simplex
+SEARCH_BOX = (np.log(kernels.ETA_MIN), np.log(kernels.ETA_MAX))  # every coordinate's box
 
 
 @dataclass
@@ -344,10 +345,9 @@ class SearchResult:
 
 
 def search_hyperparameters(objective_fn, t0: np.ndarray, budget: int = 100,
-                           gradient_fn=None,
-                           bounds: tuple[float, float] = (-np.inf, np.inf)) -> SearchResult:
+                           gradient_fn=None) -> SearchResult:
     """Minimize objective_fn over a float vector from t0 in the box
-    [bounds]^p; returns the best point seen within budget evaluations, and
+    SEARCH_BOX^p; returns the best point seen within budget evaluations, and
     whether the budget ran out before the method's own stop (capped).
     What the coordinates mean is the caller's business.
 
@@ -362,31 +362,27 @@ def search_hyperparameters(objective_fn, t0: np.ndarray, budget: int = 100,
     raises NonFiniteStartError.
     """
     p = t0.shape[0]
-    t0 = np.clip(t0, *bounds)
-    best = {"val": np.inf, "t": t0.copy(), "payload": None, "count": 0}
-
-    def wrapped(t):
-        best["count"] += 1
-        try:
-            val, payload = objective_fn(t)
-        except (NonPositiveDefiniteError, FloatingPointError):
-            return np.inf
-        if np.isfinite(val) and val < best["val"]:
-            best.update(val=val, t=np.asarray(t, dtype=np.float64).copy(), payload=payload)
-        return val if np.isfinite(val) else np.inf
-
-    v0 = wrapped(t0)
-    if not np.isfinite(v0):
-        raise NonFiniteStartError("objective not finite at the initial hyperparameters")
-    memo = {tuple(t0): v0}
+    t0 = np.clip(t0, *SEARCH_BOX)
+    best = {"val": np.inf, "t": t0.copy(), "payload": None}
+    memo = {}  # value by exact t; its size counts the evaluations
 
     def value(t):
         key = tuple(t)
         if key not in memo:
-            if len(memo) >= budget:
+            if memo and len(memo) >= budget:  # the start is always evaluated
                 raise _BudgetSpent
-            memo[key] = wrapped(np.array(key))
+            try:
+                val, payload = objective_fn(np.array(key))
+            except (NonPositiveDefiniteError, FloatingPointError):
+                val = np.inf
+            if np.isfinite(val) and val < best["val"]:
+                best.update(val=val, t=np.array(key), payload=payload)
+            memo[key] = val if np.isfinite(val) else np.inf
         return memo[key]
+
+    v0 = value(t0)
+    if not np.isfinite(v0):
+        raise NonFiniteStartError("objective not finite at the initial hyperparameters")
 
     def gradient(t):
         g = gradient_fn(t) if np.isfinite(value(t)) else np.zeros(p)
@@ -395,7 +391,7 @@ def search_hyperparameters(objective_fn, t0: np.ndarray, budget: int = 100,
     capped = False
     try:
         if p == 1:
-            _line_search(lambda u: value((u,)), float(t0[0]), v0, STEP, *bounds)
+            _line_search(lambda u: value((u,)), float(t0[0]), v0, STEP, *SEARCH_BOX)
         elif gradient_fn is not None:
             # scipy's line search ends the whole search at an infinite value;
             # at a finite one above the start's, with zero gradient, it
@@ -406,14 +402,14 @@ def search_hyperparameters(objective_fn, t0: np.ndarray, budget: int = 100,
                 v = value(t)
                 return wall if v == np.inf else v
 
-            minimize(walled, t0, jac=gradient, method="L-BFGS-B", bounds=[bounds] * p)
+            minimize(walled, t0, jac=gradient, method="L-BFGS-B", bounds=[SEARCH_BOX] * p)
         else:
-            minimize(value, t0, method="Nelder-Mead", bounds=[bounds] * p,
+            minimize(value, t0, method="Nelder-Mead", bounds=[SEARCH_BOX] * p,
                      options={"xatol": XATOL, "fatol": FATOL,
                               "initial_simplex": _initial_simplex(t0, STEP)})
     except _BudgetSpent:
         capped = True
-    return SearchResult(t=best["t"], evaluations=best["count"], payload=best["payload"],
+    return SearchResult(t=best["t"], evaluations=len(memo), payload=best["payload"],
                         capped=capped)
 
 

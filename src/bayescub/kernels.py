@@ -134,41 +134,33 @@ def _dim_bases_from_lags(spec: KernelSpec, lag: np.ndarray) -> np.ndarray:
     raise ValueError(f"{spec.family} has no pointwise lag form")
 
 
-# most columns per block of the in-place ring: the block's ring and its two
+# columns per block of the in-place ring: the block's ring and its two
 # buffers (3 x 256 KB) stay in a 2 MB L2 cache while each dimension's bases
 # stream through once; fewer, longer blocks spend less on per-call overhead
 _RING_BLOCK = 1 << 15
-# most columns per block of elementary_symmetric: its d rows (d x 64 KB at
+# columns per block of elementary_symmetric: its d rows (d x 64 KB at
 # d = 13) stay in L2 through all d^2/2 updates
 _SYMMETRIC_BLOCK = 1 << 13
-
-
-def _column_blocks(cols: int, most: int) -> tuple[list[tuple[int, int]], int]:
-    """Bounds (lo, hi) of near-equal blocks of at most `most` columns, and
-    the longest block's length."""
-    blocks = -(-cols // most)
-    step = -(-cols // blocks)
-    return [(lo, min(lo + step, cols)) for lo in range(0, cols, step)], step
 
 
 def ring_from_bases(eta: np.ndarray, bases: np.ndarray) -> np.ndarray:
     """C - 1 over the first axis of (d, ...) bases via the product iteration.
 
     R <- R * (1 + c_l) + c_l with c_l = eta_l * bases[l], in place over
-    column blocks of near-equal length; the operations and their order are
-    those of the plain iteration, so only the memory traffic changes.
+    blocks of _RING_BLOCK columns; the operations and their order are those
+    of the plain iteration, so only the memory traffic changes.
     """
     eta = np.asarray(eta, dtype=np.float64)
     d = bases.shape[0]
     flat = bases.reshape(d, -1)
     out = np.empty(flat.shape[1])
-    spans, step = _column_blocks(flat.shape[1], _RING_BLOCK)
-    c = np.empty(step)
-    factor = np.empty(step)
-    for lo, hi in spans:
+    c = np.empty(min(out.size, _RING_BLOCK))
+    factor = np.empty(c.shape)
+    for lo in range(0, out.size, _RING_BLOCK):  # the last block may be short
+        hi = lo + _RING_BLOCK
         ring = out[lo:hi]
-        cb = c[: hi - lo]
-        fb = factor[: hi - lo]
+        cb = c[:len(ring)]
+        fb = factor[:len(ring)]
         np.multiply(eta[0], flat[0, lo:hi], out=ring)
         for ell in range(1, d):
             np.multiply(eta[ell], flat[ell, lo:hi], out=cb)
@@ -184,17 +176,17 @@ def elementary_symmetric(bases: np.ndarray) -> np.ndarray:
     They are the ring column's coefficients in one shared eta:
     prod_l (1 + eta c_l) - 1 = sum_{j=1..d} eta^j e_j.  Built in place one
     dimension at a time by e_j += c_l e_{j-1} with j descending, so every
-    update reads the previous dimension's e_{j-1}; over column blocks, which
-    changes only the memory traffic.
+    update reads the previous dimension's e_{j-1}; over blocks of
+    _SYMMETRIC_BLOCK columns, which changes only the memory traffic.
     """
     d = bases.shape[0]
     flat = bases.reshape(d, -1)
     out = np.empty(flat.shape)
-    spans, step = _column_blocks(flat.shape[1], _SYMMETRIC_BLOCK)
-    tmp = np.empty(step)
-    for lo, hi in spans:
+    tmp = np.empty(min(flat.shape[1], _SYMMETRIC_BLOCK))
+    for lo in range(0, flat.shape[1], _SYMMETRIC_BLOCK):
+        hi = lo + _SYMMETRIC_BLOCK
         e = out[:, lo:hi]
-        t = tmp[: hi - lo]
+        t = tmp[:e.shape[1]]
         e[0] = flat[0, lo:hi]
         for ell in range(1, d):
             c = flat[ell, lo:hi]
@@ -220,16 +212,16 @@ def lattice_column_bases(spec: KernelSpec, gen: LatticeGenerator, m: int,
     distinct Gram eigenvalues, entries 0..n/2 of the even spectrum.  Outside
     truncated_series, whose grid table changes with n, entry 2i is entry i of
     the half column at n/2 bit for bit, so the block is all a doubling adds.
-    The other families are built over column blocks of block_rows(d)
-    columns, each entry by the same operations, so only the memory traffic
-    changes.
+    The other families are built over blocks of block_rows(d) columns, each
+    entry by the same operations, so only the memory traffic changes.
     """
     n = 1 << m
     if spec.family == "truncated_series":
         return truncated_series_table(spec.order, n)[lattice_lag_indices(gen, m, block)]
     out = np.empty((gen.d, n // 4 if block else n // 2 + 1))
-    spans, _ = _column_blocks(out.shape[1], block_rows(gen.d))
-    for lo, hi in spans:
+    cols, step = out.shape[1], block_rows(gen.d)
+    for lo in range(0, cols, step):
+        hi = min(lo + step, cols)
         idx = lattice_lag_indices(gen, m, block, lo, hi)
         out[:, lo:hi] = _dim_bases_from_lags(spec, idx.astype(np.float64) / n)
     return out

@@ -30,7 +30,10 @@ from .nodes import _brev_table
 # largest n of any dense n x n matrix, and of the O(n^3) dense loop
 DENSE_MAX_N = 4096
 
-# below 2^16 points a single gather stays in cache and is the faster order
+# below 2^16 points a single gather stays in cache and is the faster order.
+# Above it, two levels hold up on a busy host: in full test-suite runs on a
+# 2-vCPU host, criterion 3's 2^20 / 2^16 lattice time ratio (gate 40x) read
+# 50x and 52x with one gather, 22x and 26x with two (19-25x either way alone)
 _TWO_LEVEL_MIN_M = 16
 
 

@@ -1,6 +1,7 @@
 """Command-line harness: exit codes, record schemas, determinism of sweep
 rows, and the selftest including fault injection."""
 
+import csv
 import json
 import os
 import shutil
@@ -148,6 +149,53 @@ class TestSweep:
         assert code == 0
         header = out_file.read_text().splitlines()[0]
         assert header == ",".join(cli.CSV_COLUMNS)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_a_raising_call_is_a_failed_row(self, capsys, monkeypatch, tmp_path, fmt):
+        # the seed-2 integrand turns non-finite at node 7, so that call raises
+        # IntegrandError; the other two rows are still written
+        real = cli._run_once
+
+        def run_once(problem, config):
+            if config.seed == 2:
+                f = problem.evaluator
+
+                def bad(x):
+                    y = f(x)
+                    y[7:8] = np.nan
+                    return y
+
+                problem = replace(problem, evaluator=bad)
+            return real(problem, config)
+
+        monkeypatch.setattr(cli, "_run_once", run_once)
+        out_file = tmp_path / f"rows.{fmt}"
+        code, out, err = run_main(
+            ["sweep", "--problem", "fresnel", "--eps-lo", "1e-2", "--eps-hi", "1e-2",
+             "--seeds", "1", "2", "3", "--format", fmt, "--out", str(out_file)], capsys)
+        error = "IntegrandError: integrand returned a non-finite value at node index 7"
+        assert code == 1
+        assert err.splitlines() == [f"error: eps 0.01 seed 2: {error}"]
+        summary = json.loads(out)
+        assert (summary["count"], summary["failed"]) == (3, 1)
+        if fmt == "csv":
+            header, *rows = csv.reader(out_file.read_text().splitlines())
+            assert header == list(cli.CSV_COLUMNS)
+            assert [r[1] for r in rows] == ["1", "2", "3"]
+            assert rows[1][2:] == ["", "", "", "", "", "False"]
+            assert all(r[2:] != rows[1][2:] and r[-1] == "True" for r in (rows[0], rows[2]))
+            return
+        doc = json.loads(out_file.read_text())
+        assert doc["schema"] == cli.SWEEP_SCHEMA == "bayescub.sweep.v2"
+        rows = doc["rows"]
+        assert [r["seed"] for r in rows] == [1, 2, 3]
+        assert {k: v for k, v in rows[1].items() if k != "eps"} == {
+            "seed": 2, "n": None, "err": None, "abs_error": None,
+            "abs_error_over_eps": None, "seconds": None, "success": False, "error": error}
+        done = (rows[0], rows[2])
+        assert all(r["success"] and "error" not in r for r in done)
+        assert summary["median_n"] == np.median([r["n"] for r in done])
+        assert summary["success_rate"] == 2 / 3
 
     def test_single_run_matches_integrate(self, capsys):
         args = ["sweep", "--problem", "fresnel", "--eps-lo", "1e-2",

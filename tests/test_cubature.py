@@ -524,6 +524,33 @@ class TestEigenvalueRouting:
         assert k == 5 and self.evaluations(res) > 20
         assert calls["n"] == (k * (k + 1) // 2 if family == "lattice" else 0)
 
+    @pytest.mark.parametrize("kernel", ["bernoulli", "truncated_series"])
+    def test_lattice_width_reads_the_base_blocks_as_built(self, monkeypatch, kernel):
+        # the width's ring reads the arrays coefficient_spectra returned, not
+        # copies: every one since the last whole half column, which
+        # truncated_series rebuilds at every doubling
+        built, read = [], []
+        real_spectra, real_ring = cubature.coefficient_spectra, cubature._ring_from_blocks
+
+        def spectra(*args):
+            out = real_spectra(*args)
+            built.append(out[1])
+            return out
+
+        def ring(eta, blocks, n):
+            read.append(list(blocks))
+            return real_ring(eta, blocks, n)
+
+        monkeypatch.setattr(cubature, "coefficient_spectra", spectra)
+        monkeypatch.setattr(cubature, "_ring_from_blocks", ring)
+        cfg = CubatureConfig(epsilon=1e-9, n0=128, n_max=2**11, seed=5, kernel=kernel)
+        res = integrate_fast(self.f, 3, cfg)
+        assert len(res.iterations) == len(read) == len(built) == 5
+        for k, blocks in enumerate(read):
+            first = 0 if kernel == "bernoulli" else k
+            assert len(blocks) == k + 1 - first
+            assert all(b is a for b, a in zip(blocks, built[first:k + 1]))
+
     @pytest.mark.parametrize("family", ["lattice", "sobol"])
     def test_per_dimension_eta_builds_it_per_evaluation(self, monkeypatch, family):
         calls = self.counting_ring(monkeypatch)

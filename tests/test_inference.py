@@ -570,8 +570,7 @@ class TestHyperparameterSearch:
     def test_gradient_search_evaluates_the_start_once(self):
         seen = []
         obj, grad = self.bowl(seen)
-        res = search_hyperparameters(obj, np.zeros(2), budget=100, gradient_fn=grad,
-                                     bounds=LOG_ETA_BOUNDS)
+        res = search_hyperparameters(obj, np.zeros(2), budget=100, gradient_fn=grad)
         assert seen[0] == (0.0, 0.0) and seen.count((0.0, 0.0)) == 1
         assert res.evaluations == len(seen) == len(set(seen)) < 30
         assert np.abs(res.t - [1.5, -2.0]).max() < 1e-4
@@ -592,8 +591,7 @@ class TestHyperparameterSearch:
         for budget in (1, 2, 3, 5, 8, 20):
             seen.clear()
             res = search_hyperparameters(obj, np.array([-1.2, 1.0]), budget=budget,
-                                         gradient_fn=grad if with_gradient else None,
-                                         bounds=LOG_ETA_BOUNDS)
+                                         gradient_fn=grad if with_gradient else None)
             assert res.evaluations == len(seen) == len(set(seen)) <= budget
         assert res.evaluations == 20
 
@@ -603,7 +601,7 @@ class TestHyperparameterSearch:
         seen = []
         obj, grad = self.bowl(seen, centre=(40.0, -40.0))
         res = search_hyperparameters(obj, np.array([30.0, 0.0]), budget=100,
-                                     gradient_fn=grad, bounds=LOG_ETA_BOUNDS)
+                                     gradient_fn=grad)
         assert seen[0] == (hi, 0.0)
         assert all(lo <= u <= hi for t in seen for u in t)
         assert res.t.tolist() == [hi, lo]
@@ -632,8 +630,7 @@ class TestHyperparameterSearch:
             asked.append(tuple(t))
             return 2 * scale * (t - c)
 
-        res = search_hyperparameters(obj, np.zeros(2), budget=50, gradient_fn=grad,
-                                     bounds=LOG_ETA_BOUNDS)
+        res = search_hyperparameters(obj, np.zeros(2), budget=50, gradient_fn=grad)
         rejected = {t for t in seen if t[0] > 2.0}
         accepted = [t for t in seen if t[0] <= 2.0]
         assert rejected and not rejected & set(asked)
@@ -656,7 +653,7 @@ class TestHyperparameterSearch:
             return bowl(t), None
 
         res = search_hyperparameters(obj, np.zeros(2), budget=100,
-                                     gradient_fn=lambda t: 2 * (t - c), bounds=LOG_ETA_BOUNDS)
+                                     gradient_fn=lambda t: 2 * (t - c))
         assert min(seen[1]) > 1.0  # the first trial point is rejected
         assert not (res.t > 1.0).all()
         assert bowl(res.t) < bowl((0.0, 0.0)) / 3
@@ -686,8 +683,7 @@ class TestHyperparameterSearch:
 
         assert obj([-4.0])[0] > obj([lo - 1.0])[0] > obj([-7.0])[0]
         seen.clear()
-        res = search_hyperparameters(obj, np.array([-4.0]), budget=20,
-                                     bounds=LOG_ETA_BOUNDS)
+        res = search_hyperparameters(obj, np.array([-4.0]), budget=20)
         assert abs(res.t[0] + 7.0) < 1e-2
         assert res.evaluations == len(seen) <= 20
         assert all(lo <= t <= hi for t in seen)
@@ -701,8 +697,7 @@ class TestHyperparameterSearch:
 
         for budget in (1, 2, 3, 5, 8):
             seen.clear()
-            res = search_hyperparameters(obj, np.array([0.3]), budget=budget,
-                                         bounds=LOG_ETA_BOUNDS)
+            res = search_hyperparameters(obj, np.array([0.3]), budget=budget)
             assert res.evaluations == len(seen) <= budget
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -713,8 +708,7 @@ class TestHyperparameterSearch:
             seen.append(float(t[0]))
             return float(-sign * t[0]), None
 
-        res = search_hyperparameters(obj, np.zeros(1), budget=100,
-                                     bounds=LOG_ETA_BOUNDS)
+        res = search_hyperparameters(obj, np.zeros(1), budget=100)
         assert res.t[0] == LOG_ETA_BOUNDS[sign > 0]
         assert all(LOG_ETA_BOUNDS[0] <= t <= LOG_ETA_BOUNDS[1] for t in seen)
 
@@ -725,8 +719,7 @@ class TestHyperparameterSearch:
             seen.append(float(t[0]))
             return float((t[0] - 2.0) ** 2), None
 
-        res = search_hyperparameters(obj, np.array([40.0]), budget=50,
-                                     bounds=LOG_ETA_BOUNDS)
+        res = search_hyperparameters(obj, np.array([40.0]), budget=50)
         assert seen[0] == LOG_ETA_BOUNDS[1]
         assert abs(res.t[0] - 2.0) < 1e-3
 
@@ -738,14 +731,13 @@ class TestHyperparameterSearch:
             seen.append(float(t[0]))
             return float(np.log1p((t[0] + 1.0) ** 2)), None
 
-        res = search_hyperparameters(obj, np.array([t0]), budget=100,
-                                     bounds=LOG_ETA_BOUNDS)
+        res = search_hyperparameters(obj, np.array([t0]), budget=100)
         assert len(set(seen)) == len(seen) == res.evaluations
         assert abs(res.t[0] + 1.0) < 1e-3
 
     def test_level_objective_ends_at_the_start(self):
         res = search_hyperparameters(lambda t: (1.0, None), np.array([0.5]),
-                                     budget=100, bounds=LOG_ETA_BOUNDS)
+                                     budget=100)
         assert res.t[0] == 0.5 and res.evaluations <= 4
 
     def test_keister_eta_is_local_min(self):
