@@ -23,7 +23,23 @@ at the chosen eta instead, scattered from the base blocks the doublings
 built and transformed once: the polynomial's smallest eigenvalues sit on its
 rounding floor, and its width on Fresnel at 2^16 read 8e-5 off a long-double
 reference where the ring's reads 2e-5.  On Sobol' nodes the polynomial is
-the more precise.  Per-dimension eta rebuilds the bases at each doubling
+the more precise.
+
+With a matched kernel the Gram matrix depends on the nodes only through
+their differences, x_i - x_j mod 1 on a shifted lattice and x_i XOR x_j on
+a digitally shifted net, so the random shift cancels and the coefficient
+spectra are the same for every seed (Jagadeeswaran and Hickernell, Stat.
+Comput. 29, 2019; Dick and Pillichshammer, Digital Nets and Sequences,
+2010).  The module holds them for one design, the latest: the generator's
+lag source (gen.lag_key: the lattice's generating vector and max_log2_n, or
+the Sobol' direction numbers with any scramble), the kernel family and
+order, and the start level log2 n0, since the lattice split rounds
+differently from a from-scratch build.  Each level keeps its spectra and,
+on the lattice, the base block _ring_from_blocks reads, read-only, while
+the design's arrays stay within _HELD_BYTES (64 MiB; the option's chain to
+2^18 at d = 13 holds about 41 MB).  A later call on the design reads each
+held level instead of building it, with the same bits; levels past the cap
+are built and not kept.  Per-dimension eta rebuilds the bases at each doubling
 and builds the ring column and its transform on every evaluation; L-BFGS-B
 searches it with the analytic gradient, which reuses the latest evaluation's
 ring column and data and transforms the d columns of the eta Jacobian.  A
@@ -197,6 +213,38 @@ def _ring_from_blocks(eta: np.ndarray, blocks: list[np.ndarray], n: int) -> np.n
     return ring
 
 
+# the latest design's held levels: {design: {m: (spectra, lattice base block
+# or None)}}, at most _HELD_BYTES of arrays
+_HELD_BYTES = 64 << 20
+_held: dict = {}
+
+
+def _design_spectra(design: tuple, spec0: kernels.KernelSpec, gen, kind: str, m: int,
+                    prev: np.ndarray | None) -> tuple[np.ndarray, np.ndarray | None]:
+    """coefficient_spectra(spec0, gen, kind, m, prev), built once per design.
+
+    prev is the spectra at level m - 1, held or built, so a held level and a
+    built one are the same bits.  A level is kept, read-only, while the
+    design's arrays stay within _HELD_BYTES; the base block is kept on the
+    lattice only, where _ring_from_blocks reads it.
+    """
+    levels = _held.get(design)
+    if levels is None:
+        _held.clear()
+        levels = _held[design] = {}
+    if m in levels:
+        return levels[m]
+    powers, built = coefficient_spectra(spec0, gen, kind, m, prev)
+    kept = (powers, built if kind == "lattice" else None)
+    size = sum(a.nbytes for level in (*levels.values(), kept) for a in level if a is not None)
+    if size <= _HELD_BYTES:
+        for a in kept:
+            if a is not None:
+                a.flags.writeable = False
+        levels[m] = kept
+    return powers, built
+
+
 def _check_finite(y: np.ndarray, start: int) -> None:
     bad = ~np.isfinite(y)
     if bad.any():
@@ -218,9 +266,10 @@ def _is_degenerate(y: np.ndarray) -> bool:
 
 def _doubling_loop(f, config: CubatureConfig, gen, start: dict, fit) -> CubatureResult:
     """Evaluate each new block of gen's nodes, fit, and double until the
-    width reaches epsilon or n_max is spent.  fit(n, block, yb, y_all) returns
-    the width, the estimate (None: the sample mean) and the IterationRecord
-    fields beyond n, err and seconds; start holds them for degenerate data."""
+    width reaches epsilon or n_max is spent.  The block is released before
+    the fit: fit(n, yb, y_all) returns the width, the estimate (None: the
+    sample mean) and the IterationRecord fields beyond n, err and seconds;
+    start holds them for degenerate data."""
     if config.n_max > gen.capacity:
         raise CapacityError(f"n_max {config.n_max} exceeds capacity {gen.capacity}")
     t_start = time.perf_counter()
@@ -232,16 +281,17 @@ def _doubling_loop(f, config: CubatureConfig, gen, start: dict, fit) -> Cubature
     n_prev, n = 0, config.n0
     while n <= config.n_max:
         it_start = time.perf_counter()
-        block = gen.points(n_prev, n)
+        block = gen.points(n_prev, n).points
         yb = y_buf[n_prev:n]
         for lo in range(0, n - n_prev, rows):  # chunks that stay in cache
-            _evaluate(f_eval, block.points[lo:lo + rows], yb[lo:lo + rows])
+            _evaluate(f_eval, block[lo:lo + rows], yb[lo:lo + rows])
+        del block  # the fit needs the values only
         _check_finite(yb, n_prev)
         y_all = y_buf[:n]
         if _is_degenerate(y_all):
             err, mu, fields = 0.0, None, start
         else:
-            err, mu, fields = fit(n, block, yb, y_all)
+            err, mu, fields = fit(n, yb, y_all)
         iterations.append(IterationRecord(n, err=float(err), **fields,
                                           seconds=time.perf_counter() - it_start))
         if err <= config.epsilon:
@@ -271,9 +321,10 @@ def integrate_fast(f, d: int, config: CubatureConfig) -> CubatureResult:
     if search_order:
         start = np.r_[_ORDER_MAPS[spec0.family][1](spec0.order), start]
     warm, budget, spectrum, powers = start, _BUDGET_FIRST, None, None
+    design = (gen.lag_key, spec0.family, spec0.order, config.n0.bit_length() - 1)
     blocks = []  # shared eta on the lattice: the bases _ring_from_blocks reads
 
-    def fit(n, block, yb, y_all):
+    def fit(n, yb, y_all):
         nonlocal warm, budget, spectrum, powers
         spectrum = fbt(yb, kind) if spectrum is None else fbt_double(spectrum, yb, kind)
         m = n.bit_length() - 1
@@ -282,7 +333,7 @@ def integrate_fast(f, d: int, config: CubatureConfig) -> CubatureResult:
         # bases; a searched order builds its bases per evaluation
         bases = None
         if poly:
-            powers, built = coefficient_spectra(spec0, gen, kind, m, powers)
+            powers, built = _design_spectra(design, spec0, gen, kind, m, powers)
             if kind == "lattice":  # built: the whole half column or its odd block
                 if built.shape[-1] == n // 2 + 1:
                     blocks.clear()
@@ -392,11 +443,10 @@ def integrate_dense(f, d: int, config: CubatureConfig) -> CubatureResult:
         raise ValueError("integrate_dense requires the matern_dense family")
     if config.n_max > DENSE_MAX_N:
         raise ValueError(f"dense path guarded to n_max <= {DENSE_MAX_N}")
-    blocks = []
+    gen = make_sobol(d, config.seed, scramble=True)
 
-    def fit(n, block, yb, y_all):
-        blocks.append(block.points)
-        pts = np.vstack(blocks)
+    def fit(n, yb, y_all):
+        pts = gen.points(0, n).points  # the doublings' blocks, stacked
 
         def posterior(theta, criterion):  # no Gram outlives its factorization
             return dense_posterior(y_all, _matern_gram(theta, pts),
@@ -412,5 +462,4 @@ def integrate_dense(f, d: int, config: CubatureConfig) -> CubatureResult:
         return post.err, post.mu_hat, dict(theta=(theta,), evaluations=len(
             _MATERN_THETAS) + (config.criterion != EB))
 
-    return _doubling_loop(f, config, make_sobol(d, config.seed, scramble=True),
-                          dict(theta=(float(_MATERN_THETAS[0]),)), fit)
+    return _doubling_loop(f, config, gen, dict(theta=(float(_MATERN_THETAS[0]),)), fit)

@@ -17,7 +17,6 @@ from functools import lru_cache
 import numpy as np
 
 DIGITS = 32  # binary digit places used for digital (XOR) arithmetic
-_SCALE = float(2**DIGITS)
 _DATA_DIR_ENV = "BAYESCUB_DATA_DIR"
 # bytes of each (rows, d) float64 array a blocked pass over a doubling's
 # nodes works in: a few such blocks stay in a 2 MB L2 cache, where a
@@ -107,6 +106,12 @@ class LatticeGenerator:
     @property
     def capacity(self) -> int:
         return 1 << self.max_log2_n
+
+    @property
+    def lag_key(self) -> tuple:
+        """What lattice_lag_indices reads: the generating vector and
+        max_log2_n.  The shift cancels in every lag x_i - x_j mod 1."""
+        return ("lattice", self.generating_vector, self.max_log2_n)
 
     def points(self, start: int, stop: int) -> NodeSet:
         return lattice_points(self, start, stop)
@@ -257,6 +262,12 @@ class SobolGenerator:
     def capacity(self) -> int:
         return 1 << DIGITS
 
+    @property
+    def lag_key(self) -> tuple:
+        """What sobol_lag_integers reads: the direction numbers, scrambled
+        or not.  The digital shift cancels in every lag x_i XOR x_j."""
+        return ("sobol", self.direction_numbers.tobytes())
+
     def points(self, start: int, stop: int) -> NodeSet:
         return sobol_points(self, start, stop)
 
@@ -294,11 +305,16 @@ def _net_integers(dn: np.ndarray, start: int, stop: int) -> np.ndarray:
 
 
 def sobol_points(gen: SobolGenerator, start: int, stop: int) -> NodeSet:
-    """Digitally shifted net points z_i xor shift mapped to [0,1) at 32 bits."""
+    """Digitally shifted net points z_i xor shift mapped to [0,1) at 32 bits.
+
+    The shift is XORed into the net integers in place, and they are scaled
+    into one float buffer; scaling by a power of 2 is exact.
+    """
     _check_range(start, stop, gen.capacity)
-    z = _net_integers(gen.direction_numbers, start, stop)
-    x = z ^ gen.digital_shift[None, :]
-    return NodeSet(points=x.astype(np.float64) / _SCALE, int_points=x)
+    x = _net_integers(gen.direction_numbers, start, stop)
+    x ^= gen.digital_shift
+    return NodeSet(points=np.multiply(x, 2.0**-DIGITS, out=np.empty(x.shape)),
+                   int_points=x)
 
 
 def sobol_lag_integers(gen: SobolGenerator, start: int, stop: int) -> np.ndarray:

@@ -1,5 +1,10 @@
 """Shared pytest plumbing: collect acceptance-criterion verdicts and print
-one pass/fail line per criterion at the end of the session."""
+one pass/fail line per criterion at the end of the session, and start every
+test with no design's kernel spectra held."""
+
+import pytest
+
+from bayescub import cubature
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -18,3 +23,10 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in sorted(ACCEPTANCE_LINES):
             terminalreporter.write_line(line)
+
+
+@pytest.fixture(autouse=True)
+def no_held_design():
+    """Empty the fast loop's held spectra, so a test that counts builds sees
+    them built whatever test ran before it on the same design."""
+    cubature._held.clear()

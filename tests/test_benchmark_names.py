@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bayescub import CubatureConfig, integrate_fast
+from bayescub import CubatureConfig, cubature, integrate_fast
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -70,6 +70,7 @@ def test_traced_run_matches_the_untraced_one(tracer, name):
     f = lambda x: np.exp(x.sum(axis=1))
     cfg = SEARCHES[name]
     plain = integrate_fast(f, 3, cfg)
+    cubature._held.clear()  # so the traced call builds its spectra too
     spans = tracer.Tracer()
     with spans.installed():
         traced = spans.call(0, integrate_fast, f, 3, cfg)

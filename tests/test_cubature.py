@@ -605,6 +605,96 @@ class TestEigenvalueRouting:
         assert built["cols"] == res.n_used == 2**11
 
 
+class TestHeldDesign:
+    """The shared-eta spectra of the latest design (lag source, kernel and
+    start level) are built once per process; the shift cancels in every lag."""
+
+    f = staticmethod(lambda x: np.exp(x.sum(axis=1)))
+
+    @staticmethod
+    def fields(res):
+        return (res.mu_hat, res.n_used, res.err,
+                [replace(it, seconds=0.0) for it in res.iterations])
+
+    @staticmethod
+    def counting_builds(monkeypatch):
+        calls = {"n": 0}
+        real = cubature.coefficient_spectra
+
+        def spectra(*args):
+            calls["n"] += 1
+            return real(*args)
+
+        monkeypatch.setattr(cubature, "coefficient_spectra", spectra)
+        return calls
+
+    def cold(self, d, cfg):
+        cubature._held.clear()
+        out = self.fields(integrate_fast(self.f, d, cfg))
+        cubature._held.clear()
+        return out
+
+    @pytest.mark.parametrize("family,kernel", [("lattice", "bernoulli"),
+                                               ("lattice", "truncated_series"),
+                                               ("sobol", "walsh1")])
+    def test_a_held_design_gives_the_cold_results(self, monkeypatch, family, kernel):
+        cfg = CubatureConfig(family=family, kernel=kernel, epsilon=1e-9, n0=128,
+                             n_max=2**11, seed=5)
+        other = replace(cfg, seed=6)
+        cold = [self.cold(3, c) for c in (cfg, other)]
+        builds = self.counting_builds(monkeypatch)
+        first = self.fields(integrate_fast(self.f, 3, cfg))
+        built = builds["n"]
+        second = self.fields(integrate_fast(self.f, 3, other))
+        assert [first, second] == cold and first != second
+        assert built == len(first[3]) == 5 and builds["n"] == built
+
+    @pytest.mark.parametrize("base,change,d", [
+        (dict(family="sobol", scramble=True), dict(seed=6), 3), ({}, dict(n0=256), 3),
+        ({}, dict(order=1.0), 3), ({}, dict(kernel="exp_decay"), 3), ({}, {}, 2)])
+    def test_no_other_design_shares_them(self, monkeypatch, base, change, d):
+        cfg = CubatureConfig(epsilon=1e-9, n0=128, n_max=2**11, seed=5, **base)
+        other = replace(cfg, **change)
+        cold = self.cold(d, other)
+        integrate_fast(self.f, 3, cfg)
+        builds = self.counting_builds(monkeypatch)
+        out = self.fields(integrate_fast(self.f, d, other))
+        assert out == cold and builds["n"] == len(out[3])
+
+    @pytest.mark.parametrize("family", ["lattice", "sobol"])
+    def test_held_arrays_are_read_only(self, family):
+        cfg = CubatureConfig(family=family, epsilon=1e-9, n0=128, n_max=2**10, seed=5)
+        integrate_fast(self.f, 3, cfg)
+        (levels,) = cubature._held.values()
+        assert sorted(levels) == [7, 8, 9, 10]
+        for powers, built in levels.values():
+            assert (built is None) == (family == "sobol")
+            for a in (powers,) if built is None else (powers, built):
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[0] = 0.0
+
+    @staticmethod
+    def held_bytes(levels):
+        return sum(a.nbytes for level in levels for a in level if a is not None)
+
+    @pytest.mark.parametrize("family", ["lattice", "sobol"])
+    def test_levels_past_the_cap_are_built_and_not_kept(self, monkeypatch, family):
+        cfg = CubatureConfig(family=family, epsilon=1e-9, n0=128, n_max=2**11, seed=5)
+        cold = self.fields(integrate_fast(self.f, 3, cfg))
+        (levels,) = cubature._held.values()
+        assert sorted(levels) == [7, 8, 9, 10, 11]
+        cap = self.held_bytes([levels[7], levels[8], levels[9]]) - 1
+        cubature._held.clear()
+        monkeypatch.setattr(cubature, "_HELD_BYTES", cap)
+        builds = self.counting_builds(monkeypatch)
+        for _ in range(2):  # cold, then held up to the cap
+            assert self.fields(integrate_fast(self.f, 3, cfg)) == cold
+            (levels,) = cubature._held.values()
+            assert sorted(levels) == [7, 8] and self.held_bytes(levels.values()) <= cap
+        assert builds["n"] == 5 + 3
+
+
 class TestSharedEtaLineSearch:
     """Shared eta searches one coordinate by a bracketed Brent line search."""
 
@@ -716,6 +806,31 @@ class TestDenseLoop:
         res = integrate_dense(lambda x: np.exp(x.sum(axis=1)), 2, cfg)
         assert len(res.iterations) == 1
         assert count["n"] == factorizations == res.iterations[0].evaluations
+
+    def test_fit_rebuilds_the_nodes_the_integrand_saw(self, monkeypatch):
+        # the fit reads gen.points(0, n), which by extensibility is the
+        # doublings' blocks stacked in order
+        seen, fitted = [], []
+        real = cubature._matern_c_vector
+
+        def c_vector(theta, pts):
+            fitted.append(pts)
+            return real(theta, pts)
+
+        def f(x):
+            seen.append(x.copy())
+            return np.exp(x.sum(axis=1))
+
+        monkeypatch.setattr(cubature, "_matern_c_vector", c_vector)
+        cfg = CubatureConfig(family="matern_dense", epsilon=1e-12, n0=32, n_max=128,
+                             seed=2)
+        res = integrate_dense(f, 2, cfg)
+        ns = [it.n for it in res.iterations]
+        assert ns == [32, 64, 128]
+        by_n = {len(pts): pts for pts in fitted}
+        assert sorted(by_n) == ns
+        for n in ns:
+            assert np.array_equal(by_n[n], np.vstack(seen)[:n])
 
     def test_requires_matern_family(self):
         with pytest.raises(ValueError):

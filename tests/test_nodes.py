@@ -94,6 +94,14 @@ class TestLattice:
             keys = np.round(diffs * 2**20).astype(int).reshape(-1, d)
             assert all(tuple(k) in grid for k in keys)
 
+    def test_lag_key_leaves_out_the_shift_only(self):
+        a, b = nodes.make_lattice(3, seed=1), nodes.make_lattice(3, seed=2)
+        assert not np.array_equal(a.shift, b.shift)
+        assert a.lag_key == b.lag_key
+        assert a.lag_key != nodes.make_lattice(4, seed=1).lag_key
+        assert a.lag_key != nodes.LatticeGenerator(a.generating_vector, a.shift,
+                                                   max_log2_n=19).lag_key
+
     def test_capacity_error(self):
         gen = nodes.LatticeGenerator((1,), np.zeros(1), max_log2_n=4)
         with pytest.raises(nodes.CapacityError):
@@ -212,6 +220,22 @@ class TestSobol:
         a = nodes.make_sobol(4, seed=5, scramble=True).points(0, 64).points
         b = nodes.make_sobol(4, seed=5, scramble=True).points(0, 64).points
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("start,stop", [(0, 1), (0, 64), (64, 128), (0, 2**16)])
+    def test_points_are_the_shifted_integers_over_2_to_the_32(self, start, stop):
+        gen = nodes.make_sobol(4, seed=8, scramble=True)
+        pts = gen.points(start, stop)
+        z = nodes._net_integers(gen.direction_numbers, start, stop)
+        assert np.array_equal(pts.int_points, z ^ gen.digital_shift)
+        assert np.array_equal(pts.points, pts.int_points.astype(np.float64) / 2.0**32)
+
+    def test_lag_key_leaves_out_the_digital_shift_only(self):
+        a, b = nodes.make_sobol(3, seed=1), nodes.make_sobol(3, seed=2)
+        assert not np.array_equal(a.digital_shift, b.digital_shift)
+        assert a.lag_key == b.lag_key
+        assert a.lag_key != nodes.make_sobol(4, seed=1).lag_key
+        scrambled = [nodes.make_sobol(3, seed=s, scramble=True).lag_key for s in (1, 2)]
+        assert len({a.lag_key, *scrambled}) == 3
 
     @pytest.mark.parametrize("d", [1, 4, 13])
     @pytest.mark.parametrize("scramble", [False, True])

@@ -21,6 +21,12 @@ evaluations per doubling, per workload.  The exit status is 1 when a field diffe
 so a change that moves eta and err by design can still be held to
 identical mu_hat and n_used.
 
+Every call runs in one process, in the order above, as the benchmark runs
+them, so a call on a design (lag source, kernel and start level) that an
+earlier call used reads the coefficient spectra that call left held
+(bayescub.cubature).  --against records made by a tree that builds them at
+every call therefore checks each held read against a cold build.
+
 Only reads perfbench/.  BLAS runs on one thread, as in the benchmark.
 """
 
