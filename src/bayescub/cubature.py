@@ -41,13 +41,14 @@ the design's arrays stay within _HELD_BYTES (64 MiB; the option's chain to
 held level instead of building it, with the same bits; levels past the cap
 are built and not kept.  Per-dimension eta rebuilds the bases at each doubling
 and builds the ring column and its transform on every evaluation; L-BFGS-B
-searches it with the analytic gradient, which reuses the latest evaluation's
-ring column and data and transforms the d columns of the eta Jacobian.  A
-searched order builds its bases per evaluation too, and Nelder-Mead searches
-it without a gradient.  Every search stays in inference.SEARCH_BOX,
-[log 1e-8, log 1e8] in each coordinate, which also keeps a searched order
-one its kernel accepts, within _BUDGET_FIRST distinct evaluations at the
-first doubling and _BUDGET_LATER at each later one.
+searches it with the analytic gradient, which the search asks right after
+each evaluation: it reads the eta, ring column and data just built and
+transforms the d columns of the eta Jacobian.  A searched order builds its
+bases per evaluation too, and Nelder-Mead searches it without a gradient.
+Every search stays in inference.SEARCH_BOX, [log 1e-8, log 1e8] in each
+coordinate, which also keeps a searched order one its kernel accepts, within
+_BUDGET_FIRST distinct evaluations at the first doubling and _BUDGET_LATER
+at each later one.
 
 The dense fit factors the Matern Gram, built one (n, n) factor per dimension
 over blocks of rows, once per theta of a fixed grid and keeps the posterior
@@ -65,11 +66,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import kernels, problems
-from .inference import (EB, CRITERIA, DegenerateDataError, NonFiniteStartError,
-                        coefficient_spectra, column_spectrum, credible_width,
-                        data_weights, dense_posterior, objective, objective_gradient,
-                        polynomial_spectrum, SEARCH_BOX, search_hyperparameters,
-                        transformed_data)
+from .inference import (EB, CRITERIA, NonFiniteStartError, coefficient_spectra,
+                        column_spectrum, credible_width, data_weights, dense_posterior,
+                        objective, objective_gradient, polynomial_spectrum, SEARCH_BOX,
+                        search_hyperparameters, transformed_data)
 from .nodes import CapacityError, block_rows, make_lattice, make_sobol
 from .transforms import DENSE_MAX_N, fbt, fbt_double
 
@@ -341,34 +341,28 @@ def integrate_fast(f, d: int, config: CubatureConfig) -> CubatureResult:
         elif not search_order:
             bases = kernels.column_bases(spec0, gen, m)
 
-        last = {}  # per-dimension eta: the latest evaluation's t, ring column, data
+        last = {}  # per-dimension eta: the latest evaluation's eta, ring column, data
 
         def obj(t):
             if poly:
                 lams = polynomial_spectrum(powers, _eta_from_log(t)[0])
             elif bases is not None:
-                col = kernels.ring_from_bases(_eta_from_log(t), bases)
+                eta = _eta_from_log(t)
+                col = kernels.ring_from_bases(eta, bases)
                 lams = column_spectrum(col, kind, n)
             else:  # a searched order: its bases change with it
                 spec = _kernel_at(spec0, t, search_order)
                 col = kernels.ring_from_bases(spec.eta, kernels.column_bases(spec, gen, m))
                 lams = column_spectrum(col, kind, n)
             data = transformed_data(weights, lams, n)
-            if bases is not None:  # for the gradient at the same t
-                last.update(t=t.copy(), col=col, data=data)
-            try:
-                return objective(config.criterion, data), data
-            except DegenerateDataError:
-                return np.inf, data
+            if bases is not None:  # the gradient, asked next, reads them
+                last.update(eta=eta, col=col, data=data)
+            return objective(config.criterion, data), data
 
-        def gradient(t):  # per-dimension eta at a fixed order
-            if not np.array_equal(t, last.get("t")):
-                obj(t)  # the search asked out of turn: rebuild the ring
-            eta = _eta_from_log(t)
-            jac = kernels.column_eta_jacobian(eta, bases, last["col"])
-            # chain rule through eta = exp(t)
+        def gradient(t):  # right after obj(t); the chain rule through eta = exp(t)
+            jac = kernels.column_eta_jacobian(last["eta"], bases, last["col"])
             return objective_gradient(last["data"], config.criterion,
-                                      column_spectrum(jac, kind, n)) * eta
+                                      column_spectrum(jac, kind, n)) * last["eta"]
 
         search = dict(budget=budget, gradient_fn=gradient if bases is not None else None)
         reseeded = False

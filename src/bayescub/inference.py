@@ -38,7 +38,7 @@ method follows from what the caller gives: one coordinate (shared eta) runs a
 bracketed Brent line search, two or more with a gradient (per-dimension eta
 at a fixed order) L-BFGS-B, two or more without one (a searched order, which
 has no derivative) Nelder-Mead.  All three stay inside the box and share one
-memo of values, whose size is the evaluation count the budget caps.
+memo by exact t, whose size is the evaluation count the budget caps.
 """
 
 from __future__ import annotations
@@ -356,42 +356,48 @@ def search_hyperparameters(objective_fn, t0: np.ndarray, budget: int = 100,
     search (_line_search: a downhill walk that brackets the minimum, then
     Brent), two or more with a gradient_fn L-BFGS-B, two or more without one
     Nelder-Mead.  All three start from t0 clipped into the box, never
-    evaluate outside it, memoize values by exact t and count distinct
-    evaluations only.  Non-finite values during the search are treated as
-    rejected steps, where the gradient is zero; a non-finite value at t0
-    raises NonFiniteStartError.
+    evaluate outside it, memoize by exact t and count distinct evaluations
+    only.  With two or more coordinates, gradient_fn(t) runs right after
+    objective_fn(t) at each new t of finite value, and never else, so it may
+    read what objective_fn built; L-BFGS-B's jac reads the memo.  A value
+    that is not finite or raises NonPositiveDefiniteError, DegenerateDataError
+    or FloatingPointError is a rejected step; its gradient, like a non-finite
+    one, is zero.  A rejected t0 raises NonFiniteStartError.
     """
     p = t0.shape[0]
     t0 = np.clip(t0, *SEARCH_BOX)
     best = {"val": np.inf, "t": t0.copy(), "payload": None}
-    memo = {}  # value by exact t; its size counts the evaluations
+    memo = {}  # (value, gradient) by exact t; its size counts the evaluations
 
-    def value(t):
+    def evaluate(t):
         key = tuple(t)
         if key not in memo:
             if memo and len(memo) >= budget:  # the start is always evaluated
                 raise _BudgetSpent
+            t, g = np.array(key), np.zeros(p)
             try:
-                val, payload = objective_fn(np.array(key))
-            except (NonPositiveDefiniteError, FloatingPointError):
+                val, payload = objective_fn(t)
+            except (NonPositiveDefiniteError, DegenerateDataError, FloatingPointError):
                 val = np.inf
-            if np.isfinite(val) and val < best["val"]:
-                best.update(val=val, t=np.array(key), payload=payload)
-            memo[key] = val if np.isfinite(val) else np.inf
+            if not np.isfinite(val):
+                val = np.inf
+            elif gradient_fn is not None and p > 1:  # in turn, at the same t
+                g = gradient_fn(t)
+                g = g if np.isfinite(g).all() else np.zeros(p)
+            if val < best["val"]:
+                best.update(val=val, t=t, payload=payload)
+            memo[key] = (val, g)
         return memo[key]
 
-    v0 = value(t0)
+    v0 = evaluate(t0)[0]
     if not np.isfinite(v0):
         raise NonFiniteStartError("objective not finite at the initial hyperparameters")
 
-    def gradient(t):
-        g = gradient_fn(t) if np.isfinite(value(t)) else np.zeros(p)
-        return g if np.isfinite(g).all() else np.zeros(p)
-
+    box = [SEARCH_BOX] * p
     capped = False
     try:
         if p == 1:
-            _line_search(lambda u: value((u,)), float(t0[0]), v0, STEP, *SEARCH_BOX)
+            _line_search(lambda u: evaluate((u,))[0], float(t0[0]), v0, STEP, *SEARCH_BOX)
         elif gradient_fn is not None:
             # scipy's line search ends the whole search at an infinite value;
             # at a finite one above the start's, with zero gradient, it
@@ -399,12 +405,12 @@ def search_hyperparameters(objective_fn, t0: np.ndarray, budget: int = 100,
             wall = v0 + 1.0 + abs(v0)
 
             def walled(t):
-                v = value(t)
+                v = evaluate(t)[0]
                 return wall if v == np.inf else v
 
-            minimize(walled, t0, jac=gradient, method="L-BFGS-B", bounds=[SEARCH_BOX] * p)
+            minimize(walled, t0, jac=lambda t: evaluate(t)[1], method="L-BFGS-B", bounds=box)
         else:
-            minimize(value, t0, method="Nelder-Mead", bounds=[SEARCH_BOX] * p,
+            minimize(lambda t: evaluate(t)[0], t0, method="Nelder-Mead", bounds=box,
                      options={"xatol": XATOL, "fatol": FATOL,
                               "initial_simplex": _initial_simplex(t0, STEP)})
     except _BudgetSpent:

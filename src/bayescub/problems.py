@@ -327,6 +327,8 @@ def standard_fresnel_instance() -> IntegrandProblem:
 def build_problem(name: str, d: int | None = None) -> IntegrandProblem:
     name = name.replace("-", "_")
     if name == "mvn":
+        if d not in (None, 2):
+            raise ValueError(f"mvn is a fixed instance of dimension 2, not {d}")
         return standard_mvn_instance()
     if name == "keister":
         return keister_problem(d or 4)

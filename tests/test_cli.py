@@ -70,6 +70,12 @@ class TestIntegrate:
         code, out, err = run_main(args + ["--problem", "keister", "--d", d], capsys)
         assert code == 2 and "--d" in err and out == ""
 
+    def test_mvn_refuses_another_dimension(self, capsys):
+        # mvn used to ignore --d and integrate its fixed 2-D instance
+        code, out, err = run_main(
+            ["integrate", "--problem", "mvn", "--d", "5", "--eps", "1e-2"], capsys)
+        assert code == 1 and "dimension 2" in err and out == ""
+
     def test_unknown_problem_is_runtime_error(self, capsys):
         code, _, err = run_main(
             ["integrate", "--problem", "mystery", "--eps", "1e-2"], capsys)
@@ -246,6 +252,13 @@ class TestSweep:
     def test_missing_eps_range(self, capsys):
         code, _, err = run_main(["sweep", "--problem", "fresnel"], capsys)
         assert code == 2 and "eps-lo" in err
+
+    @pytest.mark.parametrize("eps_lo", ["0", "-1e-3"])
+    def test_eps_lo_not_positive_is_usage_error(self, capsys, eps_lo):
+        # np.log of it used to warn, then numpy refused the draw's range
+        code, out, err = run_main(["sweep", "--problem", "fresnel", f"--eps-lo={eps_lo}",
+                                   "--eps-hi", "1e-2"], capsys)
+        assert code == 2 and "--eps-lo must be positive" in err and out == ""
 
     def test_zero_count_rejected(self, capsys):
         code, _, err = run_main(["sweep", "--problem", "fresnel", "--eps-lo",

@@ -659,6 +659,40 @@ class TestHyperparameterSearch:
         assert bowl(res.t) < bowl((0.0, 0.0)) / 3
         assert res.evaluations == len(seen) == len(set(seen))
 
+    @pytest.mark.parametrize("reject", [NonPositiveDefiniteError, DegenerateDataError,
+                                        None])
+    def test_gradient_runs_once_right_after_each_finite_value(self, reject):
+        # the gradient may read what the objective just built: it runs once
+        # per distinct point of finite value, right after the value there,
+        # and never at a rejected point (one that raises, or a NaN value)
+        log = []
+        c = np.array([3.0, 3.0])
+
+        def obj(t):
+            log.append(("value", tuple(t)))
+            if t[0] > 2.0:
+                if reject is None:
+                    return np.nan, None
+                raise reject("past the wall")
+            return float(((t - c) ** 2).sum()), None
+
+        def grad(t):
+            log.append(("gradient", tuple(t)))
+            return 2 * (t - c)
+
+        res = search_hyperparameters(obj, np.zeros(2), budget=50, gradient_fn=grad)
+        values = [t for kind, t in log if kind == "value"]
+        finite = [t for t in values if t[0] <= 2.0]
+        assert res.evaluations == len(values) == len(set(values)) > len(finite)
+        assert [t for kind, t in log if kind == "gradient"] == finite
+        for before, (kind, t) in zip(log, log[1:]):
+            assert kind == "value" or before == ("value", t)
+
+        log.clear()  # one coordinate: a line search, which asks no gradient
+        search_hyperparameters(lambda t: obj(np.r_[t, 0.0]), np.zeros(1), budget=20,
+                               gradient_fn=grad)
+        assert log and all(kind == "value" for kind, _ in log)
+
     def test_nonfinite_at_init_raises(self):
         def bad(t):
             return np.inf, None

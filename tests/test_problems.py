@@ -287,6 +287,12 @@ class TestRegistry:
         with pytest.raises(KeyError):
             build_problem("gaussian_bump")
 
+    def test_mvn_is_fixed_at_dimension_two(self):
+        assert build_problem("mvn", d=2).d == build_problem("mvn").d == 2
+        for d in (1, 3, 5):
+            with pytest.raises(ValueError, match="dimension 2"):
+                build_problem("mvn", d=d)
+
     def test_every_problem_is_finite_on_probes(self):
         rng = np.random.default_rng(17)
         for name in ("mvn", "keister", "option", "fresnel"):

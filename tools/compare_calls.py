@@ -66,6 +66,12 @@ _DENSE = {**_LATTICE, "family": "matern_dense", "n_max": 2**9}
 PATHS = {
     "sobol_per_dimension": ("keister", 3, {"family": "sobol",
                                            "eta_mode": "per_dimension"}),
+    # L-BFGS-B revisits points here at seed 2, where the memo serves their gradients
+    "fresnel_per_dimension": ("fresnel", None, {**_LATTICE, "eta_mode": "per_dimension",
+                                                "n_max": 2**16}),
+    # the GCV gradient; L-BFGS-B revisits a point at seed 1
+    "gcv_per_dimension": ("keister", 3, {**_LATTICE, "criterion": "gcv",
+                                         "eta_mode": "per_dimension"}),
     "sobol_scrambled": ("keister", 3, {"family": "sobol", "scramble": True}),
     "truncated_series": ("fresnel", None, {**_LATTICE, "kernel": "truncated_series",
                                            "order": 1.7}),
