@@ -165,6 +165,9 @@ def cmd_sweep(args, parser: argparse.ArgumentParser) -> int:
     if args.eps_lo is None or args.eps_hi is None:
         print("sweep needs --eps-lo and --eps-hi (or a config file)", file=sys.stderr)
         return 2
+    if not (np.isfinite(args.eps_lo) and np.isfinite(args.eps_hi)):
+        print("--eps-lo and --eps-hi must be finite", file=sys.stderr)
+        return 2
     if not args.eps_lo > 0:
         print("--eps-lo must be positive", file=sys.stderr)
         return 2

@@ -35,10 +35,12 @@ pairs the data once per sample size, TransformedData the eigenvalue sums.
 search_hyperparameters minimizes over a plain float vector in the log-eta
 box SEARCH_BOX; cubature maps it to a kernel and passes the budget.  The
 method follows from what the caller gives: one coordinate (shared eta) runs a
-bracketed Brent line search, two or more with a gradient (per-dimension eta
-at a fixed order) L-BFGS-B, two or more without one (a searched order, which
-has no derivative) Nelder-Mead.  All three stay inside the box and share one
-memo by exact t, whose size is the evaluation count the budget caps.
+bracketed line search whose refine step is a port of scipy's Brent, so a
+shared-eta run never imports scipy.optimize; two or more with a gradient
+(per-dimension eta at a fixed order) scipy's L-BFGS-B, two or more without
+one (a searched order, which has no derivative) scipy's Nelder-Mead.  All
+three stay inside the box and share one memo by exact t, whose size is the
+evaluation count the budget caps.
 """
 
 from __future__ import annotations
@@ -46,8 +48,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
-from scipy.optimize import minimize, minimize_scalar
 from scipy.special import stdtrit
 
 from . import kernels
@@ -282,6 +282,8 @@ def dense_posterior(y: np.ndarray, gram: np.ndarray, c: np.ndarray, c0: float,
                     kind: str) -> DensePosterior:
     """Full O(n^3) posterior: mean estimate and width for a criterion, plus
     the EB loss of the Gram matrix, from one Cholesky factorization."""
+    from scipy.linalg import cho_factor, cho_solve, solve_triangular
+
     n = np.asarray(y).shape[0]
     if n > DENSE_MAX_N:
         raise ValueError(f"dense path guarded to n <= {DENSE_MAX_N}")
@@ -394,6 +396,8 @@ def search_hyperparameters(objective_fn, t0: np.ndarray, budget: int = 100,
         raise NonFiniteStartError("objective not finite at the initial hyperparameters")
 
     box = [SEARCH_BOX] * p
+    if p > 1:  # a shared-eta run never loads scipy.optimize
+        from scipy.optimize import minimize
     capped = False
     try:
         if p == 1:
@@ -429,8 +433,9 @@ def _line_search(f, x, fx, step, lo, hi):
 
     Walks downhill with steps step, 2 step, 4 step, ... (clipped at the
     bounds) until the value stops falling, and returns at a bound where it
-    still falls; then Brent (xtol XATOL) refines inside the last three
-    points.  f memoizes, so Brent's re-reading of the bracket costs nothing.
+    still falls; then _brent, a port of scipy's Brent (xtol XATOL), refines
+    inside the last three points.  f memoizes, so Brent's re-reading of the
+    middle point costs nothing.
     """
     for sign in (-1.0, 1.0):
         b = min(max(x + sign * step, lo), hi)
@@ -455,7 +460,67 @@ def _line_search(f, x, fx, step, lo, hi):
         a, b = b, (b + c) / 2
         if not f(b) < f(a):
             return  # level
-    minimize_scalar(f, bracket=(a, b, c), method="brent", options={"xtol": XATOL})
+    _brent(f, a, b, c)
+
+
+def _brent(f, a, b, c):
+    """Brent's minimization (Brent, Algorithms for Minimization without
+    Derivatives, 1973) of f inside the bracket a, b, c, in either order,
+    with f(b) below both ends.
+
+    A step-for-step port of Brent.optimize in scipy.optimize._optimize
+    (scipy, BSD-3-Clause) as scipy's "brent" scalar method runs it with xtol
+    XATOL: scipy's constants and its operations in its order, so f sees the
+    points scipy's would, less its reads of the two ends, whose values the
+    method never uses.  Python floats keep a rejected (infinite) value from
+    raising numpy warnings.
+    """
+    tol, maxiter, _mintol = XATOL, 500, 1e-11
+    _cg = 0.3819660  # scipy's literal, not the full golden ratio
+    a, b, x = float(min(a, c)), float(max(a, c)), float(b)
+    w = v = x
+    fw = fv = fx = f(x)
+    deltax = rat = 0.0
+    for _ in range(maxiter):
+        tol1 = tol * abs(x) + _mintol
+        tol2 = 2.0 * tol1
+        xmid = 0.5 * (a + b)
+        if abs(x - xmid) < tol2 - 0.5 * (b - a):
+            break
+        if abs(deltax) <= tol1:  # golden section step
+            deltax = a - x if x >= xmid else b - x
+            rat = _cg * deltax
+        else:  # parabolic step through x, w and v, if it is useful
+            tmp1 = (x - w) * (fx - fv)
+            tmp2 = (x - v) * (fx - fw)
+            p = (x - v) * tmp2 - (x - w) * tmp1
+            tmp2 = 2.0 * (tmp2 - tmp1)
+            if tmp2 > 0.0:
+                p = -p
+            tmp2 = abs(tmp2)
+            dx_temp, deltax = deltax, rat
+            if p > tmp2 * (a - x) and p < tmp2 * (b - x) and abs(p) < abs(0.5 * tmp2 * dx_temp):
+                rat = p / tmp2
+                u = x + rat
+                if u - a < tol2 or b - u < tol2:
+                    rat = tol1 if xmid - x >= 0 else -tol1
+            else:
+                deltax = a - x if x >= xmid else b - x
+                rat = _cg * deltax
+        if abs(rat) < tol1:  # step by at least tol1
+            u = x + tol1 if rat >= 0 else x - tol1
+        else:
+            u = x + rat
+        fu = f(u)
+        if fu > fx:
+            a, b = (u, b) if u < x else (a, u)
+            if fu <= fw or w == x:
+                v, w, fv, fw = w, u, fw, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+        else:
+            a, b = (x, b) if u >= x else (a, x)
+            v, w, x, fv, fw, fx = w, x, u, fw, fx, fu
 
 
 def _initial_simplex(t0: np.ndarray, step: float) -> np.ndarray:

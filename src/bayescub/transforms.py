@@ -23,7 +23,6 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.fft import dct
-from scipy.linalg import hadamard
 
 from .nodes import _brev_table
 
@@ -191,6 +190,8 @@ def lattice_eigenvector_matrix(n: int) -> np.ndarray:
 
 def hadamard_matrix(n: int) -> np.ndarray:
     """Dense Sylvester-ordered H, the matrix fbt_sobol applies; test-scale only."""
+    from scipy.linalg import hadamard
+
     if n > DENSE_MAX_N:
         raise ValueError(f"dense matrix limited to n <= {DENSE_MAX_N}")
     _check_pow2(n)

@@ -260,6 +260,20 @@ class TestSweep:
                                    "--eps-hi", "1e-2"], capsys)
         assert code == 2 and "--eps-lo must be positive" in err and out == ""
 
+    @pytest.mark.parametrize("eps_lo,eps_hi", [
+        ("1e-3", "nan"), ("1e-3", "inf"), ("inf", "inf"), ("nan", "1e-2")])
+    @pytest.mark.parametrize("source", ["flags", "config"])
+    def test_eps_not_finite_is_usage_error(self, capsys, tmp_path, source, eps_lo, eps_hi):
+        # numpy used to refuse the draw's range, at exit 1
+        if source == "flags":
+            args = [f"--eps-lo={eps_lo}", f"--eps-hi={eps_hi}"]
+        else:
+            path = tmp_path / "sweep.json"
+            path.write_text(json.dumps({"eps_lo": float(eps_lo), "eps_hi": float(eps_hi)}))
+            args = ["--config", str(path)]
+        code, out, err = run_main(["sweep", "--problem", "fresnel", *args], capsys)
+        assert code == 2 and "must be finite" in err and out == ""
+
     def test_zero_count_rejected(self, capsys):
         code, _, err = run_main(["sweep", "--problem", "fresnel", "--eps-lo",
                                  "1e-3", "--eps-hi", "1e-2", "--count", "0"],

@@ -1,6 +1,9 @@
 """The doubling loop: stopping semantics, no-resampling accounting, result
 round-trips, and the dense Matern path."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -703,6 +706,32 @@ class TestSharedEtaLineSearch:
         assert np.mean(later) <= 14
 
 
+class TestColdStart:
+    def test_shared_eta_loads_neither_optimize_nor_linalg(self):
+        # in a fresh interpreter: the shared-eta loop's line search is the
+        # package's own Brent, and only the dense loop and test-scale
+        # matrices need scipy.linalg; per-dimension eta still runs L-BFGS-B
+        code = (
+            "import sys, numpy as np\n"
+            "import bayescub, bayescub.cli\n"
+            "from bayescub import CubatureConfig, integrate_fast\n"
+            "f = lambda x: np.exp(x.sum(axis=1))\n"
+            "for fields in ({'family': 'lattice', 'criterion': 'eb'},\n"
+            "               {'family': 'lattice', 'criterion': 'full', 'periodizer': 'sidi_c1'},\n"
+            "               {'family': 'sobol', 'criterion': 'gcv'}):\n"
+            "    integrate_fast(f, 3, CubatureConfig(epsilon=1e-12, n0=2**8, n_max=2**10,\n"
+            "                                        seed=1, **fields))\n"
+            "loaded = lambda: sorted(m for m in sys.modules\n"
+            "                        if m.startswith(('scipy.optimize', 'scipy.linalg')))\n"
+            "print(loaded())\n"
+            "integrate_fast(f, 3, CubatureConfig(epsilon=1e-12, n0=2**8, n_max=2**10, seed=1,\n"
+            "                                    eta_mode='per_dimension'))\n"
+            "print('scipy.optimize' in loaded())\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, check=True)
+        assert proc.stdout.splitlines() == ["[]", "True"]
+
+
 class TestWidthPrecision:
     """The shared-eta width of a smooth lattice kernel at large n, where the
     smallest Gram eigenvalues sit near round-off of the largest."""
@@ -778,8 +807,9 @@ class TestDenseLoop:
     @pytest.mark.parametrize("criterion,factorizations", [("eb", 12), ("gcv", 13)])
     def test_factorizations_per_doubling(self, monkeypatch, criterion, factorizations):
         # one per theta of the 12-point grid; EB keeps the chosen theta's
-        # posterior, GCV factors that theta's Gram once more
-        from bayescub import inference
+        # posterior, GCV factors that theta's Gram once more; dense_posterior
+        # imports scipy.linalg's cho_factor at call time
+        import scipy.linalg
 
         count = {"n": 0}
 
@@ -787,8 +817,8 @@ class TestDenseLoop:
             count["n"] += 1
             return cho_factor(*args, **kwargs)
 
-        cho_factor = inference.cho_factor
-        monkeypatch.setattr(inference, "cho_factor", counted)
+        cho_factor = scipy.linalg.cho_factor
+        monkeypatch.setattr(scipy.linalg, "cho_factor", counted)
         cfg = CubatureConfig(family="matern_dense", criterion=criterion,
                              epsilon=1e-12, n0=32, n_max=32, seed=1)
         res = integrate_dense(lambda x: np.exp(x.sum(axis=1)), 2, cfg)

@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 from bayescub import cubature, kernels, nodes, transforms
-from bayescub.inference import (EB, FULL, GCV, DegenerateDataError,
+from bayescub.inference import (EB, FULL, GCV, XATOL, DegenerateDataError,
                                 NonFiniteStartError, NonPositiveDefiniteError,
                                 TransformedData, column_spectrum, credible_width,
                                 data_weights, dense_posterior, objective,
                                 objective_eb, objective_gcv,
                                 objective_gradient, polynomial_spectrum,
                                 search_hyperparameters,
-                                student_t_quantile, transformed_data)
+                                student_t_quantile, transformed_data, _brent)
 from bayescub.kernels import KernelSpec
 from oracles import extended_dense_posterior, gram_eigenvalues, mirror_half
 
@@ -800,3 +800,44 @@ class TestHyperparameterSearch:
         best = loss_of_eta(eta_opt)
         assert loss_of_eta(eta_opt * 1.001) > best
         assert loss_of_eta(eta_opt * 0.999) > best
+
+
+class TestBrentPort:
+    LO, HI = LOG_ETA_BOUNDS
+    CASES = {
+        "quadratic": (lambda t: (t - 0.3) ** 2, (-1.0, 0.0, 2.0)),
+        "asymmetric_quartic": (lambda t: t**4 - 3.0 * t**3 + 2.0, (1.0, 2.0, 4.0)),
+        # the minimum at 0, where tol1 falls to its 1e-11 floor
+        "abs_power_1_5": (lambda t: abs(t) ** 1.5, (-0.3, 0.01, 0.5)),
+        "ties": (lambda t: np.floor((t - 0.7) ** 2 * 1e2) / 1e2, (0.0, 0.6, 2.0)),
+        "near_upper_bound": (lambda t: (t - (TestBrentPort.HI - 0.04)) ** 2,
+                             (HI - 1.0, HI - 0.03, HI)),
+        # right to left, as the leftward walk hands its bracket over
+        "near_lower_bound_leftward": (lambda t: (t - (TestBrentPort.LO + 0.04)) ** 2,
+                                      (LO + 1.0, LO + 0.03, LO)),
+        "quadratic_leftward": (lambda t: (t - 0.3) ** 2, (2.0, 0.0, -1.0)),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_probes_the_points_scipy_probes(self, case):
+        from scipy.optimize import minimize_scalar
+
+        f, bracket = self.CASES[case]
+
+        def recorded(seen):
+            def g(t):
+                seen.append(float(t).hex())
+                return f(t)
+            return g
+
+        ours, theirs = [], []
+        _brent(recorded(ours), *bracket)
+        minimize_scalar(recorded(theirs), bracket=bracket, method="brent",
+                        options={"xtol": XATOL})
+        # scipy reads the three bracket points first, the port only the middle
+        assert ours[0] == float(bracket[1]).hex()
+        assert len(theirs) > 5
+        assert ours[1:] == theirs[3:]
+        if case == "ties":
+            values = [f(float.fromhex(t)) for t in theirs]
+            assert len(set(values)) < len(values)
