@@ -5,9 +5,11 @@ All data fields are deterministic for a given seed; timings are reported but
 excluded from the determinism contract.  Sweep rows are ordered by
 (eps, seed).  CSV columns, in order:
 eps, seed, n, err, abs_error, abs_error_over_eps, seconds, success.
-A sweep call that raises is a failed row: success false, its numeric fields
-null in JSON and empty in CSV, and in JSON an "error" naming the exception's
-class and message; the sweep writes every row and then exits 1.
+On a problem with no reference value the two error fields are null in JSON
+and empty in CSV, and success is the call's tolerance_met.  A sweep call
+that raises is a failed row: success false, its numeric fields null in JSON
+and empty in CSV, and in JSON an "error" naming the exception's class and
+message; the sweep writes every row and then exits 1.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n0", type=int, default=2**8)
     p.add_argument("--nmax", type=int, default=2**20)
     p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--format", choices=["csv", "json"], default="json")
 
 
 def _make_config(args, eps: float, seed: int, periodizer: str) -> CubatureConfig:
@@ -112,13 +113,13 @@ def _sweep_rows(args, problem, eps_values, seeds):
             continue
         abs_err = (abs(result.mu_hat - problem.reference_value)
                    if problem.reference_value is not None else float("nan"))
+        known = bool(np.isfinite(abs_err))  # else null in JSON, empty in CSV
         rows.append({
             "eps": eps, "seed": seed, "n": result.n_used,
-            "err": result.err, "abs_error": abs_err,
-            "abs_error_over_eps": abs_err / eps,
+            "err": result.err, "abs_error": abs_err if known else None,
+            "abs_error_over_eps": abs_err / eps if known else None,
             "seconds": float(f"{result.seconds:.3g}"),
-            "success": bool(abs_err <= eps) if np.isfinite(abs_err)
-                       else result.tolerance_met,
+            "success": bool(abs_err <= eps) if known else result.tolerance_met,
         })
     return rows
 
@@ -345,6 +346,7 @@ def main(argv=None) -> int:
     p_sweep = sub.add_parser("sweep", help="tolerance-sweep benchmark")
     _add_common(p_sweep)
     p_sweep.add_argument("--config", default=None, help="JSON config file")
+    p_sweep.add_argument("--format", choices=["csv", "json"], default="json")
     p_sweep.add_argument("--eps-lo", type=float, default=None)
     p_sweep.add_argument("--eps-hi", type=float, default=None)
     p_sweep.add_argument("--count", type=int, default=100)

@@ -7,20 +7,18 @@ are validated in the test suite against independent quadratures.
 from __future__ import annotations
 
 import json
-import os
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import fresnel, gammaln, ndtr, ndtri
 
+from .nodes import _data_path
+
 PERIODIZERS = ("none", "baker", "c0", "c1", "sidi_c1", "sidi_c2")
 
 _PHI_INV_LO = 1e-300
 _PHI_INV_HI = 1.0 - 1e-16
-
-
-def norm_cdf(x):
-    return ndtr(x)
 
 
 def norm_ppf(p):
@@ -121,15 +119,15 @@ def genz_mvn_problem(a, b, L) -> IntegrandProblem:
     def evaluator(x):
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         npts = x.shape[0]
-        alpha = np.full(npts, norm_cdf(a[0] / low[0, 0]))
-        beta = np.full(npts, norm_cdf(b[0] / low[0, 0]))
+        alpha = np.full(npts, ndtr(a[0] / low[0, 0]))
+        beta = np.full(npts, ndtr(b[0] / low[0, 0]))
         prod = beta - alpha
         ys = np.empty((npts, dp - 1)) if dp > 1 else None
         for ell in range(1, dp):
             ys[:, ell - 1] = norm_ppf(alpha + x[:, ell - 1] * (beta - alpha))
             shifted = ys[:, :ell] @ low[ell, :ell]
-            alpha = norm_cdf((a[ell] - shifted) / low[ell, ell])
-            beta = norm_cdf((b[ell] - shifted) / low[ell, ell])
+            alpha = ndtr((a[ell] - shifted) / low[ell, ell])
+            beta = ndtr((b[ell] - shifted) / low[ell, ell])
             prod = prod * (beta - alpha)
         return prod
 
@@ -145,25 +143,27 @@ def genz_mvn_problem(a, b, L) -> IntegrandProblem:
 
 
 def mvn_box_probability(a, b, sigma, n_nodes: int = 96) -> float:
-    """Tensor Gauss-Legendre integral of the N(0, sigma) density over [a, b]."""
+    """Tensor Gauss-Legendre integral of the N(0, sigma) density over [a, b].
+
+    Nodes and weights stay on sparse axes that broadcast to one
+    (n_nodes,) * dp array of densities, exp(-x' sigma^{-1} x / 2) per node.
+    """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     dp = a.shape[0]
     if dp > 3:
         raise ValueError("tensor oracle limited to three dimensions")
     x1, w1 = np.polynomial.legendre.leggauss(n_nodes)
-    nodes, weights = [], []
-    for ell in range(dp):
-        nodes.append(0.5 * (b[ell] - a[ell]) * x1 + 0.5 * (a[ell] + b[ell]))
-        weights.append(0.5 * (b[ell] - a[ell]) * w1)
-    grids = np.meshgrid(*nodes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    wgrids = np.meshgrid(*weights, indexing="ij")
-    wts = np.prod(np.stack([g.ravel() for g in wgrids], axis=1), axis=1)
+    half, mid = 0.5 * (b - a), 0.5 * (a + b)
+    x = np.meshgrid(*(h * x1 + m for h, m in zip(half, mid)), indexing="ij", sparse=True)
+    w = np.meshgrid(*(h * w1 for h in half), indexing="ij", sparse=True)
     prec = np.linalg.inv(np.asarray(sigma, dtype=np.float64))
-    quad = np.einsum("ij,jk,ik->i", pts, prec, pts)
-    dens = np.exp(-0.5 * quad) / np.sqrt((2.0 * np.pi) ** dp * np.linalg.det(sigma))
-    return float((dens * wts).sum())
+    dens = sum(prec[k, l] * x[k] * x[l] for k in range(dp) for l in range(dp))
+    dens *= -0.5
+    np.exp(dens, out=dens)
+    dens /= np.sqrt((2.0 * np.pi) ** dp * np.linalg.det(sigma))
+    dens *= math.prod(w)  # weights multiplied together first: the grid rule's rounding
+    return float(dens.sum())
 
 
 def standard_mvn_instance() -> IntegrandProblem:
@@ -180,20 +180,14 @@ def keister_reference(d: int) -> float:
     """mu = 2 pi^{d/2} I_c(d) / Gamma(d/2) via the cos/sin moment recursion."""
     ic1 = np.sqrt(np.pi) / (2.0 * np.exp(0.25))
     is1 = 0.4244363835020225
-    if d == 1:
-        ic = ic1
-    elif d == 2:
-        ic = (1.0 - is1) / 2.0
-    else:
-        ic_vals = [ic1, (1.0 - is1) / 2.0]
-        is_vals = [is1, ic1 / 2.0]
-        for j in range(3, d + 1):
-            # integration by parts of the radial moments: the sine recursion
-            # carries +I_c(j-1) since (d/dr) sin = +cos
-            ic_vals.append(((j - 2) * ic_vals[j - 3] - is_vals[j - 2]) / 2.0)
-            is_vals.append(((j - 2) * is_vals[j - 3] + ic_vals[j - 2]) / 2.0)
-        ic = ic_vals[d - 1]
-    return float(2.0 * np.pi ** (d / 2.0) * ic / np.exp(gammaln(d / 2.0)))
+    ic_vals = [ic1, (1.0 - is1) / 2.0]
+    is_vals = [is1, ic1 / 2.0]
+    for j in range(3, d + 1):
+        # integration by parts of the radial moments: the sine recursion
+        # carries +I_c(j-1) since (d/dr) sin = +cos
+        ic_vals.append(((j - 2) * ic_vals[j - 3] - is_vals[j - 2]) / 2.0)
+        is_vals.append(((j - 2) * is_vals[j - 3] + ic_vals[j - 2]) / 2.0)
+    return float(2.0 * np.pi ** (d / 2.0) * ic_vals[d - 1] / np.exp(gammaln(d / 2.0)))
 
 
 def keister_problem(d: int) -> IntegrandProblem:
@@ -220,24 +214,6 @@ def keister_problem(d: int) -> IntegrandProblem:
 # ---------------------------------------------------------------------------
 # Asian arithmetic-mean call option
 # ---------------------------------------------------------------------------
-
-_FIXTURE_FILE = "option_reference.json"
-
-
-def _fixture_path() -> str:
-    from .nodes import _data_path
-
-    return _data_path(_FIXTURE_FILE)
-
-
-def load_reference_fixture(name: str) -> dict | None:
-    path = _fixture_path()
-    if not os.path.exists(path):
-        return None
-    with open(path) as fh:
-        data = json.load(fh)
-    return data.get(name)
-
 
 def asian_option_problem(T: float = 0.25, d: int = 13, s0: float = 100.0,
                          r: float = 0.05, sigma: float = 0.5,
@@ -270,13 +246,10 @@ def asian_option_problem(T: float = 0.25, d: int = 13, s0: float = 100.0,
         ref = float(np.exp(-r * T) * s0 / d * np.exp(r * tj).sum())
         prov, hw = "lognormal mean identity (closed form)", 0.0
     else:
-        fixture = load_reference_fixture("asian_option")
-        if fixture is not None and all(
-                np.isclose(fixture["params"][k], params[k]) for k in
-                ("T", "d", "S0", "r", "sigma", "K")):
-            ref = fixture["value"]
-            prov = fixture["method"]
-            hw = fixture["half_width"]
+        with open(_data_path("option_reference.json")) as fh:
+            fixture = json.load(fh)["asian_option"]
+        if all(np.isclose(fixture["params"][k], v) for k, v in params.items()):
+            ref, prov, hw = fixture["value"], fixture["method"], fixture["half_width"]
         else:
             ref, prov, hw = None, "none", None
     return IntegrandProblem(name="asian_option", evaluator=evaluator, d=d,

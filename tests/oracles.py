@@ -6,7 +6,8 @@ digit arithmetic of the Walsh kernels, the radical inverse and the bit
 reversal, lattice points one whole column at a time, identity Sobol' generator matrices, the Matern kernel at a pair of
 points, the dense lattice and Walsh-Hadamard transforms, and the whole
 lattice spectra (even Gram, conjugate-symmetric data) that the package keeps
-as their halves; and the dense posterior in 80-bit floats.
+as their halves; the dense posterior in 80-bit floats; and the normal box
+probability's tensor Gauss-Legendre rule over a materialised grid of points.
 """
 
 import numpy as np
@@ -214,3 +215,25 @@ def extended_dense_posterior(y, gram, c, c0: float, kind: str):
                       np.asarray(c, dtype=np.longdouble), c0, kind,
                       lambda rhs: _solve_extended(low, rhs),
                       lambda: _forward_identity(low), 2 * np.log(np.diag(low)).sum())
+
+
+def grid_mvn_box_probability(a, b, sigma, n_nodes: int = 96) -> float:
+    """problems.mvn_box_probability's tensor Gauss-Legendre rule with every
+    node stacked in an (n_nodes^dp, dp) array, its weights as a stacked grid
+    and the quadratic form as an einsum over the points."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    dp = a.shape[0]
+    x1, w1 = np.polynomial.legendre.leggauss(n_nodes)
+    nodes, weights = [], []
+    for ell in range(dp):
+        nodes.append(0.5 * (b[ell] - a[ell]) * x1 + 0.5 * (a[ell] + b[ell]))
+        weights.append(0.5 * (b[ell] - a[ell]) * w1)
+    grids = np.meshgrid(*nodes, indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=1)
+    wgrids = np.meshgrid(*weights, indexing="ij")
+    wts = np.prod(np.stack([g.ravel() for g in wgrids], axis=1), axis=1)
+    prec = np.linalg.inv(np.asarray(sigma, dtype=np.float64))
+    quad = np.einsum("ij,jk,ik->i", pts, prec, pts)
+    dens = np.exp(-0.5 * quad) / np.sqrt((2.0 * np.pi) ** dp * np.linalg.det(sigma))
+    return float((dens * wts).sum())

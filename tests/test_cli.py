@@ -70,6 +70,15 @@ class TestIntegrate:
         code, out, err = run_main(args + ["--problem", "keister", "--d", d], capsys)
         assert code == 2 and "--d" in err and out == ""
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_format_is_a_sweep_flag(self, capsys, fmt):
+        # integrate always prints JSON; it used to accept --format and ignore it
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["integrate", "--problem", "fresnel", "--eps", "1e-2",
+                      "--format", fmt])
+        assert exc.value.code == 2
+        assert "--format" in capsys.readouterr().err
+
     def test_mvn_refuses_another_dimension(self, capsys):
         # mvn used to ignore --d and integrate its fixed 2-D instance
         code, out, err = run_main(
@@ -202,6 +211,33 @@ class TestSweep:
         assert all(r["success"] and "error" not in r for r in done)
         assert summary["median_n"] == np.median([r["n"] for r in done])
         assert summary["success_rate"] == 2 / 3
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_no_reference_leaves_the_error_fields_empty(self, capsys, tmp_path, fmt):
+        # the option at d = 4 has no reference; the sweep used to write bare
+        # NaN tokens, which are not JSON, and "nan" in CSV
+        assert problems.build_problem("option", d=4).reference_value is None
+        out_file = tmp_path / f"rows.{fmt}"
+        code, _, _ = run_main(
+            ["sweep", "--problem", "option", "--d", "4", "--eps-lo", "1e-2",
+             "--eps-hi", "2e-2", "--count", "2", "--nmax", "1024", "--format", fmt,
+             "--out", str(out_file)], capsys)
+        assert code == 0
+        if fmt == "csv":
+            header, *rows = csv.reader(out_file.read_text().splitlines())
+            assert header == list(cli.CSV_COLUMNS) and len(rows) == 2
+            for r in rows:
+                assert r[4:6] == ["", ""] and r[-1] == "True" and float(r[3]) <= 2e-2
+            return
+
+        def refuse(token):
+            raise ValueError(f"{token} is not JSON")
+
+        rows = json.loads(out_file.read_text(), parse_constant=refuse)["rows"]
+        assert len(rows) == 2
+        for r in rows:
+            assert r["abs_error"] is None and r["abs_error_over_eps"] is None
+            assert r["success"] is True and r["err"] <= r["eps"]
 
     def test_single_run_matches_integrate(self, capsys):
         args = ["sweep", "--problem", "fresnel", "--eps-lo", "1e-2",

@@ -76,7 +76,25 @@ class TestDiffRecords:
             raise ValueError("boom")
 
         rec = tool.call_record("w", 3, 4, fail)
-        assert rec == {"workload": "w", "seed": 3, "call": 4, "error": "ValueError: boom"}
+        assert rec == {"workload": "w", "seed": 3, "call": 4, "reference": None,
+                       "error": "ValueError: boom"}
+
+    def test_a_moved_reference_is_a_differing_field(self, tool):
+        # each call records its problem's reference, so a change that moves
+        # one fails --against even when every estimate stays the same
+        problem = bayescub.build_problem("fresnel", d=1)
+        cfg = bayescub.CubatureConfig(epsilon=1e-2, n_max=2**10, seed=1)
+        rec = tool.call_record(
+            "w", 1, 0, lambda: bayescub.integrate_fast(problem.evaluator, 1, cfg),
+            problem.reference_value)
+        assert rec["reference"] == problem.reference_value.hex()
+        assert float.fromhex(rec["reference"]) == problem.reference_value
+        moved = {**rec, "reference": (problem.reference_value * (1 + 2**-52)).hex()}
+        lines, _ = tool.diff_records([rec], [moved])
+        assert lines == [f"('w', 1, 0) reference: {rec['reference']} != "
+                         f"{moved['reference']}"]
+        assert tool.diff_records([rec], [moved], ("mu_hat",))[0] == []
+        assert "reference" in tool.FIELDS
 
     def test_fields_limit_what_is_reported(self, tool):
         new = copy.deepcopy(records())

@@ -8,7 +8,8 @@ Runs every integration that perfbench/workloads.py lists for the given
 seeds, plus at each seed one small call per loop path that no workload takes
 (PATHS, recorded as workload "path:<name>"; the dense Matern loop, with eb
 and with gcv, among them), with bayescub imported from the source tree SRC
-(default: this checkout's src), and records per call the estimate (as a
+(default: this checkout's src), and records per call the problem's reference
+value (as a float hex string, or null when it has none), the estimate (as a
 float hex string), n_used, err and tolerance_met and, per doubling, err, the
 chosen eta, the kernel order, the objective evaluations, the clamped-eigenvalue
 count and whether the search re-seeded, ended at an eta bound or ran out of
@@ -19,7 +20,10 @@ relative err gap over the doublings both hold and each side's mean objective
 evaluations per doubling, per workload.  The exit status is 1 when a field differs; with
 --fields only the named fields count (the others are summed up in one line),
 so a change that moves eta and err by design can still be held to
-identical mu_hat and n_used.
+identical mu_hat and n_used.  A change that moves a problem's reference value
+differs in the "reference" field of every call on that problem; records
+written before the field was recorded lack it, so compare records made by
+one version of this tool (record the other tree with --src).
 
 Every call runs in one process, in the order above, as the benchmark runs
 them, so a call on a design (lag source, kernel and start level) that an
@@ -95,9 +99,11 @@ def path_calls(bayescub, seed: int):
                bayescub.CubatureConfig(seed=seed, **{**PATH_FIELDS, **fields}))
 
 
-def call_record(workload: str, seed: int, call: int, run) -> dict:
-    """One call's record; run() returns a CubatureResult or raises."""
-    rec = {"workload": workload, "seed": seed, "call": call}
+def call_record(workload: str, seed: int, call: int, run, reference=None) -> dict:
+    """One call's record; run() returns a CubatureResult or raises, and
+    reference is the problem's reference value or None."""
+    rec = {"workload": workload, "seed": seed, "call": call,
+           "reference": None if reference is None else float(reference).hex()}
     try:
         res = run()
     except Exception as exc:  # a raising call is recorded, not fatal
@@ -122,13 +128,15 @@ def run_calls(src: Path, seeds) -> list[dict]:
             for i, cfg in enumerate(workload.integrations(seed)):
                 records.append(call_record(
                     name, seed, i,
-                    lambda: bayescub.integrate_fast(problem.evaluator, problem.d, cfg)))
+                    lambda: bayescub.integrate_fast(problem.evaluator, problem.d, cfg),
+                    problem.reference_value))
     for seed in seeds:
         for name, problem, cfg in path_calls(bayescub, seed):
             loop = (bayescub.integrate_dense if cfg.family == "matern_dense"
                     else bayescub.integrate_fast)
             records.append(call_record(
-                name, seed, 0, lambda: loop(problem.evaluator, problem.d, cfg)))
+                name, seed, 0, lambda: loop(problem.evaluator, problem.d, cfg),
+                problem.reference_value))
     return records
 
 
@@ -141,7 +149,7 @@ def _rel_gap(a, b) -> float:
 
 
 # per call, then per doubling; "err" names both the result's and each doubling's
-CALL_FIELDS = ("error", "mu_hat", "n_used", "err", "tolerance_met")
+CALL_FIELDS = ("error", "reference", "mu_hat", "n_used", "err", "tolerance_met")
 DOUBLING_FIELDS = ("n", "err", "eta", "order", "evaluations", "n_clamped", "reseeded",
                    "bound_hit", "capped")
 FIELDS = tuple(dict.fromkeys(CALL_FIELDS + ("doublings",) + DOUBLING_FIELDS))
