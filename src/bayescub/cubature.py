@@ -12,18 +12,23 @@ the slow baseline.
 
 The fast fit grows the data transform by the doubling update and re-fits the
 shape parameters from a warm start.  Its search runs on plain coordinates,
-which this module alone maps to a kernel.  With one eta shared by every
-dimension and a fixed kernel order (the default), the Gram spectrum is a
-polynomial in eta: each doubling builds the spectra of its d coefficient
-columns (inference.coefficient_spectra), grown from the doubling's new
-entries, and an objective evaluation is one Horner pass over them; a Brent
-line search, which needs no gradient, searches its one coordinate.  On the
-lattice the stopping width and the clamped count come from the ring column
-at the chosen eta instead, scattered from the base blocks the doublings
-built and transformed once: the polynomial's smallest eigenvalues sit on its
-rounding floor, and its width on Fresnel at 2^16 read 8e-5 off a long-double
-reference where the ring's reads 2e-5.  On Sobol' nodes the polynomial is
-the more precise.
+which this module alone maps to a kernel.  With a fixed kernel order the
+Gram spectrum is a sum over held coefficient spectra, built per doubling
+(inference.coefficient_spectra) and grown from the doubling's new entries:
+with one eta shared by every dimension (the default) a polynomial in eta
+over the spectra of the d elementary symmetric columns, which a Brent line
+search, needing no gradient, searches by one Horner pass per evaluation;
+with one eta per dimension and 2^d - 1 <= 2d + 1 (d <= 3) a multilinear sum
+over the spectra of the 2^d - 1 subset-product columns, no more columns than
+one ring evaluation builds, which L-BFGS-B searches by one multilinear
+Horner pass per evaluation and the same pass over each eta's subsets for the
+analytic gradient, asked right after the evaluation.  On the lattice the
+stopping width and the clamped count come from the ring column at the
+chosen eta instead, scattered from the base blocks the doublings built and
+transformed once: the held spectra's smallest eigenvalues sit on their
+rounding floor, and the polynomial's width on Fresnel at 2^16 read 8e-5 off
+a long-double reference where the ring's reads 2e-5.  On Sobol' nodes the
+held spectra are the more precise.
 
 With a matched kernel the Gram matrix depends on the nodes only through
 their differences, x_i - x_j mod 1 on a shifted lattice and x_i XOR x_j on
@@ -33,18 +38,18 @@ Comput. 29, 2019; Dick and Pillichshammer, Digital Nets and Sequences,
 2010).  The module holds them for one design, the latest: the generator's
 lag source (gen.lag_key: the lattice's generating vector and max_log2_n, or
 the Sobol' direction numbers with any scramble), the kernel family and
-order, and the start level log2 n0, since the lattice split rounds
-differently from a from-scratch build.  Each level keeps its spectra and,
-on the lattice, the base block _ring_from_blocks reads, read-only, while
-the design's arrays stay within _HELD_BYTES (64 MiB; the option's chain to
-2^18 at d = 13 holds about 41 MB).  A later call on the design reads each
-held level instead of building it, with the same bits; levels past the cap
-are built and not kept.  Per-dimension eta rebuilds the bases at each doubling
-and builds the ring column and its transform on every evaluation; L-BFGS-B
-searches it with the analytic gradient, which the search asks right after
-each evaluation: it reads the eta, ring column and data just built and
-transforms the d columns of the eta Jacobian.  A searched order builds its
-bases per evaluation too, and Nelder-Mead searches it without a gradient.
+order, the start level log2 n0, since the lattice split rounds differently
+from a from-scratch build, and the form of the coefficient columns.  Each
+level keeps its spectra and, on the lattice, the base block
+_ring_from_blocks reads, read-only, while the design's arrays stay within
+_HELD_BYTES (64 MiB; the option's chain to 2^18 at d = 13 holds about
+41 MB).  A later call on the design reads each held level instead of
+building it, with the same bits; levels past the cap are built and not
+kept.  Per-dimension eta at d >= 4 rebuilds the bases at each doubling and
+builds the ring column and its transform on every evaluation; its gradient
+reads the eta, ring column and data just built and transforms the d columns
+of the eta Jacobian.  A searched order builds its bases per evaluation too,
+and Nelder-Mead searches it without a gradient.
 Every search stays in inference.SEARCH_BOX, [log 1e-8, log 1e8] in each
 coordinate, which also keeps a searched order one its kernel accepts, within
 _BUDGET_FIRST distinct evaluations at the first doubling and _BUDGET_LATER
@@ -68,7 +73,8 @@ import numpy as np
 from . import kernels, problems
 from .inference import (EB, CRITERIA, NonFiniteStartError, coefficient_spectra,
                         column_spectrum, credible_width, data_weights, dense_posterior,
-                        objective, objective_gradient, polynomial_spectrum, SEARCH_BOX,
+                        multilinear_partials, multilinear_spectrum, objective,
+                        objective_gradient, polynomial_spectrum, SEARCH_BOX,
                         search_hyperparameters, transformed_data)
 from .nodes import CapacityError, block_rows, make_lattice, make_sobol
 from .transforms import DENSE_MAX_N, fbt, fbt_double
@@ -220,8 +226,10 @@ _held: dict = {}
 
 
 def _design_spectra(design: tuple, spec0: kernels.KernelSpec, gen, kind: str, m: int,
-                    prev: np.ndarray | None) -> tuple[np.ndarray, np.ndarray | None]:
-    """coefficient_spectra(spec0, gen, kind, m, prev), built once per design.
+                    prev: np.ndarray | None,
+                    products) -> tuple[np.ndarray, np.ndarray | None]:
+    """coefficient_spectra(spec0, gen, kind, m, prev, products), built once
+    per design, which names products.
 
     prev is the spectra at level m - 1, held or built, so a held level and a
     built one are the same bits.  A level is kept, read-only, while the
@@ -234,7 +242,7 @@ def _design_spectra(design: tuple, spec0: kernels.KernelSpec, gen, kind: str, m:
         levels = _held[design] = {}
     if m in levels:
         return levels[m]
-    powers, built = coefficient_spectra(spec0, gen, kind, m, prev)
+    powers, built = coefficient_spectra(spec0, gen, kind, m, prev, products)
     kept = (powers, built if kind == "lattice" else None)
     size = sum(a.nbytes for level in (*levels.values(), kept) for a in level if a is not None)
     if size <= _HELD_BYTES:
@@ -317,23 +325,30 @@ def integrate_fast(f, d: int, config: CubatureConfig) -> CubatureResult:
     search_order = config.search_order
     shared = config.eta_mode == "shared"
     poly = shared and not search_order  # the spectrum is a polynomial in eta
+    # per-dimension eta at a fixed order: the spectrum is multilinear in eta,
+    # held while its 2^d - 1 subset spectra are no more columns than one
+    # ring evaluation builds (ring, d Jacobian rows and their d spectra)
+    multilinear = not shared and not search_order and (1 << d) - 1 <= 2 * d + 1
+    products = (kernels.elementary_symmetric if poly
+                else kernels.subset_products if multilinear else None)
     start = np.zeros(1 if shared else d)  # eta = 1
     if search_order:
         start = np.r_[_ORDER_MAPS[spec0.family][1](spec0.order), start]
     warm, budget, spectrum, powers = start, _BUDGET_FIRST, None, None
-    design = (gen.lag_key, spec0.family, spec0.order, config.n0.bit_length() - 1)
-    blocks = []  # shared eta on the lattice: the bases _ring_from_blocks reads
+    design = (gen.lag_key, spec0.family, spec0.order, config.n0.bit_length() - 1,
+              products and products.__name__)
+    blocks = []  # held spectra on the lattice: the bases _ring_from_blocks reads
 
     def fit(n, yb, y_all):
         nonlocal warm, budget, spectrum, powers
         spectrum = fbt(yb, kind) if spectrum is None else fbt_double(spectrum, yb, kind)
         m = n.bit_length() - 1
         weights = data_weights(spectrum, n)
-        # shared eta holds the spectra of e_1..e_d, per-dimension eta the
-        # bases; a searched order builds its bases per evaluation
+        # held spectra, or per-dimension eta's bases for the ring path at
+        # d >= 4; a searched order builds its bases per evaluation
         bases = None
-        if poly:
-            powers, built = _design_spectra(design, spec0, gen, kind, m, powers)
+        if products is not None:
+            powers, built = _design_spectra(design, spec0, gen, kind, m, powers, products)
             if kind == "lattice":  # built: the whole half column or its odd block
                 if built.shape[-1] == n // 2 + 1:
                     blocks.clear()
@@ -341,11 +356,14 @@ def integrate_fast(f, d: int, config: CubatureConfig) -> CubatureResult:
         elif not search_order:
             bases = kernels.column_bases(spec0, gen, m)
 
-        last = {}  # per-dimension eta: the latest evaluation's eta, ring column, data
+        last = {}  # per-dimension eta: the latest evaluation's eta, ring column or None, data
 
         def obj(t):
             if poly:
                 lams = polynomial_spectrum(powers, _eta_from_log(t)[0])
+            elif multilinear:
+                eta, col = _eta_from_log(t), None
+                lams = multilinear_spectrum(powers, eta)
             elif bases is not None:
                 eta = _eta_from_log(t)
                 col = kernels.ring_from_bases(eta, bases)
@@ -355,16 +373,21 @@ def integrate_fast(f, d: int, config: CubatureConfig) -> CubatureResult:
                 col = kernels.ring_from_bases(spec.eta, kernels.column_bases(spec, gen, m))
                 lams = column_spectrum(col, kind, n)
             data = transformed_data(weights, lams, n)
-            if bases is not None:  # the gradient, asked next, reads them
+            if multilinear or bases is not None:  # the gradient, asked next, reads them
                 last.update(eta=eta, col=col, data=data)
             return objective(config.criterion, data), data
 
         def gradient(t):  # right after obj(t); the chain rule through eta = exp(t)
-            jac = kernels.column_eta_jacobian(last["eta"], bases, last["col"])
-            return objective_gradient(last["data"], config.criterion,
-                                      column_spectrum(jac, kind, n)) * last["eta"]
+            eta = last["eta"]
+            if multilinear:
+                dlam = multilinear_partials(powers, eta)
+            else:
+                dlam = column_spectrum(kernels.column_eta_jacobian(eta, bases, last["col"]),
+                                       kind, n)
+            return objective_gradient(last["data"], config.criterion, dlam) * eta
 
-        search = dict(budget=budget, gradient_fn=gradient if bases is not None else None)
+        search = dict(budget=budget,
+                      gradient_fn=gradient if multilinear or bases is not None else None)
         reseeded = False
         try:
             res = search_hyperparameters(obj, warm, **search)
@@ -376,7 +399,7 @@ def integrate_fast(f, d: int, config: CubatureConfig) -> CubatureResult:
         warm, budget = res.t, _BUDGET_LATER
         spec_best = _kernel_at(spec0, res.t, search_order)
         data = res.payload
-        if blocks:  # the polynomial's smallest eigenvalues sit on its rounding floor
+        if blocks:  # the held spectra's smallest eigenvalues sit on their rounding floor
             data = transformed_data(weights, column_spectrum(
                 _ring_from_blocks(spec_best.eta, blocks, n), kind, n), n)
         # a re-seeded search also spent one evaluation at the failed warm start

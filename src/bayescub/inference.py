@@ -18,19 +18,25 @@ a polynomial in eta with no constant term,
     prod_l (1 + eta c_l) - 1 = sum_{j=1..d} eta^j e_j,
 
 e_j the j-th elementary symmetric polynomial of the per-dimension bases c_l,
-so the spectrum is sum_j eta^j T(e_j): coefficient_spectra builds the d
-coefficient spectra once per sample size, growing the previous size's from
-the doubling's new entries alone (on Sobol' nodes by the FWHT's last stage,
-on the lattice by the DCT-I's decimation split), and polynomial_spectrum
-evaluates the spectrum at any eta by one Horner pass, with no ring column
-and no transform.  The sum rounds each term, so its smallest eigenvalues sit
-on a rounding floor of the largest; where that floor is coarser than the
-ring column's transform, the caller takes the width from the latter.
-Per-dimension eta and a searched kernel order transform the ring column
-itself on every evaluation.  A lattice spectrum is even
-(lam_k = lam_{n-k}) and, like the real-FFT data spectrum (y~_{n-k} is the
-conjugate of y~_k), stays its half k = 0..n/2 up to the width: data_weights
-pairs the data once per sample size, TransformedData the eigenvalue sums.
+so the spectrum is sum_j eta^j T(e_j).  With one eta per dimension it is
+multilinear, sum_S (prod_{l in S} eta_l) T(c_S) over the products c_S of
+the bases over the nonempty subsets S of the dimensions.
+coefficient_spectra builds either set of coefficient spectra once per sample
+size, growing the previous size's from the doubling's new entries alone (on
+Sobol' nodes by the FWHT's last stage, on the lattice by the DCT-I's
+decimation split).  polynomial_spectrum evaluates the first at any eta by
+one Horner pass, multilinear_spectrum the second at any eta vector by one
+multilinear Horner pass and multilinear_partials its eta partials the same
+way, with no ring column and no transform.  The sums round each term, so
+their smallest eigenvalues sit on a rounding floor of the largest; where
+that floor is coarser than the ring column's transform, the caller takes the
+width from the latter.  Per-dimension eta at d >= 4, whose 2^d - 1 subset
+spectra outnumber the columns an evaluation builds, and a searched kernel
+order transform the ring column itself on every evaluation.  A lattice
+spectrum is even (lam_k = lam_{n-k}) and, like the real-FFT data spectrum
+(y~_{n-k} is the conjugate of y~_k), stays its half k = 0..n/2 up to the
+width: data_weights pairs the data once per sample size, TransformedData
+the eigenvalue sums.
 
 search_hyperparameters minimizes over a plain float vector in the log-eta
 box SEARCH_BOX; cubature maps it to a kernel and passes the budget.  The
@@ -46,6 +52,7 @@ evaluation count the budget caps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import stdtrit
@@ -138,32 +145,34 @@ def column_spectrum(cols: np.ndarray, kind: str, n: int) -> np.ndarray:
     return out.reshape(cols.shape)
 
 
-def coefficient_spectra(spec, gen, kind: str, m: int,
-                        prev=None) -> tuple[np.ndarray, np.ndarray]:
-    """Spectra T(e_1)..T(e_d) at n = 2^m of the shared-eta coefficient
-    columns, kernels.elementary_symmetric of spec's bases on gen's nodes,
-    and the bases built for them.
+def coefficient_spectra(spec, gen, kind: str, m: int, prev=None,
+                        products=kernels.elementary_symmetric
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """Spectra at n = 2^m of the coefficient columns products(bases), one per
+    row, and the bases built for them: spec's bases on gen's nodes, and
+    products kernels.elementary_symmetric (shared eta: T(e_1)..T(e_d)) or
+    kernels.subset_products (per-dimension eta: T(c_S) over the nonempty
+    subsets S).
 
-    Given prev (the spectra at n/2), only the doubling block's bases and e_j
-    are built, and the bases returned are the block's.  On Sobol' nodes the
-    block's e_j extend those at n/2, so their transforms at length n/2 join
-    prev by the FWHT's last stage (transforms.walsh_double), bit for bit the
-    from-scratch result.  On the lattice the block is the half column's odd
-    entries, whose DCT-II joins prev by the DCT-I's decimation split
-    (transforms.fbt_lattice_even), the from-scratch result up to rounding;
-    truncated_series ignores prev and rebuilds, since its grid table changes
-    with n.
+    Given prev (the spectra at n/2), only the doubling block's bases and
+    products are built, and the bases returned are the block's.  On Sobol'
+    nodes the block's products extend those at n/2, so their transforms at
+    length n/2 join prev by the FWHT's last stage (transforms.walsh_double),
+    bit for bit the from-scratch result.  On the lattice the block is the
+    half column's odd entries, whose DCT-II joins prev by the DCT-I's
+    decimation split (transforms.fbt_lattice_even), the from-scratch result
+    up to rounding; truncated_series ignores prev and rebuilds, since its
+    grid table changes with n.
     """
     n = 1 << m
     if prev is None or spec.family == "truncated_series":
         bases = kernels.column_bases(spec, gen, m)
-        return column_spectrum(kernels.elementary_symmetric(bases), kind, n), bases
+        return column_spectrum(products(bases), kind, n), bases
     if kind == "sobol":
         block = kernels.sobol_column_bases(spec, gen, m, start=n // 2)
-        return walsh_double(prev, column_spectrum(
-            kernels.elementary_symmetric(block), kind, n // 2)), block
+        return walsh_double(prev, column_spectrum(products(block), kind, n // 2)), block
     block = kernels.lattice_column_bases(spec, gen, m, block=True)
-    return fbt_lattice_even(kernels.elementary_symmetric(block), n, prev), block
+    return fbt_lattice_even(products(block), n, prev), block
 
 
 def polynomial_spectrum(spectra: np.ndarray, eta: float) -> np.ndarray:
@@ -174,6 +183,52 @@ def polynomial_spectrum(spectra: np.ndarray, eta: float) -> np.ndarray:
         out += row
         out *= eta
     return out
+
+
+def multilinear_spectrum(spectra: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """Ring spectrum sum_S (prod_{l in S} eta_l) spectra[S - 1] over the
+    nonempty subsets S of the d dimensions, read as bit masks, by one
+    multilinear Horner pass, laid out like the rows of spectra
+    (column_spectrum of kernels.subset_products)."""
+    h = (spectra.shape[0] + 1) // 2
+    rows = spectra[h - 1:] * eta[-1]  # the subsets holding dimension d - 1
+    rows[1:] += spectra[:h - 1]       # plus those without it but the empty one
+    return _fold(rows, eta[:-1])
+
+
+def multilinear_partials(spectra: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """The d partials d lambda / d eta_l of multilinear_spectrum(spectra, eta),
+    shape (d, cols): each the same pass over the subsets holding l, less l."""
+    rows, others = _subsets_holding(eta.shape[0])
+    return _fold(spectra[rows], eta[others][..., None])
+
+
+def _fold(rows: np.ndarray, factors) -> np.ndarray:
+    """sum_S (prod_{l in S} factors[l]) rows[S] over the 2^k subsets S of
+    k = len(factors) dimensions, by Horner steps from the highest dimension
+    down, in place; returns rows[0], where the sum ends."""
+    for ell in range(len(factors) - 1, -1, -1):
+        h = 1 << ell
+        top = rows[h:2 * h]
+        top *= factors[ell]
+        rows[:h] += top
+    return rows[0]
+
+
+@lru_cache(maxsize=8)
+def _subsets_holding(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only index arrays for multilinear_partials: rows (2^(d-1), d),
+    whose column l holds the rows of subset spectra of the subsets holding
+    dimension l, ordered by the subset less l as a mask over the other
+    dimensions, and others (d - 1, d), whose column l lists those dimensions
+    in rising order."""
+    r = np.arange(1 << (d - 1))[:, None]
+    dims = np.arange(d)
+    rows = ((r >> dims) << (dims + 1) | 1 << dims | r & ((1 << dims) - 1)) - 1
+    others = np.array([[k for k in range(d) if k != l] for l in range(d)],
+                      dtype=np.intp).reshape(d, d - 1).T
+    rows.flags.writeable = others.flags.writeable = False
+    return rows, others
 
 
 def transformed_data(weights: np.ndarray, lams: np.ndarray, n: int) -> TransformedData:

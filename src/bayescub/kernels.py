@@ -8,8 +8,9 @@ iteration R <- R * (1 + c) + c, which never subtracts near-equal quantities.
 A kernel holds one eta per dimension; whether the search shares one value
 among them is the doubling loop's choice.  With one eta shared by every
 dimension the ring is also the polynomial sum_j eta^j e_j in the elementary
-symmetric polynomials e_j of the bases, whose coefficient columns do not
-depend on eta.
+symmetric polynomials e_j of the bases, and with one eta per dimension the
+multilinear sum_S (prod_{l in S} eta_l) c_S over the products c_S of the
+bases over subsets S; neither's coefficient columns depend on eta.
 """
 
 from __future__ import annotations
@@ -196,6 +197,25 @@ def elementary_symmetric(bases: np.ndarray) -> np.ndarray:
                 e[j] += t
             e[0] += c
     return out.reshape(bases.shape)
+
+
+def subset_products(bases: np.ndarray) -> np.ndarray:
+    """Entrywise products c_S = prod_{l in S} c_l of (d, ...) bases over the
+    2^d - 1 nonempty subsets S of the dimensions, row S - 1 for S read as a
+    bit mask, stacked along the first axis.
+
+    They are the ring column's coefficients in per-dimension eta:
+    prod_l (1 + eta_l c_l) - 1 = sum_S (prod_{l in S} eta_l) c_S.  Row
+    2^l - 1 is c_l, and the 2^l - 1 rows after it are c_l times the rows
+    before it, the subsets of the lower dimensions.
+    """
+    d = bases.shape[0]
+    out = np.empty(((1 << d) - 1,) + bases.shape[1:])
+    for ell in range(d):
+        h = 1 << ell
+        out[h - 1] = bases[ell]
+        np.multiply(bases[ell], out[:h - 1], out=out[h:2 * h - 1])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -169,17 +169,20 @@ def lattice_lag_indices(gen: LatticeGenerator, m: int, block: bool = False,
     return np.multiply.outer(h, k) & (n - 1)
 
 
+@lru_cache(maxsize=8)
+def _lattice_table(path: str) -> tuple[int, ...]:
+    """The generating-vector entries of the lattice table at path, parsed once."""
+    with open(path) as fh:
+        return tuple(int(line) for line in map(str.strip, fh)
+                     if line and not line.startswith("#"))
+
+
 def default_lattice_vector(d: int) -> tuple[int, ...]:
     """The shipped d<=20 extensible generating vector (override via data file)."""
-    vec = []
-    with open(_data_path("lattice_base2_m20_d20.txt")) as fh:
-        for line in fh:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                vec.append(int(line))
+    vec = _lattice_table(_data_path("lattice_base2_m20_d20.txt"))
     if d > len(vec):
         raise CapacityError(f"lattice vector file supports d <= {len(vec)}, requested {d}")
-    return tuple(vec[:d])
+    return vec[:d]
 
 
 def make_lattice(d: int, seed: int) -> LatticeGenerator:
@@ -194,15 +197,17 @@ def make_lattice(d: int, seed: int) -> LatticeGenerator:
 # Sobol'
 # ---------------------------------------------------------------------------
 
-def default_direction_numbers(d: int) -> np.ndarray:
-    """Direction-number columns v_k = m_k * 2^(DIGITS-k) for d dimensions
-    from the shipped table (override via data file).
+@lru_cache(maxsize=8)
+def _direction_table(path: str) -> np.ndarray:
+    """Direction-number columns of every dimension in the table at path,
+    parsed and run through the recurrence once, as a read-only (d, DIGITS)
+    uint64 array.
 
     The file uses the standard "d s a m_i" table format; dimension 1 is the
-    identity (van der Corput) column.  Returns a (d, DIGITS) uint64 array.
+    identity (van der Corput) column.
     """
     rows = []
-    with open(_data_path("sobol_joe_kuo_d20.txt")) as fh:
+    with open(path) as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#") or line.startswith("d"):
@@ -210,15 +215,10 @@ def default_direction_numbers(d: int) -> np.ndarray:
             parts = line.split()
             rows.append((int(parts[0]), int(parts[1]), int(parts[2]),
                          [int(x) for x in parts[3:]]))
-    max_d = 1 + len(rows)
-    if d > max_d:
-        raise CapacityError(f"direction-number file supports d <= {max_d}, requested {d}")
 
-    v = np.zeros((d, DIGITS), dtype=np.uint64)
+    v = np.zeros((1 + len(rows), DIGITS), dtype=np.uint64)
     v[0] = 1 << (DIGITS - 1 - np.arange(DIGITS, dtype=np.uint64))  # identity matrix
     for dim, s, a, m in rows:
-        if dim > d:
-            break
         col = list(m)
         for k in range(s, DIGITS):
             # classic recurrence: m_k = 2 a_1 m_{k-1} ^ ... ^ 2^{s-1} a_{s-1} m_{k-s+1}
@@ -230,7 +230,19 @@ def default_direction_numbers(d: int) -> np.ndarray:
             col.append(new)
         for k in range(DIGITS):
             v[dim - 1, k] = col[k] << (DIGITS - 1 - k)
+    v.flags.writeable = False
     return v
+
+
+def default_direction_numbers(d: int) -> np.ndarray:
+    """Direction-number columns v_k = m_k * 2^(DIGITS-k) for d dimensions
+    from the shipped table (override via data file), as a new (d, DIGITS)
+    uint64 array."""
+    table = _direction_table(_data_path("sobol_joe_kuo_d20.txt"))
+    if d > table.shape[0]:
+        raise CapacityError(f"direction-number file supports d <= {table.shape[0]}, "
+                            f"requested {d}")
+    return table[:d].copy()
 
 
 @dataclass(frozen=True)
@@ -276,12 +288,8 @@ def _upper_triangular_unit_diag(dn: np.ndarray) -> bool:
     """Column k must have its lowest set bit exactly at row k (bit DIGITS-1-k)."""
     if (dn >> np.uint64(DIGITS)).any():
         return False
-    for k in range(DIGITS):
-        diag = np.uint64(1) << np.uint64(DIGITS - 1 - k)
-        col = dn[:, k]
-        if ((col & diag) == 0).any() or (col % diag != 0).any():
-            return False
-    return True
+    diag = np.uint64(1) << (DIGITS - 1 - np.arange(DIGITS, dtype=np.uint64))
+    return bool(((dn & diag) != 0).all() and ((dn & (diag - np.uint64(1))) == 0).all())
 
 
 def _net_integers(dn: np.ndarray, start: int, stop: int) -> np.ndarray:

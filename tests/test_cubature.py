@@ -9,8 +9,8 @@ import pytest
 
 from dataclasses import replace
 
-from bayescub import (CubatureConfig, cubature, integrate_dense, integrate_fast,
-                      kernels, nodes, problems)
+from bayescub import (CubatureConfig, cubature, inference, integrate_dense,
+                      integrate_fast, kernels, nodes, problems)
 from bayescub.cubature import IntegrandError
 from bayescub.inference import NonFiniteStartError, student_t_quantile
 
@@ -472,11 +472,12 @@ class TestIterationRecords:
 
 
 class TestEigenvalueRouting:
-    """Shared eta with a fixed order evaluates the Gram spectrum as a
-    polynomial in eta, and on the lattice takes the width from the ring
-    column at the chosen eta; per-dimension eta and order search build the
-    ring column on every evaluation, and the gradient, asked right after
-    one, reads that evaluation's."""
+    """With a fixed order the Gram spectrum is a polynomial in a shared eta
+    and multilinear in per-dimension eta at d <= 3, evaluated from held
+    spectra, and on the lattice the width comes from the ring column at the
+    chosen eta; per-dimension eta at d >= 4 and order search build the ring
+    column on every evaluation, and the gradient, asked right after one,
+    reads that evaluation's."""
 
     @staticmethod
     def counting_ring(monkeypatch):
@@ -556,21 +557,58 @@ class TestEigenvalueRouting:
 
     @pytest.mark.parametrize("family", ["lattice", "sobol"])
     def test_per_dimension_eta_builds_it_per_evaluation(self, monkeypatch, family):
+        # from d = 4 on, per-dimension eta takes the ring path
         calls = self.counting_ring(monkeypatch)
         cfg = CubatureConfig(family=family, epsilon=1e-9, n0=128, n_max=2**10, seed=5,
                              eta_mode="per_dimension")
-        res = integrate_fast(self.f, 3, cfg)
+        res = integrate_fast(self.f, 4, cfg)
         assert calls["n"] == self.evaluations(res) > 0
 
     def test_revisited_points_build_no_ring_out_of_turn(self, monkeypatch):
-        # L-BFGS-B revisits points on this call; the search's memo serves
-        # their gradients, so every ring column built is one evaluation's
+        # L-BFGS-B revisits points on this d = 4 call; the search's memo
+        # serves their gradients, so every ring column built is one evaluation's
         calls = self.counting_ring(monkeypatch)
-        prob = problems.standard_fresnel_instance()
-        cfg = CubatureConfig(epsilon=1e-3, n_max=2**16, seed=2, periodizer="sidi_c1",
-                             eta_mode="per_dimension")
+        prob = problems.keister_problem(4)
+        cfg = CubatureConfig(criterion="gcv", epsilon=1e-7, n_max=2**12, seed=2,
+                             periodizer="baker", eta_mode="per_dimension")
         res = integrate_fast(prob.evaluator, prob.d, cfg)
         assert calls["n"] == self.evaluations(res) > 0
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("family", ["lattice", "sobol"])
+    def test_per_dimension_eta_at_small_d_reads_held_subset_spectra(self, monkeypatch,
+                                                                    family, d):
+        # no ring column and no transform in the search; on the lattice the
+        # width reads one ring column per doubling from the base blocks
+        rings = self.counting_ring(monkeypatch)
+        seen = {"eig": 0, "widths": 0}
+        for owner, name, key in ((inference, "fbt", "eig"),
+                                 (inference, "fbt_lattice_even", "eig"),
+                                 (cubature, "_ring_from_blocks", "widths")):
+            def counted(*args, _real=getattr(owner, name), _key=key):
+                seen[_key] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(owner, name, counted)
+        in_search = []
+        real = cubature.search_hyperparameters
+
+        def search(*args, **kwargs):
+            before = (rings["n"], seen["eig"])
+            out = real(*args, **kwargs)
+            in_search.append((rings["n"], seen["eig"]) != before)
+            return out
+
+        monkeypatch.setattr(cubature, "search_hyperparameters", search)
+        cubature._held.clear()
+        cfg = CubatureConfig(family=family, epsilon=1e-9, n0=128, n_max=2**11, seed=5,
+                             eta_mode="per_dimension")
+        res = integrate_fast(self.f, d, cfg)
+        k = len(res.iterations)
+        assert k == 5 and self.evaluations(res) > 10
+        assert len(in_search) == k and not any(in_search)
+        assert seen["widths"] == (k if family == "lattice" else 0)
+        assert rings["n"] == (k * (k + 1) // 2 if family == "lattice" else 0)
 
     def test_order_search_builds_it_per_evaluation(self, monkeypatch):
         calls = self.counting_ring(monkeypatch)
@@ -597,8 +635,9 @@ class TestEigenvalueRouting:
 
 
 class TestHeldDesign:
-    """The shared-eta spectra of the latest design (lag source, kernel and
-    start level) are built once per process; the shift cancels in every lag."""
+    """The held spectra of the latest design (lag source, kernel, start level
+    and form: shared eta's or per-dimension eta's) are built once per
+    process; the shift cancels in every lag."""
 
     f = staticmethod(lambda x: np.exp(x.sum(axis=1)))
 
@@ -625,12 +664,23 @@ class TestHeldDesign:
         cubature._held.clear()
         return out
 
-    @pytest.mark.parametrize("family,kernel", [("lattice", "bernoulli"),
-                                               ("lattice", "truncated_series"),
-                                               ("sobol", "walsh1")])
+    DESIGNS = [("lattice", "bernoulli"), ("lattice", "truncated_series"),
+               ("sobol", "walsh1")]
+
+    @pytest.mark.parametrize("family,kernel", DESIGNS)
     def test_a_held_design_gives_the_cold_results(self, monkeypatch, family, kernel):
-        cfg = CubatureConfig(family=family, kernel=kernel, epsilon=1e-9, n0=128,
-                             n_max=2**11, seed=5)
+        self.held_gives_cold(monkeypatch, CubatureConfig(
+            family=family, kernel=kernel, epsilon=1e-9, n0=128, n_max=2**11, seed=5))
+
+    @pytest.mark.parametrize("family,kernel", DESIGNS)
+    def test_a_held_per_dimension_design_gives_the_cold_results(self, monkeypatch,
+                                                                family, kernel):
+        # per-dimension eta at d = 3 holds its subset-product spectra
+        self.held_gives_cold(monkeypatch, CubatureConfig(
+            family=family, kernel=kernel, epsilon=1e-9, n0=128, n_max=2**11, seed=5,
+            eta_mode="per_dimension"))
+
+    def held_gives_cold(self, monkeypatch, cfg):
         other = replace(cfg, seed=6)
         cold = [self.cold(3, c) for c in (cfg, other)]
         builds = self.counting_builds(monkeypatch)
@@ -642,7 +692,8 @@ class TestHeldDesign:
 
     @pytest.mark.parametrize("base,change,d", [
         (dict(family="sobol", scramble=True), dict(seed=6), 3), ({}, dict(n0=256), 3),
-        ({}, dict(order=1.0), 3), ({}, dict(kernel="exp_decay"), 3), ({}, {}, 2)])
+        ({}, dict(order=1.0), 3), ({}, dict(kernel="exp_decay"), 3), ({}, {}, 2),
+        ({}, dict(eta_mode="per_dimension"), 3)])
     def test_no_other_design_shares_them(self, monkeypatch, base, change, d):
         cfg = CubatureConfig(epsilon=1e-9, n0=128, n_max=2**11, seed=5, **base)
         other = replace(cfg, **change)

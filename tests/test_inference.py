@@ -8,9 +8,9 @@ from bayescub import cubature, kernels, nodes, transforms
 from bayescub.inference import (EB, FULL, GCV, XATOL, DegenerateDataError,
                                 NonFiniteStartError, NonPositiveDefiniteError,
                                 TransformedData, column_spectrum, credible_width,
-                                data_weights, dense_posterior, objective,
-                                objective_eb, objective_gcv,
-                                objective_gradient, polynomial_spectrum,
+                                data_weights, dense_posterior, multilinear_partials,
+                                multilinear_spectrum, objective, objective_eb,
+                                objective_gcv, objective_gradient, polynomial_spectrum,
                                 search_hyperparameters,
                                 student_t_quantile, transformed_data, _brent)
 from bayescub.kernels import KernelSpec
@@ -204,6 +204,75 @@ class TestEtaPolynomial:
         for lams in (ring, poly):
             with pytest.raises(NonPositiveDefiniteError, match="below round-off floor"):
                 transformed_data(data_weights(np.ones(lams.shape[0]), n), lams, n)
+
+
+def subset_spectra(family, kernel, order, d, m, seed=3):
+    """(generator, bases, subset-product spectra) of a matched setup at 2^m."""
+    gen = (nodes.make_lattice(d, seed=seed) if family == "lattice"
+           else nodes.make_sobol(d, seed=seed))
+    bases = kernels.column_bases(KernelSpec(kernel, order, np.ones(d)), gen, m)
+    return gen, bases, column_spectrum(kernels.subset_products(bases), family, 1 << m)
+
+
+class TestMultilinearSpectrum:
+    """The per-dimension-eta Gram spectrum as a multilinear sum over the
+    subset-product spectra, and its partials in each eta, against the ring
+    column's transform and central differences."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("family,kernel,order", POLY_KERNELS)
+    def test_matches_ring_spectrum(self, family, kernel, order, d):
+        rng = np.random.default_rng(d)
+        for m in (1, 2, 3, 8, 12):
+            _, bases, spectra = subset_spectra(family, kernel, order, d, m)
+            assert spectra.shape[0] == (1 << d) - 1
+            for eta in np.exp(rng.uniform(np.log(1e-8), np.log(1e8), (9, d))):
+                ring = column_spectrum(kernels.ring_from_bases(eta, bases), family, 1 << m)
+                multi = multilinear_spectrum(spectra, eta)
+                assert multi.shape == ring.shape
+                assert np.abs(multi - ring).max() <= 1e-13 * np.abs(ring).max(), m
+
+    @pytest.mark.parametrize("kind", [EB, GCV])
+    @pytest.mark.parametrize("family", ["lattice", "sobol"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_partials_match_central_differences(self, d, family, kind):
+        # criterion 9's set-up and tolerances, on the multilinear spectrum
+        rng = np.random.default_rng(d)
+        m, n = 5, 32
+        for i, order in enumerate((1, 2) * 4):
+            kernel = "bernoulli" if family == "lattice" else "walsh1"
+            gen, _, spectra = subset_spectra(family, kernel, order if kernel == "bernoulli"
+                                             else 1, d, m, seed=i)
+            pts = gen.points(0, n).points
+            y = np.cos(2 * np.pi * pts[:, 0]) + pts.sum(axis=1) ** 2
+            weights = data_weights(transforms.fbt(y, family), n)
+            eta = rng.uniform(0.3, 2.5, size=d)
+
+            def loss(ev):
+                return objective(kind, transformed_data(
+                    weights, multilinear_spectrum(spectra, ev), n))
+
+            td = transformed_data(weights, multilinear_spectrum(spectra, eta), n)
+            grad = objective_gradient(td, kind, multilinear_partials(spectra, eta))
+            num = np.empty(d)
+            for ell in range(d):
+                h = 1e-4 * eta[ell]
+                up, dn = eta.copy(), eta.copy()
+                up[ell] += h
+                dn[ell] -= h
+                num[ell] = (loss(up) - loss(dn)) / (2 * h)
+            tol = 1e-5 * np.maximum(np.abs(grad), np.abs(num)) + 1e-7
+            assert (np.abs(grad - num) <= tol).all(), (i, grad, num)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_partials_are_the_jacobian_spectra(self, d):
+        _, bases, spectra = subset_spectra("sobol", "walsh1", 1, d, 6)
+        eta = np.array([0.4, 1.7, 0.9])[:d]
+        jac = kernels.column_eta_jacobian(eta, bases, kernels.ring_from_bases(eta, bases))
+        ring_path = column_spectrum(jac, "sobol", 64)
+        partials = multilinear_partials(spectra, eta)
+        assert partials.shape == (d, 64)
+        assert np.abs(partials - ring_path).max() <= 1e-13 * np.abs(ring_path).max()
 
 
 def zeta_reference_width(eta: float, m: int, y: np.ndarray, dps: int = 50):

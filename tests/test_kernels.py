@@ -208,14 +208,19 @@ class TestWalsh:
 
     def test_whole_column_peaks_at_two_columns(self):
         # 2^20 nodes in d = 13: the lag integers and the one float buffer the
-        # bases are built in, in a fresh interpreter (ru_maxrss never falls)
-        code = ("import resource, numpy as np\n"
+        # bases are built in. Measured in a fresh interpreter by VmHWM, the
+        # peak of its own address space: ru_maxrss there starts at the peak
+        # of the process that spawned it, so under pytest it hides the build
+        code = ("import numpy as np\n"
                 "from bayescub import kernels, nodes\n"
-                "rss = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024\n"
-                "before = rss()\n"
+                "def peak():\n"
+                "    with open('/proc/self/status') as fh:\n"
+                "        return next(int(line.split()[1]) * 1024 for line in fh\n"
+                "                    if line.startswith('VmHWM:'))\n"
+                "before = peak()\n"
                 "spec = kernels.KernelSpec('walsh1', 1.0, np.ones(13))\n"
                 "b = kernels.sobol_column_bases(spec, nodes.make_sobol(13, 1), 20)\n"
-                "print((rss() - before) / b.nbytes)\n")
+                "print((peak() - before) / b.nbytes)\n")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, check=True)
         assert float(proc.stdout) < 2.2
@@ -465,6 +470,29 @@ class TestElementarySymmetric:
         out = kernels.elementary_symmetric(bases)
         assert out.shape == (3, 4, 5)
         assert np.array_equal(out, unblocked_symmetric(bases))
+
+
+class TestSubsetProducts:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_row_of_each_mask_is_its_product(self, d):
+        rng = np.random.default_rng(d)
+        bases = rng.uniform(-0.5, 1.0, size=(d, 3, 5))
+        out = kernels.subset_products(bases)
+        assert out.shape == ((1 << d) - 1, 3, 5)
+        for mask in range(1, 1 << d):
+            dims = [ell for ell in range(d) if mask >> ell & 1]
+            assert np.array_equal(out[mask - 1], np.prod(bases[dims], axis=0)), mask
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_multilinear_in_per_dimension_eta_is_the_ring(self, d):
+        rng = np.random.default_rng(50 + d)
+        bases = rng.uniform(-1 / 12, 1 / 6, size=(d, 33))
+        c = kernels.subset_products(bases)
+        for eta in rng.uniform(1e-3, 5.0, size=(3, d)):
+            multi = sum(np.prod(eta[[ell for ell in range(d) if mask >> ell & 1]])
+                        * c[mask - 1] for mask in range(1, 1 << d))
+            ring = kernels.ring_from_bases(eta, bases)
+            assert np.abs(multi - ring).max() <= 1e-14 * max(1.0, np.abs(ring).max())
 
 
 @given(st.integers(1, 4), st.floats(1e-3, 10.0), st.integers(0, 2**32 - 1))

@@ -320,6 +320,28 @@ class TestLargeN:
             with pytest.raises(ValueError, match="do not make a half column"):
                 coefficient_spectra(spec, gen, "lattice", 5, bad)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("family,kernel,order", [("sobol", "walsh1", 1.0),
+                                                     ("lattice", "bernoulli", 2.0),
+                                                     ("lattice", "exp_decay", 0.5)])
+    def test_subset_spectra_grow_as_from_scratch(self, family, kernel, order, d):
+        # the per-dimension spectra of the 2^d - 1 subset products, grown by
+        # the same step: bit for bit on Sobol' nodes, to a few ulps of each
+        # row's largest entry on the lattice
+        gen = (nodes.make_sobol(d, 17) if family == "sobol" else nodes.make_lattice(d, 17))
+        spec = KernelSpec(kernel, order, np.ones(d))
+        products = kernels.subset_products
+        grown, _ = coefficient_spectra(spec, gen, family, 2, None, products)
+        for m in range(3, 17):
+            grown, block = coefficient_spectra(spec, gen, family, m, grown, products)
+            scratch, bases = coefficient_spectra(spec, gen, family, m, None, products)
+            assert grown.shape == scratch.shape == ((1 << d) - 1, bases.shape[1])
+            if family == "sobol":
+                assert np.array_equal(grown, scratch), m
+            else:
+                dev = np.abs(grown - scratch)
+                assert (dev <= 4e-15 * np.abs(scratch).max(axis=1, keepdims=True)).all(), m
+
     def test_truncated_series_spectra_rebuild_whatever_prev(self):
         # its grid table changes with n, so it has no growth step
         gen = nodes.make_lattice(3, 17)

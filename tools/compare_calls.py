@@ -76,6 +76,9 @@ PATHS = {
     # the GCV gradient; L-BFGS-B revisits a point at seed 1
     "gcv_per_dimension": ("keister", 3, {**_LATTICE, "criterion": "gcv",
                                          "eta_mode": "per_dimension"}),
+    # d = 4: per-dimension eta on the ring path, not the subset spectra
+    "ring_per_dimension": ("keister", 4, {**_LATTICE, "eta_mode": "per_dimension",
+                                          "n_max": 2**12}),
     "sobol_scrambled": ("keister", 3, {"family": "sobol", "scramble": True}),
     "truncated_series": ("fresnel", None, {**_LATTICE, "kernel": "truncated_series",
                                            "order": 1.7}),
