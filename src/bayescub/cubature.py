@@ -18,17 +18,31 @@ Gram spectrum is a sum over held coefficient spectra, built per doubling
 with one eta shared by every dimension (the default) a polynomial in eta
 over the spectra of the d elementary symmetric columns, which a Brent line
 search, needing no gradient, searches by one Horner pass per evaluation;
-with one eta per dimension and 2^d - 1 <= 2d + 1 (d <= 3) a multilinear sum
-over the spectra of the 2^d - 1 subset-product columns, no more columns than
-one ring evaluation builds, which L-BFGS-B searches by one multilinear
-Horner pass per evaluation and the same pass over each eta's subsets for the
-analytic gradient, asked right after the evaluation.  On the lattice the
-stopping width and the clamped count come from the ring column at the
-chosen eta instead, scattered from the base blocks the doublings built and
-transformed once: the held spectra's smallest eigenvalues sit on their
-rounding floor, and the polynomial's width on Fresnel at 2^16 read 8e-5 off
-a long-double reference where the ring's reads 2e-5.  On Sobol' nodes the
-held spectra are the more precise.
+with one eta per dimension and d <= _SUBSET_MAX_D (3) a multilinear sum
+over the spectra of the 2^d - 1 subset-product columns, which L-BFGS-B
+searches by one multilinear Horner pass per evaluation and the same pass
+over each eta's subsets for the analytic gradient, asked right after the
+evaluation.  On the lattice the stopping width and the clamped count come
+from the ring column at the chosen eta instead, scattered from the base
+blocks the doublings built and transformed once: the held spectra's
+smallest eigenvalues sit on their rounding floor, and the polynomial's
+width on Fresnel at 2^16 read 8e-5 off a long-double reference where the
+ring's reads 2e-5.  On Sobol' nodes both come from the held spectra: there
+the polynomial is the more precise, and the multilinear sum's width on
+Keister at d = 3 and 2^16, with etas up to 1e16 apart, reads at most 2e-11
+off the long-double ring transform where the float64 one reads 3e-8.
+
+The subset path holds 2^d - 1 spectrum rows per level and builds one
+spectrum row per evaluation and d partial rows per gradient, its work rows
+in blocks of inference._MULTILINEAR_BLOCK columns; the ring path rebuilds d
+base rows per doubling and builds 2d + 2 rows per evaluation and gradient.
+The cutoff d <= 3 is measured (tools/time_eta_paths.py: Keister, warm calls
+to 2^10-2^20, 2 vCPUs).  At d = 3 the subset path took 1.0-2.2x less time
+per call on both families at equal evaluation counts; at 2^18-2^20 its
+peak memory was within 6% of the ring path's on the lattice and 1.6x it on
+Sobol' nodes, whose rows are whole columns.  At d = 4 it took 0.9-1.9x
+less time but peaked 1.4-2.3x higher at 2^18-2^20; at d = 5 it peaked
+2.4-4.2x higher for no steady gain.
 
 With a matched kernel the Gram matrix depends on the nodes only through
 their differences, x_i - x_j mod 1 on a shifted lattice and x_i XOR x_j on
@@ -219,6 +233,11 @@ def _ring_from_blocks(eta: np.ndarray, blocks: list[np.ndarray], n: int) -> np.n
     return ring
 
 
+# per-dimension eta at a fixed order searches on held subset spectra up to
+# this d and on the ring column above it (the module docstring gives the
+# measurements; tools/time_eta_paths.py times both paths)
+_SUBSET_MAX_D = 3
+
 # the latest design's held levels: {design: {m: (spectra, lattice base block
 # or None)}}, at most _HELD_BYTES of arrays
 _HELD_BYTES = 64 << 20
@@ -325,10 +344,8 @@ def integrate_fast(f, d: int, config: CubatureConfig) -> CubatureResult:
     search_order = config.search_order
     shared = config.eta_mode == "shared"
     poly = shared and not search_order  # the spectrum is a polynomial in eta
-    # per-dimension eta at a fixed order: the spectrum is multilinear in eta,
-    # held while its 2^d - 1 subset spectra are no more columns than one
-    # ring evaluation builds (ring, d Jacobian rows and their d spectra)
-    multilinear = not shared and not search_order and (1 << d) - 1 <= 2 * d + 1
+    # per-dimension eta at a fixed order: the spectrum is multilinear in eta
+    multilinear = not shared and not search_order and d <= _SUBSET_MAX_D
     products = (kernels.elementary_symmetric if poly
                 else kernels.subset_products if multilinear else None)
     start = np.zeros(1 if shared else d)  # eta = 1

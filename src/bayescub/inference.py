@@ -30,13 +30,13 @@ multilinear Horner pass and multilinear_partials its eta partials the same
 way, with no ring column and no transform.  The sums round each term, so
 their smallest eigenvalues sit on a rounding floor of the largest; where
 that floor is coarser than the ring column's transform, the caller takes the
-width from the latter.  Per-dimension eta at d >= 4, whose 2^d - 1 subset
-spectra outnumber the columns an evaluation builds, and a searched kernel
-order transform the ring column itself on every evaluation.  A lattice
-spectrum is even (lam_k = lam_{n-k}) and, like the real-FFT data spectrum
-(y~_{n-k} is the conjugate of y~_k), stays its half k = 0..n/2 up to the
-width: data_weights pairs the data once per sample size, TransformedData
-the eigenvalue sums.
+width from the latter.  Per-dimension eta at d >= 4, where holding the
+2^d - 1 subset spectra costs more memory than it saves time (cubature),
+and a searched kernel order transform the ring column itself on every
+evaluation.  A lattice spectrum is even (lam_k = lam_{n-k}) and, like the
+real-FFT data spectrum (y~_{n-k} is the conjugate of y~_k), stays its half
+k = 0..n/2 up to the width: data_weights pairs the data once per sample
+size, TransformedData the eigenvalue sums.
 
 search_hyperparameters minimizes over a plain float vector in the log-eta
 box SEARCH_BOX; cubature maps it to a kernel and passes the budget.  The
@@ -191,16 +191,41 @@ def multilinear_spectrum(spectra: np.ndarray, eta: np.ndarray) -> np.ndarray:
     multilinear Horner pass, laid out like the rows of spectra
     (column_spectrum of kernels.subset_products)."""
     h = (spectra.shape[0] + 1) // 2
-    rows = spectra[h - 1:] * eta[-1]  # the subsets holding dimension d - 1
-    rows[1:] += spectra[:h - 1]       # plus those without it but the empty one
-    return _fold(rows, eta[:-1])
+
+    def fold(cut):
+        rows = spectra[h - 1:, cut] * eta[-1]  # the subsets holding dimension d - 1
+        rows[1:] += spectra[:h - 1, cut]       # plus those without it but the empty one
+        return _fold(rows, eta[:-1])
+
+    return _by_column_blocks(fold, spectra.shape[1:])
 
 
 def multilinear_partials(spectra: np.ndarray, eta: np.ndarray) -> np.ndarray:
     """The d partials d lambda / d eta_l of multilinear_spectrum(spectra, eta),
     shape (d, cols): each the same pass over the subsets holding l, less l."""
     rows, others = _subsets_holding(eta.shape[0])
-    return _fold(spectra[rows], eta[others][..., None])
+    factors = eta[others][..., None]
+    return _by_column_blocks(lambda cut: _fold(spectra[rows, cut], factors),
+                             (eta.shape[0], spectra.shape[1]))
+
+
+# columns per block of the multilinear passes: their work rows, at most
+# 2^(d-1) d of them, are this long, so no pass builds a whole one
+_MULTILINEAR_BLOCK = 1 << 14
+
+
+def _by_column_blocks(fold, shape: tuple) -> np.ndarray:
+    """The (..., cols) array whose columns fold(cut) gives for each block cut
+    of _MULTILINEAR_BLOCK columns; fold's own array when one block holds
+    them all."""
+    cols = shape[-1]
+    if cols <= _MULTILINEAR_BLOCK:
+        return fold(slice(None))
+    out = np.empty(shape)
+    for lo in range(0, cols, _MULTILINEAR_BLOCK):
+        cut = slice(lo, lo + _MULTILINEAR_BLOCK)
+        out[..., cut] = fold(cut)
+    return out
 
 
 def _fold(rows: np.ndarray, factors) -> np.ndarray:

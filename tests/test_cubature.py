@@ -10,7 +10,7 @@ import pytest
 from dataclasses import replace
 
 from bayescub import (CubatureConfig, cubature, inference, integrate_dense,
-                      integrate_fast, kernels, nodes, problems)
+                      integrate_fast, kernels, nodes, problems, transforms)
 from bayescub.cubature import IntegrandError
 from bayescub.inference import NonFiniteStartError, student_t_quantile
 
@@ -820,6 +820,50 @@ class TestWidthPrecision:
             s = (np.abs(y_tilde[1:]) ** 2 / lam[1:]).sum()
             ref = student_t_quantile(n - 1) / n * np.sqrt(lam[0] / (n - 1) * s)
             assert abs(it.err - ref) / ref <= bound, n
+
+    def test_sobol_per_dimension_width_against_long_double(self):
+        # per-dimension eta at d = 3 on Sobol' nodes takes the width from the
+        # held subset spectra.  Against the ring column and its Walsh
+        # transform in long double, from the same float64 bases and data,
+        # that width reads closer than the float64 ring transform's, at the
+        # loop's eta and at etas 1e8 to 1e16 apart across dimensions: at
+        # 2^16 at most 2e-11 off where the ring transform's reads 3e-8
+        d, n = 3, 1 << 16
+        problem = problems.keister_problem(d)
+        cfg = CubatureConfig(family="sobol", epsilon=1e-12, periodizer="baker", seed=1,
+                             n_max=n, eta_mode="per_dimension")
+        res = integrate_fast(problem.evaluator, d, cfg)
+        assert res.n_used == n
+        gen = nodes.make_sobol(d, seed=1)
+        y = problems.periodize(problem.evaluator, "baker")(gen.points(0, n).points)
+        weights = inference.data_weights(transforms.fbt(y, "sobol"), n)
+        bases = kernels.column_bases(kernels.KernelSpec("walsh1", 1.0, np.ones(d)), gen, 16)
+        held = inference.column_spectrum(kernels.subset_products(bases), "sobol", n)
+
+        def width(kind, lams):
+            return inference.credible_width(kind, inference.transformed_data(weights, lams, n))
+
+        loop_eta = np.array(res.iterations[-1].theta)
+        assert res.err == width("eb", inference.multilinear_spectrum(held, loop_eta))
+        for eta in (loop_eta, np.array([1e-8, 1.0, 1e8]), np.array([1e8, 1e8, 1e-8]),
+                    np.array([1e-4, 1e4, 1.0])):
+            c = eta[:, None].astype(np.longdouble) * bases
+            ring = c[0]
+            for c_l in c[1:]:
+                ring = ring * (1 + c_l) + c_l
+            h = 1
+            while h < n:  # the Walsh-Hadamard butterflies, in long double
+                pairs = ring.reshape(-1, 2, h)
+                pairs[:] = pairs[:, 0:1] + pairs[:, 1:2] * np.array([1, -1])[:, None]
+                h *= 2
+            assert ring.dtype == np.longdouble
+            for kind in ("eb", "gcv", "full"):
+                ref = width(kind, ring.astype(np.float64))
+                dev_held = abs(width(kind, inference.multilinear_spectrum(held, eta)) - ref)
+                dev_ring = abs(width(kind, inference.column_spectrum(
+                    kernels.ring_from_bases(eta, bases), "sobol", n)) - ref)
+                assert dev_held <= 1e-10 * ref and dev_held <= max(dev_ring, 1e-13 * ref), \
+                    (eta, kind, dev_held / ref, dev_ring / ref)
 
 
 class TestDenseLoop:

@@ -4,7 +4,7 @@ search, and the cancellation-safety of the eigenvalue pipeline."""
 import numpy as np
 import pytest
 
-from bayescub import cubature, kernels, nodes, transforms
+from bayescub import cubature, inference, kernels, nodes, transforms
 from bayescub.inference import (EB, FULL, GCV, XATOL, DegenerateDataError,
                                 NonFiniteStartError, NonPositiveDefiniteError,
                                 TransformedData, column_spectrum, credible_width,
@@ -273,6 +273,33 @@ class TestMultilinearSpectrum:
         partials = multilinear_partials(spectra, eta)
         assert partials.shape == (d, 64)
         assert np.abs(partials - ring_path).max() <= 1e-13 * np.abs(ring_path).max()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_column_blocks_change_no_bits(self, monkeypatch, d):
+        _, _, spectra = subset_spectra("lattice", "bernoulli", 2, d, 7)
+        eta = np.array([3e-5, 1.7, 4e4])[:d]
+        whole = multilinear_spectrum(spectra, eta), multilinear_partials(spectra, eta)
+        monkeypatch.setattr(inference, "_MULTILINEAR_BLOCK", 7)  # 65 columns: 10 blocks
+        assert np.array_equal(multilinear_spectrum(spectra, eta), whole[0])
+        assert np.array_equal(multilinear_partials(spectra, eta), whole[1])
+
+    def test_passes_build_no_whole_work_row(self):
+        # at d = 3 the partials work on 12 rows, the spectrum on 4; beyond
+        # its output a pass holds two blocks of them (the next one's is made
+        # before the last one's goes), 1/8 of whole rows at 2^18 columns
+        import tracemalloc
+
+        d, cols = 3, (1 << 18) + 1
+        spectra = np.random.default_rng(4).random(((1 << d) - 1, cols))
+        eta = np.array([0.3, 2.0, 0.7])
+        for fn, rows, work in ((multilinear_spectrum, 1, 4), (multilinear_partials, d, 12)):
+            tracemalloc.start()
+            try:
+                fn(spectra, eta)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak - rows * cols * 8 <= work * cols * 8 / 4, fn.__name__
 
 
 def zeta_reference_width(eta: float, m: int, y: np.ndarray, dps: int = 50):
