@@ -20,29 +20,22 @@ over the spectra of the d elementary symmetric columns, which a Brent line
 search, needing no gradient, searches by one Horner pass per evaluation;
 with one eta per dimension and d <= _SUBSET_MAX_D (3) a multilinear sum
 over the spectra of the 2^d - 1 subset-product columns, which L-BFGS-B
-searches by one multilinear Horner pass per evaluation and the same pass
-over each eta's subsets for the analytic gradient, asked right after the
-evaluation.  On the lattice the stopping width and the clamped count come
-from the ring column at the chosen eta instead, scattered from the base
-blocks the doublings built and transformed once: the held spectra's
-smallest eigenvalues sit on their rounding floor, and the polynomial's
-width on Fresnel at 2^16 read 8e-5 off a long-double reference where the
-ring's reads 2e-5.  On Sobol' nodes both come from the held spectra: there
-the polynomial is the more precise, and the multilinear sum's width on
-Keister at d = 3 and 2^16, with etas up to 1e16 apart, reads at most 2e-11
-off the long-double ring transform where the float64 one reads 3e-8.
+searches by one multilinear Horner pass per evaluation.  Its analytic
+gradient, asked right after the evaluation, is one gemv of those spectra
+with the loss's eigenvalue adjoint (inference.multilinear_gradient).  On
+the lattice the stopping width and the clamped count come from the ring
+column at the chosen eta instead, scattered from the base blocks the
+doublings built and transformed once, because the held spectra's smallest
+eigenvalues sit on their rounding floor.  On Sobol' nodes both come from
+the held spectra, which are the more precise there (README gives the
+widths measured against long-double references).
 
 The subset path holds 2^d - 1 spectrum rows per level and builds one
-spectrum row per evaluation and d partial rows per gradient, its work rows
-in blocks of inference._MULTILINEAR_BLOCK columns; the ring path rebuilds d
-base rows per doubling and builds 2d + 2 rows per evaluation and gradient.
-The cutoff d <= 3 is measured (tools/time_eta_paths.py: Keister, warm calls
-to 2^10-2^20, 2 vCPUs).  At d = 3 the subset path took 1.0-2.2x less time
-per call on both families at equal evaluation counts; at 2^18-2^20 its
-peak memory was within 6% of the ring path's on the lattice and 1.6x it on
-Sobol' nodes, whose rows are whole columns.  At d = 4 it took 0.9-1.9x
-less time but peaked 1.4-2.3x higher at 2^18-2^20; at d = 5 it peaked
-2.4-4.2x higher for no steady gain.
+spectrum row per evaluation, in blocks of inference._MULTILINEAR_BLOCK
+columns.  The ring path rebuilds d base rows per doubling, builds and
+transforms the ring column per evaluation, and transforms the eigenvalue
+adjoint once per gradient.  The cutoff d <= 3 is measured by
+tools/time_eta_paths.py, which times both paths; README gives its figures.
 
 With a matched kernel the Gram matrix depends on the nodes only through
 their differences, x_i - x_j mod 1 on a shifted lattice and x_i XOR x_j on
@@ -61,9 +54,10 @@ _HELD_BYTES (64 MiB; the option's chain to 2^18 at d = 13 holds about
 building it, with the same bits; levels past the cap are built and not
 kept.  Per-dimension eta at d >= 4 rebuilds the bases at each doubling and
 builds the ring column and its transform on every evaluation; its gradient
-reads the eta, ring column and data just built and transforms the d columns
-of the eta Jacobian.  A searched order builds its bases per evaluation too,
-and Nelder-Mead searches it without a gradient.
+reads the eta, ring column and data just built and transforms the
+eigenvalue adjoint once (inference.ring_gradient).  A searched order builds
+its bases per evaluation too, and Nelder-Mead searches it without a
+gradient.
 Every search stays in inference.SEARCH_BOX, [log 1e-8, log 1e8] in each
 coordinate, which also keeps a searched order one its kernel accepts, within
 _BUDGET_FIRST distinct evaluations at the first doubling and _BUDGET_LATER
@@ -87,8 +81,8 @@ import numpy as np
 from . import kernels, problems
 from .inference import (EB, CRITERIA, NonFiniteStartError, coefficient_spectra,
                         column_spectrum, credible_width, data_weights, dense_posterior,
-                        multilinear_partials, multilinear_spectrum, objective,
-                        objective_gradient, polynomial_spectrum, SEARCH_BOX,
+                        eigenvalue_adjoint, multilinear_gradient, multilinear_spectrum,
+                        objective, polynomial_spectrum, ring_gradient, SEARCH_BOX,
                         search_hyperparameters, transformed_data)
 from .nodes import CapacityError, block_rows, make_lattice, make_sobol
 from .transforms import DENSE_MAX_N, fbt, fbt_double
@@ -394,14 +388,11 @@ def integrate_fast(f, d: int, config: CubatureConfig) -> CubatureResult:
                 last.update(eta=eta, col=col, data=data)
             return objective(config.criterion, data), data
 
-        def gradient(t):  # right after obj(t); the chain rule through eta = exp(t)
-            eta = last["eta"]
+        def gradient(t):  # right after obj(t), in t = log eta
+            eta, adjoint = last["eta"], eigenvalue_adjoint(last["data"], config.criterion)
             if multilinear:
-                dlam = multilinear_partials(powers, eta)
-            else:
-                dlam = column_spectrum(kernels.column_eta_jacobian(eta, bases, last["col"]),
-                                       kind, n)
-            return objective_gradient(last["data"], config.criterion, dlam) * eta
+                return multilinear_gradient(powers, eta, adjoint)
+            return ring_gradient(bases, last["col"], eta, adjoint, kind, n)
 
         search = dict(budget=budget,
                       gradient_fn=gradient if multilinear or bases is not None else None)

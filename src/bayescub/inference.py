@@ -25,18 +25,23 @@ coefficient_spectra builds either set of coefficient spectra once per sample
 size, growing the previous size's from the doubling's new entries alone (on
 Sobol' nodes by the FWHT's last stage, on the lattice by the DCT-I's
 decimation split).  polynomial_spectrum evaluates the first at any eta by
-one Horner pass, multilinear_spectrum the second at any eta vector by one
-multilinear Horner pass and multilinear_partials its eta partials the same
-way, with no ring column and no transform.  The sums round each term, so
-their smallest eigenvalues sit on a rounding floor of the largest; where
-that floor is coarser than the ring column's transform, the caller takes the
-width from the latter.  Per-dimension eta at d >= 4, where holding the
-2^d - 1 subset spectra costs more memory than it saves time (cubature),
-and a searched kernel order transform the ring column itself on every
-evaluation.  A lattice spectrum is even (lam_k = lam_{n-k}) and, like the
-real-FFT data spectrum (y~_{n-k} is the conjugate of y~_k), stays its half
-k = 0..n/2 up to the width: data_weights pairs the data once per sample
-size, TransformedData the eigenvalue sums.
+one Horner pass and multilinear_spectrum the second at any eta vector by one
+multilinear Horner pass, with no ring column and no transform.  The sums
+round each term, so their smallest eigenvalues sit on a rounding floor of
+the largest; where that floor is coarser than the ring column's transform,
+the caller takes the width from the latter.  Per-dimension eta at d >= 4,
+where holding the 2^d - 1 subset spectra costs more memory than it saves
+time (cubature), and a searched kernel order transform the ring column
+itself on every evaluation.  A lattice spectrum is even (lam_k = lam_{n-k})
+and, like the real-FFT data spectrum (y~_{n-k} is the conjugate of y~_k),
+stays its half k = 0..n/2 up to the width: data_weights pairs the data once
+per sample size, TransformedData the eigenvalue sums.
+
+The loss depends on eta through the eigenvalues alone, so its gradient is
+one row a = dL/d lam (eigenvalue_adjoint) contracted with the eigenvalues'
+eta derivatives, the reverse-mode rule for a linear map (Giles, 2008): on
+the subset spectra by one gemv (multilinear_gradient), on the ring column
+by one transform, transposed (ring_gradient).
 
 search_hyperparameters minimizes over a plain float vector in the log-eta
 box SEARCH_BOX; cubature maps it to a kernel and passes the budget.  The
@@ -52,7 +57,6 @@ evaluation count the budget caps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import stdtrit
@@ -127,8 +131,8 @@ def data_weights(y_spectrum: np.ndarray, n: int) -> np.ndarray:
 
 
 def column_spectrum(cols: np.ndarray, kind: str, n: int) -> np.ndarray:
-    """Ring spectra of first columns (or their eta derivatives), one per row
-    of (..., cols).
+    """Ring spectra of first columns (or of their coefficient columns), one
+    per row of (..., cols).
 
     Lattice columns are the half c_0..c_{n/2} in natural grid order, and so
     are their spectra: entries 0..n/2 of an even spectrum, by one DCT-I.
@@ -185,75 +189,71 @@ def polynomial_spectrum(spectra: np.ndarray, eta: float) -> np.ndarray:
     return out
 
 
+# columns per block of the multilinear pass: its 2^(d-1) work rows are this
+# long, so no evaluation builds a whole one
+_MULTILINEAR_BLOCK = 1 << 14
+
+
 def multilinear_spectrum(spectra: np.ndarray, eta: np.ndarray) -> np.ndarray:
     """Ring spectrum sum_S (prod_{l in S} eta_l) spectra[S - 1] over the
     nonempty subsets S of the d dimensions, read as bit masks, by one
     multilinear Horner pass, laid out like the rows of spectra
-    (column_spectrum of kernels.subset_products)."""
+    (column_spectrum of kernels.subset_products).  The pass runs over blocks
+    of _MULTILINEAR_BLOCK columns, which changes only the memory traffic."""
     h = (spectra.shape[0] + 1) // 2
-
-    def fold(cut):
+    out = np.empty(spectra.shape[1])
+    for lo in range(0, out.shape[0], _MULTILINEAR_BLOCK):
+        cut = slice(lo, lo + _MULTILINEAR_BLOCK)
         rows = spectra[h - 1:, cut] * eta[-1]  # the subsets holding dimension d - 1
         rows[1:] += spectra[:h - 1, cut]       # plus those without it but the empty one
-        return _fold(rows, eta[:-1])
-
-    return _by_column_blocks(fold, spectra.shape[1:])
-
-
-def multilinear_partials(spectra: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """The d partials d lambda / d eta_l of multilinear_spectrum(spectra, eta),
-    shape (d, cols): each the same pass over the subsets holding l, less l."""
-    rows, others = _subsets_holding(eta.shape[0])
-    factors = eta[others][..., None]
-    return _by_column_blocks(lambda cut: _fold(spectra[rows, cut], factors),
-                             (eta.shape[0], spectra.shape[1]))
-
-
-# columns per block of the multilinear passes: their work rows, at most
-# 2^(d-1) d of them, are this long, so no pass builds a whole one
-_MULTILINEAR_BLOCK = 1 << 14
-
-
-def _by_column_blocks(fold, shape: tuple) -> np.ndarray:
-    """The (..., cols) array whose columns fold(cut) gives for each block cut
-    of _MULTILINEAR_BLOCK columns; fold's own array when one block holds
-    them all."""
-    cols = shape[-1]
-    if cols <= _MULTILINEAR_BLOCK:
-        return fold(slice(None))
-    out = np.empty(shape)
-    for lo in range(0, cols, _MULTILINEAR_BLOCK):
-        cut = slice(lo, lo + _MULTILINEAR_BLOCK)
-        out[..., cut] = fold(cut)
+        # then each lower dimension's Horner step, from the highest down
+        for ell in range(eta.shape[0] - 2, -1, -1):
+            top = rows[1 << ell:2 << ell]
+            top *= eta[ell]
+            rows[:1 << ell] += top
+        out[cut] = rows[0]
     return out
 
 
-def _fold(rows: np.ndarray, factors) -> np.ndarray:
-    """sum_S (prod_{l in S} factors[l]) rows[S] over the 2^k subsets S of
-    k = len(factors) dimensions, by Horner steps from the highest dimension
-    down, in place; returns rows[0], where the sum ends."""
-    for ell in range(len(factors) - 1, -1, -1):
-        h = 1 << ell
-        top = rows[h:2 * h]
-        top *= factors[ell]
-        rows[:h] += top
-    return rows[0]
+def multilinear_gradient(spectra: np.ndarray, eta: np.ndarray,
+                         adjoint: np.ndarray) -> np.ndarray:
+    """Gradient in t = log eta of a loss at multilinear_spectrum(spectra, eta)
+    from its eigenvalue_adjoint: with g = spectra @ adjoint, one gemv, entry
+    l is sum_{S holding l} (prod_{k in S} eta_k) g_S, a sum of scalars."""
+    prods = [1.0]  # prod_{k in S} eta_k by mask S, in kernels.subset_products' order
+    for e in eta.tolist():
+        prods += [p * e for p in prods]
+    terms = [p * g for p, g in zip(prods[1:], (spectra @ adjoint).tolist())]
+    return np.array([sum(t for mask, t in enumerate(terms, 1) if mask >> ell & 1)
+                     for ell in range(eta.shape[0])])
 
 
-@lru_cache(maxsize=8)
-def _subsets_holding(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only index arrays for multilinear_partials: rows (2^(d-1), d),
-    whose column l holds the rows of subset spectra of the subsets holding
-    dimension l, ordered by the subset less l as a mask over the other
-    dimensions, and others (d - 1, d), whose column l lists those dimensions
-    in rising order."""
-    r = np.arange(1 << (d - 1))[:, None]
-    dims = np.arange(d)
-    rows = ((r >> dims) << (dims + 1) | 1 << dims | r & ((1 << dims) - 1)) - 1
-    others = np.array([[k for k in range(d) if k != l] for l in range(d)],
-                      dtype=np.intp).reshape(d, d - 1).T
-    rows.flags.writeable = others.flags.writeable = False
-    return rows, others
+def ring_gradient(bases: np.ndarray, ring: np.ndarray, eta: np.ndarray,
+                  adjoint: np.ndarray, kind: str, n: int) -> np.ndarray:
+    """Gradient in t = log eta of a loss at column_spectrum(ring, kind, n),
+    ring = kernels.ring_from_bases(eta, bases), from its eigenvalue_adjoint.
+
+    One transform gives h = T^T adjoint, laid out like ring: the
+    Walsh-Hadamard matrix is symmetric, and the DCT-I's transpose is
+    w DCT-I(adjoint / w) with w = (1, 2, ..., 2, 1).  Entry l is then
+    eta_l sum_j h_j (1 + ring_j) b_lj / (1 + eta_l b_lj), b = bases, one base
+    row at a time; a zero kernel factor raises kernels.SingularFactorError.
+    """
+    if kind == "lattice":
+        w = np.full(adjoint.shape[0], 2.0)
+        w[0] = w[-1] = 1.0
+        h = column_spectrum(adjoint / w, kind, n) * w
+    else:
+        h = column_spectrum(adjoint, kind, n)
+    h *= 1.0 + ring
+    out = np.empty(eta.shape)
+    for ell, row in enumerate(bases):
+        factor = eta[ell] * row
+        factor += 1.0
+        if not factor.all():
+            raise kernels.SingularFactorError("per-dimension kernel factor is zero")
+        out[ell] = eta[ell] * (h @ np.divide(row, factor, out=factor))
+    return out
 
 
 def transformed_data(weights: np.ndarray, lams: np.ndarray, n: int) -> TransformedData:
@@ -304,22 +304,26 @@ def objective(kind: str, td: TransformedData) -> float:
     return objective_gcv(td) if kind == GCV else objective_eb(td)
 
 
-def objective_gradient(td: TransformedData, kind: str, dlambda: np.ndarray) -> np.ndarray:
-    """Gradient of the EB/GCV loss given eigenvalue derivatives (p, cols),
-    laid out like the ring spectrum td was built from."""
-    dlambda = np.atleast_2d(np.asarray(dlambda, dtype=np.float64))
-    if dlambda.shape[1] != td.lams_rest.shape[0] + 1:
-        raise ValueError("eigenvalue derivative length mismatch")
-    d1, drest = dlambda[:, 0], dlambda[:, 1:]
-    w = td.weights
-    if kind == GCV:
-        s2 = _require_data(td, power=2)
-        inv_sum = td.rest_sum(1.0 / td.lams_rest) + 1.0 / td.lam1
-        return (-2.0 / s2) * (drest * (w / td.lams_rest**3)).sum(axis=1) \
-            + (2.0 / inv_sum) * (d1 / td.lam1**2 + td.rest_sum(drest / td.lams_rest**2))
-    s1 = _require_data(td)
-    return (d1 / td.lam1 + td.rest_sum(drest / td.lams_rest)) / td.n \
-        - (drest * (w / td.lams_rest**2)).sum(axis=1) / s1
+def eigenvalue_adjoint(td: TransformedData, kind: str) -> np.ndarray:
+    """The row a = dL/d lam of the EB or GCV loss, laid out like the ring
+    spectrum td was built from: entry 0 is lam_1, and on an even spectrum's
+    half each entry k < n/2 stands for k and n - k, so it carries both.  The
+    loss's derivative in a parameter of the spectrum is a's dot product with
+    the spectrum's derivative in it (multilinear_gradient, ring_gradient)."""
+    inv = 1.0 / td.lams_rest
+    out = np.empty(inv.shape[0] + 1)
+    if kind == GCV:  # own terms from -2 log sum 1/lam, data terms from log s2
+        scale = 2.0 / (td.rest_sum(inv) + 1.0 / td.lam1)
+        out[0], own = scale / td.lam1**2, inv * inv * scale
+        data = inv**3 * (-2.0 / _require_data(td, power=2))
+    else:  # own terms from (1/n) sum log lam, data terms from log s1
+        out[0], own = 1.0 / (td.n * td.lam1), inv / td.n
+        data = inv * inv * (-1.0 / _require_data(td))
+    if inv.shape[0] < td.n - 1:  # the data weights are paired already
+        own[:-1] *= 2.0
+    data *= td.weights
+    np.add(own, data, out=out[1:])
+    return out
 
 
 def student_t_quantile(dof: int) -> float:
@@ -444,7 +448,8 @@ def search_hyperparameters(objective_fn, t0: np.ndarray, budget: int = 100,
     read what objective_fn built; L-BFGS-B's jac reads the memo.  A value
     that is not finite or raises NonPositiveDefiniteError, DegenerateDataError
     or FloatingPointError is a rejected step; its gradient, like a non-finite
-    one, is zero.  A rejected t0 raises NonFiniteStartError.
+    one or one that raises kernels.SingularFactorError, is zero.  A rejected
+    t0 raises NonFiniteStartError.
     """
     p = t0.shape[0]
     t0 = np.clip(t0, *SEARCH_BOX)
@@ -464,7 +469,10 @@ def search_hyperparameters(objective_fn, t0: np.ndarray, budget: int = 100,
             if not np.isfinite(val):
                 val = np.inf
             elif gradient_fn is not None and p > 1:  # in turn, at the same t
-                g = gradient_fn(t)
+                try:
+                    g = gradient_fn(t)
+                except kernels.SingularFactorError:
+                    pass  # zero, as a non-finite gradient is
                 g = g if np.isfinite(g).all() else np.zeros(p)
             if val < best["val"]:
                 best.update(val=val, t=t, payload=payload)

@@ -1,5 +1,5 @@
 """Covariance kernels matched to the node families, their cancellation-free
-ring form (kernel minus one), and shape-parameter derivatives.
+ring form (kernel minus one), and its coefficient columns in eta.
 
 All matched families are products over dimensions of factors 1 + eta_l * c_l
 where c_l integrates to zero, so the kernel integrates to one and the Gram
@@ -275,16 +275,6 @@ def column_bases(spec: KernelSpec, gen, m: int) -> np.ndarray:
     if isinstance(gen, SobolGenerator):
         return sobol_column_bases(spec, gen, m)
     raise TypeError(f"unsupported generator {type(gen)!r}")
-
-
-def column_eta_jacobian(eta: np.ndarray, bases: np.ndarray,
-                        ring: np.ndarray) -> np.ndarray:
-    """Derivative first columns dC1/d eta_l, one row per dimension, shape
-    (d, cols), from the bases and ring_from_bases(eta, bases)."""
-    factors = 1.0 + eta[:, None] * bases
-    if (factors == 0.0).any():
-        raise SingularFactorError("per-dimension kernel factor is zero")
-    return (1.0 + ring) * bases / factors
 
 
 # ---------------------------------------------------------------------------

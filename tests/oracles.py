@@ -6,14 +6,17 @@ digit arithmetic of the Walsh kernels, the radical inverse and the bit
 reversal, lattice points one whole column at a time, identity Sobol' generator matrices, the Matern kernel at a pair of
 points, the dense lattice and Walsh-Hadamard transforms, and the whole
 lattice spectra (even Gram, conjugate-symmetric data) that the package keeps
-as their halves; the dense posterior in 80-bit floats; and the normal box
-probability's tensor Gauss-Legendre rule over a materialised grid of points.
+as their halves; the loss gradient in derivative-row form (one transformed
+Jacobian row per eta, each summed against the loss's eigenvalue partials),
+in float64 and in 80-bit floats; the dense posterior in 80-bit floats; and
+the normal box probability's tensor Gauss-Legendre rule over a materialised
+grid of points.
 """
 
 import numpy as np
 
-from bayescub import kernels, nodes, transforms
-from bayescub.inference import NonPositiveDefiniteError, _posterior
+from bayescub import inference, kernels, nodes, transforms
+from bayescub.inference import GCV, NonPositiveDefiniteError, TransformedData, _posterior
 
 DIGITS = nodes.DIGITS
 _SCALE = float(2**DIGITS)
@@ -153,6 +156,64 @@ def gram_eigenvalues(td) -> np.ndarray:
     order, mirroring an even spectrum's half."""
     lam = np.concatenate([[td.lam1], td.lams_rest])
     return lam if lam.shape[0] == td.n else mirror_half(lam, td.n)
+
+
+def column_eta_jacobian(eta, bases, ring) -> np.ndarray:
+    """Derivative first columns d ring / d eta_l, one row per dimension,
+    shape (d, cols), from the bases and ring_from_bases(eta, bases)."""
+    factors = 1.0 + eta[:, None] * bases
+    if (factors == 0.0).any():
+        raise kernels.SingularFactorError("per-dimension kernel factor is zero")
+    return (1.0 + ring) * bases / factors
+
+
+def jacobian_spectra(eta, bases, ring, kind: str, n: int) -> np.ndarray:
+    """The eigenvalue partials d lambda / d eta_l, shape (d, cols), by one
+    transform of each Jacobian row."""
+    return np.vstack([inference.column_spectrum(row, kind, n)
+                      for row in column_eta_jacobian(eta, bases, ring)])
+
+
+def objective_gradient(td, kind: str, dlambda) -> np.ndarray:
+    """Gradient of the EB/GCV loss given eigenvalue derivatives (p, cols),
+    laid out like the ring spectrum td was built from, one sum per row, in
+    the dtype of td and dlambda (80-bit floats give the reference)."""
+    dlambda = np.atleast_2d(dlambda)
+    if dlambda.shape[1] != td.lams_rest.shape[0] + 1:
+        raise ValueError("eigenvalue derivative length mismatch")
+    d1, drest = dlambda[:, 0], dlambda[:, 1:]
+    w = td.weights
+    if kind == GCV:
+        s2 = (w / td.lams_rest**2).sum()
+        inv_sum = td.rest_sum(1.0 / td.lams_rest) + 1.0 / td.lam1
+        return (-2.0 / s2) * (drest * (w / td.lams_rest**3)).sum(axis=1) \
+            + (2.0 / inv_sum) * (d1 / td.lam1**2 + td.rest_sum(drest / td.lams_rest**2))
+    s1 = (w / td.lams_rest).sum()
+    return (d1 / td.lam1 + td.rest_sum(drest / td.lams_rest)) / td.n \
+        - (drest * (w / td.lams_rest**2)).sum(axis=1) / s1
+
+
+def extended_eta_gradient(td, kind: str, eta, bases, family: str) -> np.ndarray:
+    """The EB/GCV loss's gradient in eta at td's eigenvalues and weights, in
+    80-bit floats: objective_gradient over the Jacobian rows of the bases,
+    each built as b_l prod_{k != l} (1 + eta_k b_k) and transformed by the
+    dense matrix of its family (the DCT-I's on the lattice half)."""
+    ld = np.longdouble
+    b = np.asarray(bases, dtype=ld)
+    factors = 1 + np.asarray(eta, dtype=ld)[:, None] * b
+    rows = np.stack([b[ell] * np.prod(np.delete(factors, ell, axis=0), axis=0)
+                     for ell in range(b.shape[0])])
+    n = td.n
+    if family == "lattice":
+        k = np.arange(n // 2 + 1)
+        angle = (np.outer(k, k) % n).astype(ld) * (2 * np.arccos(ld(-1)) / n)
+        matrix = np.cos(angle)
+        matrix[:, 1:-1] *= 2
+    else:
+        matrix = transforms.hadamard_matrix(n).astype(ld)
+    extended = TransformedData(weights=td.weights.astype(ld), lam_ring1=ld(td.lam_ring1),
+                               lams_rest=td.lams_rest.astype(ld), n=n)
+    return objective_gradient(extended, kind, rows @ matrix.T)
 
 
 def dense_transform(kind: str, y: np.ndarray) -> np.ndarray:

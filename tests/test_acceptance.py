@@ -17,8 +17,9 @@ from bayescub import (CubatureConfig, integrate_fast, kernels, nodes, problems,
                       transforms)
 from bayescub.cli import draw_tolerances
 from bayescub.inference import (EB, FULL, GCV, column_spectrum, credible_width,
-                                data_weights, objective,
-                                objective_gradient, transformed_data)
+                                data_weights, eigenvalue_adjoint, multilinear_gradient,
+                                multilinear_spectrum, objective, ring_gradient,
+                                transformed_data)
 from bayescub.kernels import KernelSpec
 from conftest import record_criterion
 from oracles import extended_dense_posterior, mirror_half
@@ -291,7 +292,7 @@ def test_criterion_9_gradient_suite():
             family = "lattice" if i % 3 else "sobol"
             kernel = "walsh1" if family == "sobol" else "bernoulli"
             order = 1 if kernel == "walsh1" else (1, 2)[i % 2]
-            d = int(rng.integers(1, 4))
+            d = int(rng.integers(1, 5))  # d = 4 runs the ring path alone
             shared = bool(i % 2)
             eta = (np.full(d, rng.uniform(0.3, 2.5)) if shared
                    else rng.uniform(0.3, 2.5, size=d))
@@ -306,11 +307,16 @@ def test_criterion_9_gradient_suite():
             col = kernels.ring_from_bases(spec.eta, bases)
             weights = data_weights(spectrum, 1 << m)
             td = transformed_data(weights, column_spectrum(col, family, 1 << m), 1 << m)
-            jac = kernels.column_eta_jacobian(spec.eta, bases, col)
-            dlam = np.vstack([column_spectrum(row, family, 1 << m) for row in jac])
-            grad = objective_gradient(td, kind, dlam)
-            if shared:  # d/d eta of one shared eta: the partials' sum
-                grad = grad.sum(keepdims=True)
+            # the package's gradients in log eta: the ring path's, and at
+            # d <= 3 the subset path's at its own spectrum
+            grads = [ring_gradient(bases, col, spec.eta, eigenvalue_adjoint(td, kind),
+                                   family, 1 << m)]
+            if d <= 3:
+                spectra = column_spectrum(kernels.subset_products(bases), family, 1 << m)
+                sub = transformed_data(weights, multilinear_spectrum(spectra, spec.eta),
+                                       1 << m)
+                grads.append(multilinear_gradient(spectra, spec.eta,
+                                                  eigenvalue_adjoint(sub, kind)))
 
             def loss(ev):
                 c = kernels.ring_from_bases(ev, bases)
@@ -329,10 +335,14 @@ def test_criterion_9_gradient_suite():
                     up[ell] += h
                     dn[ell] -= h
                     num[ell] = (loss(up) - loss(dn)) / (2 * h)
-            tol = 1e-5 * np.maximum(np.abs(grad), np.abs(num)) + 1e-7
-            assert (np.abs(grad - num) <= tol).all(), (kind, i)
-            denom = np.maximum(np.abs(num), 1e-2)
-            worst[kind] = max(worst[kind], float((np.abs(grad - num) / denom).max()))
+            for grad in grads:
+                grad = grad / spec.eta
+                if shared:  # d/d eta of one shared eta: the partials' sum
+                    grad = grad.sum(keepdims=True)
+                tol = 1e-5 * np.maximum(np.abs(grad), np.abs(num)) + 1e-7
+                assert (np.abs(grad - num) <= tol).all(), (kind, i)
+                denom = np.maximum(np.abs(num), 1e-2)
+                worst[kind] = max(worst[kind], float((np.abs(grad - num) / denom).max()))
     record_criterion(9, "analytic gradients vs central differences", True,
                      f"worst rel eb {worst[EB]:.1e}, gcv {worst[GCV]:.1e}")
 

@@ -376,11 +376,12 @@ class TestIterationRecords:
 
     @staticmethod
     def log_ring_lam1(monkeypatch):
-        """Make the loss log ring_lam_1, with its gradient d lam_1 / lam_ring1."""
+        """Make the loss log ring_lam_1, with its gradient d lam_1 / lam_ring1:
+        its eigenvalue adjoint is 1 / lam_ring1 at lam_1 and 0 elsewhere."""
         monkeypatch.setattr(cubature, "objective",
                             lambda kind, td: np.log(td.lam_ring1))
-        monkeypatch.setattr(cubature, "objective_gradient",
-                            lambda td, kind, dlam: dlam[:, 0] / td.lam_ring1)
+        monkeypatch.setattr(cubature, "eigenvalue_adjoint", lambda td, kind: np.r_[
+            1.0 / td.lam_ring1, np.zeros(td.lams_rest.shape[0])])
 
     def test_bound_hit_on_any_per_dimension_entry(self, monkeypatch):
         # log ring_lam_1 falls with every eta entry: the gradient search
@@ -391,6 +392,15 @@ class TestIterationRecords:
                              eta_mode="per_dimension")
         res = integrate_fast(f, 2, cfg)
         assert all(it.bound_hit and 1e-8 in it.theta for it in res.iterations)
+
+    @staticmethod
+    def minus_trace_adjoint(td, kind):
+        """Minus each entry's multiplicity: the gradient of minus the Gram
+        trace, n (1 + ring_0), which falls with every eta."""
+        adjoint = -np.ones(td.lams_rest.shape[0] + 1)
+        if td.lams_rest.shape[0] < td.n - 1:  # an even spectrum's half
+            adjoint[1:-1] = -2.0
+        return adjoint
 
     # one config per search method: Brent, L-BFGS-B and Nelder-Mead
     SEARCHES = {
@@ -415,8 +425,7 @@ class TestIterationRecords:
             return real(falling, init, **kwargs)
 
         monkeypatch.setattr(cubature, "search_hyperparameters", search)
-        monkeypatch.setattr(cubature, "objective_gradient",
-                            lambda td, kind, dlam: -np.ones(dlam.shape[0]))
+        monkeypatch.setattr(cubature, "eigenvalue_adjoint", self.minus_trace_adjoint)
         f = lambda x: np.exp(x.sum(axis=1))
         cfg = CubatureConfig(epsilon=1e-9, n0=128, n_max=512, seed=5,
                              **self.SEARCHES[name])

@@ -8,13 +8,14 @@ from bayescub import cubature, inference, kernels, nodes, transforms
 from bayescub.inference import (EB, FULL, GCV, XATOL, DegenerateDataError,
                                 NonFiniteStartError, NonPositiveDefiniteError,
                                 TransformedData, column_spectrum, credible_width,
-                                data_weights, dense_posterior, multilinear_partials,
-                                multilinear_spectrum, objective, objective_eb,
-                                objective_gcv, objective_gradient, polynomial_spectrum,
-                                search_hyperparameters,
+                                data_weights, dense_posterior, eigenvalue_adjoint,
+                                multilinear_gradient, multilinear_spectrum, objective,
+                                objective_eb, objective_gcv, polynomial_spectrum,
+                                ring_gradient, search_hyperparameters,
                                 student_t_quantile, transformed_data, _brent)
 from bayescub.kernels import KernelSpec
-from oracles import extended_dense_posterior, gram_eigenvalues, mirror_half
+from oracles import (extended_dense_posterior, extended_eta_gradient, gram_eigenvalues,
+                     jacobian_spectra, mirror_half, objective_gradient)
 
 
 def make_matched_td(family, kernel, order, eta, m, d, seed=0, y=None):
@@ -100,9 +101,9 @@ class TestEigenvaluePipeline:
             assert credible_width(kind, half) == pytest.approx(
                 credible_width(kind, full), rel=1e-13)
         dlam = np.vstack([lams, np.arange(lams.shape[0], dtype=float)])
-        for kind in (EB, GCV):
-            assert objective_gradient(half, kind, dlam) == pytest.approx(
-                objective_gradient(full, kind, mirror_half(dlam, n)), rel=1e-12)
+        for kind in (EB, GCV):  # the half adjoint carries each interior entry twice
+            assert dlam @ eigenvalue_adjoint(half, kind) == pytest.approx(
+                mirror_half(dlam, n) @ eigenvalue_adjoint(full, kind), rel=1e-12)
         lams[-1] = -1e-12 * n  # one round-off entry, k = n/2
         assert transformed_data(td.weights, lams, n).n_clamped == 1 == \
             transformed_data(w_full, mirror_half(lams, n), n).n_clamped
@@ -216,8 +217,9 @@ def subset_spectra(family, kernel, order, d, m, seed=3):
 
 class TestMultilinearSpectrum:
     """The per-dimension-eta Gram spectrum as a multilinear sum over the
-    subset-product spectra, and its partials in each eta, against the ring
-    column's transform and central differences."""
+    subset-product spectra, and the loss gradient contracted on them, against
+    the ring column's transform, the ring path's gradient and central
+    differences."""
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("family,kernel,order", POLY_KERNELS)
@@ -253,7 +255,7 @@ class TestMultilinearSpectrum:
                     weights, multilinear_spectrum(spectra, ev), n))
 
             td = transformed_data(weights, multilinear_spectrum(spectra, eta), n)
-            grad = objective_gradient(td, kind, multilinear_partials(spectra, eta))
+            grad = multilinear_gradient(spectra, eta, eigenvalue_adjoint(td, kind)) / eta
             num = np.empty(d)
             for ell in range(d):
                 h = 1e-4 * eta[ell]
@@ -266,40 +268,80 @@ class TestMultilinearSpectrum:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_partials_are_the_jacobian_spectra(self, d):
+        # the subset path's contraction against the ring path's, for one
+        # adjoint row, within rounding of the sum of |a_k| |d lambda_k / dt_l|
         _, bases, spectra = subset_spectra("sobol", "walsh1", 1, d, 6)
         eta = np.array([0.4, 1.7, 0.9])[:d]
-        jac = kernels.column_eta_jacobian(eta, bases, kernels.ring_from_bases(eta, bases))
-        ring_path = column_spectrum(jac, "sobol", 64)
-        partials = multilinear_partials(spectra, eta)
-        assert partials.shape == (d, 64)
-        assert np.abs(partials - ring_path).max() <= 1e-13 * np.abs(ring_path).max()
+        ring = kernels.ring_from_bases(eta, bases)
+        adjoint = np.random.default_rng(d).standard_normal(64)
+        subset = multilinear_gradient(spectra, eta, adjoint)
+        ring_path = ring_gradient(bases, ring, eta, adjoint, "sobol", 64)
+        partials = jacobian_spectra(eta, bases, ring, "sobol", 64)
+        scale = np.abs(partials) @ np.abs(adjoint) * eta
+        assert subset.shape == (d,)
+        assert (np.abs(subset - ring_path) <= 1e-13 * scale).all()
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_column_blocks_change_no_bits(self, monkeypatch, d):
         _, _, spectra = subset_spectra("lattice", "bernoulli", 2, d, 7)
         eta = np.array([3e-5, 1.7, 4e4])[:d]
-        whole = multilinear_spectrum(spectra, eta), multilinear_partials(spectra, eta)
+        whole = multilinear_spectrum(spectra, eta)
         monkeypatch.setattr(inference, "_MULTILINEAR_BLOCK", 7)  # 65 columns: 10 blocks
-        assert np.array_equal(multilinear_spectrum(spectra, eta), whole[0])
-        assert np.array_equal(multilinear_partials(spectra, eta), whole[1])
+        assert np.array_equal(multilinear_spectrum(spectra, eta), whole)
 
     def test_passes_build_no_whole_work_row(self):
-        # at d = 3 the partials work on 12 rows, the spectrum on 4; beyond
-        # its output a pass holds two blocks of them (the next one's is made
-        # before the last one's goes), 1/8 of whole rows at 2^18 columns
+        # at d = 3 the spectrum works on 4 rows; beyond its output the pass
+        # holds two blocks of them (the next one's is made before the last
+        # one's goes), 1/8 of whole rows at 2^18 columns
         import tracemalloc
 
         d, cols = 3, (1 << 18) + 1
         spectra = np.random.default_rng(4).random(((1 << d) - 1, cols))
         eta = np.array([0.3, 2.0, 0.7])
-        for fn, rows, work in ((multilinear_spectrum, 1, 4), (multilinear_partials, d, 12)):
-            tracemalloc.start()
-            try:
-                fn(spectra, eta)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak - rows * cols * 8 <= work * cols * 8 / 4, fn.__name__
+        tracemalloc.start()
+        try:
+            multilinear_spectrum(spectra, eta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - cols * 8 <= 4 * cols * 8 / 4
+
+
+class TestAdjointAccuracy:
+    """Each path's adjoint gradient against the derivative-row form (one
+    transformed Jacobian row per eta, tests/oracles.py), both held to an
+    80-bit contraction at the same eigenvalues and data weights."""
+
+    @pytest.mark.parametrize("kind", [EB, GCV])
+    @pytest.mark.parametrize("family", ["lattice", "sobol"])
+    @pytest.mark.parametrize("path,d", [("subset", 2), ("subset", 3), ("ring", 2),
+                                        ("ring", 3), ("ring", 4)])
+    def test_no_further_from_long_double_than_the_derivative_rows(self, path, d,
+                                                                  family, kind):
+        kernel, order = ("bernoulli", 2) if family == "lattice" else ("walsh1", 1)
+        rng = np.random.default_rng(d)
+        for m in (5, 10):
+            n = 1 << m
+            gen, bases, spectra = subset_spectra(family, kernel, order, d, m)
+            pts = gen.points(0, n).points
+            y = np.cos(2 * np.pi * pts[:, 0]) + np.prod(np.sin(np.pi * pts), axis=1)
+            weights = data_weights(transforms.fbt(y, family), n)
+            for eta in rng.uniform(0.3, 2.5, (3, d)):
+                ring = kernels.ring_from_bases(eta, bases)
+                if path == "subset":
+                    td = transformed_data(weights, multilinear_spectrum(spectra, eta), n)
+                    grad = multilinear_gradient(spectra, eta, eigenvalue_adjoint(td, kind))
+                else:
+                    td = transformed_data(weights, column_spectrum(ring, family, n), n)
+                    grad = ring_gradient(bases, ring, eta, eigenvalue_adjoint(td, kind),
+                                         family, n)
+                rows = objective_gradient(td, kind, jacobian_spectra(eta, bases, ring,
+                                                                     family, n)) * eta
+                ref = extended_eta_gradient(td, kind, eta, bases, family) * eta
+                ours = np.abs(grad - ref).max()
+                oracle = np.abs(rows - ref).max()
+                assert ours <= max(10 * oracle, 1e-12 * np.abs(ref).max()), \
+                    (m, eta, float(ours), float(oracle))
 
 
 def zeta_reference_width(eta: float, m: int, y: np.ndarray, dps: int = 50):
@@ -453,9 +495,8 @@ class TestObjectiveGradient:
         gen, pts, y, spec, col, td = make_matched_td(family, kernel, order, eta,
                                                      m, d, seed=seed)
         bases = kernels.column_bases(spec, gen, m)
-        jac = kernels.column_eta_jacobian(spec.eta, bases, col)
-        dlam = np.vstack([column_spectrum(row, family, 1 << m) for row in jac])
-        grad = objective_gradient(td, kind, dlam)
+        grad = ring_gradient(bases, col, spec.eta, eigenvalue_adjoint(td, kind),
+                             family, 1 << m) / spec.eta
         if shared:  # d/d eta of one shared eta: the partials' sum
             grad = grad.sum(keepdims=True)
 
@@ -497,10 +538,24 @@ class TestObjectiveGradient:
             assert (np.abs(grad - num) <= tol).all(), (kind, i, grad, num)
 
     def test_zero_derivative_gives_zero_gradient(self):
-        _, _, _, _, _, td = make_matched_td("lattice", "bernoulli", 1, 1.0, 4, 2)
-        dlam = np.zeros((2, td.lams_rest.shape[0] + 1))
-        assert (objective_gradient(td, EB, dlam) == 0).all()
-        assert (objective_gradient(td, GCV, dlam) == 0).all()
+        # zero bases and zero subset spectra: no eigenvalue moves with eta
+        _, _, _, _, col, td = make_matched_td("lattice", "bernoulli", 1, 1.0, 4, 2)
+        eta = np.ones(2)
+        for kind in (EB, GCV):
+            adjoint = eigenvalue_adjoint(td, kind)
+            assert (ring_gradient(np.zeros((2, 9)), col, eta, adjoint, "lattice", 16)
+                    == 0).all()
+            assert (multilinear_gradient(np.zeros((3, 9)), eta, adjoint) == 0).all()
+
+    def test_a_zero_kernel_factor_raises(self):
+        # walsh1's base is -1/2 at lags in [1/2, 1): at eta 2 that factor is 0
+        gen = nodes.make_sobol(2, seed=0)
+        bases = kernels.column_bases(KernelSpec("walsh1", 1, np.ones(2)), gen, 4)
+        eta = np.array([2.0, 1.0])
+        assert (1.0 + eta[0] * bases[0] == 0).any()
+        with pytest.raises(kernels.SingularFactorError):
+            ring_gradient(bases, kernels.ring_from_bases(eta, bases), eta, np.ones(16),
+                          "sobol", 16)
 
 
 class TestStudentT:
@@ -706,6 +761,27 @@ class TestHyperparameterSearch:
         with pytest.raises(NonFiniteStartError):
             search_hyperparameters(lambda t: (np.nan, None), np.zeros(2), budget=5,
                                    gradient_fn=lambda t: np.zeros(2))
+
+    def test_a_vanishing_kernel_factor_gives_a_zero_gradient(self):
+        # a gradient that raises SingularFactorError is zero, as a non-finite
+        # one: at the start L-BFGS-B then stops there, and elsewhere the
+        # search goes on to a handled end
+        def obj(t):
+            return float(((np.asarray(t) - 3.0) ** 2).sum()), tuple(t)
+
+        def singular(t):
+            raise kernels.SingularFactorError("per-dimension kernel factor is zero")
+
+        res = search_hyperparameters(obj, np.zeros(2), budget=50, gradient_fn=singular)
+        assert res.evaluations == 1 and res.t.tolist() == [0.0, 0.0]
+
+        def past_one(t):
+            if t[0] > 1.0:
+                singular(t)
+            return 2 * (t - 3.0)
+
+        res = search_hyperparameters(obj, np.zeros(2), budget=50, gradient_fn=past_one)
+        assert obj(res.t)[0] < obj(np.zeros(2))[0]
 
     def test_gradient_search_keeps_the_best_point_past_a_rejected_one(self):
         # the bowl's centre sits where the objective is rejected: the search

@@ -79,6 +79,10 @@ PATHS = {
     # d = 4: per-dimension eta on the ring path, not the subset spectra
     "ring_per_dimension": ("keister", 4, {**_LATTICE, "eta_mode": "per_dimension",
                                           "n_max": 2**12}),
+    # the same on Sobol' nodes, whose gradient transposes the Walsh-Hadamard transform
+    "sobol_ring_per_dimension": ("keister", 4, {"family": "sobol",
+                                                "eta_mode": "per_dimension",
+                                                "n_max": 2**12}),
     "sobol_scrambled": ("keister", 3, {"family": "sobol", "scramble": True}),
     "truncated_series": ("fresnel", None, {**_LATTICE, "kernel": "truncated_series",
                                            "order": 1.7}),
