@@ -228,8 +228,8 @@ def _ring_from_blocks(eta: np.ndarray, blocks: list[np.ndarray], n: int) -> np.n
 
 
 # per-dimension eta at a fixed order searches on held subset spectra up to
-# this d and on the ring column above it (the module docstring gives the
-# measurements; tools/time_eta_paths.py times both paths)
+# this d and on the ring column above it (tools/time_eta_paths.py times both
+# paths; README gives its figures)
 _SUBSET_MAX_D = 3
 
 # the latest design's held levels: {design: {m: (spectra, lattice base block

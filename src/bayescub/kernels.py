@@ -28,10 +28,6 @@ ETA_MAX = 1e8
 FAMILIES = ("bernoulli", "truncated_series", "exp_decay", "walsh1")
 
 
-class SingularFactorError(ZeroDivisionError):
-    """A per-dimension kernel factor vanished while forming a gradient."""
-
-
 @dataclass(frozen=True)
 class KernelSpec:
     """Matched kernel family, order, and shape vector.

@@ -127,7 +127,7 @@ def kernel_eta_gradient(spec, x, t, shared: bool = False) -> np.ndarray:
     bases = kernels._dim_bases_from_lags(spec, lag)
     factors = 1.0 + spec.eta * bases
     if (factors == 0.0).any():
-        raise kernels.SingularFactorError("per-dimension kernel factor is zero")
+        raise ZeroDivisionError("per-dimension kernel factor is zero")
     kernel = factors.prod()
     if shared:
         val = (spec.d / spec.eta[0]) * kernel * (1.0 - np.mean(1.0 / factors))
@@ -163,7 +163,7 @@ def column_eta_jacobian(eta, bases, ring) -> np.ndarray:
     shape (d, cols), from the bases and ring_from_bases(eta, bases)."""
     factors = 1.0 + eta[:, None] * bases
     if (factors == 0.0).any():
-        raise kernels.SingularFactorError("per-dimension kernel factor is zero")
+        raise ZeroDivisionError("per-dimension kernel factor is zero")
     return (1.0 + ring) * bases / factors
 
 

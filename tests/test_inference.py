@@ -547,15 +547,31 @@ class TestObjectiveGradient:
                     == 0).all()
             assert (multilinear_gradient(np.zeros((3, 9)), eta, adjoint) == 0).all()
 
-    def test_a_zero_kernel_factor_raises(self):
-        # walsh1's base is -1/2 at lags in [1/2, 1): at eta 2 that factor is 0
-        gen = nodes.make_sobol(2, seed=0)
-        bases = kernels.column_bases(KernelSpec("walsh1", 1, np.ones(2)), gen, 4)
-        eta = np.array([2.0, 1.0])
-        assert (1.0 + eta[0] * bases[0] == 0).any()
-        with pytest.raises(kernels.SingularFactorError):
-            ring_gradient(bases, kernels.ring_from_bases(eta, bases), eta, np.ones(16),
-                          "sobol", 16)
+    @pytest.mark.parametrize("kind", [EB, GCV])
+    def test_a_zero_kernel_factor_gives_the_exact_gradient(self, kind):
+        # walsh1's base is -1/2 at lags in [1/2, 1): at eta_0 = 2 that factor
+        # is 0, and the gradient there multiplies the other factors out
+        gen, _, _, spec, col, td = make_matched_td("sobol", "walsh1", 1,
+                                                   np.array([2.0, 1.0]), 4, 2)
+        bases = kernels.column_bases(spec, gen, 4)
+        assert (1.0 + spec.eta[0] * bases[0] == 0).any()
+        grad = ring_gradient(bases, col, spec.eta, eigenvalue_adjoint(td, kind),
+                             "sobol", 16) / spec.eta
+
+        def loss_at(eta):
+            c = kernels.ring_from_bases(eta, bases)
+            return objective(kind, transformed_data(td.weights,
+                                                    column_spectrum(c, "sobol", 16), 16))
+
+        num = np.empty(2)
+        for ell in range(2):
+            step = np.zeros(2)
+            step[ell] = 1e-4 * spec.eta[ell]
+            num[ell] = (loss_at(spec.eta + step) - loss_at(spec.eta - step)) / (2 * step[ell])
+        assert np.isfinite(grad).all() and (grad != 0).all()
+        assert grad == pytest.approx(num, rel=1e-5, abs=1e-7)
+        ref = extended_eta_gradient(td, kind, spec.eta, bases, "sobol")
+        assert np.abs(grad - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestStudentT:
@@ -761,27 +777,6 @@ class TestHyperparameterSearch:
         with pytest.raises(NonFiniteStartError):
             search_hyperparameters(lambda t: (np.nan, None), np.zeros(2), budget=5,
                                    gradient_fn=lambda t: np.zeros(2))
-
-    def test_a_vanishing_kernel_factor_gives_a_zero_gradient(self):
-        # a gradient that raises SingularFactorError is zero, as a non-finite
-        # one: at the start L-BFGS-B then stops there, and elsewhere the
-        # search goes on to a handled end
-        def obj(t):
-            return float(((np.asarray(t) - 3.0) ** 2).sum()), tuple(t)
-
-        def singular(t):
-            raise kernels.SingularFactorError("per-dimension kernel factor is zero")
-
-        res = search_hyperparameters(obj, np.zeros(2), budget=50, gradient_fn=singular)
-        assert res.evaluations == 1 and res.t.tolist() == [0.0, 0.0]
-
-        def past_one(t):
-            if t[0] > 1.0:
-                singular(t)
-            return 2 * (t - 3.0)
-
-        res = search_hyperparameters(obj, np.zeros(2), budget=50, gradient_fn=past_one)
-        assert obj(res.t)[0] < obj(np.zeros(2))[0]
 
     def test_gradient_search_keeps_the_best_point_past_a_rejected_one(self):
         # the bowl's centre sits where the objective is rejected: the search
