@@ -19,14 +19,16 @@ with one eta shared by every dimension (the default) a polynomial in eta
 over the spectra of the d elementary symmetric columns, which a Brent line
 search, needing no gradient, searches by one Horner pass per evaluation;
 with one eta per dimension and d <= _SUBSET_MAX_D (3) a multilinear sum
-over the spectra of the 2^d - 1 subset-product columns, which L-BFGS-B
-searches by one multilinear Horner pass per evaluation.  Its analytic
-gradient, asked right after the evaluation, is one gemv of those spectra
-with the loss's eigenvalue adjoint (inference.multilinear_gradient).  On
-the lattice the stopping width and the clamped count come from the ring
-column at the chosen eta instead, scattered from the base blocks the
-doublings built and transformed once, because the held spectra's smallest
-eigenvalues sit on their rounding floor.  On Sobol' nodes both come from
+over the spectra of the 2^d - 1 subset-product columns, which a projected
+Newton search searches by one multilinear Horner pass per evaluation.  Its
+analytic gradient and Hessian, asked right after the evaluation, are one
+gemv of those spectra with the loss's eigenvalue adjoint and a contraction
+of the loss's eigenvalue Hessian with the d eta-derivative rows of the
+spectrum (inference.multilinear_gradient).  On the lattice the stopping
+width and the clamped count come from the ring column at the chosen eta
+instead, scattered from the base blocks the doublings built and
+transformed once, because the held spectra's smallest eigenvalues sit on
+their rounding floor.  On Sobol' nodes both come from
 the held spectra, which are the more precise there (README gives the
 widths measured against long-double references).
 
@@ -55,7 +57,8 @@ building it, with the same bits; levels past the cap are built and not
 kept.  Per-dimension eta at d >= 4 rebuilds the bases at each doubling and
 builds the ring column and its transform on every evaluation; its gradient
 reads the eta, ring column and data just built and transforms the
-eigenvalue adjoint once (inference.ring_gradient).  A searched order builds
+eigenvalue adjoint once (inference.ring_gradient); L-BFGS-B searches it on
+that gradient alone.  A searched order builds
 its bases per evaluation too, and Nelder-Mead searches it without a
 gradient.
 Every search stays in inference.SEARCH_BOX, [log 1e-8, log 1e8] in each
@@ -81,9 +84,10 @@ import numpy as np
 from . import kernels, problems
 from .inference import (EB, CRITERIA, NonFiniteStartError, coefficient_spectra,
                         column_spectrum, credible_width, data_weights, dense_posterior,
-                        eigenvalue_adjoint, multilinear_gradient, multilinear_spectrum,
-                        objective, polynomial_spectrum, ring_gradient, SEARCH_BOX,
-                        search_hyperparameters, transformed_data)
+                        eigenvalue_adjoint, eigenvalue_hessian, multilinear_gradient,
+                        multilinear_spectrum, objective, polynomial_spectrum,
+                        ring_gradient, SEARCH_BOX, search_hyperparameters,
+                        transformed_data)
 from .nodes import CapacityError, block_rows, make_lattice, make_sobol
 from .transforms import DENSE_MAX_N, fbt, fbt_double
 
@@ -389,9 +393,11 @@ def integrate_fast(f, d: int, config: CubatureConfig) -> CubatureResult:
             return objective(config.criterion, data), data
 
         def gradient(t):  # right after obj(t), in t = log eta
-            eta, adjoint = last["eta"], eigenvalue_adjoint(last["data"], config.criterion)
-            if multilinear:
-                return multilinear_gradient(powers, eta, adjoint)
+            eta, data = last["eta"], last["data"]
+            adjoint = eigenvalue_adjoint(data, config.criterion)
+            if multilinear:  # and the Hessian, for the Newton search
+                return multilinear_gradient(powers, eta, adjoint,
+                                            eigenvalue_hessian(data, config.criterion))
             return ring_gradient(bases, last["col"], eta, adjoint, kind, n)
 
         search = dict(budget=budget,

@@ -41,22 +41,27 @@ The loss depends on eta through the eigenvalues alone, so its gradient is
 one row a = dL/d lam (eigenvalue_adjoint) contracted with the eigenvalues'
 eta derivatives, the reverse-mode rule for a linear map (Giles, 2008): on
 the subset spectra by one gemv (multilinear_gradient), on the ring column
-by one transform, transposed (ring_gradient).
+by one transform, transposed (ring_gradient).  Its Hessian in lam
+(eigenvalue_hessian) is a diagonal plus one or two rank-one terms; on the
+subset spectra, where lam is multilinear in eta, multilinear_gradient
+contracts it into the exact Hessian in log eta as well.
 
 search_hyperparameters minimizes over a plain float vector in the log-eta
 box SEARCH_BOX; cubature maps it to a kernel and passes the budget.  The
 method follows from what the caller gives: one coordinate (shared eta) runs a
-bracketed line search whose refine step is a port of scipy's Brent, so a
-shared-eta run never imports scipy.optimize; two or more with a gradient
-(per-dimension eta at a fixed order) scipy's L-BFGS-B, two or more without
-one (a searched order, which has no derivative) scipy's Nelder-Mead.  All
-three stay inside the box and share one memo by exact t, whose size is the
-evaluation count the budget caps.
+bracketed line search whose refine step is a port of scipy's Brent; two or
+more with a gradient and a Hessian (per-dimension eta at a fixed order and
+d <= 3) a projected Newton search; two or more with a gradient alone
+(per-dimension eta at d >= 4) scipy's L-BFGS-B; two or more without one (a
+searched order, which has no derivative) scipy's Nelder-Mead.  Only the
+last two import scipy.optimize.  All four stay inside the box and share one
+memo by exact t, whose size is the evaluation count the budget caps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import stdtrit
@@ -96,6 +101,7 @@ class TransformedData:
     lams_rest: np.ndarray     # lam_2..lam_n, or entries 1..n/2 of an even spectrum
     n: int
     n_clamped: int = 0        # clamped eigenvalues, counted over all n
+    _sums: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def lam1(self) -> float:
@@ -111,11 +117,16 @@ class TransformedData:
         return 2 * total - vals[..., -1]
 
     def data_sum(self, power: int = 1) -> float:
-        """sum_{i>=2} |y~_i|^2 / lam_i^power, power 1 (EB) or 2 (GCV)."""
-        over = self.weights / self.lams_rest
-        if power == 2:
-            over = over / self.lams_rest
-        return float(over.sum())
+        """sum_{i>=2} |y~_i|^2 / lam_i^power, power 1 (EB) or 2 (GCV),
+        summed once per power: the objective, its derivatives and the width
+        all read it."""
+        s = self._sums.get(power)
+        if s is None:
+            over = self.weights / self.lams_rest
+            if power == 2:
+                over = over / self.lams_rest
+            s = self._sums[power] = float(over.sum())
+        return s
 
 
 def data_weights(y_spectrum: np.ndarray, n: int) -> np.ndarray:
@@ -215,20 +226,45 @@ def multilinear_spectrum(spectra: np.ndarray, eta: np.ndarray) -> np.ndarray:
     return out
 
 
-def multilinear_gradient(spectra: np.ndarray, eta: np.ndarray,
-                         adjoint: np.ndarray) -> np.ndarray:
+def multilinear_gradient(spectra: np.ndarray, eta: np.ndarray, adjoint: np.ndarray,
+                         curvature=None):
     """Gradient in t = log eta of a loss at multilinear_spectrum(spectra, eta)
     from its eigenvalue_adjoint: with g = spectra @ adjoint, one gemv, entry
-    l is sum_{S holding l} (prod_{k in S} eta_k) g_S, a sum of scalars."""
-    # prod_{k in S} eta_k by mask S, in kernels.subset_products' order, as
-    # Python floats: at d = 2, 3 this whole loop takes 6-9 us where
-    # subset_products(eta[:, None]) alone takes 7-10 us (timeit, one thread)
-    prods = [1.0]
+    l is sum_{S holding l} pi_S g_S, pi_S = prod_{k in S} eta_k.
+
+    Given the loss's eigenvalue_hessian too, returns (gradient, Hessian).
+    The spectrum is multilinear in eta, so its derivative in t_l is the row
+    Q_l = sum_{S holding l} pi_S spectra[S - 1] and its second derivative in
+    t_l and t_m the same sum over the S holding both: the Hessian is
+    Q H_lam Q^T plus sum_{S holding l and m} pi_S g_S, whose diagonal is the
+    gradient.  Q is built over blocks of _MULTILINEAR_BLOCK columns.
+    """
+    d = eta.shape[0]
+    prods = [1.0]  # pi_S by mask S, in kernels.subset_products' order
     for e in eta.tolist():
         prods += [p * e for p in prods]
-    terms = [p * g for p, g in zip(prods[1:], (spectra @ adjoint).tolist())]
-    return np.array([sum(t for mask, t in enumerate(terms, 1) if mask >> ell & 1)
-                     for ell in range(eta.shape[0])])
+    pi = np.array(prods[1:])
+    member = _MEMBERS.get(d)
+    if member is None:  # member[l, S - 1] = 1.0 where S holds l
+        member = _MEMBERS[d] = (np.arange(1, 1 << d) >> np.arange(d)[:, None] & 1) * 1.0
+    pg = pi * (spectra @ adjoint)
+    gradient = member @ pg
+    if curvature is None:
+        return gradient
+    lam_diag, vecs, coefs = curvature
+    rows = member * pi  # Q = rows @ spectra
+    hessian = (member * pg) @ member.T
+    proj = np.zeros((d, vecs.shape[0]))
+    for lo in range(0, spectra.shape[1], _MULTILINEAR_BLOCK):
+        cut = slice(lo, lo + _MULTILINEAR_BLOCK)
+        q = rows @ spectra[:, cut]
+        hessian += (q * lam_diag[cut]) @ q.T
+        proj += q @ vecs[:, cut].T
+    hessian += (proj * coefs) @ proj.T
+    return gradient, hessian
+
+
+_MEMBERS: dict = {}  # multilinear_gradient's subset membership rows, by d
 
 
 def ring_gradient(bases: np.ndarray, ring: np.ndarray, eta: np.ndarray,
@@ -333,6 +369,54 @@ def eigenvalue_adjoint(td: TransformedData, kind: str) -> np.ndarray:
     data *= td.weights
     np.add(own, data, out=out[1:])
     return out
+
+
+def eigenvalue_hessian(td: TransformedData, kind: str):
+    """The Hessian d^2 L / d lam^2 of the EB or GCV loss, laid out like
+    eigenvalue_adjoint, as (diag, vecs, coefs): diag(diag) plus
+    sum_i coefs[i] vecs[i] vecs[i]^T.  With multiplicities m (1 at lam_1,
+    2 at the paired entries of an even spectrum's half), data weights w
+    (0 at lam_1), s1 and s2 the data sums and sigma = sum_i 1 / lam_i:
+
+        EB   diag -m / (n lam^2) + 2 w / (s1 lam^3), one term -u u^T,
+             u = w / (s1 lam^2), the log s1 part
+        GCV  diag 6 w / (s2 lam^4) - 4 m / (sigma lam^3), terms -v v^T,
+             v = 2 w / (s2 lam^3), and 2 r r^T, r = m / (sigma lam^2)
+    """
+    inv = 1.0 / td.lams_rest
+    inv2 = inv * inv
+    scale = td.rest_sum(inv) + 1.0 / td.lam1 if kind == GCV else td.n  # sigma or n
+    own = inv2 * (1.0 / scale)  # m / (scale lam^2)
+    if inv.shape[0] < td.n - 1:  # the data weights are paired already
+        own[:-1] *= 2.0
+    data = td.weights * inv2
+    lam_diag = np.empty(inv.shape[0] + 1)
+    if kind == GCV:
+        s2 = _require_data(td, power=2)
+        vecs = np.empty((2, inv.shape[0] + 1))
+        data *= inv
+        vecs[0, 0], vecs[1, 0] = 0.0, 1.0 / (scale * td.lam1**2)
+        np.multiply(data, 2.0 / s2, out=vecs[0, 1:])
+        vecs[1, 1:] = own
+        lam_diag[0] = -4.0 / (scale * td.lam1**3)
+        own *= inv
+        own *= 4.0
+        data *= inv
+        data *= 6.0 / s2
+        np.subtract(data, own, out=lam_diag[1:])
+        return lam_diag, vecs, _GCV_COEFS
+    s1 = _require_data(td)
+    vecs = np.empty((1, inv.shape[0] + 1))
+    vecs[0, 0] = 0.0
+    np.multiply(data, 1.0 / s1, out=vecs[0, 1:])
+    lam_diag[0] = -1.0 / (scale * td.lam1**2)
+    data *= inv
+    data *= 2.0 / s1
+    np.subtract(data, own, out=lam_diag[1:])
+    return lam_diag, vecs, _EB_COEFS
+
+
+_EB_COEFS, _GCV_COEFS = np.array([-1.0]), np.array([-1.0, 2.0])  # eigenvalue_hessian's
 
 
 def student_t_quantile(dof: int) -> float:
@@ -447,69 +531,67 @@ def search_hyperparameters(objective_fn, t0: np.ndarray, budget: int = 100,
     What the coordinates mean is the caller's business.
 
     objective_fn(t) -> (value, payload); gradient_fn(t) -> the value's
-    gradient in t.  The method follows the coordinates: one runs a line
-    search (_line_search: a downhill walk that brackets the minimum, then
-    Brent), two or more with a gradient_fn L-BFGS-B, two or more without one
-    Nelder-Mead.  All three start from t0 clipped into the box, never
-    evaluate outside it, memoize by exact t and count distinct evaluations
-    only.  With two or more coordinates, gradient_fn(t) runs right after
-    objective_fn(t) at each new t of finite value, and never else, so it may
-    read what objective_fn built; L-BFGS-B's jac reads the memo.  A value
-    that is not finite or raises NonPositiveDefiniteError, DegenerateDataError
-    or FloatingPointError is a rejected step; its gradient, like a non-finite
-    one, is zero.  A rejected t0 raises NonFiniteStartError.
+    gradient in t, or the pair (gradient, Hessian).  The method follows the
+    coordinates: one runs a line search (_line_search: a downhill walk that
+    brackets the minimum, then Brent), two or more with a Hessian a
+    projected Newton search (_projected_newton), two or more with a gradient
+    alone L-BFGS-B, two or more without one Nelder-Mead; only the last two
+    import scipy.optimize.  All four start from t0 clipped into the box,
+    never evaluate outside it, memoize by exact t and count distinct
+    evaluations only.  With two or more coordinates, gradient_fn(t) runs
+    right after objective_fn(t) at each new t of finite value, and never
+    else, so it may read what objective_fn built; the methods read the memo.
+    A value that is not finite or raises NonPositiveDefiniteError,
+    DegenerateDataError or FloatingPointError is a rejected step; its
+    derivatives, like non-finite ones, are zero.  A rejected t0 raises
+    NonFiniteStartError.
     """
     p = t0.shape[0]
     t0 = np.clip(t0, *SEARCH_BOX)
     best = {"val": np.inf, "t": t0.copy(), "payload": None}
-    memo = {}  # (value, gradient) by exact t; its size counts the evaluations
+    memo = {}  # (value, gradient, Hessian) by exact t; its size counts the evaluations
+    derivatives = gradient_fn is not None and p > 1
+    newton = False  # gradient_fn returns the Hessian too
 
     def evaluate(t):
+        nonlocal newton
         key = tuple(t)
         if key not in memo:
             if memo and len(memo) >= budget:  # the start is always evaluated
                 raise _BudgetSpent
-            t, g = np.array(key), np.zeros(p)
+            t, g, h = np.array(key), None, None
             try:
                 val, payload = objective_fn(t)
             except (NonPositiveDefiniteError, DegenerateDataError, FloatingPointError):
                 val = np.inf
             if not np.isfinite(val):
                 val = np.inf
-            elif gradient_fn is not None and p > 1:  # in turn, at the same t
-                g = gradient_fn(t)
-                g = g if np.isfinite(g).all() else np.zeros(p)
+            elif derivatives:  # in turn, at the same t
+                out = gradient_fn(t)
+                if isinstance(out, tuple):
+                    newton = True
+                    if np.isfinite(out[0]).all() and np.isfinite(out[1]).all():
+                        g, h = out
+                elif np.isfinite(out).all():
+                    g = out
             if val < best["val"]:
                 best.update(val=val, t=t, payload=payload)
-            memo[key] = (val, g)
+            memo[key] = (val, np.zeros(p) if g is None else g,
+                         np.zeros((p, p)) if h is None else h)
         return memo[key]
 
     v0 = evaluate(t0)[0]
     if not np.isfinite(v0):
         raise NonFiniteStartError("objective not finite at the initial hyperparameters")
 
-    box = [SEARCH_BOX] * p
-    if p > 1:  # a shared-eta run never loads scipy.optimize
-        from scipy.optimize import minimize
     capped = False
     try:
         if p == 1:
             _line_search(lambda u: evaluate((u,))[0], float(t0[0]), v0, STEP, *SEARCH_BOX)
-        elif gradient_fn is not None:
-            # scipy's line search ends the whole search at an infinite value;
-            # at a finite one above the start's, with zero gradient, it
-            # backtracks.  The memo and the best point still see it rejected.
-            wall = v0 + 1.0 + abs(v0)
-
-            def walled(t):
-                v = evaluate(t)[0]
-                return wall if v == np.inf else v
-
-            minimize(walled, t0, jac=lambda t: evaluate(t)[1], method="L-BFGS-B", bounds=box)
+        elif newton:
+            _projected_newton(evaluate, t0.tolist(), v0, *SEARCH_BOX)
         else:
-            minimize(lambda t: evaluate(t)[0], t0, method="Nelder-Mead", bounds=box,
-                     options={"xatol": XATOL, "fatol": FATOL,
-                              "initial_simplex": _initial_simplex(t0, STEP)})
+            _scipy_search(evaluate, t0, v0, derivatives)
     except _BudgetSpent:
         capped = True
     return SearchResult(t=best["t"], evaluations=len(memo), payload=best["payload"],
@@ -518,6 +600,120 @@ def search_hyperparameters(objective_fn, t0: np.ndarray, budget: int = 100,
 
 class _BudgetSpent(Exception):
     pass
+
+
+def _scipy_search(evaluate, t0, v0, with_gradient):
+    """scipy's L-BFGS-B on evaluate's values and gradients, or without a
+    gradient its Nelder-Mead, in the box."""
+    from scipy.optimize import minimize
+
+    box = [SEARCH_BOX] * t0.shape[0]
+    if with_gradient:
+        # scipy's line search ends the whole search at an infinite value;
+        # at a finite one above the start's, with zero gradient, it
+        # backtracks.  The memo and the best point still see it rejected.
+        wall = v0 + 1.0 + abs(v0)
+
+        def walled(t):
+            v = evaluate(t)[0]
+            return wall if v == np.inf else v
+
+        minimize(walled, t0, jac=lambda t: evaluate(t)[1], method="L-BFGS-B", bounds=box)
+    else:
+        minimize(lambda t: evaluate(t)[0], t0, method="Nelder-Mead", bounds=box,
+                 options={"xatol": XATOL, "fatol": FATOL,
+                          "initial_simplex": _initial_simplex(t0, STEP)})
+
+
+ARMIJO = 1e-4  # the projected Newton search's sufficient-decrease constant
+
+
+def _projected_newton(evaluate, x, fx, lo, hi):
+    """Projected Newton search (Bertsekas, SIAM J. Control Optim. 20, 1982)
+    of evaluate's value over the box [lo, hi]^p from the list x, whose value
+    is fx, on evaluate's gradient and Hessian.
+
+    Each step fixes the coordinates that sit at a bound with the gradient
+    pointing out of the box, and takes the Newton step on the others with
+    their Hessian block made positive definite (_newton_step).  From the
+    full step it backtracks by halves, each trial clipped into the box,
+    until the value falls by the Armijo rule (Nocedal and Wright, Numerical
+    Optimization, 2006, ch. 3); a rejected (infinite) value never does.  It
+    stops when a trial moves no coordinate by XATOL or an accepted step
+    gains less than FATOL.  The bookkeeping is in Python floats: p is small.
+    """
+    p = len(x)
+    while True:
+        _, g, h = evaluate(x)
+        g, h = g.tolist(), h.tolist()
+        free = [i for i in range(p)
+                if not (x[i] <= lo and g[i] > 0.0 or x[i] >= hi and g[i] < 0.0)]
+        if len(free) == p:
+            step = _newton_step(h, g)
+        else:
+            step = [0.0] * p
+            for i, s in zip(free, _newton_step([[h[i][j] for j in free] for i in free],
+                                               [g[i] for i in free])):
+                step[i] = s
+        alpha = 1.0
+        while True:
+            y = [min(max(xi + alpha * si, lo), hi) for xi, si in zip(x, step)]
+            if max([abs(yi - xi) for yi, xi in zip(y, x)]) < XATOL:
+                return
+            fy = evaluate(y)[0]
+            if fy < fx and fy <= fx + ARMIJO * sum(
+                    [gi * (yi - xi) for gi, yi, xi in zip(g, y, x)]):
+                break
+            alpha *= 0.5
+        if fx - fy < FATOL:
+            return
+        x, fx = y, fy
+
+
+def _newton_step(h, g):
+    """The step -H^-1 g on lists, H made positive definite: H itself where
+    its Cholesky factorization runs and gives a finite step, else H with
+    each eigenvalue replaced by its absolute value, floored at 1e-8 of the
+    largest or at 1e-8.  A step that is still not finite is zero."""
+    step = _cholesky_solve(h, [-gi for gi in g])
+    if step is None or not all(map(math.isfinite, step)):
+        w, v = np.linalg.eigh(np.array(h))
+        w = np.maximum(np.abs(w), 1e-8 * max(np.abs(w).max(), 1.0))
+        step = (-(v @ ((v.T @ np.array(g)) / w))).tolist()
+    return step if all(map(math.isfinite, step)) else [0.0] * len(g)
+
+
+def _cholesky_solve(h, b):
+    """H^-1 b on lists by H's Cholesky factor, built from H's lower
+    triangle, or None where H is not positive definite."""
+    low = []  # the factor's rows, each up to its diagonal
+    for i, hrow in enumerate(h):
+        row = hrow[:i + 1]
+        for j in range(i + 1):
+            lj = low[j] if j < i else row
+            s = row[j]
+            for k in range(j):
+                s -= row[k] * lj[k]
+            if j < i:
+                row[j] = s / lj[j]
+            elif s > 0.0:
+                row[i] = math.sqrt(s)
+            else:
+                return None
+        low.append(row)
+    z = []  # low z = b, then low^T x = z
+    for i, row in enumerate(low):
+        s = b[i]
+        for k in range(i):
+            s -= row[k] * z[k]
+        z.append(s / row[i])
+    x = z[:]
+    for i in range(len(x) - 1, -1, -1):
+        s = z[i]
+        for k in range(i + 1, len(x)):
+            s -= low[k][i] * x[k]
+        x[i] = s / low[i][i]
+    return x
 
 
 def _line_search(f, x, fx, step, lo, hi):

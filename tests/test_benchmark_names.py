@@ -54,26 +54,29 @@ def test_every_workload_config_builds():
         assert isinstance(workload.warmup(), CubatureConfig)
 
 
-# one per search method: Brent, L-BFGS-B and Nelder-Mead
+# one (d, config) per search method: Brent, projected Newton (per-dimension
+# eta at d <= 3), L-BFGS-B (at d >= 4) and Nelder-Mead
 SEARCHES = {
-    "shared": CubatureConfig(epsilon=1e-9, n0=128, n_max=512, seed=5),
-    "per_dimension": CubatureConfig(epsilon=1e-9, n0=128, n_max=512, seed=5,
-                                    eta_mode="per_dimension"),
-    "searched_order": CubatureConfig(epsilon=1e-9, n0=128, n_max=512, seed=5,
-                                     kernel="truncated_series", periodizer="sidi_c1",
-                                     search_order=True),
+    "shared": (3, CubatureConfig(epsilon=1e-9, n0=128, n_max=512, seed=5)),
+    "per_dimension": (3, CubatureConfig(epsilon=1e-9, n0=128, n_max=512, seed=5,
+                                        eta_mode="per_dimension")),
+    "ring_per_dimension": (4, CubatureConfig(epsilon=1e-9, n0=128, n_max=512, seed=5,
+                                             eta_mode="per_dimension")),
+    "searched_order": (3, CubatureConfig(epsilon=1e-9, n0=128, n_max=512, seed=5,
+                                         kernel="truncated_series", periodizer="sidi_c1",
+                                         search_order=True)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(SEARCHES))
 def test_traced_run_matches_the_untraced_one(tracer, name):
     f = lambda x: np.exp(x.sum(axis=1))
-    cfg = SEARCHES[name]
-    plain = integrate_fast(f, 3, cfg)
+    d, cfg = SEARCHES[name]
+    plain = integrate_fast(f, d, cfg)
     cubature._held.clear()  # so the traced call builds its spectra too
     spans = tracer.Tracer()
     with spans.installed():
-        traced = spans.call(0, integrate_fast, f, 3, cfg)
+        traced = spans.call(0, integrate_fast, f, d, cfg)
     assert (traced.mu_hat, traced.n_used, traced.err) == \
         (plain.mu_hat, plain.n_used, plain.err)
     assert [it.theta for it in traced.iterations] == [it.theta for it in plain.iterations]

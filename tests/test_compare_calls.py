@@ -122,8 +122,7 @@ class TestDiffRecords:
 def test_every_path_call_builds_its_config(tool):
     calls = list(tool.path_calls(bayescub, 1))
     assert [name for name, _, _ in calls] == [f"path:{name}" for name in tool.PATHS]
-    # the calls stay small; the Fresnel per-dimension call runs to 2^16, the
-    # size at which L-BFGS-B revisits points
+    # the calls stay small; the Fresnel per-dimension call runs to 2^16
     big = {"path:fresnel_per_dimension": 2**16}
     assert all(cfg.n_max <= big.get(name, 2**14) and cfg.seed == 1
                for name, _, cfg in calls)

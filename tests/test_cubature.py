@@ -377,11 +377,15 @@ class TestIterationRecords:
     @staticmethod
     def log_ring_lam1(monkeypatch):
         """Make the loss log ring_lam_1, with its gradient d lam_1 / lam_ring1:
-        its eigenvalue adjoint is 1 / lam_ring1 at lam_1 and 0 elsewhere."""
+        its eigenvalue adjoint is 1 / lam_ring1 at lam_1 and 0 elsewhere, and
+        its eigenvalue Hessian -1 / lam_ring1^2 there and 0 elsewhere."""
         monkeypatch.setattr(cubature, "objective",
                             lambda kind, td: np.log(td.lam_ring1))
         monkeypatch.setattr(cubature, "eigenvalue_adjoint", lambda td, kind: np.r_[
             1.0 / td.lam_ring1, np.zeros(td.lams_rest.shape[0])])
+        monkeypatch.setattr(cubature, "eigenvalue_hessian", lambda td, kind: (np.r_[
+            -1.0 / td.lam_ring1**2, np.zeros(td.lams_rest.shape[0])],
+            np.zeros((0, td.lams_rest.shape[0] + 1)), np.zeros(0)))
 
     def test_bound_hit_on_any_per_dimension_entry(self, monkeypatch):
         # log ring_lam_1 falls with every eta entry: the gradient search
@@ -394,20 +398,30 @@ class TestIterationRecords:
         assert all(it.bound_hit and 1e-8 in it.theta for it in res.iterations)
 
     @staticmethod
-    def minus_trace_adjoint(td, kind):
-        """Minus each entry's multiplicity: the gradient of minus the Gram
-        trace, n (1 + ring_0), which falls with every eta."""
-        adjoint = -np.ones(td.lams_rest.shape[0] + 1)
-        if td.lams_rest.shape[0] < td.n - 1:  # an even spectrum's half
-            adjoint[1:-1] = -2.0
-        return adjoint
+    def minus_log_trace(monkeypatch):
+        """Make the loss's derivatives those of minus the log of the Gram
+        trace, n (1 + ring_0), which falls with every eta, by less than one
+        per unit of log eta: adjoint -m / trace, m each entry's multiplicity,
+        and eigenvalue Hessian m m^T / trace^2."""
+        def multiplicities(td):
+            m = np.ones(td.lams_rest.shape[0] + 1)
+            if td.lams_rest.shape[0] < td.n - 1:  # an even spectrum's half
+                m[1:-1] = 2.0
+            return m / (td.lam1 + td.rest_sum(td.lams_rest))
 
-    # one config per search method: Brent, L-BFGS-B and Nelder-Mead
+        monkeypatch.setattr(cubature, "eigenvalue_adjoint",
+                            lambda td, kind: -multiplicities(td))
+        monkeypatch.setattr(cubature, "eigenvalue_hessian", lambda td, kind: (
+            np.zeros(td.lams_rest.shape[0] + 1), multiplicities(td)[None], np.ones(1)))
+
+    # one (d, config) per search method: Brent, projected Newton (per-dimension
+    # eta at d <= 3), L-BFGS-B (at d >= 4) and Nelder-Mead
     SEARCHES = {
-        "shared": dict(),
-        "per_dimension": dict(eta_mode="per_dimension"),
-        "searched_order": dict(eta_mode="per_dimension", kernel="truncated_series",
-                               periodizer="sidi_c1", search_order=True),
+        "shared": (2, dict()),
+        "per_dimension": (2, dict(eta_mode="per_dimension")),
+        "ring_per_dimension": (4, dict(eta_mode="per_dimension")),
+        "searched_order": (2, dict(eta_mode="per_dimension", kernel="truncated_series",
+                                   periodizer="sidi_c1", search_order=True)),
     }
 
     @pytest.mark.parametrize("name", sorted(SEARCHES))
@@ -425,11 +439,11 @@ class TestIterationRecords:
             return real(falling, init, **kwargs)
 
         monkeypatch.setattr(cubature, "search_hyperparameters", search)
-        monkeypatch.setattr(cubature, "eigenvalue_adjoint", self.minus_trace_adjoint)
+        self.minus_log_trace(monkeypatch)
         f = lambda x: np.exp(x.sum(axis=1))
-        cfg = CubatureConfig(epsilon=1e-9, n0=128, n_max=512, seed=5,
-                             **self.SEARCHES[name])
-        integrate_fast(f, 2, cfg)
+        d, fields = self.SEARCHES[name]
+        cfg = CubatureConfig(epsilon=1e-9, n0=128, n_max=512, seed=5, **fields)
+        integrate_fast(f, d, cfg)
         lo, hi = np.log(kernels.ETA_MIN), np.log(kernels.ETA_MAX)
         assert seen and all(((lo <= t) & (t <= hi)).all() for t in seen)
         assert any((t == hi).any() for t in seen)
@@ -770,7 +784,8 @@ class TestColdStart:
     def test_shared_eta_loads_neither_optimize_nor_linalg(self):
         # in a fresh interpreter: the shared-eta loop's line search is the
         # package's own Brent, and only the dense loop and test-scale
-        # matrices need scipy.linalg; per-dimension eta still runs L-BFGS-B
+        # matrices need scipy.linalg; per-dimension eta runs the package's
+        # projected Newton search up to d = 3 and L-BFGS-B from d = 4 on
         code = (
             "import sys, numpy as np\n"
             "import bayescub, bayescub.cli\n"
@@ -784,12 +799,13 @@ class TestColdStart:
             "loaded = lambda: sorted(m for m in sys.modules\n"
             "                        if m.startswith(('scipy.optimize', 'scipy.linalg')))\n"
             "print(loaded())\n"
-            "integrate_fast(f, 3, CubatureConfig(epsilon=1e-12, n0=2**8, n_max=2**10, seed=1,\n"
-            "                                    eta_mode='per_dimension'))\n"
-            "print('scipy.optimize' in loaded())\n")
+            "for d in (3, 4):\n"
+            "    integrate_fast(f, d, CubatureConfig(epsilon=1e-12, n0=2**8, n_max=2**10,\n"
+            "                                        seed=1, eta_mode='per_dimension'))\n"
+            "    print('scipy.optimize' in loaded())\n")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, check=True)
-        assert proc.stdout.splitlines() == ["[]", "True"]
+        assert proc.stdout.splitlines() == ["[]", "False", "True"]
 
 
 class TestWidthPrecision:

@@ -9,7 +9,7 @@ from bayescub.inference import (EB, FULL, GCV, XATOL, DegenerateDataError,
                                 NonFiniteStartError, NonPositiveDefiniteError,
                                 TransformedData, column_spectrum, credible_width,
                                 data_weights, dense_posterior, eigenvalue_adjoint,
-                                multilinear_gradient, multilinear_spectrum, objective,
+                                eigenvalue_hessian, multilinear_gradient, multilinear_spectrum, objective,
                                 objective_eb, objective_gcv, polynomial_spectrum,
                                 ring_gradient, search_hyperparameters,
                                 student_t_quantile, transformed_data, _brent)
@@ -265,6 +265,47 @@ class TestMultilinearSpectrum:
                 num[ell] = (loss(up) - loss(dn)) / (2 * h)
             tol = 1e-5 * np.maximum(np.abs(grad), np.abs(num)) + 1e-7
             assert (np.abs(grad - num) <= tol).all(), (i, grad, num)
+
+    @pytest.mark.parametrize("kind", [EB, FULL, GCV])
+    @pytest.mark.parametrize("family", ["lattice", "sobol"])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_hessian_matches_differences_of_the_gradient(self, d, family, kind):
+        # the Newton search's Hessian in t = log eta, against Richardson-
+        # extrapolated central differences of the analytic gradient, at a
+        # log eta near each bound and one between them
+        kernel, order = ("bernoulli", 2) if family == "lattice" else ("walsh1", 1)
+        m, n = 10, 1 << 10
+        gen, _, spectra = subset_spectra(family, kernel, order, d, m)
+        pts = gen.points(0, n).points
+        y = np.cos(2 * np.pi * pts[:, 0]) + np.prod(np.sin(np.pi * pts), axis=1)
+        weights = data_weights(transforms.fbt(y, family), n)
+
+        def derivatives(t):
+            eta = np.exp(t)
+            td = transformed_data(weights, multilinear_spectrum(spectra, eta), n)
+            return multilinear_gradient(spectra, eta, eigenvalue_adjoint(td, kind),
+                                        eigenvalue_hessian(td, kind))
+
+        lo, hi = LOG_ETA_BOUNDS
+        for t in (np.linspace(lo + 1, lo + 2, d), np.linspace(-0.5, 1.0, d),
+                  np.linspace(hi - 2, hi - 1, d)):
+            grad, hess = derivatives(t)
+            assert grad.shape == (d,) and hess.shape == (d, d)
+            assert np.array_equal(grad, multilinear_gradient(
+                spectra, np.exp(t), eigenvalue_adjoint(transformed_data(
+                    weights, multilinear_spectrum(spectra, np.exp(t)), n), kind)))
+            scale = np.abs(hess).max()
+            assert np.abs(hess - hess.T).max() <= 1e-9 * scale
+            num = np.empty((d, d))
+            for ell in range(d):
+                e = np.zeros(d)
+                e[ell] = 1.0
+
+                def diff(h):
+                    return (derivatives(t + h * e)[0] - derivatives(t - h * e)[0]) / (2 * h)
+
+                num[:, ell] = (4 * diff(2e-3) - diff(4e-3)) / 3
+            assert np.abs(hess - num).max() <= 1e-5 * scale, (t, hess, num)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_partials_are_the_jacobian_spectra(self, d):
@@ -859,6 +900,114 @@ class TestHyperparameterSearch:
         search_hyperparameters(lambda t: obj(np.r_[t, 0.0]), np.zeros(1), budget=20,
                                gradient_fn=grad)
         assert log and all(kind == "value" for kind, _ in log)
+
+    # two or more coordinates with a Hessian: the projected Newton search
+    @staticmethod
+    def quadratic(seen, a, centre, reject=lambda t: False):
+        """(t - centre)^T a (t - centre), recording every point it is
+        evaluated at, rejected where reject(t), and its (gradient, Hessian)."""
+        a, c = np.asarray(a, dtype=float), np.asarray(centre, dtype=float)
+
+        def obj(t):
+            seen.append(tuple(t))
+            if reject(t):
+                raise NonPositiveDefiniteError("rejected")
+            return float((t - c) @ a @ (t - c)), None
+
+        return obj, lambda t: (2 * a @ (t - c), 2 * a)
+
+    def test_newton_reaches_a_bowls_minimum_in_one_step(self):
+        seen = []
+        obj, derivatives = self.quadratic(seen, [[1.0, 0.5], [0.5, 4.0]], (1.5, -2.0))
+        res = search_hyperparameters(obj, np.zeros(2), budget=100, gradient_fn=derivatives)
+        assert seen == [(0.0, 0.0), tuple(res.t)] and not res.capped
+        assert np.abs(res.t - [1.5, -2.0]).max() < 1e-12
+
+    def test_newton_fixes_a_coordinate_at_its_bound(self):
+        # the minimum lies past the upper bound in t_0; once t_0 sits there,
+        # with the gradient pointing out of the box, it is fixed and the
+        # step in t_1 is the reduced Newton step, to the minimum on the face
+        lo, hi = LOG_ETA_BOUNDS
+        seen = []
+        obj, derivatives = self.quadratic(seen, [[2.0, 1.0], [1.0, 2.0]], (40.0, 0.0))
+        res = search_hyperparameters(obj, np.zeros(2), budget=100, gradient_fn=derivatives)
+        assert seen[1] == (hi, 0.0)
+        assert all(lo <= u <= hi for t in seen for u in t)
+        assert all(t[0] == hi for t in seen[1:])
+        assert res.t[0] == hi and res.t[1] == pytest.approx((40.0 - hi) / 2, rel=1e-12)
+        assert res.evaluations == len(seen) == 3 and not res.capped
+
+    def test_newton_descends_from_an_indefinite_hessian(self):
+        # t_0^4 / 4 - t_0^2 / 2 + t_1^2 has negative curvature in t_0 at the
+        # start: the step takes |eigenvalues| and still goes downhill, to
+        # the minimum at t_0 = 1
+        seen = []
+
+        def obj(t):
+            seen.append(float(t[0] ** 4 / 4 - t[0] ** 2 / 2 + t[1] ** 2))
+            return seen[-1], None
+
+        def derivatives(t):
+            return (np.array([t[0] ** 3 - t[0], 2 * t[1]]),
+                    np.array([[3 * t[0] ** 2 - 1, 0.0], [0.0, 2.0]]))
+
+        assert np.linalg.eigvalsh(derivatives(np.array([0.1, 0.5]))[1]).min() < 0
+        res = search_hyperparameters(obj, np.array([0.1, 0.5]), budget=100,
+                                     gradient_fn=derivatives)
+        assert not res.capped and min(seen) < seen[0]
+        assert np.abs(res.t - [1.0, 0.0]).max() < 1e-4
+
+    def test_newton_honours_the_budget(self):
+        seen = []
+
+        def obj(t):  # Rosenbrock's valley takes many steps
+            seen.append(tuple(t))
+            return float(100 * (t[1] - t[0] ** 2) ** 2 + (1 - t[0]) ** 2), None
+
+        def derivatives(t):
+            x, y = t
+            return (np.array([-400 * x * (y - x**2) - 2 * (1 - x), 200 * (y - x**2)]),
+                    np.array([[1200 * x**2 - 400 * y + 2, -400 * x], [-400 * x, 200.0]]))
+
+        for budget in (1, 2, 3, 5, 8, 20):
+            seen.clear()
+            res = search_hyperparameters(obj, np.array([-1.2, 1.0]), budget=budget,
+                                         gradient_fn=derivatives)
+            assert res.evaluations == len(seen) == len(set(seen)) <= budget
+            assert res.capped
+        seen.clear()
+        res = search_hyperparameters(obj, np.array([-1.2, 1.0]), budget=100,
+                                     gradient_fn=derivatives)
+        assert not res.capped and 20 < res.evaluations == len(seen)
+        assert np.abs(res.t - 1.0).max() < 1e-4
+
+    def test_newton_reads_a_revisited_point_from_the_memo(self):
+        # the bowl's centre lies past both bounds and the objective is
+        # rejected where t_0 > 18: the full step and the half step from
+        # (0, 0) both clip to the corner (hi, lo), evaluated once, and so do
+        # the full and half steps from the quarter step (10, -10)
+        lo, hi = LOG_ETA_BOUNDS
+        seen = []
+        obj, derivatives = self.quadratic(seen, np.eye(2), (40.0, -40.0),
+                                          reject=lambda t: t[0] > 18.0)
+        res = search_hyperparameters(obj, np.zeros(2), budget=100, gradient_fn=derivatives)
+        assert seen[1] == (hi, lo) and seen.count((hi, lo)) == 1
+        assert seen[2] == pytest.approx((10.0, -10.0), rel=1e-15)
+        assert seen[3] == pytest.approx((17.5, -17.5), rel=1e-15)
+        assert res.evaluations == len(seen) == len(set(seen)) and not res.capped
+
+    def test_newton_steps_back_from_a_rejected_region(self):
+        # |t - (3, 2)|^2, rejected where both coordinates exceed 1: the full
+        # step lands at (3, 2), rejected; half of it at (1.5, 1), accepted.
+        # From there every step towards (3, 2) is rejected
+        seen = []
+        obj, derivatives = self.quadratic(seen, np.eye(2), (3.0, 2.0),
+                                          reject=lambda t: t[0] > 1.0 and t[1] > 1.0)
+        res = search_hyperparameters(obj, np.zeros(2), budget=100, gradient_fn=derivatives)
+        assert np.allclose(seen[1:3], [(3.0, 2.0), (1.5, 1.0)], rtol=1e-15, atol=0)
+        assert res.evaluations == len(seen) == len(set(seen)) < 100
+        assert not res.capped
+        assert np.abs(res.t - [1.5, 1.0]).max() < 1e-15  # 3.25, where L-BFGS-B ends
 
     def test_nonfinite_at_init_raises(self):
         def bad(t):

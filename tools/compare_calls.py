@@ -70,10 +70,10 @@ _DENSE = {**_LATTICE, "family": "matern_dense", "n_max": 2**9}
 PATHS = {
     "sobol_per_dimension": ("keister", 3, {"family": "sobol",
                                            "eta_mode": "per_dimension"}),
-    # L-BFGS-B revisits points here at seed 2, where the memo serves their gradients
+    # per-dimension eta on the lattice, run on to 2^16
     "fresnel_per_dimension": ("fresnel", None, {**_LATTICE, "eta_mode": "per_dimension",
                                                 "n_max": 2**16}),
-    # the GCV gradient; L-BFGS-B revisits a point at seed 1
+    # the GCV gradient and Hessian
     "gcv_per_dimension": ("keister", 3, {**_LATTICE, "criterion": "gcv",
                                          "eta_mode": "per_dimension"}),
     # d = 4: per-dimension eta on the ring path, not the subset spectra
