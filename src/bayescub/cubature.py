@@ -21,16 +21,16 @@ search, needing no gradient, searches by one Horner pass per evaluation;
 with one eta per dimension and d <= _SUBSET_MAX_D (3) a multilinear sum
 over the spectra of the 2^d - 1 subset-product columns, which a projected
 Newton search searches by one multilinear Horner pass per evaluation.  Its
-analytic gradient and Hessian, asked right after the evaluation, are one
-gemv of those spectra with the loss's eigenvalue adjoint and a contraction
-of the loss's eigenvalue Hessian with the d eta-derivative rows of the
-spectrum (inference.multilinear_gradient).  On the lattice the stopping
-width and the clamped count come from the ring column at the chosen eta
-instead, scattered from the base blocks the doublings built and
+analytic gradient and Hessian, asked only at the points the search steps
+from, are one gemv of those spectra with the loss's eigenvalue adjoint and
+a contraction of the loss's eigenvalue Hessian with the d eta-derivative
+rows of the spectrum (inference.multilinear_gradient).  On the lattice the
+stopping width and the clamped count come from the ring column at the
+chosen eta instead, scattered from the base blocks the doublings built and
 transformed once, because the held spectra's smallest eigenvalues sit on
-their rounding floor.  On Sobol' nodes both come from
-the held spectra, which are the more precise there (README gives the
-widths measured against long-double references).
+their rounding floor.  On Sobol' nodes both come from the held spectra,
+which are the more precise there (README gives the widths measured against
+long-double references).
 
 The subset path holds 2^d - 1 spectrum rows per level and builds one
 spectrum row per evaluation, in blocks of inference._MULTILINEAR_BLOCK
@@ -84,10 +84,9 @@ import numpy as np
 from . import kernels, problems
 from .inference import (EB, CRITERIA, NonFiniteStartError, coefficient_spectra,
                         column_spectrum, credible_width, data_weights, dense_posterior,
-                        eigenvalue_adjoint, eigenvalue_hessian, multilinear_gradient,
-                        multilinear_spectrum, objective, polynomial_spectrum,
-                        ring_gradient, SEARCH_BOX, search_hyperparameters,
-                        transformed_data)
+                        eigenvalue_adjoint, multilinear_gradient, multilinear_spectrum,
+                        objective, polynomial_spectrum, ring_gradient, SEARCH_BOX,
+                        search_hyperparameters, transformed_data)
 from .nodes import CapacityError, block_rows, make_lattice, make_sobol
 from .transforms import DENSE_MAX_N, fbt, fbt_double
 
@@ -394,13 +393,13 @@ def integrate_fast(f, d: int, config: CubatureConfig) -> CubatureResult:
 
         def gradient(t):  # right after obj(t), in t = log eta
             eta, data = last["eta"], last["data"]
-            adjoint = eigenvalue_adjoint(data, config.criterion)
             if multilinear:  # and the Hessian, for the Newton search
-                return multilinear_gradient(powers, eta, adjoint,
-                                            eigenvalue_hessian(data, config.criterion))
-            return ring_gradient(bases, last["col"], eta, adjoint, kind, n)
+                return multilinear_gradient(powers, eta, *eigenvalue_adjoint(
+                    data, config.criterion, curvature=True))
+            return ring_gradient(bases, last["col"], eta,
+                                 eigenvalue_adjoint(data, config.criterion), kind, n)
 
-        search = dict(budget=budget,
+        search = dict(budget=budget, hessian=multilinear,
                       gradient_fn=gradient if multilinear or bases is not None else None)
         reseeded = False
         try:

@@ -41,17 +41,19 @@ The loss depends on eta through the eigenvalues alone, so its gradient is
 one row a = dL/d lam (eigenvalue_adjoint) contracted with the eigenvalues'
 eta derivatives, the reverse-mode rule for a linear map (Giles, 2008): on
 the subset spectra by one gemv (multilinear_gradient), on the ring column
-by one transform, transposed (ring_gradient).  Its Hessian in lam
-(eigenvalue_hessian) is a diagonal plus one or two rank-one terms; on the
-subset spectra, where lam is multilinear in eta, multilinear_gradient
-contracts it into the exact Hessian in log eta as well.
+by one transform, transposed (ring_gradient).  The loss's Hessian in lam,
+which eigenvalue_adjoint gives on request from the same parts, is a
+diagonal plus one or two rank-one terms; on the subset spectra, where lam
+is multilinear in eta, multilinear_gradient contracts it into the exact
+Hessian in log eta as well.
 
 search_hyperparameters minimizes over a plain float vector in the log-eta
 box SEARCH_BOX; cubature maps it to a kernel and passes the budget.  The
 method follows from what the caller gives: one coordinate (shared eta) runs a
 bracketed line search whose refine step is a port of scipy's Brent; two or
 more with a gradient and a Hessian (per-dimension eta at a fixed order and
-d <= 3) a projected Newton search; two or more with a gradient alone
+d <= 3) a projected Newton search, which asks for them only at the points
+it steps from; two or more with a gradient alone
 (per-dimension eta at d >= 4) scipy's L-BFGS-B; two or more without one (a
 searched order, which has no derivative) scipy's Nelder-Mead.  Only the
 last two import scipy.optimize.  All four stay inside the box and share one
@@ -232,7 +234,9 @@ def multilinear_gradient(spectra: np.ndarray, eta: np.ndarray, adjoint: np.ndarr
     from its eigenvalue_adjoint: with g = spectra @ adjoint, one gemv, entry
     l is sum_{S holding l} pi_S g_S, pi_S = prod_{k in S} eta_k.
 
-    Given the loss's eigenvalue_hessian too, returns (gradient, Hessian).
+    Given the loss's Hessian in the eigenvalues too (the curvature of
+    eigenvalue_adjoint(td, kind, curvature=True)), returns (gradient,
+    Hessian).
     The spectrum is multilinear in eta, so its derivative in t_l is the row
     Q_l = sum_{S holding l} pi_S spectra[S - 1] and its second derivative in
     t_l and t_m the same sum over the S holding both: the Hessian is
@@ -240,7 +244,10 @@ def multilinear_gradient(spectra: np.ndarray, eta: np.ndarray, adjoint: np.ndarr
     gradient.  Q is built over blocks of _MULTILINEAR_BLOCK columns.
     """
     d = eta.shape[0]
-    prods = [1.0]  # pi_S by mask S, in kernels.subset_products' order
+    # pi_S by mask S, in kernels.subset_products' order, as Python floats:
+    # at d = 2, 3 this loop and the array take 1.2-1.6 us where
+    # subset_products(eta[:, None]) alone takes 4.2-6.6 us (timeit, one thread)
+    prods = [1.0]
     for e in eta.tolist():
         prods += [p * e for p in prods]
     pi = np.array(prods[1:])
@@ -349,15 +356,31 @@ def objective(kind: str, td: TransformedData) -> float:
     return objective_gcv(td) if kind == GCV else objective_eb(td)
 
 
-def eigenvalue_adjoint(td: TransformedData, kind: str) -> np.ndarray:
+def eigenvalue_adjoint(td: TransformedData, kind: str, curvature: bool = False):
     """The row a = dL/d lam of the EB or GCV loss, laid out like the ring
     spectrum td was built from: entry 0 is lam_1, and on an even spectrum's
     half each entry k < n/2 stands for k and n - k, so it carries both.  The
     loss's derivative in a parameter of the spectrum is a's dot product with
-    the spectrum's derivative in it (multilinear_gradient, ring_gradient)."""
+    the spectrum's derivative in it (multilinear_gradient, ring_gradient).
+
+    With curvature, returns (a, (diag, vecs, coefs)) instead, the second
+    the loss's Hessian d^2 L / d lam^2 in the same layout: diag(diag) plus
+    sum_i coefs[i] vecs[i] vecs[i]^T, a few passes more over a's own and
+    data parts.  With multiplicities m (1 at lam_1, 2 at the paired entries
+    of an even spectrum's half), data weights w (0 at lam_1), s1 and s2 the
+    data sums and sigma = sum_i 1 / lam_i:
+
+        EB   a = m / (n lam) + u, data part u = -w / (s1 lam^2);
+             diag -m / (n lam^2) + 2 w / (s1 lam^3) = -(a + u) / lam,
+             one term -u u^T, the log s1 part
+        GCV  a = r + v, own part r = 2 m / (sigma lam^2), data part
+             v = -2 w / (s2 lam^3); diag 6 w / (s2 lam^4) - 4 m / (sigma lam^3)
+             = -(2 a + v) / lam, terms -v v^T and r r^T / 2
+    """
     inv = 1.0 / td.lams_rest
     out = np.empty(inv.shape[0] + 1)
-    if kind == GCV:  # own terms from -2 log sum 1/lam, data terms from log s2
+    gcv = kind == GCV
+    if gcv:  # own terms from -2 log sum 1/lam, data terms from log s2
         scale = 2.0 / (td.rest_sum(inv) + 1.0 / td.lam1)
         out[0], own = scale / td.lam1**2, inv * inv * scale
         data = inv**3 * (-2.0 / _require_data(td, power=2))
@@ -368,55 +391,22 @@ def eigenvalue_adjoint(td: TransformedData, kind: str) -> np.ndarray:
         own[:-1] *= 2.0
     data *= td.weights
     np.add(own, data, out=out[1:])
-    return out
+    if not curvature:
+        return out
+    weight = 2.0 if gcv else 1.0  # of a in the diagonal
+    diag = np.empty_like(out)
+    diag[0] = -weight * out[0] / td.lam1
+    np.multiply(out[1:], -weight, out=diag[1:])
+    diag[1:] -= data
+    diag[1:] *= inv
+    vecs = np.zeros((2 if gcv else 1, out.shape[0]))
+    vecs[0, 1:] = data
+    if gcv:
+        vecs[1, 0], vecs[1, 1:] = out[0], own
+    return out, (diag, vecs, _GCV_COEFS if gcv else _EB_COEFS)
 
 
-def eigenvalue_hessian(td: TransformedData, kind: str):
-    """The Hessian d^2 L / d lam^2 of the EB or GCV loss, laid out like
-    eigenvalue_adjoint, as (diag, vecs, coefs): diag(diag) plus
-    sum_i coefs[i] vecs[i] vecs[i]^T.  With multiplicities m (1 at lam_1,
-    2 at the paired entries of an even spectrum's half), data weights w
-    (0 at lam_1), s1 and s2 the data sums and sigma = sum_i 1 / lam_i:
-
-        EB   diag -m / (n lam^2) + 2 w / (s1 lam^3), one term -u u^T,
-             u = w / (s1 lam^2), the log s1 part
-        GCV  diag 6 w / (s2 lam^4) - 4 m / (sigma lam^3), terms -v v^T,
-             v = 2 w / (s2 lam^3), and 2 r r^T, r = m / (sigma lam^2)
-    """
-    inv = 1.0 / td.lams_rest
-    inv2 = inv * inv
-    scale = td.rest_sum(inv) + 1.0 / td.lam1 if kind == GCV else td.n  # sigma or n
-    own = inv2 * (1.0 / scale)  # m / (scale lam^2)
-    if inv.shape[0] < td.n - 1:  # the data weights are paired already
-        own[:-1] *= 2.0
-    data = td.weights * inv2
-    lam_diag = np.empty(inv.shape[0] + 1)
-    if kind == GCV:
-        s2 = _require_data(td, power=2)
-        vecs = np.empty((2, inv.shape[0] + 1))
-        data *= inv
-        vecs[0, 0], vecs[1, 0] = 0.0, 1.0 / (scale * td.lam1**2)
-        np.multiply(data, 2.0 / s2, out=vecs[0, 1:])
-        vecs[1, 1:] = own
-        lam_diag[0] = -4.0 / (scale * td.lam1**3)
-        own *= inv
-        own *= 4.0
-        data *= inv
-        data *= 6.0 / s2
-        np.subtract(data, own, out=lam_diag[1:])
-        return lam_diag, vecs, _GCV_COEFS
-    s1 = _require_data(td)
-    vecs = np.empty((1, inv.shape[0] + 1))
-    vecs[0, 0] = 0.0
-    np.multiply(data, 1.0 / s1, out=vecs[0, 1:])
-    lam_diag[0] = -1.0 / (scale * td.lam1**2)
-    data *= inv
-    data *= 2.0 / s1
-    np.subtract(data, own, out=lam_diag[1:])
-    return lam_diag, vecs, _EB_COEFS
-
-
-_EB_COEFS, _GCV_COEFS = np.array([-1.0]), np.array([-1.0, 2.0])  # eigenvalue_hessian's
+_EB_COEFS, _GCV_COEFS = np.array([-1.0]), np.array([-1.0, 0.5])  # of the vecs terms
 
 
 def student_t_quantile(dof: int) -> float:
@@ -524,61 +514,76 @@ class SearchResult:
 
 
 def search_hyperparameters(objective_fn, t0: np.ndarray, budget: int = 100,
-                           gradient_fn=None) -> SearchResult:
+                           gradient_fn=None, hessian: bool = False) -> SearchResult:
     """Minimize objective_fn over a float vector from t0 in the box
     SEARCH_BOX^p; returns the best point seen within budget evaluations, and
     whether the budget ran out before the method's own stop (capped).
     What the coordinates mean is the caller's business.
 
     objective_fn(t) -> (value, payload); gradient_fn(t) -> the value's
-    gradient in t, or the pair (gradient, Hessian).  The method follows the
-    coordinates: one runs a line search (_line_search: a downhill walk that
-    brackets the minimum, then Brent), two or more with a Hessian a
-    projected Newton search (_projected_newton), two or more with a gradient
-    alone L-BFGS-B, two or more without one Nelder-Mead; only the last two
-    import scipy.optimize.  All four start from t0 clipped into the box,
-    never evaluate outside it, memoize by exact t and count distinct
-    evaluations only.  With two or more coordinates, gradient_fn(t) runs
-    right after objective_fn(t) at each new t of finite value, and never
-    else, so it may read what objective_fn built; the methods read the memo.
-    A value that is not finite or raises NonPositiveDefiniteError,
-    DegenerateDataError or FloatingPointError is a rejected step; its
-    derivatives, like non-finite ones, are zero.  A rejected t0 raises
-    NonFiniteStartError.
+    gradient in t, or with hessian the pair (gradient, Hessian).  The method
+    follows the coordinates: one runs a line search (_line_search: a
+    downhill walk that brackets the minimum, then Brent), two or more with
+    a Hessian a projected Newton search (_projected_newton), two or more
+    with a gradient alone L-BFGS-B, two or more without one Nelder-Mead;
+    only the last two import scipy.optimize.  All four start from t0
+    clipped into the box, never evaluate outside it, memoize by exact t and
+    count distinct evaluations only.  With two or more coordinates,
+    gradient_fn(t) runs right after objective_fn(t), so it may read what
+    objective_fn built: L-BFGS-B asks it at each new t of finite value, the
+    Newton search only at the points it steps from, and where such a point
+    is not the latest evaluated, objective_fn(t) runs there again first
+    (tests/test_inference.py,
+    test_newton_asks_derivatives_only_where_it_steps_from).  A value that is
+    not finite or raises NonPositiveDefiniteError, DegenerateDataError or
+    FloatingPointError is a rejected step; its derivatives, like non-finite
+    ones, are zero.  A rejected t0 raises NonFiniteStartError.
     """
     p = t0.shape[0]
     t0 = np.clip(t0, *SEARCH_BOX)
     best = {"val": np.inf, "t": t0.copy(), "payload": None}
-    memo = {}  # (value, gradient, Hessian) by exact t; its size counts the evaluations
+    memo = {}  # [value, gradient, Hessian] by exact t; its size counts the evaluations
     derivatives = gradient_fn is not None and p > 1
-    newton = False  # gradient_fn returns the Hessian too
+    latest = None  # the t objective_fn ran at last
+
+    def value(t):
+        nonlocal latest
+        latest = tuple(t)
+        try:
+            val, payload = objective_fn(t)
+        except (NonPositiveDefiniteError, DegenerateDataError, FloatingPointError):
+            return np.inf, None
+        return (val if np.isfinite(val) else np.inf), payload
 
     def evaluate(t):
-        nonlocal newton
         key = tuple(t)
         if key not in memo:
             if memo and len(memo) >= budget:  # the start is always evaluated
                 raise _BudgetSpent
-            t, g, h = np.array(key), None, None
-            try:
-                val, payload = objective_fn(t)
-            except (NonPositiveDefiniteError, DegenerateDataError, FloatingPointError):
-                val = np.inf
-            if not np.isfinite(val):
-                val = np.inf
-            elif derivatives:  # in turn, at the same t
-                out = gradient_fn(t)
-                if isinstance(out, tuple):
-                    newton = True
-                    if np.isfinite(out[0]).all() and np.isfinite(out[1]).all():
-                        g, h = out
-                elif np.isfinite(out).all():
-                    g = out
+            t = np.array(key)
+            val, payload = value(t)
+            g = None
+            if derivatives and not hessian and val < np.inf:  # in turn, at the same t
+                g = gradient_fn(t)
+                if not np.isfinite(g).all():
+                    g = None
             if val < best["val"]:
                 best.update(val=val, t=t, payload=payload)
-            memo[key] = (val, np.zeros(p) if g is None else g,
-                         np.zeros((p, p)) if h is None else h)
+            memo[key] = [val, np.zeros(p) if g is None else g, None]
         return memo[key]
+
+    def second_order(x):  # the Newton search's gradient and Hessian at an evaluated x
+        entry = memo[tuple(x)]
+        if entry[2] is None:
+            t = np.array(x)
+            if tuple(x) != latest:  # so that gradient_fn reads what objective_fn built
+                value(t)
+            g, h = gradient_fn(t)
+            if np.isfinite(g).all() and np.isfinite(h).all():
+                entry[1:] = g, h
+            else:
+                entry[2] = np.zeros((p, p))
+        return entry[1], entry[2]
 
     v0 = evaluate(t0)[0]
     if not np.isfinite(v0):
@@ -588,8 +593,9 @@ def search_hyperparameters(objective_fn, t0: np.ndarray, budget: int = 100,
     try:
         if p == 1:
             _line_search(lambda u: evaluate((u,))[0], float(t0[0]), v0, STEP, *SEARCH_BOX)
-        elif newton:
-            _projected_newton(evaluate, t0.tolist(), v0, *SEARCH_BOX)
+        elif derivatives and hessian:
+            _projected_newton(lambda x: evaluate(x)[0], second_order, t0.tolist(), v0,
+                              *SEARCH_BOX)
         else:
             _scipy_search(evaluate, t0, v0, derivatives)
     except _BudgetSpent:
@@ -628,10 +634,11 @@ def _scipy_search(evaluate, t0, v0, with_gradient):
 ARMIJO = 1e-4  # the projected Newton search's sufficient-decrease constant
 
 
-def _projected_newton(evaluate, x, fx, lo, hi):
+def _projected_newton(f, derivatives, x, fx, lo, hi):
     """Projected Newton search (Bertsekas, SIAM J. Control Optim. 20, 1982)
-    of evaluate's value over the box [lo, hi]^p from the list x, whose value
-    is fx, on evaluate's gradient and Hessian.
+    of f over the box [lo, hi]^p from the list x, whose value is fx, on the
+    gradient and Hessian that derivatives(x) gives at each point it steps
+    from, and at no other.
 
     Each step fixes the coordinates that sit at a bound with the gradient
     pointing out of the box, and takes the Newton step on the others with
@@ -644,7 +651,7 @@ def _projected_newton(evaluate, x, fx, lo, hi):
     """
     p = len(x)
     while True:
-        _, g, h = evaluate(x)
+        g, h = derivatives(x)
         g, h = g.tolist(), h.tolist()
         free = [i for i in range(p)
                 if not (x[i] <= lo and g[i] > 0.0 or x[i] >= hi and g[i] < 0.0)]
@@ -660,7 +667,7 @@ def _projected_newton(evaluate, x, fx, lo, hi):
             y = [min(max(xi + alpha * si, lo), hi) for xi, si in zip(x, step)]
             if max([abs(yi - xi) for yi, xi in zip(y, x)]) < XATOL:
                 return
-            fy = evaluate(y)[0]
+            fy = f(y)
             if fy < fx and fy <= fx + ARMIJO * sum(
                     [gi * (yi - xi) for gi, yi, xi in zip(g, y, x)]):
                 break
@@ -674,7 +681,8 @@ def _newton_step(h, g):
     """The step -H^-1 g on lists, H made positive definite: H itself where
     its Cholesky factorization runs and gives a finite step, else H with
     each eigenvalue replaced by its absolute value, floored at 1e-8 of the
-    largest or at 1e-8.  A step that is still not finite is zero."""
+    largest or at 1e-8 (Nocedal and Wright, 2006, section 3.4).  A step
+    that is still not finite is zero."""
     step = _cholesky_solve(h, [-gi for gi in g])
     if step is None or not all(map(math.isfinite, step)):
         w, v = np.linalg.eigh(np.array(h))
@@ -685,7 +693,12 @@ def _newton_step(h, g):
 
 def _cholesky_solve(h, b):
     """H^-1 b on lists by H's Cholesky factor, built from H's lower
-    triangle, or None where H is not positive definite."""
+    triangle, or None where H is not positive definite.  In Python floats
+    because p is 2 or 3: at those sizes this takes 2.5-4.0 us where
+    numpy.linalg's cholesky and solve take 10.4-11.9 us and its eigh
+    12.5-13.7 us (timeit, one thread), and a whole mvn_sweep_d2 pass, with
+    about 2400 steps, took 40-45 ms less than with eigh alone (medians of
+    10 and 20 alternating in-process pairs, 2-vCPU host)."""
     low = []  # the factor's rows, each up to its diagonal
     for i, hrow in enumerate(h):
         row = hrow[:i + 1]

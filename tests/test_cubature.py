@@ -381,11 +381,16 @@ class TestIterationRecords:
         its eigenvalue Hessian -1 / lam_ring1^2 there and 0 elsewhere."""
         monkeypatch.setattr(cubature, "objective",
                             lambda kind, td: np.log(td.lam_ring1))
-        monkeypatch.setattr(cubature, "eigenvalue_adjoint", lambda td, kind: np.r_[
-            1.0 / td.lam_ring1, np.zeros(td.lams_rest.shape[0])])
-        monkeypatch.setattr(cubature, "eigenvalue_hessian", lambda td, kind: (np.r_[
-            -1.0 / td.lam_ring1**2, np.zeros(td.lams_rest.shape[0])],
-            np.zeros((0, td.lams_rest.shape[0] + 1)), np.zeros(0)))
+
+        def adjoint(td, kind, curvature=False):
+            zeros = np.zeros(td.lams_rest.shape[0])
+            a = np.r_[1.0 / td.lam_ring1, zeros]
+            if not curvature:
+                return a
+            return a, (np.r_[-1.0 / td.lam_ring1**2, zeros],
+                       np.zeros((0, zeros.shape[0] + 1)), np.zeros(0))
+
+        monkeypatch.setattr(cubature, "eigenvalue_adjoint", adjoint)
 
     def test_bound_hit_on_any_per_dimension_entry(self, monkeypatch):
         # log ring_lam_1 falls with every eta entry: the gradient search
@@ -409,10 +414,11 @@ class TestIterationRecords:
                 m[1:-1] = 2.0
             return m / (td.lam1 + td.rest_sum(td.lams_rest))
 
-        monkeypatch.setattr(cubature, "eigenvalue_adjoint",
-                            lambda td, kind: -multiplicities(td))
-        monkeypatch.setattr(cubature, "eigenvalue_hessian", lambda td, kind: (
-            np.zeros(td.lams_rest.shape[0] + 1), multiplicities(td)[None], np.ones(1)))
+        def adjoint(td, kind, curvature=False):
+            m = multiplicities(td)
+            return (-m, (np.zeros(m.shape[0]), m[None], np.ones(1))) if curvature else -m
+
+        monkeypatch.setattr(cubature, "eigenvalue_adjoint", adjoint)
 
     # one (d, config) per search method: Brent, projected Newton (per-dimension
     # eta at d <= 3), L-BFGS-B (at d >= 4) and Nelder-Mead

@@ -9,7 +9,7 @@ from bayescub.inference import (EB, FULL, GCV, XATOL, DegenerateDataError,
                                 NonFiniteStartError, NonPositiveDefiniteError,
                                 TransformedData, column_spectrum, credible_width,
                                 data_weights, dense_posterior, eigenvalue_adjoint,
-                                eigenvalue_hessian, multilinear_gradient, multilinear_spectrum, objective,
+                                multilinear_gradient, multilinear_spectrum, objective,
                                 objective_eb, objective_gcv, polynomial_spectrum,
                                 ring_gradient, search_hyperparameters,
                                 student_t_quantile, transformed_data, _brent)
@@ -283,8 +283,8 @@ class TestMultilinearSpectrum:
         def derivatives(t):
             eta = np.exp(t)
             td = transformed_data(weights, multilinear_spectrum(spectra, eta), n)
-            return multilinear_gradient(spectra, eta, eigenvalue_adjoint(td, kind),
-                                        eigenvalue_hessian(td, kind))
+            return multilinear_gradient(spectra, eta,
+                                        *eigenvalue_adjoint(td, kind, curvature=True))
 
         lo, hi = LOG_ETA_BOUNDS
         for t in (np.linspace(lo + 1, lo + 2, d), np.linspace(-0.5, 1.0, d),
@@ -919,7 +919,8 @@ class TestHyperparameterSearch:
     def test_newton_reaches_a_bowls_minimum_in_one_step(self):
         seen = []
         obj, derivatives = self.quadratic(seen, [[1.0, 0.5], [0.5, 4.0]], (1.5, -2.0))
-        res = search_hyperparameters(obj, np.zeros(2), budget=100, gradient_fn=derivatives)
+        res = search_hyperparameters(obj, np.zeros(2), budget=100, gradient_fn=derivatives,
+                                     hessian=True)
         assert seen == [(0.0, 0.0), tuple(res.t)] and not res.capped
         assert np.abs(res.t - [1.5, -2.0]).max() < 1e-12
 
@@ -930,7 +931,8 @@ class TestHyperparameterSearch:
         lo, hi = LOG_ETA_BOUNDS
         seen = []
         obj, derivatives = self.quadratic(seen, [[2.0, 1.0], [1.0, 2.0]], (40.0, 0.0))
-        res = search_hyperparameters(obj, np.zeros(2), budget=100, gradient_fn=derivatives)
+        res = search_hyperparameters(obj, np.zeros(2), budget=100, gradient_fn=derivatives,
+                                     hessian=True)
         assert seen[1] == (hi, 0.0)
         assert all(lo <= u <= hi for t in seen for u in t)
         assert all(t[0] == hi for t in seen[1:])
@@ -953,7 +955,7 @@ class TestHyperparameterSearch:
 
         assert np.linalg.eigvalsh(derivatives(np.array([0.1, 0.5]))[1]).min() < 0
         res = search_hyperparameters(obj, np.array([0.1, 0.5]), budget=100,
-                                     gradient_fn=derivatives)
+                                     gradient_fn=derivatives, hessian=True)
         assert not res.capped and min(seen) < seen[0]
         assert np.abs(res.t - [1.0, 0.0]).max() < 1e-4
 
@@ -972,12 +974,12 @@ class TestHyperparameterSearch:
         for budget in (1, 2, 3, 5, 8, 20):
             seen.clear()
             res = search_hyperparameters(obj, np.array([-1.2, 1.0]), budget=budget,
-                                         gradient_fn=derivatives)
+                                         gradient_fn=derivatives, hessian=True)
             assert res.evaluations == len(seen) == len(set(seen)) <= budget
             assert res.capped
         seen.clear()
         res = search_hyperparameters(obj, np.array([-1.2, 1.0]), budget=100,
-                                     gradient_fn=derivatives)
+                                     gradient_fn=derivatives, hessian=True)
         assert not res.capped and 20 < res.evaluations == len(seen)
         assert np.abs(res.t - 1.0).max() < 1e-4
 
@@ -990,7 +992,8 @@ class TestHyperparameterSearch:
         seen = []
         obj, derivatives = self.quadratic(seen, np.eye(2), (40.0, -40.0),
                                           reject=lambda t: t[0] > 18.0)
-        res = search_hyperparameters(obj, np.zeros(2), budget=100, gradient_fn=derivatives)
+        res = search_hyperparameters(obj, np.zeros(2), budget=100, gradient_fn=derivatives,
+                                     hessian=True)
         assert seen[1] == (hi, lo) and seen.count((hi, lo)) == 1
         assert seen[2] == pytest.approx((10.0, -10.0), rel=1e-15)
         assert seen[3] == pytest.approx((17.5, -17.5), rel=1e-15)
@@ -1003,11 +1006,41 @@ class TestHyperparameterSearch:
         seen = []
         obj, derivatives = self.quadratic(seen, np.eye(2), (3.0, 2.0),
                                           reject=lambda t: t[0] > 1.0 and t[1] > 1.0)
-        res = search_hyperparameters(obj, np.zeros(2), budget=100, gradient_fn=derivatives)
+        res = search_hyperparameters(obj, np.zeros(2), budget=100, gradient_fn=derivatives,
+                                     hessian=True)
         assert np.allclose(seen[1:3], [(3.0, 2.0), (1.5, 1.0)], rtol=1e-15, atol=0)
         assert res.evaluations == len(seen) == len(set(seen)) < 100
         assert not res.capped
         assert np.abs(res.t - [1.5, 1.0]).max() < 1e-15  # 3.25, where L-BFGS-B ends
+
+    def test_newton_asks_derivatives_only_where_it_steps_from(self):
+        # a scripted search: from (0, 0) every step down to (1/64) of the
+        # full one clips to the corner (hi, hi), whose value falls short of
+        # the Armijo rule there; the 1/64 step to (15.625, 15.625) is taken,
+        # and from it the step to the corner, read from the memo, is taken
+        # too.  The derivatives run at those three points only, each right
+        # after the objective ran at the same point, so at the corner the
+        # objective runs again first
+        hi = LOG_ETA_BOUNDS[1]
+        log = []
+
+        def obj(t):
+            log.append(("value", tuple(t)))
+            return {0.0: 0.0, hi: -3.5}.get(t[0], -3.2), None
+
+        def derivatives(t):
+            assert log[-1] == ("value", tuple(t))
+            log.append(("derivatives", tuple(t)))
+            g = {0.0: -1e3, hi: -1.0}.get(t[0], -10.0)
+            return np.full(2, g), np.eye(2)
+
+        res = search_hyperparameters(obj, np.zeros(2), budget=100, gradient_fn=derivatives,
+                                     hessian=True)
+        x0, x1, corner = (0.0, 0.0), (15.625, 15.625), (hi, hi)
+        assert log == [("value", x0), ("derivatives", x0), ("value", corner),
+                       ("value", x1), ("derivatives", x1),
+                       ("value", corner), ("derivatives", corner)]
+        assert tuple(res.t) == corner and res.evaluations == 3 and not res.capped
 
     def test_nonfinite_at_init_raises(self):
         def bad(t):
