@@ -16,15 +16,14 @@ which this module alone maps to a kernel.  With a fixed kernel order the
 Gram spectrum is a sum over held coefficient spectra, built per doubling
 (inference.coefficient_spectra) and grown from the doubling's new entries:
 with one eta shared by every dimension (the default) a polynomial in eta
-over the spectra of the d elementary symmetric columns, which a Brent line
-search, needing no gradient, searches by one Horner pass per evaluation;
-with one eta per dimension and d <= _SUBSET_MAX_D (3) a multilinear sum
-over the spectra of the 2^d - 1 subset-product columns, which a projected
-Newton search searches by one multilinear Horner pass per evaluation.  Its
-analytic gradient and Hessian, asked only at the points the search steps
-from, are one gemv of those spectra with the loss's eigenvalue adjoint and
-a contraction of the loss's eigenvalue Hessian with the d eta-derivative
-rows of the spectrum (inference.multilinear_gradient).  On the lattice the
+over the spectra of the d elementary symmetric columns, evaluated by one
+Horner pass; with one eta per dimension and d <= _SUBSET_MAX_D (3) a
+multilinear sum over the spectra of the 2^d - 1 subset-product columns,
+evaluated by one multilinear Horner pass.  A projected Newton search
+searches both on their exact gradient and Hessian in log eta, asked only at
+the points it steps from: one blocked pass over the held spectra contracts
+the loss's eigenvalue adjoint and curvature with the spectrum's eta
+derivatives (inference.held_derivatives).  On the lattice the
 stopping width and the clamped count come from the ring column at the
 chosen eta instead, scattered from the base blocks the doublings built and
 transformed once, because the held spectra's smallest eigenvalues sit on
@@ -33,11 +32,12 @@ which are the more precise there (README gives the widths measured against
 long-double references).
 
 The subset path holds 2^d - 1 spectrum rows per level and builds one
-spectrum row per evaluation, in blocks of inference._MULTILINEAR_BLOCK
-columns.  The ring path rebuilds d base rows per doubling, builds and
-transforms the ring column per evaluation, and transforms the eigenvalue
-adjoint once per gradient.  The cutoff d <= 3 is measured by
-tools/time_eta_paths.py, which times both paths; README gives its figures.
+spectrum row per evaluation; it and every derivative pass on held spectra
+run in blocks of inference._MULTILINEAR_BLOCK columns.  The ring path
+rebuilds d base rows per doubling, builds and transforms the ring column
+per evaluation, and transforms the eigenvalue adjoint once per gradient.
+The cutoff d <= 3 is measured by tools/time_eta_paths.py, which times both
+paths; README gives its figures.
 
 With a matched kernel the Gram matrix depends on the nodes only through
 their differences, x_i - x_j mod 1 on a shifted lattice and x_i XOR x_j on
@@ -84,9 +84,10 @@ import numpy as np
 from . import kernels, problems
 from .inference import (EB, CRITERIA, NonFiniteStartError, coefficient_spectra,
                         column_spectrum, credible_width, data_weights, dense_posterior,
-                        eigenvalue_adjoint, multilinear_gradient, multilinear_spectrum,
-                        objective, polynomial_spectrum, ring_gradient, SEARCH_BOX,
-                        search_hyperparameters, transformed_data)
+                        eigenvalue_adjoint, held_derivatives, multilinear_spectrum,
+                        objective, polynomial_spectrum, power_coefficients, ring_gradient,
+                        SEARCH_BOX, search_hyperparameters, subset_coefficients,
+                        transformed_data)
 from .nodes import CapacityError, block_rows, make_lattice, make_sobol
 from .transforms import DENSE_MAX_N, fbt, fbt_double
 
@@ -154,6 +155,7 @@ class IterationRecord:
     bound_hit: bool = False  # a chosen eta sits at ETA_MIN or ETA_MAX
     capped: bool = False    # the search ran out of budget before its own stop
     order: float | None = None  # kernel order used, searched or fixed
+    loss: float | None = None   # the search's objective at the chosen parameters
 
 
 @dataclass
@@ -370,11 +372,12 @@ def integrate_fast(f, d: int, config: CubatureConfig) -> CubatureResult:
         elif not search_order:
             bases = kernels.column_bases(spec0, gen, m)
 
-        last = {}  # per-dimension eta: the latest evaluation's eta, ring column or None, data
+        last = {}  # a fixed order: the latest evaluation's eta, ring column or None, data
 
         def obj(t):
             if poly:
-                lams = polynomial_spectrum(powers, _eta_from_log(t)[0])
+                eta, col = _eta_from_log(t), None
+                lams = polynomial_spectrum(powers, eta[0])
             elif multilinear:
                 eta, col = _eta_from_log(t), None
                 lams = multilinear_spectrum(powers, eta)
@@ -387,20 +390,23 @@ def integrate_fast(f, d: int, config: CubatureConfig) -> CubatureResult:
                 col = kernels.ring_from_bases(spec.eta, kernels.column_bases(spec, gen, m))
                 lams = column_spectrum(col, kind, n)
             data = transformed_data(weights, lams, n)
-            if multilinear or bases is not None:  # the gradient, asked next, reads them
+            if not search_order:  # the derivatives, asked next, read them
                 last.update(eta=eta, col=col, data=data)
             return objective(config.criterion, data), data
 
-        def gradient(t):  # right after obj(t), in t = log eta
+        def derivatives(t):  # right after obj(t), in t = log eta
             eta, data = last["eta"], last["data"]
-            if multilinear:  # and the Hessian, for the Newton search
-                return multilinear_gradient(powers, eta, *eigenvalue_adjoint(
-                    data, config.criterion, curvature=True))
-            return ring_gradient(bases, last["col"], eta,
-                                 eigenvalue_adjoint(data, config.criterion), kind, n)
+            if bases is not None:  # the gradient alone, for L-BFGS-B
+                return ring_gradient(bases, last["col"], eta,
+                                     eigenvalue_adjoint(data, config.criterion), kind, n)
+            # and the Hessian, for the Newton search
+            coefs = (power_coefficients(eta[0], powers.shape[0]) if poly
+                     else subset_coefficients(eta))
+            return held_derivatives(powers, *coefs, data, config.criterion,
+                                    eigenvalue_adjoint)
 
-        search = dict(budget=budget, hessian=multilinear,
-                      gradient_fn=gradient if multilinear or bases is not None else None)
+        search = dict(budget=budget, hessian=products is not None,
+                      gradient_fn=None if search_order else derivatives)
         reseeded = False
         try:
             res = search_hyperparameters(obj, warm, **search)
@@ -419,7 +425,7 @@ def integrate_fast(f, d: int, config: CubatureConfig) -> CubatureResult:
         return credible_width(config.criterion, data), None, dict(
             theta=tuple(spec_best.eta), evaluations=res.evaluations + reseeded,
             n_clamped=data.n_clamped, reseeded=reseeded, order=spec_best.order,
-            capped=res.capped,
+            capped=res.capped, loss=res.value,
             bound_hit=bool(np.isin(spec_best.eta, (kernels.ETA_MIN, kernels.ETA_MAX)).any()))
 
     return _doubling_loop(f, config, gen, dict(theta=tuple(spec0.eta), order=spec0.order),

@@ -40,28 +40,31 @@ per sample size, TransformedData the eigenvalue sums.
 The loss depends on eta through the eigenvalues alone, so its gradient is
 one row a = dL/d lam (eigenvalue_adjoint) contracted with the eigenvalues'
 eta derivatives, the reverse-mode rule for a linear map (Giles, 2008): on
-the subset spectra by one gemv (multilinear_gradient), on the ring column
-by one transform, transposed (ring_gradient).  The loss's Hessian in lam,
-which eigenvalue_adjoint gives on request from the same parts, is a
-diagonal plus one or two rank-one terms; on the subset spectra, where lam
-is multilinear in eta, multilinear_gradient contracts it into the exact
-Hessian in log eta as well.
+the ring column by one transform, transposed (ring_gradient); on either set
+of held spectra by held_derivatives, which also contracts the loss's
+Hessian in lam, a diagonal plus one or two rank-one terms, into the exact
+Hessian in log eta.  Both sets are sums sum_r pi_r spectra[r] whose
+coefficients pi_r (eta^j, or the subset products) have log eta derivatives
+that are integer multiples of themselves, so one pass serves both.  It runs
+over column blocks, taking each block's adjoint entries from the block's
+eigenvalues and weights and the loss's scalar sums, so no derivative call
+builds a whole row.
 
 search_hyperparameters minimizes over a plain float vector in the log-eta
 box SEARCH_BOX; cubature maps it to a kernel and passes the budget.  The
-method follows from what the caller gives: one coordinate (shared eta) runs a
-bracketed line search whose refine step is a port of scipy's Brent; two or
-more with a gradient and a Hessian (per-dimension eta at a fixed order and
-d <= 3) a projected Newton search, which asks for them only at the points
-it steps from; two or more with a gradient alone
-(per-dimension eta at d >= 4) scipy's L-BFGS-B; two or more without one (a
-searched order, which has no derivative) scipy's Nelder-Mead.  Only the
-last two import scipy.optimize.  All four stay inside the box and share one
-memo by exact t, whose size is the evaluation count the budget caps.
+method follows from what the caller gives: a gradient and a Hessian (eta
+at a fixed order on the held spectra: shared, or per-dimension at d <= 3)
+a projected Newton search, which asks for them only at the points it steps
+from; a gradient alone (per-dimension eta at d >= 4) scipy's L-BFGS-B;
+neither (a searched order, which has no derivative) scipy's Nelder-Mead.
+Only the last two import scipy.optimize.  All three stay inside the box and
+share one memo by exact t, whose size is the evaluation count the budget
+caps.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -128,6 +131,15 @@ class TransformedData:
             if power == 2:
                 over = over / self.lams_rest
             s = self._sums[power] = float(over.sum())
+        return s
+
+    def inverse_sum(self) -> float:
+        """sigma = sum_i 1 / lam_i, summed once: the GCV loss, its
+        derivatives and its width all read it."""
+        s = self._sums.get("inverse")
+        if s is None:
+            s = self._sums["inverse"] = float(self.rest_sum(1.0 / self.lams_rest)
+                                              + 1.0 / self.lam1)
         return s
 
 
@@ -202,8 +214,8 @@ def polynomial_spectrum(spectra: np.ndarray, eta: float) -> np.ndarray:
     return out
 
 
-# columns per block of the multilinear pass: its 2^(d-1) work rows are this
-# long, so no evaluation builds a whole one
+# columns per block of the multilinear pass, whose 2^(d-1) work rows are this
+# long, and of held_derivatives, so neither builds a whole row
 _MULTILINEAR_BLOCK = 1 << 14
 
 
@@ -226,52 +238,6 @@ def multilinear_spectrum(spectra: np.ndarray, eta: np.ndarray) -> np.ndarray:
             rows[:1 << ell] += top
         out[cut] = rows[0]
     return out
-
-
-def multilinear_gradient(spectra: np.ndarray, eta: np.ndarray, adjoint: np.ndarray,
-                         curvature=None):
-    """Gradient in t = log eta of a loss at multilinear_spectrum(spectra, eta)
-    from its eigenvalue_adjoint: with g = spectra @ adjoint, one gemv, entry
-    l is sum_{S holding l} pi_S g_S, pi_S = prod_{k in S} eta_k.
-
-    Given the loss's Hessian in the eigenvalues too (the curvature of
-    eigenvalue_adjoint(td, kind, curvature=True)), returns (gradient,
-    Hessian).
-    The spectrum is multilinear in eta, so its derivative in t_l is the row
-    Q_l = sum_{S holding l} pi_S spectra[S - 1] and its second derivative in
-    t_l and t_m the same sum over the S holding both: the Hessian is
-    Q H_lam Q^T plus sum_{S holding l and m} pi_S g_S, whose diagonal is the
-    gradient.  Q is built over blocks of _MULTILINEAR_BLOCK columns.
-    """
-    d = eta.shape[0]
-    # pi_S by mask S, in kernels.subset_products' order, as Python floats:
-    # at d = 2, 3 this loop and the array take 1.2-1.6 us where
-    # subset_products(eta[:, None]) alone takes 4.2-6.6 us (timeit, one thread)
-    prods = [1.0]
-    for e in eta.tolist():
-        prods += [p * e for p in prods]
-    pi = np.array(prods[1:])
-    member = _MEMBERS.get(d)
-    if member is None:  # member[l, S - 1] = 1.0 where S holds l
-        member = _MEMBERS[d] = (np.arange(1, 1 << d) >> np.arange(d)[:, None] & 1) * 1.0
-    pg = pi * (spectra @ adjoint)
-    gradient = member @ pg
-    if curvature is None:
-        return gradient
-    lam_diag, vecs, coefs = curvature
-    rows = member * pi  # Q = rows @ spectra
-    hessian = (member * pg) @ member.T
-    proj = np.zeros((d, vecs.shape[0]))
-    for lo in range(0, spectra.shape[1], _MULTILINEAR_BLOCK):
-        cut = slice(lo, lo + _MULTILINEAR_BLOCK)
-        q = rows @ spectra[:, cut]
-        hessian += (q * lam_diag[cut]) @ q.T
-        proj += q @ vecs[:, cut].T
-    hessian += (proj * coefs) @ proj.T
-    return gradient, hessian
-
-
-_MEMBERS: dict = {}  # multilinear_gradient's subset membership rows, by d
 
 
 def ring_gradient(bases: np.ndarray, ring: np.ndarray, eta: np.ndarray,
@@ -347,8 +313,7 @@ def objective_eb(td: TransformedData) -> float:
 
 def objective_gcv(td: TransformedData) -> float:
     s2 = _require_data(td, power=2)
-    inv_sum = td.rest_sum(1.0 / td.lams_rest) + 1.0 / td.lam1
-    return float(np.log(s2) - 2.0 * np.log(inv_sum))
+    return float(np.log(s2) - 2.0 * np.log(td.inverse_sum()))
 
 
 def objective(kind: str, td: TransformedData) -> float:
@@ -356,12 +321,16 @@ def objective(kind: str, td: TransformedData) -> float:
     return objective_gcv(td) if kind == GCV else objective_eb(td)
 
 
-def eigenvalue_adjoint(td: TransformedData, kind: str, curvature: bool = False):
+def eigenvalue_adjoint(td: TransformedData, kind: str, curvature: bool = False,
+                       lo: int = 0, hi: int | None = None):
     """The row a = dL/d lam of the EB or GCV loss, laid out like the ring
     spectrum td was built from: entry 0 is lam_1, and on an even spectrum's
     half each entry k < n/2 stands for k and n - k, so it carries both.  The
     loss's derivative in a parameter of the spectrum is a's dot product with
-    the spectrum's derivative in it (multilinear_gradient, ring_gradient).
+    the spectrum's derivative in it (held_derivatives, ring_gradient).
+    Given lo and hi, only entries lo..hi - 1: each entry reads its own
+    eigenvalue and data weight and the loss's scalar sums alone, so a pass
+    over column blocks builds no whole row.
 
     With curvature, returns (a, (diag, vecs, coefs)) instead, the second
     the loss's Hessian d^2 L / d lam^2 in the same layout: diag(diag) plus
@@ -377,36 +346,129 @@ def eigenvalue_adjoint(td: TransformedData, kind: str, curvature: bool = False):
              v = -2 w / (s2 lam^3); diag 6 w / (s2 lam^4) - 4 m / (sigma lam^3)
              = -(2 a + v) / lam, terms -v v^T and r r^T / 2
     """
-    inv = 1.0 / td.lams_rest
-    out = np.empty(inv.shape[0] + 1)
+    rest = td.lams_rest.shape[0]
+    stop = rest if hi is None else min(hi - 1, rest)
+    cut = slice(max(lo - 1, 0), stop)
+    inv = np.divide(1.0, td.lams_rest[cut])
+    head = int(lo == 0)  # the block holds lam_1
     gcv = kind == GCV
+    out = np.empty(inv.shape[0] + head)
+    vecs = np.empty((2 if gcv and curvature else 1, out.shape[0]))
+    data = vecs[0, head:]  # the data part, built in place: the curvature's first vector
+    # an even spectrum's half pairs the own terms of all its entries but the
+    # last, n/2 (the data weights are paired already); n is a power of two,
+    # so scaling by pair / n is exact
+    pair = 2.0 if rest < td.n - 1 else 1.0
     if gcv:  # own terms from -2 log sum 1/lam, data terms from log s2
-        scale = 2.0 / (td.rest_sum(inv) + 1.0 / td.lam1)
-        out[0], own = scale / td.lam1**2, inv * inv * scale
-        data = inv**3 * (-2.0 / _require_data(td, power=2))
+        scale = 2.0 / td.inverse_sum()
+        out[:head] = scale / td.lam1**2
+        own = np.multiply(inv, inv, out=vecs[1, head:] if curvature else None)
+        own *= scale * pair
+        np.power(inv, 3, out=data)
+        data *= -2.0 / _require_data(td, power=2)
     else:  # own terms from (1/n) sum log lam, data terms from log s1
-        out[0], own = 1.0 / (td.n * td.lam1), inv / td.n
-        data = inv * inv * (-1.0 / _require_data(td))
-    if inv.shape[0] < td.n - 1:  # the data weights are paired already
-        own[:-1] *= 2.0
-    data *= td.weights
-    np.add(own, data, out=out[1:])
+        out[:head] = 1.0 / (td.n * td.lam1)
+        own = np.multiply(inv, pair / td.n)
+        np.multiply(inv, inv, out=data)
+        data *= -1.0 / _require_data(td)
+    if pair == 2.0 and stop == rest:
+        own[-1:] *= 0.5
+    data *= td.weights[cut]
+    np.add(own, data, out=out[head:])
     if not curvature:
         return out
     weight = 2.0 if gcv else 1.0  # of a in the diagonal
     diag = np.empty_like(out)
-    diag[0] = -weight * out[0] / td.lam1
-    np.multiply(out[1:], -weight, out=diag[1:])
-    diag[1:] -= data
-    diag[1:] *= inv
-    vecs = np.zeros((2 if gcv else 1, out.shape[0]))
-    vecs[0, 1:] = data
+    diag[:head] = -weight * out[:head] / td.lam1
+    np.multiply(out[head:], -weight, out=diag[head:])
+    diag[head:] -= data
+    diag[head:] *= inv
+    vecs[0, :head] = 0.0
     if gcv:
-        vecs[1, 0], vecs[1, 1:] = out[0], own
+        vecs[1, :head] = out[:head]
     return out, (diag, vecs, _GCV_COEFS if gcv else _EB_COEFS)
 
 
 _EB_COEFS, _GCV_COEFS = np.array([-1.0]), np.array([-1.0, 0.5])  # of the vecs terms
+
+
+def subset_coefficients(eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """held_derivatives' coefficients of the subset-product spectra
+    (multilinear_spectrum): pi_S = prod_{l in S} eta_l by mask S, in
+    kernels.subset_products' order, and member[l, S - 1] = 1 where S holds l."""
+    # pi_S as Python floats: at d = 2, 3 this loop and the array take
+    # 1.2-1.6 us where subset_products(eta[:, None]) alone takes 4.2-6.6 us
+    # (timeit, one thread)
+    prods = [1.0]
+    for e in eta.tolist():
+        prods += [p * e for p in prods]
+    return np.array(prods[1:]), _subset_members(eta.shape[0])
+
+
+@functools.cache
+def _subset_members(d: int) -> np.ndarray:
+    return (np.arange(1, 1 << d) >> np.arange(d)[:, None] & 1) * 1.0
+
+
+def power_coefficients(eta: float, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """held_derivatives' coefficients of the power spectra
+    (polynomial_spectrum): pi_j = eta^j and the one exponent row
+    member[0, j - 1] = j, j = 1..d."""
+    prods = [eta]
+    for _ in range(d - 1):
+        prods.append(prods[-1] * eta)
+    return np.array(prods), _exponents(d)
+
+
+@functools.cache
+def _exponents(d: int) -> np.ndarray:
+    return np.arange(1.0, d + 1.0)[None]
+
+
+def held_derivatives(spectra: np.ndarray, pi: np.ndarray, member: np.ndarray,
+                     td: TransformedData, kind: str, adjoint=eigenvalue_adjoint):
+    """Gradient and Hessian in t of the loss at the held spectra's sum
+    lam = sum_r pi_r spectra[r], td built from it, where pi_r = exp(sum_l
+    member[l, r] t_l): the subset products of eta = exp(t)
+    (subset_coefficients) or the powers of one eta (power_coefficients).
+
+    lam's derivative in t_l is then the row Q_l = sum_r member[l, r] pi_r
+    spectra[r] and its second derivative in t_l and t_m the same sum
+    weighted by member[m, r] too.  So with g = spectra @ a, a the loss's
+    eigenvalue_adjoint, the gradient is member @ (pi g) and the Hessian
+    Q H_lam Q^T + (member pi g) @ member^T, H_lam the adjoint's curvature.
+    Where the second derivative rows, one per pair l <= m, and Q are fewer
+    rows than spectra (one eta over d >= 3 powers), a meets those rows
+    instead of the spectra, so the pass reads the spectra once, not twice.
+    One pass over blocks of _MULTILINEAR_BLOCK columns asks adjoint(td,
+    kind, True, lo, hi) for each block's entries and contracts them at
+    once, so no row as long as the spectrum is built.  adjoint is
+    eigenvalue_adjoint or a stand-in with its signature.
+    """
+    p = member.shape[0]
+    rows = member * pi  # Q = rows[:p] @ spectra
+    direct = p + p * (p + 1) // 2 < spectra.shape[0]
+    if direct:
+        left, right = np.triu_indices(p)
+        rows = np.vstack([rows, member[left] * rows[right]])
+    g = hessian = proj = 0.0
+    for lo in range(0, spectra.shape[1], _MULTILINEAR_BLOCK):
+        hi = lo + _MULTILINEAR_BLOCK
+        a, (lam_diag, vecs, coefs) = adjoint(td, kind, True, lo, hi)
+        block = spectra[:, lo:hi]
+        derived = rows @ block
+        q = derived[:p]
+        g += (derived if direct else block) @ a
+        hessian += (q * lam_diag) @ q.T
+        proj += q @ vecs.T
+    hessian += (proj * coefs) @ proj.T
+    if direct:  # g is the gradient, then the second derivative rows' sums
+        hessian[left, right] += g[p:]
+        hessian[right, left] += g[p:] * (left != right)
+        return g[:p], hessian
+    pg = pi * g
+    hessian += (member * pg) @ member.T
+    return member @ pg, hessian
 
 
 def student_t_quantile(dof: int) -> float:
@@ -429,7 +491,7 @@ def credible_width(kind: str, td: TransformedData) -> float:
         t = student_t_quantile(td.n - 1)
         return t / td.n * np.sqrt(td.lam_ring1 / (td.n - 1) * s)
     if kind == GCV:
-        mean_inv = (td.rest_sum(1.0 / td.lams_rest) + 1.0 / td.lam1) / td.n
+        mean_inv = td.inverse_sum() / td.n
         return QUANTILE_99 / td.n * np.sqrt(td.lam_ring1 / td.lam1 * s / mean_inv)
     raise ValueError(f"unknown criterion {kind!r}")
 
@@ -501,7 +563,7 @@ def _posterior(y: np.ndarray, c: np.ndarray, c0: float, kind: str, solve,
 # ---------------------------------------------------------------------------
 
 XATOL, FATOL = 1e-4, 1e-7  # search tolerances in t and in the value
-STEP = 0.5  # first step of the line search and Nelder-Mead's initial simplex
+STEP = 0.5  # the edge of Nelder-Mead's initial simplex
 SEARCH_BOX = (np.log(kernels.ETA_MIN), np.log(kernels.ETA_MAX))  # every coordinate's box
 
 
@@ -511,6 +573,7 @@ class SearchResult:
     evaluations: int
     payload: object = None  # best-seen auxiliary data from the objective
     capped: bool = False    # the budget ran out before the method stopped
+    value: float = np.inf   # the objective at t
 
 
 def search_hyperparameters(objective_fn, t0: np.ndarray, budget: int = 100,
@@ -522,18 +585,15 @@ def search_hyperparameters(objective_fn, t0: np.ndarray, budget: int = 100,
 
     objective_fn(t) -> (value, payload); gradient_fn(t) -> the value's
     gradient in t, or with hessian the pair (gradient, Hessian).  The method
-    follows the coordinates: one runs a line search (_line_search: a
-    downhill walk that brackets the minimum, then Brent), two or more with
-    a Hessian a projected Newton search (_projected_newton), two or more
-    with a gradient alone L-BFGS-B, two or more without one Nelder-Mead;
-    only the last two import scipy.optimize.  All four start from t0
-    clipped into the box, never evaluate outside it, memoize by exact t and
-    count distinct evaluations only.  With two or more coordinates,
-    gradient_fn(t) runs right after objective_fn(t), so it may read what
-    objective_fn built: L-BFGS-B asks it at each new t of finite value, the
-    Newton search only at the points it steps from, and where such a point
-    is not the latest evaluated, objective_fn(t) runs there again first
-    (tests/test_inference.py,
+    follows what the caller gives: with a Hessian a projected Newton search
+    (_projected_newton), with a gradient alone L-BFGS-B, with neither
+    Nelder-Mead; only the last two import scipy.optimize.  All three start
+    from t0 clipped into the box, never evaluate outside it, memoize by
+    exact t and count distinct evaluations only.  gradient_fn(t) runs right
+    after objective_fn(t), so it may read what objective_fn built: L-BFGS-B
+    asks it at each new t of finite value, the Newton search only at the
+    points it steps from, and where such a point is not the latest
+    evaluated, objective_fn(t) runs there again first (tests/test_inference.py,
     test_newton_asks_derivatives_only_where_it_steps_from).  A value that is
     not finite or raises NonPositiveDefiniteError, DegenerateDataError or
     FloatingPointError is a rejected step; its derivatives, like non-finite
@@ -543,7 +603,7 @@ def search_hyperparameters(objective_fn, t0: np.ndarray, budget: int = 100,
     t0 = np.clip(t0, *SEARCH_BOX)
     best = {"val": np.inf, "t": t0.copy(), "payload": None}
     memo = {}  # [value, gradient, Hessian] by exact t; its size counts the evaluations
-    derivatives = gradient_fn is not None and p > 1
+    derivatives = gradient_fn is not None
     latest = None  # the t objective_fn ran at last
 
     def value(t):
@@ -591,9 +651,7 @@ def search_hyperparameters(objective_fn, t0: np.ndarray, budget: int = 100,
 
     capped = False
     try:
-        if p == 1:
-            _line_search(lambda u: evaluate((u,))[0], float(t0[0]), v0, STEP, *SEARCH_BOX)
-        elif derivatives and hessian:
+        if derivatives and hessian:
             _projected_newton(lambda x: evaluate(x)[0], second_order, t0.tolist(), v0,
                               *SEARCH_BOX)
         else:
@@ -601,7 +659,7 @@ def search_hyperparameters(objective_fn, t0: np.ndarray, budget: int = 100,
     except _BudgetSpent:
         capped = True
     return SearchResult(t=best["t"], evaluations=len(memo), payload=best["payload"],
-                        capped=capped)
+                        capped=capped, value=best["val"])
 
 
 class _BudgetSpent(Exception):
@@ -727,102 +785,6 @@ def _cholesky_solve(h, b):
             s -= low[k][i] * x[k]
         x[i] = s / low[i][i]
     return x
-
-
-def _line_search(f, x, fx, step, lo, hi):
-    """Bracketed Brent search of f over one coordinate in [lo, hi] from x,
-    whose value is fx.
-
-    Walks downhill with steps step, 2 step, 4 step, ... (clipped at the
-    bounds) until the value stops falling, and returns at a bound where it
-    still falls; then _brent, a port of scipy's Brent (xtol XATOL), refines
-    inside the last three points.  f memoizes, so Brent's re-reading of the
-    middle point costs nothing.
-    """
-    for sign in (-1.0, 1.0):
-        b = min(max(x + sign * step, lo), hi)
-        if b != x and f(b) < fx:
-            a, h, end = x, step, (lo if sign < 0 else hi)
-            while b != end:
-                h *= 2
-                c = min(max(b + sign * h, lo), hi)
-                if f(c) >= f(b):
-                    break
-                a, b = b, c
-            else:
-                return  # still falling at the bound
-            break
-    else:  # neither side falls: x is the middle, unless at a bound
-        a, b, c = max(x - step, lo), x, min(x + step, hi)
-        if not a < x < c:
-            return
-        if f(a) == fx:  # a level side goes last, where ties are split
-            a, c = c, a
-    if f(c) == f(b):  # a tie, which a Brent bracket refuses: split it
-        a, b = b, (b + c) / 2
-        if not f(b) < f(a):
-            return  # level
-    _brent(f, a, b, c)
-
-
-def _brent(f, a, b, c):
-    """Brent's minimization (Brent, Algorithms for Minimization without
-    Derivatives, 1973) of f inside the bracket a, b, c, in either order,
-    with f(b) below both ends.
-
-    A step-for-step port of Brent.optimize in scipy.optimize._optimize
-    (scipy, BSD-3-Clause) as scipy's "brent" scalar method runs it with xtol
-    XATOL: scipy's constants and its operations in its order, so f sees the
-    points scipy's would, less its reads of the two ends, whose values the
-    method never uses.  Python floats keep a rejected (infinite) value from
-    raising numpy warnings.
-    """
-    tol, maxiter, _mintol = XATOL, 500, 1e-11
-    _cg = 0.3819660  # scipy's literal, not the full golden ratio
-    a, b, x = float(min(a, c)), float(max(a, c)), float(b)
-    w = v = x
-    fw = fv = fx = f(x)
-    deltax = rat = 0.0
-    for _ in range(maxiter):
-        tol1 = tol * abs(x) + _mintol
-        tol2 = 2.0 * tol1
-        xmid = 0.5 * (a + b)
-        if abs(x - xmid) < tol2 - 0.5 * (b - a):
-            break
-        if abs(deltax) <= tol1:  # golden section step
-            deltax = a - x if x >= xmid else b - x
-            rat = _cg * deltax
-        else:  # parabolic step through x, w and v, if it is useful
-            tmp1 = (x - w) * (fx - fv)
-            tmp2 = (x - v) * (fx - fw)
-            p = (x - v) * tmp2 - (x - w) * tmp1
-            tmp2 = 2.0 * (tmp2 - tmp1)
-            if tmp2 > 0.0:
-                p = -p
-            tmp2 = abs(tmp2)
-            dx_temp, deltax = deltax, rat
-            if p > tmp2 * (a - x) and p < tmp2 * (b - x) and abs(p) < abs(0.5 * tmp2 * dx_temp):
-                rat = p / tmp2
-                u = x + rat
-                if u - a < tol2 or b - u < tol2:
-                    rat = tol1 if xmid - x >= 0 else -tol1
-            else:
-                deltax = a - x if x >= xmid else b - x
-                rat = _cg * deltax
-        if abs(rat) < tol1:  # step by at least tol1
-            u = x + tol1 if rat >= 0 else x - tol1
-        else:
-            u = x + rat
-        fu = f(u)
-        if fu > fx:
-            a, b = (u, b) if u < x else (a, u)
-            if fu <= fw or w == x:
-                v, w, fv, fw = w, u, fw, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-        else:
-            a, b = (x, b) if u >= x else (a, x)
-            v, w, x, fv, fw, fx = w, x, u, fw, fx, fu
 
 
 def _initial_simplex(t0: np.ndarray, step: float) -> np.ndarray:

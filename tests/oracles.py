@@ -8,7 +8,9 @@ points, the dense lattice and Walsh-Hadamard transforms, and the whole
 lattice spectra (even Gram, conjugate-symmetric data) that the package keeps
 as their halves; the loss gradient in derivative-row form (one transformed
 Jacobian row per eta, each summed against the loss's eigenvalue partials),
-in float64 and in 80-bit floats; the dense posterior in 80-bit floats; and
+in float64 and in 80-bit floats; the held spectra's gradient and Hessian
+contracted from the whole-row eigenvalue adjoint and curvature at once; the
+dense posterior in 80-bit floats; and
 the normal box probability's tensor Gauss-Legendre rule over a materialised
 grid of points.
 """
@@ -191,6 +193,23 @@ def objective_gradient(td, kind: str, dlambda) -> np.ndarray:
     s1 = (w / td.lams_rest).sum()
     return (d1 / td.lam1 + td.rest_sum(drest / td.lams_rest)) / td.n \
         - (drest * (w / td.lams_rest**2)).sum(axis=1) / s1
+
+
+def whole_row_derivatives(spectra, pi, member, adjoint, curvature):
+    """Gradient and Hessian in t of a loss at the held spectra's sum
+    sum_r pi_r spectra[r] (inference.held_derivatives' layout) from the whole
+    rows of its eigenvalue adjoint and curvature
+    (inference.eigenvalue_adjoint(td, kind, curvature=True)), each
+    contracted over every column at once: the gradient member @ (pi g),
+    g = spectra @ adjoint, and the Hessian Q diag Q^T + sum_i coefs_i
+    (Q vecs_i)(Q vecs_i)^T + (member pi g) @ member^T, Q = (member pi) @
+    spectra."""
+    lam_diag, vecs, coefs = curvature
+    pg = pi * (spectra @ adjoint)
+    q = (member * pi) @ spectra
+    proj = q @ vecs.T
+    hessian = (q * lam_diag) @ q.T + (proj * coefs) @ proj.T + (member * pg) @ member.T
+    return member @ pg, hessian
 
 
 def extended_eta_gradient(td, kind: str, eta, bases, family: str) -> np.ndarray:

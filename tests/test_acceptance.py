@@ -17,8 +17,9 @@ from bayescub import (CubatureConfig, integrate_fast, kernels, nodes, problems,
                       transforms)
 from bayescub.cli import draw_tolerances
 from bayescub.inference import (EB, FULL, GCV, column_spectrum, credible_width,
-                                data_weights, eigenvalue_adjoint, multilinear_gradient,
-                                multilinear_spectrum, objective, ring_gradient,
+                                data_weights, eigenvalue_adjoint, held_derivatives,
+                                multilinear_spectrum, objective, polynomial_spectrum,
+                                power_coefficients, ring_gradient, subset_coefficients,
                                 transformed_data)
 from bayescub.kernels import KernelSpec
 from conftest import record_criterion
@@ -307,16 +308,23 @@ def test_criterion_9_gradient_suite():
             col = kernels.ring_from_bases(spec.eta, bases)
             weights = data_weights(spectrum, 1 << m)
             td = transformed_data(weights, column_spectrum(col, family, 1 << m), 1 << m)
-            # the package's gradients in log eta: the ring path's, and at
-            # d <= 3 the subset path's at its own spectrum
+            # the package's gradients in log eta: the ring path's, at d <= 3
+            # the subset path's at its own spectrum, and for a shared eta the
+            # power path's at its own, as d/d eta of each eta entry
             grads = [ring_gradient(bases, col, spec.eta, eigenvalue_adjoint(td, kind),
                                    family, 1 << m)]
             if d <= 3:
                 spectra = column_spectrum(kernels.subset_products(bases), family, 1 << m)
                 sub = transformed_data(weights, multilinear_spectrum(spectra, spec.eta),
                                        1 << m)
-                grads.append(multilinear_gradient(spectra, spec.eta,
-                                                  eigenvalue_adjoint(sub, kind)))
+                grads.append(held_derivatives(spectra, *subset_coefficients(spec.eta),
+                                              sub, kind)[0])
+            if shared:  # split evenly over the entries, which the check below sums
+                powers = column_spectrum(kernels.elementary_symmetric(bases), family,
+                                         1 << m)
+                poly = transformed_data(weights, polynomial_spectrum(powers, eta[0]), 1 << m)
+                grads.append(np.full(d, held_derivatives(
+                    powers, *power_coefficients(eta[0], d), poly, kind)[0][0] / d))
 
             def loss(ev):
                 c = kernels.ring_from_bases(ev, bases)

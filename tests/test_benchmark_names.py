@@ -54,8 +54,9 @@ def test_every_workload_config_builds():
         assert isinstance(workload.warmup(), CubatureConfig)
 
 
-# one (d, config) per search method: Brent, projected Newton (per-dimension
-# eta at d <= 3), L-BFGS-B (at d >= 4) and Nelder-Mead
+# one (d, config) per search method and spectra: projected Newton on the
+# power spectra (shared eta) and on the subset spectra (per-dimension eta at
+# d <= 3), L-BFGS-B (at d >= 4) and Nelder-Mead
 SEARCHES = {
     "shared": (3, CubatureConfig(epsilon=1e-9, n0=128, n_max=512, seed=5)),
     "per_dimension": (3, CubatureConfig(epsilon=1e-9, n0=128, n_max=512, seed=5,

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from bayescub import cli, cubature, problems
+from conftest import patch_first_eigenvalue_loss
 
 
 def run_main(argv, capsys):
@@ -40,7 +41,8 @@ class TestIntegrate:
         # a loss that falls as lam_1 grows drives eta to 1e8 at every
         # doubling; every TransformedData is tagged with a count from its n
         real = cubature.transformed_data
-        monkeypatch.setattr(cubature, "objective", lambda kind, td: -np.log(td.lam1))
+        patch_first_eigenvalue_loss(monkeypatch, lambda td: -np.log(td.lam1),
+                                    lambda td: -1.0 / td.lam1, lambda td: td.lam1**-2)
         monkeypatch.setattr(cubature, "transformed_data",
                             lambda *a: replace(real(*a), n_clamped=a[2] // 64))
         code, out, _ = run_main(

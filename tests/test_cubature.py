@@ -13,6 +13,7 @@ from bayescub import (CubatureConfig, cubature, inference, integrate_dense,
                       integrate_fast, kernels, nodes, problems, transforms)
 from bayescub.cubature import IntegrandError
 from bayescub.inference import NonFiniteStartError, student_t_quantile
+from conftest import patch_first_eigenvalue_loss
 
 
 def counting(f):
@@ -367,7 +368,8 @@ class TestIterationRecords:
     def test_bound_hit_when_eta_is_driven_past_the_upper_bound(self, monkeypatch):
         # a loss that falls as lam_1 grows: the one-coordinate search walks
         # to log(1e8) and stops there
-        monkeypatch.setattr(cubature, "objective", lambda kind, td: -np.log(td.lam1))
+        patch_first_eigenvalue_loss(monkeypatch, lambda td: -np.log(td.lam1),
+                                    lambda td: -1.0 / td.lam1, lambda td: td.lam1**-2)
         f = lambda x: np.exp(x.sum(axis=1))
         cfg = CubatureConfig(epsilon=1e-9, n0=128, n_max=512, seed=5)
         res = integrate_fast(f, 3, cfg)
@@ -379,18 +381,9 @@ class TestIterationRecords:
         """Make the loss log ring_lam_1, with its gradient d lam_1 / lam_ring1:
         its eigenvalue adjoint is 1 / lam_ring1 at lam_1 and 0 elsewhere, and
         its eigenvalue Hessian -1 / lam_ring1^2 there and 0 elsewhere."""
-        monkeypatch.setattr(cubature, "objective",
-                            lambda kind, td: np.log(td.lam_ring1))
-
-        def adjoint(td, kind, curvature=False):
-            zeros = np.zeros(td.lams_rest.shape[0])
-            a = np.r_[1.0 / td.lam_ring1, zeros]
-            if not curvature:
-                return a
-            return a, (np.r_[-1.0 / td.lam_ring1**2, zeros],
-                       np.zeros((0, zeros.shape[0] + 1)), np.zeros(0))
-
-        monkeypatch.setattr(cubature, "eigenvalue_adjoint", adjoint)
+        patch_first_eigenvalue_loss(monkeypatch, lambda td: np.log(td.lam_ring1),
+                                    lambda td: 1.0 / td.lam_ring1,
+                                    lambda td: -td.lam_ring1**-2)
 
     def test_bound_hit_on_any_per_dimension_entry(self, monkeypatch):
         # log ring_lam_1 falls with every eta entry: the gradient search
@@ -414,14 +407,15 @@ class TestIterationRecords:
                 m[1:-1] = 2.0
             return m / (td.lam1 + td.rest_sum(td.lams_rest))
 
-        def adjoint(td, kind, curvature=False):
-            m = multiplicities(td)
+        def adjoint(td, kind, curvature=False, lo=0, hi=None):
+            m = multiplicities(td)[lo:hi]
             return (-m, (np.zeros(m.shape[0]), m[None], np.ones(1))) if curvature else -m
 
         monkeypatch.setattr(cubature, "eigenvalue_adjoint", adjoint)
 
-    # one (d, config) per search method: Brent, projected Newton (per-dimension
-    # eta at d <= 3), L-BFGS-B (at d >= 4) and Nelder-Mead
+    # one (d, config) per search method and spectra: projected Newton on the
+    # power spectra (shared eta) and on the subset spectra (per-dimension eta
+    # at d <= 3), L-BFGS-B (at d >= 4) and Nelder-Mead
     SEARCHES = {
         "shared": (2, dict()),
         "per_dimension": (2, dict(eta_mode="per_dimension")),
@@ -522,6 +516,8 @@ class TestEigenvalueRouting:
 
     @staticmethod
     def evaluations(res):
+        """Objective evaluations over every doubling: more than one per
+        doubling shows that the searches stepped."""
         return sum(it.evaluations for it in res.iterations)
 
     f = staticmethod(lambda x: np.exp(x.sum(axis=1)))
@@ -543,7 +539,7 @@ class TestEigenvalueRouting:
         monkeypatch.setattr(cubature, "search_hyperparameters", search)
         cfg = CubatureConfig(family=family, epsilon=1e-9, n0=128, n_max=2**11, seed=5)
         res = integrate_fast(self.f, 3, cfg)
-        assert self.evaluations(res) > 20
+        assert self.evaluations(res) > len(res.iterations)
         assert len(in_search) >= len(res.iterations) and not any(in_search)
 
     @pytest.mark.parametrize("family", ["lattice", "sobol"])
@@ -554,7 +550,7 @@ class TestEigenvalueRouting:
         cfg = CubatureConfig(family=family, epsilon=1e-9, n0=128, n_max=2**11, seed=5)
         res = integrate_fast(self.f, 3, cfg)
         k = len(res.iterations)
-        assert k == 5 and self.evaluations(res) > 20
+        assert k == 5 and self.evaluations(res) > k
         assert calls["n"] == (k * (k + 1) // 2 if family == "lattice" else 0)
 
     @pytest.mark.parametrize("kernel", ["bernoulli", "truncated_series"])
@@ -634,7 +630,7 @@ class TestEigenvalueRouting:
                              eta_mode="per_dimension")
         res = integrate_fast(self.f, d, cfg)
         k = len(res.iterations)
-        assert k == 5 and self.evaluations(res) > 10
+        assert k == 5 and self.evaluations(res) > k
         assert len(in_search) == k and not any(in_search)
         assert seen["widths"] == (k if family == "lattice" else 0)
         assert rings["n"] == (k * (k + 1) // 2 if family == "lattice" else 0)
@@ -766,8 +762,9 @@ class TestHeldDesign:
         assert builds["n"] == 5 + 3
 
 
-class TestSharedEtaLineSearch:
-    """Shared eta searches one coordinate by a bracketed Brent line search."""
+class TestSharedEtaSearch:
+    """Shared eta searches one coordinate by the projected Newton search on
+    the exact derivatives of the held power spectra."""
 
     def test_keister_call_stays_off_the_plateau(self):
         # Keister d=4 on Sobol' nodes: at n = 256 the objective at eta = 1e-8
@@ -788,10 +785,10 @@ class TestSharedEtaLineSearch:
 
 class TestColdStart:
     def test_shared_eta_loads_neither_optimize_nor_linalg(self):
-        # in a fresh interpreter: the shared-eta loop's line search is the
-        # package's own Brent, and only the dense loop and test-scale
-        # matrices need scipy.linalg; per-dimension eta runs the package's
-        # projected Newton search up to d = 3 and L-BFGS-B from d = 4 on
+        # in a fresh interpreter: the shared-eta loop runs the package's own
+        # projected Newton search, and only the dense loop and test-scale
+        # matrices need scipy.linalg; per-dimension eta runs the same search
+        # up to d = 3 and L-BFGS-B from d = 4 on
         code = (
             "import sys, numpy as np\n"
             "import bayescub, bayescub.cli\n"

@@ -1,6 +1,8 @@
 """Objectives, widths, gradients, the dense posterior, the hyperparameter
 search, and the cancellation-safety of the eigenvalue pipeline."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -9,13 +11,14 @@ from bayescub.inference import (EB, FULL, GCV, XATOL, DegenerateDataError,
                                 NonFiniteStartError, NonPositiveDefiniteError,
                                 TransformedData, column_spectrum, credible_width,
                                 data_weights, dense_posterior, eigenvalue_adjoint,
-                                multilinear_gradient, multilinear_spectrum, objective,
+                                held_derivatives, multilinear_spectrum, objective,
                                 objective_eb, objective_gcv, polynomial_spectrum,
-                                ring_gradient, search_hyperparameters,
-                                student_t_quantile, transformed_data, _brent)
+                                power_coefficients, ring_gradient, search_hyperparameters,
+                                student_t_quantile, subset_coefficients, transformed_data)
 from bayescub.kernels import KernelSpec
 from oracles import (extended_dense_posterior, extended_eta_gradient, gram_eigenvalues,
-                     jacobian_spectra, mirror_half, objective_gradient)
+                     jacobian_spectra, mirror_half, objective_gradient,
+                     whole_row_derivatives)
 
 
 def make_matched_td(family, kernel, order, eta, m, d, seed=0, y=None):
@@ -215,6 +218,16 @@ def subset_spectra(family, kernel, order, d, m, seed=3):
     return gen, bases, column_spectrum(kernels.subset_products(bases), family, 1 << m)
 
 
+def fixed_adjoint(row):
+    """A stand-in for eigenvalue_adjoint in held_derivatives: entries lo..hi - 1
+    of a given adjoint row, with zero curvature."""
+    def adjoint(td, kind, curvature, lo, hi):
+        a = row[lo:hi]
+        return a, (np.zeros(a.shape[0]), np.zeros((0, a.shape[0])), np.zeros(0))
+
+    return adjoint
+
+
 class TestMultilinearSpectrum:
     """The per-dimension-eta Gram spectrum as a multilinear sum over the
     subset-product spectra, and the loss gradient contracted on them, against
@@ -255,7 +268,7 @@ class TestMultilinearSpectrum:
                     weights, multilinear_spectrum(spectra, ev), n))
 
             td = transformed_data(weights, multilinear_spectrum(spectra, eta), n)
-            grad = multilinear_gradient(spectra, eta, eigenvalue_adjoint(td, kind)) / eta
+            grad = held_derivatives(spectra, *subset_coefficients(eta), td, kind)[0] / eta
             num = np.empty(d)
             for ell in range(d):
                 h = 1e-4 * eta[ell]
@@ -283,17 +296,13 @@ class TestMultilinearSpectrum:
         def derivatives(t):
             eta = np.exp(t)
             td = transformed_data(weights, multilinear_spectrum(spectra, eta), n)
-            return multilinear_gradient(spectra, eta,
-                                        *eigenvalue_adjoint(td, kind, curvature=True))
+            return held_derivatives(spectra, *subset_coefficients(eta), td, kind)
 
         lo, hi = LOG_ETA_BOUNDS
         for t in (np.linspace(lo + 1, lo + 2, d), np.linspace(-0.5, 1.0, d),
                   np.linspace(hi - 2, hi - 1, d)):
             grad, hess = derivatives(t)
             assert grad.shape == (d,) and hess.shape == (d, d)
-            assert np.array_equal(grad, multilinear_gradient(
-                spectra, np.exp(t), eigenvalue_adjoint(transformed_data(
-                    weights, multilinear_spectrum(spectra, np.exp(t)), n), kind)))
             scale = np.abs(hess).max()
             assert np.abs(hess - hess.T).max() <= 1e-9 * scale
             num = np.empty((d, d))
@@ -315,7 +324,8 @@ class TestMultilinearSpectrum:
         eta = np.array([0.4, 1.7, 0.9])[:d]
         ring = kernels.ring_from_bases(eta, bases)
         adjoint = np.random.default_rng(d).standard_normal(64)
-        subset = multilinear_gradient(spectra, eta, adjoint)
+        subset = held_derivatives(spectra, *subset_coefficients(eta), None, EB,
+                                  fixed_adjoint(adjoint))[0]
         ring_path = ring_gradient(bases, ring, eta, adjoint, "sobol", 64)
         partials = jacobian_spectra(eta, bases, ring, "sobol", 64)
         scale = np.abs(partials) @ np.abs(adjoint) * eta
@@ -348,6 +358,137 @@ class TestMultilinearSpectrum:
         assert peak - cols * 8 <= 4 * cols * 8 / 4
 
 
+@functools.cache
+def held_setup(family, d, m, products="powers", seed=3):
+    """(spectra, data weights) of a matched setup at 2^m: the power spectra
+    (shared eta) or the subset-product spectra (per-dimension eta), with the
+    kernels the loops default to (the lattice at order 1, which clamps no
+    eigenvalue near the box's bounds here) and smooth data."""
+    n = 1 << m
+    gen = (nodes.make_lattice(d, seed=seed) if family == "lattice"
+           else nodes.make_sobol(d, seed=seed))
+    kernel = "bernoulli" if family == "lattice" else "walsh1"
+    bases = kernels.column_bases(KernelSpec(kernel, 1, np.ones(d)), gen, m)
+    rows = (kernels.elementary_symmetric if products == "powers"
+            else kernels.subset_products)(bases)
+    pts = gen.points(0, n).points
+    y = np.cos(2 * np.pi * pts[:, 0]) + np.prod(np.sin(np.pi * pts), axis=1)
+    return column_spectrum(rows, family, n), data_weights(transforms.fbt(y, family), n)
+
+
+def held_state(family, d, m, products, t, kind):
+    """(spectra, pi, member, td) at log eta t on a held_setup."""
+    spectra, weights = held_setup(family, d, m, products)
+    eta = np.exp(t)
+    if products == "powers":
+        pi, member = power_coefficients(float(eta[0]), d)
+        lams = polynomial_spectrum(spectra, float(eta[0]))
+    else:
+        pi, member = subset_coefficients(eta)
+        lams = multilinear_spectrum(spectra, eta)
+    return spectra, pi, member, transformed_data(weights, lams, 1 << m)
+
+
+class TestHeldDerivatives:
+    """held_derivatives, the blocked gradient and Hessian on the held power
+    and subset-product spectra, against differences of the loss and of
+    itself, and against the whole-row contraction of tests/oracles.py."""
+
+    @pytest.mark.parametrize("m", [10, 16])
+    @pytest.mark.parametrize("d", [1, 4, 13])
+    @pytest.mark.parametrize("family", ["lattice", "sobol"])
+    @pytest.mark.parametrize("kind", [EB, FULL, GCV])
+    def test_polynomial_derivatives_match_differences(self, kind, family, d, m):
+        # gradient against Richardson-extrapolated central differences of
+        # the loss, Hessian against those of the gradient, at a log eta near
+        # each bound and one between; 2^16 runs several column blocks
+        lo, hi = LOG_ETA_BOUNDS
+
+        def state(t):
+            return held_state(family, d, m, "powers", np.array([t]), kind)
+
+        def derivatives(t):
+            spectra, pi, member, td = state(t)
+            return held_derivatives(spectra, pi, member, td, kind)
+
+        def richardson(f, t, h=2e-3):
+            def diff(s):
+                return (f(t + s) - f(t - s)) / (2 * s)
+
+            return (4 * diff(h) - diff(2 * h)) / 3
+
+        assert held_setup(family, d, m)[0].shape[1] > inference._MULTILINEAR_BLOCK or m < 16
+        for t in (lo + 1.0, 0.3, hi - 1.0):
+            assert state(t)[3].n_clamped == 0  # a loss set by rounding has no derivative
+            grad, hess = derivatives(t)
+            assert grad.shape == (1,) and hess.shape == (1, 1)
+            num = richardson(lambda u: objective(kind, state(u)[3]), t)
+            assert abs(grad[0] - num) <= 1e-6 * max(abs(grad[0]), abs(num)) + 1e-9, \
+                (t, grad, num)
+            num = richardson(lambda u: derivatives(u)[0][0], t)
+            assert abs(hess[0, 0] - num) <= 1e-5 * max(abs(hess[0, 0]), abs(num)) + 1e-9, \
+                (t, hess, num)
+
+    @pytest.mark.parametrize("kind", [EB, FULL, GCV])
+    @pytest.mark.parametrize("family", ["lattice", "sobol"])
+    @pytest.mark.parametrize("products,d", [("powers", 1), ("powers", 4), ("powers", 13),
+                                            ("subsets", 1), ("subsets", 2), ("subsets", 3)])
+    def test_blocks_match_the_whole_row_contraction(self, products, d, family, kind):
+        # within 1e-13 of the terms summed: the same contraction over absolute
+        # values bounds every entry's rounding
+        m = 16
+        rng = np.random.default_rng(d)
+        for t in rng.uniform(-3.0, 3.0, (3, 1 if products == "powers" else d)):
+            spectra, pi, member, td = held_state(family, d, m, products, t, kind)
+            a, curvature = eigenvalue_adjoint(td, kind, curvature=True)
+            whole = whole_row_derivatives(spectra, pi, member, a, curvature)
+            scale = whole_row_derivatives(np.abs(spectra), pi, member, np.abs(a),
+                                          tuple(np.abs(part) for part in curvature))
+            for ours, ref, bound in zip(held_derivatives(spectra, pi, member, td, kind),
+                                        whole, scale):
+                assert ours.shape == ref.shape
+                assert (np.abs(ours - ref) <= 1e-13 * bound).all(), (t, ours, ref)
+
+    @pytest.mark.parametrize("kind", [EB, GCV])
+    @pytest.mark.parametrize("family", ["lattice", "sobol"])
+    def test_adjoint_blocks_are_the_whole_rows_entries(self, family, kind):
+        # each entry reads its own eigenvalue, weight and the scalar sums: any
+        # cut into blocks gives the whole row's entries bit for bit
+        spectra, pi, member, td = held_state(family, 3, 10, "subsets",
+                                             np.array([0.2, -0.4, 1.1]), kind)
+        whole = eigenvalue_adjoint(td, kind, curvature=True)
+        assert np.array_equal(eigenvalue_adjoint(td, kind), whole[0])
+        cols = whole[0].shape[0]
+        for cuts in ([0, 1, cols], [0, 7, 300, cols - 1, cols], [0, cols - 2, cols + 5]):
+            parts = [eigenvalue_adjoint(td, kind, True, lo, hi)
+                     for lo, hi in zip(cuts, cuts[1:])]
+            assert np.array_equal(np.concatenate([a for a, _ in parts]), whole[0])
+            for i in range(2):
+                assert np.array_equal(np.concatenate([c[i] for _, c in parts], axis=-1),
+                                      whole[1][i])
+            assert all(c[2] is whole[1][2] for _, c in parts)
+
+    def test_pass_builds_no_whole_row(self):
+        # at 2^18 columns a whole row is 2 MB, 16 blocks; the pass holds
+        # at most a dozen rows of a block, its own and its adjoint's
+        import tracemalloc
+
+        d, cols = 3, (1 << 18) + 1
+        spectra = np.random.default_rng(4).random(((1 << d) - 1, cols))
+        td = transformed_data(np.random.default_rng(5).random(cols - 1),
+                              multilinear_spectrum(spectra, np.ones(d)), 1 << 19)
+        pi, member = subset_coefficients(np.array([0.3, 2.0, 0.7]))
+        for kind in (EB, GCV):
+            objective(kind, td)  # the scalar sums the loss holds
+            tracemalloc.start()
+            try:
+                held_derivatives(spectra, pi, member, td, kind)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < cols * 8, peak
+
+
 class TestAdjointAccuracy:
     """Each path's adjoint gradient against the derivative-row form (one
     transformed Jacobian row per eta, tests/oracles.py), both held to an
@@ -371,7 +512,7 @@ class TestAdjointAccuracy:
                 ring = kernels.ring_from_bases(eta, bases)
                 if path == "subset":
                     td = transformed_data(weights, multilinear_spectrum(spectra, eta), n)
-                    grad = multilinear_gradient(spectra, eta, eigenvalue_adjoint(td, kind))
+                    grad = held_derivatives(spectra, *subset_coefficients(eta), td, kind)[0]
                 else:
                     td = transformed_data(weights, column_spectrum(ring, family, n), n)
                     grad = ring_gradient(bases, ring, eta, eigenvalue_adjoint(td, kind),
@@ -586,7 +727,9 @@ class TestObjectiveGradient:
             adjoint = eigenvalue_adjoint(td, kind)
             assert (ring_gradient(np.zeros((2, 9)), col, eta, adjoint, "lattice", 16)
                     == 0).all()
-            assert (multilinear_gradient(np.zeros((3, 9)), eta, adjoint) == 0).all()
+            for part in held_derivatives(np.zeros((3, 9)), *subset_coefficients(eta), td,
+                                         kind):
+                assert (part == 0).all()
 
     @pytest.mark.parametrize("kind", [EB, GCV])
     def test_a_zero_kernel_factor_gives_the_exact_gradient(self, kind):
@@ -755,7 +898,7 @@ class TestHyperparameterSearch:
         res = search_hyperparameters(quad, np.zeros(1), budget=50)
         assert abs(res.t[0] - 1.3) < 1e-4
         assert calls["n"] <= 50
-        assert not res.capped  # Brent stopped on its own tolerance
+        assert not res.capped  # Nelder-Mead stopped on its own tolerance
 
     def test_spent_budget_is_reported_as_capped(self):
         quad = lambda t: (float((t[0] - 1.3) ** 2), None)  # noqa: E731
@@ -896,10 +1039,15 @@ class TestHyperparameterSearch:
         for before, (kind, t) in zip(log, log[1:]):
             assert kind == "value" or before == ("value", t)
 
-        log.clear()  # one coordinate: a line search, which asks no gradient
-        search_hyperparameters(lambda t: obj(np.r_[t, 0.0]), np.zeros(1), budget=20,
-                               gradient_fn=grad)
-        assert log and all(kind == "value" for kind, _ in log)
+        log.clear()  # one coordinate with a gradient alone: the same rule
+        res = search_hyperparameters(lambda t: obj(np.r_[t, 0.0]), np.zeros(1), budget=20,
+                                     gradient_fn=lambda t: grad(np.r_[t, 0.0])[:1])
+        values = [t for kind, t in log if kind == "value"]
+        finite = [t for t in values if t[0] <= 2.0]
+        assert res.evaluations == len(values) == len(set(values)) > len(finite)
+        assert [t for kind, t in log if kind == "gradient"] == finite
+        for before, (kind, t) in zip(log, log[1:]):
+            assert kind == "value" or before == ("value", t)
 
     # two or more coordinates with a Hessian: the projected Newton search
     @staticmethod
@@ -1042,6 +1190,69 @@ class TestHyperparameterSearch:
                        ("value", corner), ("derivatives", corner)]
         assert tuple(res.t) == corner and res.evaluations == 3 and not res.capped
 
+    # one coordinate with a Hessian: the Newton search shared eta runs
+    def test_newton_reaches_a_one_dimensional_bowls_minimum_in_one_step(self):
+        seen = []
+        obj, derivatives = self.quadratic(seen, [[2.5]], (1.3,))
+        res = search_hyperparameters(obj, np.zeros(1), budget=100, gradient_fn=derivatives,
+                                     hessian=True)
+        assert seen == [(0.0,), tuple(res.t)] and not res.capped
+        assert abs(res.t[0] - 1.3) < 1e-12
+        assert res.value == 2.5 * (res.t[0] - 1.3) ** 2 < 1e-20
+
+    def test_newton_ends_at_the_bound_past_which_the_minimum_lies(self):
+        lo, hi = LOG_ETA_BOUNDS
+        for centre, bound in ((40.0, hi), (-40.0, lo)):
+            seen = []
+            obj, derivatives = self.quadratic(seen, [[1.0]], (centre,))
+            res = search_hyperparameters(obj, np.array([0.5]), budget=100,
+                                         gradient_fn=derivatives, hessian=True)
+            assert res.t[0] == bound and seen[1] == (bound,)
+            assert all(lo <= t[0] <= hi for t in seen)
+            assert res.evaluations == len(seen) == 2 and not res.capped
+            assert res.value == (bound - centre) ** 2
+
+    def test_newton_descends_from_a_concave_start(self):
+        # t^4 / 4 - t^2 / 2 is concave at t = 0.1: the step takes |h| and
+        # still goes downhill, to the minimum at t = 1
+        seen = []
+
+        def obj(t):
+            seen.append(float(t[0] ** 4 / 4 - t[0] ** 2 / 2))
+            return seen[-1], None
+
+        def derivatives(t):
+            return np.array([t[0] ** 3 - t[0]]), np.array([[3 * t[0] ** 2 - 1]])
+
+        assert derivatives(np.array([0.1]))[1][0, 0] < 0
+        res = search_hyperparameters(obj, np.array([0.1]), budget=100,
+                                     gradient_fn=derivatives, hessian=True)
+        assert not res.capped and min(seen) < seen[0] and res.value == min(seen)
+        assert abs(res.t[0] - 1.0) < 1e-4
+
+    def test_newton_honours_the_budget_in_one_coordinate(self):
+        # t^4 from t = 3: each Newton step keeps two thirds of t
+        seen = []
+
+        def obj(t):
+            seen.append(tuple(t))
+            return float(t[0] ** 4), None
+
+        def derivatives(t):
+            return np.array([4 * t[0] ** 3]), np.array([[12 * t[0] ** 2]])
+
+        for budget in (1, 2, 3, 5, 8):
+            seen.clear()
+            res = search_hyperparameters(obj, np.array([3.0]), budget=budget,
+                                         gradient_fn=derivatives, hessian=True)
+            assert res.evaluations == len(seen) == len(set(seen)) <= budget
+            assert res.capped
+        seen.clear()
+        res = search_hyperparameters(obj, np.array([3.0]), budget=100,
+                                     gradient_fn=derivatives, hessian=True)
+        assert not res.capped and 8 < res.evaluations == len(seen) < 100
+        assert res.value < 1e-6
+
     def test_nonfinite_at_init_raises(self):
         def bad(t):
             return np.inf, None
@@ -1120,7 +1331,8 @@ class TestHyperparameterSearch:
 
     def test_level_objective_ends_at_the_start(self):
         res = search_hyperparameters(lambda t: (1.0, None), np.array([0.5]),
-                                     budget=100)
+                                     budget=100, hessian=True,
+                                     gradient_fn=lambda t: (np.zeros(1), np.zeros((1, 1))))
         assert res.t[0] == 0.5 and res.evaluations <= 4
 
     def test_keister_eta_is_local_min(self):
@@ -1149,44 +1361,3 @@ class TestHyperparameterSearch:
         best = loss_of_eta(eta_opt)
         assert loss_of_eta(eta_opt * 1.001) > best
         assert loss_of_eta(eta_opt * 0.999) > best
-
-
-class TestBrentPort:
-    LO, HI = LOG_ETA_BOUNDS
-    CASES = {
-        "quadratic": (lambda t: (t - 0.3) ** 2, (-1.0, 0.0, 2.0)),
-        "asymmetric_quartic": (lambda t: t**4 - 3.0 * t**3 + 2.0, (1.0, 2.0, 4.0)),
-        # the minimum at 0, where tol1 falls to its 1e-11 floor
-        "abs_power_1_5": (lambda t: abs(t) ** 1.5, (-0.3, 0.01, 0.5)),
-        "ties": (lambda t: np.floor((t - 0.7) ** 2 * 1e2) / 1e2, (0.0, 0.6, 2.0)),
-        "near_upper_bound": (lambda t: (t - (TestBrentPort.HI - 0.04)) ** 2,
-                             (HI - 1.0, HI - 0.03, HI)),
-        # right to left, as the leftward walk hands its bracket over
-        "near_lower_bound_leftward": (lambda t: (t - (TestBrentPort.LO + 0.04)) ** 2,
-                                      (LO + 1.0, LO + 0.03, LO)),
-        "quadratic_leftward": (lambda t: (t - 0.3) ** 2, (2.0, 0.0, -1.0)),
-    }
-
-    @pytest.mark.parametrize("case", list(CASES))
-    def test_probes_the_points_scipy_probes(self, case):
-        from scipy.optimize import minimize_scalar
-
-        f, bracket = self.CASES[case]
-
-        def recorded(seen):
-            def g(t):
-                seen.append(float(t).hex())
-                return f(t)
-            return g
-
-        ours, theirs = [], []
-        _brent(recorded(ours), *bracket)
-        minimize_scalar(recorded(theirs), bracket=bracket, method="brent",
-                        options={"xtol": XATOL})
-        # scipy reads the three bracket points first, the port only the middle
-        assert ours[0] == float(bracket[1]).hex()
-        assert len(theirs) > 5
-        assert ours[1:] == theirs[3:]
-        if case == "ties":
-            values = [f(float.fromhex(t)) for t in theirs]
-            assert len(set(values)) < len(values)
