@@ -106,6 +106,7 @@ class TransformedData:
     lams_rest: np.ndarray     # lam_2..lam_n, or entries 1..n/2 of an even spectrum
     n: int
     n_clamped: int = 0        # clamped eigenvalues, counted over all n
+    clamped: np.ndarray | None = None  # which entries were, laid out like the ring spectrum
     _sums: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -295,6 +296,7 @@ def transformed_data(weights: np.ndarray, lams: np.ndarray, n: int) -> Transform
                          lams_rest=lams[1:], n=n)
     if clamp is not None:
         td.n_clamped = int(clamp[0]) + int(td.rest_sum(clamp[1:].astype(int)))
+        td.clamped = clamp
     return td
 
 
@@ -330,7 +332,8 @@ def eigenvalue_adjoint(td: TransformedData, kind: str, curvature: bool = False,
     the spectrum's derivative in it (held_derivatives, ring_gradient).
     Given lo and hi, only entries lo..hi - 1: each entry reads its own
     eigenvalue and data weight and the loss's scalar sums alone, so a pass
-    over column blocks builds no whole row.
+    over column blocks builds no whole row.  A clamped eigenvalue is a
+    constant of the spectrum, so its entries here are 0.
 
     With curvature, returns (a, (diag, vecs, coefs)) instead, the second
     the loss's Hessian d^2 L / d lam^2 in the same layout: diag(diag) plus
@@ -375,6 +378,9 @@ def eigenvalue_adjoint(td: TransformedData, kind: str, curvature: bool = False,
         own[-1:] *= 0.5
     data *= td.weights[cut]
     np.add(own, data, out=out[head:])
+    held = None if td.clamped is None else td.clamped[lo:stop + 1]
+    if held is not None:  # a clamped eigenvalue is a constant: its entries are 0
+        out[held] = 0.0
     if not curvature:
         return out
     weight = 2.0 if gcv else 1.0  # of a in the diagonal
@@ -386,6 +392,9 @@ def eigenvalue_adjoint(td: TransformedData, kind: str, curvature: bool = False,
     vecs[0, :head] = 0.0
     if gcv:
         vecs[1, :head] = out[:head]
+    if held is not None:
+        diag[held] = 0.0
+        vecs[:, held] = 0.0
     return out, (diag, vecs, _GCV_COEFS if gcv else _EB_COEFS)
 
 

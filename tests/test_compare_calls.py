@@ -111,6 +111,34 @@ class TestDiffRecords:
         lines, _ = tool.diff_records(records(), new[:2], ("mu_hat",))
         assert lines == ["('w', 2, 0): only in the first"]
 
+    def test_loss_rises_per_workload(self, tool):
+        new = copy.deepcopy(records())
+        old = copy.deepcopy(records())
+        for recs, losses in ((old, (2.0, 1.5, 3.0)), (new, (2.5, 1.25, None))):
+            for it, loss in zip(recs[0]["iterations"] + recs[1]["iterations"], losses):
+                it["loss"] = loss
+        assert tool.loss_rises(old, new) == {"w": 0.5}
+        new[0]["iterations"][0]["loss"] = 1.0  # every loss fell
+        assert tool.loss_rises(old, new) == {"w": -0.25}
+        assert any("doubling 0 loss" in line for line in tool.diff_records(old, new)[0])
+
+    def test_watched_searches_give_the_recorded_loss(self, tool, monkeypatch):
+        # a tree whose records lack the loss has it recorded as each search's
+        # least finite value: on this tree, the very number it records
+        from bayescub import cubature
+
+        monkeypatch.setattr(cubature, "search_hyperparameters",
+                            cubature.search_hyperparameters)
+        assert tool._search_minima(bayescub) is None
+        problem = bayescub.build_problem("keister", d=2)
+        cfg = bayescub.CubatureConfig(epsilon=1e-4, n_max=2**12, seed=1)
+        run = lambda: bayescub.integrate_fast(problem.evaluator, 2, cfg)  # noqa: E731
+        recorded = tool.call_record("w", 1, 0, run)
+        watched = tool.call_record("w", 1, 0, run, minima=tool.watch_searches(cubature))
+        losses = [it["loss"] for it in recorded["iterations"]]
+        assert len(losses) > 1 and None not in losses
+        assert [it["loss"] for it in watched["iterations"]] == losses
+
     def test_evaluations_per_doubling_per_workload(self, tool):
         recs = records() + [{"workload": "v", "seed": 1, "call": 0, "mu_hat": "0x0p+0",
                              "n_used": 256, "iterations": [{"evaluations": 7}]}]

@@ -21,6 +21,9 @@ from oracles import (extended_dense_posterior, extended_eta_gradient, gram_eigen
                      whole_row_derivatives)
 
 
+LOG_ETA_BOUNDS = (np.log(kernels.ETA_MIN), np.log(kernels.ETA_MAX))
+
+
 def make_matched_td(family, kernel, order, eta, m, d, seed=0, y=None):
     """A (spectrum, eigenvalues) pair from a matched node/kernel setup."""
     n = 1 << m
@@ -359,16 +362,16 @@ class TestMultilinearSpectrum:
 
 
 @functools.cache
-def held_setup(family, d, m, products="powers", seed=3):
+def held_setup(family, d, m, products="powers", order=1, seed=3):
     """(spectra, data weights) of a matched setup at 2^m: the power spectra
     (shared eta) or the subset-product spectra (per-dimension eta), with the
-    kernels the loops default to (the lattice at order 1, which clamps no
-    eigenvalue near the box's bounds here) and smooth data."""
+    kernels the loops default to (on the lattice at order 1 by default,
+    which clamps no eigenvalue near the box's bounds here) and smooth data."""
     n = 1 << m
     gen = (nodes.make_lattice(d, seed=seed) if family == "lattice"
            else nodes.make_sobol(d, seed=seed))
     kernel = "bernoulli" if family == "lattice" else "walsh1"
-    bases = kernels.column_bases(KernelSpec(kernel, 1, np.ones(d)), gen, m)
+    bases = kernels.column_bases(KernelSpec(kernel, order, np.ones(d)), gen, m)
     rows = (kernels.elementary_symmetric if products == "powers"
             else kernels.subset_products)(bases)
     pts = gen.points(0, n).points
@@ -376,9 +379,9 @@ def held_setup(family, d, m, products="powers", seed=3):
     return column_spectrum(rows, family, n), data_weights(transforms.fbt(y, family), n)
 
 
-def held_state(family, d, m, products, t, kind):
+def held_state(family, d, m, products, t, kind, order=1):
     """(spectra, pi, member, td) at log eta t on a held_setup."""
-    spectra, weights = held_setup(family, d, m, products)
+    spectra, weights = held_setup(family, d, m, products, order)
     eta = np.exp(t)
     if products == "powers":
         pi, member = power_coefficients(float(eta[0]), d)
@@ -428,6 +431,36 @@ class TestHeldDerivatives:
             num = richardson(lambda u: derivatives(u)[0][0], t)
             assert abs(hess[0, 0] - num) <= 1e-5 * max(abs(hess[0, 0]), abs(num)) + 1e-9, \
                 (t, hess, num)
+
+    @pytest.mark.parametrize("kind", [EB, GCV])
+    @pytest.mark.parametrize("d,t", [(1, LOG_ETA_BOUNDS[1] - 1.0),
+                                     (4, LOG_ETA_BOUNDS[0] + 1.0)])
+    def test_clamped_eigenvalues_have_no_derivative(self, d, t, kind):
+        # the order-2 lattice kernel at 2^16 clamps its smallest eigenvalues
+        # to a constant there, by the same count on both sides of t: the
+        # loss's derivatives are those of the unclamped entries alone
+
+        def state(t):
+            return held_state("lattice", d, 16, "powers", np.array([t]), kind, order=2)
+
+        def derivatives(t):
+            spectra, pi, member, td = state(t)
+            return held_derivatives(spectra, pi, member, td, kind)
+
+        def richardson(f, t, h=2e-3):
+            def diff(s):
+                return (f(t + s) - f(t - s)) / (2 * s)
+
+            return (4 * diff(h) - diff(2 * h)) / 3
+
+        assert len({state(t + s)[3].n_clamped for s in (-4e-3, 0.0, 4e-3)}) == 1
+        assert state(t)[3].n_clamped > 0
+        grad, hess = derivatives(t)
+        num = richardson(lambda u: objective(kind, state(u)[3]), t)
+        assert abs(grad[0] - num) <= 1e-6 * max(abs(grad[0]), abs(num)) + 1e-9, (grad, num)
+        num = richardson(lambda u: derivatives(u)[0][0], t)
+        assert abs(hess[0, 0] - num) <= 1e-5 * max(abs(hess[0, 0]), abs(num)) + 1e-9, \
+            (hess, num)
 
     @pytest.mark.parametrize("kind", [EB, FULL, GCV])
     @pytest.mark.parametrize("family", ["lattice", "sobol"])
@@ -842,9 +875,6 @@ class TestDensePosterior:
         bad = -np.eye(4)
         with pytest.raises(NonPositiveDefiniteError):
             dense_posterior(np.ones(4), bad, np.ones(4), 1.0, EB)
-
-
-LOG_ETA_BOUNDS = (np.log(kernels.ETA_MIN), np.log(kernels.ETA_MAX))
 
 
 def per_scalar_eta(t):

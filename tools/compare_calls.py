@@ -12,12 +12,17 @@ and with gcv, among them), with bayescub imported from the source tree SRC
 value (as a float hex string, or null when it has none), the estimate (as a
 float hex string), n_used, err and tolerance_met and, per doubling, err, the
 chosen eta, the kernel order, the objective evaluations, the clamped-eigenvalue
-count and whether the search re-seeded, ended at an eta bound or ran out of
-its budget: every field a CubatureResult holds but its timings.  --out writes
-the records as JSON; --against reads records written earlier (say, from another
-revision's tree) and reports every field that is not equal, plus the largest
-relative err gap over the doublings both hold and each side's mean objective
-evaluations per doubling, per workload.  The exit status is 1 when a field differs; with
+count, whether the search re-seeded, ended at an eta bound or ran out of its
+budget, and the search's loss at the chosen eta: every field a CubatureResult
+holds but its timings.  A tree whose records lack the loss (one older than
+the field) has it recorded as the least finite value each search saw, which
+is the same number.  --out writes the records as JSON; --against reads
+records written earlier (say, from another revision's tree) and reports
+every field that is not equal, plus the largest relative err gap over the
+doublings both hold and, per workload, each side's mean objective
+evaluations per doubling and the largest rise of the loss over the earlier
+records at the doublings both hold, so a change to the search is held to
+the loss it reached.  The exit status is 1 when a field differs; with
 --fields only the named fields count (the others are summed up in one line),
 so a change that moves eta and err by design can still be held to
 identical mu_hat and n_used.  A change that moves a problem's reference value
@@ -106,28 +111,76 @@ def path_calls(bayescub, seed: int):
                bayescub.CubatureConfig(seed=seed, **{**PATH_FIELDS, **fields}))
 
 
-def call_record(workload: str, seed: int, call: int, run, reference=None) -> dict:
+def call_record(workload: str, seed: int, call: int, run, reference=None,
+                minima=None) -> dict:
     """One call's record; run() returns a CubatureResult or raises, and
-    reference is the problem's reference value or None."""
+    reference is the problem's reference value or None.  minima, for a tree
+    whose records lack the loss, is the list _search_minima fills."""
     rec = {"workload": workload, "seed": seed, "call": call,
            "reference": None if reference is None else float(reference).hex()}
+    if minima is not None:
+        minima.clear()
     try:
         res = run()
     except Exception as exc:  # a raising call is recorded, not fatal
         rec["error"] = f"{type(exc).__name__}: {exc}"
         return rec
+    searched = iter(minima or ())  # one per doubling that searched, in turn
+
+    def loss(it):
+        if minima is None:
+            return it.loss
+        return next(searched, None) if it.evaluations else None
+
     rec.update(mu_hat=float(res.mu_hat).hex(), n_used=res.n_used, err=res.err,
                tolerance_met=res.tolerance_met,
                iterations=[{"n": it.n, "err": it.err, "eta": list(it.theta),
                             "order": it.order, "evaluations": it.evaluations,
                             "n_clamped": it.n_clamped, "reseeded": it.reseeded,
-                            "bound_hit": it.bound_hit, "capped": it.capped}
+                            "bound_hit": it.bound_hit, "capped": it.capped,
+                            "loss": loss(it)}
                            for it in res.iterations])
     return rec
 
 
+def _search_minima(bayescub):
+    """None where the tree's IterationRecord holds the loss, else
+    watch_searches(bayescub.cubature)."""
+    cubature = bayescub.cubature
+    if "loss" in cubature.IterationRecord.__dataclass_fields__:
+        return None
+    return watch_searches(cubature)
+
+
+def watch_searches(cubature) -> list:
+    """Wrap the loop's search and return the list that gets, per search that
+    returns, the least finite value it saw (its best point's).  A search
+    that raises (a rejected warm start, searched again) adds nothing, so
+    each doubling that searched adds one entry, and the dense loop none."""
+    minima = []
+    real = cubature.search_hyperparameters
+
+    def search(objective_fn, *args, **kwargs):
+        least = math.inf
+
+        def watched(t):
+            nonlocal least
+            val, payload = objective_fn(t)
+            if math.isfinite(val):
+                least = min(least, float(val))
+            return val, payload
+
+        res = real(watched, *args, **kwargs)
+        minima.append(least)
+        return res
+
+    cubature.search_hyperparameters = search
+    return minima
+
+
 def run_calls(src: Path, seeds) -> list[dict]:
     bayescub, workloads = _load_workloads(src)
+    minima = _search_minima(bayescub)
     records = []
     for name, workload in workloads.items():
         problem = workload.make_problem()
@@ -136,14 +189,14 @@ def run_calls(src: Path, seeds) -> list[dict]:
                 records.append(call_record(
                     name, seed, i,
                     lambda: bayescub.integrate_fast(problem.evaluator, problem.d, cfg),
-                    problem.reference_value))
+                    problem.reference_value, minima))
     for seed in seeds:
         for name, problem, cfg in path_calls(bayescub, seed):
             loop = (bayescub.integrate_dense if cfg.family == "matern_dense"
                     else bayescub.integrate_fast)
             records.append(call_record(
                 name, seed, 0, lambda: loop(problem.evaluator, problem.d, cfg),
-                problem.reference_value))
+                problem.reference_value, minima))
     return records
 
 
@@ -158,7 +211,7 @@ def _rel_gap(a, b) -> float:
 # per call, then per doubling; "err" names both the result's and each doubling's
 CALL_FIELDS = ("error", "reference", "mu_hat", "n_used", "err", "tolerance_met")
 DOUBLING_FIELDS = ("n", "err", "eta", "order", "evaluations", "n_clamped", "reseeded",
-                   "bound_hit", "capped")
+                   "bound_hit", "capped", "loss")
 FIELDS = tuple(dict.fromkeys(CALL_FIELDS + ("doublings",) + DOUBLING_FIELDS))
 
 
@@ -200,6 +253,24 @@ def evaluations_per_doubling(records: list[dict]) -> dict[str, float]:
     return {w: sum(v) / len(v) for w, v in spent.items() if v}
 
 
+def loss_rises(old: list[dict], new: list[dict]) -> dict[str, float]:
+    """Per workload, the largest rise of the loss from the first record list
+    to the second over the doublings both hold with a loss, by call and
+    doubling: negative where every such loss fell."""
+    key = lambda r: (r["workload"], r["seed"], r["call"])  # noqa: E731
+    before = {key(r): r for r in old}
+    rises: dict[str, float] = {}
+    for r in new:
+        a = before.get(key(r))
+        if a is None:
+            continue
+        for ia, ib in zip(a.get("iterations", []), r.get("iterations", [])):
+            if ia.get("loss") is not None and ib.get("loss") is not None:
+                rise = ib["loss"] - ia["loss"]
+                rises[r["workload"]] = max(rises.get(r["workload"], -math.inf), rise)
+    return rises
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--src", type=Path, default=ROOT / "src",
@@ -229,9 +300,11 @@ def main(argv=None) -> int:
         others = len(diff_records(old, records)[0]) - len(lines)
         print(f"{others} differing fields outside --fields, not counted")
     before, after = evaluations_per_doubling(old), evaluations_per_doubling(records)
+    rises = loss_rises(old, records)
     for w in sorted(before.keys() | after.keys()):
         print(f"{w}: evaluations per doubling {before.get(w, math.nan):.2f} -> "
-              f"{after.get(w, math.nan):.2f}")
+              f"{after.get(w, math.nan):.2f}; largest loss rise "
+              f"{rises.get(w, math.nan):.3g}")
     return 1 if lines else 0
 
 
