@@ -364,13 +364,11 @@ def eigenvalue_adjoint(td: TransformedData, kind: str, curvature: bool = False,
     pair = 2.0 if rest < td.n - 1 else 1.0
     if gcv:  # own terms from -2 log sum 1/lam, data terms from log s2
         scale = 2.0 / td.inverse_sum()
-        out[:head] = scale / td.lam1**2
         own = np.multiply(inv, inv, out=vecs[1, head:] if curvature else None)
         own *= scale * pair
         np.power(inv, 3, out=data)
         data *= -2.0 / _require_data(td, power=2)
     else:  # own terms from (1/n) sum log lam, data terms from log s1
-        out[:head] = 1.0 / (td.n * td.lam1)
         own = np.multiply(inv, pair / td.n)
         np.multiply(inv, inv, out=data)
         data *= -1.0 / _require_data(td)
@@ -378,20 +376,22 @@ def eigenvalue_adjoint(td: TransformedData, kind: str, curvature: bool = False,
         own[-1:] *= 0.5
     data *= td.weights[cut]
     np.add(own, data, out=out[head:])
+    if head:
+        out[0] = scale / td.lam1**2 if gcv else 1.0 / (td.n * td.lam1)
     held = None if td.clamped is None else td.clamped[lo:stop + 1]
     if held is not None:  # a clamped eigenvalue is a constant: its entries are 0
         out[held] = 0.0
     if not curvature:
         return out
-    weight = 2.0 if gcv else 1.0  # of a in the diagonal
-    diag = np.empty_like(out)
-    diag[:head] = -weight * out[:head] / td.lam1
-    np.multiply(out[head:], -weight, out=diag[head:])
-    diag[head:] -= data
-    diag[head:] *= inv
-    vecs[0, :head] = 0.0
-    if gcv:
-        vecs[1, :head] = out[:head]
+    diag = np.multiply(out, -2.0 if gcv else -1.0)  # times a in the diagonal
+    body = diag[head:]
+    body -= data
+    body *= inv
+    if head:
+        diag[0] /= td.lam1
+        vecs[0, 0] = 0.0
+        if gcv:
+            vecs[1, 0] = out[0]
     if held is not None:
         diag[held] = 0.0
         vecs[:, held] = 0.0
@@ -446,37 +446,25 @@ def held_derivatives(spectra: np.ndarray, pi: np.ndarray, member: np.ndarray,
     weighted by member[m, r] too.  So with g = spectra @ a, a the loss's
     eigenvalue_adjoint, the gradient is member @ (pi g) and the Hessian
     Q H_lam Q^T + (member pi g) @ member^T, H_lam the adjoint's curvature.
-    Where the second derivative rows, one per pair l <= m, and Q are fewer
-    rows than spectra (one eta over d >= 3 powers), a meets those rows
-    instead of the spectra, so the pass reads the spectra once, not twice.
     One pass over blocks of _MULTILINEAR_BLOCK columns asks adjoint(td,
     kind, True, lo, hi) for each block's entries and contracts them at
     once, so no row as long as the spectrum is built.  adjoint is
     eigenvalue_adjoint or a stand-in with its signature.
     """
-    p = member.shape[0]
-    rows = member * pi  # Q = rows[:p] @ spectra
-    direct = p + p * (p + 1) // 2 < spectra.shape[0]
-    if direct:
-        left, right = np.triu_indices(p)
-        rows = np.vstack([rows, member[left] * rows[right]])
-    g = hessian = proj = 0.0
+    rows = member * pi  # Q = rows @ spectra
     for lo in range(0, spectra.shape[1], _MULTILINEAR_BLOCK):
         hi = lo + _MULTILINEAR_BLOCK
         a, (lam_diag, vecs, coefs) = adjoint(td, kind, True, lo, hi)
         block = spectra[:, lo:hi]
-        derived = rows @ block
-        q = derived[:p]
-        g += (derived if direct else block) @ a
-        hessian += (q * lam_diag) @ q.T
-        proj += q @ vecs.T
-    hessian += (proj * coefs) @ proj.T
-    if direct:  # g is the gradient, then the second derivative rows' sums
-        hessian[left, right] += g[p:]
-        hessian[right, left] += g[p:] * (left != right)
-        return g[:p], hessian
+        q = rows @ block
+        sums = block @ a, (q * lam_diag) @ q.T, q @ vecs.T  # g, Q H_lam Q^T by parts
+        if lo:
+            for total, part in zip((g, hessian, proj), sums):
+                total += part
+        else:
+            g, hessian, proj = sums
     pg = pi * g
-    hessian += (member * pg) @ member.T
+    hessian += (member * pg) @ member.T + (proj * coefs) @ proj.T
     return member @ pg, hessian
 
 
@@ -714,7 +702,13 @@ def _projected_newton(f, derivatives, x, fx, lo, hi):
     until the value falls by the Armijo rule (Nocedal and Wright, Numerical
     Optimization, 2006, ch. 3); a rejected (infinite) value never does.  It
     stops when a trial moves no coordinate by XATOL or an accepted step
-    gains less than FATOL.  The bookkeeping is in Python floats: p is small.
+    gains less than FATOL.  In one coordinate it also stops after a full,
+    unclipped Newton step s on a positive curvature h whose next step would
+    move less than XATOL / 4, without asking the derivatives that would show
+    it: by Taylor's theorem the value's departure e from the step's
+    quadratic model is -c s^3 / 6, c the third derivative, so the gradient
+    there is -3 e / s and the next step 3 e / (s h).  The bookkeeping is in
+    Python floats: p is small.
     """
     p = len(x)
     while True:
@@ -741,6 +735,10 @@ def _projected_newton(f, derivatives, x, fx, lo, hi):
             alpha *= 0.5
         if fx - fy < FATOL:
             return
+        if p == 1 and alpha == 1.0 and h[0][0] > 0.0 and y[0] == x[0] + step[0]:
+            e = fx - fy + step[0] * (g[0] + 0.5 * h[0][0] * step[0])
+            if abs(3.0 * e / (step[0] * h[0][0])) < XATOL / 4:
+                return
         x, fx = y, fy
 
 
