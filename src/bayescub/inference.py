@@ -352,10 +352,10 @@ def eigenvalue_adjoint(td: TransformedData, kind: str, curvature: bool = False,
     rest = td.lams_rest.shape[0]
     stop = rest if hi is None else min(hi - 1, rest)
     cut = slice(max(lo - 1, 0), stop)
-    inv = np.divide(1.0, td.lams_rest[cut])
+    ninv = np.divide(-1.0, td.lams_rest[cut])  # -1 / lam: the products below are sign-exact
     head = int(lo == 0)  # the block holds lam_1
     gcv = kind == GCV
-    out = np.empty(inv.shape[0] + head)
+    out = np.empty(ninv.shape[0] + head)
     vecs = np.empty((2 if gcv and curvature else 1, out.shape[0]))
     data = vecs[0, head:]  # the data part, built in place: the curvature's first vector
     # an even spectrum's half pairs the own terms of all its entries but the
@@ -364,13 +364,13 @@ def eigenvalue_adjoint(td: TransformedData, kind: str, curvature: bool = False,
     pair = 2.0 if rest < td.n - 1 else 1.0
     if gcv:  # own terms from -2 log sum 1/lam, data terms from log s2
         scale = 2.0 / td.inverse_sum()
-        own = np.multiply(inv, inv, out=vecs[1, head:] if curvature else None)
+        own = np.multiply(ninv, ninv, out=vecs[1, head:] if curvature else None)
+        np.multiply(own, ninv, out=data)
         own *= scale * pair
-        np.power(inv, 3, out=data)
-        data *= -2.0 / _require_data(td, power=2)
+        data *= 2.0 / _require_data(td, power=2)
     else:  # own terms from (1/n) sum log lam, data terms from log s1
-        own = np.multiply(inv, pair / td.n)
-        np.multiply(inv, inv, out=data)
+        own = np.multiply(ninv, -pair / td.n)
+        np.multiply(ninv, ninv, out=data)
         data *= -1.0 / _require_data(td)
     if pair == 2.0 and stop == rest:
         own[-1:] *= 0.5
@@ -383,12 +383,16 @@ def eigenvalue_adjoint(td: TransformedData, kind: str, curvature: bool = False,
         out[held] = 0.0
     if not curvature:
         return out
-    diag = np.multiply(out, -2.0 if gcv else -1.0)  # times a in the diagonal
+    diag = np.empty_like(out)  # -(a + u) / lam or -(2 a + v) / lam
     body = diag[head:]
-    body -= data
-    body *= inv
+    if gcv:
+        np.multiply(out[head:], 2.0, out=body)
+        body += data
+    else:
+        np.add(out[head:], data, out=body)
+    body *= ninv
     if head:
-        diag[0] /= td.lam1
+        diag[0] = -(2.0 if gcv else 1.0) * out[0] / td.lam1
         vecs[0, 0] = 0.0
         if gcv:
             vecs[1, 0] = out[0]
