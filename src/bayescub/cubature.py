@@ -375,12 +375,10 @@ def integrate_fast(f, d: int, config: CubatureConfig) -> CubatureResult:
         last = {}  # a fixed order: the latest evaluation's eta, ring column or None, data
 
         def obj(t):
-            if poly:
+            if products is not None:  # held spectra: a sum polynomial or multilinear in eta
                 eta, col = _eta_from_log(t), None
-                lams = polynomial_spectrum(powers, eta[0])
-            elif multilinear:
-                eta, col = _eta_from_log(t), None
-                lams = multilinear_spectrum(powers, eta)
+                lams = (polynomial_spectrum(powers, eta[0]) if poly
+                        else multilinear_spectrum(powers, eta))
             elif bases is not None:
                 eta = _eta_from_log(t)
                 col = kernels.ring_from_bases(eta, bases)

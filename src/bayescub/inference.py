@@ -580,8 +580,9 @@ class SearchResult:
 def search_hyperparameters(objective_fn, t0: np.ndarray, budget: int = 100,
                            gradient_fn=None, hessian: bool = False) -> SearchResult:
     """Minimize objective_fn over a float vector from t0 in the box
-    SEARCH_BOX^p; returns the best point seen within budget evaluations, and
-    whether the budget ran out before the method's own stop (capped).
+    SEARCH_BOX^p; returns the best point seen within budget evaluations, its
+    value, and whether the budget ran out before the method's own stop
+    (capped).
     What the coordinates mean is the caller's business.
 
     objective_fn(t) -> (value, payload); gradient_fn(t) -> the value's
