@@ -129,7 +129,6 @@ class TestDiffRecords:
 
         monkeypatch.setattr(cubature, "search_hyperparameters",
                             cubature.search_hyperparameters)
-        assert tool._search_minima(bayescub) is None
         problem = bayescub.build_problem("keister", d=2)
         cfg = bayescub.CubatureConfig(epsilon=1e-4, n_max=2**12, seed=1)
         run = lambda: bayescub.integrate_fast(problem.evaluator, 2, cfg)  # noqa: E731

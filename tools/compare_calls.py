@@ -115,7 +115,7 @@ def call_record(workload: str, seed: int, call: int, run, reference=None,
                 minima=None) -> dict:
     """One call's record; run() returns a CubatureResult or raises, and
     reference is the problem's reference value or None.  minima, for a tree
-    whose records lack the loss, is the list _search_minima fills."""
+    whose records lack the loss, is the list watch_searches fills."""
     rec = {"workload": workload, "seed": seed, "call": call,
            "reference": None if reference is None else float(reference).hex()}
     if minima is not None:
@@ -141,15 +141,6 @@ def call_record(workload: str, seed: int, call: int, run, reference=None,
                             "loss": loss(it)}
                            for it in res.iterations])
     return rec
-
-
-def _search_minima(bayescub):
-    """None where the tree's IterationRecord holds the loss, else
-    watch_searches(bayescub.cubature)."""
-    cubature = bayescub.cubature
-    if "loss" in cubature.IterationRecord.__dataclass_fields__:
-        return None
-    return watch_searches(cubature)
 
 
 def watch_searches(cubature) -> list:
@@ -180,7 +171,9 @@ def watch_searches(cubature) -> list:
 
 def run_calls(src: Path, seeds) -> list[dict]:
     bayescub, workloads = _load_workloads(src)
-    minima = _search_minima(bayescub)
+    cubature = bayescub.cubature  # a tree whose records lack the loss: watch its searches
+    minima = (None if "loss" in cubature.IterationRecord.__dataclass_fields__
+              else watch_searches(cubature))
     records = []
     for name, workload in workloads.items():
         problem = workload.make_problem()
