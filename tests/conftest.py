@@ -1,5 +1,5 @@
 """Shared pytest plumbing: collect acceptance-criterion verdicts and print
-one pass/fail line per criterion at the end of the session, start every
+one pass/fail line per criterion at the end of the test run, start every
 test with no design's kernel spectra held, and stand in a loss of lam_1
 alone for the fast loop's."""
 

@@ -392,6 +392,14 @@ def held_state(family, d, m, products, t, kind, order=1):
     return spectra, pi, member, transformed_data(weights, lams, 1 << m)
 
 
+def richardson(f, t, h=2e-3):
+    """f'(t) by Richardson-extrapolated central differences with steps h and 2h."""
+    def diff(s):
+        return (f(t + s) - f(t - s)) / (2 * s)
+
+    return (4 * diff(h) - diff(2 * h)) / 3
+
+
 class TestHeldDerivatives:
     """held_derivatives, the blocked gradient and Hessian on the held power
     and subset-product spectra, against differences of the loss and of
@@ -413,12 +421,6 @@ class TestHeldDerivatives:
         def derivatives(t):
             spectra, pi, member, td = state(t)
             return held_derivatives(spectra, pi, member, td, kind)
-
-        def richardson(f, t, h=2e-3):
-            def diff(s):
-                return (f(t + s) - f(t - s)) / (2 * s)
-
-            return (4 * diff(h) - diff(2 * h)) / 3
 
         assert held_setup(family, d, m)[0].shape[1] > inference._MULTILINEAR_BLOCK or m < 16
         for t in (lo + 1.0, 0.3, hi - 1.0):
@@ -446,12 +448,6 @@ class TestHeldDerivatives:
         def derivatives(t):
             spectra, pi, member, td = state(t)
             return held_derivatives(spectra, pi, member, td, kind)
-
-        def richardson(f, t, h=2e-3):
-            def diff(s):
-                return (f(t + s) - f(t - s)) / (2 * s)
-
-            return (4 * diff(h) - diff(2 * h)) / 3
 
         assert len({state(t + s)[3].n_clamped for s in (-4e-3, 0.0, 4e-3)}) == 1
         assert state(t)[3].n_clamped > 0
