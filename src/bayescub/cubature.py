@@ -27,7 +27,9 @@ derivatives (inference.held_derivatives).  On the lattice the
 stopping width and the clamped count come from the ring column at the
 chosen eta instead, scattered from the base blocks the doublings built and
 transformed once, because the held spectra's smallest eigenvalues sit on
-their rounding floor.  On Sobol' nodes both come from the held spectra,
+their rounding floor; where that column's sum, lam_ring1, cancels past
+_RING_SUM_CUTOFF, its entries are built and summed in long double
+(_ring_sum_long).  On Sobol' nodes both come from the held spectra,
 which are the more precise there (README gives the widths measured against
 long-double references).
 
@@ -232,6 +234,25 @@ def _ring_from_blocks(eta: np.ndarray, blocks: list[np.ndarray], n: int) -> np.n
     return ring
 
 
+# On a smooth kernel at large n the ring column's sum, lam_ring1, cancels to
+# round-off of its entries (on Fresnel at 2^16, 4e-10 from entries summing to
+# 2e4 in absolute value), and the width takes its square root.  Where the
+# entries' rounding, 2 eps |ring| as a random walk, may reach sqrt(eps) of the
+# float64 sum, _ring_sum_long sums entries built in long double instead.
+_RING_SUM_CUTOFF = 2.0 * math.sqrt(np.finfo(np.float64).eps)
+
+
+def _ring_sum_long(eta: np.ndarray, blocks: list[np.ndarray]) -> float:
+    """lam_ring1 of _ring_from_blocks's column, the sum of its even
+    extension, with every entry and the sum in long double: the column's two
+    ends, blocks[0]'s first and last entries, count once, the rest twice."""
+    total = np.longdouble(0.0)
+    for k, block in enumerate(blocks):
+        ring = kernels.ring_from_bases(eta, block, np.longdouble)
+        total += 2 * ring.sum() - (ring[0] + ring[-1] if k == 0 else 0)
+    return float(total)
+
+
 # per-dimension eta at a fixed order searches on held subset spectra up to
 # this d and on the ring column above it (tools/time_eta_paths.py times both
 # paths; README gives its figures)
@@ -417,8 +438,11 @@ def integrate_fast(f, d: int, config: CubatureConfig) -> CubatureResult:
         spec_best = _kernel_at(spec0, res.t, search_order)
         data = res.payload
         if blocks:  # the held spectra's smallest eigenvalues sit on their rounding floor
-            data = transformed_data(weights, column_spectrum(
-                _ring_from_blocks(spec_best.eta, blocks, n), kind, n), n)
+            ring = _ring_from_blocks(spec_best.eta, blocks, n)
+            lams = column_spectrum(ring, kind, n)
+            if _RING_SUM_CUTOFF * math.sqrt(ring @ ring) > abs(lams[0]):
+                lams[0] = _ring_sum_long(spec_best.eta, blocks)
+            data = transformed_data(weights, lams, n)
         # a re-seeded search also spent one evaluation at the failed warm start
         return credible_width(config.criterion, data), None, dict(
             theta=tuple(spec_best.eta), evaluations=res.evaluations + reseeded,

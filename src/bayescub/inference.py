@@ -707,13 +707,7 @@ def _projected_newton(f, derivatives, x, fx, lo, hi):
     until the value falls by the Armijo rule (Nocedal and Wright, Numerical
     Optimization, 2006, ch. 3); a rejected (infinite) value never does.  It
     stops when a trial moves no coordinate by XATOL or an accepted step
-    gains less than FATOL.  In one coordinate it also stops after a full,
-    unclipped Newton step s on a positive curvature h whose next step would
-    move less than XATOL / 4, without asking the derivatives that would show
-    it: by Taylor's theorem the value's departure e from the step's
-    quadratic model is -c s^3 / 6, c the third derivative, so the gradient
-    there is -3 e / s and the next step 3 e / (s h).  The bookkeeping is in
-    Python floats: p is small.
+    gains less than FATOL.  The bookkeeping is in Python floats: p is small.
     """
     p = len(x)
     while True:
@@ -740,10 +734,6 @@ def _projected_newton(f, derivatives, x, fx, lo, hi):
             alpha *= 0.5
         if fx - fy < FATOL:
             return
-        if p == 1 and alpha == 1.0 and h[0][0] > 0.0 and y[0] == x[0] + step[0]:
-            e = fx - fy + step[0] * (g[0] + 0.5 * h[0][0] * step[0])
-            if abs(3.0 * e / (step[0] * h[0][0])) < XATOL / 4:
-                return
         x, fx = y, fy
 
 

@@ -140,19 +140,21 @@ _RING_BLOCK = 1 << 15
 _SYMMETRIC_BLOCK = 1 << 13
 
 
-def ring_from_bases(eta: np.ndarray, bases: np.ndarray) -> np.ndarray:
+def ring_from_bases(eta: np.ndarray, bases: np.ndarray, dtype=np.float64) -> np.ndarray:
     """C - 1 over the first axis of (d, ...) bases via the product iteration.
 
     R <- R * (1 + c_l) + c_l with c_l = eta_l * bases[l], in place over
     blocks of _RING_BLOCK columns; the operations and their order are those
-    of the plain iteration, so only the memory traffic changes.
+    of the plain iteration, so only the memory traffic changes.  Every
+    operation runs in dtype (np.longdouble for an extended-precision ring
+    from float64 bases).
     """
-    eta = np.asarray(eta, dtype=np.float64)
+    eta = np.asarray(eta, dtype=dtype)
     d = bases.shape[0]
     flat = bases.reshape(d, -1)
-    out = np.empty(flat.shape[1])
-    c = np.empty(min(out.size, _RING_BLOCK))
-    factor = np.empty(c.shape)
+    out = np.empty(flat.shape[1], dtype)
+    c = np.empty(min(out.size, _RING_BLOCK), dtype)
+    factor = np.empty_like(c)
     for lo in range(0, out.size, _RING_BLOCK):  # the last block may be short
         hi = lo + _RING_BLOCK
         ring = out[lo:hi]

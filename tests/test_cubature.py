@@ -507,9 +507,11 @@ class TestEigenvalueRouting:
         calls = {"n": 0}
         real = kernels.ring_from_bases
 
-        def ring(eta, bases):
-            calls["n"] += 1
-            return real(eta, bases)
+        def ring(eta, bases, dtype=np.float64):
+            # float64 columns only: a long-double pass re-sums a cancelling
+            # lam_ring1 after the search (cubature._ring_sum_long)
+            calls["n"] += dtype is np.float64
+            return real(eta, bases, dtype)
 
         monkeypatch.setattr(kernels, "ring_from_bases", ring)
         return calls
@@ -815,29 +817,14 @@ class TestWidthPrecision:
     """The shared-eta width of a smooth lattice kernel at large n, where the
     smallest Gram eigenvalues sit near round-off of the largest."""
 
-    # log eta at 2^15 and 2^16 as the search chose it when the bounds below
-    # were set.  The width's float64 error there moves between 4e-8 and
-    # 1.9e-6 from one ulp of eta to the next, because lam_ring1 is a sum of
-    # the ring column that cancels to about 1e-8 of its terms; so the
-    # bounds hold at given bits of eta, which these pin whatever the search
-    PINNED_LOG_ETA = {1 << 15: float.fromhex("0x1.2e0375b31b9d5p+1"),
-                      1 << 16: float.fromhex("0x1.28fb3ef86a7f8p+1")}
-
-    def test_fresnel_full_width_against_long_double(self, monkeypatch):
+    def test_fresnel_full_width_against_long_double(self):
         # Fresnel, bernoulli r = 2, sidi_c1, full criterion, seed 1: at
         # n = 2^16 the loop's eta is about 10.18 and the smallest eigenvalue
-        # 3.7e-14 of the largest.  The width from the ring column reads 2.2e-5
-        # off there and 3.1e-7 at 2^15; from the polynomial spectrum it read
-        # 8.0e-5 and 5.0e-6
-        real = cubature.search_hyperparameters
-
-        def search(objective_fn, init, **kwargs):
-            res = real(objective_fn, init, **kwargs)
-            if res.payload.n in self.PINNED_LOG_ETA:
-                res.t = np.array([self.PINNED_LOG_ETA[res.payload.n]])
-            return res
-
-        monkeypatch.setattr(cubature, "search_hyperparameters", search)
+        # 3.7e-14 of the largest.  The width from the ring column, its
+        # lam_ring1 summed in long double, reads 4.5e-7 off there and 5.1e-9
+        # at 2^15; with a float64 lam_ring1 it read 1.1e-5 to 6.9e-5 and
+        # 4e-8 to 1.9e-6 from one ulp of eta to the next, and from the
+        # polynomial spectrum 8.0e-5 and 5.0e-6
         problem = problems.standard_fresnel_instance()
         d = problem.d
         cfg = CubatureConfig(family="lattice", criterion="full", epsilon=1e-12,
@@ -865,6 +852,39 @@ class TestWidthPrecision:
             s = (np.abs(y_tilde[1:]) ** 2 / lam[1:]).sum()
             ref = student_t_quantile(n - 1) / n * np.sqrt(lam[0] / (n - 1) * s)
             assert abs(it.err - ref) / ref <= bound, n
+
+    def test_long_double_ring_sum_weights_the_column_as_its_even_extension(
+            self, monkeypatch):
+        # the blocks of every doubling from n0 = 128: the first block's two
+        # ends count once and every other entry twice, and a doubling whose
+        # float64 lam_ring1 cancels past the cutoff (here 2^11) reads the
+        # long-double sum
+        seen, used = [], []
+        real_ring, real_sum = cubature._ring_from_blocks, cubature._ring_sum_long
+
+        def ring(eta, blocks, n):
+            seen.append((eta, list(blocks), n))
+            return real_ring(eta, blocks, n)
+
+        def ring_sum(eta, blocks):
+            used.append(len(blocks))
+            return real_sum(eta, blocks)
+
+        monkeypatch.setattr(cubature, "_ring_from_blocks", ring)
+        monkeypatch.setattr(cubature, "_ring_sum_long", ring_sum)
+        cfg = CubatureConfig(epsilon=1e-9, n0=128, n_max=2**11, seed=5)
+        integrate_fast(lambda x: np.exp(x.sum(axis=1)), 3, cfg)
+        assert len(seen) == 5 and used == [5]
+        for eta, blocks, n in seen:
+            col = np.empty(n // 2 + 1, np.longdouble)
+            step = 1
+            for block in blocks[:0:-1]:
+                col[step::2 * step] = kernels.ring_from_bases(eta, block, np.longdouble)
+                step *= 2
+            col[::step] = kernels.ring_from_bases(eta, blocks[0], np.longdouble)
+            even = np.concatenate([col, col[-2:0:-1]])
+            tol = 64 * np.finfo(np.longdouble).eps * np.abs(even).sum()
+            assert abs(real_sum(eta, blocks) - even.sum()) <= tol
 
     def test_sobol_per_dimension_width_against_long_double(self):
         # per-dimension eta at d = 3 on Sobol' nodes takes the width from the

@@ -1361,6 +1361,15 @@ class TestHyperparameterSearch:
                                      gradient_fn=lambda t: (np.zeros(1), np.zeros((1, 1))))
         assert res.t[0] == 0.5 and res.evaluations <= 4
 
+    def test_level_objective_without_derivatives_ends_at_the_start(self):
+        # Nelder-Mead in one coordinate: each reflection and inside
+        # contraction on a level objective halves the simplex, from an edge
+        # of STEP, until it is under XATOL; it stops there on its own
+        res = search_hyperparameters(lambda t: (1.0, None), np.array([0.5]), budget=100)
+        halvings = int(np.ceil(np.log2(inference.STEP / XATOL)))
+        assert res.t[0] == 0.5 and not res.capped
+        assert res.evaluations <= 2 + 2 * halvings
+
     def test_keister_eta_is_local_min(self):
         from bayescub.problems import keister_problem, periodize
 
