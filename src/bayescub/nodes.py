@@ -4,8 +4,13 @@ first-column lags of the matched kernels on each.
 
 Point sets are generated in van der Corput order, so the first 2^m points of
 any request are bit-identical to the points of the 2^m request (extensible by
-doubling).  All randomness (shift, digital shift, scramble) is drawn from a
-counter-based Philox generator keyed by a single 64-bit seed.
+doubling).  A request is any aligned range: a power-of-2 length L at a start
+that is a multiple of L, which covers prefixes, doubling blocks and the
+chunks of block_rows(d) rows a doubling block is evaluated in.  Each such
+range gives the rows of any longer aligned range that holds it, bit for bit,
+so a doubling block can be built one chunk at a time.  All randomness
+(shift, digital shift, scramble) is drawn from a counter-based Philox
+generator keyed by a single 64-bit seed.
 """
 
 from __future__ import annotations
@@ -45,18 +50,22 @@ def _data_path(name: str) -> str:
 
 
 def _check_range(start: int, stop: int, capacity: int) -> None:
+    """Raise unless [start, stop) is an aligned range within capacity: a
+    power-of-2 length L at a start that is a multiple of L.  Prefixes
+    [0, 2^m), doubling blocks [n, 2n) and their chunks all are; below L the
+    indices of such a range run through every value of their low bits, and
+    above it they all share start's bits."""
     if not 0 <= start < stop:
         raise ValueError(f"empty or negative index range [{start}, {stop})")
     if stop > capacity:
         raise CapacityError(
             f"range [{start}, {stop}) exceeds generator capacity {capacity}"
         )
-    # ranges are either [0, 2^m) or a doubling block [n, 2n)
-    if not (start == 0 or start == stop - start):
-        raise ValueError(f"range [{start}, {stop}) is not a power-of-2 prefix or doubling block")
-    n = stop - start if start else stop
+    n = stop - start
     if n & (n - 1):
         raise ValueError(f"block length {n} is not a power of 2")
+    if start % n:
+        raise ValueError(f"range [{start}, {stop}) does not start at a multiple of its length")
 
 
 @lru_cache(maxsize=32)
@@ -292,35 +301,66 @@ def _upper_triangular_unit_diag(dn: np.ndarray) -> bool:
     return bool(((dn & diag) != 0).all() and ((dn & (diag - np.uint64(1))) == 0).all())
 
 
-def _net_integers(dn: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """z_i = XOR of the columns dn[:, k] over the set bits k of i, for i in
-    [start, stop), a range _check_range accepts.
-
-    Built by doubling, as in the Gray-code construction of Antonov and Saleev
-    (1979): z[2^k : 2^(k+1)] is z[0 : 2^k] XOR column k.  A doubling block [n, 2n) is the prefix [0, n)
-    XOR column log2(n).
-    """
-    n = stop - start
-    z = np.empty((n, dn.shape[0]), dtype=np.uint64)
-    z[0] = 0
-    h, k = 1, 0
-    while h < n:
-        np.bitwise_xor(z[:h], dn[:, k], out=z[h : 2 * h])
+def _net_doubling(z: np.ndarray, dn: np.ndarray, h: int) -> None:
+    """Fill z[h:] in place from its first h rows, h a power of 2, by the
+    Gray-code construction of Antonov and Saleev (1979): z[2^k : 2^(k+1)]
+    is z[0 : 2^k] XOR column k.  A row XORed into all of the first h rows
+    (an aligned start's, a shift) is carried into the rest."""
+    k = h.bit_length() - 1
+    while h < len(z):
+        np.bitwise_xor(z[:h], dn[:, k], out=z[h:2 * h])
         h, k = 2 * h, k + 1
-    if start:
-        z ^= dn[:, k]
+
+
+@lru_cache(maxsize=4)
+def _net_prefix(table: bytes, rows: int) -> np.ndarray:
+    """z[0:rows) of the net with the (d, DIGITS) direction numbers whose bytes
+    are table, rows a power of 2, as a cached, read-only uint64 array."""
+    dn = np.frombuffer(table, dtype=np.uint64).reshape(-1, DIGITS)
+    z = np.empty((rows, dn.shape[0]), dtype=np.uint64)
+    z[0] = 0
+    _net_doubling(z, dn, 1)
+    z.flags.writeable = False
+    return z
+
+
+def _net_integers(dn: np.ndarray, start: int, stop: int,
+                  shift: np.ndarray | None = None) -> np.ndarray:
+    """z_i = XOR of the columns dn[:, k] over the set bits k of i, for i in
+    [start, stop), a range _check_range accepts, each XORed with shift when
+    given.
+
+    The net is linear: for a start that is a multiple of the power-of-2
+    length L, the bits of i - start sit below L and start's above, so
+    z[start : start + L] is z[0 : L] XOR z_start (Dick and Pillichshammer,
+    Digital Nets and Sequences, 2010), and z_start is the XOR of the columns
+    at start's set bits.  The shift is folded into that row, which is XORed
+    into the cached prefix of block_rows(d) rows, or into as much of it as
+    L takes, and a longer range is grown from there by doubling, which
+    carries the row along.  So a chunk of at most block_rows(d) rows costs
+    one XOR, and a longer range one XOR per row.
+    """
+    d = dn.shape[0]
+    bits = [k for k in range(start.bit_length()) if start >> k & 1]
+    row = np.bitwise_xor.reduce(dn[:, bits], axis=1)
+    if shift is not None:
+        row ^= shift
+    prefix = _net_prefix(dn.tobytes(), block_rows(d))
+    z = np.empty((stop - start, d), dtype=np.uint64)
+    h = min(len(z), len(prefix))
+    np.bitwise_xor(prefix[:h], row, out=z[:h])
+    _net_doubling(z, dn, h)
     return z
 
 
 def sobol_points(gen: SobolGenerator, start: int, stop: int) -> NodeSet:
     """Digitally shifted net points z_i xor shift mapped to [0,1) at 32 bits.
 
-    The shift is XORed into the net integers in place, and they are scaled
-    into one float buffer; scaling by a power of 2 is exact.
+    The shift rides in the XOR row of _net_integers, and the integers are
+    scaled into one float buffer; scaling by a power of 2 is exact.
     """
     _check_range(start, stop, gen.capacity)
-    x = _net_integers(gen.direction_numbers, start, stop)
-    x ^= gen.digital_shift
+    x = _net_integers(gen.direction_numbers, start, stop, gen.digital_shift)
     return NodeSet(points=np.multiply(x, 2.0**-DIGITS, out=np.empty(x.shape)),
                    int_points=x)
 

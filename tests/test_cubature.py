@@ -118,6 +118,66 @@ class TestFastLoop:
             with pytest.raises(IntegrandError, match=f"shape {shape}"):
                 loop(wrong, 2, cfg)
 
+    def test_complex_integrand_is_rejected(self):
+        f = lambda x: np.exp(1j * x.sum(axis=1))
+        for loop, cfg in both_loops(epsilon=1e-2, n0=64, seed=0):
+            with pytest.raises(IntegrandError, match="complex128"):
+                loop(f, 2, cfg)
+
+    @pytest.mark.parametrize("family", ["lattice", "sobol"])
+    def test_nonfinite_value_in_a_later_chunk_is_reported_at_its_global_index(self, family):
+        d = 13
+        rows = nodes.block_rows(d)
+        cfg = CubatureConfig(family=family, epsilon=1e-12, n0=256, n_max=4 * rows, seed=2)
+        gen = (nodes.make_lattice(d, cfg.seed) if family == "lattice"
+               else nodes.make_sobol(d, cfg.seed))
+        idx = 3 * rows + 5  # the second chunk of the doubling [2 rows, 4 rows)
+        target = gen.points(0, cfg.n_max).points[idx]
+
+        def f(x):
+            y = x.sum(axis=1)
+            y[(x == target).all(axis=1)] = np.nan
+            return y
+
+        with pytest.raises(IntegrandError, match=f"node index {idx}$"):
+            integrate_fast(f, d, cfg)
+
+    @pytest.mark.parametrize("family,d", [("lattice", 13), ("sobol", 4), ("sobol", 13)])
+    def test_loop_asks_for_at_most_one_chunk_of_nodes(self, monkeypatch, family, d):
+        rows = nodes.block_rows(d)
+        ranges = []
+        cls = nodes.LatticeGenerator if family == "lattice" else nodes.SobolGenerator
+        points = cls.points
+
+        def spy(gen, start, stop):
+            ranges.append((start, stop))
+            return points(gen, start, stop)
+
+        monkeypatch.setattr(cls, "points", spy)
+        cfg = CubatureConfig(family=family, epsilon=1e-12, n0=256, n_max=4 * rows, seed=1)
+        res = integrate_fast(lambda x: np.exp(x.sum(axis=1) / d), d, cfg)
+        assert res.n_used == cfg.n_max
+        assert max(stop - start for start, stop in ranges) == rows
+        # the chunks tile the nodes in order, each asked for once
+        assert [start for start, _ in ranges] == [0] + [stop for _, stop in ranges[:-1]]
+        assert ranges[-1][1] == res.n_used
+
+    def test_degenerate_data_is_told_from_every_chunk(self):
+        d = 13
+        rows = nodes.block_rows(d)
+        cfg = CubatureConfig(epsilon=1e-12, n0=4 * rows, n_max=8 * rows, seed=4)
+        for big in (1.0, 1e20):
+            res = integrate_fast(lambda x: np.full(len(x), big), d, cfg)
+            assert res.err == 0.0 and res.n_used == cfg.n0 and res.mu_hat == big
+        calls = []
+
+        def one_chunk_varies(x):  # the first doubling's second chunk alone varies
+            calls.append(len(x))
+            return x[:, 0] if len(calls) == 2 else np.full(len(x), 1e20)
+
+        res = integrate_fast(one_chunk_varies, d, replace(cfg, n_max=cfg.n0))
+        assert calls == [rows] * 4 and res.err > 0.0
+
     def test_records_do_not_depend_on_the_block_size(self, monkeypatch):
         # integrand chunks, lattice point rows and base columns all follow
         # nodes._BLOCK_BYTES; the option maps each row on its own

@@ -243,9 +243,80 @@ class TestSobol:
         dn = nodes.make_sobol(d, seed=11, scramble=scramble).direction_numbers
         for m in (0, 1, 2, 3, 5, 10, 17, 20):
             ranges = [(0, 1 << m)] + ([(1 << (m - 1), 1 << m)] if m else [])
+            if m >= 10:  # chunks of the doubling block, at its end and inside it
+                ranges += [((1 << m) - 2**9, 1 << m), ((1 << (m - 1)) + 3 * 2**7,
+                                                       (1 << (m - 1)) + 4 * 2**7)]
             for start, stop in ranges:
                 assert np.array_equal(nodes._net_integers(dn, start, stop),
                                       per_bit_net_integers(dn, start, stop)), (m, start)
+
+
+def aligned_generator(kind: str, d: int):
+    if kind == "lattice":
+        return nodes.make_lattice(d, seed=d)
+    return nodes.make_sobol(d, seed=d, scramble=kind == "scrambled")
+
+
+class TestAlignedRanges:
+    """Any range of power-of-2 length L at a multiple of L, the chunks the
+    doubling loop streams a block in, gives the block's rows bit for bit."""
+
+    @pytest.mark.parametrize("kind,d", [("lattice", 1), ("lattice", 4), ("lattice", 13),
+                                        ("sobol", 4), ("sobol", 13),
+                                        ("scrambled", 4), ("scrambled", 13)])
+    def test_chunks_equal_the_block_rows(self, kind, d):
+        gen = aligned_generator(kind, d)
+        rng = np.random.default_rng(d)
+        rows = nodes.block_rows(d)
+        for n in (2**4, 2**11, 2**14, 2**17):  # doubling blocks [n, 2n), the last to 2^18
+            block = gen.points(n, 2 * n)
+            length = 1
+            while length <= min(rows, n):
+                count = n // length
+                for j in {0, count - 1, *rng.integers(0, count, 3).tolist()}:
+                    lo = n + j * length
+                    chunk = gen.points(lo, lo + length)
+                    part = slice(lo - n, lo - n + length)
+                    assert np.array_equal(chunk.points, block.points[part]), (n, lo, length)
+                    if kind != "lattice":
+                        assert np.array_equal(chunk.int_points, block.int_points[part])
+                        assert np.array_equal(nodes.sobol_lag_integers(gen, lo, lo + length),
+                                              block.int_points[part] ^ gen.digital_shift)
+                length *= 2
+
+    @pytest.mark.parametrize("kind", ["lattice", "sobol", "scrambled"])
+    @pytest.mark.parametrize("start,stop", [(0, 3), (1, 3), (3, 5), (6, 10), (12, 20),
+                                            (2**16 + 2**10, 2**16 + 2**10 + 2**11),
+                                            (2**16, 2**16 + 3 * 2**10)])
+    def test_misaligned_ranges_raise(self, kind, start, stop):
+        gen = aligned_generator(kind, 3)
+        with pytest.raises(ValueError, match="power of 2|multiple of its length"):
+            gen.points(start, stop)
+        if kind != "lattice":
+            with pytest.raises(ValueError):
+                nodes.sobol_lag_integers(gen, start, stop)
+
+    @pytest.mark.parametrize("kind", ["lattice", "sobol"])
+    def test_empty_and_oversized_ranges_raise(self, kind):
+        gen = aligned_generator(kind, 2)
+        for start, stop in ((4, 4), (8, 4), (-1, 1)):
+            with pytest.raises(ValueError, match="empty or negative"):
+                gen.points(start, stop)
+        with pytest.raises(nodes.CapacityError):
+            gen.points(gen.capacity, 2 * gen.capacity)
+
+    def test_sobol_chunks_do_not_share_the_cached_prefix(self):
+        gen = nodes.make_sobol(4, seed=3)
+        first = gen.points(64, 128)
+        first.int_points[:] = 0  # a caller may write to what it was given
+        nodes.sobol_lag_integers(gen, 0, 64)[:] = 0
+        again = gen.points(0, 256)
+        assert np.array_equal(again.int_points[64:128] ^ gen.digital_shift,
+                              per_bit_net_integers(gen.direction_numbers, 64, 128))
+        prefix = nodes._net_prefix(gen.direction_numbers.tobytes(), nodes.block_rows(4))
+        assert not prefix.flags.writeable
+        assert np.array_equal(prefix, per_bit_net_integers(gen.direction_numbers, 0,
+                                                           len(prefix)))
 
 
 def per_bit_net_integers(dn: np.ndarray, start: int, stop: int) -> np.ndarray:
