@@ -217,10 +217,10 @@ def cmd_selftest(args) -> int:
     """Dense-versus-fast identities at small n, plus the net-property check.
 
     The fast side is built as the doubling loop builds it for one shared
-    eta: the Gram spectrum as a polynomial in eta (on the lattice its
-    distinct half 0..n/2), checked against the ring column's transform too,
-    and the width from the ring's spectrum on the lattice, as the loop
-    takes it there.
+    eta: the Gram spectrum as a polynomial in eta, pi @ powers (on the
+    lattice its distinct half 0..n/2), checked against the ring column's
+    transform too, and the width from the ring's spectrum on the lattice, as
+    the loop takes it there.
     The coefficient spectra that the loop's own
     inference.coefficient_spectra grows from n/2 to n must equal its
     from-scratch spectra: bit for bit on Sobol' nodes, where they grow by the
@@ -229,7 +229,7 @@ def cmd_selftest(args) -> int:
     """
     from . import kernels, nodes, transforms
     from .inference import (coefficient_spectra, column_spectrum, credible_width,
-                            data_weights, dense_posterior, polynomial_spectrum,
+                            data_weights, dense_posterior, power_coefficients,
                             transformed_data)
 
     t0 = time.monotonic()
@@ -267,7 +267,7 @@ def cmd_selftest(args) -> int:
                 axis=1, keepdims=True)
             check(f"grown-vs-scratch spectra {kernel} r={order} n={n}", (dev <= tol).all(),
                   f"max dev {dev.max():.2e}")
-            lams = polynomial_spectrum(powers, eta)
+            lams = power_coefficients(eta, d)[0] @ powers
             ring_lams = column_spectrum(kernels.ring_from_bases(spec.eta, bases),
                                         family, n)
             dev = np.abs(lams - ring_lams).max()
@@ -363,7 +363,7 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return cmd_sweep(args, p_sweep)
         return cmd_selftest(args)
-    except (KeyError, ValueError, FileNotFoundError, ArithmeticError) as exc:
+    except (KeyError, ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -17,17 +17,18 @@ the slow baseline.
 The fast fit grows the data transform by the doubling update and re-fits the
 shape parameters from a warm start.  Its search runs on plain coordinates,
 which this module alone maps to a kernel.  With a fixed kernel order the
-Gram spectrum is a sum over held coefficient spectra, built per doubling
-(inference.coefficient_spectra) and grown from the doubling's new entries:
-with one eta shared by every dimension (the default) a polynomial in eta
-over the spectra of the d elementary symmetric columns, evaluated by one
-Horner pass; with one eta per dimension and d <= _SUBSET_MAX_D (3) a
-multilinear sum over the spectra of the 2^d - 1 subset-product columns,
-evaluated by one multilinear Horner pass.  A projected Newton search
-searches both on their exact gradient and Hessian in log eta, asked only at
-the points it steps from: one blocked pass over the held spectra contracts
-the loss's eigenvalue adjoint and curvature with the spectrum's eta
-derivatives (inference.held_derivatives).  On the lattice the
+Gram spectrum at eta is pi @ spectra, one matrix-vector product with held
+coefficient spectra, built per doubling (inference.coefficient_spectra) and
+grown from the doubling's new entries: with one eta shared by every
+dimension (the default) pi holds the powers of eta and the spectra are the
+d elementary symmetric columns'; with one eta per dimension and d <=
+_SUBSET_MAX_D (3) pi holds the etas' subset products and the spectra are
+the 2^d - 1 subset-product columns'.  A projected Newton search searches
+both on their exact gradient and Hessian in log eta, asked only at the
+points it steps from: one blocked pass over the held spectra contracts the
+loss's eigenvalue adjoint and curvature with the spectrum's eta derivatives
+(inference.held_derivatives), reading pi and the data from the payload the
+objective returned at that point.  On the lattice the
 stopping width and the clamped count come from the ring column at the
 chosen eta instead, scattered from the base blocks the doublings built and
 transformed once, because the held spectra's smallest eigenvalues sit on
@@ -38,10 +39,9 @@ which are the more precise there (README gives the widths measured against
 long-double references).
 
 The subset path holds 2^d - 1 spectrum rows per level and builds one
-spectrum row per evaluation; it and every derivative pass on held spectra
-run in blocks of inference._MULTILINEAR_BLOCK columns.  The ring path
-rebuilds d base rows per doubling, builds and transforms the ring column
-per evaluation, and transforms the eigenvalue adjoint once per gradient.
+spectrum row per evaluation.  The ring path rebuilds d base rows per
+doubling, builds and transforms the ring column per evaluation, and
+transforms the eigenvalue adjoint once per gradient.
 The cutoff d <= 3 is measured by tools/time_eta_paths.py, which times both
 paths; README gives its figures.
 
@@ -62,7 +62,7 @@ _HELD_BYTES (64 MiB; the option's chain to 2^18 at d = 13 holds about
 building it, with the same bits; levels past the cap are built and not
 kept.  Per-dimension eta at d >= 4 rebuilds the bases at each doubling and
 builds the ring column and its transform on every evaluation; its gradient
-reads the eta, ring column and data just built and transforms the
+reads the ring column and data from the payload and transforms the
 eigenvalue adjoint once (inference.ring_gradient); L-BFGS-B searches it on
 that gradient alone.  A searched order builds
 its bases per evaluation too, and Nelder-Mead searches it without a
@@ -90,10 +90,9 @@ import numpy as np
 from . import kernels, problems
 from .inference import (EB, CRITERIA, NonFiniteStartError, coefficient_spectra,
                         column_spectrum, credible_width, data_weights, dense_posterior,
-                        eigenvalue_adjoint, held_derivatives, multilinear_spectrum,
-                        objective, polynomial_spectrum, power_coefficients, ring_gradient,
-                        SEARCH_BOX, search_hyperparameters, subset_coefficients,
-                        transformed_data)
+                        eigenvalue_adjoint, held_derivatives, objective, power_coefficients,
+                        ring_gradient, SEARCH_BOX, search_hyperparameters,
+                        subset_coefficients, transformed_data)
 from .nodes import CapacityError, block_rows, make_lattice, make_sobol
 from .transforms import DENSE_MAX_N, fbt, fbt_double
 
@@ -406,36 +405,29 @@ def integrate_fast(f, d: int, config: CubatureConfig) -> CubatureResult:
         elif not search_order:
             bases = kernels.column_bases(spec0, gen, m)
 
-        last = {}  # a fixed order: the latest evaluation's eta, ring column or None, data
-
-        def obj(t):
-            if products is not None:  # held spectra: a sum polynomial or multilinear in eta
-                eta, col = _eta_from_log(t), None
-                lams = (polynomial_spectrum(powers, eta[0]) if poly
-                        else multilinear_spectrum(powers, eta))
-            elif bases is not None:
+        def obj(t):  # payload (data, aux) for derivatives at the same t
+            if products is not None:  # held spectra: aux the coefficients (pi, member)
                 eta = _eta_from_log(t)
-                col = kernels.ring_from_bases(eta, bases)
-                lams = column_spectrum(col, kind, n)
+                aux = power_coefficients(eta[0], d) if poly else subset_coefficients(eta)
+                lams = aux[0] @ powers
+            elif bases is not None:  # aux the ring column
+                aux = kernels.ring_from_bases(_eta_from_log(t), bases)
+                lams = column_spectrum(aux, kind, n)
             else:  # a searched order: its bases change with it
                 spec = _kernel_at(spec0, t, search_order)
-                col = kernels.ring_from_bases(spec.eta, kernels.column_bases(spec, gen, m))
-                lams = column_spectrum(col, kind, n)
+                aux = None
+                lams = column_spectrum(kernels.ring_from_bases(
+                    spec.eta, kernels.column_bases(spec, gen, m)), kind, n)
             data = transformed_data(weights, lams, n)
-            if not search_order:  # the derivatives, asked next, read them
-                last.update(eta=eta, col=col, data=data)
-            return objective(config.criterion, data), data
+            return objective(config.criterion, data), (data, aux)
 
-        def derivatives(t):  # right after obj(t), in t = log eta
-            eta, data = last["eta"], last["data"]
+        def derivatives(t, payload):  # in t = log eta
+            data, aux = payload
             if bases is not None:  # the gradient alone, for L-BFGS-B
-                return ring_gradient(bases, last["col"], eta,
+                return ring_gradient(bases, aux, _eta_from_log(t),
                                      eigenvalue_adjoint(data, config.criterion), kind, n)
             # and the Hessian, for the Newton search
-            coefs = (power_coefficients(eta[0], powers.shape[0]) if poly
-                     else subset_coefficients(eta))
-            return held_derivatives(powers, *coefs, data, config.criterion,
-                                    eigenvalue_adjoint)
+            return held_derivatives(powers, *aux, data, config.criterion, eigenvalue_adjoint)
 
         search = dict(budget=budget, hessian=products is not None,
                       gradient_fn=None if search_order else derivatives)
@@ -449,7 +441,7 @@ def integrate_fast(f, d: int, config: CubatureConfig) -> CubatureResult:
             reseeded = True
         warm, budget = res.t, _BUDGET_LATER
         spec_best = _kernel_at(spec0, res.t, search_order)
-        data = res.payload
+        data = res.payload[0]
         if blocks:  # the held spectra's smallest eigenvalues sit on their rounding floor
             ring = _ring_from_blocks(spec_best.eta, blocks, n)
             lams = column_spectrum(ring, kind, n)

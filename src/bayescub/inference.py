@@ -24,9 +24,10 @@ the bases over the nonempty subsets S of the dimensions.
 coefficient_spectra builds either set of coefficient spectra once per sample
 size, growing the previous size's from the doubling's new entries alone (on
 Sobol' nodes by the FWHT's last stage, on the lattice by the DCT-I's
-decimation split).  polynomial_spectrum evaluates the first at any eta by
-one Horner pass and multilinear_spectrum the second at any eta vector by one
-multilinear Horner pass, with no ring column and no transform.  The sums
+decimation split).  Either spectrum at eta is then pi @ spectra, one
+matrix-vector product with the coefficients pi built at that eta, the
+powers eta^j (power_coefficients) or the subset products
+(subset_coefficients), with no ring column and no transform.  The sums
 round each term, so their smallest eigenvalues sit on a rounding floor of
 the largest; where that floor is coarser than the ring column's transform,
 the caller takes the width from the latter.  Per-dimension eta at d >= 4,
@@ -41,12 +42,11 @@ The loss depends on eta through the eigenvalues alone, so its gradient is
 one row a = dL/d lam (eigenvalue_adjoint) contracted with the eigenvalues'
 eta derivatives, the reverse-mode rule for a linear map (Giles, 2008): on
 the ring column by one transform, transposed (ring_gradient); on either set
-of held spectra by held_derivatives, which also contracts the loss's
-Hessian in lam, a diagonal plus one or two rank-one terms, into the exact
-Hessian in log eta.  Both sets are sums sum_r pi_r spectra[r] whose
-coefficients pi_r (eta^j, or the subset products) have log eta derivatives
-that are integer multiples of themselves, so one pass serves both.  It runs
-over column blocks, taking each block's adjoint entries from the block's
+of held spectra by held_derivatives, from the same pi, which also
+contracts the loss's Hessian in lam, a diagonal plus one or two rank-one
+terms, into the exact Hessian in log eta.  Both sets' pi have log eta
+derivatives that are integer multiples of themselves, so one pass serves
+both.  It runs over column blocks, taking each block's adjoint entries from the block's
 eigenvalues and weights and the loss's scalar sums, so no derivative call
 builds a whole row.
 
@@ -59,7 +59,8 @@ from; a gradient alone (per-dimension eta at d >= 4) scipy's L-BFGS-B;
 neither (a searched order, which has no derivative) scipy's Nelder-Mead.
 Only the last two import scipy.optimize.  All three stay inside the box and
 share one memo by exact t, whose size is the evaluation count the budget
-caps.
+caps.  The derivatives at t are handed the payload the objective returned
+there, so they read what the value built.
 """
 
 from __future__ import annotations
@@ -205,40 +206,9 @@ def coefficient_spectra(spec, gen, kind: str, m: int, prev=None,
     return fbt_lattice_even(products(block), n, prev), block
 
 
-def polynomial_spectrum(spectra: np.ndarray, eta: float) -> np.ndarray:
-    """Ring spectrum sum_j eta^j spectra[j-1] by one Horner pass, laid out
-    like the rows of spectra (column_spectrum of e_1..e_d)."""
-    out = spectra[-1] * eta
-    for row in spectra[-2::-1]:
-        out += row
-        out *= eta
-    return out
-
-
-# columns per block of the multilinear pass, whose 2^(d-1) work rows are this
-# long, and of held_derivatives, so neither builds a whole row
-_MULTILINEAR_BLOCK = 1 << 14
-
-
-def multilinear_spectrum(spectra: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """Ring spectrum sum_S (prod_{l in S} eta_l) spectra[S - 1] over the
-    nonempty subsets S of the d dimensions, read as bit masks, by one
-    multilinear Horner pass, laid out like the rows of spectra
-    (column_spectrum of kernels.subset_products).  The pass runs over blocks
-    of _MULTILINEAR_BLOCK columns, which changes only the memory traffic."""
-    h = (spectra.shape[0] + 1) // 2
-    out = np.empty(spectra.shape[1])
-    for lo in range(0, out.shape[0], _MULTILINEAR_BLOCK):
-        cut = slice(lo, lo + _MULTILINEAR_BLOCK)
-        rows = spectra[h - 1:, cut] * eta[-1]  # the subsets holding dimension d - 1
-        rows[1:] += spectra[:h - 1, cut]       # plus those without it but the empty one
-        # then each lower dimension's Horner step, from the highest down
-        for ell in range(eta.shape[0] - 2, -1, -1):
-            top = rows[1 << ell:2 << ell]
-            top *= eta[ell]
-            rows[:1 << ell] += top
-        out[cut] = rows[0]
-    return out
+# columns per block of held_derivatives' pass, so no derivative call builds a
+# whole row
+_HELD_BLOCK = 1 << 14
 
 
 def ring_gradient(bases: np.ndarray, ring: np.ndarray, eta: np.ndarray,
@@ -278,9 +248,9 @@ def ring_gradient(bases: np.ndarray, ring: np.ndarray, eta: np.ndarray,
 def transformed_data(weights: np.ndarray, lams: np.ndarray, n: int) -> TransformedData:
     """Data weights plus the clamped Gram eigenvalues, from the length-n ring
     spectrum or an even one's half 0..n/2 (column_spectrum of a ring column,
-    or polynomial_spectrum), laid out like the weights.  Only lam_1 differs
-    from its ring entry; entries in [-CLAMP_NEG*n, 0] are round-off and
-    become CLAMP_SUB*n, counted over all n eigenvalues."""
+    or pi @ spectra), laid out like the weights.  Only lam_1 differs from
+    its ring entry; entries in [-CLAMP_NEG*n, 0] are round-off and become
+    CLAMP_SUB*n, counted over all n eigenvalues."""
     if lams.shape != (weights.shape[0] + 1,) or lams.shape[0] not in (n, n // 2 + 1):
         raise ValueError(f"ring spectrum has shape {lams.shape}, expected ({n},) or "
                          f"({n // 2 + 1},) and one entry more than the data weights")
@@ -406,12 +376,11 @@ _EB_COEFS, _GCV_COEFS = np.array([-1.0]), np.array([-1.0, 0.5])  # of the vecs t
 
 
 def subset_coefficients(eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """held_derivatives' coefficients of the subset-product spectra
-    (multilinear_spectrum): pi_S = prod_{l in S} eta_l by mask S, in
-    kernels.subset_products' order, and member[l, S - 1] = 1 where S holds l."""
-    # pi_S as Python floats: at d = 2, 3 this loop and the array take
-    # 1.2-1.6 us where subset_products(eta[:, None]) alone takes 4.2-6.6 us
-    # (timeit, one thread)
+    """Coefficients of the subset-product spectra (column_spectrum of
+    kernels.subset_products), whose ring spectrum at eta is pi @ spectra:
+    pi_S = prod_{l in S} eta_l by mask S, in kernels.subset_products' order,
+    and for held_derivatives member[l, S - 1] = 1 where S holds l.  pi is
+    built in Python floats, which is faster at d <= 3 (README)."""
     prods = [1.0]
     for e in eta.tolist():
         prods += [p * e for p in prods]
@@ -424,9 +393,9 @@ def _subset_members(d: int) -> np.ndarray:
 
 
 def power_coefficients(eta: float, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """held_derivatives' coefficients of the power spectra
-    (polynomial_spectrum): pi_j = eta^j and the one exponent row
-    member[0, j - 1] = j, j = 1..d."""
+    """Coefficients of the power spectra (column_spectrum of e_1..e_d),
+    whose ring spectrum at eta is pi @ spectra: pi_j = eta^j and for
+    held_derivatives the one exponent row member[0, j - 1] = j, j = 1..d."""
     prods = [eta]
     for _ in range(d - 1):
         prods.append(prods[-1] * eta)
@@ -450,14 +419,14 @@ def held_derivatives(spectra: np.ndarray, pi: np.ndarray, member: np.ndarray,
     weighted by member[m, r] too.  So with g = spectra @ a, a the loss's
     eigenvalue_adjoint, the gradient is member @ (pi g) and the Hessian
     Q H_lam Q^T + (member pi g) @ member^T, H_lam the adjoint's curvature.
-    One pass over blocks of _MULTILINEAR_BLOCK columns asks adjoint(td,
-    kind, True, lo, hi) for each block's entries and contracts them at
-    once, so no row as long as the spectrum is built.  adjoint is
+    One pass over blocks of _HELD_BLOCK columns asks adjoint(td, kind,
+    True, lo, hi) for each block's entries and contracts them at once, so
+    no row as long as the spectrum is built.  adjoint is
     eigenvalue_adjoint or a stand-in with its signature.
     """
     rows = member * pi  # Q = rows @ spectra
-    for lo in range(0, spectra.shape[1], _MULTILINEAR_BLOCK):
-        hi = lo + _MULTILINEAR_BLOCK
+    for lo in range(0, spectra.shape[1], _HELD_BLOCK):
+        hi = lo + _HELD_BLOCK
         a, (lam_diag, vecs, coefs) = adjoint(td, kind, True, lo, hi)
         block = spectra[:, lo:hi]
         q = rows @ block
@@ -585,17 +554,18 @@ def search_hyperparameters(objective_fn, t0: np.ndarray, budget: int = 100,
     (capped).
     What the coordinates mean is the caller's business.
 
-    objective_fn(t) -> (value, payload); gradient_fn(t) -> the value's
-    gradient in t, or with hessian the pair (gradient, Hessian).  The method
-    follows what the caller gives: with a Hessian a projected Newton search
-    (_projected_newton), with a gradient alone L-BFGS-B, with neither
-    Nelder-Mead; only the last two import scipy.optimize.  All three start
-    from t0 clipped into the box, never evaluate outside it, memoize by
-    exact t and count distinct evaluations only.  gradient_fn(t) runs right
-    after objective_fn(t), so it may read what objective_fn built: L-BFGS-B
-    asks it at each new t of finite value, the Newton search only at the
-    points it steps from, and where such a point is not the latest
-    evaluated, objective_fn(t) runs there again first (tests/test_inference.py,
+    objective_fn(t) -> (value, payload); gradient_fn(t, payload) -> the
+    value's gradient in t, or with hessian the pair (gradient, Hessian), given
+    the payload objective_fn(t) returned.  The method follows what the caller
+    gives: with a Hessian a projected Newton search (_projected_newton), with
+    a gradient alone L-BFGS-B, with neither Nelder-Mead; only the last two
+    import scipy.optimize.  All three start from t0 clipped into the box,
+    never evaluate outside it, memoize by exact t and count distinct
+    evaluations only.  L-BFGS-B asks the gradient at each new t of finite
+    value, right after its value; the Newton search only at the points it
+    steps from.  The search keeps the payload of its latest evaluation
+    alone, so where such a point was read from the memo, objective_fn(t)
+    runs there again first (tests/test_inference.py,
     test_newton_asks_derivatives_only_where_it_steps_from).  A value that is
     not finite or raises NonPositiveDefiniteError, DegenerateDataError or
     FloatingPointError is a rejected step; its derivatives, like non-finite
@@ -606,15 +576,15 @@ def search_hyperparameters(objective_fn, t0: np.ndarray, budget: int = 100,
     best = {"val": np.inf, "t": t0.copy(), "payload": None}
     memo = {}  # [value, gradient, Hessian] by exact t; its size counts the evaluations
     derivatives = gradient_fn is not None
-    latest = None  # the t objective_fn ran at last
+    latest = None  # (t, payload) of objective_fn's latest return
 
     def value(t):
         nonlocal latest
-        latest = tuple(t)
         try:
             val, payload = objective_fn(t)
         except (NonPositiveDefiniteError, DegenerateDataError, FloatingPointError):
             return np.inf, None
+        latest = tuple(t), payload
         return (val if np.isfinite(val) else np.inf), payload
 
     def evaluate(t):
@@ -626,7 +596,7 @@ def search_hyperparameters(objective_fn, t0: np.ndarray, budget: int = 100,
             val, payload = value(t)
             g = None
             if derivatives and not hessian and val < np.inf:  # in turn, at the same t
-                g = gradient_fn(t)
+                g = gradient_fn(t, payload)
                 if not np.isfinite(g).all():
                     g = None
             if val < best["val"]:
@@ -637,10 +607,11 @@ def search_hyperparameters(objective_fn, t0: np.ndarray, budget: int = 100,
     def second_order(x):  # the Newton search's gradient and Hessian at an evaluated x
         entry = memo[tuple(x)]
         if entry[2] is None:
+            key, payload = latest
             t = np.array(x)
-            if tuple(x) != latest:  # so that gradient_fn reads what objective_fn built
-                value(t)
-            g, h = gradient_fn(t)
+            if tuple(x) != key:  # a memo hit: rebuild its payload
+                payload = value(t)[1]
+            g, h = gradient_fn(t, payload)
             if np.isfinite(g).all() and np.isfinite(h).all():
                 entry[1:] = g, h
             else:
@@ -754,11 +725,8 @@ def _newton_step(h, g):
 def _cholesky_solve(h, b):
     """H^-1 b on lists by H's Cholesky factor, built from H's lower
     triangle, or None where H is not positive definite.  In Python floats
-    because p is 2 or 3: at those sizes this takes 2.5-4.0 us where
-    numpy.linalg's cholesky and solve take 10.4-11.9 us and its eigh
-    12.5-13.7 us (timeit, one thread), and a whole mvn_sweep_d2 pass, with
-    about 2400 steps, took 40-45 ms less than with eigh alone (medians of
-    10 and 20 alternating in-process pairs, 2-vCPU host)."""
+    because p is at most 3, where that is faster than numpy.linalg
+    (README)."""
     low = []  # the factor's rows, each up to its diagonal
     for i, hrow in enumerate(h):
         row = hrow[:i + 1]

@@ -18,9 +18,8 @@ from bayescub import (CubatureConfig, integrate_fast, kernels, nodes, problems,
 from bayescub.cli import draw_tolerances
 from bayescub.inference import (EB, FULL, GCV, column_spectrum, credible_width,
                                 data_weights, eigenvalue_adjoint, held_derivatives,
-                                multilinear_spectrum, objective, polynomial_spectrum,
-                                power_coefficients, ring_gradient, subset_coefficients,
-                                transformed_data)
+                                objective, power_coefficients, ring_gradient,
+                                subset_coefficients, transformed_data)
 from bayescub.kernels import KernelSpec
 from conftest import record_criterion
 from oracles import extended_dense_posterior, mirror_half
@@ -315,14 +314,15 @@ def test_criterion_9_gradient_suite():
                                    family, 1 << m)]
             if d <= 3:
                 spectra = column_spectrum(kernels.subset_products(bases), family, 1 << m)
-                sub = transformed_data(weights, multilinear_spectrum(spectra, spec.eta),
+                sub = transformed_data(weights, subset_coefficients(spec.eta)[0] @ spectra,
                                        1 << m)
                 grads.append(held_derivatives(spectra, *subset_coefficients(spec.eta),
                                               sub, kind)[0])
             if shared:  # split evenly over the entries, which the check below sums
                 powers = column_spectrum(kernels.elementary_symmetric(bases), family,
                                          1 << m)
-                poly = transformed_data(weights, polynomial_spectrum(powers, eta[0]), 1 << m)
+                poly = transformed_data(weights, power_coefficients(eta[0], d)[0] @ powers,
+                                        1 << m)
                 grads.append(np.full(d, held_derivatives(
                     powers, *power_coefficients(eta[0], d), poly, kind)[0][0] / d))
 

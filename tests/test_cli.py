@@ -103,6 +103,15 @@ class TestIntegrate:
             ["integrate", "--problem", "fresnel", "--eps", "1e-2"], capsys)
         assert code == 1 and err.startswith("error: ")
 
+    @pytest.mark.parametrize("command", ["integrate", "sweep"])
+    def test_a_directory_as_out_is_runtime_error(self, capsys, tmp_path, command):
+        # open() on a directory raised IsADirectoryError out of main
+        eps = ["--eps", "1e99"] if command == "integrate" else [
+            "--eps-lo", "1e99", "--eps-hi", "1e99", "--count", "1"]
+        code, _, err = run_main([command, "--problem", "fresnel", "--n0", "256",
+                                 "--out", str(tmp_path)] + eps, capsys)
+        assert code == 1 and err.startswith("error: ")
+
     @pytest.mark.parametrize("name", problems.PERIODIZERS)
     def test_periodizer_accepts_every_name(self, capsys, name):
         code, out, _ = run_main(
@@ -286,6 +295,11 @@ class TestSweep:
                                  "--config", str(path)], capsys)
         assert code == 0
         assert [r["seed"] for r in json.loads(out)["rows"]] == [3, 4]
+
+    def test_a_directory_as_config_is_runtime_error(self, capsys, tmp_path):
+        code, out, err = run_main(["sweep", "--problem", "fresnel",
+                                   "--config", str(tmp_path)], capsys)
+        assert code == 1 and err.startswith("error: ") and out == ""
 
     def test_missing_eps_range(self, capsys):
         code, _, err = run_main(["sweep", "--problem", "fresnel"], capsys)

@@ -952,7 +952,7 @@ class TestWidthPrecision:
         # transform in long double, from the same float64 bases and data,
         # that width reads closer than the float64 ring transform's, at the
         # loop's eta and at etas 1e8 to 1e16 apart across dimensions: at
-        # 2^16 at most 2e-11 off where the ring transform's reads 3e-8
+        # 2^16 at most 3e-13 off where the ring transform's reads up to 8e-9
         d, n = 3, 1 << 16
         problem = problems.keister_problem(d)
         cfg = CubatureConfig(family="sobol", epsilon=1e-12, periodizer="baker", seed=1,
@@ -969,7 +969,7 @@ class TestWidthPrecision:
             return inference.credible_width(kind, inference.transformed_data(weights, lams, n))
 
         loop_eta = np.array(res.iterations[-1].theta)
-        assert res.err == width("eb", inference.multilinear_spectrum(held, loop_eta))
+        assert res.err == width("eb", inference.subset_coefficients(loop_eta)[0] @ held)
         for eta in (loop_eta, np.array([1e-8, 1.0, 1e8]), np.array([1e8, 1e8, 1e-8]),
                     np.array([1e-4, 1e4, 1.0])):
             c = eta[:, None].astype(np.longdouble) * bases
@@ -984,7 +984,8 @@ class TestWidthPrecision:
             assert ring.dtype == np.longdouble
             for kind in ("eb", "gcv", "full"):
                 ref = width(kind, ring.astype(np.float64))
-                dev_held = abs(width(kind, inference.multilinear_spectrum(held, eta)) - ref)
+                held_lams = inference.subset_coefficients(eta)[0] @ held
+                dev_held = abs(width(kind, held_lams) - ref)
                 dev_ring = abs(width(kind, inference.column_spectrum(
                     kernels.ring_from_bases(eta, bases), "sobol", n)) - ref)
                 assert dev_held <= 1e-10 * ref and dev_held <= max(dev_ring, 1e-13 * ref), \

@@ -11,8 +11,7 @@ from bayescub.inference import (EB, FULL, GCV, XATOL, DegenerateDataError,
                                 NonFiniteStartError, NonPositiveDefiniteError,
                                 TransformedData, column_spectrum, credible_width,
                                 data_weights, dense_posterior, eigenvalue_adjoint,
-                                held_derivatives, multilinear_spectrum, objective,
-                                objective_eb, objective_gcv, polynomial_spectrum,
+                                held_derivatives, objective, objective_eb, objective_gcv,
                                 power_coefficients, ring_gradient, search_hyperparameters,
                                 student_t_quantile, subset_coefficients, transformed_data)
 from bayescub.kernels import KernelSpec
@@ -145,7 +144,7 @@ def ring_and_polynomial_spectra(family, kernel, order, d, m, etas, seed=3):
     assert powers.shape == (d, n // 2 + 1 if family == "lattice" else n)
     return [(column_spectrum(kernels.ring_from_bases(np.full(d, eta), bases),
                              family, n),
-             polynomial_spectrum(powers, eta)) for eta in etas]
+             power_coefficients(eta, d)[0] @ powers) for eta in etas]
 
 
 class TestEtaPolynomial:
@@ -190,8 +189,8 @@ class TestEtaPolynomial:
         full = np.where(k % 2, 1.0 + k, -1e-9 * n)
         bases = self.designed_bases(kind, full)
         ring = column_spectrum(kernels.ring_from_bases(np.ones(2), bases), kind, n)
-        poly = polynomial_spectrum(column_spectrum(kernels.elementary_symmetric(bases),
-                                                   kind, n), 1.0)
+        poly = power_coefficients(1.0, 2)[0] @ column_spectrum(
+            kernels.elementary_symmetric(bases), kind, n)
         weights = data_weights(np.ones(ring.shape[0]), n)
         td_r = transformed_data(weights, ring, n)
         td_p = transformed_data(weights, poly, n)
@@ -206,8 +205,8 @@ class TestEtaPolynomial:
         full[n // 2] = -1e-3 * n  # far below the round-off floor
         bases = self.designed_bases(kind, full)
         ring = column_spectrum(kernels.ring_from_bases(np.ones(2), bases), kind, n)
-        poly = polynomial_spectrum(column_spectrum(kernels.elementary_symmetric(bases),
-                                                   kind, n), 1.0)
+        poly = power_coefficients(1.0, 2)[0] @ column_spectrum(
+            kernels.elementary_symmetric(bases), kind, n)
         for lams in (ring, poly):
             with pytest.raises(NonPositiveDefiniteError, match="below round-off floor"):
                 transformed_data(data_weights(np.ones(lams.shape[0]), n), lams, n)
@@ -246,7 +245,7 @@ class TestMultilinearSpectrum:
             assert spectra.shape[0] == (1 << d) - 1
             for eta in np.exp(rng.uniform(np.log(1e-8), np.log(1e8), (9, d))):
                 ring = column_spectrum(kernels.ring_from_bases(eta, bases), family, 1 << m)
-                multi = multilinear_spectrum(spectra, eta)
+                multi = subset_coefficients(eta)[0] @ spectra
                 assert multi.shape == ring.shape
                 assert np.abs(multi - ring).max() <= 1e-13 * np.abs(ring).max(), m
 
@@ -268,9 +267,9 @@ class TestMultilinearSpectrum:
 
             def loss(ev):
                 return objective(kind, transformed_data(
-                    weights, multilinear_spectrum(spectra, ev), n))
+                    weights, subset_coefficients(ev)[0] @ spectra, n))
 
-            td = transformed_data(weights, multilinear_spectrum(spectra, eta), n)
+            td = transformed_data(weights, subset_coefficients(eta)[0] @ spectra, n)
             grad = held_derivatives(spectra, *subset_coefficients(eta), td, kind)[0] / eta
             num = np.empty(d)
             for ell in range(d):
@@ -298,7 +297,7 @@ class TestMultilinearSpectrum:
 
         def derivatives(t):
             eta = np.exp(t)
-            td = transformed_data(weights, multilinear_spectrum(spectra, eta), n)
+            td = transformed_data(weights, subset_coefficients(eta)[0] @ spectra, n)
             return held_derivatives(spectra, *subset_coefficients(eta), td, kind)
 
         lo, hi = LOG_ETA_BOUNDS
@@ -335,18 +334,9 @@ class TestMultilinearSpectrum:
         assert subset.shape == (d,)
         assert (np.abs(subset - ring_path) <= 1e-13 * scale).all()
 
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_column_blocks_change_no_bits(self, monkeypatch, d):
-        _, _, spectra = subset_spectra("lattice", "bernoulli", 2, d, 7)
-        eta = np.array([3e-5, 1.7, 4e4])[:d]
-        whole = multilinear_spectrum(spectra, eta)
-        monkeypatch.setattr(inference, "_MULTILINEAR_BLOCK", 7)  # 65 columns: 10 blocks
-        assert np.array_equal(multilinear_spectrum(spectra, eta), whole)
-
     def test_passes_build_no_whole_work_row(self):
-        # at d = 3 the spectrum works on 4 rows; beyond its output the pass
-        # holds two blocks of them (the next one's is made before the last
-        # one's goes), 1/8 of whole rows at 2^18 columns
+        # one evaluation at d = 3 and 2^18 columns, the coefficients and
+        # pi @ spectra, allocates its output row and nothing row-sized more
         import tracemalloc
 
         d, cols = 3, (1 << 18) + 1
@@ -354,11 +344,11 @@ class TestMultilinearSpectrum:
         eta = np.array([0.3, 2.0, 0.7])
         tracemalloc.start()
         try:
-            multilinear_spectrum(spectra, eta)
+            subset_coefficients(eta)[0] @ spectra
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - cols * 8 <= 4 * cols * 8 / 4
+        assert peak - cols * 8 < cols * 8 / 32, peak
 
 
 @functools.cache
@@ -385,10 +375,10 @@ def held_state(family, d, m, products, t, kind, order=1):
     eta = np.exp(t)
     if products == "powers":
         pi, member = power_coefficients(float(eta[0]), d)
-        lams = polynomial_spectrum(spectra, float(eta[0]))
+        lams = pi @ spectra
     else:
         pi, member = subset_coefficients(eta)
-        lams = multilinear_spectrum(spectra, eta)
+        lams = pi @ spectra
     return spectra, pi, member, transformed_data(weights, lams, 1 << m)
 
 
@@ -422,7 +412,7 @@ class TestHeldDerivatives:
             spectra, pi, member, td = state(t)
             return held_derivatives(spectra, pi, member, td, kind)
 
-        assert held_setup(family, d, m)[0].shape[1] > inference._MULTILINEAR_BLOCK or m < 16
+        assert held_setup(family, d, m)[0].shape[1] > inference._HELD_BLOCK or m < 16
         for t in (lo + 1.0, 0.3, hi - 1.0):
             assert state(t)[3].n_clamped == 0  # a loss set by rounding has no derivative
             grad, hess = derivatives(t)
@@ -505,7 +495,7 @@ class TestHeldDerivatives:
         d, cols = 3, (1 << 18) + 1
         spectra = np.random.default_rng(4).random(((1 << d) - 1, cols))
         td = transformed_data(np.random.default_rng(5).random(cols - 1),
-                              multilinear_spectrum(spectra, np.ones(d)), 1 << 19)
+                              subset_coefficients(np.ones(d))[0] @ spectra, 1 << 19)
         pi, member = subset_coefficients(np.array([0.3, 2.0, 0.7]))
         for kind in (EB, GCV):
             objective(kind, td)  # the scalar sums the loss holds
@@ -540,7 +530,7 @@ class TestAdjointAccuracy:
             for eta in rng.uniform(0.3, 2.5, (3, d)):
                 ring = kernels.ring_from_bases(eta, bases)
                 if path == "subset":
-                    td = transformed_data(weights, multilinear_spectrum(spectra, eta), n)
+                    td = transformed_data(weights, subset_coefficients(eta)[0] @ spectra, n)
                     grad = held_derivatives(spectra, *subset_coefficients(eta), td, kind)[0]
                 else:
                     td = transformed_data(weights, column_spectrum(ring, family, n), n)
@@ -942,7 +932,7 @@ class TestHyperparameterSearch:
             seen.append(tuple(t))
             return float((scale * (t - c) ** 2).sum()), None
 
-        return obj, lambda t: 2 * scale * (t - c)
+        return obj, lambda t, payload: 2 * scale * (t - c)
 
     def test_gradient_search_evaluates_the_start_once(self):
         seen = []
@@ -961,7 +951,7 @@ class TestHyperparameterSearch:
             seen.append(tuple(t))
             return float(100 * (t[1] - t[0] ** 2) ** 2 + (1 - t[0]) ** 2), None
 
-        def grad(t):
+        def grad(t, payload):
             return np.array([-400 * t[0] * (t[1] - t[0] ** 2) - 2 * (1 - t[0]),
                              200 * (t[1] - t[0] ** 2)])
 
@@ -986,7 +976,7 @@ class TestHyperparameterSearch:
     def test_gradient_search_nonfinite_start_raises(self):
         with pytest.raises(NonFiniteStartError):
             search_hyperparameters(lambda t: (np.nan, None), np.zeros(2), budget=5,
-                                   gradient_fn=lambda t: np.zeros(2))
+                                   gradient_fn=lambda t, payload: np.zeros(2))
 
     def test_gradient_search_keeps_the_best_point_past_a_rejected_one(self):
         # the bowl's centre sits where the objective is rejected: the search
@@ -1003,7 +993,7 @@ class TestHyperparameterSearch:
                 raise NonPositiveDefiniteError("past the wall")
             return bowl(t), tuple(t)
 
-        def grad(t):
+        def grad(t, payload):
             asked.append(tuple(t))
             return 2 * scale * (t - c)
 
@@ -1030,7 +1020,7 @@ class TestHyperparameterSearch:
             return bowl(t), None
 
         res = search_hyperparameters(obj, np.zeros(2), budget=100,
-                                     gradient_fn=lambda t: 2 * (t - c))
+                                     gradient_fn=lambda t, payload: 2 * (t - c))
         assert min(seen[1]) > 1.0  # the first trial point is rejected
         assert not (res.t > 1.0).all()
         assert bowl(res.t) < bowl((0.0, 0.0)) / 3
@@ -1053,7 +1043,7 @@ class TestHyperparameterSearch:
                 raise reject("past the wall")
             return float(((t - c) ** 2).sum()), None
 
-        def grad(t):
+        def grad(t, payload):
             log.append(("gradient", tuple(t)))
             return 2 * (t - c)
 
@@ -1067,13 +1057,37 @@ class TestHyperparameterSearch:
 
         log.clear()  # one coordinate with a gradient alone: the same rule
         res = search_hyperparameters(lambda t: obj(np.r_[t, 0.0]), np.zeros(1), budget=20,
-                                     gradient_fn=lambda t: grad(np.r_[t, 0.0])[:1])
+                                     gradient_fn=lambda t, payload: grad(np.r_[t, 0.0],
+                                                                         payload)[:1])
         values = [t for kind, t in log if kind == "value"]
         finite = [t for t in values if t[0] <= 2.0]
         assert res.evaluations == len(values) == len(set(values)) > len(finite)
         assert [t for kind, t in log if kind == "gradient"] == finite
         for before, (kind, t) in zip(log, log[1:]):
             assert kind == "value" or before == ("value", t)
+
+    @pytest.mark.parametrize("hessian", [False, True])
+    def test_derivatives_receive_the_payload_returned_at_their_point(self, hessian):
+        # L-BFGS-B (a gradient alone) and the Newton search (with a Hessian)
+        # both hand the derivatives the very object the objective returned
+        # at the same t
+        returned, asked = {}, []
+        a, c = np.array([[1.0, 0.5], [0.5, 4.0]]), np.array([1.5, -2.0])
+
+        def obj(t):
+            returned[tuple(t)] = payload = object()
+            return float((t - c) @ a @ (t - c)), payload
+
+        def derivatives(t, payload):
+            asked.append(tuple(t))
+            assert payload is returned[tuple(t)]
+            g = 2 * a @ (t - c)
+            return (g, 2 * a) if hessian else g
+
+        res = search_hyperparameters(obj, np.array([-3.0, 4.0]), budget=100,
+                                     gradient_fn=derivatives, hessian=hessian)
+        assert len(asked) >= 2 and np.abs(res.t - c).max() < 1e-4
+        assert res.payload is returned[tuple(res.t)]
 
     # two or more coordinates with a Hessian: the projected Newton search
     @staticmethod
@@ -1088,7 +1102,7 @@ class TestHyperparameterSearch:
                 raise NonPositiveDefiniteError("rejected")
             return float((t - c) @ a @ (t - c)), None
 
-        return obj, lambda t: (2 * a @ (t - c), 2 * a)
+        return obj, lambda t, payload: (2 * a @ (t - c), 2 * a)
 
     def test_newton_reaches_a_bowls_minimum_in_one_step(self):
         seen = []
@@ -1123,7 +1137,7 @@ class TestHyperparameterSearch:
             seen.append(float(t[0] ** 4 / 4 - t[0] ** 2 / 2 + t[1] ** 2))
             return seen[-1], None
 
-        def derivatives(t):
+        def derivatives(t, payload=None):
             return (np.array([t[0] ** 3 - t[0], 2 * t[1]]),
                     np.array([[3 * t[0] ** 2 - 1, 0.0], [0.0, 2.0]]))
 
@@ -1140,7 +1154,7 @@ class TestHyperparameterSearch:
             seen.append(tuple(t))
             return float(100 * (t[1] - t[0] ** 2) ** 2 + (1 - t[0]) ** 2), None
 
-        def derivatives(t):
+        def derivatives(t, payload):
             x, y = t
             return (np.array([-400 * x * (y - x**2) - 2 * (1 - x), 200 * (y - x**2)]),
                     np.array([[1200 * x**2 - 400 * y + 2, -400 * x], [-400 * x, 200.0]]))
@@ -1192,18 +1206,19 @@ class TestHyperparameterSearch:
         # full one clips to the corner (hi, hi), whose value falls short of
         # the Armijo rule there; the 1/64 step to (15.625, 15.625) is taken,
         # and from it the step to the corner, read from the memo, is taken
-        # too.  The derivatives run at those three points only, each right
-        # after the objective ran at the same point, so at the corner the
-        # objective runs again first
+        # too.  The derivatives run at those three points only, each given
+        # the payload of the objective's run just before at the same point,
+        # so at the corner the objective runs again first
         hi = LOG_ETA_BOUNDS[1]
-        log = []
+        log, payloads = [], []
 
         def obj(t):
             log.append(("value", tuple(t)))
-            return {0.0: 0.0, hi: -3.5}.get(t[0], -3.2), None
+            payloads.append(object())
+            return {0.0: 0.0, hi: -3.5}.get(t[0], -3.2), payloads[-1]
 
-        def derivatives(t):
-            assert log[-1] == ("value", tuple(t))
+        def derivatives(t, payload):
+            assert log[-1] == ("value", tuple(t)) and payload is payloads[-1]
             log.append(("derivatives", tuple(t)))
             g = {0.0: -1e3, hi: -1.0}.get(t[0], -10.0)
             return np.full(2, g), np.eye(2)
@@ -1247,7 +1262,7 @@ class TestHyperparameterSearch:
             seen.append(float(t[0] ** 4 / 4 - t[0] ** 2 / 2))
             return seen[-1], None
 
-        def derivatives(t):
+        def derivatives(t, payload=None):
             return np.array([t[0] ** 3 - t[0]]), np.array([[3 * t[0] ** 2 - 1]])
 
         assert derivatives(np.array([0.1]))[1][0, 0] < 0
@@ -1264,7 +1279,7 @@ class TestHyperparameterSearch:
             seen.append(tuple(t))
             return float(t[0] ** 4), None
 
-        def derivatives(t):
+        def derivatives(t, payload):
             return np.array([4 * t[0] ** 3]), np.array([[12 * t[0] ** 2]])
 
         for budget in (1, 2, 3, 5, 8):
@@ -1358,7 +1373,8 @@ class TestHyperparameterSearch:
     def test_level_objective_ends_at_the_start(self):
         res = search_hyperparameters(lambda t: (1.0, None), np.array([0.5]),
                                      budget=100, hessian=True,
-                                     gradient_fn=lambda t: (np.zeros(1), np.zeros((1, 1))))
+                                     gradient_fn=lambda t, payload: (np.zeros(1),
+                                                                     np.zeros((1, 1))))
         assert res.t[0] == 0.5 and res.evaluations <= 4
 
     def test_level_objective_without_derivatives_ends_at_the_start(self):
