@@ -15,6 +15,7 @@ message; the sweep writes every row and then exits 1.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -78,6 +79,12 @@ def _run_once(problem, config: CubatureConfig):
     return integrate_fast(problem.evaluator, problem.d, config)
 
 
+def _open_out(path):
+    """--out opened for writing, or a stand-in for None; opened before any
+    integration runs, so a path that cannot be written fails at once."""
+    return open(path, "w") if path else contextlib.nullcontext()
+
+
 def cmd_integrate(args) -> int:
     if args.d is not None and args.d < 1:
         print("--d must be at least 1", file=sys.stderr)
@@ -85,13 +92,13 @@ def cmd_integrate(args) -> int:
     problem = problems.build_problem(args.problem, d=args.d)
     periodizer = _resolve_periodizer(args, problem)
     config = _make_config(args, args.eps, args.seed, periodizer)
-    result = _run_once(problem, config)
-    record = result.to_record()
-    if problem.reference_value is not None:
-        record["abs_error"] = abs(result.mu_hat - problem.reference_value)
-    text = json.dumps(record, indent=2)
-    if args.out:
-        with open(args.out, "w") as fh:
+    with _open_out(args.out) as fh:
+        result = _run_once(problem, config)
+        record = result.to_record()
+        if problem.reference_value is not None:
+            record["abs_error"] = abs(result.mu_hat - problem.reference_value)
+        text = json.dumps(record, indent=2)
+        if fh:
             fh.write(text + "\n")
     print(text)
     return 0 if result.tolerance_met else 1
@@ -185,28 +192,30 @@ def cmd_sweep(args, parser: argparse.ArgumentParser) -> int:
     count = len(args.seeds) if args.seeds else args.count  # explicit seeds win
     eps_values = draw_tolerances(args.eps_lo, args.eps_hi, count, args.seed)
     seeds = args.seeds if args.seeds else [args.seed + 1 + i for i in range(count)]
-    rows = _sweep_rows(args, problem, eps_values, seeds)
-    completed = [r for r in rows if "error" not in r]
-    summary = {
-        "success_rate": float(np.mean([r["success"] for r in rows])),
-        "median_seconds": (float(np.median([r["seconds"] for r in completed]))
-                           if completed else None),
-        "median_n": float(np.median([r["n"] for r in completed])) if completed else None,
-        "count": len(rows),
-        "failed": len(rows) - len(completed),
-    }
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, extrasaction="ignore")
-        writer.writeheader()
-        writer.writerows(rows)
-        text = buf.getvalue()
-    else:
-        text = json.dumps({"schema": SWEEP_SCHEMA, "rows": rows,
-                           "summary": summary}, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
+    with _open_out(args.out) as fh:
+        rows = _sweep_rows(args, problem, eps_values, seeds)
+        completed = [r for r in rows if "error" not in r]
+        summary = {
+            "success_rate": float(np.mean([r["success"] for r in rows])),
+            "median_seconds": (float(np.median([r["seconds"] for r in completed]))
+                               if completed else None),
+            "median_n": (float(np.median([r["n"] for r in completed]))
+                         if completed else None),
+            "count": len(rows),
+            "failed": len(rows) - len(completed),
+        }
+        if args.format == "csv":
+            buf = io.StringIO()
+            writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, extrasaction="ignore")
+            writer.writeheader()
+            writer.writerows(rows)
+            text = buf.getvalue()
+        else:
+            text = json.dumps({"schema": SWEEP_SCHEMA, "rows": rows,
+                               "summary": summary}, indent=2) + "\n"
+        if fh:
             fh.write(text)
+    if args.out:
         print(json.dumps(summary, indent=2))
     else:
         print(text, end="")

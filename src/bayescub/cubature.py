@@ -161,6 +161,7 @@ class IterationRecord:
     capped: bool = False    # the search ran out of budget before its own stop
     order: float | None = None  # kernel order used, searched or fixed
     loss: float | None = None   # the search's objective at the chosen parameters
+    stop: str | None = None     # why the search stopped (inference.STOPS); None: no search
 
 
 @dataclass
@@ -452,7 +453,7 @@ def integrate_fast(f, d: int, config: CubatureConfig) -> CubatureResult:
         return credible_width(config.criterion, data), None, dict(
             theta=tuple(spec_best.eta), evaluations=res.evaluations + reseeded,
             n_clamped=data.n_clamped, reseeded=reseeded, order=spec_best.order,
-            capped=res.capped, loss=res.value,
+            capped=res.capped, loss=res.value, stop=res.stop,
             bound_hit=bool(np.isin(spec_best.eta, (kernels.ETA_MIN, kernels.ETA_MAX)).any()))
 
     return _doubling_loop(f, config, gen, dict(theta=tuple(spec0.eta), order=spec0.order),

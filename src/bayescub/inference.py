@@ -60,7 +60,13 @@ neither (a searched order, which has no derivative) scipy's Nelder-Mead.
 Only the last two import scipy.optimize.  All three stay inside the box and
 share one memo by exact t, whose size is the evaluation count the budget
 caps.  The derivatives at t are handed the payload the objective returned
-there, so they read what the value built.
+there, so they read what the value built.  Besides its XATOL and FATOL
+rules, the Newton search stops where its own quadratic model, on a Hessian
+block positive definite as it stands, predicts a gain below FATOL: before
+a trial whose Newton decrement -g.s / 2 is below FATOL / 2, and, at one
+coordinate only, after a full unclipped step whose cubic Taylor term puts
+the next decrement below 3/4 FATOL, with no derivative call there.  Each
+search reports which stop ended it (SearchResult.stop).
 """
 
 from __future__ import annotations
@@ -533,6 +539,9 @@ def _posterior(y: np.ndarray, c: np.ndarray, c0: float, kind: str, solve,
 # ---------------------------------------------------------------------------
 
 XATOL, FATOL = 1e-4, 1e-7  # search tolerances in t and in the value
+# why a search stopped: the Newton search's own four stops (_projected_newton),
+# the end of scipy's L-BFGS-B or Nelder-Mead, or the budget spent
+STOPS = ("xatol", "fatol", "decrement", "model", "scipy", "budget")
 STEP = 0.5  # the edge of Nelder-Mead's initial simplex
 SEARCH_BOX = (np.log(kernels.ETA_MIN), np.log(kernels.ETA_MAX))  # every coordinate's box
 
@@ -544,14 +553,15 @@ class SearchResult:
     payload: object = None  # best-seen auxiliary data from the objective
     capped: bool = False    # the budget ran out before the method stopped
     value: float = np.inf   # the objective at t
+    stop: str | None = None  # why it stopped, one of STOPS
 
 
 def search_hyperparameters(objective_fn, t0: np.ndarray, budget: int = 100,
                            gradient_fn=None, hessian: bool = False) -> SearchResult:
     """Minimize objective_fn over a float vector from t0 in the box
     SEARCH_BOX^p; returns the best point seen within budget evaluations, its
-    value, and whether the budget ran out before the method's own stop
-    (capped).
+    value, whether the budget ran out before the method's own stop
+    (capped), and why it stopped (stop, one of STOPS).
     What the coordinates mean is the caller's business.
 
     objective_fn(t) -> (value, payload); gradient_fn(t, payload) -> the
@@ -559,8 +569,12 @@ def search_hyperparameters(objective_fn, t0: np.ndarray, budget: int = 100,
     the payload objective_fn(t) returned.  The method follows what the caller
     gives: with a Hessian a projected Newton search (_projected_newton), with
     a gradient alone L-BFGS-B, with neither Nelder-Mead; only the last two
-    import scipy.optimize.  All three start from t0 clipped into the box,
-    never evaluate outside it, memoize by exact t and count distinct
+    import scipy.optimize.  The Newton search stops on XATOL and FATOL, and
+    where its positive definite quadratic model says the next step gains
+    too little: before a trial whose predicted gain is below FATOL / 2, and
+    at one coordinate after a full, unclipped step whose cubic term puts
+    the next gain below 3/4 FATOL.  All three start from t0 clipped into
+    the box, never evaluate outside it, memoize by exact t and count distinct
     evaluations only.  L-BFGS-B asks the gradient at each new t of finite
     value, right after its value; the Newton search only at the points it
     steps from.  The search keeps the payload of its latest evaluation
@@ -622,17 +636,17 @@ def search_hyperparameters(objective_fn, t0: np.ndarray, budget: int = 100,
     if not np.isfinite(v0):
         raise NonFiniteStartError("objective not finite at the initial hyperparameters")
 
-    capped = False
     try:
         if derivatives and hessian:
-            _projected_newton(lambda x: evaluate(x)[0], second_order, t0.tolist(), v0,
-                              *SEARCH_BOX)
+            stop = _projected_newton(lambda x: evaluate(x)[0], second_order, t0.tolist(),
+                                     v0, *SEARCH_BOX)
         else:
             _scipy_search(evaluate, t0, v0, derivatives)
+            stop = "scipy"
     except _BudgetSpent:
-        capped = True
+        stop = "budget"
     return SearchResult(t=best["t"], evaluations=len(memo), payload=best["payload"],
-                        capped=capped, value=best["val"])
+                        capped=stop == "budget", value=best["val"], stop=stop)
 
 
 class _BudgetSpent(Exception):
@@ -669,16 +683,31 @@ def _projected_newton(f, derivatives, x, fx, lo, hi):
     """Projected Newton search (Bertsekas, SIAM J. Control Optim. 20, 1982)
     of f over the box [lo, hi]^p from the list x, whose value is fx, on the
     gradient and Hessian that derivatives(x) gives at each point it steps
-    from, and at no other.
+    from, and at no other; returns why it stopped.
 
     Each step fixes the coordinates that sit at a bound with the gradient
-    pointing out of the box, and takes the Newton step on the others with
+    pointing out of the box, and takes the Newton step s on the others with
     their Hessian block made positive definite (_newton_step).  From the
     full step it backtracks by halves, each trial clipped into the box,
     until the value falls by the Armijo rule (Nocedal and Wright, Numerical
     Optimization, 2006, ch. 3); a rejected (infinite) value never does.  It
-    stops when a trial moves no coordinate by XATOL or an accepted step
-    gains less than FATOL.  The bookkeeping is in Python floats: p is small.
+    stops at x when a trial moves no coordinate by XATOL ("xatol"), and at
+    the accepted point when that step gains less than FATOL ("fatol").  Two
+    more stops read the quadratic model's gain dec = -g.s / 2, and only
+    where the free Hessian block is positive definite as it stands, so
+    never on an eigenvalue-modified step:
+    - "decrement": dec < FATOL / 2 before the first trial, so the step
+      would gain less than FATOL (the Newton decrement, Boyd and
+      Vandenberghe, Convex Optimization, 2004, section 9.5.1); it returns at
+      x and evaluates no trial.
+    - "model", at p = 1 only: after an accepted full step that was not
+      clipped, the gain's miss from dec is minus the step's cubic Taylor
+      term, which puts the gradient at the new point at -3 miss / s and its
+      decrement at 9 miss^2 / (4 dec).  Where 3 miss^2 < FATOL dec, that
+      next gain is below 3/4 FATOL, and the search returns there without
+      asking its derivatives.  With p > 1 the cubic term along the step
+      does not bound the cross terms.
+    The bookkeeping is in Python floats: p is small.
     """
     p = len(x)
     while True:
@@ -687,39 +716,48 @@ def _projected_newton(f, derivatives, x, fx, lo, hi):
         free = [i for i in range(p)
                 if not (x[i] <= lo and g[i] > 0.0 or x[i] >= hi and g[i] < 0.0)]
         if len(free) == p:
-            step = _newton_step(h, g)
+            step, convex = _newton_step(h, g)
         else:
             step = [0.0] * p
-            for i, s in zip(free, _newton_step([[h[i][j] for j in free] for i in free],
-                                               [g[i] for i in free])):
+            sub, convex = _newton_step([[h[i][j] for j in free] for i in free],
+                                       [g[i] for i in free])
+            for i, s in zip(free, sub):
                 step[i] = s
+        dec = -0.5 * sum([gi * si for gi, si in zip(g, step)])  # the model's gain
         alpha = 1.0
         while True:
             y = [min(max(xi + alpha * si, lo), hi) for xi, si in zip(x, step)]
             if max([abs(yi - xi) for yi, xi in zip(y, x)]) < XATOL:
-                return
+                return "xatol"
+            if convex and dec < 0.5 * FATOL:  # alpha is 1: no trial evaluated yet
+                return "decrement"
             fy = f(y)
             if fy < fx and fy <= fx + ARMIJO * sum(
                     [gi * (yi - xi) for gi, yi, xi in zip(g, y, x)]):
                 break
             alpha *= 0.5
         if fx - fy < FATOL:
-            return
+            return "fatol"
+        if p == 1 and convex and alpha == 1.0 and y[0] == x[0] + step[0]:
+            miss = fx - fy - dec  # minus the cubic term; next decrement 9 miss^2 / (4 dec)
+            if 3.0 * miss * miss < FATOL * dec:
+                return "model"
         x, fx = y, fy
 
 
 def _newton_step(h, g):
-    """The step -H^-1 g on lists, H made positive definite: H itself where
-    its Cholesky factorization runs and gives a finite step, else H with
-    each eigenvalue replaced by its absolute value, floored at 1e-8 of the
-    largest or at 1e-8 (Nocedal and Wright, 2006, section 3.4).  A step
-    that is still not finite is zero."""
+    """The step -H^-1 g on lists, H made positive definite, and whether H
+    itself was: H itself where its Cholesky factorization runs and gives a
+    finite step, else H with each eigenvalue replaced by its absolute
+    value, floored at 1e-8 of the largest or at 1e-8 (Nocedal and Wright,
+    2006, section 3.4).  A step that is still not finite is zero."""
     step = _cholesky_solve(h, [-gi for gi in g])
-    if step is None or not all(map(math.isfinite, step)):
-        w, v = np.linalg.eigh(np.array(h))
-        w = np.maximum(np.abs(w), 1e-8 * max(np.abs(w).max(), 1.0))
-        step = (-(v @ ((v.T @ np.array(g)) / w))).tolist()
-    return step if all(map(math.isfinite, step)) else [0.0] * len(g)
+    if step is not None and all(map(math.isfinite, step)):
+        return step, True
+    w, v = np.linalg.eigh(np.array(h))
+    w = np.maximum(np.abs(w), 1e-8 * max(np.abs(w).max(), 1.0))
+    step = (-(v @ ((v.T @ np.array(g)) / w))).tolist()
+    return (step if all(map(math.isfinite, step)) else [0.0] * len(g)), False
 
 
 def _cholesky_solve(h, b):

@@ -112,6 +112,19 @@ class TestIntegrate:
                                  "--out", str(tmp_path)] + eps, capsys)
         assert code == 1 and err.startswith("error: ")
 
+    @pytest.mark.parametrize("command", ["integrate", "sweep"])
+    def test_an_unwritable_out_fails_before_any_integration(self, capsys, monkeypatch,
+                                                            tmp_path, command):
+        # --out is opened before the first call, so a bad path loses no run
+        calls = []
+        monkeypatch.setattr(cli, "_run_once", lambda *args: calls.append(args))
+        eps = ["--eps", "1e-2"] if command == "integrate" else [
+            "--eps-lo", "1e-3", "--eps-hi", "1e-2", "--count", "5"]
+        for out in (tmp_path, tmp_path / "missing" / "rows.json"):
+            code, _, err = run_main([command, "--problem", "fresnel", "--out", str(out)]
+                                    + eps, capsys)
+            assert code == 1 and err.startswith("error: ") and calls == []
+
     @pytest.mark.parametrize("name", problems.PERIODIZERS)
     def test_periodizer_accepts_every_name(self, capsys, name):
         code, out, _ = run_main(

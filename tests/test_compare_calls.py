@@ -2,6 +2,7 @@
 
 import copy
 import importlib.util
+import json
 import math
 from pathlib import Path
 
@@ -137,6 +138,46 @@ class TestDiffRecords:
         losses = [it["loss"] for it in recorded["iterations"]]
         assert len(losses) > 1 and None not in losses
         assert [it["loss"] for it in watched["iterations"]] == losses
+
+    @pytest.mark.parametrize("rise, code", [(0.5, 0), (2.0, 1)])
+    def test_a_loss_rise_past_fatol_fails_whatever_the_fields(self, tool, monkeypatch,
+                                                              tmp_path, capsys, rise, code):
+        from bayescub.inference import FATOL
+
+        old = copy.deepcopy(records())
+        for it in old[0]["iterations"] + old[1]["iterations"]:
+            it["loss"] = 2.0
+        new = copy.deepcopy(old)
+        new[0]["iterations"][1]["loss"] = 2.0 + rise * FATOL
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(old))
+        monkeypatch.setattr(tool, "run_calls", lambda src, seeds: new)
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            monkeypatch.setenv(var, "1")  # main sets them; restored after the test
+        assert tool.main(["--against", str(path), "--fields", "mu_hat", "n_used"]) == code
+        out = capsys.readouterr().out
+        named = "('w', 1, 0) doubling 1 loss rose"
+        assert (named in out) == bool(code)
+        assert f"{code} doublings whose loss rose more than FATOL" in out
+        assert tool.loss_breaches(old, new, FATOL) == (
+            [line for line in out.splitlines() if line.startswith(named)])
+
+    def test_each_doubling_records_why_its_search_stopped(self, tool):
+        from bayescub.inference import STOPS
+
+        problem = bayescub.build_problem("keister", d=2)
+        cfg = bayescub.CubatureConfig(epsilon=1e-4, n_max=2**12, seed=1)
+        rec = tool.call_record(
+            "w", 1, 0, lambda: bayescub.integrate_fast(problem.evaluator, 2, cfg))
+        assert len(rec["iterations"]) > 1
+        assert all(it["stop"] in STOPS for it in rec["iterations"])
+        assert "stop" in tool.FIELDS
+        recs = records()
+        stops = ["model", "fatol", "model"]
+        for it, stop in zip(recs[0]["iterations"] + recs[1]["iterations"], stops):
+            it["stop"] = stop
+        recs.append({"workload": "v", "seed": 1, "call": 0, "iterations": [{}]})
+        assert tool.stop_shares(recs) == {"w": {"fatol": 1 / 3, "model": 2 / 3}}
 
     def test_evaluations_per_doubling_per_workload(self, tool):
         recs = records() + [{"workload": "v", "seed": 1, "call": 0, "mu_hat": "0x0p+0",

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bayescub import cubature, inference, kernels, nodes, transforms
-from bayescub.inference import (EB, FULL, GCV, XATOL, DegenerateDataError,
+from bayescub.inference import (EB, FATOL, FULL, GCV, XATOL, DegenerateDataError,
                                 NonFiniteStartError, NonPositiveDefiniteError,
                                 TransformedData, column_spectrum, credible_width,
                                 data_weights, dense_posterior, eigenvalue_adjoint,
@@ -1293,6 +1293,103 @@ class TestHyperparameterSearch:
                                      gradient_fn=derivatives, hessian=True)
         assert not res.capped and 8 < res.evaluations == len(seen) < 100
         assert res.value < 1e-6
+
+    # the stops on the Newton search's own model
+    @staticmethod
+    def logged_cosh(log, centres):
+        """sum_l cosh(t_l - centres_l), logging each value as ("value", t)
+        and each (gradient, Hessian) as ("derivatives", t, g, h)."""
+        c = np.asarray(centres, dtype=float)
+
+        def obj(t):
+            log.append(("value", tuple(t)))
+            return float(np.cosh(t - c).sum()), None
+
+        def derivatives(t, payload):
+            g, h = np.sinh(t - c), np.diag(np.cosh(t - c))
+            log.append(("derivatives", tuple(t), g, h))
+            return g, h
+
+        return obj, derivatives
+
+    def test_model_stop_ends_after_a_full_step_without_its_derivatives(self):
+        # cosh(t - 0.7) from t = -1: past the last full Newton step the
+        # cubic term predicts a gain below 3/4 FATOL, so the search ends at
+        # that step's point without asking the derivatives there
+        log = []
+        obj, derivatives = self.logged_cosh(log, (0.7,))
+        res = search_hyperparameters(obj, np.array([-1.0]), budget=100,
+                                     gradient_fn=derivatives, hessian=True)
+        assert res.stop == "model" and not res.capped
+        last = [entry for entry in log if entry[0] == "derivatives"][-1]
+        assert log[-1] == ("value", tuple(res.t)) and log[-2] is last
+        _, x, g, h = last
+        assert res.t[0] == x[0] - g[0] / h[0, 0]  # the full step, unclipped
+        assert 0.0 <= res.value - 1.0 < FATOL
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_decrement_stop_evaluates_no_trial(self, p):
+        # a scripted gradient whose Newton step (2e-4 in t_0) moves past
+        # XATOL but is predicted to gain 1e-8 < FATOL / 2: no trial runs
+        seen, asked = [], []
+
+        def obj(t):
+            seen.append(tuple(t))
+            return 1.0 + float(t[0]), None
+
+        def derivatives(t, payload):
+            asked.append(tuple(t))
+            return np.r_[-1e-4, np.zeros(p - 1)], np.diag(np.r_[0.5, np.ones(p - 1)])
+
+        res = search_hyperparameters(obj, np.zeros(p), budget=100,
+                                     gradient_fn=derivatives, hessian=True)
+        assert res.stop == "decrement" and seen == asked == [(0.0,) * p]
+        assert res.evaluations == 1 and res.value == 1.0
+
+    @pytest.mark.parametrize("stop", ["decrement", "model"])
+    def test_no_model_stop_on_an_eigenvalue_modified_step(self, stop):
+        # a concave start: the step takes |h|, so the model's gain says
+        # nothing and neither stop may end the search on it.  With g = -1e-6
+        # and h = -1e-4 the step 1e-2 is predicted to gain 5e-9; with g = h
+        # = -1 the step 1 gains exactly its prediction 1/2, which at positive
+        # curvature would end the search at one coordinate
+        g0, h0 = (-1e-6, -1e-4) if stop == "decrement" else (-1.0, -1.0)
+        step = -g0 / abs(h0)
+        log = []
+
+        def obj(t):
+            log.append(("value", tuple(t)))
+            return (0.0 if t[0] == 0.0 else -0.5 if t[0] == step else 1.0), None
+
+        def derivatives(t, payload):
+            log.append(("derivatives", tuple(t)))
+            return (np.array([g0]) if t[0] == 0.0 else np.zeros(1)), np.array([[h0]])
+
+        res = search_hyperparameters(obj, np.zeros(1), budget=100,
+                                     gradient_fn=derivatives, hessian=True)
+        assert log == [("value", (0.0,)), ("derivatives", (0.0,)), ("value", (step,)),
+                       ("derivatives", (step,))]
+        assert res.stop == "xatol" and res.t[0] == step
+
+    def test_model_stop_waits_for_one_coordinate(self):
+        # sum_l cosh(t_l - c_l) from (-1, 1): at some full, unclipped step
+        # the one-coordinate test 3 miss^2 < FATOL dec holds on a gain of
+        # at least FATOL, yet with two coordinates the search goes on and
+        # asks the derivatives at that step's point
+        log = []
+        obj, derivatives = self.logged_cosh(log, (0.7, -0.4))
+        res = search_hyperparameters(obj, np.array([-1.0, 1.0]), budget=100,
+                                     gradient_fn=derivatives, hessian=True)
+        assert res.stop != "model" and not res.capped
+        f = lambda t: float(np.cosh(np.asarray(t) - (0.7, -0.4)).sum())  # noqa: E731
+        steps = [entry[1:] for entry in log if entry[0] == "derivatives"]
+        would_stop = []
+        for (x, g, h), (y, _, _) in zip(steps, steps[1:]):
+            s = -np.linalg.solve(h, g)
+            dec, gain = -0.5 * g @ s, f(x) - f(y)
+            if np.array_equal(np.array(y), np.array(x) + s) and gain >= FATOL:
+                would_stop.append(3 * (gain - dec) ** 2 < FATOL * dec)
+        assert any(would_stop)
 
     def test_nonfinite_at_init_raises(self):
         def bad(t):

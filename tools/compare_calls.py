@@ -13,19 +13,23 @@ value (as a float hex string, or null when it has none), the estimate (as a
 float hex string), n_used, err and tolerance_met and, per doubling, err, the
 chosen eta, the kernel order, the objective evaluations, the clamped-eigenvalue
 count, whether the search re-seeded, ended at an eta bound or ran out of its
-budget, and the search's loss at the chosen eta: every field a CubatureResult
-holds but its timings.  A tree whose records lack the loss (one older than
-the field) has it recorded as the least finite value each search saw, which
-is the same number.  --out writes the records as JSON; --against reads
+budget, why it stopped, and the search's loss at the chosen eta: every field
+a CubatureResult holds but its timings.  A tree whose records lack the loss
+(one older than the field) has it recorded as the least finite value each
+search saw, which is the same number; one whose records lack the stop has it
+recorded as null.  --out writes the records as JSON; --against reads
 records written earlier (say, from another revision's tree) and reports
 every field that is not equal, plus the largest relative err gap over the
 doublings both hold and, per workload, each side's mean objective
-evaluations per doubling and the largest rise of the loss over the earlier
-records at the doublings both hold, so a change to the search is held to
-the loss it reached.  The exit status is 1 when a field differs; with
+evaluations per doubling, the largest rise of the loss over the earlier
+records at the doublings both hold, and each side's share of the searches
+that each stop ended.  The exit status is 1 when a field differs; with
 --fields only the named fields count (the others are summed up in one line),
 so a change that moves eta and err by design can still be held to
-identical mu_hat and n_used.  A change that moves a problem's reference value
+identical mu_hat and n_used.  Whatever --fields names, the exit status is
+also 1 when any doubling's loss rises more than the searched tree's
+inference.FATOL above the earlier records' (the loss-parity gate), and each
+such call and doubling is printed.  A change that moves a problem's reference value
 differs in the "reference" field of every call on that problem; records
 written before the field was recorded lack it, so compare records made by
 one version of this tool (record the other tree with --src).
@@ -138,7 +142,7 @@ def call_record(workload: str, seed: int, call: int, run, reference=None,
                             "order": it.order, "evaluations": it.evaluations,
                             "n_clamped": it.n_clamped, "reseeded": it.reseeded,
                             "bound_hit": it.bound_hit, "capped": it.capped,
-                            "loss": loss(it)}
+                            "stop": getattr(it, "stop", None), "loss": loss(it)}
                            for it in res.iterations])
     return rec
 
@@ -204,7 +208,7 @@ def _rel_gap(a, b) -> float:
 # per call, then per doubling; "err" names both the result's and each doubling's
 CALL_FIELDS = ("error", "reference", "mu_hat", "n_used", "err", "tolerance_met")
 DOUBLING_FIELDS = ("n", "err", "eta", "order", "evaluations", "n_clamped", "reseeded",
-                   "bound_hit", "capped", "loss")
+                   "bound_hit", "capped", "stop", "loss")
 FIELDS = tuple(dict.fromkeys(CALL_FIELDS + ("doublings",) + DOUBLING_FIELDS))
 
 
@@ -246,22 +250,46 @@ def evaluations_per_doubling(records: list[dict]) -> dict[str, float]:
     return {w: sum(v) / len(v) for w, v in spent.items() if v}
 
 
-def loss_rises(old: list[dict], new: list[dict]) -> dict[str, float]:
-    """Per workload, the largest rise of the loss from the first record list
-    to the second over the doublings both hold with a loss, by call and
-    doubling: negative where every such loss fell."""
+def _loss_pairs(old: list[dict], new: list[dict]):
+    """(call key, doubling, rise of the loss from old to new) over the
+    doublings both lists hold with a loss."""
     key = lambda r: (r["workload"], r["seed"], r["call"])  # noqa: E731
     before = {key(r): r for r in old}
-    rises: dict[str, float] = {}
     for r in new:
         a = before.get(key(r))
         if a is None:
             continue
-        for ia, ib in zip(a.get("iterations", []), r.get("iterations", [])):
+        for j, (ia, ib) in enumerate(zip(a.get("iterations", []), r.get("iterations", []))):
             if ia.get("loss") is not None and ib.get("loss") is not None:
-                rise = ib["loss"] - ia["loss"]
-                rises[r["workload"]] = max(rises.get(r["workload"], -math.inf), rise)
+                yield key(r), j, ib["loss"] - ia["loss"]
+
+
+def loss_rises(old: list[dict], new: list[dict]) -> dict[str, float]:
+    """Per workload, the largest rise of the loss from the first record list
+    to the second over the doublings both hold with a loss, by call and
+    doubling: negative where every such loss fell."""
+    rises: dict[str, float] = {}
+    for k, _, rise in _loss_pairs(old, new):
+        rises[k[0]] = max(rises.get(k[0], -math.inf), rise)
     return rises
+
+
+def loss_breaches(old: list[dict], new: list[dict], tol: float) -> list[str]:
+    """Lines naming each call and doubling whose loss rose more than tol
+    from the first record list to the second."""
+    return [f"{k} doubling {j} loss rose {rise:.3g}, more than {tol:.3g}"
+            for k, j, rise in _loss_pairs(old, new) if rise > tol]
+
+
+def stop_shares(records: list[dict]) -> dict[str, dict[str, float]]:
+    """Per workload, the share of the searched doublings that each stop
+    ended, over the doublings that record one."""
+    stops: dict[str, list[str]] = {}
+    for r in records:
+        stops.setdefault(r["workload"], []).extend(
+            it["stop"] for it in r.get("iterations", []) if it.get("stop"))
+    return {w: {s: v.count(s) / len(v) for s in sorted(set(v))}
+            for w, v in stops.items() if v}
 
 
 def main(argv=None) -> int:
@@ -278,6 +306,7 @@ def main(argv=None) -> int:
         os.environ[var] = "1"
 
     records = run_calls(args.src, args.seeds)
+    from bayescub.inference import FATOL  # the searched tree's, imported from --src
     if args.out:
         args.out.write_text(json.dumps(records, indent=1) + "\n")
     print(f"{len(records)} calls, "
@@ -294,11 +323,18 @@ def main(argv=None) -> int:
         print(f"{others} differing fields outside --fields, not counted")
     before, after = evaluations_per_doubling(old), evaluations_per_doubling(records)
     rises = loss_rises(old, records)
+    shares = stop_shares(old), stop_shares(records)
     for w in sorted(before.keys() | after.keys()):
         print(f"{w}: evaluations per doubling {before.get(w, math.nan):.2f} -> "
               f"{after.get(w, math.nan):.2f}; largest loss rise "
-              f"{rises.get(w, math.nan):.3g}")
-    return 1 if lines else 0
+              f"{rises.get(w, math.nan):.3g}; stops " + " -> ".join(
+                  " ".join(f"{s} {share:.0%}" for s, share in side.get(w, {}).items())
+                  or "unrecorded" for side in shares))
+    breaches = loss_breaches(old, records, FATOL)
+    for line in breaches:
+        print(line)
+    print(f"{len(breaches)} doublings whose loss rose more than FATOL {FATOL:g}")
+    return 1 if lines or breaches else 0
 
 
 if __name__ == "__main__":
